@@ -26,21 +26,31 @@
 
 namespace {
 
+// Allocates every chunk of the pool and writes each once. Copies then hit
+// random addresses across the whole 80 MB region (defeating cache
+// residency, as the paper's random-address reads do) on memory the kernel
+// has already committed: the pool's region is committed on first touch, so
+// an unwritten chunk would time a page fault on the way in and the shared
+// zero page on the way out.
+std::vector<nk::shm::chunk_ref> prefaulted_chunks(nk::shm::hugepage_pool& pool) {
+  std::vector<nk::shm::chunk_ref> chunks;
+  while (true) {
+    auto c = pool.alloc();
+    if (!c.ok()) break;
+    auto span = pool.writable(c.value()).value();
+    std::memset(span.data(), 0xa5, span.size());
+    chunks.push_back(c.value());
+  }
+  return chunks;
+}
+
 void copy_into_pool(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
   nk::shm::hugepage_config cfg;
   cfg.chunk_size = 8 * 1024;
   nk::shm::hugepage_pool pool{1, cfg};
 
-  // Pre-allocate a spread of chunks so successive copies hit random
-  // addresses across the whole 80 MB region (defeats cache residency, as
-  // the paper's random-address reads do).
-  std::vector<nk::shm::chunk_ref> chunks;
-  while (true) {
-    auto c = pool.alloc();
-    if (!c.ok()) break;
-    chunks.push_back(c.value());
-  }
+  const auto chunks = prefaulted_chunks(pool);
   std::vector<std::byte> src(size, std::byte{0x5a});
   nk::rng rng{42};
 
@@ -60,12 +70,7 @@ void copy_from_pool(benchmark::State& state) {
   nk::shm::hugepage_config cfg;
   cfg.chunk_size = 8 * 1024;
   nk::shm::hugepage_pool pool{1, cfg};
-  std::vector<nk::shm::chunk_ref> chunks;
-  while (true) {
-    auto c = pool.alloc();
-    if (!c.ok()) break;
-    chunks.push_back(c.value());
-  }
+  const auto chunks = prefaulted_chunks(pool);
   std::vector<std::byte> dst(size);
   nk::rng rng{43};
 
@@ -90,12 +95,7 @@ void snapshot_distributions() {
   nk::shm::hugepage_config cfg;
   cfg.chunk_size = 8 * 1024;
   nk::shm::hugepage_pool pool{1, cfg};
-  std::vector<nk::shm::chunk_ref> chunks;
-  while (true) {
-    auto c = pool.alloc();
-    if (!c.ok()) break;
-    chunks.push_back(c.value());
-  }
+  const auto chunks = prefaulted_chunks(pool);
   nk::rng rng{44};
 
   constexpr int iterations = 20000;

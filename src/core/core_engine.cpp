@@ -169,6 +169,19 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
     }
     return static_cast<double>(n);
   });
+  // Huge-page memory the kernel holds for every pool, live and retired. A
+  // detach returns its pool's free chunks, so this follows the live
+  // attachments' working sets, not how many attachments ever existed.
+  metrics_.register_gauge_fn("engine_pool_resident_bytes", [this] {
+    std::size_t n = 0;
+    for (const auto& [vm, att] : attachments_) {
+      if (att.ch) n += att.ch->pool.resident_bytes();
+    }
+    for (const auto& att : retired_attachments_) {
+      if (att.ch) n += att.ch->pool.resident_bytes();
+    }
+    return static_cast<double>(n);
+  });
   metrics_.register_gauge_fn("engine_ops_timed_out", [this] {
     double d = 0.0;
     for (const auto& [vm, att] : attachments_) {
@@ -534,6 +547,9 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
   });
   metrics_.register_gauge_fn(p + "_pool_chunks_free", [ch] {
     return static_cast<double>(ch->pool.chunks_free());
+  });
+  metrics_.register_gauge_fn(p + "_pool_resident_bytes", [ch] {
+    return static_cast<double>(ch->pool.resident_bytes());
   });
   // Staged (overflowed) depth per direction; nonzero means a ring filled
   // and the engine is carrying the excess until the consumer catches up.
@@ -1368,6 +1384,9 @@ void core_engine::detach_vm(virt::vm_id vm) {
     stage.completion.clear();
     stage.receive.clear();
   }
+  // Give the scrubbed pool's memory back. Chunks the stopped GuestLib still
+  // holds stay resident and intact.
+  att.ch->pool.release_free();
 
   metrics_.unregister_prefix("vm" + std::to_string(vm) + "_");
   log_info("core_engine: detached vm ", vm, " from nsm ", att.module->id());

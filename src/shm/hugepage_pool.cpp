@@ -6,7 +6,7 @@ hugepage_pool::hugepage_pool(std::uint32_t key, const hugepage_config& cfg)
     : key_{key},
       cfg_{cfg},
       chunk_count_{cfg.page_size * cfg.page_count / cfg.chunk_size},
-      region_{std::make_unique<std::byte[]>(cfg.page_size * cfg.page_count)},
+      region_{cfg.page_size * cfg.page_count},
       allocated_(chunk_count_, false) {
   free_.reserve(chunk_count_);
   // Hand out low indices first: makes allocation order deterministic.
@@ -45,19 +45,32 @@ status hugepage_pool::free(chunk_ref ref) {
 
 result<std::span<std::byte>> hugepage_pool::writable(chunk_ref ref) {
   if (auto s = validate(ref); !s) return s.error();
-  return std::span<std::byte>{region_.get() + ref.index * cfg_.chunk_size,
+  return std::span<std::byte>{region_.data() + ref.index * cfg_.chunk_size,
                               cfg_.chunk_size};
 }
 
 result<std::span<const std::byte>> hugepage_pool::readable(
     const data_descriptor& desc) const {
   if (auto s = validate(desc.chunk); !s) return s.error();
-  if (desc.offset + desc.length > cfg_.chunk_size) {
+  if (std::uint64_t{desc.offset} + desc.length > cfg_.chunk_size) {
     return errc::invalid_argument;
   }
   return std::span<const std::byte>{
-      region_.get() + desc.chunk.index * cfg_.chunk_size + desc.offset,
+      region_.data() + desc.chunk.index * cfg_.chunk_size + desc.offset,
       desc.length};
+}
+
+void hugepage_pool::release_free() {
+  for (std::size_t first = 0; first < chunk_count_;) {
+    if (allocated_[first]) {
+      ++first;
+      continue;
+    }
+    std::size_t end = first;
+    while (end < chunk_count_ && !allocated_[end]) ++end;
+    region_.release(first * cfg_.chunk_size, (end - first) * cfg_.chunk_size);
+    first = end;
+  }
 }
 
 }  // namespace nk::shm

@@ -5,16 +5,20 @@
 // application payload into and reference from nqes via data descriptors.
 // Each VM↔NSM pair gets a pool with a unique key; descriptors minted by a
 // different pool are rejected, which is the isolation property of §3.1.
+//
+// Here the region is a shm::region: pages are committed when a chunk is
+// first written, and release_free() returns free chunks' pages, so a pool
+// costs memory in proportion to the chunks in use, not to its 80 MB size.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/result.hpp"
 #include "shm/nqe.hpp"
+#include "shm/region.hpp"
 
 namespace nk::shm {
 
@@ -61,9 +65,21 @@ class hugepage_pool {
   // Mutable view of a chunk for the owner of a valid descriptor.
   [[nodiscard]] result<std::span<std::byte>> writable(chunk_ref ref);
 
-  // Read-only view covering [offset, offset+length) of the chunk.
+  // Read-only view covering [offset, offset+length) of the chunk. The bound
+  // is checked in 64 bits: a guest-forged offset near 2^32 cannot wrap the
+  // sum back inside the chunk.
   [[nodiscard]] result<std::span<const std::byte>> readable(
       const data_descriptor& desc) const;
+
+  // Returns the pages of every maximal run of free chunks to the kernel.
+  // Held chunks keep their bytes; released ones read as zero when next
+  // allocated, as they did on first use.
+  void release_free();
+
+  // Bytes of the region the kernel currently holds for this pool.
+  [[nodiscard]] std::size_t resident_bytes() const {
+    return region_.resident_bytes();
+  }
 
  private:
   [[nodiscard]] status validate(chunk_ref ref) const;
@@ -71,7 +87,7 @@ class hugepage_pool {
   std::uint32_t key_;
   hugepage_config cfg_;
   std::size_t chunk_count_;
-  std::unique_ptr<std::byte[]> region_;
+  region region_;
   std::vector<std::uint32_t> free_;
   std::vector<bool> allocated_;
   bool exhausted_ = false;

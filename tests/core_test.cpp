@@ -1257,5 +1257,120 @@ TEST(netkernel_firewall, manual_readmit_clears_permanent_quarantine) {
   EXPECT_FALSE(rig.engine().readmit_vm(rig.rogue_id()));
 }
 
+// --- memory per attachment ----------------------------------------------------
+
+// 200 attach -> echo traffic -> retire cycles on one multiplexed NSM; even
+// cycles detach, odd cycles quarantine and readmit. Every retired pool gives
+// its pages back, so after each cycle the engine's resident pool memory is
+// the live tenant's working set plus at most one pool's, however many
+// attachments have come and gone.
+TEST(netkernel_memory, attach_retire_churn_keeps_pool_memory_bounded) {
+  testbed bed{[] {
+    auto p = apps::datacenter_params(21);
+    p.netkernel.shards = 2;
+    // Retired attachments keep their ring storage; small rings keep 200 of
+    // them cheap.
+    p.netkernel.channel.queues.depth = 64;
+    return p;
+  }()};
+  nsm_config nsm_cfg;
+  nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
+  virt::vm_config vm_cfg;
+  vm_cfg.vcpus = 1;
+  vm_cfg.name = "server";
+  nsm_cfg.name = "nsm-b";
+  auto server = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+  vm_cfg.name = "anchor";
+  nsm_cfg.name = "nsm-a";
+  auto anchor = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
+
+  auto& gs = *server.glib;
+  const auto lfd = gs.nk_socket().value();
+  ASSERT_TRUE(gs.nk_bind(lfd, 7000).ok());
+  ASSERT_TRUE(gs.nk_listen(lfd).ok());
+  gs.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                           errc) {
+    if (fd == lfd && t == stack::socket_event_type::accept_ready) {
+      while (gs.nk_accept(lfd).ok()) {
+      }
+    } else if (t == stack::socket_event_type::readable) {
+      while (auto r = gs.nk_recv(fd, 1 << 20)) {
+        (void)gs.nk_send(fd, std::move(r).value());
+      }
+    } else if (t == stack::socket_event_type::closed) {
+      (void)gs.nk_close(fd);
+    }
+  });
+
+  core_engine& ce = bed.netkernel(side::a);
+  auto resident = [&](const std::string& name) {
+    return ce.metrics().value_of(name).value_or(-1.0);
+  };
+  const std::string anchor_gauge =
+      "vm" + std::to_string(anchor.vm->id()) + "_pool_resident_bytes";
+  constexpr std::size_t payload = 32 * 1024;
+  std::vector<const channel*> pools{ce.channel_of(anchor.vm->id())};
+  double one_pool = 0.0;  // largest working set a churned pool reached
+  std::size_t echoed = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    vm_cfg.name = "churn-" + std::to_string(cycle);
+    vm_cfg.address = net::ipv4_addr::from_octets(
+        10, 0, static_cast<std::uint8_t>(3 + cycle / 200),
+        static_cast<std::uint8_t>(1 + cycle % 200));
+    auto t = bed.attach_netkernel_vm(side::a, vm_cfg, *anchor.module);
+    guest_lib* g = t.glib;  // retired, never destroyed: safe to capture
+    const auto vm = t.vm->id();
+    const auto fd = g->nk_socket().value();
+    echoed = 0;
+    g->set_event_handler([g, fd, &echoed](std::uint32_t f,
+                                          stack::socket_event_type ty, errc) {
+      if (f != fd) return;
+      if (ty == stack::socket_event_type::connected) {
+        (void)g->nk_send(fd, buffer::pattern(payload, fd));
+      } else if (ty == stack::socket_event_type::readable) {
+        while (auto r = g->nk_recv(fd, 1 << 20)) echoed += r.value().size();
+      }
+    });
+    ASSERT_TRUE(
+        g->nk_connect(fd, {server.module->config().address, 7000}).ok());
+    bed.run_for(milliseconds(2));
+    ASSERT_EQ(echoed, payload) << "cycle " << cycle;
+    one_pool = std::max(
+        one_pool, resident("vm" + std::to_string(vm) + "_pool_resident_bytes"));
+    (void)g->nk_close(fd);
+    bed.run_for(milliseconds(1));
+
+    pools.push_back(ce.channel_of(vm));
+    if (cycle % 2 == 0) {
+      ce.detach_vm(vm);
+    } else {
+      ce.quarantine_vm(vm, "churn");
+      ASSERT_TRUE(ce.readmit_vm(vm));
+    }
+    bed.run_for(milliseconds(1));
+
+    ASSERT_EQ(ce.attached_vms().size(), 1u);
+    EXPECT_LE(resident("engine_pool_resident_bytes"),
+              resident(anchor_gauge) + one_pool)
+        << "cycle " << cycle;
+    for (const channel* ch : pools) {
+      ASSERT_EQ(ch->pool.chunks_free(), ch->pool.chunk_count())
+          << "cycle " << cycle;
+    }
+    for (std::size_t s = 0; s < ce.shards(); ++s) {
+      const auto& st = ce.shard_stats(s);
+      ASSERT_EQ(st.unroutable_nqes + st.nqes_dropped + st.stale_nqes +
+                    st.rejected_nqes,
+                ce.shard_traces_dropped(s) + ce.shard_discards_untraced(s))
+          << "cycle " << cycle << " shard " << s;
+    }
+  }
+  // The traffic really touched pool memory, and retiring returned all of
+  // it: 200 churned pools hold nothing.
+  EXPECT_GT(one_pool, 0.0);
+  EXPECT_EQ(resident("engine_pool_resident_bytes"), resident(anchor_gauge));
+  EXPECT_EQ(ce.metrics().value_of("engine_pool_bad_frees").value_or(-1.0), 0.0);
+}
+
 }  // namespace
 }  // namespace nk::core

@@ -15,6 +15,7 @@
 #include "apps/scenario.hpp"
 #include "common/rng.hpp"
 #include "core/hostile.hpp"
+#include "shm/steering.hpp"
 
 namespace nk::core {
 namespace {
@@ -367,6 +368,46 @@ TEST(raw_ring_stat_refresh, refresh_flood_beyond_budget_rejected) {
   rig.bed.run_for(milliseconds(20));
   EXPECT_EQ(ch->stats.version(), version_before + 2 * (burst + 1));
   EXPECT_EQ(rig.rejected_total(), extra);  // no new rejections
+}
+
+// --- raw_ring: wrapping descriptor bounds (DESIGN.md §14) -------------------
+
+// A req_send naming the guest's own live chunk and a real fd, whose
+// offset + length wraps 32 bits back under the chunk size. Summed in 32 bits
+// the firewall would pass it and ServiceLib would copy 4352 B from 4 GiB past
+// the chunk. It must die as badchunk, and the firewall must not free the
+// chunk: the guest still holds it.
+TEST(raw_ring_desc_wrap, wrapped_offset_rejected_as_badchunk) {
+  raw_ring_rig rig{13};
+  const auto vm = rig.target.vm->id();
+  auto* ch = rig.engine().channel_of(vm);
+  ASSERT_NE(ch, nullptr);
+  const auto fd = rig.target.glib->nk_socket().value();
+  rig.bed.run_for(milliseconds(5));
+
+  const auto chunk = ch->pool.alloc().value();
+  shm::nqe e;
+  e.op = shm::nqe_op::req_send;
+  e.owner = static_cast<std::uint16_t>(vm);
+  e.handle = fd;
+  e.desc = shm::data_descriptor{chunk, 0xFFFFF000u, 0x1100u};
+  const auto s = shm::flow_shard(vm, fd, ch->shards());
+  ASSERT_TRUE(ch->vm_q(s).job.push(e));
+  rig.engine().notify_from_vm(vm, s);
+  rig.bed.run_for(milliseconds(5));
+
+  EXPECT_EQ(rig.rejected_total(), 1u);
+  std::uint64_t badchunk = 0;
+  for (std::size_t sh = 0; sh < rig.engine().shards(); ++sh) {
+    badchunk += rig.engine().shard_rejected_reasons(
+        sh)[static_cast<std::size_t>(reject_reason::badchunk)];
+  }
+  EXPECT_EQ(badchunk, 1u);
+  // The chunk is still the guest's: not recycled, no refused free counted.
+  EXPECT_EQ(ch->pool.chunks_free(), ch->pool.chunk_count() - 1);
+  EXPECT_EQ(ch->pool.bad_frees(), 0u);
+  ASSERT_TRUE(ch->pool.free(chunk).ok());
+  rig.expect_invariants();
 }
 
 }  // namespace

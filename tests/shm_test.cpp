@@ -205,6 +205,119 @@ TEST(hugepage_pool, bounds_checked_descriptors) {
   EXPECT_EQ(pool.readable(bad_index).error(), errc::invalid_argument);
 }
 
+// offset + length is checked in 64 bits. In 32 bits a forged offset near
+// 2^32 wraps the sum back under chunk_size and readable() hands out a span
+// gigabytes past the chunk.
+TEST(hugepage_pool, readable_bounds_do_not_wrap) {
+  hugepage_pool pool{1};
+  const auto c = pool.alloc().value();
+  const auto size = static_cast<std::uint32_t>(pool.chunk_size());
+  auto rejects = [&](std::uint32_t offset, std::uint32_t length) {
+    return pool.readable(data_descriptor{c, offset, length}).error() ==
+           errc::invalid_argument;
+  };
+  EXPECT_TRUE(rejects(0xFFFFF000u, 0x1100u));  // wraps to 0x100
+  EXPECT_TRUE(rejects(0xFFFFFFFFu, 1));        // wraps to 0
+  EXPECT_TRUE(rejects(0x80000000u, 0x80000000u));
+  EXPECT_TRUE(rejects(0, 0xFFFFFFFFu));
+  EXPECT_TRUE(rejects(size, 1));
+  EXPECT_TRUE(rejects(1, size));
+
+  // Descriptors that end exactly at the chunk boundary are fine.
+  auto whole = pool.readable(data_descriptor{c, 0, size});
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(whole.value().size(), pool.chunk_size());
+  auto last = pool.readable(data_descriptor{c, size - 1, 1});
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last.value().data(), whole.value().data() + size - 1);
+  EXPECT_TRUE(pool.readable(data_descriptor{c, size, 0}).ok());
+}
+
+// The region is committed on first touch: an untouched default pool (80 MB
+// of address space) holds next to no memory.
+TEST(hugepage_pool, fresh_pool_is_not_resident) {
+  hugepage_pool pool{1};
+  EXPECT_LT(pool.resident_bytes(), pool.chunk_size());
+}
+
+TEST(hugepage_pool, written_chunks_become_resident) {
+  hugepage_pool pool{1};
+  constexpr std::size_t k = 16;
+  for (std::size_t i = 0; i < k; ++i) {
+    auto w = pool.writable(pool.alloc().value());
+    ASSERT_TRUE(w.ok());
+    std::fill(w.value().begin(), w.value().end(), std::byte{0x5a});
+  }
+  EXPECT_GE(pool.resident_bytes(), k * pool.chunk_size());
+  EXPECT_LT(pool.resident_bytes(), pool.bytes_total() / 2);
+}
+
+// release_free() drops residency to exactly the held chunks and leaves
+// their bytes alone; a released chunk reads as zero when reused.
+TEST(hugepage_pool, release_free_keeps_held_chunks_intact) {
+  // 64 KB chunks are whole OS pages on 4/16/64 KB-page hosts, so the
+  // residency check below is exact.
+  hugepage_pool pool{1, hugepage_config{.page_size = 2 * 1024 * 1024,
+                                        .page_count = 1,
+                                        .chunk_size = 64 * 1024}};
+  std::vector<chunk_ref> chunks;
+  for (std::size_t i = 0; i < 24; ++i) {
+    chunks.push_back(pool.alloc().value());
+    auto w = pool.writable(chunks.back()).value();
+    for (std::size_t b = 0; b < w.size(); ++b) {
+      w[b] = static_cast<std::byte>(i * 31 + b);
+    }
+  }
+  // Free a long run plus every third chunk elsewhere.
+  std::vector<std::size_t> held;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    if ((i >= 8 && i < 16) || i % 3 == 0) {
+      ASSERT_TRUE(pool.free(chunks[i]).ok());
+    } else {
+      held.push_back(i);
+    }
+  }
+  pool.release_free();
+
+  EXPECT_EQ(pool.resident_bytes(), held.size() * pool.chunk_size());
+  for (const std::size_t i : held) {
+    auto r = pool.readable(data_descriptor{
+        chunks[i], 0, static_cast<std::uint32_t>(pool.chunk_size())});
+    ASSERT_TRUE(r.ok());
+    for (std::size_t b = 0; b < r.value().size(); ++b) {
+      ASSERT_EQ(r.value()[b], static_cast<std::byte>(i * 31 + b))
+          << "chunk " << i << " byte " << b;
+    }
+  }
+  // LIFO: the next alloc reuses the last chunk freed, released to zero.
+  auto reused = pool.writable(pool.alloc().value()).value();
+  EXPECT_TRUE(std::all_of(reused.begin(), reused.end(),
+                          [](std::byte x) { return x == std::byte{0}; }));
+  EXPECT_EQ(pool.bad_frees(), 0u);
+}
+
+// Chunks smaller than an OS page: a free chunk between two held ones shares
+// their pages, so release_free() must round inward and release nothing.
+TEST(hugepage_pool, release_free_spares_pages_shared_with_held_chunks) {
+  hugepage_pool pool{1, hugepage_config{.page_size = 64 * 1024,
+                                        .page_count = 1,
+                                        .chunk_size = 512}};
+  const auto a = pool.alloc().value();
+  const auto gap = pool.alloc().value();
+  const auto b = pool.alloc().value();
+  for (const auto& c : {a, b}) {
+    auto w = pool.writable(c).value();
+    std::fill(w.begin(), w.end(), std::byte{0xa5});
+  }
+  ASSERT_TRUE(pool.free(gap).ok());
+  pool.release_free();
+  for (const auto& c : {a, b}) {
+    auto r = pool.readable(data_descriptor{c, 0, 512}).value();
+    EXPECT_TRUE(std::all_of(r.begin(), r.end(),
+                            [](std::byte x) { return x == std::byte{0xa5}; }));
+  }
+}
+
 TEST(hugepage_pool, data_written_is_read_back) {
   hugepage_pool pool{9};
   auto c = pool.alloc();

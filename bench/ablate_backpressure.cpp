@@ -6,7 +6,12 @@
 // forces every layer — ServiceLib out-rings, CoreEngine staging, GuestLib
 // job deferral — to absorb the burst instead. The invariant under test:
 // whatever the depth, no huge-page chunk leaks and no nqe vanishes without
-// being counted (deferred-and-delivered, or dropped and traced).
+// being counted (deferred-and-delivered, or dropped and traced). None of
+// the three depths reaches the overflow cap, so a fourth run shrinks
+// overflow_limit to 2 at depth 8 to make the cap drop pure data. Exits 1 when
+// any run leaks a chunk or loses an nqe unaccounted, or when a depth run
+// completes fewer than all of its queries (the cap run may: a dropped
+// ev_data loses app bytes by policy).
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -18,6 +23,8 @@ namespace {
 
 using namespace nk;
 using apps::side;
+
+constexpr int queries = 20;
 
 struct outcome {
   int completed = 0;
@@ -32,8 +39,10 @@ struct outcome {
   std::size_t chunks_free = 0;
 };
 
-outcome run(std::size_t depth, std::uint64_t seed) {
+// `cap` = 0 keeps the default overflow_limit.
+outcome run(std::size_t depth, std::uint64_t seed, std::size_t cap = 0) {
   auto params = apps::datacenter_params(seed);
+  if (cap != 0) params.netkernel.overflow_limit = cap;
   params.wire.rate = data_rate::gbps(10);
   params.wire.queue.capacity_bytes = 512 * 1024;
   params.netkernel.channel.queues.depth = depth;
@@ -60,7 +69,7 @@ outcome run(std::size_t depth, std::uint64_t seed) {
   apps::incast_config icfg;
   icfg.fanout = 16;
   icfg.response_size = 32 * 1024;
-  icfg.queries = 20;
+  icfg.queries = queries;
   apps::incast_worker_service service{*workers.api, 7000, icfg.response_size};
   service.start();
   apps::incast_aggregator aggregator{
@@ -102,6 +111,7 @@ int main() {
 
   std::string json = "[\n";
   bool first = true;
+  bool ok = true;
   for (const std::size_t depth : {8, 64, 4096}) {
     const outcome o = run(depth, 900 + depth);
     const auto leaked =
@@ -112,6 +122,12 @@ int main() {
     std::printf("%-8zu %10d %9.0f us %10.0f %10.0f %12.0f %8lld %12.0f\n",
                 depth, o.completed, o.p99_us, o.deferred, o.dropped,
                 o.unroutable, leaked, unaccounted);
+    if (leaked != 0 || unaccounted != 0 || o.completed < queries) {
+      std::printf("FAIL at depth %zu: %lld leaked, %.0f unaccounted, "
+                  "%d/%d queries\n",
+                  depth, leaked, unaccounted, o.completed, queries);
+      ok = false;
+    }
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "  {\"depth\": %zu, \"completed\": %d, \"p99_us\": %.1f, "
@@ -127,8 +143,23 @@ int main() {
     first = false;
   }
   json += "\n]\n";
+
+  const outcome o = run(8, 908, 2);
+  const auto leaked = static_cast<long long>(o.chunks_total) -
+                      static_cast<long long>(o.chunks_free);
+  const double unaccounted =
+      o.unroutable + o.dropped + o.rejected - o.traced_drops - o.untraced;
+  std::printf("%-8s %10d %9.0f us %10.0f %10.0f %12.0f %8lld %12.0f\n",
+              "8/cap2", o.completed, o.p99_us, o.deferred, o.dropped,
+              o.unroutable, leaked, unaccounted);
+  if (leaked != 0 || unaccounted != 0 || o.dropped == 0) {
+    std::printf("FAIL at cap 2: %lld leaked, %.0f unaccounted, %.0f dropped\n",
+                leaked, unaccounted, o.dropped);
+    ok = false;
+  }
+
   std::ofstream out{"ablate_backpressure.json"};
   out << json;
   std::printf("\nper-depth snapshots: ablate_backpressure.json\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -488,11 +488,11 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
                                      host_.next_region_key(), cfg_.channel,
                                      shards_.size());
   // One lane per engine shard: each shard's pumps drain only its own ring
-  // set and re-drain only its own overflow stage.
+  // set and re-drain only its own staged lanes.
   att.lanes.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     lane& ln = att.lanes[s];
-    ln.stage = std::make_unique<overflow_stage>();
+    ln.stage = std::make_unique<lane_stages>(*att.ch, s);
     ln.next_accept_fd =
         accept_fd_base + static_cast<std::uint32_t>(s) * accept_fd_stride;
     ln.vm_to_nsm = std::make_unique<queue_pump>(
@@ -555,7 +555,7 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
   // and the engine is carrying the excess until the consumer catches up.
   // The stages are heap-allocated, so capturing their addresses survives
   // rehashes of attachments_.
-  std::vector<const overflow_stage*> stages;
+  std::vector<const lane_stages*> stages;
   stages.reserve(att.lanes.size());
   for (const auto& ln : att.lanes) stages.push_back(ln.stage.get());
   metrics_.register_gauge_fn(p + "_staged_to_nsm", [stages] {
@@ -637,93 +637,69 @@ void core_engine::notify_vm_space(virt::vm_id vm, std::size_t shard) {
 
 // --- overflow staging ------------------------------------------------------------
 
-void core_engine::defer_or_drop(attachment& att, std::size_t s,
-                                std::deque<shm::nqe>& stage,
-                                const shm::nqe& e) {
+bool core_engine::push_staged(attachment& att, std::size_t s,
+                              shm::staged_lane& lane, const shm::nqe& e) {
   engine_shard& sh = shards_[s];
-  if (stage.size() < cfg_.overflow_limit ||
-      !shm::droppable_on_overflow(e.op)) {
-    stage.push_back(e);
-    ++sh.stats.nqes_deferred;
-    return;
+  const shm::push_result r = lane.push(e, cfg_.overflow_limit);
+  if (r == shm::push_result::staged) ++sh.stats.nqes_deferred;
+  if (r == shm::push_result::dropped) {
+    // Hard cap: the pipeline never gets here while gating works (pops stop
+    // when a stage fills); this is the bounded-memory backstop.
+    ++sh.stats.nqes_dropped;
+    drop_trace(sh, e.reserved);
+    if (!e.desc.empty()) (void)att.ch->pool.free(e.desc.chunk);
   }
-  // Hard cap: discard pure data, recycle its chunk, count the loss. The
-  // pipeline never gets here while gating works (pops stop when a stage
-  // fills); this is the bounded-memory backstop.
-  ++sh.stats.nqes_dropped;
-  drop_trace(sh, e.reserved);
-  if (!e.desc.empty()) (void)att.ch->pool.free(e.desc.chunk);
+  return r == shm::push_result::ring;
 }
 
-std::size_t core_engine::flush_stage_to_nsm(attachment& att, std::size_t s) {
-  auto& stage = att.lanes[s].stage->to_nsm;
-  std::size_t n = 0;
-  while (!stage.empty() && att.ch->nsm_q(s).job.push(stage.front())) {
-    stage.pop_front();
-    ++n;
-  }
-  if (n > 0) {
-    if (auto* service = service_of(att.module->id())) service->notify();
-  }
-  return n;
-}
-
-std::size_t core_engine::flush_stage_to_vm(attachment& att, std::size_t s) {
-  std::size_t n = 0;
-  auto flush_one = [&](std::deque<shm::nqe>& stage, shm::nqe_queue& ring) {
-    while (!stage.empty() && ring.push(stage.front())) {
-      stage.pop_front();
-      att.ch->count_nsm_to_vm(s);
-      ++n;
-    }
-  };
-  flush_one(att.lanes[s].stage->completion, att.ch->vm_q(s).completion);
-  flush_one(att.lanes[s].stage->receive, att.ch->vm_q(s).receive);
-  if (n > 0 && att.glib) att.glib->notify();
-  return n;
+void core_engine::push_to_vm(attachment& att, std::size_t s,
+                             shm::staged_lane& lane, const shm::nqe& e) {
+  if (!push_staged(att, s, lane, e)) return;
+  att.ch->count_nsm_to_vm(s);
+  if (att.glib) att.glib->notify();
 }
 
 // --- VM -> NSM direction ---------------------------------------------------------
 
 std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
   NK_PROF("core_engine", "pump_fwd");
-  abuse_state* ab = cfg_.firewall.enabled ? att.abuse.get() : nullptr;
+  abuse_state& ab = *att.abuse;
   std::size_t batch = drain_batch;
-  if (ab != nullptr) {
-    if (ab->level == abuse_level::quarantined) return 0;
-    // De-escalation: a violation budget back at full burst means the
-    // tenant has behaved for a while — clear the warn/throttle standing.
-    if (ab->level != abuse_level::ok &&
-        ab->budget.tokens_at(sim_.now()) >=
-            static_cast<double>(ab->budget.burst())) {
-      ab->level = abuse_level::ok;
-      ab->throttled_violations = 0;
-    }
-    if (ab->level == abuse_level::throttled) {
-      const sim_time now = sim_.now();
-      if (now < ab->next_drain) {
-        // Deprioritized, not stopped: one wake timer per VM re-rings every
-        // job lane when the next drain window opens, so a throttled tenant
-        // keeps limping even under batched-interrupt notification.
-        if (!ab->throttle_wake_pending) {
-          ab->throttle_wake_pending = true;
-          sim_.schedule_at(ab->next_drain, [this, id = att.vm->id()] {
-            auto wit = attachments_.find(id);
-            if (wit == attachments_.end()) return;
-            if (wit->second.abuse) {
-              wit->second.abuse->throttle_wake_pending = false;
-            }
-            for (auto& ln : wit->second.lanes) ln.vm_to_nsm->notify();
-          });
-        }
-        return 0;
-      }
-      ab->next_drain = now + cfg_.firewall.throttle_period;
-      batch = cfg_.firewall.throttle_batch;
-    }
+  if (ab.level == abuse_level::quarantined) return 0;
+  // De-escalation: a violation budget back at full burst means the tenant
+  // has behaved for a while — clear the warn/throttle standing.
+  if (ab.level != abuse_level::ok &&
+      ab.budget.tokens_at(sim_.now()) >=
+          static_cast<double>(ab.budget.burst())) {
+    ab.level = abuse_level::ok;
+    ab.throttled_violations = 0;
   }
-  // Overflowed nqes first: they are older than anything still in the ring.
-  std::size_t n = flush_stage_to_nsm(att, s);
+  if (ab.level == abuse_level::throttled) {
+    const sim_time now = sim_.now();
+    if (now < ab.next_drain) {
+      // Deprioritized, not stopped: one wake timer per VM re-rings every
+      // job lane when the next drain window opens, so a throttled tenant
+      // keeps limping even under batched-interrupt notification.
+      if (!ab.throttle_wake_pending) {
+        ab.throttle_wake_pending = true;
+        sim_.schedule_at(ab.next_drain, [this, id = att.vm->id()] {
+          auto wit = attachments_.find(id);
+          if (wit == attachments_.end()) return;
+          wit->second.abuse->throttle_wake_pending = false;
+          for (auto& ln : wit->second.lanes) ln.vm_to_nsm->notify();
+        });
+      }
+      return 0;
+    }
+    ab.next_drain = now + cfg_.firewall.throttle_period;
+    batch = cfg_.firewall.throttle_batch;
+  }
+  // Staged nqes first: they are older than anything still in the ring.
+  shm::staged_lane& stage = att.lanes[s].stage->to_nsm;
+  std::size_t n = stage.flush();
+  if (n > 0) {
+    if (auto* service = service_of(att.module->id())) service->notify();
+  }
   shm::nqe e;
   std::size_t popped = 0;
   sim::cpu_core* core = shards_[s].core;
@@ -732,8 +708,7 @@ std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
   // then fills and GuestLib's would_block machinery pushes back on the app.
   // Likewise once the shard core's copy backlog passes the bound: further
   // pops would just park nqes in its infinite FIFO, hiding the pressure.
-  while (n < batch &&
-         att.lanes[s].stage->to_nsm.size() < cfg_.overflow_limit) {
+  while (n < batch && stage.size() < cfg_.overflow_limit) {
     if (core != nullptr && core->backlog() > pump_backlog_bound) {
       gated = true;
       break;
@@ -745,12 +720,10 @@ std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
     // Admission firewall (DESIGN.md §14): nothing popped from a
     // guest-writable ring is trusted. fd ownership is checked downstream
     // in forward_to_nsm, after same-batch creations install their mappings.
-    if (ab != nullptr) {
-      if (const auto r = admit_vm_nqe(att, e)) {
-        reject_nqe(att, s, e, *r);
-        if (ab->level == abuse_level::quarantined) break;
-        continue;
-      }
+    if (const auto r = admit_vm_nqe(att, e)) {
+      reject_nqe(att, s, e, *r);
+      if (ab.level == abuse_level::quarantined) break;
+      continue;
     }
     tracer_.stamp(e.reserved, obs::nqe_stage::vm_job_dwell);
     // The copy between queue sets costs ~12 ns on this shard's core
@@ -782,8 +755,7 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
     // the engine — never forwarded to the NSM, no completion generated.
     // Floods past the per-VM refresh budget are firewall violations like
     // any other (a refresh walks the flow table, so it is cheap, not free).
-    if (cfg_.firewall.enabled && att.abuse != nullptr &&
-        !att.abuse->stat_refresh.try_consume(sim_.now(), 1)) {
+    if (!att.abuse->stat_refresh.try_consume(sim_.now(), 1)) {
       reject_nqe(att, s, e, reject_reason::badop);
       return;
     }
@@ -802,8 +774,7 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
     // Exec-time fd gate: minting a socket over a live fd or inside the
     // engine-owned accept range is a forgery. Pop-time validation cannot
     // see this — mappings install asynchronously as the batch executes.
-    if (cfg_.firewall.enabled && att.abuse != nullptr &&
-        (fd >= accept_fd_base || shard_of(vm, fd).has_value())) {
+    if (fd >= accept_fd_base || shard_of(vm, fd).has_value()) {
       reject_nqe(att, s, e, reject_reason::badfd);
       return;
     }
@@ -829,18 +800,16 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
     // naming no flow of this VM is refused by the firewall.
     const bool benign = e.op == shm::nqe_op::req_recv_window ||
                         e.op == shm::nqe_op::req_close;
-    if (cfg_.firewall.enabled && att.abuse != nullptr && !benign) {
+    if (!benign) {
       reject_nqe(att, s, e, reject_reason::badfd);
       return;
     }
     ++sh.stats.unroutable_nqes;
     drop_trace(sh, e.reserved);
-    // A data-bearing request for an unknown flow still owns a huge-page
-    // chunk; recycle it or the pool leaks.
-    if ((e.op == shm::nqe_op::req_send ||
-         e.op == shm::nqe_op::req_udp_send ||
-         e.op == shm::nqe_op::req_recv_window) &&
-        !e.desc.empty()) {
+    // A req_recv_window for an unknown flow still owns a huge-page chunk;
+    // recycle it or the pool leaks. (Events never get here: the role gate
+    // admits only requests from the guest's job ring.)
+    if (shm::owns_chunk(e) && !e.desc.empty()) {
       (void)att.ch->pool.free(e.desc.chunk);
     }
     deliver_error_to_vm(att, s, fd, errc::not_found);
@@ -886,12 +855,7 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
 void core_engine::deliver_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
   e.epoch = att.epoch;  // jobs carry the incarnation they were meant for
   tracer_.stamp(e.reserved, obs::nqe_stage::engine_copy_fwd);
-  // Staged nqes go first (FIFO): never let a new push overtake them.
-  auto& stage = att.lanes[s].stage->to_nsm;
-  if (!stage.empty() || !att.ch->nsm_q(s).job.push(e)) {
-    defer_or_drop(att, s, stage, e);
-    return;
-  }
+  if (!push_staged(att, s, att.lanes[s].stage->to_nsm, e)) return;
   if (auto* service = service_of(att.module->id())) service->notify();
 }
 
@@ -899,55 +863,47 @@ void core_engine::deliver_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
 
 std::size_t core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
   NK_PROF("core_engine", "pump_rev");
-  // Overflowed completions/events first, then new work — but only while
-  // the VM-side stage stays below the limit; beyond it, leave nqes in the
-  // NSM rings so ServiceLib sees the pressure and stalls its reads.
-  std::size_t n = flush_stage_to_vm(att, s);
+  // Staged completions/events first, then new work — but only while the
+  // VM-side stages stay below the limit; beyond it, leave nqes in the NSM
+  // rings so ServiceLib sees the pressure and stalls its reads.
+  lane_stages& stage = *att.lanes[s].stage;
+  std::size_t n = stage.completion.flush();
+  n += stage.receive.flush();
+  if (n > 0) {
+    att.ch->count_nsm_to_vm(s, n);
+    if (att.glib) att.glib->notify();
+  }
   shm::nqe e;
   std::size_t popped = 0;
   sim::cpu_core* core = shards_[s].core;
-  overflow_stage& stage = *att.lanes[s].stage;
   bool gated = false;
   // Completions first, then events; the shard core keeps this order
   // downstream. The same backlog gate as the forward pump applies: past the
   // bound, nqes — and the chunks ev_data descriptors pin — stay in the NSM
   // rings where ServiceLib can see and react to the pressure.
-  while (n < drain_batch && stage.to_vm_depth() < cfg_.overflow_limit) {
-    if (core != nullptr && core->backlog() > pump_backlog_bound) {
-      gated = true;
-      break;
-    }
-    if (!att.ch->nsm_q(s).completion.pop(e)) break;
-    ++n;
-    ++popped;
-    tracer_.stamp(e.reserved, obs::nqe_stage::nsm_out_dwell);
-    if (core != nullptr) {
-      core->execute(cfg_.costs.nqe_copy, [this, id = att.vm->id(), s, e] {
-        if (auto it = attachments_.find(id); it != attachments_.end()) {
-          forward_to_vm(it->second, s, e, false);
-        }
-      });
-    } else {
-      forward_to_vm(att, s, e, false);
-    }
-  }
-  while (n < drain_batch && stage.to_vm_depth() < cfg_.overflow_limit) {
-    if (core != nullptr && core->backlog() > pump_backlog_bound) {
-      gated = true;
-      break;
-    }
-    if (!att.ch->nsm_q(s).receive.pop(e)) break;
-    ++n;
-    ++popped;
-    tracer_.stamp(e.reserved, obs::nqe_stage::nsm_out_dwell);
-    if (core != nullptr) {
-      core->execute(cfg_.costs.nqe_copy, [this, id = att.vm->id(), s, e] {
-        if (auto it = attachments_.find(id); it != attachments_.end()) {
-          forward_to_vm(it->second, s, e, true);
-        }
-      });
-    } else {
-      forward_to_vm(att, s, e, true);
+  for (const bool receive : {false, true}) {
+    shm::nqe_queue& ring =
+        receive ? att.ch->nsm_q(s).receive : att.ch->nsm_q(s).completion;
+    while (n < drain_batch && stage.to_vm_depth() < cfg_.overflow_limit) {
+      if (core != nullptr && core->backlog() > pump_backlog_bound) {
+        gated = true;
+        break;
+      }
+      if (!ring.pop(e)) break;
+      ++n;
+      ++popped;
+      tracer_.stamp(e.reserved, obs::nqe_stage::nsm_out_dwell);
+      if (core != nullptr) {
+        core->execute(cfg_.costs.nqe_copy,
+                      [this, id = att.vm->id(), s, e, receive] {
+                        if (auto it = attachments_.find(id);
+                            it != attachments_.end()) {
+                          forward_to_vm(it->second, s, e, receive);
+                        }
+                      });
+      } else {
+        forward_to_vm(att, s, e, receive);
+      }
     }
   }
   // NSM-ring slots opened up: ServiceLib may have staged output to flush.
@@ -1065,9 +1021,8 @@ void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
         ++sh.stats.unroutable_nqes;
         drop_trace(sh, e.reserved);
         // Data events for an already-closed flow carry chunks; recycle.
-        if ((e.op == shm::nqe_op::ev_data ||
-             e.op == shm::nqe_op::ev_udp_data) &&
-            !e.desc.empty()) {
+        // (Only ServiceLib writes the NSM out-rings, and it emits no req_*.)
+        if (shm::owns_chunk(e) && !e.desc.empty()) {
           (void)att.ch->pool.free(e.desc.chunk);
         }
         return;
@@ -1084,19 +1039,11 @@ void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
   }
 
   tracer_.stamp(e.reserved, obs::nqe_stage::engine_copy_rev);
-  auto& queue =
-      receive_queue ? att.ch->vm_q(s).receive : att.ch->vm_q(s).completion;
-  auto& stage =
-      receive_queue ? att.lanes[s].stage->receive : att.lanes[s].stage->completion;
   // A failed push must not count as delivered, and a critical nqe (a
   // cmp_socket carrying the flow's cID, a cmp_send releasing credit) must
   // survive a full ring — it parks in the stage and flushes in order.
-  if (!stage.empty() || !queue.push(e)) {
-    defer_or_drop(att, s, stage, e);
-    return;
-  }
-  att.ch->count_nsm_to_vm(s);
-  if (att.glib) att.glib->notify();
+  lane_stages& stage = *att.lanes[s].stage;
+  push_to_vm(att, s, receive_queue ? stage.receive : stage.completion, e);
 }
 
 // --- fault domains: detach, replacement, recovery -----------------------------------
@@ -1106,16 +1053,8 @@ void core_engine::discard_stale(attachment& att, std::size_t s,
   engine_shard& sh = shards_[s];
   ++sh.stats.stale_nqes;
   drop_trace(sh, e.reserved);
-  switch (e.op) {
-    case shm::nqe_op::req_send:
-    case shm::nqe_op::req_udp_send:
-    case shm::nqe_op::req_recv_window:
-    case shm::nqe_op::ev_data:
-    case shm::nqe_op::ev_udp_data:
-      if (!e.desc.empty()) (void)att.ch->pool.free(e.desc.chunk);
-      break;
-    default:
-      break;
+  if (shm::owns_chunk(e) && !e.desc.empty()) {
+    (void)att.ch->pool.free(e.desc.chunk);
   }
 }
 
@@ -1131,13 +1070,7 @@ void core_engine::deliver_error_to_vm(attachment& att, std::size_t s,
   // usually has no mapping left (that is why an error is being
   // synthesized), so the translating path cannot route it. ev_error is not
   // droppable; a full ring stages it.
-  auto& stage = att.lanes[s].stage->receive;
-  if (!stage.empty() || !att.ch->vm_q(s).receive.push(e)) {
-    defer_or_drop(att, s, stage, e);
-    return;
-  }
-  att.ch->count_nsm_to_vm(s);
-  if (att.glib) att.glib->notify();
+  push_to_vm(att, s, att.lanes[s].stage->receive, e);
 }
 
 // --- admission firewall + abuse quarantine (DESIGN.md §14) --------------------
@@ -1161,10 +1094,7 @@ std::optional<reject_reason> core_engine::admit_vm_nqe(
   // live chunk, offset+length inside the chunk); every other op must carry
   // none — a valid desc smuggled onto a control op is how a guest would
   // trick a downstream free into recycling someone else's credit.
-  const bool data_op = e.op == shm::nqe_op::req_send ||
-                       e.op == shm::nqe_op::req_udp_send ||
-                       e.op == shm::nqe_op::req_recv_window;
-  if (data_op) {
+  if (shm::owns_chunk(e)) {
     if (e.desc.empty() || !att.ch->pool.readable(e.desc)) {
       return reject_reason::badchunk;
     }
@@ -1332,16 +1262,8 @@ void core_engine::detach_vm(virt::vm_id vm) {
   auto discard = [&](engine_shard& sh, const shm::nqe& e) {
     ++sh.stats.nqes_dropped;
     drop_trace(sh, e.reserved);
-    switch (e.op) {
-      case shm::nqe_op::req_send:
-      case shm::nqe_op::req_udp_send:
-      case shm::nqe_op::req_recv_window:
-      case shm::nqe_op::ev_data:
-      case shm::nqe_op::ev_udp_data:
-        if (!e.desc.empty()) (void)att.ch->pool.free(e.desc.chunk);
-        break;
-      default:
-        break;
+    if (shm::owns_chunk(e) && !e.desc.empty()) {
+      (void)att.ch->pool.free(e.desc.chunk);
     }
   };
 
@@ -1363,26 +1285,21 @@ void core_engine::detach_vm(virt::vm_id vm) {
     }
   }
 
-  // Every ring lane and staging list may still reference huge-page chunks.
+  // Every ring lane and staged lane may still reference huge-page chunks.
   for (std::size_t s = 0; s < att.lanes.size(); ++s) {
     engine_shard& sh = shards_[s];
-    auto scrub_ring = [&](shm::nqe_queue& ring) {
+    auto discard_here = [&](const shm::nqe& e) { discard(sh, e); };
+    for (shm::nqe_queue* ring :
+         {&att.ch->vm_q(s).job, &att.ch->vm_q(s).completion,
+          &att.ch->vm_q(s).receive, &att.ch->nsm_q(s).job,
+          &att.ch->nsm_q(s).completion, &att.ch->nsm_q(s).receive}) {
       shm::nqe e;
-      while (ring.pop(e)) discard(sh, e);
-    };
-    scrub_ring(att.ch->vm_q(s).job);
-    scrub_ring(att.ch->vm_q(s).completion);
-    scrub_ring(att.ch->vm_q(s).receive);
-    scrub_ring(att.ch->nsm_q(s).job);
-    scrub_ring(att.ch->nsm_q(s).completion);
-    scrub_ring(att.ch->nsm_q(s).receive);
-    overflow_stage& stage = *att.lanes[s].stage;
-    for (const auto& e : stage.to_nsm) discard(sh, e);
-    for (const auto& e : stage.completion) discard(sh, e);
-    for (const auto& e : stage.receive) discard(sh, e);
-    stage.to_nsm.clear();
-    stage.completion.clear();
-    stage.receive.clear();
+      while (ring->pop(e)) discard_here(e);
+    }
+    lane_stages& st = *att.lanes[s].stage;
+    for (auto* lane : {&st.to_nsm, &st.completion, &st.receive}) {
+      lane->scrub(discard_here);
+    }
   }
   // Give the scrubbed pool's memory back. Chunks the stopped GuestLib still
   // holds stay resident and intact.
@@ -1412,7 +1329,7 @@ std::size_t core_engine::rebalance_vm(virt::vm_id vm, std::size_t to_shard) {
         !nq.completion.empty_approx() || !nq.receive.empty_approx()) {
       return 0;
     }
-    const overflow_stage& stage = *att.lanes[s].stage;
+    const lane_stages& stage = *att.lanes[s].stage;
     if (!stage.to_nsm.empty() || stage.to_vm_depth() != 0) return 0;
     if (shards_[s].core != nullptr &&
         shards_[s].core->backlog() > sim_time::zero()) {
@@ -1583,9 +1500,8 @@ void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
     // outputs — is discarded with accounting instead of being misapplied.
     ++att.epoch;
     for (std::size_t s = 0; s < att.lanes.size(); ++s) {
-      auto& stage = att.lanes[s].stage->to_nsm;
-      for (const auto& e : stage) discard_stale(att, s, e);
-      stage.clear();
+      att.lanes[s].stage->to_nsm.scrub(
+          [&](const shm::nqe& e) { discard_stale(att, s, e); });
       // Purge the job ring too: everything in it was addressed to the dead
       // incarnation, and replayed control ops must not queue behind a ring
       // full of doomed work (a slow drain there would delay the recovered

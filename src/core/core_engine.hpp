@@ -49,6 +49,7 @@
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "shm/staged_lane.hpp"
 #include "shm/steering.hpp"
 #include "virt/hypervisor.hpp"
 
@@ -60,7 +61,6 @@ namespace nk::core {
 // feed a per-VM token-bucket violation budget that escalates
 // warn -> throttle -> quarantine.
 struct firewall_config {
-  bool enabled = true;
   // Violation budget: refill rate (violations/sec) and burst depth. While
   // the bucket has tokens a violation only costs a token (warn); once it
   // runs dry the VM is throttled, and `quarantine_threshold` further
@@ -408,16 +408,16 @@ class core_engine {
     // deliberately not journaled — it dies with the module.
     std::vector<shm::nqe> journal;
   };
-  // Per-direction overflow staging (the backpressure subsystem). Rings are
-  // fixed-size shared memory and cannot grow; when a push meets a full ring
-  // the nqe parks here and the owning pump re-drains it — in order, before
-  // accepting new work — once the consumer frees slots. Heap-allocated so
-  // the metrics gauges can hold a stable pointer across rehashes of
-  // `attachments_`.
-  struct overflow_stage {
-    std::deque<shm::nqe> to_nsm;      // nsm_q.job overflow (VM -> NSM)
-    std::deque<shm::nqe> completion;  // vm_q.completion overflow (NSM -> VM)
-    std::deque<shm::nqe> receive;     // vm_q.receive overflow (NSM -> VM)
+  // The engine's staged lanes of one shard (DESIGN.md §8). Heap-allocated so
+  // the gauges can hold a stable pointer across rehashes of `attachments_`.
+  struct lane_stages {
+    lane_stages(channel& ch, std::size_t s)
+        : to_nsm{ch.nsm_q(s).job},
+          completion{ch.vm_q(s).completion},
+          receive{ch.vm_q(s).receive} {}
+    shm::staged_lane to_nsm;      // VM -> NSM
+    shm::staged_lane completion;  // NSM -> VM
+    shm::staged_lane receive;     // NSM -> VM
     [[nodiscard]] std::size_t to_vm_depth() const {
       return completion.size() + receive.size();
     }
@@ -444,13 +444,13 @@ class core_engine {
   };
 
   // Per-attachment, per-shard plumbing: each lane owns the two pumps that
-  // drain its ring set and the overflow stage those pumps re-drain. fds for
+  // drain its ring set and the staged lanes those pumps re-drain. fds for
   // accepted connections are minted from a shard-local range so no shared
   // counter sits on the accept path.
   struct lane {
     std::unique_ptr<queue_pump> vm_to_nsm;  // drains ch->vm_q(s).job
     std::unique_ptr<queue_pump> nsm_to_vm;  // drains ch->nsm_q(s).{cmp,recv}
-    std::unique_ptr<overflow_stage> stage;
+    std::unique_ptr<lane_stages> stage;
     std::uint32_t next_accept_fd = 0;  // set per shard at attach
   };
 
@@ -543,12 +543,13 @@ class core_engine {
   // Discards an nqe from a dead incarnation: chunk recycled, drop traced.
   void discard_stale(attachment& att, std::size_t s, const shm::nqe& e);
 
-  // Overflow plumbing: park an nqe whose push failed (or drop it with full
-  // accounting once the stage hits the cap), and re-drain staged nqes.
-  void defer_or_drop(attachment& att, std::size_t s,
-                     std::deque<shm::nqe>& stage, const shm::nqe& e);
-  std::size_t flush_stage_to_nsm(attachment& att, std::size_t s);
-  std::size_t flush_stage_to_vm(attachment& att, std::size_t s);
+  // Pushes through a staged lane of shard `s` with the engine's accounting
+  // (deferred, or dropped: traced and chunk recycled); true: on the ring.
+  bool push_staged(attachment& att, std::size_t s, shm::staged_lane& lane,
+                   const shm::nqe& e);
+  // push_staged toward the VM, counting and doorbelling a delivery.
+  void push_to_vm(attachment& att, std::size_t s, shm::staged_lane& lane,
+                  const shm::nqe& e);
   // Tracer drop with shard attribution: a retired live trace lands in the
   // shard's slice of nqe_traces_dropped; a discard with no live trace (a
   // forged nqe with reserved=0, or a sampled-out one) is counted as

@@ -21,8 +21,11 @@ guest_lib::guest_lib(virt::machine& vm, channel& ch, core_engine& engine,
       engine_{engine},
       costs_{costs},
       cfg_{cfg},
-      tracer_{tracer},
-      pending_lanes_(ch.shards()) {
+      tracer_{tracer} {
+  job_lanes_.reserve(ch.shards());
+  for (std::size_t s = 0; s < ch.shards(); ++s) {
+    job_lanes_.emplace_back(ch.vm_q(s).job);
+  }
   pump_ = std::make_unique<queue_pump>(engine.simulator(), ncfg,
                                        [this] { return drain(); });
   pump_->start();
@@ -63,29 +66,23 @@ void guest_lib::submit(const g_socket& gs, shm::nqe e, sim_time extra_cost) {
 void guest_lib::enqueue_job(std::size_t shard, shm::nqe e) {
   // Trace begins at the moment the nqe is bound for the VM-side job queue
   // (after the GuestLib interception cost), whether it lands on the ring
-  // immediately or waits in the local pending list.
+  // immediately or waits in the lane's stage.
   if (tracer_ != nullptr) {
     tracer_->maybe_begin(e, /*reverse=*/false, vm_.id(), ch_.nsm);
   }
-  // Pending jobs flush first; a new push never overtakes them on its lane.
-  auto& pending = pending_lanes_[shard];
-  if (pending.empty() && ch_.vm_q(shard).job.push(e)) {
+  // Uncapped: jobs are never dropped; lane_backlogged gates the app instead.
+  if (job_lanes_[shard].push(e, shm::staged_lane::no_cap) ==
+      shm::push_result::ring) {
     engine_.notify_from_vm(vm_.id(), shard);
     return;
   }
-  pending.push_back(e);
   ++stats_.jobs_deferred;
 }
 
-std::size_t guest_lib::flush_pending_jobs() {
+std::size_t guest_lib::flush_job_lanes() {
   std::size_t n = 0;
-  for (std::size_t s = 0; s < pending_lanes_.size(); ++s) {
-    auto& pending = pending_lanes_[s];
-    std::size_t lane_n = 0;
-    while (!pending.empty() && ch_.vm_q(s).job.push(pending.front())) {
-      pending.pop_front();
-      ++lane_n;
-    }
+  for (std::size_t s = 0; s < job_lanes_.size(); ++s) {
+    const std::size_t lane_n = job_lanes_[s].flush();
     if (lane_n > 0) engine_.notify_from_vm(vm_.id(), s);
     n += lane_n;
   }
@@ -115,19 +112,19 @@ void guest_lib::recycle_chunk(const shm::nqe& e, std::size_t shard) {
   back.handle = e.handle;
   back.desc = e.desc;
   back.owner = vm_.id();
-  if (pending_lanes_[shard].empty() && ch_.vm_q(shard).job.push(back)) {
+  // Cap 0: while the job path is backed up the lane refuses the recycle and
+  // the chunk is freed in place. GuestLib shares the pool, so the credit
+  // cannot be lost — ServiceLib re-checks chunks_free when it resumes reads.
+  if (job_lanes_[shard].push(back, 0) == shm::push_result::ring) {
     engine_.notify_from_vm(vm_.id(), shard);
     return;
   }
-  // Job path is backed up: free the chunk in place rather than queueing the
-  // recycle behind it. GuestLib shares the pool, so the credit cannot be
-  // lost — ServiceLib re-checks chunks_free when it resumes stalled reads.
   (void)ch_.pool.free(e.desc.chunk);
   ++stats_.chunks_freed_local;
 }
 
 void guest_lib::set_flow_shard(std::uint32_t fd, std::size_t shard) {
-  if (auto* gs = socket_of(fd); gs != nullptr && shard < pending_lanes_.size()) {
+  if (auto* gs = socket_of(fd); gs != nullptr && shard < job_lanes_.size()) {
     gs->shard = shard;
   }
 }
@@ -512,17 +509,13 @@ void guest_lib::abort_all(errc err) {
   // simply never finish — retiring them here would inflate the tracer's
   // drop counter without a matching engine-side discard, breaking the
   // pipeline drop-accounting invariant.
-  for (auto& pending : pending_lanes_) {
-    for (const auto& e : pending) {
-      if ((e.op == shm::nqe_op::req_send ||
-           e.op == shm::nqe_op::req_udp_send ||
-           e.op == shm::nqe_op::req_recv_window) &&
-          !e.desc.empty()) {
+  for (auto& lane : job_lanes_) {
+    lane.scrub([&](const shm::nqe& e) {
+      if (shm::owns_chunk(e) && !e.desc.empty()) {
         (void)ch_.pool.free(e.desc.chunk);
         ++stats_.chunks_freed_local;
       }
-    }
-    pending.clear();
+    });
   }
   // Fail every socket and free its buffered receive chunks in place — the
   // recycle path would just queue req_recv_windows no one will drain.
@@ -631,7 +624,7 @@ std::size_t guest_lib::drain() {
   NK_PROF("guestlib", "pump");
   // Re-drive jobs deferred on a full VM-side job ring before consuming new
   // completions; CoreEngine may have drained the ring since the overflow.
-  std::size_t n = flush_pending_jobs();
+  std::size_t n = flush_job_lanes();
   shm::nqe e;
   std::size_t popped = 0;
   // All lanes, completions before events within each. The arrival lane is
@@ -639,23 +632,17 @@ std::size_t guest_lib::drain() {
   // and to route chunk recycles.
   for (std::size_t s = 0; s < ch_.shards(); ++s) {
     std::size_t lane_popped = 0;
-    while (popped < drain_batch && ch_.vm_q(s).completion.pop(e)) {
-      ++popped;
-      ++lane_popped;
-      if (tracer_ != nullptr && e.reserved != 0) {
-        tracer_->stamp(e.reserved, obs::nqe_stage::vm_out_dwell);
-        tracer_->finish(e.reserved);
+    for (shm::nqe_queue* ring :
+         {&ch_.vm_q(s).completion, &ch_.vm_q(s).receive}) {
+      while (popped < drain_batch && ring->pop(e)) {
+        ++popped;
+        ++lane_popped;
+        if (tracer_ != nullptr && e.reserved != 0) {
+          tracer_->stamp(e.reserved, obs::nqe_stage::vm_out_dwell);
+          tracer_->finish(e.reserved);
+        }
+        handle_nqe(e, s);
       }
-      handle_nqe(e, s);
-    }
-    while (popped < drain_batch && ch_.vm_q(s).receive.pop(e)) {
-      ++popped;
-      ++lane_popped;
-      if (tracer_ != nullptr && e.reserved != 0) {
-        tracer_->stamp(e.reserved, obs::nqe_stage::vm_out_dwell);
-        tracer_->finish(e.reserved);
-      }
-      handle_nqe(e, s);
     }
     // Freed out-ring space: let this shard flush anything it has staged.
     if (lane_popped > 0) engine_.notify_vm_space(vm_.id(), s);

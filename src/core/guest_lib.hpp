@@ -35,6 +35,7 @@
 #include "core/costs.hpp"
 #include "core/notification.hpp"
 #include "obs/trace.hpp"
+#include "shm/staged_lane.hpp"
 #include "stack/netstack.hpp"
 #include "virt/machine.hpp"
 
@@ -180,7 +181,7 @@ class guest_lib {
   // Jobs staged locally across every lane (rebalance quiescence check).
   [[nodiscard]] std::size_t deferred_jobs() const {
     std::size_t n = 0;
-    for (const auto& lane : pending_lanes_) n += lane.size();
+    for (const auto& lane : job_lanes_) n += lane.size();
     return n;
   }
 
@@ -236,14 +237,14 @@ class guest_lib {
   void submit(const g_socket& gs, shm::nqe e, sim_time extra_cost);
 
   // Job-ring overflow plumbing. enqueue_job never loses an nqe: a push that
-  // finds the lane's ring full lands in its pending list and is re-driven,
-  // in order, by flush_pending_jobs() on every drain.
+  // finds the lane's ring full is staged and re-driven, in order, by
+  // flush_job_lanes() on every drain.
   void enqueue_job(std::size_t shard, shm::nqe e);
-  std::size_t flush_pending_jobs();
+  std::size_t flush_job_lanes();
   void wake_writers();
   void recycle_chunk(const shm::nqe& e, std::size_t shard);
   [[nodiscard]] bool lane_backlogged(std::size_t shard) const {
-    return pending_lanes_[shard].size() >= cfg_.max_deferred_jobs;
+    return job_lanes_[shard].size() >= cfg_.max_deferred_jobs;
   }
   // Pending-op watchdog: arms a deadline after each req_connect submission;
   // on expiry the op is resubmitted (bounded) or failed with timed_out.
@@ -263,8 +264,8 @@ class guest_lib {
   obs::nqe_tracer* tracer_ = nullptr;
   std::unique_ptr<queue_pump> pump_;
 
-  // Per-lane overflow stage for vm_q(s).job, one per engine shard.
-  std::vector<std::deque<shm::nqe>> pending_lanes_;
+  // Staged lane in front of vm_q(s).job, one per engine shard.
+  std::vector<shm::staged_lane> job_lanes_;
   std::unordered_map<std::uint32_t, g_socket> sockets_;
   std::uint32_t next_fd_ = 3;
   std::size_t next_core_ = 0;

@@ -25,6 +25,7 @@
 #include "core/nsm.hpp"
 #include "core/sla.hpp"
 #include "obs/trace.hpp"
+#include "shm/staged_lane.hpp"
 
 namespace nk::core {
 
@@ -68,8 +69,8 @@ struct service_lib_stats {
 class service_lib {
  public:
   service_lib(nsm& owner, sim::simulator& s, const netkernel_costs& costs,
-              const notify_config& ncfg, obs::nqe_tracer* tracer = nullptr,
-              std::size_t overflow_limit = 1024,
+              const notify_config& ncfg, obs::nqe_tracer* tracer,
+              std::size_t overflow_limit,
               const tenant_quota_config& quota = {});
 
   service_lib(const service_lib&) = delete;
@@ -153,11 +154,16 @@ class service_lib {
   [[nodiscard]] std::uint64_t chunk_quota_used(virt::vm_id vm) const;
 
  private:
-  // Out-ring overflow staging for one shard lane: flushed, in order, before
-  // any new push to that lane.
-  struct out_lane {
-    std::deque<shm::nqe> staged_completion;
-    std::deque<shm::nqe> staged_receive;
+  // The staged lanes in front of one shard's NSM-side out-rings: flushed,
+  // in order, before any new push to that lane.
+  struct out_stages {
+    out_stages(channel& ch, std::size_t s)
+        : completion{ch.nsm_q(s).completion}, receive{ch.nsm_q(s).receive} {}
+    shm::staged_lane completion;
+    shm::staged_lane receive;
+    [[nodiscard]] std::size_t size() const {
+      return completion.size() + receive.size();
+    }
   };
 
   struct served_vm {
@@ -165,7 +171,7 @@ class service_lib {
     std::function<void(std::size_t)> notify_ce;
     std::uint8_t epoch = 0;  // incarnation tag stamped on every output
     std::unordered_set<std::uint32_t> stalled_reads;  // cids awaiting chunks
-    std::vector<out_lane> lanes;  // one per engine shard (ch->shards())
+    std::vector<out_stages> lanes;  // one per engine shard (ch->shards())
     // Tenant-quota accounting (tenant_quota_config; period-windowed).
     sim_time period_start{};
     sim_time cycles_used{};
@@ -207,8 +213,8 @@ class service_lib {
   void handle_nqe(served_vm& svm, std::size_t shard, const shm::nqe& e);
   // Discards a job from a retired incarnation: chunk freed, drop traced.
   void discard_stale(served_vm& svm, const shm::nqe& e);
-  // Recycles the chunks referenced by a staging list and counts the drops.
-  void drop_staged(served_vm& svm, std::deque<shm::nqe>& staged);
+  // Empties `svm`'s staged lanes, counting, tracing and freeing each drop.
+  void discard_staged(served_vm& svm);
 
   // Stack event plumbing.
   void handle_stack_event(const stack::socket_event& ev);
@@ -230,15 +236,13 @@ class service_lib {
   void maybe_resume_stalled(served_vm& svm);
   [[nodiscard]] bool out_backlogged(const served_vm& svm,
                                     std::size_t shard) const {
-    const out_lane& lane = svm.lanes[shard];
-    return lane.staged_completion.size() + lane.staged_receive.size() >=
-           overflow_limit_;
+    return svm.lanes[shard].size() >= overflow_limit_;
   }
   // True when this lane's receive path is backed up (stage nonempty or ring
   // full) — the per-lane read-stall condition.
   [[nodiscard]] bool receive_pressured(const served_vm& svm,
                                        std::size_t shard) const {
-    return !svm.lanes[shard].staged_receive.empty() ||
+    return !svm.lanes[shard].receive.empty() ||
            svm.ch->nsm_q(shard).receive.space_approx() == 0;
   }
 

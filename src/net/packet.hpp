@@ -2,9 +2,9 @@
 //
 // The fast path passes structured headers plus a zero-copy payload slice;
 // the wire codecs in net/wire.hpp can serialize/parse the same packet to
-// real bytes (with checksums) and are exercised by tests and the capture
-// writer, so the representation is faithful without paying per-packet
-// serialization inside throughput experiments.
+// real bytes (with checksums) and are exercised by tests, so the
+// representation is faithful without paying per-packet serialization inside
+// throughput experiments.
 #pragma once
 
 #include <array>

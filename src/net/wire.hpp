@@ -1,7 +1,7 @@
 // Wire codecs: serialize a net::packet to real IPv4/TCP/UDP bytes and parse
 // them back, with RFC 1071 checksums. The simulation's fast path does not
 // serialize per packet; these codecs keep the packet model honest (tested
-// round-trip + checksum properties) and feed the trace/capture writer.
+// round-trip + checksum properties).
 #pragma once
 
 #include <cstdint>

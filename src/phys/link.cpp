@@ -26,7 +26,6 @@ void link::begin_transmission(net::packet p) {
   const std::size_t size = p.wire_size();
   ++stats_.packets_sent;
   stats_.bytes_sent += size;
-  if (tap_) tap_(p);
 
   const sim_time tx = cfg_.rate.transmission_time(size);
   const bool lost = cfg_.loss_rate > 0.0 && sim_.random().chance(cfg_.loss_rate);

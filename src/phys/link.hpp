@@ -40,11 +40,6 @@ class link {
   using sink = std::function<void(net::packet)>;
   void set_sink(sink receiver) { sink_ = std::move(receiver); }
 
-  // Observation tap: sees every packet as it begins transmission (including
-  // ones the loss gate will drop). Used for pcap capture.
-  using tap = std::function<void(const net::packet&)>;
-  void set_tap(tap observer) { tap_ = std::move(observer); }
-
   // Hands the packet to the transmitter; may be queued or dropped.
   void send(net::packet p);
 
@@ -69,7 +64,6 @@ class link {
   link_config cfg_;
   std::unique_ptr<packet_queue> queue_;
   sink sink_;
-  tap tap_;
   bool transmitting_ = false;
   link_stats stats_;
 };

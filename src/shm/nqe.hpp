@@ -94,22 +94,6 @@ enum class nqe_op : std::uint8_t {
   }
 }
 
-// Overflow policy for the backpressure staging lists: which ops may be
-// discarded (with their chunk freed and the drop counted) when a staging
-// list hits its hard cap. Only pure data movement qualifies — dropping a
-// mapping, lifecycle or credit-release nqe (cmp_socket, cmp_send, req_close,
-// ...) strands the flow forever, so those are always staged instead.
-[[nodiscard]] constexpr bool droppable_on_overflow(nqe_op op) {
-  switch (op) {
-    case nqe_op::ev_data:
-    case nqe_op::ev_udp_data:
-    case nqe_op::req_recv_window:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Role gate for the CoreEngine admission firewall (DESIGN.md §14): the
 // guest-writable job rings may only carry requests. A completion, event or
 // invalid opcode popped from a VM queue is a forgery — only the provider
@@ -175,5 +159,38 @@ struct nqe {
 
 static_assert(std::is_trivially_copyable_v<nqe>, "nqe must be memcpy-able");
 static_assert(sizeof(nqe) == 64, "nqe must occupy exactly one cache line");
+
+// Overflow policy for shm::staged_lane: which ops may be discarded (with
+// their chunk freed and the drop counted) when a stage hits its cap. Only
+// pure data movement qualifies — dropping a mapping, lifecycle or
+// credit-release nqe (cmp_socket, cmp_send, req_close, ...) strands the
+// flow forever, so those are always staged instead.
+[[nodiscard]] constexpr bool droppable_on_overflow(nqe_op op) {
+  switch (op) {
+    case nqe_op::ev_data:
+    case nqe_op::ev_udp_data:
+    case nqe_op::req_recv_window:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Chunk ownership: the data-bearing ops (payload requests, the
+// req_recv_window chunk recycle, data events) own the huge-page chunk their
+// descriptor names. Whoever discards one frees a non-empty descriptor's
+// chunk or the pool leaks; every other op must carry no descriptor.
+[[nodiscard]] constexpr bool owns_chunk(const nqe& e) {
+  switch (e.op) {
+    case nqe_op::req_send:
+    case nqe_op::req_udp_send:
+    case nqe_op::req_recv_window:
+    case nqe_op::ev_data:
+    case nqe_op::ev_udp_data:
+      return true;
+    default:
+      return false;
+  }
+}
 
 }  // namespace nk::shm

@@ -485,6 +485,9 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
   ASSERT_TRUE(glib_s.nk_bind(lfd, 7002).ok());
   ASSERT_TRUE(glib_s.nk_listen(lfd).ok());
   std::uint32_t sconn = 0;
+  // The second server is also the sink of workload 3 below.
+  const auto ufd = glib_s.nk_udp_open(7003).value();
+  std::size_t datagrams = 0;
   glib_s.set_event_handler(
       [&](std::uint32_t fd, stack::socket_event_type t, errc) {
         if (fd == lfd && t == stack::socket_event_type::accept_ready) {
@@ -492,6 +495,8 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
           (void)glib_s.nk_send(sconn, buffer::pattern(512 * 1024, 1));
         } else if (fd == sconn && t == stack::socket_event_type::writable) {
           (void)glib_s.nk_send(sconn, buffer::pattern(64 * 1024, 1));
+        } else if (fd == ufd && t == stack::socket_event_type::readable) {
+          while (glib_s.nk_udp_recv_from(ufd).ok()) ++datagrams;
         }
       });
   const auto cfd = glib_c.nk_socket().value();
@@ -506,8 +511,23 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
   ASSERT_TRUE(
       glib_c.nk_connect(cfd, {server2.module->config().address, 7002}).ok());
 
+  // Workload 3, aimed at ServiceLib's out-lanes: both clients fan a UDP
+  // burst in on the second server. Together they outrun its depth-8
+  // receive ring, so its NSM's reads stall, datagrams pile up in the
+  // socket, and the resumed read burst stages ev_udp_data in ServiceLib.
+  const net::socket_addr udp_sink{server2.module->config().address, 7003};
+  bed.sim().schedule(milliseconds(1), [&] {
+    for (guest_lib* src : {client.glib, &glib_c}) {
+      const auto sfd = src->nk_udp_open().value();
+      for (int i = 0; i < 128; ++i) {
+        (void)src->nk_udp_send_to(sfd, udp_sink, buffer::pattern(64, i));
+      }
+    }
+  });
+
   bed.run_for(seconds(5));
   EXPECT_TRUE(closed);
+  EXPECT_GT(datagrams, 0u);
 
   // No permanently stuck flows: the bulk transfer ran to completion through
   // depth-8 rings.
@@ -523,11 +543,23 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
     }
   }
 
-  // The tiny rings must actually have exercised the overflow machinery.
-  const double deferred =
-      bed.netkernel(side::a).metrics().value_of("engine_nqes_deferred").value() +
-      bed.netkernel(side::b).metrics().value_of("engine_nqes_deferred").value();
-  EXPECT_GT(deferred, 0.0);
+  // The tiny rings must actually have exercised the staged lanes of every
+  // layer: GuestLib's job lanes, ServiceLib's out-lanes and the engine's own.
+  std::uint64_t guest_deferred = 0;
+  std::uint64_t service_deferred = 0;
+  std::uint64_t engine_deferred = 0;
+  for (auto* ce : {&bed.netkernel(side::a), &bed.netkernel(side::b)}) {
+    engine_deferred += ce->stats().nqes_deferred;
+    for (const auto& module : ce->nsms()) {
+      service_deferred += ce->service_of(module->id())->stats().nqes_deferred;
+    }
+    for (const auto vm : ce->attached_vms()) {
+      guest_deferred += ce->guestlib_of(vm)->stats().jobs_deferred;
+    }
+  }
+  EXPECT_GT(guest_deferred, 0u);
+  EXPECT_GT(service_deferred, 0u);
+  EXPECT_GT(engine_deferred, 0u);
 
   // Failure accounting: with every nqe traced (sample_rate 1, no tracer
   // overflow), each loss to unroutable teardown or an overflow cap is

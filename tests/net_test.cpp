@@ -90,6 +90,9 @@ packet sample_tcp_packet() {
   h.wnd = 262144;  // multiple of 128 so window scaling is lossless
   h.ts_val = 777;
   h.ts_ecr = 555;
+  h.sack_count = 2;
+  h.sacks[0] = sack_block{0x9abd0000, 0x9abd05b4};
+  h.sacks[1] = sack_block{0x9abe0000, 0x9abe0b68};
   p.l4 = h;
   p.payload = buffer::pattern(300, 42);
   return p;
@@ -111,6 +114,9 @@ TEST(wire, tcp_roundtrip) {
   EXPECT_EQ(q.tcp().wnd, p.tcp().wnd);
   EXPECT_EQ(q.tcp().ts_val, 777u);
   EXPECT_EQ(q.tcp().ts_ecr, 555u);
+  ASSERT_EQ(q.tcp().sack_count, 2);
+  EXPECT_EQ(q.tcp().sacks[0], p.tcp().sacks[0]);
+  EXPECT_EQ(q.tcp().sacks[1], p.tcp().sacks[1]);
   EXPECT_EQ(q.payload, p.payload);
 }
 

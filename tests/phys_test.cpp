@@ -1,9 +1,8 @@
-// Unit tests for links, queues and switching.
+// Unit tests for links, queues and NICs.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
-#include "phys/l3_switch.hpp"
 #include "phys/link.hpp"
 #include "phys/nic.hpp"
 #include "phys/queue.hpp"
@@ -12,9 +11,8 @@
 namespace nk::phys {
 namespace {
 
-net::packet make_packet(std::size_t payload, net::ipv4_addr dst = {}) {
+net::packet make_packet(std::size_t payload) {
   net::packet p;
-  p.ip.dst = dst;
   p.payload = buffer::zeroed(payload);
   return p;
 }
@@ -156,41 +154,6 @@ TEST(nic, duplex_attachment_delivers_both_ways) {
   EXPECT_EQ(at_a, 2);
   EXPECT_EQ(a.stats().tx_packets, 1u);
   EXPECT_EQ(a.stats().rx_packets, 2u);
-}
-
-TEST(l3_switch, routes_by_destination) {
-  l3_switch sw{"sw"};
-  std::vector<int> arrived_at;
-  const int p0 = sw.add_port([&](net::packet) { arrived_at.push_back(0); });
-  const int p1 = sw.add_port([&](net::packet) { arrived_at.push_back(1); });
-  const auto addr0 = net::ipv4_addr::from_octets(10, 0, 0, 1);
-  const auto addr1 = net::ipv4_addr::from_octets(10, 0, 0, 2);
-  sw.set_route(addr0, p0);
-  sw.set_route(addr1, p1);
-  sw.ingress(make_packet(100, addr1));
-  sw.ingress(make_packet(100, addr0));
-  sw.ingress(make_packet(100, net::ipv4_addr::from_octets(9, 9, 9, 9)));
-  EXPECT_EQ(arrived_at, (std::vector<int>{1, 0}));
-  EXPECT_EQ(sw.stats().no_route, 1u);
-  EXPECT_EQ(sw.stats().forwarded, 2u);
-}
-
-TEST(l3_switch, forwarding_cost_charged_to_core) {
-  sim::simulator s;
-  sim::cpu_core core{s, "sw0"};
-  l3_switch sw{"sw"};
-  int delivered = 0;
-  const int p0 = sw.add_port([&](net::packet) { ++delivered; });
-  const auto addr = net::ipv4_addr::from_octets(10, 0, 0, 1);
-  sw.set_route(addr, p0);
-  sw.set_forwarding_cost(&core, forwarding_cost{microseconds(1), 0.0});
-  sw.ingress(make_packet(100, addr));
-  sw.ingress(make_packet(100, addr));
-  EXPECT_EQ(delivered, 0);  // not yet: core busy
-  s.run();
-  EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(s.now(), microseconds(2));
-  EXPECT_EQ(core.busy_time(), microseconds(2));
 }
 
 }  // namespace

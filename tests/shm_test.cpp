@@ -1,6 +1,7 @@
 // Unit tests for the shared-memory substrate: nqe layout, SPSC rings
 // (single-threaded semantics and a real two-thread stress), huge-page pool
-// isolation, and the prioritized queue set.
+// isolation, the prioritized queue set, and the staged lane every producer
+// pushes through.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "shm/nqe.hpp"
 #include "shm/queue_set.hpp"
 #include "shm/spsc_ring.hpp"
+#include "shm/staged_lane.hpp"
 #include "shm/stat_page.hpp"
 #include "shm/steering.hpp"
 
@@ -409,6 +411,148 @@ TEST(nqe, only_pure_data_is_droppable_on_overflow) {
   EXPECT_FALSE(droppable_on_overflow(nqe_op::ev_accept));
   EXPECT_FALSE(droppable_on_overflow(nqe_op::ev_closed));
   EXPECT_FALSE(droppable_on_overflow(nqe_op::req_close));
+}
+
+TEST(nqe, data_bearing_ops_own_a_chunk) {
+  nqe e;
+  for (const nqe_op op : {nqe_op::req_send, nqe_op::req_udp_send,
+                          nqe_op::req_recv_window, nqe_op::ev_data,
+                          nqe_op::ev_udp_data}) {
+    e.op = op;
+    EXPECT_TRUE(owns_chunk(e)) << to_string(op);
+  }
+  for (const nqe_op op : {nqe_op::req_socket, nqe_op::req_close,
+                          nqe_op::cmp_send, nqe_op::cmp_socket,
+                          nqe_op::ev_accept, nqe_op::ev_error}) {
+    e.op = op;
+    EXPECT_FALSE(owns_chunk(e)) << to_string(op);
+  }
+}
+
+// staged_lane fixtures: a 4-slot ring and nqes tagged by token.
+nqe tagged(nqe_op op, std::uint64_t token) {
+  nqe e;
+  e.op = op;
+  e.token = token;
+  return e;
+}
+
+std::vector<std::uint64_t> drain_tokens(nqe_queue& ring) {
+  std::vector<std::uint64_t> out;
+  nqe e;
+  while (ring.pop(e)) out.push_back(e.token);
+  return out;
+}
+
+TEST(staged_lane, keeps_fifo_across_stage_and_ring) {
+  nqe_queue ring{queue_config{.depth = 4}};
+  staged_lane lane{ring};
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(lane.push(tagged(nqe_op::req_send, t), staged_lane::no_cap),
+              push_result::ring);
+  }
+  for (std::uint64_t t = 4; t < 7; ++t) {
+    EXPECT_EQ(lane.push(tagged(nqe_op::req_send, t), staged_lane::no_cap),
+              push_result::staged);
+  }
+  EXPECT_EQ(lane.size(), 3u);
+  std::vector<std::uint64_t> seen = drain_tokens(ring);
+  EXPECT_EQ(lane.flush(), 3u);
+  EXPECT_TRUE(lane.empty());
+  for (const std::uint64_t t : drain_tokens(ring)) seen.push_back(t);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(staged_lane, new_push_never_overtakes_the_stage) {
+  nqe_queue ring{queue_config{.depth = 4}};
+  staged_lane lane{ring};
+  for (std::uint64_t t = 0; t < 5; ++t) {
+    (void)lane.push(tagged(nqe_op::cmp_send, t), staged_lane::no_cap);
+  }
+  ASSERT_EQ(lane.size(), 1u);
+  // The ring has room again, but token 4 is still staged: 5 must queue
+  // behind it instead of slipping onto the ring.
+  nqe out;
+  ASSERT_TRUE(ring.pop(out));
+  EXPECT_EQ(lane.push(tagged(nqe_op::cmp_send, 5), staged_lane::no_cap),
+            push_result::staged);
+  EXPECT_EQ(lane.size(), 2u);
+  EXPECT_EQ(lane.flush(), 1u);
+  EXPECT_EQ(drain_tokens(ring), (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(lane.flush(), 1u);
+  EXPECT_EQ(drain_tokens(ring), (std::vector<std::uint64_t>{5}));
+}
+
+TEST(staged_lane, cap_drops_only_droppable_ops) {
+  nqe_queue ring{queue_config{.depth = 4}};
+  staged_lane lane{ring};
+  constexpr std::size_t cap = 2;
+  for (std::uint64_t t = 0; t < 6; ++t) {
+    (void)lane.push(tagged(nqe_op::ev_data, t), cap);
+  }
+  ASSERT_EQ(lane.size(), cap);
+  // At the cap: pure data is refused, everything else still stages.
+  for (const nqe_op op : {nqe_op::ev_data, nqe_op::ev_udp_data,
+                          nqe_op::req_recv_window}) {
+    EXPECT_EQ(lane.push(tagged(op, 9), cap), push_result::dropped)
+        << to_string(op);
+  }
+  for (const nqe_op op : {nqe_op::cmp_socket, nqe_op::cmp_send,
+                          nqe_op::ev_accept, nqe_op::ev_closed,
+                          nqe_op::req_close, nqe_op::req_send}) {
+    EXPECT_EQ(lane.push(tagged(op, 9), cap), push_result::staged)
+        << to_string(op);
+  }
+  EXPECT_EQ(lane.size(), cap + 6);
+}
+
+TEST(staged_lane, cap_zero_drops_recv_window_whenever_backed_up) {
+  nqe_queue ring{queue_config{.depth = 4}};
+  staged_lane lane{ring};
+  const nqe credit = tagged(nqe_op::req_recv_window, 1);
+  EXPECT_EQ(lane.push(credit, 0), push_result::ring);
+  // Ring full, stage empty: refused, never staged.
+  for (std::uint64_t t = 0; t < 3; ++t) {
+    (void)lane.push(tagged(nqe_op::req_send, t), staged_lane::no_cap);
+  }
+  EXPECT_EQ(lane.push(credit, 0), push_result::dropped);
+  // Stage non-empty: refused even though the ring has room again.
+  (void)lane.push(tagged(nqe_op::req_send, 3), staged_lane::no_cap);
+  ASSERT_EQ(lane.size(), 1u);
+  nqe out;
+  ASSERT_TRUE(ring.pop(out));
+  EXPECT_EQ(lane.push(credit, 0), push_result::dropped);
+  EXPECT_EQ(lane.size(), 1u);
+}
+
+TEST(staged_lane, flush_stops_at_the_first_full_slot) {
+  nqe_queue ring{queue_config{.depth = 4}};
+  staged_lane lane{ring};
+  for (std::uint64_t t = 0; t < 8; ++t) {
+    (void)lane.push(tagged(nqe_op::req_send, t), staged_lane::no_cap);
+  }
+  ASSERT_EQ(lane.size(), 4u);
+  EXPECT_EQ(lane.flush(), 0u);  // ring still full
+  nqe out;
+  ASSERT_TRUE(ring.pop(out));
+  ASSERT_TRUE(ring.pop(out));
+  EXPECT_EQ(lane.flush(), 2u);
+  EXPECT_EQ(lane.size(), 2u);
+  EXPECT_EQ(drain_tokens(ring), (std::vector<std::uint64_t>{2, 3, 4, 5}));
+}
+
+TEST(staged_lane, scrub_hands_over_and_empties_the_stage) {
+  nqe_queue ring{queue_config{.depth = 4}};
+  staged_lane lane{ring};
+  for (std::uint64_t t = 0; t < 7; ++t) {
+    (void)lane.push(tagged(nqe_op::ev_data, t), staged_lane::no_cap);
+  }
+  std::vector<std::uint64_t> discarded;
+  lane.scrub([&](const nqe& e) { discarded.push_back(e.token); });
+  EXPECT_EQ(discarded, (std::vector<std::uint64_t>{4, 5, 6}));
+  EXPECT_TRUE(lane.empty());
+  EXPECT_EQ(ring.size_approx(), 4u);  // the ring is not the lane's to scrub
+  EXPECT_EQ(lane.flush(), 0u);
 }
 
 // Batch API under real concurrency: a tiny ring (16 slots, ~4 bits of

@@ -8,12 +8,14 @@
 // whatever the depth, no huge-page chunk leaks and no nqe vanishes without
 // being counted (deferred-and-delivered, or dropped and traced). None of
 // the three depths reaches the overflow cap, so a fourth run shrinks
-// overflow_limit to 2 at depth 8 to make the cap drop pure data. Exits 1 when
-// any run leaks a chunk or loses an nqe unaccounted, or when a depth run
-// completes fewer than all of its queries (the cap run may: a dropped
-// ev_data loses app bytes by policy).
+// overflow_limit to 2 at depth 8 and adds a UDP burst that overruns a
+// receive ring, to make the cap drop pure data. Exits 1 when any run leaks
+// a chunk or loses an nqe unaccounted, or when a depth run completes fewer
+// than all of its queries (the cap run may: a dropped ev_data loses app
+// bytes by policy).
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "apps/scenario.hpp"
@@ -39,7 +41,8 @@ struct outcome {
   std::size_t chunks_free = 0;
 };
 
-// `cap` = 0 keeps the default overflow_limit.
+// `cap` = 0 keeps the default overflow_limit; any other value also adds
+// the UDP burst.
 outcome run(std::size_t depth, std::uint64_t seed, std::size_t cap = 0) {
   auto params = apps::datacenter_params(seed);
   if (cap != 0) params.netkernel.overflow_limit = cap;
@@ -75,6 +78,48 @@ outcome run(std::size_t depth, std::uint64_t seed, std::size_t cap = 0) {
   apps::incast_aggregator aggregator{
       *agg.api, bed.sim(), {workers.module->config().address, 7000}, icfg};
   aggregator.start();
+
+  // Cap run only. The sink's app leaves a 128-datagram burst unread until
+  // 3 ms, so it holds its NSM's 32-chunk quota and the rest piles up in the
+  // socket. Each resumed read then commits up to 32 ev_udp_data into the
+  // depth-8 receive ring: the surplus drops at ServiceLib's cap.
+  std::optional<apps::nk_tenant> udp_sink;
+  std::uint32_t sink_fd = 0;
+  bool sink_reading = false;
+  auto drain_sink = [&] {
+    while (udp_sink->glib->nk_udp_recv_from(sink_fd).ok()) {
+    }
+  };
+  if (cap != 0) {
+    core::nsm_config sink_nsm;
+    sink_nsm.name = "nsm-udp-sink";
+    core::tenant_quota_config quota;
+    quota.enabled = true;
+    quota.cycle_budget = seconds(1);  // cycles effectively uncapped
+    quota.chunk_quota = 32;
+    sink_nsm.quota = quota;
+    vm_cfg.name = "udp-sink-vm";
+    udp_sink = bed.add_netkernel_vm(side::b, vm_cfg, sink_nsm);
+    sink_fd = udp_sink->glib->nk_udp_open(7003).value();
+    udp_sink->glib->set_event_handler(
+        [&](std::uint32_t fd, stack::socket_event_type t, errc) {
+          if (fd == sink_fd && t == stack::socket_event_type::readable &&
+              sink_reading) {
+            drain_sink();
+          }
+        });
+    const net::socket_addr dest{udp_sink->module->config().address, 7003};
+    bed.sim().schedule(milliseconds(1), [&, dest] {
+      const auto fd = workers.glib->nk_udp_open().value();
+      for (int i = 0; i < 128; ++i) {
+        (void)workers.glib->nk_udp_send_to(fd, dest, buffer::pattern(64, i));
+      }
+    });
+    bed.sim().schedule(milliseconds(3), [&] {
+      sink_reading = true;
+      drain_sink();
+    });
+  }
 
   bed.run_for(seconds(5));
 

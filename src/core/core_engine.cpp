@@ -793,25 +793,16 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
   const auto fd = e.handle;
   auto it = sh.by_flow.find(flow_key{vm, fd});
   if (it == sh.by_flow.end()) {
-    // Two unknown-fd shapes are benign races, not forgeries, and keep the
-    // legacy unroutable accounting: a recv-window recycle whose flow just
-    // closed underneath it, and a close for a mapping the engine already
-    // erased (error teardown, failover abort). Every other fd-addressed op
-    // naming no flow of this VM is refused by the firewall.
-    const bool benign = e.op == shm::nqe_op::req_recv_window ||
-                        e.op == shm::nqe_op::req_close;
-    if (!benign) {
+    // One unknown-fd shape is a benign race, not a forgery, and keeps the
+    // legacy unroutable accounting: a close for a mapping the engine
+    // already erased (error teardown, failover abort). Every other
+    // fd-addressed op naming no flow of this VM is refused by the firewall.
+    if (e.op != shm::nqe_op::req_close) {
       reject_nqe(att, s, e, reject_reason::badfd);
       return;
     }
     ++sh.stats.unroutable_nqes;
     drop_trace(sh, e.reserved);
-    // A req_recv_window for an unknown flow still owns a huge-page chunk;
-    // recycle it or the pool leaks. (Events never get here: the role gate
-    // admits only requests from the guest's job ring.)
-    if (shm::owns_chunk(e) && !e.desc.empty()) {
-      (void)att.ch->pool.free(e.desc.chunk);
-    }
     deliver_error_to_vm(att, s, fd, errc::not_found);
     return;
   }

@@ -106,21 +106,20 @@ void guest_lib::wake_writers() {
   }
 }
 
-void guest_lib::recycle_chunk(const shm::nqe& e, std::size_t shard) {
-  shm::nqe back;
-  back.op = shm::nqe_op::req_recv_window;
-  back.handle = e.handle;
-  back.desc = e.desc;
-  back.owner = vm_.id();
-  // Cap 0: while the job path is backed up the lane refuses the recycle and
-  // the chunk is freed in place. GuestLib shares the pool, so the credit
-  // cannot be lost — ServiceLib re-checks chunks_free when it resumes reads.
-  if (job_lanes_[shard].push(back, 0) == shm::push_result::ring) {
-    engine_.notify_from_vm(vm_.id(), shard);
-    return;
-  }
-  (void)ch_.pool.free(e.desc.chunk);
+void guest_lib::free_chunk(const shm::data_descriptor& desc) {
+  // GuestLib shares the pool with ServiceLib, so a consumed chunk goes
+  // straight back to the free list; a read ServiceLib stalled on chunks
+  // sees it on its next re-drain.
+  (void)ch_.pool.free(desc.chunk);
   ++stats_.chunks_freed_local;
+}
+
+void guest_lib::free_rx(g_socket& gs) {
+  for (const auto& item : gs.rx) free_chunk(item.desc);
+  for (const auto& item : gs.udp_rx) free_chunk(item.desc);
+  gs.rx.clear();
+  gs.udp_rx.clear();
+  gs.rx_bytes = 0;
 }
 
 void guest_lib::set_flow_shard(std::uint32_t fd, std::size_t shard) {
@@ -310,12 +309,7 @@ result<buffer> guest_lib::nk_recv(std::uint32_t fd, std::size_t max) {
     item.consumed += take;
     gs->rx_bytes -= take;
     if (item.consumed == item.desc.length) {
-      // Chunk fully consumed: return it to the NSM (flow-control credit).
-      shm::nqe e;
-      e.op = shm::nqe_op::req_recv_window;
-      e.handle = fd;
-      e.desc = item.desc;
-      submit(*gs, e, sim_time::zero());
+      free_chunk(item.desc);
       gs->rx.pop_front();
     }
   }
@@ -396,12 +390,7 @@ result<std::pair<net::socket_addr, buffer>> guest_lib::nk_udp_recv_from(
     gs->core->execute(costs_.memcpy_cost(data.size()), [] {});
   }
   stats_.bytes_received += data.size();
-
-  shm::nqe back;
-  back.op = shm::nqe_op::req_recv_window;
-  back.handle = fd;
-  back.desc = item.desc;
-  submit(*gs, back, sim_time::zero());
+  free_chunk(item.desc);
   return std::make_pair(item.from, std::move(data));
 }
 
@@ -473,25 +462,7 @@ status guest_lib::nk_close(std::uint32_t fd) {
   auto* gs = socket_of(fd);
   if (gs == nullptr) return errc::not_found;
 
-  // Return any unconsumed receive chunks before the mapping disappears.
-  for (auto& item : gs->rx) {
-    shm::nqe e;
-    e.op = shm::nqe_op::req_recv_window;
-    e.handle = fd;
-    e.desc = item.desc;
-    submit(*gs, e, sim_time::zero());
-  }
-  for (auto& item : gs->udp_rx) {
-    shm::nqe e;
-    e.op = shm::nqe_op::req_recv_window;
-    e.handle = fd;
-    e.desc = item.desc;
-    submit(*gs, e, sim_time::zero());
-  }
-  gs->rx.clear();
-  gs->udp_rx.clear();
-  gs->rx_bytes = 0;
-
+  free_rx(*gs);  // unconsumed receive chunks
   shm::nqe e;
   e.op = shm::nqe_op::req_close;
   e.handle = fd;
@@ -511,29 +482,15 @@ void guest_lib::abort_all(errc err) {
   // pipeline drop-accounting invariant.
   for (auto& lane : job_lanes_) {
     lane.scrub([&](const shm::nqe& e) {
-      if (shm::owns_chunk(e) && !e.desc.empty()) {
-        (void)ch_.pool.free(e.desc.chunk);
-        ++stats_.chunks_freed_local;
-      }
+      if (shm::owns_chunk(e) && !e.desc.empty()) free_chunk(e.desc);
     });
   }
-  // Fail every socket and free its buffered receive chunks in place — the
-  // recycle path would just queue req_recv_windows no one will drain.
+  // Fail every socket and free its buffered receive chunks.
   std::vector<std::uint32_t> fds;
   fds.reserve(sockets_.size());
   for (auto& [fd, gs] : sockets_) {
     fds.push_back(fd);
-    for (const auto& item : gs.rx) {
-      (void)ch_.pool.free(item.desc.chunk);
-      ++stats_.chunks_freed_local;
-    }
-    for (const auto& item : gs.udp_rx) {
-      (void)ch_.pool.free(item.desc.chunk);
-      ++stats_.chunks_freed_local;
-    }
-    gs.rx.clear();
-    gs.udp_rx.clear();
-    gs.rx_bytes = 0;
+    free_rx(gs);
     gs.accept_q.clear();
     gs.ph = phase::failed;
     gs.err = err;
@@ -628,8 +585,7 @@ std::size_t guest_lib::drain() {
   shm::nqe e;
   std::size_t popped = 0;
   // All lanes, completions before events within each. The arrival lane is
-  // the nqe's home shard — handle_nqe needs it to home accepted children
-  // and to route chunk recycles.
+  // the nqe's home shard — handle_nqe needs it to home accepted children.
   for (std::size_t s = 0; s < ch_.shards(); ++s) {
     std::size_t lane_popped = 0;
     for (shm::nqe_queue* ring :
@@ -702,8 +658,8 @@ void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {
     case shm::nqe_op::ev_data: {
       auto* gs = socket_of(e.handle);
       if (gs == nullptr) {
-        // Socket closed locally while data was in flight: recycle the chunk.
-        recycle_chunk(e, shard);
+        // Socket closed locally while data was in flight.
+        free_chunk(e.desc);
         return;
       }
       gs->rx.push_back(rx_item{e.desc, 0});
@@ -714,7 +670,7 @@ void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {
     case shm::nqe_op::ev_udp_data: {
       auto* gs = socket_of(e.handle);
       if (gs == nullptr) {
-        recycle_chunk(e, shard);
+        free_chunk(e.desc);
         return;
       }
       udp_rx_item item;

@@ -62,7 +62,10 @@ struct guest_lib_stats {
   std::uint64_t recv_blocked = 0;  // nk_recv with nothing buffered
   std::uint64_t events_delivered = 0;
   std::uint64_t jobs_deferred = 0;       // staged on a full VM-side job ring
-  std::uint64_t chunks_freed_local = 0;  // recycles short-circuited in-VM
+  // Chunks the guest freed into the pool itself: every receive chunk
+  // (consumed, closed unread, or arrived for a closed fd) and the chunks
+  // abort_all scrubs from staged jobs.
+  std::uint64_t chunks_freed_local = 0;
   std::uint64_t ops_timed_out = 0;       // deadline expired, retries spent
   std::uint64_t ops_retried = 0;         // deadline expired, op resubmitted
 };
@@ -242,7 +245,10 @@ class guest_lib {
   void enqueue_job(std::size_t shard, shm::nqe e);
   std::size_t flush_job_lanes();
   void wake_writers();
-  void recycle_chunk(const shm::nqe& e, std::size_t shard);
+  // Frees a chunk into the shared pool in place (no nqe).
+  void free_chunk(const shm::data_descriptor& desc);
+  // Frees a socket's buffered rx/udp_rx chunks and empties its buffers.
+  void free_rx(g_socket& gs);
   [[nodiscard]] bool lane_backlogged(std::size_t shard) const {
     return job_lanes_[shard].size() >= cfg_.max_deferred_jobs;
   }

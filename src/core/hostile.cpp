@@ -15,9 +15,9 @@ constexpr shm::nqe_op forged_ops[] = {
     shm::nqe_op::ev_closed,     shm::nqe_op::ev_error,
 };
 
-// fd-addressed requests with no benign unknown-fd exception (req_recv_window
-// and req_close keep the legacy unroutable path) and no descriptor, so the
-// only thing wrong with the forgery is the fd itself.
+// fd-addressed requests with no benign unknown-fd exception (req_close keeps
+// the legacy unroutable path) and no descriptor, so the only thing wrong
+// with the forgery is the fd itself.
 constexpr shm::nqe_op fd_ops[] = {
     shm::nqe_op::req_bind,       shm::nqe_op::req_listen,
     shm::nqe_op::req_connect,    shm::nqe_op::req_setsockopt,
@@ -27,7 +27,6 @@ constexpr shm::nqe_op fd_ops[] = {
 constexpr shm::nqe_op data_ops[] = {
     shm::nqe_op::req_send,
     shm::nqe_op::req_udp_send,
-    shm::nqe_op::req_recv_window,
 };
 
 }  // namespace

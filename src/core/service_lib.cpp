@@ -302,10 +302,18 @@ std::size_t service_lib::flush_staged(served_vm& svm) {
 void service_lib::maybe_resume_stalled(served_vm& svm) {
   if (svm.stalled_reads.empty()) return;
   // A read stalls on chunk exhaustion, quota exhaustion or out-queue
-  // pressure; resume once all have cleared on the socket's own lane. (Also
-  // covers wakeups lost to a dropped recycle nqe.)
-  if (svm.ch->pool.chunks_free() == 0) return;
-  if (cycle_budget_exhausted(svm) || chunk_quota_hit(svm)) return;
+  // pressure; resume once all have cleared on the socket's own lane.
+  // GuestLib frees consumed chunks in place without a doorbell, so a
+  // chunk-starved VM keeps the re-drain armed until chunks come back.
+  if (svm.ch->pool.chunks_free() == 0) {
+    arm_redrain();
+    return;
+  }
+  if (cycle_budget_exhausted(svm)) return;
+  if (chunk_quota_hit(svm)) {
+    arm_redrain();
+    return;
+  }
   auto stalled = std::move(svm.stalled_reads);
   svm.stalled_reads.clear();
   for (const std::uint32_t cid : stalled) {
@@ -437,20 +445,23 @@ std::size_t service_lib::drain_jobs() {
     }
     total += n;
   }
+  if (left_behind) arm_redrain();
+  return total;
+}
+
+void service_lib::arm_redrain() {
   // Under batched-interrupt notification there may be no further doorbell;
   // re-drain once the committed work clears.
-  if (left_behind && !redrain_pending_) {
-    redrain_pending_ = true;
-    auto* core = nsm_.core();
-    const sim_time wait =
-        core != nullptr ? std::max(core->backlog(), microseconds(1))
-                        : microseconds(1);
-    sim_.schedule(wait, [this] {
-      redrain_pending_ = false;
-      (void)drain_jobs();
-    });
-  }
-  return total;
+  if (redrain_pending_) return;
+  redrain_pending_ = true;
+  auto* core = nsm_.core();
+  const sim_time wait = core != nullptr
+                            ? std::max(core->backlog(), microseconds(1))
+                            : microseconds(1);
+  sim_.schedule(wait, [this] {
+    redrain_pending_ = false;
+    (void)drain_jobs();
+  });
 }
 
 void service_lib::discard_stale(served_vm& svm, const shm::nqe& e) {
@@ -620,13 +631,6 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       ps->pending_send.push_back(
           pending_tx{std::move(data), e.token, len, e.reserved});
       try_deliver_sends(*ps);
-      return;
-    }
-    case shm::nqe_op::req_recv_window: {
-      (void)svm.ch->pool.free(e.desc.chunk);
-      // Chunks freed: resume any reads stalled on pool exhaustion (as long
-      // as the out-queues have space too).
-      maybe_resume_stalled(svm);
       return;
     }
     case shm::nqe_op::req_udp_open: {
@@ -816,10 +820,11 @@ void service_lib::pump_reads(proto_socket& ps) {
   while (true) {
     if (svm.ch->pool.chunks_free() == 0) {
       // Backpressure: the VM has not consumed earlier data. Leave the rest
-      // in the stack's receive buffer (its rwnd will close) and resume when
-      // the VM returns a chunk.
+      // in the stack's receive buffer (its rwnd will close) and resume on
+      // a re-drain once the VM has freed a chunk.
       svm.stalled_reads.insert(ps.cid);
       ++stats_.chunk_stalls;
+      arm_redrain();
       return;
     }
     if (cycle_budget_exhausted(svm)) {
@@ -833,6 +838,7 @@ void service_lib::pump_reads(proto_socket& ps) {
     if (chunk_quota_hit(svm)) {
       svm.stalled_reads.insert(ps.cid);
       ++stats_.chunk_quota_stalls;
+      arm_redrain();
       return;
     }
     if (receive_pressured(svm, shard)) {
@@ -907,6 +913,7 @@ void service_lib::pump_udp_reads(proto_socket& ps) {
     if (svm.ch->pool.chunks_free() == 0) {
       svm.stalled_reads.insert(ps.cid);
       ++stats_.chunk_stalls;
+      arm_redrain();
       return;
     }
     if (cycle_budget_exhausted(svm)) {
@@ -917,6 +924,7 @@ void service_lib::pump_udp_reads(proto_socket& ps) {
     if (chunk_quota_hit(svm)) {
       svm.stalled_reads.insert(ps.cid);
       ++stats_.chunk_quota_stalls;
+      arm_redrain();
       return;
     }
     if (receive_pressured(svm, shard)) {

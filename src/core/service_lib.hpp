@@ -234,6 +234,10 @@ class service_lib {
   // stalled on chunk or queue pressure once it clears.
   std::size_t flush_staged(served_vm& svm);
   void maybe_resume_stalled(served_vm& svm);
+  // One-shot drain_jobs after max(core backlog, 1 us): the wakeup for jobs
+  // left in the rings and for reads stalled on chunks, which no doorbell
+  // announces (GuestLib frees chunks in place).
+  void arm_redrain();
   [[nodiscard]] bool out_backlogged(const served_vm& svm,
                                     std::size_t shard) const {
     return svm.lanes[shard].size() >= overflow_limit_;

@@ -24,7 +24,6 @@ enum class nqe_op : std::uint8_t {
   req_listen,       // arg0 = backlog
   req_connect,      // arg0 = remote ip, arg1 = remote port
   req_send,         // desc = payload in huge pages
-  req_recv_window,  // arg0 = bytes the app consumed (flow-control credit)
   req_setsockopt,   // arg0 = option id, arg1 = value
   req_shutdown_wr,  // half-close, sending side
   req_close,        // release the socket
@@ -54,7 +53,6 @@ enum class nqe_op : std::uint8_t {
     case nqe_op::req_listen: return "req_listen";
     case nqe_op::req_connect: return "req_connect";
     case nqe_op::req_send: return "req_send";
-    case nqe_op::req_recv_window: return "req_recv_window";
     case nqe_op::req_setsockopt: return "req_setsockopt";
     case nqe_op::req_shutdown_wr: return "req_shutdown_wr";
     case nqe_op::req_close: return "req_close";
@@ -105,7 +103,6 @@ enum class nqe_op : std::uint8_t {
     case nqe_op::req_listen:
     case nqe_op::req_connect:
     case nqe_op::req_send:
-    case nqe_op::req_recv_window:
     case nqe_op::req_setsockopt:
     case nqe_op::req_shutdown_wr:
     case nqe_op::req_close:
@@ -169,22 +166,21 @@ static_assert(sizeof(nqe) == 64, "nqe must occupy exactly one cache line");
   switch (op) {
     case nqe_op::ev_data:
     case nqe_op::ev_udp_data:
-    case nqe_op::req_recv_window:
       return true;
     default:
       return false;
   }
 }
 
-// Chunk ownership: the data-bearing ops (payload requests, the
-// req_recv_window chunk recycle, data events) own the huge-page chunk their
-// descriptor names. Whoever discards one frees a non-empty descriptor's
-// chunk or the pool leaks; every other op must carry no descriptor.
+// Chunk ownership: the data-bearing ops (payload requests, data events) own
+// the huge-page chunk their descriptor names. Whoever discards one frees a
+// non-empty descriptor's chunk or the pool leaks; every other op must carry
+// no descriptor. (GuestLib frees consumed receive chunks in place: the pool
+// is shared, so no op carries a chunk back.)
 [[nodiscard]] constexpr bool owns_chunk(const nqe& e) {
   switch (e.op) {
     case nqe_op::req_send:
     case nqe_op::req_udp_send:
-    case nqe_op::req_recv_window:
     case nqe_op::ev_data:
     case nqe_op::ev_udp_data:
       return true;

@@ -478,6 +478,12 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
   auto client2 = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
   vm_cfg.name = "tenant-d";
   nsm_cfg.name = "nsm-d";
+  // Workload 3's chunk cap (see below); cycles effectively uncapped.
+  tenant_quota_config burst_cap;
+  burst_cap.enabled = true;
+  burst_cap.cycle_budget = seconds(1);
+  burst_cap.chunk_quota = 32;
+  nsm_cfg.quota = burst_cap;
   auto server2 = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
   auto& glib_s = *server2.glib;
   auto& glib_c = *client2.glib;
@@ -488,6 +494,7 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
   // The second server is also the sink of workload 3 below.
   const auto ufd = glib_s.nk_udp_open(7003).value();
   std::size_t datagrams = 0;
+  bool reading = false;  // workload 3's sink reads only from 3 ms on
   glib_s.set_event_handler(
       [&](std::uint32_t fd, stack::socket_event_type t, errc) {
         if (fd == lfd && t == stack::socket_event_type::accept_ready) {
@@ -495,7 +502,8 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
           (void)glib_s.nk_send(sconn, buffer::pattern(512 * 1024, 1));
         } else if (fd == sconn && t == stack::socket_event_type::writable) {
           (void)glib_s.nk_send(sconn, buffer::pattern(64 * 1024, 1));
-        } else if (fd == ufd && t == stack::socket_event_type::readable) {
+        } else if (fd == ufd && t == stack::socket_event_type::readable &&
+                   reading) {
           while (glib_s.nk_udp_recv_from(ufd).ok()) ++datagrams;
         }
       });
@@ -512,9 +520,11 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
       glib_c.nk_connect(cfd, {server2.module->config().address, 7002}).ok());
 
   // Workload 3, aimed at ServiceLib's out-lanes: both clients fan a UDP
-  // burst in on the second server. Together they outrun its depth-8
-  // receive ring, so its NSM's reads stall, datagrams pile up in the
-  // socket, and the resumed read burst stages ev_udp_data in ServiceLib.
+  // burst in on the second server, whose app leaves it unread until 3 ms.
+  // The guest then holds nsm-d's 32-chunk cap, so the NSM's reads stall
+  // and the rest of the burst piles up in the socket. Each time the app
+  // frees its chunks, the resumed read commits up to 32 ev_udp_data at
+  // once — more than the depth-8 receive ring holds — so ServiceLib stages.
   const net::socket_addr udp_sink{server2.module->config().address, 7003};
   bed.sim().schedule(milliseconds(1), [&] {
     for (guest_lib* src : {client.glib, &glib_c}) {
@@ -524,10 +534,19 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
       }
     }
   });
+  bed.sim().schedule(milliseconds(3), [&] {
+    reading = true;
+    while (glib_s.nk_udp_recv_from(ufd).ok()) ++datagrams;
+  });
 
   bed.run_for(seconds(5));
   EXPECT_TRUE(closed);
   EXPECT_GT(datagrams, 0u);
+  EXPECT_GT(bed.netkernel(side::b)
+                .service_of(server2.module->id())
+                ->stats()
+                .chunk_quota_stalls,
+            0u);
 
   // No permanently stuck flows: the bulk transfer ran to completion through
   // depth-8 rings.
@@ -573,6 +592,171 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
     const double lost = m.value_of("engine_unroutable_nqes").value_or(0.0) +
                         m.value_of("engine_nqes_dropped").value_or(0.0);
     EXPECT_EQ(lost, m.value_of("nqe_traces_dropped").value_or(0.0));
+  }
+#endif
+}
+
+// GuestLib frees consumed receive chunks straight into the shared pool,
+// with no nqe and no doorbell toward the NSM. A read ServiceLib stalled on
+// an exhausted pool must still resume by itself once the app drains — also
+// under batched interrupts, where no other producer wakes the NSM's pump.
+class netkernel_stall_wake
+    : public ::testing::TestWithParam<notify_config::mode> {};
+
+TEST_P(netkernel_stall_wake, chunk_stalled_read_resumes_after_app_drains) {
+  auto params = apps::datacenter_params(11);
+  params.netkernel.notification.kind = GetParam();
+  params.netkernel.notification.interrupt_delay = microseconds(3);
+  params.netkernel.channel.hugepages.page_count = 1;  // 256 chunks
+  testbed bed{params};
+
+  nsm_config nsm_cfg;
+  nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
+  virt::vm_config vm_cfg;
+  vm_cfg.name = "tx";
+  auto tx = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
+  vm_cfg.name = "rx";
+  nsm_cfg.name = "nsm-rx";
+  auto rx = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+
+  // The reader leaves the stream unread until `resume`: 8 MB is far more
+  // than the 2 MB pool, so ServiceLib chunk-stalls long before then.
+  constexpr std::uint64_t total = 8u << 20;
+  const sim_time resume = milliseconds(20);
+  auto& glib = *rx.glib;
+  const auto lfd = glib.nk_socket().value();
+  ASSERT_TRUE(glib.nk_bind(lfd, 7001).ok());
+  ASSERT_TRUE(glib.nk_listen(lfd).ok());
+  std::uint32_t conn = 0;
+  bool reading = false;
+  std::uint64_t received = 0;
+  sim_time last_byte{};
+  auto drain = [&] {
+    while (auto r = glib.nk_recv(conn, 1 << 20)) {
+      received += r.value().size();
+      last_byte = bed.sim().now();
+    }
+  };
+  glib.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                             errc) {
+    if (fd == lfd && t == stack::socket_event_type::accept_ready) {
+      conn = glib.nk_accept(lfd).value();
+    } else if (fd == conn && t == stack::socket_event_type::readable &&
+               reading) {
+      drain();
+    }
+  });
+  bed.sim().schedule(resume, [&] {
+    reading = true;
+    drain();
+  });
+
+  apps::bulk_sender_config cfg;
+  cfg.bytes_per_flow = total;
+  apps::bulk_sender sender{*tx.api, {rx.module->config().address, 7001}, cfg};
+  sender.start();
+  bed.run_for(milliseconds(40));
+
+  auto* svc = bed.netkernel(side::b).service_of(rx.module->id());
+  EXPECT_GT(svc->stats().chunk_stalls, 0u);
+  EXPECT_EQ(received, total);
+  // About 1 ms of line-rate streaming after the resume; a wakeup left to
+  // chance (a TCP timer, a stray doorbell) takes twice as long.
+  EXPECT_LT(last_byte - resume, microseconds(1500));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    notify_modes, netkernel_stall_wake,
+    ::testing::Values(notify_config::mode::polling,
+                      notify_config::mode::batched_interrupt),
+    [](const ::testing::TestParamInfo<notify_config::mode>& info) {
+      return info.param == notify_config::mode::polling
+                 ? std::string{"polling"}
+                 : std::string{"batched_interrupt"};
+    });
+
+// Overflow-cap drop of pure data. The sink's app leaves a UDP burst unread
+// until 3 ms, so it holds its NSM's 32-chunk cap and the rest of the burst
+// piles up in the socket. Each resumed read commits up to 32 ev_udp_data at
+// once into a depth-8 receive ring with a 2-deep stage: the surplus drops
+// at ServiceLib's cap. Datagram loss is legal; a leaked chunk or a drop the
+// tracer did not see is not.
+TEST(netkernel_backpressure, udp_burst_drops_at_the_cap_and_frees_chunks) {
+  auto params = apps::datacenter_params(17);
+  params.netkernel.channel.queues.depth = 8;
+  params.netkernel.overflow_limit = 2;
+  params.netkernel.trace.enabled = true;
+  params.netkernel.trace.sample_rate = 1.0;
+  testbed bed{params};
+
+  nsm_config nsm_cfg;
+  virt::vm_config vm_cfg;
+  vm_cfg.name = "udp-tx";
+  auto tx = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
+  vm_cfg.name = "udp-rx";
+  nsm_cfg.name = "nsm-rx";
+  tenant_quota_config cap;
+  cap.enabled = true;
+  cap.cycle_budget = seconds(1);  // cycles effectively uncapped
+  cap.chunk_quota = 32;
+  nsm_cfg.quota = cap;
+  auto rx = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+
+  constexpr std::size_t burst = 128;
+  auto& sink = *rx.glib;
+  const auto ufd = sink.nk_udp_open(7003).value();
+  bool reading = false;
+  std::size_t datagrams = 0;
+  sink.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                             errc) {
+    if (fd == ufd && t == stack::socket_event_type::readable && reading) {
+      while (sink.nk_udp_recv_from(ufd).ok()) ++datagrams;
+    }
+  });
+  bed.sim().schedule(milliseconds(1), [&] {
+    const auto sfd = tx.glib->nk_udp_open().value();
+    for (std::size_t i = 0; i < burst; ++i) {
+      ASSERT_TRUE(tx.glib
+                      ->nk_udp_send_to(sfd, {rx.module->config().address, 7003},
+                                       buffer::pattern(64, i))
+                      .ok());
+    }
+  });
+  bed.sim().schedule(milliseconds(3), [&] {
+    reading = true;
+    while (sink.nk_udp_recv_from(ufd).ok()) ++datagrams;
+  });
+  bed.run_for(milliseconds(20));
+
+  core_engine& ce = bed.netkernel(side::b);
+  const auto dropped = ce.service_of(rx.module->id())->stats().nqes_dropped;
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(datagrams, 0u);
+  EXPECT_EQ(datagrams + dropped, burst);
+
+  // Every dropped datagram's chunk went back to the pool.
+  for (auto* engine : {&bed.netkernel(side::a), &ce}) {
+    for (const auto vm : engine->attached_vms()) {
+      auto* ch = engine->channel_of(vm);
+      EXPECT_EQ(ch->pool.chunks_free(), ch->pool.chunk_count());
+    }
+  }
+
+#ifndef NK_NO_TRACING
+  for (auto* engine : {&bed.netkernel(side::a), &ce}) {
+    for (std::size_t s = 0; s < engine->shards(); ++s) {
+      const auto& st = engine->shard_stats(s);
+      EXPECT_EQ(st.unroutable_nqes + st.nqes_dropped + st.stale_nqes +
+                    st.rejected_nqes,
+                engine->shard_traces_dropped(s) +
+                    engine->shard_discards_untraced(s))
+          << "shard " << s;
+    }
+    // ServiceLib's cap drops are traced too: nothing vanished unseen.
+    const auto& m = engine->metrics();
+    EXPECT_EQ(m.value_of("engine_unroutable_nqes").value_or(0.0) +
+                  m.value_of("engine_nqes_dropped").value_or(0.0),
+              m.value_of("nqe_traces_dropped").value_or(0.0));
   }
 #endif
 }

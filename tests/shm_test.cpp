@@ -403,7 +403,6 @@ TEST(nqe_queue, space_approx_follows_data_ring) {
 TEST(nqe, only_pure_data_is_droppable_on_overflow) {
   EXPECT_TRUE(droppable_on_overflow(nqe_op::ev_data));
   EXPECT_TRUE(droppable_on_overflow(nqe_op::ev_udp_data));
-  EXPECT_TRUE(droppable_on_overflow(nqe_op::req_recv_window));
   // Lifecycle and credit-bearing nqes must never be discarded: a lost
   // cmp_socket or cmp_send strands a flow permanently.
   EXPECT_FALSE(droppable_on_overflow(nqe_op::cmp_socket));
@@ -411,13 +410,14 @@ TEST(nqe, only_pure_data_is_droppable_on_overflow) {
   EXPECT_FALSE(droppable_on_overflow(nqe_op::ev_accept));
   EXPECT_FALSE(droppable_on_overflow(nqe_op::ev_closed));
   EXPECT_FALSE(droppable_on_overflow(nqe_op::req_close));
+  EXPECT_FALSE(droppable_on_overflow(nqe_op::req_send));
+  EXPECT_FALSE(droppable_on_overflow(nqe_op::req_udp_send));
 }
 
 TEST(nqe, data_bearing_ops_own_a_chunk) {
   nqe e;
   for (const nqe_op op : {nqe_op::req_send, nqe_op::req_udp_send,
-                          nqe_op::req_recv_window, nqe_op::ev_data,
-                          nqe_op::ev_udp_data}) {
+                          nqe_op::ev_data, nqe_op::ev_udp_data}) {
     e.op = op;
     EXPECT_TRUE(owns_chunk(e)) << to_string(op);
   }
@@ -492,8 +492,7 @@ TEST(staged_lane, cap_drops_only_droppable_ops) {
   }
   ASSERT_EQ(lane.size(), cap);
   // At the cap: pure data is refused, everything else still stages.
-  for (const nqe_op op : {nqe_op::ev_data, nqe_op::ev_udp_data,
-                          nqe_op::req_recv_window}) {
+  for (const nqe_op op : {nqe_op::ev_data, nqe_op::ev_udp_data}) {
     EXPECT_EQ(lane.push(tagged(op, 9), cap), push_result::dropped)
         << to_string(op);
   }
@@ -506,22 +505,22 @@ TEST(staged_lane, cap_drops_only_droppable_ops) {
   EXPECT_EQ(lane.size(), cap + 6);
 }
 
-TEST(staged_lane, cap_zero_drops_recv_window_whenever_backed_up) {
+TEST(staged_lane, cap_zero_drops_data_whenever_backed_up) {
   nqe_queue ring{queue_config{.depth = 4}};
   staged_lane lane{ring};
-  const nqe credit = tagged(nqe_op::req_recv_window, 1);
-  EXPECT_EQ(lane.push(credit, 0), push_result::ring);
+  const nqe data = tagged(nqe_op::ev_data, 1);
+  EXPECT_EQ(lane.push(data, 0), push_result::ring);
   // Ring full, stage empty: refused, never staged.
   for (std::uint64_t t = 0; t < 3; ++t) {
-    (void)lane.push(tagged(nqe_op::req_send, t), staged_lane::no_cap);
+    (void)lane.push(tagged(nqe_op::cmp_send, t), staged_lane::no_cap);
   }
-  EXPECT_EQ(lane.push(credit, 0), push_result::dropped);
+  EXPECT_EQ(lane.push(data, 0), push_result::dropped);
   // Stage non-empty: refused even though the ring has room again.
-  (void)lane.push(tagged(nqe_op::req_send, 3), staged_lane::no_cap);
+  (void)lane.push(tagged(nqe_op::cmp_send, 3), staged_lane::no_cap);
   ASSERT_EQ(lane.size(), 1u);
   nqe out;
   ASSERT_TRUE(ring.pop(out));
-  EXPECT_EQ(lane.push(credit, 0), push_result::dropped);
+  EXPECT_EQ(lane.push(data, 0), push_result::dropped);
   EXPECT_EQ(lane.size(), 1u);
 }
 

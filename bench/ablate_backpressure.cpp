@@ -80,7 +80,7 @@ outcome run(std::size_t depth, std::uint64_t seed, std::size_t cap = 0) {
   aggregator.start();
 
   // Cap run only. The sink's app leaves a 128-datagram burst unread until
-  // 3 ms, so it holds its NSM's 32-chunk quota and the rest piles up in the
+  // 3 ms, so it holds its 32-chunk quota and the rest piles up in the
   // socket. Each resumed read then commits up to 32 ev_udp_data into the
   // depth-8 receive ring: the surplus drops at ServiceLib's cap.
   std::optional<apps::nk_tenant> udp_sink;
@@ -93,13 +93,10 @@ outcome run(std::size_t depth, std::uint64_t seed, std::size_t cap = 0) {
   if (cap != 0) {
     core::nsm_config sink_nsm;
     sink_nsm.name = "nsm-udp-sink";
-    core::tenant_quota_config quota;
-    quota.enabled = true;
-    quota.cycle_budget = seconds(1);  // cycles effectively uncapped
-    quota.chunk_quota = 32;
-    sink_nsm.quota = quota;
     vm_cfg.name = "udp-sink-vm";
     udp_sink = bed.add_netkernel_vm(side::b, vm_cfg, sink_nsm);
+    bed.netkernel(side::b).sla().set_tenant(
+        udp_sink->vm->id(), core::sla_spec{.chunk_quota = 32});
     sink_fd = udp_sink->glib->nk_udp_open(7003).value();
     udp_sink->glib->set_event_handler(
         [&](std::uint32_t fd, stack::socket_event_type t, errc) {

@@ -173,10 +173,6 @@ struct isolation_result {
 
 isolation_result run_isolation(bool hog_on, std::uint64_t seed, bool smoke) {
   auto params = apps::datacenter_params(seed);
-  // Engine-wide default: generous (the victim's mice never get near it).
-  params.netkernel.quota.enabled = true;
-  params.netkernel.quota.cycle_budget = microseconds(300);
-  params.netkernel.quota.period = milliseconds(1);
   // Two RSS shards: the victim and the hog ride separate engine lanes, so
   // the only cross-talk left is what the cycle quota is there to cap.
   params.netkernel.shards = 2;
@@ -188,17 +184,11 @@ isolation_result run_isolation(bool hog_on, std::uint64_t seed, bool smoke) {
   auto victim = bed.add_netkernel_vm(
       side::a, vm_cfg,
       make_nsm("nsm-victim", "tcp", cubic, apps::datacenter_tcp(cubic)));
-  // Per-NSM override: the hog's ServiceLib gets a tight cycle budget, so
-  // its unbounded 64 KB writes trip the quota every period while the
-  // victim's NSM keeps the generous engine default.
   core::nsm_config hog_cfg =
       make_nsm("nsm-hog", "nkq", cubic, apps::datacenter_tcp(cubic));
   // Small send buffer: caps the wire burst a throttled tenant can still
   // line up (the quota meters NSM cycles, not link serialization).
   hog_cfg.tcp.send_buffer = 32 * 1024;
-  core::tenant_quota_config hog_quota = params.netkernel.quota;
-  hog_quota.cycle_budget = microseconds(8);
-  hog_cfg.quota = hog_quota;
   vm_cfg.name = "hog-vm";
   auto hog = bed.add_netkernel_vm(side::a, vm_cfg, hog_cfg);
   vm_cfg.name = "sink-vm";
@@ -209,6 +199,17 @@ isolation_result run_isolation(bool hog_on, std::uint64_t seed, bool smoke) {
   auto hog_rx = bed.add_netkernel_vm(
       side::b, vm_cfg,
       make_nsm("nsm-hog-sink", "nkq", cubic, apps::datacenter_tcp(cubic)));
+  // Every tenant gets a generous cycle budget (the victim's mice never get
+  // near it); the hog's is tight, so its unbounded 64 KB writes trip the
+  // quota every period.
+  const core::sla_spec generous{.cycle_budget = microseconds(300)};
+  auto& sla_a = bed.netkernel(side::a).sla();
+  auto& sla_b = bed.netkernel(side::b).sla();
+  sla_a.set_tenant(victim.vm->id(), generous);
+  sla_a.set_tenant(hog.vm->id(),
+                   core::sla_spec{.cycle_budget = microseconds(8)});
+  sla_b.set_tenant(rx.vm->id(), generous);
+  sla_b.set_tenant(hog_rx.vm->id(), generous);
 
   apps::flow_sink sink{*rx.api, 7000};
   sink.sim = &bed.sim();
@@ -260,11 +261,11 @@ isolation_result run_isolation(bool hog_on, std::uint64_t seed, bool smoke) {
   out.p99_us = sink.fct_us(apps::size_class::mice).p99();
   out.flows_done = sink.completed();
   out.flows_offered = fcfg.flows;
-  if (auto* svc = ce.service_of(hog.module->id())) {
-    out.cycle_throttles = svc->stats().cycle_throttles;
-    out.quota_events = svc->quota_log().size();
-  }
   const virt::vm_id hog_vm = hog.vm->id();
+  out.cycle_throttles = ce.sla().usage_of(hog_vm).cycle_throttles;
+  for (const auto& ev : ce.sla().quota_log()) {
+    if (ev.vm == hog_vm) ++out.quota_events;
+  }
   for (const auto& a : mon.alerts()) {
     if (a.kind == core::alert_kind::tenant_quota_exceeded && a.vm == hog_vm) {
       out.alerted = true;

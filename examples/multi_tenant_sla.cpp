@@ -83,9 +83,8 @@ int main() {
                   sla.usage_of(economy.vm->id()).throttle_events));
 
   // Meter the shared NSM and price it under each model (§5).
-  auto usage = core::measure(*premium.module, bed.sim().now(),
-                             /*guaranteed_gbps=*/5.0);
-  usage.bytes_moved = sink.total_bytes();
+  const auto usage = core::measure(bed.netkernel(side::a), *premium.module,
+                                   bed.sim().now(), /*guaranteed_gbps=*/5.0);
   std::printf("shared NSM invoice candidates (%s form):\n",
               std::string{to_string(premium.module->form())}.c_str());
   for (const auto model :

@@ -2,9 +2,12 @@
 
 #include <sstream>
 
+#include "core/core_engine.hpp"
+
 namespace nk::core {
 
-nsm_usage measure(nsm& module, sim_time now, double guaranteed_gbps) {
+nsm_usage measure(core_engine& engine, nsm& module, sim_time now,
+                  double guaranteed_gbps) {
   nsm_usage usage;
   usage.wall_time = now;  // NSMs are created at t=0 in our experiments
   usage.core_count = static_cast<int>(module.cores().size());
@@ -12,10 +15,10 @@ nsm_usage measure(nsm& module, sim_time now, double guaranteed_gbps) {
     if (core != nullptr) usage.cpu_busy += core->busy_time();
   }
   usage.memory_bytes = module.profile().memory_bytes;
-  const auto& stats = module.stack().stats();
-  // Approximate bytes moved by packet counts x typical sizes is wrong; the
-  // stack's TCP counters give exact payload volume.
-  (void)stats;
+  if (const service_lib* service = engine.service_of(module.id())) {
+    usage.bytes_moved =
+        service->stats().bytes_to_stack + service->stats().bytes_from_stack;
+  }
   usage.guaranteed_gbps = guaranteed_gbps;
   return usage;
 }

@@ -13,6 +13,8 @@
 
 namespace nk::core {
 
+class core_engine;
+
 enum class pricing_model {
   per_instance,  // flat rate per NSM-hour
   per_core,      // per dedicated-core-hour
@@ -43,12 +45,13 @@ struct nsm_usage {
   sim_time cpu_busy{};       // summed busy time across its cores
   int core_count = 0;
   std::uint64_t memory_bytes = 0;
-  std::uint64_t bytes_moved = 0;  // tx + rx through its stack
+  std::uint64_t bytes_moved = 0;  // app payload to + from its stack
   double guaranteed_gbps = 0.0;
 };
 
-// Snapshot of an NSM's consumption at simulated time `now`.
-[[nodiscard]] nsm_usage measure(nsm& module, sim_time now,
+// Snapshot of the consumption of `module`, served by `engine`, at simulated
+// time `now`. Bytes moved come from the module's ServiceLib counters.
+[[nodiscard]] nsm_usage measure(core_engine& engine, nsm& module, sim_time now,
                                 double guaranteed_gbps = 0.0);
 
 // Charge for `usage` under `model`.

@@ -47,12 +47,12 @@ void bandwidth_arbiter::tick() {
     const bool is_active =
         std::find(active_vms.begin(), active_vms.end(), vm) !=
         active_vms.end();
-    sla_spec spec;
-    spec.rate_cap = is_active ? share_ : probe;
-    // Burst sized for one epoch at the granted rate.
-    spec.burst_bytes = static_cast<std::uint64_t>(
-        spec.rate_cap.bytes_in(cfg_.epoch)) + 64 * 1024;
-    engine_.sla().set_tenant(vm, spec);
+    const data_rate rate = is_active ? share_ : probe;
+    // Burst sized for one epoch at the granted rate. Only the rate changes:
+    // the rest of the tenant's spec (quotas, guarantee) stays as set.
+    engine_.sla().set_rate(
+        vm, rate,
+        static_cast<std::uint64_t>(rate.bytes_in(cfg_.epoch)) + 64 * 1024);
   }
 
   timer_ = engine_.simulator().schedule(cfg_.epoch, [this] { tick(); });

@@ -374,8 +374,6 @@ void core_engine::publish_stat_page(attachment& att, bool freeze) {
       row.rcvbuf_capacity = rec.info.rcvbuf_capacity;
     }
     snap.vm.staged_completions = service->staged_depth(vm);
-    snap.vm.cycle_budget_used = service->cycle_budget_used(vm);
-    snap.vm.chunk_quota_used = service->chunk_quota_used(vm);
   }
   snap.vm.sockets = rows;
 
@@ -397,6 +395,8 @@ void core_engine::publish_stat_page(attachment& att, bool freeze) {
     snap.vm.recv_would_block = gs.recv_blocked;
   }
   snap.vm.pool_chunks_free = att.ch->pool.chunks_free();
+  snap.vm.cycle_budget_used = sla_.cycles_used(vm, sim_.now());
+  snap.vm.chunk_quota_used = att.ch->pool.chunks_held();
 
   // The publish is provider-side work: charge one nqe-copy-sized unit per
   // row (plus one for the aggregates) to the engine's control core, so the
@@ -425,8 +425,7 @@ nsm& core_engine::create_nsm(const nsm_config& cfg) {
   nsm& ref = *module;
   auto service = std::make_unique<service_lib>(
       ref, sim_, cfg_.costs, cfg_.notification, &tracer_, cfg_.overflow_limit,
-      cfg.quota ? *cfg.quota : cfg_.quota);
-  service->set_sla_manager(&sla_);
+      sla_);
   service->start();
   services_[ref.id()] = std::move(service);
   nsms_.push_back(std::move(module));
@@ -571,19 +570,16 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
   metrics_.register_gauge_fn(p + "_nsm_staged_out", [service, id = vm.id()] {
     return static_cast<double>(service->staged_depth(id));
   });
-  // Tenant-quota gauges (tenant_quota_config): current-period NSM cycles
-  // and huge-page chunks held. Exported even with quotas disabled (both
-  // read zero / raw occupancy), so dashboards need no conditional wiring.
-  metrics_.register_gauge_fn(p + "_cycle_budget_used",
-                             [service, id = vm.id()] {
-                               return static_cast<double>(
-                                   service->cycle_budget_used(id));
-                             });
-  metrics_.register_gauge_fn(p + "_chunk_quota_used",
-                             [service, id = vm.id()] {
-                               return static_cast<double>(
-                                   service->chunk_quota_used(id));
-                             });
+  // Tenant-quota gauges (sla_spec cycle budget and chunk quota): current-
+  // period NSM cycles and huge-page chunks held. Exported even with no quota
+  // set (both read zero / raw occupancy), so dashboards need no conditional
+  // wiring. Neither source changes at failover, so these are never rewired.
+  metrics_.register_gauge_fn(p + "_cycle_budget_used", [this, id = vm.id()] {
+    return static_cast<double>(sla_.cycles_used(id, sim_.now()));
+  });
+  metrics_.register_gauge_fn(p + "_chunk_quota_used", [ch] {
+    return static_cast<double>(ch->pool.chunks_held());
+  });
 
   // Abuse record + firewall gauges. Heap-allocated like the overflow
   // stages, so the closures stay valid across rehashes of attachments_.
@@ -1513,15 +1509,6 @@ void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
     metrics_.register_gauge_fn(
         "vm" + std::to_string(vm) + "_nsm_staged_out",
         [next, id = vm] { return static_cast<double>(next->staged_depth(id)); });
-    // Quota gauges point at the replacement module too.
-    metrics_.register_gauge_fn(
-        "vm" + std::to_string(vm) + "_cycle_budget_used", [next, id = vm] {
-          return static_cast<double>(next->cycle_budget_used(id));
-        });
-    metrics_.register_gauge_fn(
-        "vm" + std::to_string(vm) + "_chunk_quota_used", [next, id = vm] {
-          return static_cast<double>(next->chunk_quota_used(id));
-        });
 
     // Partition this VM's flows: journals reconstruct listeners, datagram
     // bindings and not-yet-connected sockets on the new module; connection

@@ -108,9 +108,6 @@ struct core_engine_config {
   std::size_t shards = 1;
   // Hostile-tenant hardening at the guest/provider boundary.
   firewall_config firewall{};
-  // Per-tenant cycle/chunk quotas at the ServiceLib boundary (tenant-defined
-  // protocols must not starve NSM neighbors; exhaustion = backpressure).
-  tenant_quota_config quota{};
 };
 
 struct core_engine_stats {

@@ -284,45 +284,41 @@ void health_monitor::check_quarantines() {
 }
 
 void health_monitor::check_quotas() {
-  // New quota trips since the last tick: each ServiceLib keeps an
+  // New quota trips since the last tick: the engine's sla_manager keeps an
   // append-only quota_log() of rising-edge events (a tenant crossing its
-  // cycle budget or chunk-pool quota); a per-NSM watermark turns the log
-  // into alerts exactly once. Quota exhaustion is backpressure, never
-  // loss — the alert exists so the provider sees a throttled tenant, with
-  // the serving NSM's flight-recorder ring captured at trip time.
-  for (const auto& module : engine_.nsms()) {
-    service_lib* svc = engine_.service_of(module->id());
-    if (svc == nullptr) continue;
-    const auto& log = svc->quota_log();
-    for (auto& seen = quota_seen_[module->id()]; seen < log.size(); ++seen) {
-      const quota_event& ev = log[seen];
-      std::string snap = engine_.recorder().snapshot_json(
-          module->id(), engine_.simulator().now());
-      if (!cfg_.flight_recorder_dir.empty()) {
-        const std::string path = cfg_.flight_recorder_dir + "/quota_vm" +
-                                 std::to_string(ev.vm) + ".json";
-        std::ofstream out(path);
-        if (out) {
-          out << snap;
-        } else {
-          log_warn("health_monitor: cannot write quota dump ", path);
-        }
+  // cycle budget or chunk quota); a watermark turns the log into alerts
+  // exactly once. Quota exhaustion is backpressure, never loss — the alert
+  // exists so the provider sees a throttled tenant, with the serving NSM's
+  // flight-recorder ring captured at alert time.
+  const auto& log = engine_.sla().quota_log();
+  for (; quota_seen_ < log.size(); ++quota_seen_) {
+    const quota_event& ev = log[quota_seen_];
+    std::string snap = engine_.recorder().snapshot_json(
+        ev.module, engine_.simulator().now());
+    if (!cfg_.flight_recorder_dir.empty()) {
+      const std::string path = cfg_.flight_recorder_dir + "/quota_vm" +
+                               std::to_string(ev.vm) + ".json";
+      std::ofstream out(path);
+      if (out) {
+        out << snap;
+      } else {
+        log_warn("health_monitor: cannot write quota dump ", path);
       }
-      quota_snapshots_[ev.vm] = std::move(snap);
-
-      alert a;
-      a.kind = alert_kind::tenant_quota_exceeded;
-      a.at = ev.at;
-      a.module = module->id();
-      a.vm = ev.vm;
-      a.detail = "vm " + std::to_string(ev.vm) +
-                 (ev.cycles ? " exceeded cycle budget: used "
-                            : " exceeded chunk quota: held ") +
-                 std::to_string(ev.observed) + " of " +
-                 std::to_string(ev.limit) +
-                 (ev.cycles ? "ns this period" : " chunks");
-      emit(std::move(a));
     }
+    quota_snapshots_[ev.vm] = std::move(snap);
+
+    alert a;
+    a.kind = alert_kind::tenant_quota_exceeded;
+    a.at = ev.at;
+    a.module = ev.module;
+    a.vm = ev.vm;
+    a.detail = "vm " + std::to_string(ev.vm) +
+               (ev.cycles ? " exceeded cycle budget: used "
+                          : " exceeded chunk quota: held ") +
+               std::to_string(ev.observed) + " of " +
+               std::to_string(ev.limit) +
+               (ev.cycles ? "ns this period" : " chunks");
+    emit(std::move(a));
   }
 }
 

@@ -179,8 +179,7 @@ class health_monitor {
   std::unordered_map<nsm_id, std::string> crash_snapshots_;
   std::size_t quarantine_seen_ = 0;  // watermark into engine quarantine_log()
   std::unordered_map<virt::vm_id, std::string> quarantine_snapshots_;
-  // Per-NSM watermark into each service_lib's quota_log().
-  std::unordered_map<nsm_id, std::size_t> quota_seen_;
+  std::size_t quota_seen_ = 0;  // watermark into the sla_manager quota_log()
   std::unordered_map<virt::vm_id, std::string> quota_snapshots_;
   std::vector<alert> alerts_;
   std::vector<alert_handler> handlers_;

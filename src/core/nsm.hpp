@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,28 +62,12 @@ struct form_profile {
   return {};
 }
 
-// Per-tenant resource quotas enforced at the ServiceLib boundary. Set
-// engine-wide via core_engine_config::quota, or per NSM via
-// nsm_config::quota (the per-NSM value wins when present).
-struct tenant_quota_config {
-  bool enabled = false;
-  // NSM-core cycles a VM may consume per accounting period. Includes op
-  // dispatch and payload memcpy, the two Table 1 cost classes.
-  sim_time cycle_budget = microseconds(300);
-  sim_time period = milliseconds(1);
-  // Max huge-page chunks a VM may hold in flight (0: unlimited). Reads
-  // stall at the cap; the pool itself stays the hard backstop.
-  std::size_t chunk_quota = 0;
-};
-
 struct nsm_config {
   std::string name = "nsm";
   nsm_form form = nsm_form::vm;
   // Transport-registry name of the protocol this NSM serves ("tcp", "nkq",
   // ...). Unknown names throw std::invalid_argument at NSM creation.
   std::string transport = "tcp";
-  // Per-NSM quota override; nullopt inherits the engine-wide config.
-  std::optional<tenant_quota_config> quota{};
   tcp::cc_algorithm cc = tcp::cc_algorithm::cubic;
   tcp::tcp_config tcp{};  // `cc` above is applied onto this
   int cores = 1;          // prototype: one dedicated core per NSM

@@ -16,13 +16,12 @@ constexpr std::size_t drain_batch = 64;
 service_lib::service_lib(nsm& owner, sim::simulator& s,
                          const netkernel_costs& costs,
                          const notify_config& ncfg, obs::nqe_tracer* tracer,
-                         std::size_t overflow_limit,
-                         const tenant_quota_config& quota)
+                         std::size_t overflow_limit, sla_manager& sla)
     : nsm_{owner},
       sim_{s},
       costs_{costs},
       overflow_limit_{overflow_limit},
-      quota_{quota},
+      sla_{sla},
       tracer_{tracer} {
   pump_ = std::make_unique<queue_pump>(s, ncfg, [this] { return drain_jobs(); });
 }
@@ -34,6 +33,7 @@ void service_lib::attach_channel(channel& ch,
   svm.ch = &ch;
   svm.notify_ce = std::move(notify_ce);
   svm.epoch = epoch;
+  svm.tenant = &sla_.tenant_of(ch.vm_id);
   svm.lanes.reserve(ch.shards());
   for (std::size_t s = 0; s < ch.shards(); ++s) svm.lanes.emplace_back(ch, s);
   vms_[ch.vm_id] = std::move(svm);
@@ -95,6 +95,7 @@ void service_lib::fail() {
   // watchdog and CoreEngine's failover abort path notify the tenants.
   for (auto& [cid, ps] : sockets_) {
     if (ps.ssock != 0) (void)nsm_.transport().abort(ps.ssock);
+    release_slot(ps);
     if (tracer_ != nullptr) {
       for (const auto& tx : ps.pending_send) tracer_->finish(tx.trace);
     }
@@ -149,73 +150,27 @@ void service_lib::start() {
 
 // --- tenant quotas -------------------------------------------------------------
 
-bool service_lib::cycle_budget_exhausted(served_vm& svm) {
-  if (!quota_.enabled) return false;
-  if (sim_.now() >= svm.period_start + quota_.period) {
-    svm.period_start = sim_.now();
-    svm.cycles_used = sim_time::zero();
-    svm.over_budget = false;
-  }
-  return svm.over_budget;
-}
-
 void service_lib::charge_cycles(served_vm& svm, sim_time cost) {
-  if (!quota_.enabled) return;
-  (void)cycle_budget_exhausted(svm);  // roll the window
-  svm.cycles_used += cost;
-  if (svm.over_budget || svm.cycles_used < quota_.cycle_budget) return;
+  if (!sla_.charge_cycles(*svm.tenant, cost, sim_.now(), nsm_.id()) ||
+      svm.quota_wake_armed) {
+    return;
+  }
   // Rising edge: this period's budget is spent. Jobs stay in the rings and
   // reads stall; a period-end wakeup resumes them.
-  svm.over_budget = true;
-  ++stats_.cycle_throttles;
-  quota_log_.push_back(quota_event{
-      svm.ch->vm_id, sim_.now(), /*cycles=*/true,
-      static_cast<std::uint64_t>(svm.cycles_used.count()),
-      static_cast<std::uint64_t>(quota_.cycle_budget.count())});
-  if (!svm.quota_wake_armed) {
-    svm.quota_wake_armed = true;
-    const virt::vm_id vm = svm.ch->vm_id;
-    sim_.schedule_at(svm.period_start + quota_.period, [this, vm] {
-      if (auto it = vms_.find(vm); it != vms_.end()) {
-        it->second.quota_wake_armed = false;
-        (void)drain_jobs();
-        maybe_resume_stalled(it->second);
-      }
-    });
-  }
+  svm.quota_wake_armed = true;
+  const virt::vm_id vm = svm.ch->vm_id;
+  sim_.schedule_at(sla_.period_end(*svm.tenant), [this, vm] {
+    if (auto it = vms_.find(vm); it != vms_.end()) {
+      it->second.quota_wake_armed = false;
+      (void)drain_jobs();
+      maybe_resume_stalled(it->second);
+    }
+  });
 }
 
 bool service_lib::chunk_quota_hit(served_vm& svm) {
-  if (!quota_.enabled || quota_.chunk_quota == 0) return false;
-  const std::size_t held =
-      svm.ch->pool.chunk_count() - svm.ch->pool.chunks_free();
-  if (held < quota_.chunk_quota) {
-    svm.chunk_over = false;
-    return false;
-  }
-  if (!svm.chunk_over) {
-    svm.chunk_over = true;
-    quota_log_.push_back(quota_event{svm.ch->vm_id, sim_.now(),
-                                     /*cycles=*/false, held,
-                                     quota_.chunk_quota});
-  }
-  return true;
-}
-
-std::uint64_t service_lib::cycle_budget_used(virt::vm_id vm) const {
-  auto it = vms_.find(vm);
-  if (it == vms_.end()) return 0;
-  const served_vm& svm = it->second;
-  // A stale window means no charge this period: report zero, not leftovers.
-  if (sim_.now() >= svm.period_start + quota_.period) return 0;
-  return static_cast<std::uint64_t>(svm.cycles_used.count());
-}
-
-std::uint64_t service_lib::chunk_quota_used(virt::vm_id vm) const {
-  auto it = vms_.find(vm);
-  if (it == vms_.end()) return 0;
-  return it->second.ch->pool.chunk_count() -
-         it->second.ch->pool.chunks_free();
+  return sla_.chunk_quota_hit(*svm.tenant, svm.ch->pool.chunks_held(),
+                              sim_.now(), nsm_.id());
 }
 
 sim_time service_lib::op_cost() const {
@@ -357,10 +312,14 @@ void service_lib::drop_socket(std::uint32_t cid) {
   if (auto vit = vms_.find(it->second.vm); vit != vms_.end()) {
     vit->second.stalled_reads.erase(cid);
   }
-  if (sla_ != nullptr && !it->second.listener) {
-    sla_->on_connection_closed(it->second.vm);
-  }
+  release_slot(it->second);
   sockets_.erase(it);
+}
+
+void service_lib::release_slot(proto_socket& ps) {
+  if (!ps.holds_slot) return;
+  ps.holds_slot = false;
+  sla_.on_connection_closed(sla_.tenant_of(ps.vm));
 }
 
 // --- job-queue drain -----------------------------------------------------------
@@ -397,7 +356,8 @@ std::size_t service_lib::drain_jobs() {
     // sole consumer of each nsm_q(s).job ring. The lane a job arrives on is
     // the flow's home shard; handle_nqe learns steering from it.
     for (std::size_t s = 0; s < svm.lanes.size(); ++s) {
-      if (svm.over_budget) break;  // budget spent mid-drain on an earlier lane
+      // Budget spent mid-drain on an earlier lane.
+      if (svm.tenant->over_budget) break;
       while (n < drain_batch) {
         if (core != nullptr && core->backlog() > backlog_bound) {
           left_behind =
@@ -437,7 +397,8 @@ std::size_t service_lib::drain_jobs() {
         } else {
           handle_nqe(svm, s, e);
         }
-        if (svm.over_budget) break;  // this nqe spent the budget; stop here
+        // This nqe spent the budget; stop here.
+        if (svm.tenant->over_budget) break;
       }
       if (n >= drain_batch) {
         left_behind = left_behind || !svm.ch->nsm_q(s).job.empty_approx();
@@ -579,9 +540,10 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
         // Duplicate connect — a GuestLib deadline retry racing the original
         // attempt. The first tcp_connect is still in flight; acknowledging
         // without a second connect keeps the retry idempotent.
-      } else if (sla_ != nullptr && !sla_->allow_connection(ps->vm)) {
+      } else if (!sla_.allow_connection(*svm.tenant)) {
         out.status = -static_cast<std::int32_t>(errc::resource_exhausted);
       } else {
+        ps->holds_slot = true;
         const net::socket_addr remote{
             net::ipv4_addr{static_cast<std::uint32_t>(e.arg0)},
             static_cast<std::uint16_t>(e.arg1)};
@@ -677,13 +639,11 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
           net::ipv4_addr{static_cast<std::uint32_t>(e.arg0)},
           static_cast<std::uint16_t>(e.arg1)};
       const std::uint64_t len = data.size();
-      if (sla_ == nullptr || sla_->allow_send(ps->vm, len, sim_.now())) {
-        if (stack.udp_send_to(ps->ssock, dest, std::move(data)).ok()) {
-          stats_.bytes_to_stack += len;
-          if (sla_ != nullptr) sla_->record_send(ps->vm, len);
-        }
-      } else {
-        ++stats_.sla_throttles;  // datagrams over the cap are dropped
+      // Datagrams over the rate cap are dropped.
+      if (sla_.allow_send(*svm.tenant, len, sim_.now()) &&
+          stack.udp_send_to(ps->ssock, dest, std::move(data)).ok()) {
+        stats_.bytes_to_stack += len;
+        sla_.record_send(*svm.tenant, len);
       }
       // Credit back to GuestLib regardless (datagram semantics).
       shm::nqe out;
@@ -761,10 +721,12 @@ void service_lib::handle_stack_event(const stack::socket_event& ev) {
         // yet, so this is the only key both sides can compute. The engine
         // learns the shard from the arrival lane of the ev_accept.
         child.shard = shm::nsm_shard(nsm_.id(), cid, svm.lanes.size());
+        // The quota never refuses an accept; the child takes a slot only
+        // while one is free.
+        child.holds_slot = sla_.allow_connection(*svm.tenant);
         const std::size_t child_shard = child.shard;
         sockets_[cid] = std::move(child);
         by_ssock_[r.value()] = cid;
-        if (sla_ != nullptr) (void)sla_->allow_connection(vm);
 
         shm::nqe out;
         out.op = shm::nqe_op::ev_accept;
@@ -877,7 +839,7 @@ void service_lib::pump_reads(proto_socket& ps) {
     std::memcpy(span.value().data(), data.bytes().data(), data.size());
     stats_.bytes_from_stack += data.size();
     ++stats_.data_events;
-    if (sla_ != nullptr) sla_->record_receive(ps.vm, data.size());
+    sla_.record_receive(*svm.tenant, data.size());
     charge_cycles(svm, costs_.memcpy_cost(data.size()));
 
     shm::nqe out;
@@ -944,7 +906,7 @@ void service_lib::pump_udp_reads(proto_socket& ps) {
     std::memcpy(span.value().data(), data.bytes().data(), data.size());
     stats_.bytes_from_stack += data.size();
     ++stats_.data_events;
-    if (sla_ != nullptr) sla_->record_receive(ps.vm, data.size());
+    sla_.record_receive(*svm.tenant, data.size());
     charge_cycles(svm, costs_.memcpy_cost(data.size()));
 
     shm::nqe out;
@@ -979,11 +941,11 @@ void service_lib::try_deliver_sends(proto_socket& ps) {
   while (!ps.pending_send.empty()) {
     auto& [data, token, original, trace] = ps.pending_send.front();
 
-    if (sla_ != nullptr && !sla_->allow_send(ps.vm, data.size(), sim_.now())) {
-      ++stats_.sla_throttles;
+    if (!sla_.allow_send(*svm.tenant, data.size(), sim_.now())) {
       if (!ps.sla_retry_armed) {
         ps.sla_retry_armed = true;
-        const sim_time at = sla_->retry_at(ps.vm, data.size(), sim_.now());
+        const sim_time at =
+            sla_.retry_at(*svm.tenant, data.size(), sim_.now());
         const std::uint32_t cid = ps.cid;
         sim_.schedule_at(std::max(at, sim_.now() + microseconds(1)),
                          [this, cid] {
@@ -1017,7 +979,7 @@ void service_lib::try_deliver_sends(proto_socket& ps) {
     }
     const std::size_t accepted = r.value();
     stats_.bytes_to_stack += accepted;
-    if (sla_ != nullptr) sla_->record_send(ps.vm, accepted);
+    sla_.record_send(*svm.tenant, accepted);
     if (accepted < data.size()) {
       data = data.suffix_from(accepted);
       return;  // stack buffer full; resume on writable

@@ -29,22 +29,6 @@
 
 namespace nk::core {
 
-// Per-tenant resource quotas enforced at the ServiceLib boundary (the
-// tenant-defined-protocol trust story: a cycle-hungry transport plugin must
-// not starve its NSM neighbors). Exhaustion is pure backpressure — jobs wait
-// in the rings, reads wait in the stack's receive buffer — never silent
-// loss, so the accounting invariant is untouched by throttling.
-// Rising-edge record of a quota trip (monitor alert source).
-// (tenant_quota_config itself lives in core/nsm.hpp so nsm_config can
-// carry a per-NSM override.)
-struct quota_event {
-  virt::vm_id vm = 0;
-  sim_time at{};
-  bool cycles = true;  // false: chunk quota
-  std::uint64_t observed = 0;
-  std::uint64_t limit = 0;
-};
-
 struct service_lib_stats {
   std::uint64_t ops_processed = 0;
   std::uint64_t bytes_to_stack = 0;    // app payload handed to the stack
@@ -56,12 +40,12 @@ struct service_lib_stats {
   std::uint64_t nqes_deferred = 0;     // staged on a full out-ring
   std::uint64_t nqes_dropped = 0;      // discarded at the cap (chunks freed)
   std::uint64_t stale_nqes = 0;        // jobs from a retired NSM incarnation
-  std::uint64_t sla_throttles = 0;
   // Outputs refused because their descriptor named a pool that is not the
   // destination channel's (pool-key isolation, DESIGN.md §14).
   std::uint64_t chunk_key_mismatch = 0;
-  // Tenant-quota backpressure (tenant_quota_config).
-  std::uint64_t cycle_throttles = 0;     // periods in which a VM hit its budget
+  // Tenant-quota backpressure (sla_spec cycle budget and chunk quota). Jobs
+  // wait in the rings and reads wait in the stack's receive buffer — never
+  // silent loss, so the accounting invariant is untouched by throttling.
   std::uint64_t quota_stalls = 0;        // reads stalled on cycle exhaustion
   std::uint64_t chunk_quota_stalls = 0;  // reads stalled at the chunk cap
 };
@@ -70,8 +54,7 @@ class service_lib {
  public:
   service_lib(nsm& owner, sim::simulator& s, const netkernel_costs& costs,
               const notify_config& ncfg, obs::nqe_tracer* tracer,
-              std::size_t overflow_limit,
-              const tenant_quota_config& quota = {});
+              std::size_t overflow_limit, sla_manager& sla);
 
   service_lib(const service_lib&) = delete;
   service_lib& operator=(const service_lib&) = delete;
@@ -93,9 +76,6 @@ class service_lib {
 
   // Producer doorbell from CoreEngine (batched-interrupt mode).
   void notify() { pump_->notify(); }
-
-  // Optional SLA enforcement at the send boundary.
-  void set_sla_manager(sla_manager* sla) { sla_ = sla; }
 
   // Failure injection: the NSM crashes. Serving stops and every stack-side
   // socket dies with the module. A crashed stack says no goodbyes — tenants
@@ -143,16 +123,6 @@ class service_lib {
   // Unknown cids are ignored.
   void set_flow_shard(std::uint32_t cid, std::size_t shard);
 
-  // Tenant-quota introspection (monitor + gauges). The log is append-only;
-  // the monitor consumes it with a watermark like the quarantine log.
-  [[nodiscard]] const std::vector<quota_event>& quota_log() const {
-    return quota_log_;
-  }
-  // NSM-core nanoseconds this VM consumed in the current period.
-  [[nodiscard]] std::uint64_t cycle_budget_used(virt::vm_id vm) const;
-  // Huge-page chunks this VM currently holds (pool occupancy).
-  [[nodiscard]] std::uint64_t chunk_quota_used(virt::vm_id vm) const;
-
  private:
   // The staged lanes in front of one shard's NSM-side out-rings: flushed,
   // in order, before any new push to that lane.
@@ -172,12 +142,8 @@ class service_lib {
     std::uint8_t epoch = 0;  // incarnation tag stamped on every output
     std::unordered_set<std::uint32_t> stalled_reads;  // cids awaiting chunks
     std::vector<out_stages> lanes;  // one per engine shard (ch->shards())
-    // Tenant-quota accounting (tenant_quota_config; period-windowed).
-    sim_time period_start{};
-    sim_time cycles_used{};
-    bool over_budget = false;      // cycle budget exhausted this period
+    sla_manager::tenant* tenant = nullptr;  // the VM's policy and meters
     bool quota_wake_armed = false;  // period-end re-drain timer pending
-    bool chunk_over = false;        // rising-edge latch for the chunk cap
   };
 
   struct pending_tx {
@@ -197,6 +163,7 @@ class service_lib {
     bool udp = false;
     std::deque<pending_tx> pending_send;
     bool sla_retry_armed = false;
+    bool holds_slot = false;  // counted against the VM's connection quota
     // Guest closed while sends were still parked in pending_send: finish
     // delivering them, then close (a req_close must never outrun the
     // req_sends queued ahead of it and drop their bytes).
@@ -250,30 +217,30 @@ class service_lib {
            svm.ch->nsm_q(shard).receive.space_approx() == 0;
   }
 
-  // Quota plumbing: charges `cost` against the VM's cycle budget (rolling
-  // the period window), latching over_budget + logging on the rising edge
-  // and arming a period-end wakeup so throttled work resumes by itself.
+  // Quota plumbing over sla_manager: charges `cost` against the VM's cycle
+  // budget and, on the rising edge, arms a period-end wakeup so throttled
+  // work resumes by itself.
   void charge_cycles(served_vm& svm, sim_time cost);
-  // True when the VM sits at its chunk cap; logs the rising edge.
   [[nodiscard]] bool chunk_quota_hit(served_vm& svm);
-  // Rolls the period window if expired, then reports whether the VM is
-  // still over its cycle budget (a fresh window is never over).
-  [[nodiscard]] bool cycle_budget_exhausted(served_vm& svm);
+  [[nodiscard]] bool cycle_budget_exhausted(served_vm& svm) {
+    return sla_.cycle_budget_exhausted(*svm.tenant, sim_.now());
+  }
 
   [[nodiscard]] proto_socket* socket_by_cid(std::uint32_t cid);
   [[nodiscard]] proto_socket* socket_by_ssock(stack::socket_id s);
   void drop_socket(std::uint32_t cid);
+  // Returns the socket's connection-quota slot, if it holds one. The only
+  // release point: reached from drop_socket and from fail().
+  void release_slot(proto_socket& ps);
   [[nodiscard]] sim_time op_cost() const;
 
   nsm& nsm_;
   sim::simulator& sim_;
   netkernel_costs costs_;
   std::size_t overflow_limit_;
-  tenant_quota_config quota_;
-  std::vector<quota_event> quota_log_;
+  sla_manager& sla_;
   obs::nqe_tracer* tracer_ = nullptr;
   std::unique_ptr<queue_pump> pump_;
-  sla_manager* sla_ = nullptr;
 
   bool redrain_pending_ = false;
   bool failed_ = false;

@@ -40,6 +40,9 @@ class hugepage_pool {
   [[nodiscard]] std::size_t chunk_size() const { return cfg_.chunk_size; }
   [[nodiscard]] std::size_t chunk_count() const { return chunk_count_; }
   [[nodiscard]] std::size_t chunks_free() const { return free_.size(); }
+  [[nodiscard]] std::size_t chunks_held() const {
+    return chunk_count_ - free_.size();
+  }
   [[nodiscard]] std::size_t bytes_total() const {
     return cfg_.page_size * cfg_.page_count;
   }

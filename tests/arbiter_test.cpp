@@ -126,5 +126,47 @@ TEST(arbiter, stop_freezes_allocations) {
   EXPECT_EQ(arb.epochs(), epochs);
 }
 
+// The arbiter re-programs only the rate: a tenant's connection and chunk
+// quotas survive every epoch, and the connection quota is still enforced.
+TEST(arbiter, epochs_keep_the_rest_of_the_spec) {
+  arbiter_rig rig{1};
+  core_engine& ce = rig.bed.netkernel(side::a);
+  const virt::vm_id vm = rig.vms[0].vm->id();
+  ce.sla().set_tenant(vm, sla_spec{.max_connections = 1, .chunk_quota = 8});
+  arbiter_config acfg;
+  acfg.epoch = milliseconds(1);
+  bandwidth_arbiter arb{ce, acfg};
+  arb.start();
+  rig.bed.run_for(milliseconds(3));
+  ASSERT_GE(arb.epochs(), 3u);
+
+  const sla_spec& spec = ce.sla().tenant_of(vm).spec;
+  EXPECT_FALSE(spec.rate_cap.is_zero());  // the arbiter did set a rate
+  EXPECT_EQ(spec.max_connections, 1u);
+  EXPECT_EQ(spec.chunk_quota, 8u);
+
+  auto& glib = *rig.vms[0].glib;
+  int connected = 0;
+  int refused = 0;
+  glib.set_event_handler([&](std::uint32_t, stack::socket_event_type t,
+                             errc e) {
+    if (t == stack::socket_event_type::connected) ++connected;
+    if (t == stack::socket_event_type::error &&
+        e == errc::resource_exhausted) {
+      ++refused;
+    }
+  });
+  for (int i = 0; i < 2; ++i) {
+    const auto fd = glib.nk_socket().value();
+    ASSERT_TRUE(
+        glib.nk_connect(fd, {rig.server.module->config().address, 5001})
+            .ok());
+  }
+  rig.bed.run_for(milliseconds(3));
+  EXPECT_EQ(connected, 1);
+  EXPECT_EQ(refused, 1);
+  EXPECT_EQ(ce.sla().tenant_of(vm).spec.chunk_quota, 8u);
+}
+
 }  // namespace
 }  // namespace nk::core

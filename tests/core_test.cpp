@@ -4,6 +4,9 @@
 // modes, and accounting.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "apps/scenario.hpp"
 #include "apps/workloads.hpp"
 #include "core/accounting.hpp"
@@ -272,6 +275,113 @@ TEST(netkernel_sla, rate_cap_throttles_tenant) {
             0u);
 }
 
+// Connection-quota slot bookkeeping. The client tenant may hold one
+// connection; a slot is taken only by an admitted connect (or an accepted
+// child) and returned exactly once, when that socket goes away.
+struct conn_quota_rig {
+  conn_quota_rig() {
+    rig.bed.netkernel(side::a).sla().set_tenant(
+        rig.client.vm->id(), sla_spec{.max_connections = 1});
+    auto& gs = *rig.server.glib;
+    lfd = gs.nk_socket().value();
+    EXPECT_TRUE(gs.nk_bind(lfd, 7000).ok());
+    EXPECT_TRUE(gs.nk_listen(lfd).ok());
+    gs.set_event_handler([this, &gs](std::uint32_t fd,
+                                     stack::socket_event_type t, errc) {
+      if (fd == lfd && t == stack::socket_event_type::accept_ready) {
+        while (gs.nk_accept(lfd).ok()) {
+        }
+      }
+    });
+    rig.client.glib->set_event_handler(
+        [this](std::uint32_t fd, stack::socket_event_type t, errc e) {
+          if (t == stack::socket_event_type::connected) connected.insert(fd);
+          if (t == stack::socket_event_type::error) failed[fd] = e;
+        });
+  }
+
+  // Opens a TCP connection to the server and runs until it resolves.
+  std::uint32_t connect() {
+    auto& gc = *rig.client.glib;
+    const auto fd = gc.nk_socket().value();
+    EXPECT_TRUE(
+        gc.nk_connect(fd, {rig.server.module->config().address, 7000}).ok());
+    rig.bed.run_for(milliseconds(5));
+    return fd;
+  }
+
+  const tenant_usage& usage() {
+    return rig.bed.netkernel(side::a).sla().usage_of(rig.client.vm->id());
+  }
+
+  nk_pair rig;
+  std::uint32_t lfd = 0;
+  std::set<std::uint32_t> connected;
+  std::map<std::uint32_t, errc> failed;
+};
+
+TEST(netkernel_conn_quota, udp_sockets_take_no_connection_slot) {
+  conn_quota_rig q;
+  ASSERT_TRUE(q.connected.count(q.connect()));
+  ASSERT_EQ(q.usage().connections, 1u);
+
+  auto& gc = *q.rig.client.glib;
+  for (int i = 0; i < 3; ++i) {
+    const auto ufd = gc.nk_udp_open().value();
+    q.rig.bed.run_for(milliseconds(1));
+    ASSERT_TRUE(gc.nk_close(ufd).ok());
+  }
+  q.rig.bed.run_for(milliseconds(5));
+  EXPECT_EQ(q.usage().connections, 1u);
+
+  const auto second = q.connect();
+  EXPECT_FALSE(q.connected.count(second));
+  EXPECT_EQ(q.failed[second], errc::resource_exhausted);
+  EXPECT_EQ(q.usage().connections_total, 1u);
+}
+
+TEST(netkernel_conn_quota, closing_a_refused_connect_releases_no_slot) {
+  conn_quota_rig q;
+  ASSERT_TRUE(q.connected.count(q.connect()));
+
+  auto& gc = *q.rig.client.glib;
+  for (int i = 0; i < 3; ++i) {
+    const auto fd = q.connect();
+    EXPECT_FALSE(q.connected.count(fd)) << "over-quota connect " << i;
+    EXPECT_EQ(q.failed[fd], errc::resource_exhausted);
+    (void)gc.nk_close(fd);
+    q.rig.bed.run_for(milliseconds(1));
+  }
+  EXPECT_EQ(q.usage().connections, 1u);
+  EXPECT_EQ(q.usage().connections_total, 1u);
+}
+
+TEST(netkernel_conn_quota, crashed_nsm_returns_its_connections_slots) {
+  conn_quota_rig q;
+  const auto first = q.connect();
+  ASSERT_TRUE(q.connected.count(first));
+
+  core_engine& ce = q.rig.bed.netkernel(side::a);
+  const nsm_id dead = q.rig.client.module->id();
+  ce.service_of(dead)->fail();
+  // The connection died with the module, and so did its slot.
+  EXPECT_EQ(q.usage().connections, 0u);
+
+  nsm_config fresh = q.rig.client.module->config();
+  fresh.name = "nsm-a2";
+  fresh.form = nsm_form::container;
+  ce.replace_nsm(dead, fresh);
+  q.rig.bed.run_for(milliseconds(200));  // boot + switchover
+  EXPECT_TRUE(q.failed.count(first));    // aborted toward the guest
+  (void)q.rig.client.glib->nk_close(first);
+  q.rig.bed.run_for(milliseconds(1));
+
+  const auto second = q.connect();
+  EXPECT_TRUE(q.connected.count(second));
+  EXPECT_EQ(q.failed.count(second), 0u);
+  EXPECT_EQ(q.usage().connections, 1u);
+}
+
 TEST(netkernel_accounting, pricing_models_differ) {
   nk_pair rig;
   apps::bulk_sink sink{*rig.server.api, 7001, false};
@@ -284,9 +394,12 @@ TEST(netkernel_accounting, pricing_models_differ) {
   sender.start();
   rig.bed.run_for(seconds(2));
 
-  auto usage = measure(*rig.client.module, rig.bed.sim().now(), 5.0);
-  usage.bytes_moved = sink.total_bytes();
+  const auto usage = measure(rig.bed.netkernel(side::a), *rig.client.module,
+                             rig.bed.sim().now(), 5.0);
   EXPECT_GT(usage.cpu_busy, sim_time::zero());
+  // Metered from the NSM's own ServiceLib counters: the 4 MiB handed to
+  // the stack, without the caller filling anything in.
+  EXPECT_GE(usage.bytes_moved, 4u * 1024 * 1024);
 
   const double flat = charge(pricing_model::per_instance, usage);
   const double metered = charge(pricing_model::usage_based, usage);
@@ -478,13 +591,10 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
   auto client2 = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
   vm_cfg.name = "tenant-d";
   nsm_cfg.name = "nsm-d";
-  // Workload 3's chunk cap (see below); cycles effectively uncapped.
-  tenant_quota_config burst_cap;
-  burst_cap.enabled = true;
-  burst_cap.cycle_budget = seconds(1);
-  burst_cap.chunk_quota = 32;
-  nsm_cfg.quota = burst_cap;
   auto server2 = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+  // Workload 3's chunk cap (see below).
+  bed.netkernel(side::b).sla().set_tenant(server2.vm->id(),
+                                          sla_spec{.chunk_quota = 32});
   auto& glib_s = *server2.glib;
   auto& glib_c = *client2.glib;
   const auto lfd = glib_s.nk_socket().value();
@@ -521,7 +631,7 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
 
   // Workload 3, aimed at ServiceLib's out-lanes: both clients fan a UDP
   // burst in on the second server, whose app leaves it unread until 3 ms.
-  // The guest then holds nsm-d's 32-chunk cap, so the NSM's reads stall
+  // The guest then holds its 32-chunk cap, so the NSM's reads stall
   // and the rest of the burst piles up in the socket. Each time the app
   // frees its chunks, the resumed read commits up to 32 ev_udp_data at
   // once — more than the depth-8 receive ring holds — so ServiceLib stages.
@@ -676,7 +786,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Overflow-cap drop of pure data. The sink's app leaves a UDP burst unread
-// until 3 ms, so it holds its NSM's 32-chunk cap and the rest of the burst
+// until 3 ms, so it holds its 32-chunk cap and the rest of the burst
 // piles up in the socket. Each resumed read commits up to 32 ev_udp_data at
 // once into a depth-8 receive ring with a 2-deep stage: the surplus drops
 // at ServiceLib's cap. Datagram loss is legal; a leaked chunk or a drop the
@@ -695,12 +805,9 @@ TEST(netkernel_backpressure, udp_burst_drops_at_the_cap_and_frees_chunks) {
   auto tx = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
   vm_cfg.name = "udp-rx";
   nsm_cfg.name = "nsm-rx";
-  tenant_quota_config cap;
-  cap.enabled = true;
-  cap.cycle_budget = seconds(1);  // cycles effectively uncapped
-  cap.chunk_quota = 32;
-  nsm_cfg.quota = cap;
   auto rx = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+  bed.netkernel(side::b).sla().set_tenant(rx.vm->id(),
+                                          sla_spec{.chunk_quota = 32});
 
   constexpr std::size_t burst = 128;
   auto& sink = *rx.glib;

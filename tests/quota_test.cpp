@@ -1,6 +1,7 @@
-// Tenant quotas at the ServiceLib boundary (DESIGN.md §15): cycle budgets
-// and chunk-pool caps are pure backpressure — observable through stats,
-// quota_log, monitor alerts, and vmN gauges — and never lose work.
+// Tenant quotas at the ServiceLib boundary (DESIGN.md §15): the cycle budget
+// and chunk quota of a VM's sla_spec are pure backpressure — observable
+// through the sla_manager's usage and quota_log, ServiceLib stall counters,
+// monitor alerts, and vmN gauges — and never lose work.
 #include <gtest/gtest.h>
 
 #include "apps/scenario.hpp"
@@ -17,12 +18,9 @@ struct quota_bed {
   apps::nk_tenant tx;
   apps::nk_tenant rx;
 
-  explicit quota_bed(core::tenant_quota_config quota, std::uint64_t seed = 5)
-      : bed{[&] {
-          auto params = apps::datacenter_params(seed);
-          params.netkernel.quota = quota;
-          return params;
-        }()} {
+  // `spec` is set for both tenants, each on its own engine.
+  explicit quota_bed(const core::sla_spec& spec, std::uint64_t seed = 5)
+      : bed{apps::datacenter_params(seed)} {
     const auto cc = tcp::cc_algorithm::cubic;
     core::nsm_config nsm_cfg;
     nsm_cfg.cc = cc;
@@ -34,6 +32,8 @@ struct quota_bed {
     vm_cfg.name = "rx-vm";
     nsm_cfg.name = "nsm-rx";
     rx = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+    bed.netkernel(side::a).sla().set_tenant(tx.vm->id(), spec);
+    bed.netkernel(side::b).sla().set_tenant(rx.vm->id(), spec);
   }
 };
 
@@ -42,11 +42,7 @@ struct quota_bed {
 // must alert with a flight-recorder snapshot, the gauges must be live —
 // and every byte must still arrive (backpressure, not loss).
 TEST(tenant_quota, cycle_hog_is_throttled_alerted_and_lossless) {
-  core::tenant_quota_config quota;
-  quota.enabled = true;
-  quota.cycle_budget = microseconds(10);
-  quota.period = milliseconds(1);
-  quota_bed q{quota};
+  quota_bed q{core::sla_spec{.cycle_budget = microseconds(10)}};
 
   core::core_engine& ce = q.bed.netkernel(side::a);
   core::monitor_config mcfg;
@@ -73,13 +69,12 @@ TEST(tenant_quota, cycle_hog_is_throttled_alerted_and_lossless) {
   EXPECT_EQ(sink.total_bytes(), std::uint64_t{1} << 20);
   EXPECT_TRUE(sink.pattern_ok());
 
-  auto* svc = ce.service_of(q.tx.module->id());
-  ASSERT_NE(svc, nullptr);
-  EXPECT_GT(svc->stats().cycle_throttles, 0u);
-  ASSERT_FALSE(svc->quota_log().empty());
   const virt::vm_id vm = q.tx.vm->id();
-  for (const auto& ev : svc->quota_log()) {
+  EXPECT_GT(ce.sla().usage_of(vm).cycle_throttles, 0u);
+  ASSERT_FALSE(ce.sla().quota_log().empty());
+  for (const auto& ev : ce.sla().quota_log()) {
     EXPECT_EQ(ev.vm, vm);
+    EXPECT_EQ(ev.module, q.tx.module->id());
     EXPECT_TRUE(ev.cycles);
     EXPECT_GE(ev.observed, ev.limit);
   }
@@ -111,12 +106,7 @@ TEST(tenant_quota, cycle_hog_is_throttled_alerted_and_lossless) {
 // A tiny chunk quota stalls reads while the guest sits on undrained data;
 // the transfer still completes once the guest frees chunks.
 TEST(tenant_quota, chunk_cap_backpressures_reads_without_loss) {
-  core::tenant_quota_config quota;
-  quota.enabled = true;
-  quota.cycle_budget = milliseconds(1);  // effectively uncapped
-  quota.period = milliseconds(1);
-  quota.chunk_quota = 4;
-  quota_bed q{quota};
+  quota_bed q{core::sla_spec{.chunk_quota = 4}};
 
   apps::bulk_sink sink{*q.rx.api, 5001, /*validate=*/true};
   sink.start();
@@ -137,11 +127,12 @@ TEST(tenant_quota, chunk_cap_backpressures_reads_without_loss) {
   EXPECT_TRUE(sink.pattern_ok());
 
   // The receive side (side b) is where chunks pile up against the cap.
-  auto* svc = q.bed.netkernel(side::b).service_of(q.rx.module->id());
+  core::core_engine& ce = q.bed.netkernel(side::b);
+  auto* svc = ce.service_of(q.rx.module->id());
   ASSERT_NE(svc, nullptr);
   EXPECT_GT(svc->stats().chunk_quota_stalls, 0u);
   bool saw_chunk_event = false;
-  for (const auto& ev : svc->quota_log()) {
+  for (const auto& ev : ce.sla().quota_log()) {
     if (!ev.cycles) {
       saw_chunk_event = true;
       EXPECT_EQ(ev.limit, 4u);
@@ -150,11 +141,10 @@ TEST(tenant_quota, chunk_cap_backpressures_reads_without_loss) {
   EXPECT_TRUE(saw_chunk_event);
 }
 
-// Quotas off (the default): nothing throttles, the log stays empty, and
-// the gauges still exist reading zero / raw occupancy.
-TEST(tenant_quota, disabled_quota_never_throttles) {
-  core::tenant_quota_config quota;  // enabled = false
-  quota_bed q{quota};
+// No quota set (the default spec): nothing throttles, the log stays empty,
+// and the gauges still exist reading zero / raw occupancy.
+TEST(tenant_quota, no_quota_set_never_throttles) {
+  quota_bed q{core::sla_spec{}};
 
   apps::bulk_sink sink{*q.rx.api, 5001, false};
   sink.start();
@@ -168,22 +158,22 @@ TEST(tenant_quota, disabled_quota_never_throttles) {
     q.bed.run_for(milliseconds(1));
   }
 
-  auto* svc = q.bed.netkernel(side::a).service_of(q.tx.module->id());
+  core::core_engine& ce = q.bed.netkernel(side::a);
+  auto* svc = ce.service_of(q.tx.module->id());
   ASSERT_NE(svc, nullptr);
-  EXPECT_EQ(svc->stats().cycle_throttles, 0u);
+  EXPECT_EQ(ce.sla().usage_of(q.tx.vm->id()).cycle_throttles, 0u);
   EXPECT_EQ(svc->stats().quota_stalls, 0u);
   EXPECT_EQ(svc->stats().chunk_quota_stalls, 0u);
-  EXPECT_TRUE(svc->quota_log().empty());
+  EXPECT_TRUE(ce.sla().quota_log().empty());
+  const std::string p = "vm" + std::to_string(q.tx.vm->id());
+  EXPECT_EQ(ce.metrics().value_of(p + "_cycle_budget_used"), 0.0);
+  EXPECT_TRUE(ce.metrics().value_of(p + "_chunk_quota_used").has_value());
 }
 
 // Throttling must not bend the accounting identity or leak chunks: audit
 // both engines at quiescence after a throttled run.
 TEST(tenant_quota, invariants_hold_under_throttling) {
-  core::tenant_quota_config quota;
-  quota.enabled = true;
-  quota.cycle_budget = microseconds(10);
-  quota.period = milliseconds(1);
-  quota_bed q{quota};
+  quota_bed q{core::sla_spec{.cycle_budget = microseconds(10)}};
 
   apps::bulk_sink sink{*q.rx.api, 5001, false};
   sink.start();

@@ -31,6 +31,9 @@ log_clock& clock_ref() {
 
 // --- warn rate limiter -------------------------------------------------------
 
+// Distinct message texts the limiter tracks; texts beyond it go unlimited.
+constexpr std::size_t max_tracked = 1024;
+
 struct token_bucket {
   double tokens = 0.0;
   std::int64_t last_refill_ns = 0;
@@ -71,7 +74,7 @@ bool limiter_admit(const std::string& message, std::string& annotation) {
   const std::int64_t now = limiter_now_ns();
   auto it = st.buckets.find(message);
   if (it == st.buckets.end()) {
-    if (st.buckets.size() >= st.cfg.max_tracked) {
+    if (st.buckets.size() >= max_tracked) {
       // Table full: stop limiting new texts rather than evicting hot ones.
       ++st.emitted;
       return true;

@@ -47,7 +47,6 @@ struct log_rate_limit_config {
   bool enabled = true;
   double burst = 8.0;  // lines a new message may emit back-to-back
   std::int64_t refill_interval_ns = 1'000'000'000;  // one token per interval
-  std::size_t max_tracked = 1024;  // distinct texts tracked; beyond: unlimited
 };
 void set_log_rate_limit(const log_rate_limit_config& cfg);
 [[nodiscard]] log_rate_limit_config current_log_rate_limit();

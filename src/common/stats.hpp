@@ -1,5 +1,5 @@
-// Lightweight statistics helpers for experiment harnesses: running moments,
-// percentile estimation over retained samples, and time-series rate meters.
+// Lightweight statistics helpers for experiment harnesses: running moments
+// and percentile estimation over retained samples.
 #pragma once
 
 #include <cstdint>
@@ -50,22 +50,6 @@ class sample_set {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
-};
-
-// Counts bytes over simulated time and reports average goodput.
-class rate_meter {
- public:
-  void start(sim_time now) { start_ = now; }
-  void add_bytes(std::uint64_t n) { bytes_ += n; }
-
-  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
-  [[nodiscard]] data_rate average(sim_time now) const {
-    return rate_of(bytes_, now - start_);
-  }
-
- private:
-  sim_time start_ = sim_time::zero();
-  std::uint64_t bytes_ = 0;
 };
 
 }  // namespace nk

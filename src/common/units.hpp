@@ -30,7 +30,6 @@ class data_rate {
  public:
   constexpr data_rate() = default;
   static constexpr data_rate bits_per_sec(double b) { return data_rate{b}; }
-  static constexpr data_rate kbps(double k) { return data_rate{k * 1e3}; }
   static constexpr data_rate mbps(double m) { return data_rate{m * 1e6}; }
   static constexpr data_rate gbps(double g) { return data_rate{g * 1e9}; }
 

@@ -22,11 +22,6 @@ namespace nk::core {
 struct arbiter_config {
   data_rate link_capacity = data_rate::gbps(40);
   sim_time epoch = milliseconds(5);
-  // A tenant counts as active if it moved at least this much in the last
-  // epoch.
-  std::uint64_t activity_threshold_bytes = 4096;
-  // Head-room factor: allocate slightly below capacity so queues drain.
-  double utilization_target = 0.95;
 };
 
 class bandwidth_arbiter {
@@ -42,7 +37,6 @@ class bandwidth_arbiter {
 
   [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
   [[nodiscard]] int active_tenants() const { return active_; }
-  [[nodiscard]] data_rate current_share() const { return share_; }
 
  private:
   void tick();
@@ -53,7 +47,6 @@ class bandwidth_arbiter {
   bool running_ = false;
   std::uint64_t epochs_ = 0;
   int active_ = 0;
-  data_rate share_{};
   std::unordered_map<virt::vm_id, std::uint64_t> last_bytes_;
 };
 

@@ -23,6 +23,14 @@ constexpr sim_time pump_backlog_bound = microseconds(3);
 // the whole range above any GuestLib-minted fd.
 constexpr std::uint32_t accept_fd_base = 0x80000000;
 constexpr std::uint32_t accept_fd_stride = 0x00100000;
+// Throttled VMs drain at most `throttle_batch` job nqes per
+// `throttle_period` per shard — the lane pump is deprioritized, not
+// stopped, so a tenant that merely glitched keeps limping.
+constexpr sim_time throttle_period = microseconds(100);
+constexpr std::size_t throttle_batch = 8;
+// Planned live update: how long replace_nsm waits for the old module to
+// quiesce before switching anyway (bounds a module that never drains).
+constexpr sim_time planned_drain_timeout = milliseconds(50);
 }
 
 core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
@@ -284,10 +292,15 @@ const core_engine::flow_key* core_engine::find_by_nsm(nsm_key key) const {
 
 std::optional<std::size_t> core_engine::shard_of(virt::vm_id vm,
                                                  std::uint32_t fd) const {
-  for (const auto& sh : shards_) {
-    if (sh.by_flow.contains(flow_key{vm, fd})) return sh.index;
+  const std::size_t home =
+      fd >= accept_fd_base && shards_.size() > 1
+          ? (fd - accept_fd_base) / accept_fd_stride
+          : shm::flow_shard(vm, fd, shards_.size());
+  if (home >= shards_.size() ||
+      !shards_[home].by_flow.contains(flow_key{vm, fd})) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return home;
 }
 
 std::vector<core_engine::flow_row> core_engine::flow_table() {
@@ -411,13 +424,11 @@ void core_engine::publish_stat_page(attachment& att, bool freeze) {
 
 std::optional<std::pair<nsm_id, std::uint32_t>> core_engine::mapping_of(
     virt::vm_id vm, std::uint32_t fd) const {
-  for (const auto& sh : shards_) {
-    auto it = sh.by_flow.find(flow_key{vm, fd});
-    if (it == sh.by_flow.end()) continue;
-    if (!it->second.cid_known) return std::nullopt;
-    return std::make_pair(it->second.nsm, it->second.cid);
-  }
-  return std::nullopt;
+  const auto s = shard_of(vm, fd);
+  if (!s) return std::nullopt;
+  const flow_entry& fl = shards_[*s].by_flow.at(flow_key{vm, fd});
+  if (!fl.cid_known) return std::nullopt;
+  return std::make_pair(fl.nsm, fl.cid);
 }
 
 nsm& core_engine::create_nsm(const nsm_config& cfg) {
@@ -687,8 +698,8 @@ std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
       }
       return 0;
     }
-    ab.next_drain = now + cfg_.firewall.throttle_period;
-    batch = cfg_.firewall.throttle_batch;
+    ab.next_drain = now + throttle_period;
+    batch = throttle_batch;
   }
   // Staged nqes first: they are older than anything still in the ring.
   shm::staged_lane& stage = att.lanes[s].stage->to_nsm;
@@ -767,10 +778,12 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
     // steered the request here by hashing <VM, fd>) that learns its cID
     // from cmp_socket.
     const auto fd = static_cast<std::uint32_t>(e.token);
-    // Exec-time fd gate: minting a socket over a live fd or inside the
-    // engine-owned accept range is a forgery. Pop-time validation cannot
-    // see this — mappings install asynchronously as the batch executes.
-    if (fd >= accept_fd_base || shard_of(vm, fd).has_value()) {
+    // Exec-time fd gate: minting a socket over a live fd, inside the
+    // engine-owned accept range, or off the fd's home lane is a forgery.
+    // Pop-time validation cannot see this — mappings install
+    // asynchronously as the batch executes.
+    if (fd >= accept_fd_base || shm::flow_shard(vm, fd, shards_.size()) != s ||
+        sh.by_flow.contains(flow_key{vm, fd})) {
       reject_nqe(att, s, e, reject_reason::badfd);
       return;
     }
@@ -1298,72 +1311,6 @@ void core_engine::detach_vm(virt::vm_id vm) {
   attachments_.erase(it);
 }
 
-// --- rebalance (work re-homing for skewed tenants) ----------------------------------
-
-std::size_t core_engine::rebalance_vm(virt::vm_id vm, std::size_t to_shard) {
-  if (to_shard >= shards_.size()) return 0;
-  auto ait = attachments_.find(vm);
-  if (ait == attachments_.end()) return 0;
-  attachment& att = ait->second;
-
-  // Quiescence check: nothing of this VM's may be in flight anywhere in
-  // the pipeline, or moving table entries would strand or reorder nqes.
-  for (std::size_t s = 0; s < att.lanes.size(); ++s) {
-    const auto& vq = att.ch->vm_q(s);
-    const auto& nq = att.ch->nsm_q(s);
-    if (!vq.job.empty_approx() || !vq.completion.empty_approx() ||
-        !vq.receive.empty_approx() || !nq.job.empty_approx() ||
-        !nq.completion.empty_approx() || !nq.receive.empty_approx()) {
-      return 0;
-    }
-    const lane_stages& stage = *att.lanes[s].stage;
-    if (!stage.to_nsm.empty() || stage.to_vm_depth() != 0) return 0;
-    if (shards_[s].core != nullptr &&
-        shards_[s].core->backlog() > sim_time::zero()) {
-      return 0;
-    }
-  }
-  if (att.glib && att.glib->deferred_jobs() != 0) return 0;
-  service_lib* service = service_of(att.module->id());
-  if (service != nullptr && service->staged_depth(vm) != 0) return 0;
-  for (const auto& sh : shards_) {
-    for (const auto& [key, fl] : sh.by_flow) {
-      if (key.vm == vm && !fl.pending.empty()) return 0;
-    }
-  }
-
-  // Move every flow of the VM into to_shard's partition and re-steer both
-  // producers so the flow's future nqes ride the new lane.
-  std::size_t moved = 0;
-  engine_shard& dst = shards_[to_shard];
-  for (auto& sh : shards_) {
-    if (sh.index == to_shard) continue;
-    for (auto fit = sh.by_flow.begin(); fit != sh.by_flow.end();) {
-      if (fit->first.vm != vm) {
-        ++fit;
-        continue;
-      }
-      const flow_key key = fit->first;
-      flow_entry fl = std::move(fit->second);
-      fit = sh.by_flow.erase(fit);
-      if (fl.cid_known) {
-        sh.by_nsm.erase(nsm_key{fl.nsm, fl.cid});
-        dst.by_nsm[nsm_key{fl.nsm, fl.cid}] = key;
-        if (service != nullptr) service->set_flow_shard(fl.cid, to_shard);
-      }
-      if (att.glib) att.glib->set_flow_shard(key.fd, to_shard);
-      dst.by_flow[key] = std::move(fl);
-      ++moved;
-    }
-  }
-  if (moved > 0) {
-    metrics_.get_counter("shard_rebalances").inc(moved);
-    log_info("core_engine: rebalanced ", moved, " flows of vm ", vm,
-             " onto shard ", to_shard);
-  }
-  return moved;
-}
-
 // --- NSM replacement -----------------------------------------------------------------
 
 nsm& core_engine::replace_nsm(nsm_id failed_id, const nsm_config& cfg,
@@ -1395,7 +1342,7 @@ nsm& core_engine::replace_nsm(nsm_id failed_id, const nsm_config& cfg,
   } else {
     metrics_.get_counter("nsm_planned_updates").inc();
     try_planned_switch(failed_id, new_id, started,
-                       sim_.now() + cfg_.planned_drain_timeout);
+                       sim_.now() + planned_drain_timeout);
   }
   return fresh;
 }

@@ -68,20 +68,9 @@ struct firewall_config {
   double violations_per_sec = 100.0;
   std::uint64_t violation_burst = 64;
   std::uint64_t quarantine_threshold = 256;
-  // Throttled VMs drain at most `throttle_batch` job nqes per
-  // `throttle_period` per shard — the lane pump is deprioritized, not
-  // stopped, so a tenant that merely glitched keeps limping.
-  sim_time throttle_period = microseconds(100);
-  std::size_t throttle_batch = 8;
   // Probation: how long a quarantined VM stays barred from re-attachment.
   // zero() means quarantine is permanent until readmit_vm() is called.
   sim_time probation = milliseconds(100);
-  // On-demand stat-page refresh budget (req_stat_refresh, DESIGN.md §16).
-  // A refresh is cheap but not free (one flow-table walk + page publish),
-  // so floods beyond this budget are rejected as badop violations and feed
-  // the same escalation ladder as any other firewall hit.
-  double stat_refresh_per_sec = 10000.0;
-  std::uint64_t stat_refresh_burst = 32;
 };
 
 struct core_engine_config {
@@ -90,18 +79,14 @@ struct core_engine_config {
   channel_config channel{};
   obs::trace_config trace{};  // nqe lifecycle tracing (off by default)
   obs::flight_recorder_config flight{};  // per-NSM failure flight recorder
-  // Metric history ring; engine stats are pre-tracked. autostart is off by
-  // default (a live cadence timer keeps sim::simulator::run() from ever
-  // draining its queue) — run_until-driven benches turn it on.
+  // Metric history ring; engine stats are pre-tracked. Sampling starts only
+  // when a caller runs series().start() (see obs::timeseries::start).
   obs::timeseries_config timeseries{};
   guest_lib_config guest{};   // applied to every attached VM's GuestLib
   // Backpressure: staged nqes per direction per VM before the engine stops
   // accepting new work from the upstream ring, and the hard cap beyond
   // which droppable (pure-data) nqes are discarded with accounting.
   std::size_t overflow_limit = 1024;
-  // Planned live update: how long replace_nsm waits for the old module to
-  // quiesce before switching anyway (bounds a module that never drains).
-  sim_time planned_drain_timeout = milliseconds(50);
   // Engine shards (multi-queue CoreEngine). Each shard beyond the first
   // allocates another core from the host pool (nullptr-tolerant: with the
   // pool exhausted the shard forwards at zero modeled cost).
@@ -268,7 +253,13 @@ class core_engine {
   // demand so the hot path never writes a shared struct).
   [[nodiscard]] core_engine_stats stats() const;
   [[nodiscard]] const core_engine_config& config() const { return cfg_; }
-  [[nodiscard]] sim::cpu_core* engine_core() { return shards_[0].core; }
+
+  // On-demand stat-page refresh budget per VM (req_stat_refresh, DESIGN.md
+  // §16). A refresh is cheap but not free (one flow-table walk + page
+  // publish), so floods beyond this budget are rejected as badop violations
+  // and feed the same escalation ladder as any other firewall hit.
+  static constexpr double stat_refresh_per_sec = 10000.0;
+  static constexpr std::uint64_t stat_refresh_burst = 32;
 
   // --- sharding ---------------------------------------------------------------
 
@@ -297,30 +288,15 @@ class core_engine {
       std::size_t s) const {
     return shards_[s].rejected_reason;
   }
-  // NSM-side outputs refused because their descriptor named a foreign pool
-  // key (satellite of DESIGN.md §14: pool_key isolation enforced at every
-  // engine-side dereference, not just inside the pool).
-  [[nodiscard]] std::uint64_t shard_chunk_key_mismatch(std::size_t s) const {
-    return shards_[s].chunk_key_mismatch;
-  }
   [[nodiscard]] sim::cpu_core* shard_core(std::size_t s) {
     return shards_[s].core;
   }
-  // The shard currently homing <vm, fd>, or nullopt if the flow is unknown.
-  // Scans the partitions (control plane; rebalance can move a flow off its
-  // hash-derived home).
+  // The shard homing <vm, fd>, or nullopt if the flow is unknown. Flows
+  // never move, so the home is a pure function of the identity: the
+  // minting shard's accept-fd range for accepted children, else
+  // shm::flow_shard(vm, fd). Only that one partition is consulted.
   [[nodiscard]] std::optional<std::size_t> shard_of(virt::vm_id vm,
                                                     std::uint32_t fd) const;
-
-  // Rebalance hook for skewed tenants: re-homes every flow of `vm` onto
-  // `to_shard` at a quiescent point. Quiescent means nothing of the VM's is
-  // in flight — all its ring lanes and overflow stages are empty, no ops
-  // are held pending a cID, the GuestLib has no deferred jobs, and the
-  // shard cores have no committed backlog — so moving the table entries
-  // (and re-steering both producers) cannot reorder or strand an nqe.
-  // Returns the number of flows moved (0 when not quiescent or unknown);
-  // each call that moves flows increments the `shard_rebalances` counter.
-  std::size_t rebalance_vm(virt::vm_id vm, std::size_t to_shard);
 
   // --- introspection (paper §5: provider-wide flow visibility) ----------------
 
@@ -422,7 +398,7 @@ class core_engine {
 
   // One engine shard: a partition of the mapping table, the core its pumps
   // charge, and its private accounting. Only control-plane code (introspection
-  // joins, detach, failover, rebalance) ever looks across shards.
+  // joins, detach, failover) ever looks across shards.
   struct engine_shard {
     std::size_t index = 0;
     sim::cpu_core* core = nullptr;
@@ -503,10 +479,9 @@ class core_engine {
         data_rate::bits_per_sec(cfg_.firewall.violations_per_sec * 8.0),
         cfg_.firewall.violation_burst};
   }
-  [[nodiscard]] token_bucket make_stat_refresh_budget() const {
-    return token_bucket{
-        data_rate::bits_per_sec(cfg_.firewall.stat_refresh_per_sec * 8.0),
-        cfg_.firewall.stat_refresh_burst};
+  [[nodiscard]] static token_bucket make_stat_refresh_budget() {
+    return token_bucket{data_rate::bits_per_sec(stat_refresh_per_sec * 8.0),
+                        stat_refresh_burst};
   }
   // Writes one redacted snapshot of `att`'s flows into its channel's stat
   // page. `freeze` marks the page terminal (quarantine).
@@ -562,9 +537,6 @@ class core_engine {
   // Cross-shard by_nsm lookup (control plane only: the ev_accept listener
   // resolution, flow_table joins). Returns the owning shard's entry.
   [[nodiscard]] const flow_key* find_by_nsm(nsm_key key) const;
-  [[nodiscard]] std::uint64_t make_token(virt::vm_id vm, std::uint32_t fd) const {
-    return (std::uint64_t{vm} << 32) | fd;
-  }
 
   virt::hypervisor& host_;
   sim::simulator& sim_;

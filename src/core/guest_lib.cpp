@@ -95,7 +95,7 @@ std::size_t guest_lib::flush_job_lanes() {
 void guest_lib::wake_writers() {
   std::vector<std::uint32_t> ready;
   for (auto& [fd, gs] : sockets_) {
-    if (gs.writable_blocked && gs.inflight < cfg_.send_credit &&
+    if (gs.writable_blocked && gs.inflight < send_credit &&
         !lane_backlogged(gs.shard)) {
       gs.writable_blocked = false;
       ready.push_back(fd);
@@ -120,12 +120,6 @@ void guest_lib::free_rx(g_socket& gs) {
   gs.rx.clear();
   gs.udp_rx.clear();
   gs.rx_bytes = 0;
-}
-
-void guest_lib::set_flow_shard(std::uint32_t fd, std::size_t shard) {
-  if (auto* gs = socket_of(fd); gs != nullptr && shard < job_lanes_.size()) {
-    gs->shard = shard;
-  }
 }
 
 // --- socket API ---------------------------------------------------------------------
@@ -246,7 +240,7 @@ result<std::size_t> guest_lib::nk_send(std::uint32_t fd, buffer data) {
   const std::size_t chunk_size = ch_.pool.chunk_size();
   std::size_t accepted = 0;
   while (accepted < data.size()) {
-    if (gs->inflight >= cfg_.send_credit || lane_backlogged(gs->shard)) {
+    if (gs->inflight >= send_credit || lane_backlogged(gs->shard)) {
       gs->writable_blocked = true;
       ++stats_.send_blocked;
       break;
@@ -344,7 +338,7 @@ result<std::size_t> guest_lib::nk_udp_send_to(std::uint32_t fd,
   if (gs == nullptr) return errc::not_found;
   if (!gs->udp) return errc::invalid_argument;
   if (data.size() > ch_.pool.chunk_size()) return errc::invalid_argument;
-  if (gs->inflight + data.size() > cfg_.send_credit ||
+  if (gs->inflight + data.size() > send_credit ||
       lane_backlogged(gs->shard)) {
     ++stats_.send_blocked;
     return errc::would_block;
@@ -468,9 +462,6 @@ status guest_lib::nk_close(std::uint32_t fd) {
   e.handle = fd;
   submit(*gs, e, sim_time::zero());
   sockets_.erase(fd);
-  for (auto& [epfd, fds] : epolls_) {
-    std::erase(fds, fd);
-  }
   return {};
 }
 
@@ -505,68 +496,9 @@ void guest_lib::abort_all(errc err) {
   }
 }
 
-std::size_t guest_lib::recv_available(std::uint32_t fd) const {
-  const auto* gs = socket_of(fd);
-  return gs == nullptr ? 0 : gs->rx_bytes;
-}
-
-std::size_t guest_lib::send_credit_available(std::uint32_t fd) const {
-  const auto* gs = socket_of(fd);
-  if (gs == nullptr) return 0;
-  return gs->inflight >= cfg_.send_credit ? 0
-                                          : cfg_.send_credit - gs->inflight;
-}
-
 bool guest_lib::eof(std::uint32_t fd) const {
   const auto* gs = socket_of(fd);
   return gs == nullptr || gs->eof;
-}
-
-// --- epoll ---------------------------------------------------------------------------
-
-result<std::uint32_t> guest_lib::nk_epoll_create() {
-  const std::uint32_t epfd = next_epfd_++;
-  epolls_[epfd] = {};
-  return epfd;
-}
-
-status guest_lib::nk_epoll_add(std::uint32_t epfd, std::uint32_t fd) {
-  auto it = epolls_.find(epfd);
-  if (it == epolls_.end()) return errc::not_found;
-  if (socket_of(fd) == nullptr) return errc::not_found;
-  if (std::find(it->second.begin(), it->second.end(), fd) !=
-      it->second.end()) {
-    return errc::in_use;
-  }
-  it->second.push_back(fd);
-  return {};
-}
-
-status guest_lib::nk_epoll_del(std::uint32_t epfd, std::uint32_t fd) {
-  auto it = epolls_.find(epfd);
-  if (it == epolls_.end()) return errc::not_found;
-  std::erase(it->second, fd);
-  return {};
-}
-
-std::vector<guest_lib::epoll_event_out> guest_lib::nk_epoll_wait(
-    std::uint32_t epfd, std::size_t max) {
-  std::vector<epoll_event_out> ready;
-  auto it = epolls_.find(epfd);
-  if (it == epolls_.end()) return ready;
-  for (const std::uint32_t fd : it->second) {
-    if (ready.size() >= max) break;
-    const auto* gs = socket_of(fd);
-    if (gs == nullptr) continue;
-    epoll_event_out ev;
-    ev.fd = fd;
-    ev.readable = gs->rx_bytes > 0 || gs->eof || !gs->accept_q.empty();
-    ev.writable = gs->ph == phase::connected &&
-                  gs->inflight < cfg_.send_credit;
-    ev.error = gs->ph == phase::failed;
-    if (ev.readable || ev.writable || ev.error) ready.push_back(ev);
-  }
-  return ready;
 }
 
 // --- completion/receive processing ----------------------------------------------------
@@ -631,7 +563,7 @@ void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {
       auto* gs = socket_of(e.handle);
       if (gs == nullptr) return;
       gs->inflight = gs->inflight >= e.arg0 ? gs->inflight - e.arg0 : 0;
-      if (gs->writable_blocked && gs->inflight < cfg_.send_credit) {
+      if (gs->writable_blocked && gs->inflight < send_credit) {
         gs->writable_blocked = false;
         emit_event(e.handle, stack::socket_event_type::writable);
       }

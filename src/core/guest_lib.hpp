@@ -5,8 +5,7 @@
 // every call into nqes on the VM-side job queue, and copies payload through
 // the shared huge pages. Completions and events come back on the VM-side
 // completion/receive queues. Operations are asynchronous exactly as in
-// §3.2: calls return immediately and results surface through events — plus
-// the epoll-style API the prototype deferred to future work (§4.1).
+// §3.2: calls return immediately and results surface through events.
 //
 // Deviation from the paper, documented in DESIGN.md: fds are minted locally
 // by GuestLib (CoreEngine mints only accept-side fds) so that nk_socket()
@@ -71,10 +70,6 @@ struct guest_lib_stats {
 };
 
 struct guest_lib_config {
-  std::uint64_t send_credit = 1024 * 1024;  // outstanding bytes per socket
-  // Jobs staged locally when the VM-side job ring is full before the app
-  // starts seeing would_block on sends.
-  std::size_t max_deferred_jobs = 256;
   // Pending-op deadline policy: an async op whose completion never arrives
   // (its NSM died mid-request) fails with errc::timed_out instead of
   // stranding the socket forever. Each expiry first resubmits the op up to
@@ -136,8 +131,6 @@ class guest_lib {
   [[nodiscard]] result<std::pair<net::socket_addr, buffer>> nk_udp_recv_from(
       std::uint32_t fd);
 
-  [[nodiscard]] std::size_t recv_available(std::uint32_t fd) const;
-  [[nodiscard]] std::size_t send_credit_available(std::uint32_t fd) const;
   [[nodiscard]] bool eof(std::uint32_t fd) const;
 
   // --- events -----------------------------------------------------------------
@@ -147,21 +140,6 @@ class guest_lib {
   void set_event_handler(event_handler handler) {
     handler_ = std::move(handler);
   }
-
-  // --- epoll-style multiplexing (extension beyond the prototype) -----------------
-
-  struct epoll_event_out {
-    std::uint32_t fd = 0;
-    bool readable = false;
-    bool writable = false;
-    bool error = false;
-  };
-  [[nodiscard]] result<std::uint32_t> nk_epoll_create();
-  status nk_epoll_add(std::uint32_t epfd, std::uint32_t fd);
-  status nk_epoll_del(std::uint32_t epfd, std::uint32_t fd);
-  // Poll semantics (a DES cannot block): returns the currently-ready set.
-  [[nodiscard]] std::vector<epoll_event_out> nk_epoll_wait(
-      std::uint32_t epfd, std::size_t max = 64);
 
   // --- plumbing ----------------------------------------------------------------
 
@@ -181,17 +159,12 @@ class guest_lib {
   [[nodiscard]] const guest_lib_stats& stats() const { return stats_; }
   [[nodiscard]] virt::machine& vm() { return vm_; }
 
-  // Jobs staged locally across every lane (rebalance quiescence check).
+  // Jobs staged locally across every lane (the stat page's staged_jobs).
   [[nodiscard]] std::size_t deferred_jobs() const {
     std::size_t n = 0;
     for (const auto& lane : job_lanes_) n += lane.size();
     return n;
   }
-
-  // Re-homes an existing socket onto `shard` (engine rebalance; called only
-  // at a quiescent point, so no job of the socket's is in flight on the old
-  // lane). Unknown fds are ignored.
-  void set_flow_shard(std::uint32_t fd, std::size_t shard);
 
  private:
   enum class phase {
@@ -249,8 +222,13 @@ class guest_lib {
   void free_chunk(const shm::data_descriptor& desc);
   // Frees a socket's buffered rx/udp_rx chunks and empties its buffers.
   void free_rx(g_socket& gs);
+  // Jobs staged locally when the VM-side job ring is full before the app
+  // starts seeing would_block on sends.
+  static constexpr std::size_t max_deferred_jobs = 256;
+  // Outstanding (submitted, not yet credited back) bytes per socket.
+  static constexpr std::uint64_t send_credit = 1024 * 1024;
   [[nodiscard]] bool lane_backlogged(std::size_t shard) const {
-    return job_lanes_[shard].size() >= cfg_.max_deferred_jobs;
+    return job_lanes_[shard].size() >= max_deferred_jobs;
   }
   // Pending-op watchdog: arms a deadline after each req_connect submission;
   // on expiry the op is resubmitted (bounded) or failed with timed_out.
@@ -275,9 +253,6 @@ class guest_lib {
   std::unordered_map<std::uint32_t, g_socket> sockets_;
   std::uint32_t next_fd_ = 3;
   std::size_t next_core_ = 0;
-
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> epolls_;
-  std::uint32_t next_epfd_ = 0x40000000;
 
   event_handler handler_;
   guest_lib_stats stats_;

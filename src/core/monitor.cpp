@@ -9,6 +9,17 @@
 
 namespace nk::core {
 
+namespace {
+// Overload: mean core utilization at or above the threshold for this many
+// consecutive ticks raises nsm_overloaded.
+constexpr double overload_threshold = 0.9;
+constexpr int overload_consecutive = 3;
+// Ticks of queued-but-no-progress before a channel is reported stalled.
+constexpr int stall_consecutive = 3;
+// Samples retained per NSM.
+constexpr std::size_t history = 256;
+}  // namespace
+
 std::string_view to_string(alert_kind k) {
   switch (k) {
     case alert_kind::nsm_overloaded: return "nsm_overloaded";
@@ -63,6 +74,21 @@ void health_monitor::tick() {
   timer_ = engine_.simulator().schedule(cfg_.interval, [this] { tick(); });
 }
 
+std::string health_monitor::dump_snapshot(const std::string& file,
+                                          std::string doc) const {
+  if (!cfg_.flight_recorder_dir.empty()) {
+    const std::string path = cfg_.flight_recorder_dir + "/" + file;
+    std::ofstream out(path);
+    if (out) {
+      out << doc;
+      log_info("health_monitor: snapshot dumped to ", path);
+    } else {
+      log_warn("health_monitor: cannot write snapshot ", path);
+    }
+  }
+  return doc;
+}
+
 void health_monitor::attach_slo(obs::slo_engine& slo) {
   slo_ = &slo;
   slo.add_alert_handler(
@@ -75,8 +101,8 @@ void health_monitor::on_slo_burn(const obs::slo_status& st) {
   // the alarm document: which objective, how fast it is burning, the
   // profiler's top-N at this instant, and the ring around the mark. The
   // snapshot is taken before emit() runs subscribed handlers, so it shows
-  // the system as it was when the alarm tripped, not after a policy
-  // (autoscaler, supervisor) reacted to it.
+  // the system as it was when the alarm tripped, not after a policy such as
+  // nsm_supervisor reacted to it.
   engine_.recorder().note(0, 0, "slo_burn: " + st.objective.name, now);
   std::ostringstream snap;
   snap << "{\"objective\":\"" << obs::json_escape(st.objective.name)
@@ -95,13 +121,8 @@ void health_monitor::on_slo_burn(const obs::slo_status& st) {
        << (profiler_ != nullptr ? profiler_->top_json(10) : "null")
        << ",\"flight_recorder\":" << engine_.recorder().snapshot_json(0, now)
        << '}';
-  slo_snapshots_[st.objective.name] = snap.str();
-  if (!cfg_.flight_recorder_dir.empty()) {
-    const std::string path =
-        cfg_.flight_recorder_dir + "/slo_" + st.objective.name + ".json";
-    std::ofstream out{path, std::ios::trunc};
-    if (out) out << slo_snapshots_[st.objective.name];
-  }
+  slo_snapshots_[st.objective.name] =
+      dump_snapshot("slo_" + st.objective.name + ".json", snap.str());
 
   alert a;
   a.kind = alert_kind::slo_burn;
@@ -143,11 +164,11 @@ void health_monitor::sample_nsm(nsm& module) {
 
   auto& hist = history_[module.id()];
   hist.push_back(s);
-  while (hist.size() > cfg_.history) hist.pop_front();
+  while (hist.size() > history) hist.pop_front();
 
   int& streak = hot_streak_[module.id()];
-  if (s.utilization >= cfg_.overload_threshold) {
-    if (++streak == cfg_.overload_consecutive) {
+  if (s.utilization >= overload_threshold) {
+    if (++streak == overload_consecutive) {
       alert a;
       a.kind = alert_kind::nsm_overloaded;
       a.at = s.at;
@@ -170,7 +191,7 @@ void health_monitor::check_channels() {
     const std::uint64_t forwarded = ch->nqes_vm_to_nsm() + ch->nqes_nsm_to_vm();
     const bool queued = ch->vm_job_depth() > 0 || ch->nsm_job_depth() > 0;
     if (queued && forwarded == watch.last_forwarded) {
-      if (++watch.stalled_streak == cfg_.stall_consecutive) {
+      if (++watch.stalled_streak == stall_consecutive) {
         alert a;
         a.kind = alert_kind::channel_stalled;
         a.at = engine_.simulator().now();
@@ -228,22 +249,9 @@ void health_monitor::check_failures() {
   // supervisor, which replaces the module and retires its state; the ring's
   // last events are the evidence of what it saw before dying.
   for (const auto& a : dead) {
-    std::string snap =
-        engine_.recorder().snapshot_json(a.module, engine_.simulator().now());
-    if (!cfg_.flight_recorder_dir.empty()) {
-      const std::string path = cfg_.flight_recorder_dir +
-                               "/flight_recorder_nsm" +
-                               std::to_string(a.module) + ".json";
-      std::ofstream out(path);
-      if (out) {
-        out << snap;
-        log_info("health_monitor: flight recorder for nsm ", a.module,
-                 " dumped to ", path);
-      } else {
-        log_warn("health_monitor: cannot write flight recorder dump ", path);
-      }
-    }
-    crash_snapshots_[a.module] = std::move(snap);
+    crash_snapshots_[a.module] = dump_snapshot(
+        "flight_recorder_nsm" + std::to_string(a.module) + ".json",
+        engine_.recorder().snapshot_json(a.module, engine_.simulator().now()));
   }
   for (auto& a : dead) emit(std::move(a));
 }
@@ -258,19 +266,9 @@ void health_monitor::check_quarantines() {
   const auto& log = engine_.quarantine_log();
   for (; quarantine_seen_ < log.size(); ++quarantine_seen_) {
     const quarantine_record& rec = log[quarantine_seen_];
-    std::string snap = engine_.recorder().snapshot_json(
-        rec.module, engine_.simulator().now());
-    if (!cfg_.flight_recorder_dir.empty()) {
-      const std::string path = cfg_.flight_recorder_dir + "/quarantine_vm" +
-                               std::to_string(rec.vm) + ".json";
-      std::ofstream out(path);
-      if (out) {
-        out << snap;
-      } else {
-        log_warn("health_monitor: cannot write quarantine dump ", path);
-      }
-    }
-    quarantine_snapshots_[rec.vm] = std::move(snap);
+    quarantine_snapshots_[rec.vm] = dump_snapshot(
+        "quarantine_vm" + std::to_string(rec.vm) + ".json",
+        engine_.recorder().snapshot_json(rec.module, engine_.simulator().now()));
 
     alert a;
     a.kind = alert_kind::vm_quarantined;
@@ -293,19 +291,9 @@ void health_monitor::check_quotas() {
   const auto& log = engine_.sla().quota_log();
   for (; quota_seen_ < log.size(); ++quota_seen_) {
     const quota_event& ev = log[quota_seen_];
-    std::string snap = engine_.recorder().snapshot_json(
-        ev.module, engine_.simulator().now());
-    if (!cfg_.flight_recorder_dir.empty()) {
-      const std::string path = cfg_.flight_recorder_dir + "/quota_vm" +
-                               std::to_string(ev.vm) + ".json";
-      std::ofstream out(path);
-      if (out) {
-        out << snap;
-      } else {
-        log_warn("health_monitor: cannot write quota dump ", path);
-      }
-    }
-    quota_snapshots_[ev.vm] = std::move(snap);
+    quota_snapshots_[ev.vm] = dump_snapshot(
+        "quota_vm" + std::to_string(ev.vm) + ".json",
+        engine_.recorder().snapshot_json(ev.module, engine_.simulator().now()));
 
     alert a;
     a.kind = alert_kind::tenant_quota_exceeded;
@@ -428,23 +416,6 @@ std::string health_monitor::report_json() const {
   }
   os << "]}";
   return os.str();
-}
-
-autoscaler::autoscaler(core_engine& engine, virt::hypervisor& host,
-                       health_monitor& monitor, int max_cores)
-    : engine_{engine}, host_{host}, max_cores_{max_cores} {
-  monitor.add_alert_handler([this](const alert& a) {
-    if (a.kind != alert_kind::nsm_overloaded) return;
-    nsm* module = engine_.nsm_by_id(a.module);
-    if (module == nullptr ||
-        static_cast<int>(module->cores().size()) >= max_cores_) {
-      return;
-    }
-    if (auto* core = host_.allocate_core()) {
-      module->scale_up(core);
-      ++scale_ups_;
-    }
-  });
 }
 
 nsm_supervisor::nsm_supervisor(core_engine& engine, health_monitor& monitor)

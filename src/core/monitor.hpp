@@ -6,9 +6,6 @@
 // utilization, stack packet counters, per-channel queue depth and forward
 // progress — raising alerts for overloaded NSMs and stalled channels
 // (Pingmesh/Trumpet-style, but provider-side and for free).
-//
-// autoscaler consumes the overload signal and performs §2.1's "dynamically
-// scale up the network stack module with more dedicated cores".
 #pragma once
 
 #include <cstdint>
@@ -58,10 +55,6 @@ std::ostream& operator<<(std::ostream& os, const alert& a);
 
 struct monitor_config {
   sim_time interval = milliseconds(10);
-  double overload_threshold = 0.9;   // mean core utilization
-  int overload_consecutive = 3;      // ticks above threshold before alerting
-  int stall_consecutive = 3;         // ticks of queued-but-no-progress
-  std::size_t history = 256;         // retained samples per NSM
   // Failure detection (paper §5): an NSM is declared dead when its
   // ServiceLib reports a crash, or when jobs are queued toward it but its
   // drain loop has not beaten for this long (a wedged module never sets a
@@ -87,12 +80,7 @@ class health_monitor {
   void stop();
 
   using alert_handler = std::function<void(const alert&)>;
-  // Replaces every subscribed handler (historical single-consumer API).
-  void set_alert_handler(alert_handler handler) {
-    handlers_.clear();
-    handlers_.push_back(std::move(handler));
-  }
-  // Additional subscriber; autoscaler and nsm_supervisor coexist this way.
+  // Subscribes a handler; several (nsm_supervisor, tests) may coexist.
   void add_alert_handler(alert_handler handler) {
     handlers_.push_back(std::move(handler));
   }
@@ -161,6 +149,10 @@ class health_monitor {
   void check_quotas();
   void on_slo_burn(const obs::slo_status& st);
   void emit(alert a);
+  // Alarm-time snapshot dump: writes `doc` to <flight_recorder_dir>/<file>
+  // when a directory is set (warning if the write fails) and returns it for
+  // the caller's snapshot map.
+  std::string dump_snapshot(const std::string& file, std::string doc) const;
 
   core_engine& engine_;
   monitor_config cfg_;
@@ -186,22 +178,6 @@ class health_monitor {
   const obs::slo_engine* slo_ = nullptr;
   const obs::profiler* profiler_ = nullptr;
   std::unordered_map<std::string, std::string> slo_snapshots_;
-};
-
-// Scale-up policy: when an NSM stays overloaded, grant it another core
-// from the host pool (up to `max_cores`).
-class autoscaler {
- public:
-  autoscaler(core_engine& engine, virt::hypervisor& host,
-             health_monitor& monitor, int max_cores = 4);
-
-  [[nodiscard]] int scale_ups() const { return scale_ups_; }
-
- private:
-  core_engine& engine_;
-  virt::hypervisor& host_;
-  int max_cores_;
-  int scale_ups_ = 0;
 };
 
 // Failure-recovery policy: when the monitor declares an NSM dead, spawn a

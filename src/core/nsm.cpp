@@ -29,7 +29,7 @@ nsm::nsm(virt::hypervisor& host, nsm_id id, const nsm_config& cfg)
 
   stack_ = std::make_unique<stack::netstack>(host.simulator(), scfg,
                                              cfg.address);
-  stack_->bind_netdev(vnic_);
+  stack_->bind_nic(vnic_);
   for (auto* core : cores_) stack_->add_core(*core);
 
   // Tenant-selected protocol. A bad name throws here, at provisioning time
@@ -38,7 +38,7 @@ nsm::nsm(virt::hypervisor& host, nsm_id id, const nsm_config& cfg)
   transport_ =
       stack::transport_registry::instance().create(cfg_.transport, *stack_);
 
-  host.attach_netdev(vnic_, cfg.address, cfg.sriov);
+  host.attach_nic(vnic_, cfg.address, cfg.sriov);
 }
 
 void nsm::scale_up(sim::cpu_core* extra) {

@@ -39,10 +39,6 @@ void service_lib::attach_channel(channel& ch,
   vms_[ch.vm_id] = std::move(svm);
 }
 
-void service_lib::set_flow_shard(std::uint32_t cid, std::size_t shard) {
-  if (auto* ps = socket_by_cid(cid)) ps->shard = shard;
-}
-
 void service_lib::discard_staged(served_vm& svm) {
   auto discard = [&](const shm::nqe& e) {
     ++stats_.nqes_dropped;
@@ -768,6 +764,34 @@ void service_lib::handle_stack_event(const stack::socket_event& ev) {
   }
 }
 
+bool service_lib::read_stalled(served_vm& svm, const proto_socket& ps) {
+  bool redrain = false;
+  if (svm.ch->pool.chunks_free() == 0) {
+    // Backpressure: the VM has not consumed earlier data. Leave the rest in
+    // the stack's receive buffer (its rwnd will close) and resume on a
+    // re-drain once the VM has freed a chunk.
+    ++stats_.chunk_stalls;
+    redrain = true;
+  } else if (cycle_budget_exhausted(svm)) {
+    // Cycle quota: data stays in the transport's receive buffer (its
+    // flow-control window closes toward the peer) — backpressure, not loss.
+    // The period-end wakeup resumes the read.
+    ++stats_.quota_stalls;
+  } else if (chunk_quota_hit(svm)) {
+    ++stats_.chunk_quota_stalls;
+    redrain = true;
+  } else if (receive_pressured(svm, ps.shard)) {
+    // Out-queue pressure: this lane's receive ring (or its overflow stage)
+    // is backed up. Leave data in the stack and resume once it drains.
+    ++stats_.queue_stalls;
+  } else {
+    return false;
+  }
+  svm.stalled_reads.insert(ps.cid);
+  if (redrain) arm_redrain();
+  return true;
+}
+
 void service_lib::pump_reads(proto_socket& ps) {
   NK_PROF("servicelib", "pump_reads");
   if (ps.ssock == 0) return;
@@ -780,37 +804,7 @@ void service_lib::pump_reads(proto_socket& ps) {
   const std::size_t shard = ps.shard;
 
   while (true) {
-    if (svm.ch->pool.chunks_free() == 0) {
-      // Backpressure: the VM has not consumed earlier data. Leave the rest
-      // in the stack's receive buffer (its rwnd will close) and resume on
-      // a re-drain once the VM has freed a chunk.
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.chunk_stalls;
-      arm_redrain();
-      return;
-    }
-    if (cycle_budget_exhausted(svm)) {
-      // Cycle quota: data stays in the transport's receive buffer (its
-      // flow-control window closes toward the peer) — backpressure, not
-      // loss. The period-end wakeup resumes the read.
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.quota_stalls;
-      return;
-    }
-    if (chunk_quota_hit(svm)) {
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.chunk_quota_stalls;
-      arm_redrain();
-      return;
-    }
-    if (receive_pressured(svm, shard)) {
-      // Out-queue pressure: this lane's receive ring (or its overflow
-      // stage) is backed up. Leave data in the stack and resume once it
-      // drains.
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.queue_stalls;
-      return;
-    }
+    if (read_stalled(svm, ps)) return;
     auto r = stack.recv(ps.ssock, chunk_size);
     if (!r) {
       if (r.error() == errc::closed) {
@@ -872,28 +866,7 @@ void service_lib::pump_udp_reads(proto_socket& ps) {
   const std::size_t shard = ps.shard;
 
   while (true) {
-    if (svm.ch->pool.chunks_free() == 0) {
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.chunk_stalls;
-      arm_redrain();
-      return;
-    }
-    if (cycle_budget_exhausted(svm)) {
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.quota_stalls;
-      return;
-    }
-    if (chunk_quota_hit(svm)) {
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.chunk_quota_stalls;
-      arm_redrain();
-      return;
-    }
-    if (receive_pressured(svm, shard)) {
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.queue_stalls;
-      return;
-    }
+    if (read_stalled(svm, ps)) return;
     auto r = stack.udp_recv_from(ps.ssock);
     if (!r) return;
     auto [from, data] = std::move(r).value();

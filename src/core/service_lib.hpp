@@ -119,10 +119,6 @@ class service_lib {
   };
   [[nodiscard]] std::vector<flow_record> flow_table();
 
-  // Re-homes a cid onto `shard` (engine rebalance at a quiescent point).
-  // Unknown cids are ignored.
-  void set_flow_shard(std::uint32_t cid, std::size_t shard);
-
  private:
   // The staged lanes in front of one shard's NSM-side out-rings: flushed,
   // in order, before any new push to that lane.
@@ -187,6 +183,12 @@ class service_lib {
   void handle_stack_event(const stack::socket_event& ev);
   void pump_reads(proto_socket& ps);
   void pump_udp_reads(proto_socket& ps);
+  // The read-stall check both pumps run before each read: pool exhaustion,
+  // cycle budget, chunk quota, then receive-lane pressure. True means the
+  // read stalled: `ps` is parked on `svm`'s stalled list, the matching
+  // counter bumped, and a re-drain armed where no doorbell will announce
+  // the resume.
+  [[nodiscard]] bool read_stalled(served_vm& svm, const proto_socket& ps);
   void try_deliver_sends(proto_socket& ps);
 
   // Queue push helpers. Fallible by contract: true means the nqe was

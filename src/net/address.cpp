@@ -32,12 +32,4 @@ std::string ipv4_addr::to_string() const {
          std::to_string(value & 0xff);
 }
 
-std::string socket_addr::to_string() const {
-  return ip.to_string() + ':' + std::to_string(port);
-}
-
-std::string four_tuple::to_string() const {
-  return local.to_string() + "->" + remote.to_string();
-}
-
 }  // namespace nk::net

@@ -35,7 +35,6 @@ struct socket_addr {
   ipv4_addr ip{};
   std::uint16_t port = 0;
 
-  [[nodiscard]] std::string to_string() const;
   auto operator<=>(const socket_addr&) const = default;
 };
 
@@ -44,7 +43,6 @@ struct four_tuple {
   socket_addr local{};
   socket_addr remote{};
 
-  [[nodiscard]] std::string to_string() const;
   auto operator<=>(const four_tuple&) const = default;
 };
 

@@ -10,6 +10,14 @@ namespace {
 // Initial connection-level flow-control window, honored before the first
 // ACK advertises the peer's real max_data (also the 0-RTT first-flight cap).
 constexpr std::uint64_t initial_max_data = 64 * 1024;
+// Packets this far below the largest acked pn are declared lost (RFC 9002
+// packet threshold).
+constexpr std::uint64_t packet_threshold = 3;
+// Probe timeout: seeded from this RTT before the first sample, floored at
+// min_pto, and the connection gives up after max_pto consecutive probes.
+constexpr sim_time initial_rtt = milliseconds(100);
+constexpr sim_time min_pto = milliseconds(5);
+constexpr int max_pto = 10;
 }  // namespace
 
 connection::connection(sim::simulator& sim, const nkq_config& cfg,
@@ -403,7 +411,7 @@ void connection::process_ack(const ack_frame& a) {
   // the threshold is tight).
   std::vector<std::uint64_t> lost;
   for (auto& [pn, sp] : sent_packets_) {
-    if (pn + cfg_.packet_threshold < a.largest) lost.push_back(pn);
+    if (pn + packet_threshold < a.largest) lost.push_back(pn);
   }
   for (const std::uint64_t pn : lost) {
     auto it = sent_packets_.find(pn);
@@ -606,9 +614,9 @@ sim_time connection::pto_interval() const {
   if (rtt_valid_) {
     base = srtt_ + std::max(rttvar_ * 4, milliseconds(1));
   } else {
-    base = cfg_.initial_rtt * 2;
+    base = initial_rtt * 2;
   }
-  base = std::max(base, cfg_.min_pto);
+  base = std::max(base, min_pto);
   for (int i = 0; i < pto_count_; ++i) base = base * 2;
   return base;
 }
@@ -626,7 +634,7 @@ void connection::on_pto() {
   if (state_ == conn_state::closed || sent_packets_.empty()) return;
   ++stats_.pto_fired;
   ++pto_count_;
-  if (pto_count_ > cfg_.max_pto) {
+  if (pto_count_ > max_pto) {
     terminate(errc::timed_out);
     return;
   }

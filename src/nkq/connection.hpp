@@ -38,12 +38,6 @@ struct nkq_config {
   std::size_t mss = 1200;  // stream payload bytes per packet (QUIC-sized)
   std::size_t send_buffer = 256 * 1024;
   std::size_t recv_buffer = 256 * 1024;
-  // Packets this far below the largest acked pn are declared lost
-  // (RFC 9002 packet threshold).
-  std::uint64_t packet_threshold = 3;
-  sim_time initial_rtt = milliseconds(100);  // PTO seed before a sample
-  sim_time min_pto = milliseconds(5);
-  int max_pto = 10;  // consecutive PTOs before the connection gives up
 };
 
 enum class conn_state : std::uint8_t { connecting, established, closed };
@@ -113,7 +107,6 @@ class connection {
   [[nodiscard]] bool resumed() const { return resumed_; }
   [[nodiscard]] std::uint64_t conn_id() const { return conn_id_; }
   [[nodiscard]] const connection_stats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t recv_available() const { return recv_chain_.size(); }
   [[nodiscard]] std::size_t send_space() const {
     return cfg_.send_buffer - send_chain_.size();
   }

@@ -67,11 +67,6 @@ class reader {
 
 }  // namespace
 
-std::size_t header_overhead(packet_type t) {
-  // magic + type + conn_id + pn (+ token on initials).
-  return 1 + 1 + 8 + 8 + (t == packet_type::initial ? 8 : 0);
-}
-
 buffer encode(const wire_packet& p) {
   writer w;
   w.u8(wire_magic);

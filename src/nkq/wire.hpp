@@ -97,7 +97,6 @@ inline constexpr std::size_t max_stream_frame_bytes = 64 * 1024;
 
 // Per-packet overhead of the fixed header plus one stream frame's framing,
 // used by the connection to size stream frames against the MSS.
-[[nodiscard]] std::size_t header_overhead(packet_type t);
 inline constexpr std::size_t stream_frame_overhead = 1 + 8 + 1 + 4;
 
 }  // namespace nk::nkq

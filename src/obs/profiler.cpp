@@ -27,8 +27,8 @@ void append_double(std::ostringstream& os, double v) {
 
 profiler* profiler::current() { return current_slot(); }
 
-profiler::profiler(sim::simulator* sim, profiler_config cfg)
-    : sim_{sim}, cfg_{cfg}, prev_current_{current_slot()} {
+profiler::profiler(sim::simulator* sim)
+    : sim_{sim}, prev_current_{current_slot()} {
   current_slot() = this;
   if (sim_ != nullptr) {
     prev_listener_ = sim::set_cpu_charge_listener(this);
@@ -37,7 +37,7 @@ profiler::profiler(sim::simulator* sim, profiler_config cfg)
     wall_start_ns_ = wall_now_ns();
   }
   path_.reserve(256);
-  frames_.reserve(cfg_.max_depth);
+  frames_.reserve(max_depth);
 }
 
 profiler::~profiler() {
@@ -61,7 +61,7 @@ void profiler::enter(const char* component, const char* op) {
   frame f;
   f.parent_len = path_.size();
   if (wall_mode()) f.enter_wall_ns = wall_now_ns();
-  if (frames_.size() < cfg_.max_depth) {
+  if (frames_.size() < max_depth) {
     path_.push_back(';');
     path_.append(component);
     path_.push_back(':');
@@ -118,7 +118,7 @@ profiler::node* profiler::resolve(std::string_view core_name,
   }
   auto it = nodes_.find(key_scratch_);
   if (it == nodes_.end()) {
-    if (nodes_.size() >= cfg_.max_nodes) {
+    if (nodes_.size() >= max_nodes) {
       it = nodes_.try_emplace("(overflow)").first;
     } else {
       it = nodes_.try_emplace(key_scratch_).first;

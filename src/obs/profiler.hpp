@@ -30,19 +30,12 @@
 
 namespace nk::obs {
 
-struct profiler_config {
-  // Distinct (core, stack) leaf nodes before further charges collapse into
-  // a single "(overflow)" bucket. Generously above any sane instrumentation.
-  std::size_t max_nodes = 1 << 14;
-  std::size_t max_depth = 32;
-};
-
 class profiler : public sim::cpu_charge_listener {
  public:
   // sim != nullptr: simulation mode (charges arrive via the cpu listener,
   // scopes only label). sim == nullptr: wall-clock mode (scopes measure
   // their own exclusive steady_clock time).
-  explicit profiler(sim::simulator* sim, profiler_config cfg = {});
+  explicit profiler(sim::simulator* sim);
   ~profiler() override;
 
   profiler(const profiler&) = delete;
@@ -123,8 +116,14 @@ class profiler : public sim::cpu_charge_listener {
   void charge_wall(std::uint64_t self_ns);
   [[nodiscard]] static std::uint64_t wall_now_ns();
 
+  // Distinct (core, stack) leaf nodes before further charges collapse into
+  // a single "(overflow)" bucket (generously above any sane
+  // instrumentation), and the scope depth past which frames stop extending
+  // the stack key.
+  static constexpr std::size_t max_nodes = 1 << 14;
+  static constexpr std::size_t max_depth = 32;
+
   sim::simulator* sim_;
-  profiler_config cfg_;
   profiler* prev_current_;
   sim::cpu_charge_listener* prev_listener_ = nullptr;
 

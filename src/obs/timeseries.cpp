@@ -11,7 +11,6 @@ timeseries::timeseries(sim::simulator& sim, metrics_registry& reg,
   if (cfg_.retention == 0) cfg_.retention = 1;
   if (cfg_.resolution <= sim_time::zero()) cfg_.resolution = milliseconds(1);
   times_.assign(cfg_.retention, sim_time::zero());
-  if (cfg_.autostart) start();
 }
 
 timeseries::~timeseries() { stop(); }

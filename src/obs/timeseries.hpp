@@ -28,10 +28,6 @@
 namespace nk::obs {
 
 struct timeseries_config {
-  // Start sampling automatically at construction. Off by default: a
-  // self-rescheduling timer keeps the event queue non-empty forever, which
-  // would hang sim::simulator::run() (run_until() callers are fine).
-  bool autostart = false;
   sim_time resolution = milliseconds(1);
   std::size_t retention = 512;  // rows kept; window = retention * resolution
 };
@@ -55,9 +51,11 @@ class timeseries {
   // Runs after every snapshot row is taken (the SLO engine hooks in here).
   void add_tick_handler(std::function<void(sim_time)> h);
 
+  // Sampling is off until start(): its self-rescheduling timer keeps the
+  // event queue non-empty, so sim::simulator::run() would never return
+  // (run_until() callers are fine).
   void start();
   void stop();
-  [[nodiscard]] bool running() const { return running_; }
 
   // Takes one snapshot row at now() outside the timer cadence (benches call
   // this right before export so the last row equals the final registry
@@ -66,7 +64,6 @@ class timeseries {
   void snap_now();
 
   [[nodiscard]] std::size_t samples() const { return count_; }
-  [[nodiscard]] std::size_t series_count() const { return series_.size(); }
   [[nodiscard]] const timeseries_config& config() const { return cfg_; }
 
   // Most recent sampled value (NaN if no samples / unknown series).

@@ -6,15 +6,12 @@
 
 namespace nk::phys {
 
-link::link(sim::simulator& s, const link_config& cfg,
-           std::unique_ptr<packet_queue> queue)
-    : sim_{s}, cfg_{cfg}, queue_{std::move(queue)} {
-  if (!queue_) queue_ = std::make_unique<droptail_queue>(cfg.queue);
-}
+link::link(sim::simulator& s, const link_config& cfg)
+    : sim_{s}, cfg_{cfg}, queue_{cfg.queue} {}
 
 void link::send(net::packet p) {
   if (transmitting_) {
-    (void)queue_->offer(p);  // queue accounts the drop if it refuses
+    (void)queue_.offer(p);  // queue accounts the drop if it refuses
     return;
   }
   begin_transmission(std::move(p));
@@ -45,7 +42,7 @@ void link::begin_transmission(net::packet p) {
 
 void link::transmission_done() {
   transmitting_ = false;
-  if (auto next = queue_->take()) begin_transmission(std::move(*next));
+  if (auto next = queue_.take()) begin_transmission(std::move(*next));
 }
 
 void link::register_metrics(obs::metrics_registry& reg,
@@ -59,15 +56,15 @@ void link::register_metrics(obs::metrics_registry& reg,
   reg.register_gauge_fn(prefix + "_packets_lost",
                         [this] { return double(stats_.packets_lost); });
   reg.register_gauge_fn(prefix + "_queue_bytes",
-                        [this] { return double(queue_->byte_count()); });
+                        [this] { return double(queue_.byte_count()); });
   reg.register_gauge_fn(
       prefix + "_queue_enqueued",
-      [this] { return double(queue_->stats().enqueued); });
+      [this] { return double(queue_.stats().enqueued); });
   reg.register_gauge_fn(prefix + "_queue_dropped",
-                        [this] { return double(queue_->stats().dropped); });
+                        [this] { return double(queue_.stats().dropped); });
   reg.register_gauge_fn(
       prefix + "_queue_ecn_marked",
-      [this] { return double(queue_->stats().ecn_marked); });
+      [this] { return double(queue_.stats().ecn_marked); });
 }
 
 }  // namespace nk::phys

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "net/packet.hpp"
@@ -31,8 +30,7 @@ struct link_stats {
 
 class link {
  public:
-  link(sim::simulator& s, const link_config& cfg,
-       std::unique_ptr<packet_queue> queue = nullptr);
+  link(sim::simulator& s, const link_config& cfg);
 
   link(const link&) = delete;
   link& operator=(const link&) = delete;
@@ -46,9 +44,9 @@ class link {
   [[nodiscard]] const link_config& config() const { return cfg_; }
   [[nodiscard]] const link_stats& stats() const { return stats_; }
   [[nodiscard]] const queue_stats& queue_statistics() const {
-    return queue_->stats();
+    return queue_.stats();
   }
-  [[nodiscard]] std::size_t queue_bytes() const { return queue_->byte_count(); }
+  [[nodiscard]] std::size_t queue_bytes() const { return queue_.byte_count(); }
 
   void set_loss_rate(double p) { cfg_.loss_rate = p; }
 
@@ -62,7 +60,7 @@ class link {
 
   sim::simulator& sim_;
   link_config cfg_;
-  std::unique_ptr<packet_queue> queue_;
+  droptail_queue queue_;
   sink sink_;
   bool transmitting_ = false;
   link_stats stats_;

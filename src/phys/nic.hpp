@@ -1,8 +1,7 @@
-// Network device endpoints. `netdev` is the interface a network stack binds
-// to; `nic` is a concrete device that hands transmitted packets to a
-// configurable egress (a phys::link, a vSwitch port, ...) and received
-// packets to its handler. Physical NICs, tenant vNICs and SR-IOV virtual
-// functions are all netdevs.
+// Network device endpoint a network stack binds to: a `nic` hands
+// transmitted packets to a configurable egress (a phys::link, a vSwitch
+// port, ...) and received packets to its handler. Physical NICs, tenant
+// vNICs and SR-IOV virtual functions are all nics.
 #pragma once
 
 #include <cstdint>
@@ -15,16 +14,6 @@
 
 namespace nk::phys {
 
-class netdev {
- public:
-  virtual ~netdev() = default;
-
-  virtual void transmit(net::packet p) = 0;
-
-  using rx_handler = std::function<void(net::packet)>;
-  virtual void set_receive_handler(rx_handler handler) = 0;
-};
-
 struct nic_stats {
   std::uint64_t tx_packets = 0;
   std::uint64_t tx_bytes = 0;
@@ -32,11 +21,12 @@ struct nic_stats {
   std::uint64_t rx_bytes = 0;
 };
 
-class nic final : public netdev {
+class nic {
  public:
   explicit nic(std::string name) : name_{std::move(name)} {}
 
   using tx_sink = std::function<void(net::packet)>;
+  using rx_handler = std::function<void(net::packet)>;
 
   // Egress wiring: a raw sink, or a link for convenience.
   void attach_tx(tx_sink out) { tx_ = std::move(out); }
@@ -44,13 +34,13 @@ class nic final : public netdev {
     tx_ = [&out](net::packet p) { out.send(std::move(p)); };
   }
 
-  void transmit(net::packet p) override {
+  void transmit(net::packet p) {
     ++stats_.tx_packets;
     stats_.tx_bytes += p.wire_size();
     if (tx_) tx_(std::move(p));
   }
 
-  void set_receive_handler(rx_handler handler) override {
+  void set_receive_handler(rx_handler handler) {
     rx_handler_ = std::move(handler);
   }
 

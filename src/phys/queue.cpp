@@ -35,50 +35,4 @@ std::optional<net::packet> droptail_queue::take() {
   return p;
 }
 
-bool red_queue::offer(net::packet& p) {
-  const std::size_t size = p.wire_size();
-  if (bytes_ + size > cfg_.capacity_bytes) {
-    ++stats_.dropped;
-    return false;
-  }
-
-  avg_ = (1.0 - cfg_.ewma_weight) * avg_ +
-         cfg_.ewma_weight * static_cast<double>(bytes_);
-
-  bool congestion_signal = false;
-  if (avg_ >= static_cast<double>(cfg_.max_threshold_bytes)) {
-    congestion_signal = true;
-  } else if (avg_ > static_cast<double>(cfg_.min_threshold_bytes)) {
-    const double span = static_cast<double>(cfg_.max_threshold_bytes -
-                                            cfg_.min_threshold_bytes);
-    const double prob = cfg_.max_probability *
-                        (avg_ - static_cast<double>(cfg_.min_threshold_bytes)) /
-                        span;
-    congestion_signal = rng_.chance(prob);
-  }
-
-  if (congestion_signal) {
-    if (cfg_.ecn_mode && is_ect(p)) {
-      p.ip.ecn = net::ecn_codepoint::ce;
-      ++stats_.ecn_marked;
-    } else {
-      ++stats_.dropped;
-      return false;
-    }
-  }
-
-  bytes_ += size;
-  fifo_.push_back(std::move(p));
-  ++stats_.enqueued;
-  return true;
-}
-
-std::optional<net::packet> red_queue::take() {
-  if (fifo_.empty()) return std::nullopt;
-  net::packet p = std::move(fifo_.front());
-  fifo_.pop_front();
-  bytes_ -= p.wire_size();
-  return p;
-}
-
 }  // namespace nk::phys

@@ -1,14 +1,12 @@
-// Packet queues that sit in front of link transmitters: drop-tail with an
-// optional DCTCP-style instantaneous ECN marking threshold, and RED with
-// EWMA-averaged occupancy. Both count drops/marks for experiment reporting.
+// The drop-tail packet queue in front of every link transmitter, with an
+// optional DCTCP-style instantaneous ECN marking threshold. Counts drops
+// and marks for experiment reporting.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 
-#include "common/rng.hpp"
 #include "net/packet.hpp"
 
 namespace nk::phys {
@@ -19,23 +17,6 @@ struct queue_stats {
   std::uint64_t ecn_marked = 0;
 };
 
-class packet_queue {
- public:
-  virtual ~packet_queue() = default;
-
-  // Accepts or drops `p` (possibly marking ECN). True iff accepted.
-  [[nodiscard]] virtual bool offer(net::packet& p) = 0;
-
-  [[nodiscard]] virtual std::optional<net::packet> take() = 0;
-
-  [[nodiscard]] virtual std::size_t byte_count() const = 0;
-  [[nodiscard]] virtual std::size_t packet_count() const = 0;
-  [[nodiscard]] const queue_stats& stats() const { return stats_; }
-
- protected:
-  queue_stats stats_;
-};
-
 struct droptail_config {
   std::size_t capacity_bytes = 512 * 1024;
   // DCTCP marking threshold K: ECT packets arriving to a queue deeper than
@@ -43,50 +24,23 @@ struct droptail_config {
   std::size_t ecn_threshold_bytes = 0;
 };
 
-class droptail_queue final : public packet_queue {
+class droptail_queue {
  public:
   explicit droptail_queue(const droptail_config& cfg = {}) : cfg_{cfg} {}
 
-  [[nodiscard]] bool offer(net::packet& p) override;
-  [[nodiscard]] std::optional<net::packet> take() override;
-  [[nodiscard]] std::size_t byte_count() const override { return bytes_; }
-  [[nodiscard]] std::size_t packet_count() const override {
-    return fifo_.size();
-  }
+  // Accepts or drops `p` (possibly marking ECN). True iff accepted.
+  [[nodiscard]] bool offer(net::packet& p);
+
+  [[nodiscard]] std::optional<net::packet> take();
+
+  [[nodiscard]] std::size_t byte_count() const { return bytes_; }
+  [[nodiscard]] const queue_stats& stats() const { return stats_; }
 
  private:
   droptail_config cfg_;
   std::deque<net::packet> fifo_;
   std::size_t bytes_ = 0;
-};
-
-struct red_config {
-  std::size_t capacity_bytes = 512 * 1024;
-  std::size_t min_threshold_bytes = 64 * 1024;
-  std::size_t max_threshold_bytes = 192 * 1024;
-  double max_probability = 0.1;
-  double ewma_weight = 0.002;
-  bool ecn_mode = true;  // mark ECT packets instead of dropping them
-};
-
-class red_queue final : public packet_queue {
- public:
-  red_queue(const red_config& cfg, rng& random) : cfg_{cfg}, rng_{random} {}
-
-  [[nodiscard]] bool offer(net::packet& p) override;
-  [[nodiscard]] std::optional<net::packet> take() override;
-  [[nodiscard]] std::size_t byte_count() const override { return bytes_; }
-  [[nodiscard]] std::size_t packet_count() const override {
-    return fifo_.size();
-  }
-  [[nodiscard]] double average_occupancy() const { return avg_; }
-
- private:
-  red_config cfg_;
-  rng& rng_;
-  std::deque<net::packet> fifo_;
-  std::size_t bytes_ = 0;
-  double avg_ = 0.0;
+  queue_stats stats_;
 };
 
 }  // namespace nk::phys

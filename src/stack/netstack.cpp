@@ -22,9 +22,9 @@ netstack::netstack(sim::simulator& s, netstack_config cfg, net::ipv4_addr addr)
     : sim_{s},
       cfg_{std::move(cfg)},
       addr_{addr},
-      next_ephemeral_{cfg_.ephemeral_base} {}
+      next_ephemeral_{ephemeral_base} {}
 
-void netstack::bind_netdev(phys::netdev& dev) {
+void netstack::bind_nic(phys::nic& dev) {
   dev_ = &dev;
   dev.set_receive_handler([this](net::packet p) { packet_arrived(std::move(p)); });
 }
@@ -85,19 +85,12 @@ void netstack::set_event_handler(event_handler handler) {
   }
 }
 
-bool netstack::poll_event(socket_event& out) {
-  if (events_.empty()) return false;
-  out = events_.front();
-  events_.pop_front();
-  return true;
-}
-
 // --- port allocation -----------------------------------------------------------
 
 result<std::uint16_t> netstack::allocate_ephemeral_port() {
   for (int attempts = 0; attempts < 16384; ++attempts) {
     const std::uint16_t port = next_ephemeral_;
-    next_ephemeral_ = next_ephemeral_ >= 65535 ? cfg_.ephemeral_base
+    next_ephemeral_ = next_ephemeral_ >= 65535 ? ephemeral_base
                                                : next_ephemeral_ + 1;
     if (!tcp_listeners_.contains(port)) {
       // A port may still collide on the full 4-tuple; that is checked by
@@ -275,16 +268,6 @@ status netstack::abort(socket_id sock) {
   tcp_demux_.erase(conn->tcb->tuple());
   sockets_.erase(sock);
   return {};
-}
-
-std::size_t netstack::recv_available(socket_id sock) const {
-  const auto* conn = connection_of(sock);
-  return conn ? conn->tcb->receive_available() : 0;
-}
-
-std::size_t netstack::send_space(socket_id sock) const {
-  const auto* conn = connection_of(sock);
-  return conn ? conn->tcb->send_space() : 0;
 }
 
 bool netstack::eof(socket_id sock) const {

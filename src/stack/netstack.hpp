@@ -1,6 +1,6 @@
 // A complete userspace network stack instance: TCP (tcp::tcb) and UDP over
-// IPv4, bound to one netdev, with port allocation, 4-tuple demultiplexing,
-// listener/accept queues, an event queue (callback- or poll-driven), and a
+// IPv4, bound to one nic, with port allocation, 4-tuple demultiplexing,
+// listener/accept queues, a callback-driven event queue, and a
 // per-packet CPU cost model charged to attached cores.
 //
 // The same class plays both roles in the paper's Figure 2: instantiated
@@ -69,7 +69,6 @@ struct netstack_config {
   tcp::tcp_config tcp{};      // defaults for new TCP sockets
   processing_cost tx_cost{};  // charged per transmitted packet
   processing_cost rx_cost{};  // charged per received packet
-  std::uint16_t ephemeral_base = 49152;
 };
 
 struct netstack_stats {
@@ -120,7 +119,7 @@ class netstack {
   // Wiring ------------------------------------------------------------------
 
   // Binds this stack to its network device (installs the rx handler).
-  void bind_netdev(phys::netdev& dev);
+  void bind_nic(phys::nic& dev);
 
   // Adds a processing core; connections are assigned cores round-robin.
   // With no cores attached, processing is free (infinitely fast CPU).
@@ -154,8 +153,6 @@ class netstack {
   status close(socket_id sock);
   status abort(socket_id sock);
 
-  [[nodiscard]] std::size_t recv_available(socket_id sock) const;
-  [[nodiscard]] std::size_t send_space(socket_id sock) const;
   [[nodiscard]] bool eof(socket_id sock) const;
 
   // UDP sockets ----------------------------------------------------------------
@@ -172,11 +169,9 @@ class netstack {
   using event_handler = std::function<void(const socket_event&)>;
 
   // Callback delivery: events are dispatched from a fresh simulator event,
-  // never re-entrantly from inside stack processing.
+  // never re-entrantly from inside stack processing. Events raised while no
+  // handler is installed queue up and are delivered, in order, once one is.
   void set_event_handler(event_handler handler);
-
-  // Poll delivery (used by ServiceLib): drains one queued event.
-  [[nodiscard]] bool poll_event(socket_event& out);
 
   // Introspection ----------------------------------------------------------------
 
@@ -186,9 +181,6 @@ class netstack {
   // Per-flow telemetry snapshot for a TCP connection socket; nullopt for
   // listeners, UDP sockets and unknown ids.
   [[nodiscard]] std::optional<obs::nk_flow_info> flow_info(socket_id sock);
-  [[nodiscard]] bool socket_exists(socket_id sock) const {
-    return sockets_.contains(sock);
-  }
 
  private:
   using listener_state = detail::listener_state;
@@ -215,7 +207,7 @@ class netstack {
   sim::simulator& sim_;
   netstack_config cfg_;
   net::ipv4_addr addr_;
-  phys::netdev* dev_ = nullptr;
+  phys::nic* dev_ = nullptr;
   std::vector<sim::cpu_core*> cores_;
   std::size_t next_core_ = 0;
 
@@ -224,6 +216,8 @@ class netstack {
   std::unordered_map<std::uint16_t, socket_id> tcp_listeners_;
   std::unordered_map<std::uint16_t, socket_id> udp_ports_;
   socket_id next_socket_ = 1;
+  // IANA dynamic-port range start; allocation wraps back here past 65535.
+  static constexpr std::uint16_t ephemeral_base = 49152;
   std::uint16_t next_ephemeral_;
 
   std::deque<socket_event> events_;

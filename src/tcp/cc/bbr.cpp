@@ -181,17 +181,4 @@ data_rate bbr::pacing_rate() const {
   return data_rate::bits_per_sec(bw * 8.0 * pacing_gain_);
 }
 
-std::string bbr::state_summary() const {
-  const char* names[] = {"startup", "drain", "probe_bw", "probe_rtt"};
-  return std::string{"mode="} + names[static_cast<int>(mode_)] +
-         " btlbw_Bps=" + std::to_string(max_bw()) + " minrtt_us=" +
-         std::to_string(min_rtt_ == sim_time::max()
-                            ? -1
-                            : min_rtt_.count() / 1000) +
-         " gain=" + std::to_string(pacing_gain_) +
-         " full_bw=" + std::to_string(full_bw_) +
-         " full_cnt=" + std::to_string(full_bw_count_) +
-         " round=" + std::to_string(last_round_);
-}
-
 }  // namespace nk::tcp

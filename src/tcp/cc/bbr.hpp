@@ -27,7 +27,6 @@ class bbr final : public congestion_controller {
   [[nodiscard]] std::uint64_t cwnd_bytes() const override;
   [[nodiscard]] data_rate pacing_rate() const override;
   [[nodiscard]] std::string_view name() const override { return "bbr"; }
-  [[nodiscard]] std::string state_summary() const override;
 
   enum class mode { startup, drain, probe_bw, probe_rtt };
   [[nodiscard]] mode state() const { return mode_; }

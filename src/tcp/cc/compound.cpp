@@ -101,12 +101,4 @@ std::uint64_t compound::cwnd_bytes() const {
                                     static_cast<double>(cfg_.mss));
 }
 
-std::string compound::state_summary() const {
-  return "cwnd_seg=" + std::to_string(cwnd_seg_) +
-         " dwnd_seg=" + std::to_string(dwnd_seg_) +
-         " base_rtt_us=" +
-         std::to_string(rtt_base_ == sim_time::max() ? -1
-                                                     : rtt_base_.count() / 1000);
-}
-
 }  // namespace nk::tcp

@@ -38,9 +38,7 @@ class compound final : public congestion_controller {
 
   [[nodiscard]] std::uint64_t cwnd_bytes() const override;
   [[nodiscard]] std::string_view name() const override { return "compound"; }
-  [[nodiscard]] std::string state_summary() const override;
 
-  [[nodiscard]] double loss_window_segments() const { return cwnd_seg_; }
   [[nodiscard]] double delay_window_segments() const { return dwnd_seg_; }
   // 0 while ssthresh is still at its "infinite" initial value.
   [[nodiscard]] std::uint64_t ssthresh_bytes() const override {

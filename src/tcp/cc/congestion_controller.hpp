@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
 
 #include "common/units.hpp"
@@ -86,9 +85,6 @@ class congestion_controller {
   [[nodiscard]] virtual bool wants_ecn() const { return false; }
 
   [[nodiscard]] virtual std::string_view name() const = 0;
-
-  // Debug/trace snapshot of internal state (ssthresh, alpha, bw, ...).
-  [[nodiscard]] virtual std::string state_summary() const { return {}; }
 };
 
 struct cc_config {

@@ -100,11 +100,4 @@ void cubic::on_rto(const loss_sample& loss) {
   cwnd_segments_ = 1.0;
 }
 
-std::string cubic::state_summary() const {
-  return "cwnd_seg=" + std::to_string(cwnd_segments_) +
-         " wmax=" + std::to_string(w_max_segments_) +
-         " K=" + std::to_string(k_seconds_) +
-         (in_slow_start() ? " [ss]" : " [ca]");
-}
-
 }  // namespace nk::tcp

@@ -29,7 +29,6 @@ class cubic final : public congestion_controller {
                                       static_cast<double>(cfg_.mss));
   }
   [[nodiscard]] std::string_view name() const override { return "cubic"; }
-  [[nodiscard]] std::string state_summary() const override;
   // 0 while ssthresh is still at its "infinite" initial value.
   [[nodiscard]] std::uint64_t ssthresh_bytes() const override {
     return ssthresh_segments_ >= 1e17

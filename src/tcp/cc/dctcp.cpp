@@ -34,8 +34,4 @@ void dctcp::on_ack(const ack_sample& ack) {
   newreno::on_ack(ack);
 }
 
-std::string dctcp::state_summary() const {
-  return newreno::state_summary() + " alpha=" + std::to_string(alpha_);
-}
-
 }  // namespace nk::tcp

@@ -25,7 +25,6 @@ class dctcp final : public newreno {
 
   [[nodiscard]] bool wants_ecn() const override { return true; }
   [[nodiscard]] std::string_view name() const override { return "dctcp"; }
-  [[nodiscard]] std::string state_summary() const override;
 
   [[nodiscard]] double alpha() const { return alpha_; }
 

@@ -48,10 +48,4 @@ void newreno::on_rto(const loss_sample& loss) {
   ca_accumulator_ = 0;
 }
 
-std::string newreno::state_summary() const {
-  return "cwnd=" + std::to_string(cwnd_) +
-         " ssthresh=" + std::to_string(ssthresh_) +
-         (in_slow_start() ? " [ss]" : " [ca]");
-}
-
 }  // namespace nk::tcp

@@ -17,7 +17,6 @@ class newreno : public congestion_controller {
 
   [[nodiscard]] std::uint64_t cwnd_bytes() const override { return cwnd_; }
   [[nodiscard]] std::string_view name() const override { return "newreno"; }
-  [[nodiscard]] std::string state_summary() const override;
 
   // Reports 0 while ssthresh is still at its "infinite" initial value.
   [[nodiscard]] std::uint64_t ssthresh_bytes() const override {

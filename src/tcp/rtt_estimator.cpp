@@ -4,8 +4,14 @@
 
 namespace nk::tcp {
 
+namespace {
+// RFC 6298's clock granularity G: the floor on an RTT sample and on the
+// RTTVAR term of the RTO.
+constexpr sim_time clock_granularity = microseconds(1);
+}  // namespace
+
 void rtt_estimator::add_sample(sim_time rtt) {
-  rtt = std::max(rtt, cfg_.clock_granularity);
+  rtt = std::max(rtt, clock_granularity);
   latest_ = rtt;
   if (!has_sample_) {
     // RFC 6298 (2.2): first measurement seeds SRTT and RTTVAR.
@@ -23,7 +29,7 @@ void rtt_estimator::add_sample(sim_time rtt) {
 }
 
 void rtt_estimator::recompute_rto() {
-  const sim_time var_term = std::max(cfg_.clock_granularity, rttvar_ * 4);
+  const sim_time var_term = std::max(clock_granularity, rttvar_ * 4);
   rto_ = std::clamp(srtt_ + var_term, cfg_.min_rto, cfg_.max_rto);
 }
 

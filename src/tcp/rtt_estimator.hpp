@@ -13,7 +13,6 @@ struct rtt_config {
   sim_time initial_rto = seconds(1);
   sim_time min_rto = milliseconds(200);
   sim_time max_rto = seconds(60);
-  sim_time clock_granularity = microseconds(1);
 };
 
 class rtt_estimator {
@@ -56,10 +55,6 @@ class min_rtt_tracker {
 
   [[nodiscard]] sim_time value() const { return min_; }
   [[nodiscard]] bool valid() const { return min_ != sim_time::max(); }
-  [[nodiscard]] sim_time age(sim_time now) const { return now - stamped_at_; }
-  [[nodiscard]] bool expired(sim_time now) const {
-    return valid() && age(now) > window_;
-  }
   // Forgets the current minimum so the next sample re-seeds it.
   void reset() { min_ = sim_time::max(); }
 

@@ -9,6 +9,15 @@
 
 namespace nk::tcp {
 
+namespace {
+// Delayed ACK (RFC 1122 §4.2.3.2): acknowledge at least every second
+// full-sized segment.
+constexpr std::uint32_t ack_every_segments = 2;
+// TIME_WAIT hold before the connection is fully closed (a short 2·MSL for
+// datacenter RTTs).
+constexpr sim_time time_wait_duration = milliseconds(500);
+}  // namespace
+
 std::string_view to_string(tcp_state s) {
   switch (s) {
     case tcp_state::closed: return "closed";
@@ -110,14 +119,6 @@ void tcb::send_control(net::tcp_flags flags) {
   }
 }
 
-void tcb::send_reset(const net::packet& cause) {
-  net::tcp_flags flags;
-  flags.rst = true;
-  flags.ack = true;
-  (void)cause;
-  emit_segment(make_segment(snd_nxt_, flags, {}));
-}
-
 // --- opening -------------------------------------------------------------------
 
 void tcb::connect() {
@@ -164,7 +165,6 @@ result<std::size_t> tcb::send(buffer data) {
 
 buffer tcb::receive(std::size_t max) {
   buffer out = recvq_.pop(max);
-  if (fin_received_ && recvq_.empty()) fin_delivered_ = true;
   maybe_send_window_update();
   return out;
 }
@@ -423,7 +423,7 @@ void tcb::send_ack_now() {
 
 void tcb::maybe_send_ack(bool immediate) {
   ++pending_ack_segments_;
-  if (immediate || pending_ack_segments_ >= cfg_.ack_every_segments) {
+  if (immediate || pending_ack_segments_ >= ack_every_segments) {
     send_ack_now();
     return;
   }
@@ -859,7 +859,7 @@ void tcb::on_persist_fired() {
 void tcb::enter_time_wait() {
   state_ = tcp_state::time_wait;
   cancel_rto();
-  time_wait_timer_ = env_.sim->schedule(cfg_.time_wait_duration,
+  time_wait_timer_ = env_.sim->schedule(time_wait_duration,
                                         [this] { become_closed(errc::ok); });
 }
 
@@ -900,19 +900,6 @@ obs::nk_flow_info tcb::flow_info() const {
   fi.rcvbuf_bytes = recvq_.size();
   fi.rcvbuf_capacity = cfg_.recv_buffer;
   return fi;
-}
-
-std::string tcb::describe() const {
-  return std::string{to_string(state_)} + " " + tuple_.to_string() +
-         " snd_una=" + std::to_string(snd_una_) +
-         " snd_nxt=" + std::to_string(snd_nxt_) +
-         " rcv_nxt=" + std::to_string(rcv_nxt_) +
-         " snd_wnd=" + std::to_string(snd_wnd_) +
-         " sacked=" + std::to_string(sacked_bytes_) +
-         " lost=" + std::to_string(lost_unretx_bytes_) +
-         " recs=" + std::to_string(inflight_.size()) +
-         (in_recovery_ ? " [rec]" : "") + " cc[" +
-         std::string{cc_->name()} + "]: " + cc_->state_summary();
 }
 
 }  // namespace nk::tcp

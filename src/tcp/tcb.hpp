@@ -51,8 +51,6 @@ struct tcp_config {
   cc_algorithm cc = cc_algorithm::cubic;
   bool nagle = false;  // bulk/RPC workloads here want it off
   sim_time delayed_ack_timeout = milliseconds(25);
-  std::uint32_t ack_every_segments = 2;
-  sim_time time_wait_duration = milliseconds(500);
   int max_syn_retries = 6;
   rtt_estimator::config rto{};
 };
@@ -76,7 +74,7 @@ class tcb {
  public:
   struct environment {
     sim::simulator* sim = nullptr;
-    // Hands a finished segment to the IP layer / netdev below.
+    // Hands a finished segment to the IP layer / nic below.
     std::function<void(net::packet)> emit;
     // Socket-layer notifications.
     std::function<void()> on_connected;          // handshake done (active open)
@@ -112,7 +110,6 @@ class tcb {
 
   [[nodiscard]] std::size_t receive_available() const { return recvq_.size(); }
   [[nodiscard]] std::size_t send_space() const;
-  [[nodiscard]] bool peer_closed() const { return fin_delivered_; }
   [[nodiscard]] bool eof_pending() const {
     return fin_received_ && recvq_.empty();
   }
@@ -144,7 +141,6 @@ class tcb {
   }
   [[nodiscard]] std::uint64_t cwnd_bytes() const { return cc_->cwnd_bytes(); }
   [[nodiscard]] bool ecn_active() const { return ecn_enabled_; }
-  [[nodiscard]] std::string describe() const;
 
   // Provider-side telemetry snapshot (paper §5 introspection): everything
   // the operator needs to diagnose this flow, in one plain record.
@@ -168,7 +164,6 @@ class tcb {
                            buffer payload) const;
   void emit_segment(net::packet p);
   void send_control(net::tcp_flags flags);  // bare ACK / RST etc at snd_nxt
-  void send_reset(const net::packet& cause);
 
   // --- transmission ----------------------------------------------------------
   void try_send();
@@ -236,7 +231,6 @@ class tcb {
   bool fin_received_ = false;
   bool fin_seen_ = false;  // FIN observed, possibly beyond a reassembly gap
   std::uint64_t fin_abs_ = 0;
-  bool fin_delivered_ = false;      // EOF observed by the application
   std::uint32_t last_adv_wnd_ = 0;
   std::uint32_t pending_ack_segments_ = 0;
   std::uint32_t last_ts_val_ = 0;   // peer timestamp to echo

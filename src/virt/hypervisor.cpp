@@ -34,7 +34,7 @@ int hypervisor::cores_available() const {
   return static_cast<int>(core_pool_.size() - next_core_);
 }
 
-int hypervisor::attach_netdev(phys::nic& dev, net::ipv4_addr addr,
+int hypervisor::attach_nic(phys::nic& dev, net::ipv4_addr addr,
                               bool sriov) {
   const int port = vswitch_.add_port(
       [&dev](net::packet p) { dev.receive(std::move(p)); }, sriov);
@@ -54,7 +54,7 @@ machine& hypervisor::create_vm(const vm_config& cfg) {
   auto vm =
       std::make_unique<machine>(sim_, next_vm_id_++, cfg, std::move(vcpus));
   machine& ref = *vm;
-  attach_netdev(ref.vnic(), cfg.address, cfg.sriov);
+  attach_nic(ref.vnic(), cfg.address, cfg.sriov);
   vms_.push_back(std::move(vm));
   return ref;
 }

@@ -53,8 +53,8 @@ class hypervisor {
     return vms_;
   }
 
-  // Registers an extra netdev (e.g. an NSM's vNIC) on the vSwitch.
-  int attach_netdev(phys::nic& dev, net::ipv4_addr addr, bool sriov);
+  // Registers an extra nic (e.g. an NSM's vNIC) on the vSwitch.
+  int attach_nic(phys::nic& dev, net::ipv4_addr addr, bool sriov);
 
   // Unique shared-memory region keys (IVSHMEM broker role).
   [[nodiscard]] std::uint32_t next_region_key() { return next_region_key_++; }

@@ -56,9 +56,6 @@ class machine {
   [[nodiscard]] phys::nic& vnic() { return vnic_; }
 
   // vCPU cores (GuestLib work and the legacy stack run here).
-  [[nodiscard]] sim::cpu_core* vcpu(std::size_t i) {
-    return i < vcpus_.size() ? vcpus_[i] : nullptr;
-  }
   [[nodiscard]] const std::vector<sim::cpu_core*>& vcpus() const {
     return vcpus_;
   }

@@ -483,41 +483,6 @@ TEST(netkernel_notification, batched_interrupt_mode_works_end_to_end) {
   EXPECT_TRUE(sink.pattern_ok());
 }
 
-TEST(netkernel_guestlib, epoll_reports_ready_sets) {
-  nk_pair rig;
-  auto& glib_s = *rig.server.glib;
-  const auto lfd = glib_s.nk_socket().value();
-  ASSERT_TRUE(glib_s.nk_bind(lfd, 7000).ok());
-  ASSERT_TRUE(glib_s.nk_listen(lfd).ok());
-  const auto epfd = glib_s.nk_epoll_create().value();
-  ASSERT_TRUE(glib_s.nk_epoll_add(epfd, lfd).ok());
-
-  auto& glib_c = *rig.client.glib;
-  const auto cfd = glib_c.nk_socket().value();
-  ASSERT_TRUE(
-      glib_c.nk_connect(cfd, {rig.server.module->config().address, 7000}).ok());
-  rig.bed.run_for(milliseconds(100));
-
-  // Listener readable (accept pending) via epoll.
-  auto ready = glib_s.nk_epoll_wait(epfd);
-  ASSERT_EQ(ready.size(), 1u);
-  EXPECT_EQ(ready[0].fd, lfd);
-  EXPECT_TRUE(ready[0].readable);
-
-  const auto conn = glib_s.nk_accept(lfd).value();
-  ASSERT_TRUE(glib_s.nk_epoll_add(epfd, conn).ok());
-  ASSERT_TRUE(glib_s.nk_epoll_del(epfd, lfd).ok());
-
-  (void)glib_c.nk_send(cfd, buffer::pattern(100, 0));
-  rig.bed.run_for(milliseconds(100));
-  ready = glib_s.nk_epoll_wait(epfd);
-  bool conn_readable = false;
-  for (const auto& ev : ready) {
-    if (ev.fd == conn && ev.readable) conn_readable = true;
-  }
-  EXPECT_TRUE(conn_readable);
-}
-
 TEST(netkernel_guestlib, close_releases_mapping_and_chunks) {
   nk_pair rig;
   auto& glib_s = *rig.server.glib;
@@ -1051,74 +1016,94 @@ TEST(netkernel_sharding, four_shards_carry_traffic_and_sum_to_aggregate) {
   }
 }
 
-TEST(netkernel_sharding, rebalance_rehomes_quiescent_vm_and_traffic_survives) {
+// Flows never move between shards, so a flow's home shard is a pure
+// function of its identity: shm::flow_shard(vm, fd) for sockets the guest
+// created, and the minting shard's accept-fd range (1M fds per shard above
+// 0x80000000) for accepted children, which ServiceLib steered by
+// shm::nsm_shard(nsm, cid).
+TEST(netkernel_sharding, shard_of_is_the_steering_formula) {
   sharded_pair rig;
-  core_engine& ce = rig.bed.netkernel(side::a);
   auto& glib_s = *rig.server.glib;
   auto& glib_c = *rig.client.glib;
 
   const auto lfd = glib_s.nk_socket().value();
   ASSERT_TRUE(glib_s.nk_bind(lfd, 7000).ok());
   ASSERT_TRUE(glib_s.nk_listen(lfd).ok());
-  std::uint32_t sconn = 0;
+  std::vector<std::uint32_t> accepted;
   glib_s.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
                                errc) {
     if (fd == lfd && t == stack::socket_event_type::accept_ready) {
-      sconn = glib_s.nk_accept(lfd).value();
-    } else if (fd == sconn && t == stack::socket_event_type::readable) {
-      while (auto r = glib_s.nk_recv(sconn, 1 << 20)) {
-        (void)glib_s.nk_send(sconn, std::move(r).value());
-      }
+      while (auto r = glib_s.nk_accept(lfd)) accepted.push_back(r.value());
     }
   });
-
-  std::vector<std::uint32_t> fds;
-  for (int i = 0; i < 4; ++i) fds.push_back(glib_c.nk_socket().value());
-  buffer_chain echoed;
-  glib_c.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
-                               errc) {
-    if (t == stack::socket_event_type::readable) {
-      while (auto r = glib_c.nk_recv(fd, 1 << 20)) {
-        echoed.append(std::move(r).value());
-      }
-    }
-  });
-  ASSERT_TRUE(glib_c
-                  .nk_connect(fds[0],
-                              {rig.server.module->config().address, 7000})
-                  .ok());
+  std::vector<std::uint32_t> created;
+  for (int i = 0; i < 16; ++i) {
+    const auto fd = glib_c.nk_socket().value();
+    created.push_back(fd);
+    ASSERT_TRUE(
+        glib_c.nk_connect(fd, {rig.server.module->config().address, 7000})
+            .ok());
+  }
   rig.bed.run_for(milliseconds(100));
+  ASSERT_EQ(accepted.size(), created.size());
 
-  // Fresh sockets home on their steering hash.
-  const auto vm = rig.client.vm->id();
-  std::size_t away_from_1 = 0;
-  for (const auto fd : fds) {
-    const auto home = ce.shard_of(vm, fd);
-    ASSERT_TRUE(home.has_value());
-    EXPECT_EQ(*home, shm::flow_shard(vm, fd, ce.shards()));
-    if (*home != 1) ++away_from_1;
+  core_engine& ce_c = rig.bed.netkernel(side::a);
+  core_engine& ce_s = rig.bed.netkernel(side::b);
+  const std::size_t n = ce_c.shards();
+  ASSERT_EQ(n, 4u);
+
+  const auto vm_c = rig.client.vm->id();
+  std::set<std::size_t> homes;
+  for (const auto fd : created) {
+    const auto s = ce_c.shard_of(vm_c, fd);
+    ASSERT_TRUE(s.has_value()) << "fd " << fd;
+    EXPECT_EQ(*s, shm::flow_shard(vm_c, fd, n)) << "fd " << fd;
+    homes.insert(*s);
   }
-  ASSERT_GT(away_from_1, 0u);
+  EXPECT_GE(homes.size(), 2u);
 
-  // Quiescent now — re-home everything onto shard 1 (flows already living
-  // there are not re-moved).
-  const std::size_t moved = ce.rebalance_vm(vm, 1);
-  EXPECT_EQ(moved, away_from_1);
-  for (const auto fd : fds) {
-    EXPECT_EQ(ce.shard_of(vm, fd).value_or(99), 1u);
+  const auto vm_s = rig.server.vm->id();
+  EXPECT_EQ(ce_s.shard_of(vm_s, lfd), shm::flow_shard(vm_s, lfd, n));
+  homes.clear();
+  for (const auto fd : accepted) {
+    const auto s = ce_s.shard_of(vm_s, fd);
+    ASSERT_TRUE(s.has_value()) << "fd " << fd;
+    EXPECT_EQ(*s, (fd - 0x80000000u) / 0x00100000u) << "fd " << fd;
+    const auto mapped = ce_s.mapping_of(vm_s, fd);
+    ASSERT_TRUE(mapped.has_value()) << "fd " << fd;
+    EXPECT_EQ(*s, shm::nsm_shard(mapped->first, mapped->second, n))
+        << "fd " << fd;
+    homes.insert(*s);
   }
-  EXPECT_EQ(ce.metrics().value_of("shard_rebalances").value_or(0.0),
-            static_cast<double>(moved));
+  EXPECT_GE(homes.size(), 2u);
 
-  // The connected flow still works end to end on its new home shard.
-  ASSERT_TRUE(glib_c.nk_send(fds[0], buffer::pattern(50000, 3)).ok());
-  rig.bed.run_for(seconds(1));
-  ASSERT_EQ(echoed.size(), 50000u);
-  EXPECT_TRUE(echoed.pop(50000).matches_pattern(3));
+  // Unknown fds, including one past every shard's accept range, have no home.
+  EXPECT_FALSE(ce_c.shard_of(vm_c, 9999).has_value());
+  EXPECT_FALSE(ce_s.shard_of(vm_s, 0x80000000u + 4 * 0x00100000u).has_value());
 
-  // Rebalancing an unknown VM, or to an out-of-range shard, moves nothing.
-  EXPECT_EQ(ce.rebalance_vm(9999, 1), 0u);
-  EXPECT_EQ(ce.rebalance_vm(vm, 17), 0u);
+  // Detach the client mid-stream so every shard has in-flight nqes to
+  // discard. Per-shard drop accounting stays exact: every engine-side
+  // discard retired a live trace or was counted untraced, in the shard that
+  // discarded it.
+  for (const auto fd : created) {
+    ASSERT_TRUE(glib_c.nk_send(fd, buffer::pattern(256 * 1024, fd)).ok());
+  }
+  rig.bed.run_for(microseconds(200));
+  ce_c.detach_vm(vm_c);
+  rig.bed.run_for(milliseconds(10));
+  std::uint64_t discards = 0;
+  for (auto* ce : {&ce_c, &ce_s}) {
+    for (std::size_t s = 0; s < ce->shards(); ++s) {
+      const auto& st = ce->shard_stats(s);
+      const std::uint64_t lost = st.unroutable_nqes + st.nqes_dropped +
+                                 st.stale_nqes + st.rejected_nqes;
+      EXPECT_EQ(lost,
+                ce->shard_traces_dropped(s) + ce->shard_discards_untraced(s))
+          << "shard " << s;
+      discards += lost;
+    }
+  }
+  EXPECT_GT(discards, 0u);
 }
 
 TEST(netkernel_sharding, detach_vm_scrubs_every_shard) {

@@ -342,7 +342,7 @@ TEST(raw_ring_stat_refresh, refresh_flood_beyond_budget_rejected) {
   ASSERT_NE(ch, nullptr);
   auto& glib = *rig.target.glib;
 
-  const std::uint64_t burst = rig.engine().config().firewall.stat_refresh_burst;
+  const std::uint64_t burst = core_engine::stat_refresh_burst;
   const std::uint64_t extra = 8;
   const std::uint64_t version_before = ch->stats.version();
   for (std::uint64_t i = 0; i < burst + extra; ++i) {

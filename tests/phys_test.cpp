@@ -115,24 +115,6 @@ TEST(droptail_queue, does_not_mark_non_ect) {
   EXPECT_EQ(q.stats().ecn_marked, 0u);
 }
 
-TEST(red_queue, marks_proportionally_between_thresholds) {
-  rng random{7};
-  red_config cfg;
-  cfg.capacity_bytes = 1024 * 1024;
-  cfg.min_threshold_bytes = 10 * 1024;
-  cfg.max_threshold_bytes = 50 * 1024;
-  cfg.ewma_weight = 1.0;  // instantaneous averaging for the test
-  red_queue q{cfg, random};
-  // Fill to ~30 KB: in the marking band.
-  int marked = 0;
-  for (int i = 0; i < 200; ++i) {
-    net::packet p = make_packet(1430);
-    p.ip.ecn = net::ecn_codepoint::ect0;
-    if (q.offer(p) && p.ip.ecn == net::ecn_codepoint::ce) ++marked;
-  }
-  EXPECT_GT(q.stats().ecn_marked, 0u);
-}
-
 TEST(nic, duplex_attachment_delivers_both_ways) {
   sim::simulator s;
   link_config cfg;

@@ -1,6 +1,9 @@
 // netstack socket-layer tests: API errors, ports, UDP, events, RSTs.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "util/loopback.hpp"
 
 namespace nk::stack {
@@ -78,18 +81,37 @@ TEST(netstack_api, stats_count_connections) {
   EXPECT_EQ(net.b.stats().connections_accepted, 2u);
 }
 
-TEST(netstack_events, poll_mode_returns_queued_events) {
+TEST(netstack_events, queued_events_delivered_in_order_once_handler_set) {
   loopback net{lan_params()};
-  ASSERT_TRUE(net.b.tcp_listen(5001).ok());
+  const auto l1 = net.b.tcp_listen(5001).value();
+  const auto l2 = net.b.tcp_listen(5002).value();
+  const auto u = net.b.udp_open(6000).value();
+  const auto sender = net.a.udp_open().value();
+  // No handler on b: three distinguishable events queue up, in this order.
   (void)net.a.tcp_connect(net.addr_b(5001));
   net.run_for(milliseconds(10));
-  // No handler on b: events queue up for polling.
-  socket_event ev;
-  bool saw_accept = false;
-  while (net.b.poll_event(ev)) {
-    if (ev.type == socket_event_type::accept_ready) saw_accept = true;
-  }
-  EXPECT_TRUE(saw_accept);
+  (void)net.a.tcp_connect(net.addr_b(5002));
+  net.run_for(milliseconds(10));
+  ASSERT_TRUE(
+      net.a.udp_send_to(sender, net.addr_b(6000), buffer::pattern(64)).ok());
+  net.run_for(milliseconds(10));
+
+  std::vector<std::pair<socket_id, socket_event_type>> seen;
+  net.b.set_event_handler([&](const socket_event& ev) {
+    if (ev.type == socket_event_type::accept_ready ||
+        (ev.sock == u && ev.type == socket_event_type::readable)) {
+      seen.emplace_back(ev.sock, ev.type);
+    }
+  });
+  // Delivery runs from a fresh simulator event, not inside the setter.
+  EXPECT_TRUE(seen.empty());
+  net.run_for(milliseconds(1));
+  const std::vector<std::pair<socket_id, socket_event_type>> want{
+      {l1, socket_event_type::accept_ready},
+      {l2, socket_event_type::accept_ready},
+      {u, socket_event_type::readable},
+  };
+  EXPECT_EQ(seen, want);
 }
 
 TEST(netstack_events, handler_not_called_reentrantly) {
@@ -171,8 +193,8 @@ TEST(netstack_cpu, tx_cost_serializes_on_core) {
   netstack a{s, cfg_a, net::ipv4_addr::from_octets(10, 0, 0, 1)};
   netstack b{s, netstack_config{.name = "b"},
              net::ipv4_addr::from_octets(10, 0, 0, 2)};
-  a.bind_netdev(na);
-  b.bind_netdev(nb);
+  a.bind_nic(na);
+  b.bind_nic(nb);
   sim::cpu_core core{s, "tx0"};
   a.add_core(core);
 

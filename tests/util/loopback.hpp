@@ -27,8 +27,8 @@ struct loopback {
         b{sim, make_cfg("b", p.tcp_b), net::ipv4_addr::from_octets(10, 0, 0, 2)} {
     if (p.forward_loss >= 0.0) cable.forward().set_loss_rate(p.forward_loss);
     phys::attach_duplex(nic_a, nic_b, cable);
-    a.bind_netdev(nic_a);
-    b.bind_netdev(nic_b);
+    a.bind_nic(nic_a);
+    b.bind_nic(nic_b);
   }
 
   static stack::netstack_config make_cfg(const char* name,

@@ -106,6 +106,9 @@ net::packet tcb::make_segment(std::uint64_t seq_abs, net::tcp_flags flags,
 
 void tcb::emit_segment(net::packet p) {
   ++stats_.segments_sent;
+  // A CE mark is echoed on the next ACK-bearing segment only, whether that
+  // is a pure ACK or a reply carrying the ACK.
+  if (p.tcp().flags.ack) ece_pending_ = false;
   env_.emit(std::move(p));
 }
 
@@ -243,6 +246,9 @@ void tcb::transmit_range(std::uint64_t start, std::uint64_t end, bool rtx) {
     stats_.bytes_sent += payload.size();
   }
 
+  // Sending fresh payload after receiving some marks the flow interactive:
+  // later short requests hold their ACK for this side's reply to carry.
+  if (!rtx && !payload.empty() && stats_.bytes_received > 0) pingpong_ = true;
   emit_segment(make_segment(start, flags, std::move(payload)));
   if (flags.ack) {
     last_adv_wnd_ = advertised_window();
@@ -418,7 +424,6 @@ void tcb::send_ack_now() {
   net::tcp_flags flags;
   flags.ack = true;
   send_control(flags);
-  ece_pending_ = false;
 }
 
 void tcb::maybe_send_ack(bool immediate) {
@@ -428,8 +433,11 @@ void tcb::maybe_send_ack(bool immediate) {
     return;
   }
   if (!delack_timer_.pending()) {
-    delack_timer_ = env_.sim->schedule(cfg_.delayed_ack_timeout,
-                                       [this] { send_ack_now(); });
+    // The app did not reply in time: fall back to quick ACKs.
+    delack_timer_ = env_.sim->schedule(cfg_.delayed_ack_timeout, [this] {
+      pingpong_ = false;
+      send_ack_now();
+    });
   }
 }
 
@@ -478,7 +486,11 @@ void tcb::handle_payload(const net::packet& p, std::uint64_t seg_abs) {
       recvq_.append(std::move(ready));
       delivered_data = true;
     }
-    maybe_send_ack(out_of_order || h.flags.psh || h.flags.fin);
+    // PSH asks for a quick ACK, except a short segment on an interactive
+    // flow: its ACK waits for the reply (or the 2nd segment, or the timer).
+    const bool hold_for_reply = pingpong_ && p.payload.size() < cfg_.mss;
+    maybe_send_ack(out_of_order || h.flags.fin ||
+                   (h.flags.psh && !hold_for_reply));
   }
 
   if (h.flags.fin) {

@@ -2,11 +2,12 @@
 //
 // One tcb is one connection: handshake, ordered reliable byte stream with
 // flow control, NewReno loss recovery (fast retransmit / partial ACKs),
-// RFC 6298 RTO, delayed ACKs, optional Nagle, optional pacing (driven by
-// the congestion controller, e.g. BBR), ECN feedback for DCTCP, and full
-// close/TIME_WAIT handling. Sequence tracking is in absolute 64-bit stream
-// offsets (0 = SYN, 1 = first data byte); the wire carries 32-bit sequence
-// numbers via tcp/seq.hpp.
+// RFC 6298 RTO, delayed ACKs (held for the reply on request/response
+// flows), optional Nagle, optional pacing (driven by the congestion
+// controller, e.g. BBR), ECN feedback for DCTCP, and full close/TIME_WAIT
+// handling. Sequence tracking is in absolute 64-bit stream offsets (0 =
+// SYN, 1 = first data byte); the wire carries 32-bit sequence numbers via
+// tcp/seq.hpp.
 //
 // The tcb is transport only: demultiplexing, port allocation and listener
 // sockets live in stack/netstack.hpp.
@@ -50,6 +51,8 @@ struct tcp_config {
   std::size_t recv_buffer = 256 * 1024;
   cc_algorithm cc = cc_algorithm::cubic;
   bool nagle = false;  // bulk/RPC workloads here want it off
+  // Longest an ACK is held for a second segment or for the reply. Must stay
+  // below rto.min_rto, or the peer's RTO fires before a held ACK is sent.
   sim_time delayed_ack_timeout = milliseconds(25);
   int max_syn_retries = 6;
   rtt_estimator::config rto{};
@@ -233,6 +236,10 @@ class tcb {
   std::uint64_t fin_abs_ = 0;
   std::uint32_t last_adv_wnd_ = 0;
   std::uint32_t pending_ack_segments_ = 0;
+  // Request/response flow (Linux "pingpong" mode): set when fresh payload
+  // goes out after payload came in, cleared when the delayed-ACK timer
+  // fires. While set, short PSH segments get a delayed ACK.
+  bool pingpong_ = false;
   std::uint32_t last_ts_val_ = 0;   // peer timestamp to echo
   // Rotating window over held ranges; presentation state only, advanced
   // even when composing segments (hence mutable in const make_segment).

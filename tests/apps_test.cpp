@@ -136,6 +136,17 @@ INSTANTIATE_TEST_SUITE_P(both_architectures, api_conformance,
                                                              : "netkernel";
                          });
 
+// --- scenario presets --------------------------------------------------------------
+
+// A held ACK (delayed for a 2nd segment or for the reply) must reach the
+// peer before its RTO can fire.
+TEST(scenario, delayed_ack_timeout_stays_below_min_rto) {
+  for (const auto& cfg : {datacenter_tcp(tcp::cc_algorithm::cubic),
+                          wan_tcp(tcp::cc_algorithm::cubic)}) {
+    EXPECT_LT(cfg.delayed_ack_timeout, cfg.rto.min_rto);
+  }
+}
+
 // --- workload generators ---------------------------------------------------------
 
 TEST(workloads, bulk_sender_finishes_fixed_volume) {

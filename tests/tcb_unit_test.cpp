@@ -62,8 +62,9 @@ struct tcb_harness {
     return p;
   }
 
-  // Completes the three-way handshake as the active opener.
-  void establish() {
+  // Completes the three-way handshake as the active opener; `ecn` has the
+  // peer confirm ECN on its SYN-ACK.
+  void establish(bool ecn = false) {
     conn->connect();
     sim.run_until(sim.now() + microseconds(10));
     ASSERT_FALSE(sent.empty());
@@ -72,13 +73,14 @@ struct tcb_harness {
     net::tcp_flags synack;
     synack.syn = true;
     synack.ack = true;
+    synack.ece = ecn;
     conn->segment_arrived(peer_segment(0, 1, synack));
     sim.run_until(sim.now() + microseconds(10));
     ASSERT_TRUE(connected);
     sent.clear();
   }
 
-  net::packet last_sent() { return sent.back(); }
+  const net::packet& last_sent() const { return sent.back(); }
 
   sim::simulator sim;
   std::unique_ptr<tcb> conn;
@@ -303,6 +305,39 @@ TEST(tcb_ecn, dctcp_negotiates_and_echoes_ce) {
   ASSERT_TRUE(h.conn->send(buffer::pattern(100, 0)).ok());
   h.sim.run_until(h.sim.now() + microseconds(10));
   EXPECT_EQ(h.last_sent().ip.ecn, net::ecn_codepoint::ect0);
+}
+
+TEST(tcb_ecn, one_ce_mark_is_echoed_on_one_reply) {
+  tcp_config cfg = tcb_harness::make_cfg();
+  cfg.cc = cc_algorithm::dctcp;
+  tcb_harness h{cfg};
+  h.establish(/*ecn=*/true);
+  ASSERT_TRUE(h.conn->ecn_active());
+
+  // Ping-pong of 100 B requests and replies; only request 2 is CE-marked.
+  // From the first reply on, each reply carries the ACK of its request, so
+  // no pure ACK ever clears the pending echo.
+  constexpr std::uint64_t size = 100;
+  int echoed = 0;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    net::tcp_flags flags;
+    flags.ack = true;
+    flags.psh = true;
+    auto req = h.peer_segment(1 + size * i, 1 + size * i, flags,
+                              buffer::pattern(size, size * i));
+    if (i == 2) req.ip.ecn = net::ecn_codepoint::ce;
+    h.sent.clear();
+    h.conn->segment_arrived(req);
+    ASSERT_EQ(h.conn->receive(size).size(), size);
+    ASSERT_TRUE(h.conn->send(buffer::pattern(size, size * i)).ok());
+    h.sim.run_until(h.sim.now() + microseconds(10));
+    ASSERT_FALSE(h.sent.empty());
+    const auto& reply = h.last_sent();
+    ASSERT_EQ(reply.payload.size(), size);
+    EXPECT_EQ(reply.tcp().flags.ece, i == 2) << "reply " << i;
+    for (const auto& p : h.sent) echoed += p.tcp().flags.ece ? 1 : 0;
+  }
+  EXPECT_EQ(echoed, 1);
 }
 
 TEST(tcb_ecn, plain_cubic_does_not_negotiate) {

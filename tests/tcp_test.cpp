@@ -308,8 +308,152 @@ TEST(tcp_acks, delayed_acks_reduce_ack_traffic) {
   net.run_for(milliseconds(100));
 
   const auto& tx = net.a.tcb_of(conn)->stats();
-  // Received ACK segments should be well under one per data segment.
+  // Every data segment carries PSH and this flow is one-way, so the receiver
+  // ACKs each one: the sender's two handshake segments (SYN, ACK) against
+  // the one SYN-ACK it receives keep it exactly one segment ahead.
   EXPECT_LT(tx.segments_received, tx.segments_sent);
+}
+
+// Echo peer on `st` at `port`: reads every request and, while `answer` is
+// set, writes it straight back.
+struct echo_state {
+  stack::socket_id listener = 0;
+  stack::socket_id conn = 0;
+  bool answer = true;
+  sim_time last_request_at{};  // when the latest request became readable
+};
+
+void install_echo(stack::netstack& st, const sim::simulator& sim,
+                  std::uint16_t port, echo_state& state) {
+  state.listener = st.tcp_listen(port).value();
+  st.set_event_handler([&st, &sim, &state](const stack::socket_event& ev) {
+    if (ev.type == socket_event_type::accept_ready) {
+      if (auto r = st.accept(state.listener)) state.conn = r.value();
+      return;
+    }
+    if (ev.type != socket_event_type::readable || ev.sock != state.conn) {
+      return;
+    }
+    while (auto r = st.recv(state.conn, 1 << 20)) {
+      state.last_request_at = sim.now();
+      if (state.answer) {
+        ASSERT_TRUE(st.send(state.conn, std::move(r).value()).ok());
+      }
+    }
+  });
+}
+
+// Segments a side sends besides its requests or replies: SYN and handshake
+// ACK (or the SYN-ACK), a quick ACK in the first exchange, before the flow
+// is known to be interactive, and the timed-out ACK of the last reply.
+constexpr std::uint64_t overhead_segments = 4;
+
+TEST(tcp_acks, echo_replies_carry_the_acks) {
+  loopback net{lan_params()};
+  echo_state echo;
+  install_echo(net.b, net.sim, 5001, echo);
+  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+
+  constexpr int exchanges = 100;
+  constexpr std::size_t request_size = 64;
+  int sent = 0;
+  buffer_chain replies;
+  const auto send_next = [&] {
+    ASSERT_TRUE(net.a.send(conn, buffer::pattern(request_size,
+                                                 request_size * sent))
+                    .ok());
+    ++sent;
+  };
+  net.a.set_event_handler([&](const stack::socket_event& ev) {
+    if (ev.sock != conn) return;
+    if (ev.type == socket_event_type::connected) {
+      send_next();
+      return;
+    }
+    if (ev.type != socket_event_type::readable) return;
+    while (auto r = net.a.recv(conn, 1 << 20)) {
+      replies.append(std::move(r).value());
+    }
+    if (replies.size() < request_size * sent) return;
+    if (sent < exchanges) send_next();
+  });
+  net.run_for(milliseconds(100));
+
+  ASSERT_EQ(sent, exchanges);
+  ASSERT_EQ(replies.size(), request_size * exchanges);
+  EXPECT_TRUE(replies.pop(request_size * exchanges).matches_pattern(0));
+  // Each reply carries the ACK of its request and each next request the
+  // ACK of the reply: no pure ACK per exchange in either direction.
+  const auto& client = net.a.tcb_of(conn)->stats();
+  const auto& server = net.b.tcb_of(echo.conn)->stats();
+  EXPECT_LE(client.segments_sent, exchanges + overhead_segments);
+  EXPECT_LE(server.segments_sent, exchanges + overhead_segments);
+  EXPECT_EQ(client.rtos, 0u);
+  EXPECT_EQ(server.rtos, 0u);
+}
+
+TEST(tcp_acks, unanswered_request_is_acked_after_the_timeout) {
+  const auto params = lan_params();
+  const sim_time timeout = params.tcp_b.delayed_ack_timeout;
+  loopback net{params};
+  echo_state echo;
+  install_echo(net.b, net.sim, 5001, echo);
+  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  net.run_for(milliseconds(5));
+
+  // Two answered exchanges: the server has replied, so its flow is
+  // interactive.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(net.a.send(conn, buffer::pattern(64, 64ull * i)).ok());
+    net.run_for(milliseconds(5));
+  }
+  const auto& client = net.a.tcb_of(conn)->stats();
+  const auto& server = net.b.tcb_of(echo.conn)->stats();
+  const std::uint64_t acked_before = client.bytes_acked;
+
+  // The app never answers this request: its ACK goes out exactly one
+  // delayed-ACK timeout after the request arrived.
+  echo.answer = false;
+  ASSERT_TRUE(net.a.send(conn, buffer::pattern(64, 128)).ok());
+  net.run_for(microseconds(100));
+  const sim_time arrived = echo.last_request_at;
+  const std::uint64_t sent_before = server.segments_sent;
+  net.sim.run_until(arrived + timeout - nanoseconds(1));
+  EXPECT_EQ(server.segments_sent, sent_before);
+  net.sim.run_until(arrived + timeout);
+  EXPECT_EQ(server.segments_sent, sent_before + 1);
+  net.run_for(milliseconds(10));
+  EXPECT_EQ(client.bytes_acked, acked_before + 64);
+  EXPECT_EQ(client.rtos, 0u);
+
+  // The timer put the server back on quick ACKs: the next request is ACKed
+  // on arrival, well inside the timeout.
+  ASSERT_TRUE(net.a.send(conn, buffer::pattern(64, 192)).ok());
+  net.run_for(microseconds(100));
+  EXPECT_EQ(server.segments_sent, sent_before + 2);
+  EXPECT_EQ(client.bytes_acked, acked_before + 128);
+}
+
+TEST(tcp_acks, one_way_bulk_acks_every_segment) {
+  const auto params = lan_params();
+  loopback net{params};
+  sink_state sink;
+  install_sink(net.b, 5001, sink);
+  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  net.run_for(milliseconds(5));
+  constexpr std::size_t total = 200000;
+  ASSERT_TRUE(net.a.send(conn, buffer::pattern(total, 0)).ok());
+  net.run_for(milliseconds(100));
+  ASSERT_EQ(sink.received.size(), total);
+
+  // The receiver never replies, so every PSH data segment is ACKed at once.
+  const std::uint64_t data_segments =
+      (total + params.tcp_a.mss - 1) / params.tcp_a.mss;
+  const auto& rx = net.b.tcb_of(sink.conn)->stats();
+  // The listener consumes the SYN; the tcb counts the handshake ACK and
+  // sends the SYN-ACK.
+  EXPECT_EQ(rx.segments_received, 1 + data_segments);
+  EXPECT_EQ(rx.segments_sent, 1 + data_segments);
 }
 
 TEST(tcp_nagle, coalesces_small_writes) {

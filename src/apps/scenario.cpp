@@ -38,8 +38,6 @@ testbed_params datacenter_params(std::uint64_t seed) {
   p.wire.queue.capacity_bytes = 2 * 1024 * 1024;
   p.host_a.name = "host-a";
   p.host_b.name = "host-b";
-  p.host_a.cores = 16;
-  p.host_b.cores = 16;
   return p;
 }
 
@@ -53,8 +51,6 @@ testbed_params wan_params(std::uint64_t seed, double loss_rate) {
   p.wire.queue.capacity_bytes = 384 * 1024;
   p.host_a.name = "server-bj";
   p.host_b.name = "client-ca";
-  p.host_a.cores = 16;
-  p.host_b.cores = 16;
   return p;
 }
 

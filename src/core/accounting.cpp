@@ -11,9 +11,7 @@ nsm_usage measure(core_engine& engine, nsm& module, sim_time now,
   nsm_usage usage;
   usage.wall_time = now;  // NSMs are created at t=0 in our experiments
   usage.core_count = static_cast<int>(module.cores().size());
-  for (auto* core : module.cores()) {
-    if (core != nullptr) usage.cpu_busy += core->busy_time();
-  }
+  for (auto* core : module.cores()) usage.cpu_busy += core->busy_time();
   usage.memory_bytes = module.profile().memory_bytes;
   if (const service_lib* service = engine.service_of(module.id())) {
     usage.bytes_moved =

@@ -43,18 +43,17 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
   tracer_.set_flight_recorder(&recorder_);
 
   // Build the shard array: one partition of the mapping table per shard,
-  // each with its own core from the host pool (nullptr-tolerant — a shard
-  // without a core forwards at zero modeled cost, as before).
+  // each with its own core from the host pool.
   const std::size_t n_shards = cfg_.shards == 0 ? 1 : cfg_.shards;
   shards_.resize(n_shards);
   for (std::size_t s = 0; s < n_shards; ++s) {
     shards_[s].index = s;
-    shards_[s].core = host.allocate_core();
+    shards_[s].core = &host.allocate_core();
     // Rename shard cores for profiler attribution (safe: the profiler
     // caches a core's name at its first charge, and a freshly allocated
     // pool core has executed nothing). The single-shard engine keeps the
     // pool name so existing profiles stay stable.
-    if (n_shards > 1 && shards_[s].core != nullptr) {
+    if (n_shards > 1) {
       shards_[s].core->set_name("engine/shard" + std::to_string(s));
     }
   }
@@ -103,10 +102,10 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
       d += static_cast<double>(svc->stats().nqes_deferred);
     }
     for (const auto& [vm, att] : attachments_) {
-      if (att.glib) d += static_cast<double>(att.glib->stats().jobs_deferred);
+      d += static_cast<double>(att.glib->stats().jobs_deferred);
     }
     for (const auto& att : retired_attachments_) {
-      if (att.glib) d += static_cast<double>(att.glib->stats().jobs_deferred);
+      d += static_cast<double>(att.glib->stats().jobs_deferred);
     }
     return d;
   });
@@ -170,10 +169,10 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
   metrics_.register_gauge_fn("engine_pool_bad_frees", [this] {
     std::uint64_t n = 0;
     for (const auto& [vm, att] : attachments_) {
-      if (att.ch) n += att.ch->pool.bad_frees();
+      n += att.ch->pool.bad_frees();
     }
     for (const auto& att : retired_attachments_) {
-      if (att.ch) n += att.ch->pool.bad_frees();
+      n += att.ch->pool.bad_frees();
     }
     return static_cast<double>(n);
   });
@@ -183,33 +182,27 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
   metrics_.register_gauge_fn("engine_pool_resident_bytes", [this] {
     std::size_t n = 0;
     for (const auto& [vm, att] : attachments_) {
-      if (att.ch) n += att.ch->pool.resident_bytes();
+      n += att.ch->pool.resident_bytes();
     }
     for (const auto& att : retired_attachments_) {
-      if (att.ch) n += att.ch->pool.resident_bytes();
+      n += att.ch->pool.resident_bytes();
     }
     return static_cast<double>(n);
   });
   metrics_.register_gauge_fn("engine_ops_timed_out", [this] {
     double d = 0.0;
     for (const auto& [vm, att] : attachments_) {
-      if (att.glib) d += static_cast<double>(att.glib->stats().ops_timed_out);
+      d += static_cast<double>(att.glib->stats().ops_timed_out);
     }
     for (const auto& att : retired_attachments_) {
-      if (att.glib) d += static_cast<double>(att.glib->stats().ops_timed_out);
+      d += static_cast<double>(att.glib->stats().ops_timed_out);
     }
     return d;
   });
   metrics_.register_gauge_fn("engine_core_utilization", [this] {
     double util = 0.0;
-    int cores = 0;
-    for (const auto& sh : shards_) {
-      if (sh.core != nullptr) {
-        util += sh.core->utilization();
-        ++cores;
-      }
-    }
-    return cores > 0 ? util / cores : 0.0;
+    for (const auto& sh : shards_) util += sh.core->utilization();
+    return util / static_cast<double>(shards_.size());
   });
   // Per-shard observability only materializes for a sharded engine; the
   // default single-shard engine keeps its metric namespace unchanged.
@@ -240,12 +233,10 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
       metrics_.register_gauge_fn(p + "_discards_untraced", [this, s] {
         return static_cast<double>(shards_[s].discards_untraced);
       });
-      if (shards_[s].core != nullptr) {
-        metrics_.register_gauge_fn(p + "_core_utilization",
-                                   [c = shards_[s].core] {
-                                     return c->utilization();
-                                   });
-      }
+      metrics_.register_gauge_fn(p + "_core_utilization",
+                                 [c = shards_[s].core] {
+                                   return c->utilization();
+                                 });
       series_.track(p + "_nqes_forwarded");
     }
   }
@@ -334,7 +325,7 @@ void core_engine::publish_stat_pages() {
     // A VM attached under an active quarantine gets no fresh telemetry:
     // its frozen terminal page (on the retired channel) stays the last
     // word until parole.
-    if (att.abuse != nullptr && att.abuse->level == abuse_level::quarantined) {
+    if (att.abuse->level == abuse_level::quarantined) {
       continue;
     }
     publish_stat_page(att);
@@ -343,7 +334,6 @@ void core_engine::publish_stat_pages() {
 
 void core_engine::publish_stat_page(attachment& att, bool freeze) {
   NK_PROF("core_engine", "stat_publish");
-  if (!att.ch || att.vm == nullptr || att.module == nullptr) return;
   const virt::vm_id vm = att.vm->id();
   shm::stat_snapshot snap;
 
@@ -401,12 +391,10 @@ void core_engine::publish_stat_page(attachment& att, bool freeze) {
     snap.vm.staged_jobs += ln.stage->to_nsm.size();
     snap.vm.staged_completions += ln.stage->to_vm_depth();
   }
-  if (att.glib) {
-    const guest_lib_stats& gs = att.glib->stats();
-    snap.vm.staged_jobs += att.glib->deferred_jobs();
-    snap.vm.send_would_block = gs.send_blocked;
-    snap.vm.recv_would_block = gs.recv_blocked;
-  }
+  const guest_lib_stats& gs = att.glib->stats();
+  snap.vm.staged_jobs += att.glib->deferred_jobs();
+  snap.vm.send_would_block = gs.send_blocked;
+  snap.vm.recv_would_block = gs.recv_blocked;
   snap.vm.pool_chunks_free = att.ch->pool.chunks_free();
   snap.vm.cycle_budget_used = sla_.cycles_used(vm, sim_.now());
   snap.vm.chunk_quota_used = att.ch->pool.chunks_held();
@@ -415,9 +403,7 @@ void core_engine::publish_stat_page(attachment& att, bool freeze) {
   // row (plus one for the aggregates) to the engine's control core, so the
   // ≤2% overhead gate in bench/ablate_tenant_stats measures a modeled
   // cost, not a free lunch.
-  if (sim::cpu_core* core = shards_[0].core) {
-    core->execute(cfg_.costs.nqe_copy * static_cast<int>(rows + 1), [] {});
-  }
+  shards_[0].core->charge(cfg_.costs.nqe_copy * static_cast<int>(rows + 1));
   att.ch->stats.publish(snap);
   ++stat_publishes_;
 }
@@ -435,7 +421,7 @@ nsm& core_engine::create_nsm(const nsm_config& cfg) {
   auto module = std::make_unique<nsm>(host_, next_nsm_id_++, cfg);
   nsm& ref = *module;
   auto service = std::make_unique<service_lib>(
-      ref, sim_, cfg_.costs, cfg_.notification, &tracer_, cfg_.overflow_limit,
+      ref, sim_, cfg_.costs, cfg_.notification, tracer_, cfg_.overflow_limit,
       sla_);
   service->start();
   services_[ref.id()] = std::move(service);
@@ -445,14 +431,8 @@ nsm& core_engine::create_nsm(const nsm_config& cfg) {
   const std::string p = "nsm" + std::to_string(ref.id());
   metrics_.register_gauge_fn(p + "_core_utilization", [m = &ref] {
     double util = 0.0;
-    int cores = 0;
-    for (auto* core : m->cores()) {
-      if (core != nullptr) {
-        util += core->utilization();
-        ++cores;
-      }
-    }
-    return cores > 0 ? util / cores : 0.0;
+    for (auto* core : m->cores()) util += core->utilization();
+    return util / static_cast<double>(m->cores().size());
   });
   ref.stack().register_metrics(metrics_, p + "_stack");
   ref.transport().register_metrics(metrics_, p + "_transport");
@@ -526,7 +506,7 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
   });
 
   att.glib = std::make_unique<guest_lib>(vm, *ch, *this, cfg_.costs,
-                                         cfg_.notification, &tracer_,
+                                         cfg_.notification, tracer_,
                                          cfg_.guest);
 
   for (auto& ln : att.lanes) {
@@ -663,7 +643,7 @@ void core_engine::push_to_vm(attachment& att, std::size_t s,
                              shm::staged_lane& lane, const shm::nqe& e) {
   if (!push_staged(att, s, lane, e)) return;
   att.ch->count_nsm_to_vm(s);
-  if (att.glib) att.glib->notify();
+  att.glib->notify();
 }
 
 // --- VM -> NSM direction ---------------------------------------------------------
@@ -709,14 +689,14 @@ std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
   }
   shm::nqe e;
   std::size_t popped = 0;
-  sim::cpu_core* core = shards_[s].core;
+  sim::cpu_core& core = *shards_[s].core;
   bool gated = false;
   // Stop accepting new work once the stage is at the limit — the job ring
   // then fills and GuestLib's would_block machinery pushes back on the app.
   // Likewise once the shard core's copy backlog passes the bound: further
   // pops would just park nqes in its infinite FIFO, hiding the pressure.
   while (n < batch && stage.size() < cfg_.overflow_limit) {
-    if (core != nullptr && core->backlog() > pump_backlog_bound) {
+    if (core.backlog() > pump_backlog_bound) {
       gated = true;
       break;
     }
@@ -735,18 +715,14 @@ std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
     tracer_.stamp(e.reserved, obs::nqe_stage::vm_job_dwell);
     // The copy between queue sets costs ~12 ns on this shard's core
     // (paper §4.2); translation happens in FIFO order on that core.
-    if (core != nullptr) {
-      core->execute(cfg_.costs.nqe_copy, [this, id = att.vm->id(), s, e] {
-        if (auto it = attachments_.find(id); it != attachments_.end()) {
-          forward_to_nsm(it->second, s, e);
-        }
-      });
-    } else {
-      forward_to_nsm(att, s, e);
-    }
+    core.execute(cfg_.costs.nqe_copy, [this, id = att.vm->id(), s, e] {
+      if (auto it = attachments_.find(id); it != attachments_.end()) {
+        forward_to_nsm(it->second, s, e);
+      }
+    });
   }
   // Job-ring slots opened up: GuestLib may have deferred ops to flush.
-  if (popped > 0 && att.glib) att.glib->notify();
+  if (popped > 0) att.glib->notify();
   if (gated) schedule_shard_redrain(s);
   return n;
 }
@@ -871,11 +847,11 @@ std::size_t core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
   n += stage.receive.flush();
   if (n > 0) {
     att.ch->count_nsm_to_vm(s, n);
-    if (att.glib) att.glib->notify();
+    att.glib->notify();
   }
   shm::nqe e;
   std::size_t popped = 0;
-  sim::cpu_core* core = shards_[s].core;
+  sim::cpu_core& core = *shards_[s].core;
   bool gated = false;
   // Completions first, then events; the shard core keeps this order
   // downstream. The same backlog gate as the forward pump applies: past the
@@ -885,7 +861,7 @@ std::size_t core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
     shm::nqe_queue& ring =
         receive ? att.ch->nsm_q(s).receive : att.ch->nsm_q(s).completion;
     while (n < drain_batch && stage.to_vm_depth() < cfg_.overflow_limit) {
-      if (core != nullptr && core->backlog() > pump_backlog_bound) {
+      if (core.backlog() > pump_backlog_bound) {
         gated = true;
         break;
       }
@@ -893,17 +869,13 @@ std::size_t core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
       ++n;
       ++popped;
       tracer_.stamp(e.reserved, obs::nqe_stage::nsm_out_dwell);
-      if (core != nullptr) {
-        core->execute(cfg_.costs.nqe_copy,
-                      [this, id = att.vm->id(), s, e, receive] {
-                        if (auto it = attachments_.find(id);
-                            it != attachments_.end()) {
-                          forward_to_vm(it->second, s, e, receive);
-                        }
-                      });
-      } else {
-        forward_to_vm(att, s, e, receive);
-      }
+      core.execute(cfg_.costs.nqe_copy,
+                   [this, id = att.vm->id(), s, e, receive] {
+                     if (auto it = attachments_.find(id);
+                         it != attachments_.end()) {
+                       forward_to_vm(it->second, s, e, receive);
+                     }
+                   });
     }
   }
   // NSM-ring slots opened up: ServiceLib may have staged output to flush.
@@ -916,7 +888,7 @@ std::size_t core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
 
 void core_engine::schedule_shard_redrain(std::size_t s) {
   engine_shard& sh = shards_[s];
-  if (sh.redrain_pending || sh.core == nullptr) return;
+  if (sh.redrain_pending) return;
   sh.redrain_pending = true;
   // Wake once the committed copy work clears. Under polling pumps this is
   // belt-and-braces (they re-poll anyway); under batched_interrupt it is
@@ -1109,7 +1081,7 @@ void core_engine::reject_nqe(attachment& att, std::size_t s,
   engine_shard& sh = shards_[s];
   ++sh.stats.rejected_nqes;
   ++sh.rejected_reason[static_cast<std::size_t>(r)];
-  if (att.abuse) ++att.abuse->rejected;
+  ++att.abuse->rejected;
   drop_trace(sh, e.reserved);
   // A descriptor the pool vouches for still pins a chunk (a valid desc on
   // the wrong op, or on a forged fd): recycle it or the pool leaks. An
@@ -1122,7 +1094,7 @@ void core_engine::reject_nqe(attachment& att, std::size_t s,
   // hostile) guest gets an addressable error. Escalated tenants get
   // silence — error feedback would let an attacker meter the firewall, and
   // it bounds the receive-lane growth a rejection storm can cause.
-  if (att.abuse == nullptr || att.abuse->level <= abuse_level::warn) {
+  if (att.abuse->level <= abuse_level::warn) {
     deliver_error_to_vm(att, s, e.handle,
                         r == reject_reason::badfd ? errc::not_found
                                                   : errc::permission_denied);
@@ -1131,7 +1103,6 @@ void core_engine::reject_nqe(attachment& att, std::size_t s,
 }
 
 void core_engine::record_violation(attachment& att) {
-  if (att.abuse == nullptr) return;
   abuse_state& ab = *att.abuse;
   ++ab.violations;
   if (ab.level == abuse_level::quarantined) return;
@@ -1165,17 +1136,17 @@ void core_engine::quarantine_vm(virt::vm_id vm, std::string reason) {
   auto it = attachments_.find(vm);
   if (it == attachments_.end()) return;
   attachment& att = it->second;
-  if (att.abuse) att.abuse->level = abuse_level::quarantined;
+  att.abuse->level = abuse_level::quarantined;
   const sim_time now = sim_.now();
   quarantine_record rec;
   rec.vm = vm;
-  rec.module = att.module != nullptr ? att.module->id() : 0;
+  rec.module = att.module->id();
   rec.at = now;
   rec.readmit_at = cfg_.firewall.probation > sim_time::zero()
                        ? now + cfg_.firewall.probation
                        : sim_time::zero();
   rec.reason = std::move(reason);
-  rec.violations = att.abuse ? att.abuse->violations : 0;
+  rec.violations = att.abuse->violations;
   metrics_.get_counter("vms_quarantined").inc();
   recorder_.note(rec.module, 0,
                  "vm " + std::to_string(vm) + " quarantined: " + rec.reason,
@@ -1191,7 +1162,7 @@ void core_engine::quarantine_vm(virt::vm_id vm, std::string reason) {
   // everything in rings, stages and mapping tables, but not the chunks
   // GuestLib holds internally (receive buffers, deferred submissions) —
   // those are freed guest-side here, with errors raised to the apps.
-  if (att.glib) att.glib->abort_all(errc::nsm_reset);
+  att.glib->abort_all(errc::nsm_reset);
   quarantine_log_.push_back(std::move(rec));
   detach_vm(vm);
 }
@@ -1209,11 +1180,9 @@ bool core_engine::readmit_vm(virt::vm_id vm) {
   log_info("core_engine: readmitted vm ", vm);
   if (auto it = attachments_.find(vm); it != attachments_.end()) {
     attachment& att = it->second;
-    if (att.abuse) {
-      att.abuse->level = abuse_level::ok;
-      att.abuse->throttled_violations = 0;
-      att.abuse->budget = make_violation_budget();
-    }
+    att.abuse->level = abuse_level::ok;
+    att.abuse->throttled_violations = 0;
+    att.abuse->budget = make_violation_budget();
     for (auto& ln : att.lanes) ln.vm_to_nsm->notify();
   }
   return true;
@@ -1240,7 +1209,7 @@ bool core_engine::quarantined(virt::vm_id vm) const {
 
 abuse_level core_engine::abuse_level_of(virt::vm_id vm) const {
   auto it = attachments_.find(vm);
-  if (it == attachments_.end() || !it->second.abuse) {
+  if (it == attachments_.end()) {
     return quarantined(vm) ? abuse_level::quarantined : abuse_level::ok;
   }
   return it->second.abuse->level;
@@ -1254,7 +1223,7 @@ void core_engine::detach_vm(virt::vm_id vm) {
     ln.vm_to_nsm->stop();
     ln.nsm_to_vm->stop();
   }
-  if (att.glib) att.glib->stop();
+  att.glib->stop();
   if (auto* service = service_of(att.module->id())) {
     service->detach_channel(vm);
   }
@@ -1354,7 +1323,7 @@ void core_engine::try_planned_switch(nsm_id old_id, nsm_id new_id,
   service_lib* old_service = service_of(old_id);
   bool stages_clear = true;
   for (const auto& [vm, att] : attachments_) {
-    if (att.module == nullptr || att.module->id() != old_id) continue;
+    if (att.module->id() != old_id) continue;
     for (const auto& ln : att.lanes) {
       if (!ln.stage->to_nsm.empty()) {
         stages_clear = false;
@@ -1427,7 +1396,7 @@ void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
   std::uint64_t recovered = 0;
   std::uint64_t aborted = 0;
   for (auto& [vm, att] : attachments_) {
-    if (att.module == nullptr || att.module->id() != old_id) continue;
+    if (att.module->id() != old_id) continue;
 
     // New incarnation: bump the epoch so anything still stamped with the
     // old one — staged jobs here, queued jobs on the NSM side, undrained

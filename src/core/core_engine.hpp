@@ -87,9 +87,8 @@ struct core_engine_config {
   // accepting new work from the upstream ring, and the hard cap beyond
   // which droppable (pure-data) nqes are discarded with accounting.
   std::size_t overflow_limit = 1024;
-  // Engine shards (multi-queue CoreEngine). Each shard beyond the first
-  // allocates another core from the host pool (nullptr-tolerant: with the
-  // pool exhausted the shard forwards at zero modeled cost).
+  // Engine shards (multi-queue CoreEngine). Each shard allocates its own
+  // core from the host pool.
   std::size_t shards = 1;
   // Hostile-tenant hardening at the guest/provider boundary.
   firewall_config firewall{};
@@ -401,7 +400,7 @@ class core_engine {
   // joins, detach, failover) ever looks across shards.
   struct engine_shard {
     std::size_t index = 0;
-    sim::cpu_core* core = nullptr;
+    sim::cpu_core* core = nullptr;  // never null once constructed
     std::unordered_map<flow_key, flow_entry, flow_key_hash> by_flow;
     std::unordered_map<nsm_key, flow_key, nsm_key_hash> by_nsm;
     core_engine_stats stats;
@@ -445,6 +444,7 @@ class core_engine {
     bool throttle_wake_pending = false;      // one wake timer at a time
   };
 
+  // attach_vm sets every pointer member; none is ever null afterwards.
   struct attachment {
     virt::machine* vm = nullptr;
     nsm* module = nullptr;

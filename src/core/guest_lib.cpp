@@ -15,7 +15,7 @@ constexpr std::size_t drain_batch = 128;
 
 guest_lib::guest_lib(virt::machine& vm, channel& ch, core_engine& engine,
                      const netkernel_costs& costs, const notify_config& ncfg,
-                     obs::nqe_tracer* tracer, const guest_lib_config& cfg)
+                     obs::nqe_tracer& tracer, const guest_lib_config& cfg)
     : vm_{vm},
       ch_{ch},
       engine_{engine},
@@ -35,10 +35,7 @@ guest_lib::~guest_lib() = default;
 
 sim::cpu_core* guest_lib::pick_core() {
   const auto& cores = vm_.vcpus();
-  if (cores.empty()) return nullptr;
-  sim::cpu_core* core = cores[next_core_ % cores.size()];
-  ++next_core_;
-  return core;
+  return cores[next_core_++ % cores.size()];
 }
 
 guest_lib::g_socket* guest_lib::socket_of(std::uint32_t fd) {
@@ -56,20 +53,14 @@ void guest_lib::submit(const g_socket& gs, shm::nqe e, sim_time extra_cost) {
   ++stats_.ops_issued;
   e.owner = vm_.id();
   const sim_time cost = costs_.guestlib_per_op + extra_cost;
-  if (gs.core != nullptr) {
-    gs.core->execute(cost, [this, e, s = gs.shard] { enqueue_job(s, e); });
-    return;
-  }
-  enqueue_job(gs.shard, e);
+  gs.core->execute(cost, [this, e, s = gs.shard] { enqueue_job(s, e); });
 }
 
 void guest_lib::enqueue_job(std::size_t shard, shm::nqe e) {
   // Trace begins at the moment the nqe is bound for the VM-side job queue
   // (after the GuestLib interception cost), whether it lands on the ring
   // immediately or waits in the lane's stage.
-  if (tracer_ != nullptr) {
-    tracer_->maybe_begin(e, /*reverse=*/false, vm_.id(), ch_.nsm);
-  }
+  tracer_.maybe_begin(e, /*reverse=*/false, vm_.id(), ch_.nsm);
   // Uncapped: jobs are never dropped; lane_backlogged gates the app instead.
   if (job_lanes_[shard].push(e, shm::staged_lane::no_cap) ==
       shm::push_result::ring) {
@@ -298,7 +289,7 @@ result<buffer> guest_lib::nk_recv(std::uint32_t fd, std::size_t max) {
     out.insert(out.end(), span.value().begin(), span.value().end());
 
     // Charge the copy out of the huge pages to this socket's vcpu.
-    if (gs->core != nullptr) gs->core->execute(costs_.memcpy_cost(take), [] {});
+    gs->core->charge(costs_.memcpy_cost(take));
 
     item.consumed += take;
     gs->rx_bytes -= take;
@@ -380,9 +371,7 @@ result<std::pair<net::socket_addr, buffer>> guest_lib::nk_udp_recv_from(
   auto span = ch_.pool.readable(item.desc);
   if (!span) return span.error();
   buffer data = buffer::copy_of(span.value());
-  if (gs->core != nullptr) {
-    gs->core->execute(costs_.memcpy_cost(data.size()), [] {});
-  }
+  gs->core->charge(costs_.memcpy_cost(data.size()));
   stats_.bytes_received += data.size();
   free_chunk(item.desc);
   return std::make_pair(item.from, std::move(data));
@@ -525,9 +514,9 @@ std::size_t guest_lib::drain() {
       while (popped < drain_batch && ring->pop(e)) {
         ++popped;
         ++lane_popped;
-        if (tracer_ != nullptr && e.reserved != 0) {
-          tracer_->stamp(e.reserved, obs::nqe_stage::vm_out_dwell);
-          tracer_->finish(e.reserved);
+        if (e.reserved != 0) {
+          tracer_.stamp(e.reserved, obs::nqe_stage::vm_out_dwell);
+          tracer_.finish(e.reserved);
         }
         handle_nqe(e, s);
       }

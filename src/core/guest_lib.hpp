@@ -84,8 +84,7 @@ class guest_lib {
  public:
   guest_lib(virt::machine& vm, channel& ch, core_engine& engine,
             const netkernel_costs& costs, const notify_config& ncfg,
-            obs::nqe_tracer* tracer = nullptr,
-            const guest_lib_config& cfg = {});
+            obs::nqe_tracer& tracer, const guest_lib_config& cfg = {});
   ~guest_lib();
 
   guest_lib(const guest_lib&) = delete;
@@ -199,7 +198,7 @@ class guest_lib {
     bool eof = false;
     bool closed_reported = false;
     errc err = errc::ok;
-    sim::cpu_core* core = nullptr;
+    sim::cpu_core* core = nullptr;  // the vCPU this socket's work runs on
     bool writable_blocked = false;
     net::socket_addr remote{};    // connect target (deadline resubmission)
     int connect_attempts = 0;     // req_connect submissions so far
@@ -238,6 +237,7 @@ class guest_lib {
                   errc error = errc::ok);
   [[nodiscard]] g_socket* socket_of(std::uint32_t fd);
   [[nodiscard]] const g_socket* socket_of(std::uint32_t fd) const;
+  // Round-robin over the VM's vCPUs (a VM has at least one).
   [[nodiscard]] sim::cpu_core* pick_core();
 
   virt::machine& vm_;
@@ -245,7 +245,7 @@ class guest_lib {
   core_engine& engine_;
   netkernel_costs costs_;
   guest_lib_config cfg_;
-  obs::nqe_tracer* tracer_ = nullptr;
+  obs::nqe_tracer& tracer_;
   std::unique_ptr<queue_pump> pump_;
 
   // Staged lane in front of vm_q(s).job, one per engine shard.

@@ -1,5 +1,7 @@
 #include "core/nsm.hpp"
 
+#include <stdexcept>
+
 #include "nkq/transport.hpp"
 
 namespace nk::core {
@@ -12,11 +14,10 @@ nsm::nsm(virt::hypervisor& host, nsm_id id, const nsm_config& cfg)
   cfg_.tcp.cc = cfg.cc;
   ready_at_ = host.simulator().now() + profile_.startup_time;
 
-  for (int i = 0; i < cfg.cores; ++i) {
-    if (auto* core = host.allocate_core(); core != nullptr) {
-      cores_.push_back(core);
-    }
+  if (cfg.cores < 1) {
+    throw std::invalid_argument("nsm " + cfg.name + ": cores must be >= 1");
   }
+  for (int i = 0; i < cfg.cores; ++i) cores_.push_back(&host.allocate_core());
 
   stack::netstack_config scfg;
   scfg.name = cfg.name + "/stack";
@@ -39,12 +40,6 @@ nsm::nsm(virt::hypervisor& host, nsm_id id, const nsm_config& cfg)
       stack::transport_registry::instance().create(cfg_.transport, *stack_);
 
   host.attach_nic(vnic_, cfg.address, cfg.sriov);
-}
-
-void nsm::scale_up(sim::cpu_core* extra) {
-  if (extra == nullptr) return;
-  cores_.push_back(extra);
-  stack_->add_core(*extra);
 }
 
 }  // namespace nk::core

@@ -70,7 +70,7 @@ struct nsm_config {
   std::string transport = "tcp";
   tcp::cc_algorithm cc = tcp::cc_algorithm::cubic;
   tcp::tcp_config tcp{};  // `cc` above is applied onto this
-  int cores = 1;          // prototype: one dedicated core per NSM
+  int cores = 1;          // dedicated host cores, >= 1 (prototype: 1)
   bool sriov = true;      // VF of the pNIC (host-bypass forwarding)
   net::ipv4_addr address{};
   // Provider-optimized stack: lighter per-byte processing than the legacy
@@ -99,15 +99,12 @@ class nsm {
   // owns its own connection state on top of the stack's UDP plane.
   [[nodiscard]] stack::transport& transport() { return *transport_; }
   [[nodiscard]] phys::nic& vnic() { return vnic_; }
-  [[nodiscard]] sim::cpu_core* core(std::size_t i = 0) {
-    return i < cores_.size() ? cores_[i] : nullptr;
-  }
+  // The dispatch core ServiceLib charges; the stack spreads its packet
+  // work over all of cores().
+  [[nodiscard]] sim::cpu_core& core() { return *cores_.front(); }
   [[nodiscard]] const std::vector<sim::cpu_core*>& cores() const {
     return cores_;
   }
-
-  // Adds a core at runtime (SLA scale-up, ablation A6).
-  void scale_up(sim::cpu_core* extra);
 
   // Simulated time at which the NSM finished booting.
   [[nodiscard]] sim_time ready_at() const { return ready_at_; }

@@ -15,7 +15,7 @@ constexpr std::size_t drain_batch = 64;
 
 service_lib::service_lib(nsm& owner, sim::simulator& s,
                          const netkernel_costs& costs,
-                         const notify_config& ncfg, obs::nqe_tracer* tracer,
+                         const notify_config& ncfg, obs::nqe_tracer& tracer,
                          std::size_t overflow_limit, sla_manager& sla)
     : nsm_{owner},
       sim_{s},
@@ -42,7 +42,7 @@ void service_lib::attach_channel(channel& ch,
 void service_lib::discard_staged(served_vm& svm) {
   auto discard = [&](const shm::nqe& e) {
     ++stats_.nqes_dropped;
-    if (tracer_ != nullptr) tracer_->drop(e.reserved);
+    tracer_.drop(e.reserved);
     if (!e.desc.empty()) (void)svm.ch->pool.free(e.desc.chunk);
   };
   for (auto& lane : svm.lanes) {
@@ -67,9 +67,7 @@ void service_lib::detach_channel(virt::vm_id vm) {
     auto* ps = socket_by_cid(cid);
     if (ps == nullptr) continue;
     if (ps->ssock != 0) (void)nsm_.transport().close(ps->ssock);
-    if (tracer_ != nullptr) {
-      for (const auto& tx : ps->pending_send) tracer_->finish(tx.trace);
-    }
+    for (const auto& tx : ps->pending_send) tracer_.finish(tx.trace);
     drop_socket(cid);
   }
   vms_.erase(vm);
@@ -80,11 +78,9 @@ void service_lib::fail() {
   failed_ = true;
   log_warn("service_lib: nsm ", nsm_.id(), " (", nsm_.name(),
            ") crashed; tenant sockets die with the module");
-  if (tracer_ != nullptr) {
-    tracer_->note(nsm_.id(), 0,
-                  "crash: serving stopped, " +
-                      std::to_string(sockets_.size()) + " sockets died");
-  }
+  tracer_.note(nsm_.id(), 0,
+               "crash: serving stopped, " + std::to_string(sockets_.size()) +
+                   " sockets died");
   pump_->stop();
   // Every stack-side socket dies with the module. No ev_error goes out from
   // here — a crashed stack cannot report its own death; the provider-side
@@ -92,9 +88,7 @@ void service_lib::fail() {
   for (auto& [cid, ps] : sockets_) {
     if (ps.ssock != 0) (void)nsm_.transport().abort(ps.ssock);
     release_slot(ps);
-    if (tracer_ != nullptr) {
-      for (const auto& tx : ps.pending_send) tracer_->finish(tx.trace);
-    }
+    for (const auto& tx : ps.pending_send) tracer_.finish(tx.trace);
     ps.pending_send.clear();
   }
   sockets_.clear();
@@ -146,22 +140,27 @@ void service_lib::start() {
 
 // --- tenant quotas -------------------------------------------------------------
 
-void service_lib::charge_cycles(served_vm& svm, sim_time cost) {
-  if (!sla_.charge_cycles(*svm.tenant, cost, sim_.now(), nsm_.id()) ||
-      svm.quota_wake_armed) {
-    return;
+void service_lib::bill(served_vm& svm, sim_time cost,
+                       std::function<void()> done) {
+  if (sla_.charge_cycles(*svm.tenant, cost, sim_.now(), nsm_.id()) &&
+      !svm.quota_wake_armed) {
+    // Rising edge: this period's budget is spent. Jobs stay in the rings
+    // and reads stall; a period-end wakeup resumes them.
+    svm.quota_wake_armed = true;
+    const virt::vm_id vm = svm.ch->vm_id;
+    sim_.schedule_at(sla_.period_end(*svm.tenant), [this, vm] {
+      if (auto it = vms_.find(vm); it != vms_.end()) {
+        it->second.quota_wake_armed = false;
+        (void)drain_jobs();
+        maybe_resume_stalled(it->second);
+      }
+    });
   }
-  // Rising edge: this period's budget is spent. Jobs stay in the rings and
-  // reads stall; a period-end wakeup resumes them.
-  svm.quota_wake_armed = true;
-  const virt::vm_id vm = svm.ch->vm_id;
-  sim_.schedule_at(sla_.period_end(*svm.tenant), [this, vm] {
-    if (auto it = vms_.find(vm); it != vms_.end()) {
-      it->second.quota_wake_armed = false;
-      (void)drain_jobs();
-      maybe_resume_stalled(it->second);
-    }
-  });
+  if (done) {
+    nsm_.core().execute(cost, std::move(done));
+  } else {
+    nsm_.core().charge(cost);
+  }
 }
 
 bool service_lib::chunk_quota_hit(served_vm& svm) {
@@ -190,10 +189,8 @@ bool service_lib::push_out(served_vm& svm, std::size_t shard, shm::nqe e,
   // accounting invariant (losses == traced drops) must survive a crash.
   if (failed_) {
     ++stats_.nqes_dropped;
-    if (tracer_ != nullptr) {
-      tracer_->maybe_begin(e, /*reverse=*/true, svm.ch->vm_id, nsm_.id());
-      tracer_->drop(e.reserved);
-    }
+    tracer_.maybe_begin(e, /*reverse=*/true, svm.ch->vm_id, nsm_.id());
+    tracer_.drop(e.reserved);
     if (!e.desc.empty()) (void)svm.ch->pool.free(e.desc.chunk);
     return false;
   }
@@ -203,19 +200,15 @@ bool service_lib::push_out(served_vm& svm, std::size_t shard, shm::nqe e,
   if (!e.desc.empty() && e.desc.chunk.pool_key != svm.ch->pool.key()) {
     ++stats_.chunk_key_mismatch;
     ++stats_.nqes_dropped;
-    if (tracer_ != nullptr) {
-      tracer_->maybe_begin(e, /*reverse=*/true, svm.ch->vm_id, nsm_.id());
-      tracer_->drop(e.reserved);
-    }
+    tracer_.maybe_begin(e, /*reverse=*/true, svm.ch->vm_id, nsm_.id());
+    tracer_.drop(e.reserved);
     return false;
   }
   e.owner = nsm_.id();
   e.epoch = svm.epoch;
   // A reverse-path trace begins here: the nqe enters the NSM-side out-queue
   // bound for CoreEngine and the tenant VM.
-  if (tracer_ != nullptr) {
-    tracer_->maybe_begin(e, /*reverse=*/true, svm.ch->vm_id, nsm_.id());
-  }
+  tracer_.maybe_begin(e, /*reverse=*/true, svm.ch->vm_id, nsm_.id());
   out_stages& lane = svm.lanes[shard];
   const shm::push_result r =
       (receive ? lane.receive : lane.completion).push(e, overflow_limit_);
@@ -231,7 +224,7 @@ bool service_lib::push_out(served_vm& svm, std::size_t shard, shm::nqe e,
   // Hard cap: discard pure data with full accounting. The read paths stall
   // before this point, so reaching it means a pathological burst.
   ++stats_.nqes_dropped;
-  if (tracer_ != nullptr) tracer_->drop(e.reserved);
+  tracer_.drop(e.reserved);
   if (!e.desc.empty()) (void)svm.ch->pool.free(e.desc.chunk);
   return false;
 }
@@ -342,12 +335,12 @@ std::size_t service_lib::drain_jobs() {
     maybe_resume_stalled(svm);
     if (cycle_budget_exhausted(svm)) {
       // Budget spent: jobs wait in the rings (pure backpressure, no drop);
-      // the period-end wakeup armed by charge_cycles resumes the drain.
+      // the period-end wakeup armed by bill() resumes the drain.
       continue;
     }
     shm::nqe e;
     std::size_t n = 0;
-    auto* core = nsm_.core();
+    const sim::cpu_core& core = nsm_.core();
     // One pump drains every shard lane of the channel: ServiceLib stays the
     // sole consumer of each nsm_q(s).job ring. The lane a job arrives on is
     // the flow's home shard; handle_nqe learns steering from it.
@@ -355,7 +348,7 @@ std::size_t service_lib::drain_jobs() {
       // Budget spent mid-drain on an earlier lane.
       if (svm.tenant->over_budget) break;
       while (n < drain_batch) {
-        if (core != nullptr && core->backlog() > backlog_bound) {
+        if (core.backlog() > backlog_bound) {
           left_behind =
               left_behind || !svm.ch->nsm_q(s).job.empty_approx();
           break;
@@ -377,22 +370,15 @@ std::size_t service_lib::drain_jobs() {
           discard_stale(svm, e);
           continue;
         }
-        if (tracer_ != nullptr) {
-          tracer_->stamp(e.reserved, obs::nqe_stage::nsm_job_dwell);
-        }
-        // Charge the dispatch to the NSM core (and the VM's cycle budget),
+        tracer_.stamp(e.reserved, obs::nqe_stage::nsm_job_dwell);
+        // Bill the dispatch to the NSM core (and the VM's cycle budget),
         // then execute. FIFO execution on the core preserves per-socket
         // operation order.
-        charge_cycles(svm, op_cost());
-        if (core != nullptr) {
-          core->execute(op_cost(), [this, vm_id = vm, s, e] {
-            if (auto it = vms_.find(vm_id); it != vms_.end()) {
-              handle_nqe(it->second, s, e);
-            }
-          });
-        } else {
-          handle_nqe(svm, s, e);
-        }
+        bill(svm, op_cost(), [this, vm_id = vm, s, e] {
+          if (auto it = vms_.find(vm_id); it != vms_.end()) {
+            handle_nqe(it->second, s, e);
+          }
+        });
         // This nqe spent the budget; stop here.
         if (svm.tenant->over_budget) break;
       }
@@ -411,10 +397,7 @@ void service_lib::arm_redrain() {
   // re-drain once the committed work clears.
   if (redrain_pending_) return;
   redrain_pending_ = true;
-  auto* core = nsm_.core();
-  const sim_time wait = core != nullptr
-                            ? std::max(core->backlog(), microseconds(1))
-                            : microseconds(1);
+  const sim_time wait = std::max(nsm_.core().backlog(), microseconds(1));
   sim_.schedule(wait, [this] {
     redrain_pending_ = false;
     (void)drain_jobs();
@@ -423,7 +406,7 @@ void service_lib::arm_redrain() {
 
 void service_lib::discard_stale(served_vm& svm, const shm::nqe& e) {
   ++stats_.stale_nqes;
-  if (tracer_ != nullptr) tracer_->drop(e.reserved);
+  tracer_.drop(e.reserved);
   // Only CoreEngine writes the NSM job rings, and only with requests that
   // passed its role gate, so the data-bearing ops here are req_*.
   if (shm::owns_chunk(e) && !e.desc.empty()) {
@@ -440,9 +423,9 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
   // Forward traces end here, once the op has been dispatched into the
   // stack — except req_send, which finishes when the stack accepts the
   // bytes (see try_deliver_sends).
-  if (tracer_ != nullptr && e.reserved != 0) {
-    tracer_->stamp(e.reserved, obs::nqe_stage::servicelib_dispatch);
-    if (e.op != shm::nqe_op::req_send) tracer_->finish(e.reserved);
+  if (e.reserved != 0) {
+    tracer_.stamp(e.reserved, obs::nqe_stage::servicelib_dispatch);
+    if (e.op != shm::nqe_op::req_send) tracer_.finish(e.reserved);
   }
 
   switch (e.op) {
@@ -557,7 +540,7 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
     case shm::nqe_op::req_send: {
       auto* ps = socket_by_cid(e.handle);
       if (ps == nullptr || ps->ssock == 0) {
-        if (tracer_ != nullptr) tracer_->finish(e.reserved);
+        tracer_.finish(e.reserved);
         (void)svm.ch->pool.free(e.desc.chunk);
         shm::nqe out;
         out.op = shm::nqe_op::ev_error;
@@ -570,7 +553,7 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       // copy itself is the Table 1 cost, charged by the caller's dispatch.
       auto span = svm.ch->pool.readable(e.desc);
       if (!span) {
-        if (tracer_ != nullptr) tracer_->finish(e.reserved);
+        tracer_.finish(e.reserved);
         shm::nqe out;
         out.op = shm::nqe_op::ev_error;
         out.handle = e.handle;
@@ -580,11 +563,8 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       }
       buffer data = buffer::copy_of(span.value());
       (void)svm.ch->pool.free(e.desc.chunk);
-      charge_cycles(svm, costs_.memcpy_cost(data.size()));
-      if (auto* core = nsm_.core(); core != nullptr) {
-        // Account the ServiceLib-side chunk copy.
-        core->execute(costs_.memcpy_cost(data.size()), [] {});
-      }
+      // Account the ServiceLib-side chunk copy.
+      bill(svm, costs_.memcpy_cost(data.size()));
       const std::uint64_t len = data.size();
       ps->pending_send.push_back(
           pending_tx{std::move(data), e.token, len, e.reserved});
@@ -627,10 +607,7 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       }
       buffer data = buffer::copy_of(span.value());
       (void)svm.ch->pool.free(e.desc.chunk);
-      charge_cycles(svm, costs_.memcpy_cost(data.size()));
-      if (auto* core = nsm_.core(); core != nullptr) {
-        core->execute(costs_.memcpy_cost(data.size()), [] {});
-      }
+      bill(svm, costs_.memcpy_cost(data.size()));
       const net::socket_addr dest{
           net::ipv4_addr{static_cast<std::uint32_t>(e.arg0)},
           static_cast<std::uint16_t>(e.arg1)};
@@ -813,15 +790,11 @@ void service_lib::pump_reads(proto_socket& ps) {
         shm::nqe out;
         out.op = shm::nqe_op::ev_closed;
         out.handle = ps.cid;
-        if (auto* core = nsm_.core(); core != nullptr) {
-          core->execute(sim_time::zero(), [this, vm = ps.vm, shard, out] {
-            if (auto it = vms_.find(vm); it != vms_.end()) {
-              push_receive(it->second, shard, out);
-            }
-          });
-        } else {
-          push_receive(svm, shard, out);
-        }
+        nsm_.core().execute(sim_time::zero(), [this, vm = ps.vm, shard, out] {
+          if (auto it = vms_.find(vm); it != vms_.end()) {
+            push_receive(it->second, shard, out);
+          }
+        });
       }
       return;
     }
@@ -834,23 +807,17 @@ void service_lib::pump_reads(proto_socket& ps) {
     stats_.bytes_from_stack += data.size();
     ++stats_.data_events;
     sla_.record_receive(*svm.tenant, data.size());
-    charge_cycles(svm, costs_.memcpy_cost(data.size()));
 
     shm::nqe out;
     out.op = shm::nqe_op::ev_data;
     out.handle = ps.cid;
     out.desc = shm::data_descriptor{chunk.value(), 0,
                                     static_cast<std::uint32_t>(data.size())};
-    if (auto* core = nsm_.core(); core != nullptr) {
-      core->execute(costs_.memcpy_cost(data.size()),
-                    [this, vm = ps.vm, shard, out] {
-                      if (auto it = vms_.find(vm); it != vms_.end()) {
-                        push_receive(it->second, shard, out);
-                      }
-                    });
-    } else {
-      push_receive(svm, shard, out);
-    }
+    bill(svm, costs_.memcpy_cost(data.size()), [this, vm = ps.vm, shard, out] {
+      if (auto it = vms_.find(vm); it != vms_.end()) {
+        push_receive(it->second, shard, out);
+      }
+    });
   }
 }
 
@@ -880,7 +847,6 @@ void service_lib::pump_udp_reads(proto_socket& ps) {
     stats_.bytes_from_stack += data.size();
     ++stats_.data_events;
     sla_.record_receive(*svm.tenant, data.size());
-    charge_cycles(svm, costs_.memcpy_cost(data.size()));
 
     shm::nqe out;
     out.op = shm::nqe_op::ev_udp_data;
@@ -889,16 +855,11 @@ void service_lib::pump_udp_reads(proto_socket& ps) {
                                     static_cast<std::uint32_t>(data.size())};
     out.arg0 = from.ip.value;
     out.arg1 = from.port;
-    if (auto* core = nsm_.core(); core != nullptr) {
-      core->execute(costs_.memcpy_cost(data.size()),
-                    [this, vm = ps.vm, shard, out] {
-                      if (auto it = vms_.find(vm); it != vms_.end()) {
-                        push_receive(it->second, shard, out);
-                      }
-                    });
-    } else {
-      push_receive(svm, shard, out);
-    }
+    bill(svm, costs_.memcpy_cost(data.size()), [this, vm = ps.vm, shard, out] {
+      if (auto it = vms_.find(vm); it != vms_.end()) {
+        push_receive(it->second, shard, out);
+      }
+    });
   }
 }
 
@@ -940,9 +901,7 @@ void service_lib::try_deliver_sends(proto_socket& ps) {
       out.handle = ps.cid;
       out.status = -static_cast<std::int32_t>(r.error());
       push_receive(svm, ps.shard, out);
-      if (tracer_ != nullptr) {
-        for (const auto& tx : ps.pending_send) tracer_->finish(tx.trace);
-      }
+      for (const auto& tx : ps.pending_send) tracer_.finish(tx.trace);
       ps.pending_send.clear();
       if (ps.close_pending) {
         if (ps.ssock != 0) (void)stack.close(ps.ssock);
@@ -958,9 +917,9 @@ void service_lib::try_deliver_sends(proto_socket& ps) {
       return;  // stack buffer full; resume on writable
     }
 
-    if (tracer_ != nullptr && trace != 0) {
-      tracer_->stamp(trace, obs::nqe_stage::stack_accept);
-      tracer_->finish(trace);
+    if (trace != 0) {
+      tracer_.stamp(trace, obs::nqe_stage::stack_accept);
+      tracer_.finish(trace);
     }
     shm::nqe out;
     out.op = shm::nqe_op::cmp_send;

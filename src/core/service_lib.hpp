@@ -53,7 +53,7 @@ struct service_lib_stats {
 class service_lib {
  public:
   service_lib(nsm& owner, sim::simulator& s, const netkernel_costs& costs,
-              const notify_config& ncfg, obs::nqe_tracer* tracer,
+              const notify_config& ncfg, obs::nqe_tracer& tracer,
               std::size_t overflow_limit, sla_manager& sla);
 
   service_lib(const service_lib&) = delete;
@@ -219,10 +219,12 @@ class service_lib {
            svm.ch->nsm_q(shard).receive.space_approx() == 0;
   }
 
-  // Quota plumbing over sla_manager: charges `cost` against the VM's cycle
-  // budget and, on the rising edge, arms a period-end wakeup so throttled
+  // Bills `cost` of the VM's work to the NSM core and to the VM's cycle
+  // budget together. With `done`, the work completes on the core (FIFO
+  // behind what is already committed there); without, it is charge-only.
+  // On the budget's rising edge a period-end wakeup is armed so throttled
   // work resumes by itself.
-  void charge_cycles(served_vm& svm, sim_time cost);
+  void bill(served_vm& svm, sim_time cost, std::function<void()> done = {});
   [[nodiscard]] bool chunk_quota_hit(served_vm& svm);
   [[nodiscard]] bool cycle_budget_exhausted(served_vm& svm) {
     return sla_.cycle_budget_exhausted(*svm.tenant, sim_.now());
@@ -241,7 +243,7 @@ class service_lib {
   netkernel_costs costs_;
   std::size_t overflow_limit_;
   sla_manager& sla_;
-  obs::nqe_tracer* tracer_ = nullptr;
+  obs::nqe_tracer& tracer_;
   std::unique_ptr<queue_pump> pump_;
 
   bool redrain_pending_ = false;

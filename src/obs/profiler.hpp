@@ -5,16 +5,16 @@
 // NK_PROF(component, op); scopes nest into a folded stack
 // ("guestlib:pump;netstack:tx;..."). In *simulation mode* the profiler
 // installs itself as the sim::cpu_charge_listener, so every modeled cost
-// committed through cpu_core::execute() is attributed to the scope stack
-// active at the call site and to the core it ran on — in a DES the code
-// between scope markers takes zero virtual time, so listening to the charge
-// stream is the only faithful accounting. In *wall-clock mode* (no
+// committed through cpu_core::execute() or charge() is attributed to the
+// scope stack active at the call site and to the core it ran on — in a DES
+// the code between scope markers takes zero virtual time, so listening to
+// the charge stream is the only faithful accounting. In *wall-clock mode* (no
 // simulator) each scope charges its own steady_clock self time (child time
 // subtracted), which is what the real microbenches (shm_throughput,
 // nqe_copy) report as cycles/op.
 //
 // Compiled out entirely under -DNK_DISABLE_PROFILING (NK_NO_PROFILING):
-// NK_PROF becomes a no-op and cpu_core::execute skips the listener call.
+// NK_PROF becomes a no-op and cpu_core skips the listener call.
 #pragma once
 
 #include <cstdint>

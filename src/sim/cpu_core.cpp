@@ -25,6 +25,11 @@ cpu_core::cpu_core(simulator& s, std::string name)
     : sim_{s}, name_{std::move(name)} {}
 
 void cpu_core::execute(sim_time cost, std::function<void()> done) {
+  charge(cost);
+  sim_.schedule_at(busy_until_, std::move(done));
+}
+
+void cpu_core::charge(sim_time cost) {
   assert(cost >= sim_time::zero());
 #ifndef NK_NO_PROFILING
   if (cpu_charge_listener* l = listener_slot(); l != nullptr) {
@@ -34,7 +39,6 @@ void cpu_core::execute(sim_time cost, std::function<void()> done) {
   const sim_time start = std::max(sim_.now(), busy_until_);
   busy_until_ = start + cost;
   busy_accum_ += cost;
-  sim_.schedule_at(busy_until_, std::move(done));
 }
 
 double cpu_core::utilization() const {

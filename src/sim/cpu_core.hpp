@@ -19,8 +19,9 @@ class cpu_core;
 
 // Process-wide observer of CPU charges. In a discrete-event simulation the
 // code between two scope markers takes zero virtual time; all modeled CPU
-// cost flows through cpu_core::execute(). An installed listener therefore
-// sees every cycle the simulation spends, at the moment it is committed.
+// cost flows through cpu_core::execute() or charge(). An installed
+// listener therefore sees every cycle the simulation spends, at the moment
+// it is committed.
 // The obs profiler implements this; sim itself stays obs-free.
 class cpu_charge_listener {
  public:
@@ -44,6 +45,11 @@ class cpu_core {
   // Occupies the core for `cost` (after any already-queued work), then runs
   // `done`. Zero-cost work still respects FIFO order.
   void execute(sim_time cost, std::function<void()> done);
+
+  // Occupies the core for `cost` like execute(), for work with nothing to
+  // run at its end: busy time and the charge listener see it, but no event
+  // is scheduled.
+  void charge(sim_time cost);
 
   [[nodiscard]] const std::string& name() const { return name_; }
 

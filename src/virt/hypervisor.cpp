@@ -1,5 +1,7 @@
 #include "virt/hypervisor.hpp"
 
+#include <stdexcept>
+
 namespace nk::virt {
 
 hypervisor::hypervisor(sim::simulator& s, const host_config& cfg)
@@ -7,17 +9,8 @@ hypervisor::hypervisor(sim::simulator& s, const host_config& cfg)
       cfg_{cfg},
       vswitch_{cfg.name + "/vswitch"},
       pnic_{cfg.name + "/pnic"} {
-  core_pool_.reserve(static_cast<std::size_t>(cfg.cores));
-  for (int i = 0; i < cfg.cores; ++i) {
-    core_pool_.push_back(std::make_unique<sim::cpu_core>(
-        s, cfg.name + "/core" + std::to_string(i)));
-  }
-  // The vSwitch software path runs on core 0 (shared with whatever else
-  // lands there; experiments typically dedicate it).
-  if (!core_pool_.empty()) {
-    vswitch_.set_cost(core_pool_.front().get(), cfg.switch_cost);
-    next_core_ = 1;
-  }
+  // The vSwitch software path runs on core 0.
+  vswitch_.set_cost(&allocate_core(), cfg.switch_cost);
   // Wire pNIC <-> vSwitch.
   vswitch_.set_uplink([this](net::packet p) { pnic_.transmit(std::move(p)); });
   pnic_.set_receive_handler([this](net::packet p) {
@@ -25,13 +18,10 @@ hypervisor::hypervisor(sim::simulator& s, const host_config& cfg)
   });
 }
 
-sim::cpu_core* hypervisor::allocate_core() {
-  if (next_core_ >= core_pool_.size()) return nullptr;
-  return core_pool_[next_core_++].get();
-}
-
-int hypervisor::cores_available() const {
-  return static_cast<int>(core_pool_.size() - next_core_);
+sim::cpu_core& hypervisor::allocate_core() {
+  cores_.push_back(std::make_unique<sim::cpu_core>(
+      sim_, cfg_.name + "/core" + std::to_string(cores_.size())));
+  return *cores_.back();
 }
 
 int hypervisor::attach_nic(phys::nic& dev, net::ipv4_addr addr,
@@ -47,9 +37,12 @@ int hypervisor::attach_nic(phys::nic& dev, net::ipv4_addr addr,
 }
 
 machine& hypervisor::create_vm(const vm_config& cfg) {
+  if (cfg.vcpus < 1) {
+    throw std::invalid_argument("vm " + cfg.name + ": vcpus must be >= 1");
+  }
   std::vector<sim::cpu_core*> vcpus;
   for (int i = 0; i < cfg.vcpus; ++i) {
-    vcpus.push_back(allocate_core());
+    vcpus.push_back(&allocate_core());
   }
   auto vm =
       std::make_unique<machine>(sim_, next_vm_id_++, cfg, std::move(vcpus));

@@ -20,7 +20,6 @@ namespace nk::virt {
 
 struct host_config {
   std::string name = "host";
-  int cores = 8;  // paper testbed: Xeon E5-2618LV3, 8 cores
   vswitch_cost switch_cost{};
 };
 
@@ -36,16 +35,14 @@ class hypervisor {
   [[nodiscard]] vswitch& overlay_switch() { return vswitch_; }
   [[nodiscard]] phys::nic& pnic() { return pnic_; }
 
-  // Takes a dedicated core from the host pool; nullptr when exhausted.
-  [[nodiscard]] sim::cpu_core* allocate_core();
-  [[nodiscard]] int cores_available() const;
-  [[nodiscard]] const std::vector<std::unique_ptr<sim::cpu_core>>& cores()
-      const {
-    return core_pool_;
-  }
+  // Hands out a dedicated core, `<host>/core<N>`. Core 0 is the vSwitch's;
+  // the pool grows on demand, so every consumer of modeled CPU gets a real
+  // core and no cycle runs free.
+  [[nodiscard]] sim::cpu_core& allocate_core();
 
-  // Creates a VM, wires its vNIC to the vSwitch (software port, or embedded
-  // port when cfg.sriov), and routes its address.
+  // Creates a VM with cfg.vcpus dedicated cores, wires its vNIC to the
+  // vSwitch (software port, or embedded port when cfg.sriov), and routes
+  // its address. Throws std::invalid_argument when cfg.vcpus < 1.
   machine& create_vm(const vm_config& cfg);
 
   [[nodiscard]] machine* vm_by_id(vm_id id);
@@ -66,8 +63,7 @@ class hypervisor {
  private:
   sim::simulator& sim_;
   host_config cfg_;
-  std::vector<std::unique_ptr<sim::cpu_core>> core_pool_;
-  std::size_t next_core_ = 0;
+  std::vector<std::unique_ptr<sim::cpu_core>> cores_;
   vswitch vswitch_;
   phys::nic pnic_;
   std::vector<std::unique_ptr<machine>> vms_;

@@ -24,9 +24,7 @@ machine::machine(sim::simulator& s, vm_id id, const vm_config& cfg,
     guest_stack_ =
         std::make_unique<stack::netstack>(s, stack_cfg, cfg_.address);
     guest_stack_->bind_nic(vnic_);
-    for (auto* core : vcpus_) {
-      if (core != nullptr) guest_stack_->add_core(*core);
-    }
+    for (auto* core : vcpus_) guest_stack_->add_core(*core);
   }
 }
 

@@ -25,7 +25,7 @@ struct vm_config {
   std::string name = "vm";
   guest_os os = guest_os::linux_kernel;
   net::ipv4_addr address{};
-  int vcpus = 2;
+  int vcpus = 2;                 // dedicated host cores; must be >= 1
   bool sriov = false;            // vNIC is an SR-IOV virtual function
   bool legacy_networking = true; // instantiate the in-guest stack
   // In-guest stack parameters (ignored when legacy_networking is false).

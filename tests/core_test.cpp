@@ -224,6 +224,52 @@ TEST(netkernel_multiplexing, one_nsm_serves_two_vms) {
   EXPECT_EQ(sink.flows_seen(), 2u);
 }
 
+// The rpc_fanin shape: one engine shard, one NSM and 8 VMs x 2 vCPUs on
+// one host. Every consumer of modeled CPU gets a real core, so every vCPU
+// exists and is charged for its VM's echo traffic.
+TEST(netkernel_multiplexing, every_vcpu_of_eight_fanin_vms_is_charged) {
+  testbed bed{apps::datacenter_params(5)};
+  nsm_config nsm_cfg;
+  nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
+  virt::vm_config vm_cfg;
+  vm_cfg.name = "server";
+  vm_cfg.vcpus = 4;
+  auto server = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+  apps::echo_server echo{*server.api, 7000};
+  echo.start();
+  const net::socket_addr dest{server.module->config().address, 7000};
+
+  apps::rpc_client_config rpc;
+  rpc.request_size = 64;
+  rpc.requests = 50;
+  vm_cfg.vcpus = 2;
+  std::vector<apps::nk_tenant> tenants;
+  std::vector<std::unique_ptr<apps::rpc_client>> clients;
+  for (int v = 0; v < 8; ++v) {
+    vm_cfg.name = "client-vm" + std::to_string(v);
+    tenants.push_back(
+        v == 0 ? bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg)
+               : bed.attach_netkernel_vm(side::a, vm_cfg,
+                                         *tenants.front().module));
+    // Two sockets per VM: GuestLib places them round-robin, one per vCPU.
+    for (int c = 0; c < 2; ++c) {
+      clients.push_back(std::make_unique<apps::rpc_client>(
+          *tenants.back().api, bed.sim(), dest, rpc));
+      clients.back()->start();
+    }
+  }
+
+  bed.run_for(milliseconds(50));
+  for (const auto& cl : clients) EXPECT_TRUE(cl->finished());
+  for (const auto& t : tenants) {
+    ASSERT_EQ(t.vm->vcpus().size(), 2u);
+    for (const sim::cpu_core* core : t.vm->vcpus()) {
+      ASSERT_NE(core, nullptr) << t.vm->name();
+      EXPECT_GT(core->busy_time(), sim_time::zero()) << core->name();
+    }
+  }
+}
+
 TEST(netkernel_isolation, channels_use_distinct_pool_keys) {
   auto params = apps::datacenter_params(7);
   testbed bed{params};

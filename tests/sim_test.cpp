@@ -157,6 +157,22 @@ TEST(cpu_core, zero_cost_preserves_fifo) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+TEST(cpu_core, charge_occupies_the_core_without_an_event) {
+  simulator s;
+  cpu_core core{s, "c0"};
+  core.charge(microseconds(4));
+  EXPECT_EQ(core.busy_time(), microseconds(4));
+  EXPECT_EQ(core.backlog(), microseconds(4));
+  // Work executed after a charge queues behind it, exactly as behind an
+  // execute() with an empty completion.
+  sim_time done_at{};
+  core.execute(microseconds(1), [&] { done_at = s.now(); });
+  s.run();
+  EXPECT_EQ(done_at, microseconds(5));
+  EXPECT_EQ(s.events_processed(), 1u);
+  EXPECT_EQ(core.busy_time(), microseconds(5));
+}
+
 // --- chaos schedule --------------------------------------------------------
 
 TEST(chaos_schedule, identical_seeds_replay_identical_timelines) {

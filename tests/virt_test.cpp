@@ -2,6 +2,10 @@
 // resources, VM wiring.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+#include <string>
+
 #include "core/nsm.hpp"
 #include "virt/guest_os.hpp"
 #include "virt/hypervisor.hpp"
@@ -27,7 +31,7 @@ TEST(guest_os, bbr_only_ships_on_linux) {
 
 TEST(machine, windows_guest_cannot_mount_bbr_natively) {
   sim::simulator s;
-  hypervisor host{s, host_config{.name = "h", .cores = 4}};
+  hypervisor host{s, host_config{.name = "h"}};
   vm_config cfg;
   cfg.name = "win";
   cfg.os = guest_os::windows_server;
@@ -39,7 +43,7 @@ TEST(machine, windows_guest_cannot_mount_bbr_natively) {
 
 TEST(machine, guest_stack_defaults_to_os_native_cc) {
   sim::simulator s;
-  hypervisor host{s, host_config{.name = "h", .cores = 4}};
+  hypervisor host{s, host_config{.name = "h"}};
   vm_config cfg;
   cfg.name = "win";
   cfg.os = guest_os::windows_server;
@@ -58,7 +62,7 @@ TEST(machine, guest_stack_defaults_to_os_native_cc) {
 
 TEST(machine, netkernel_only_vm_has_no_guest_stack) {
   sim::simulator s;
-  hypervisor host{s, host_config{.name = "h", .cores = 4}};
+  hypervisor host{s, host_config{.name = "h"}};
   vm_config cfg;
   cfg.name = "nk";
   cfg.address = net::ipv4_addr::from_octets(10, 0, 0, 1);
@@ -67,19 +71,32 @@ TEST(machine, netkernel_only_vm_has_no_guest_stack) {
   EXPECT_EQ(vm.guest_stack(), nullptr);
 }
 
-TEST(hypervisor, core_pool_exhausts) {
+TEST(hypervisor, core_pool_grows_on_demand) {
   sim::simulator s;
-  hypervisor host{s, host_config{.name = "h", .cores = 3}};
-  // Core 0 is reserved for the vSwitch.
-  EXPECT_EQ(host.cores_available(), 2);
-  EXPECT_NE(host.allocate_core(), nullptr);
-  EXPECT_NE(host.allocate_core(), nullptr);
-  EXPECT_EQ(host.allocate_core(), nullptr);
+  hypervisor host{s, host_config{.name = "h"}};
+  // Core 0 is the vSwitch's; every allocation after it is a fresh core.
+  std::set<const sim::cpu_core*> seen;
+  for (int i = 1; i <= 40; ++i) {
+    const sim::cpu_core& core = host.allocate_core();
+    EXPECT_EQ(core.name(), "h/core" + std::to_string(i));
+    EXPECT_TRUE(seen.insert(&core).second);
+  }
+  EXPECT_EQ(seen.size(), 40u);
+}
+
+TEST(hypervisor, vm_without_vcpus_is_rejected) {
+  sim::simulator s;
+  hypervisor host{s, host_config{.name = "h"}};
+  vm_config cfg;
+  cfg.legacy_networking = false;
+  cfg.vcpus = 0;
+  EXPECT_THROW((void)host.create_vm(cfg), std::invalid_argument);
+  EXPECT_TRUE(host.vms().empty());
 }
 
 TEST(hypervisor, vm_ids_are_unique) {
   sim::simulator s;
-  hypervisor host{s, host_config{.name = "h", .cores = 8}};
+  hypervisor host{s, host_config{.name = "h"}};
   vm_config cfg;
   cfg.legacy_networking = false;
   cfg.address = net::ipv4_addr::from_octets(10, 0, 0, 1);
@@ -144,8 +161,8 @@ TEST(vswitch, unknown_destination_from_wire_is_dropped) {
 
 TEST(hypervisor, two_hosts_route_vm_to_vm) {
   sim::simulator s;
-  hypervisor ha{s, host_config{.name = "ha", .cores = 6}};
-  hypervisor hb{s, host_config{.name = "hb", .cores = 6}};
+  hypervisor ha{s, host_config{.name = "ha"}};
+  hypervisor hb{s, host_config{.name = "hb"}};
   phys::link_config wire;
   wire.rate = data_rate::gbps(10);
   wire.propagation_delay = microseconds(10);
@@ -180,6 +197,20 @@ TEST(nsm_forms, profiles_are_ordered_by_weight) {
   EXPECT_GT(ct.per_op_overhead, hv.per_op_overhead);
   EXPECT_GT(vm.startup_time, ct.startup_time);
   EXPECT_GT(vm.memory_bytes, hv.memory_bytes);
+}
+
+TEST(nsm_forms, nsm_without_cores_is_rejected) {
+  sim::simulator s;
+  hypervisor host{s, host_config{.name = "h"}};
+  core::nsm_config cfg;
+  cfg.address = net::ipv4_addr::from_octets(10, 0, 0, 9);
+  cfg.cores = 0;
+  EXPECT_THROW(core::nsm(host, 1, cfg), std::invalid_argument);
+  cfg.cores = 2;
+  const core::nsm module{host, 1, cfg};
+  ASSERT_EQ(module.cores().size(), 2u);
+  EXPECT_EQ(module.cores()[0]->name(), "h/core1");
+  EXPECT_EQ(module.cores()[1]->name(), "h/core2");
 }
 
 }  // namespace

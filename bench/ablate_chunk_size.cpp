@@ -3,7 +3,16 @@
 // latency growing with size while per-chunk overheads amortize. Sweep the
 // chunk size and report NetKernel bulk throughput — the trade between
 // per-nqe overhead (small chunks) and copy latency (large chunks).
+//
+// --smoke asserts the claim as orderings: throughput never falls as the
+// chunk grows, 8 KB chunks reach line rate (>= 39 Gb/s), and 512 B chunks
+// stay below half of it. It writes ablate_chunk_size.json and exits 1 when
+// an ordering fails.
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <utility>
+#include <vector>
 
 #include "apps/scenario.hpp"
 #include "apps/workloads.hpp"
@@ -46,15 +55,46 @@ double run(std::size_t chunk_size) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   std::printf(
       "Ablation A5: huge-page chunk size vs NetKernel bulk throughput\n"
       "(paper prototype: 8 KB chunks, 2 MB pages)\n\n");
   std::printf("%-12s %-14s\n", "chunk", "throughput");
+  std::vector<std::pair<std::size_t, double>> rows;
   for (const std::size_t size :
        {512u, 2048u, 4096u, 8192u, 16384u, 65536u}) {
-    std::printf("%-12zu %8.2f Gb/s\n", static_cast<std::size_t>(size),
-                run(size));
+    rows.emplace_back(size, run(size));
+    std::printf("%-12zu %8.3f Gb/s\n", size, rows.back().second);
+  }
+  if (!smoke) return 0;
+
+  const double line_rate = 40.0;
+  bool ok = true;
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    ok = ok && rows[i].second >= rows[i - 1].second;
+  }
+  for (const auto& [size, gbps] : rows) {
+    if (size == 8192) ok = ok && gbps >= 39.0;
+    if (size == 512) ok = ok && gbps < line_rate / 2;
+  }
+  std::ofstream jout{"ablate_chunk_size.json"};
+  jout << "{\n  \"rows\": [";
+  const char* sep = "\n";
+  for (const auto& [size, gbps] : rows) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%s    {\"chunk\": %zu, \"gbps\": %.3f}",
+                  sep, size, gbps);
+    jout << buf;
+    sep = ",\n";
+  }
+  jout << "\n  ],\n  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
+  std::printf("\nsnapshot: ablate_chunk_size.json\n");
+  if (!ok) {
+    std::printf(
+        "FAIL: throughput fell as the chunk grew, 8 KB below 39 Gb/s, or "
+        "512 B at half of line rate or more\n");
+    return 1;
   }
   return 0;
 }

@@ -28,6 +28,11 @@ constexpr std::uint32_t accept_fd_stride = 0x00100000;
 // stopped, so a tenant that merely glitched keeps limping.
 constexpr sim_time throttle_period = microseconds(100);
 constexpr std::size_t throttle_batch = 8;
+// Torn-down flows the engine remembers per VM and shard (see
+// engine_shard::torn_down). A guest that never closes its errored fds
+// cannot grow provider memory past this; beyond it a late request for
+// such a fd is refused as badfd, as if the flow had never existed.
+constexpr std::size_t torn_down_per_lane = 1024;
 // Planned live update: how long replace_nsm waits for the old module to
 // quiesce before switching anyway (bounds a module that never drains).
 constexpr sim_time planned_drain_timeout = milliseconds(50);
@@ -778,17 +783,27 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
   const auto fd = e.handle;
   auto it = sh.by_flow.find(flow_key{vm, fd});
   if (it == sh.by_flow.end()) {
-    // One unknown-fd shape is a benign race, not a forgery, and keeps the
+    // Two unknown-fd shapes are benign races, not forgeries, and keep the
     // legacy unroutable accounting: a close for a mapping the engine
-    // already erased (error teardown, failover abort). Every other
-    // fd-addressed op naming no flow of this VM is refused by the firewall.
-    if (e.op != shm::nqe_op::req_close) {
+    // already erased (error teardown, failover abort), and any request
+    // for a torn-down flow that the guest sent before it saw the error.
+    // Every other fd-addressed op naming no flow of this VM is refused by
+    // the firewall.
+    if (e.op == shm::nqe_op::req_close) {
+      if (sh.torn_down.erase(flow_key{vm, fd}) != 0) --att.lanes[s].torn_down;
+      ++sh.stats.unroutable_nqes;
+      drop_trace(sh, e.reserved);
+      deliver_error_to_vm(att, s, fd, errc::not_found);
+      return;
+    }
+    if (!sh.torn_down.contains(flow_key{vm, fd})) {
       reject_nqe(att, s, e, reject_reason::badfd);
       return;
     }
     ++sh.stats.unroutable_nqes;
     drop_trace(sh, e.reserved);
-    deliver_error_to_vm(att, s, fd, errc::not_found);
+    // The admission gate vouched for a data op's chunk; recycle it.
+    if (shm::owns_chunk(e)) (void)att.ch->pool.free(e.desc.chunk);
     return;
   }
 
@@ -1001,6 +1016,7 @@ void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
       }
       const std::uint32_t fd = it->second.fd;
       if (e.op == shm::nqe_op::ev_error) {
+        remember_torn_down(att, s, it->second);
         sh.by_flow.erase(it->second);
         sh.by_nsm.erase(it);
         ++sh.stats.mappings_removed;
@@ -1019,6 +1035,14 @@ void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
 }
 
 // --- fault domains: detach, replacement, recovery -----------------------------------
+
+void core_engine::remember_torn_down(attachment& att, std::size_t s,
+                                     const flow_key& key) {
+  std::size_t& held = att.lanes[s].torn_down;
+  if (held < torn_down_per_lane && shards_[s].torn_down.insert(key).second) {
+    ++held;
+  }
+}
 
 void core_engine::discard_stale(attachment& att, std::size_t s,
                                 const shm::nqe& e) {
@@ -1252,6 +1276,8 @@ void core_engine::detach_vm(virt::vm_id vm) {
       fit = sh.by_flow.erase(fit);
       ++sh.stats.mappings_removed;
     }
+    std::erase_if(sh.torn_down,
+                  [vm](const flow_key& k) { return k.vm == vm; });
   }
 
   // Every ring lane and staged lane may still reference huge-page chunks.
@@ -1452,6 +1478,7 @@ void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
           sh.by_nsm.erase(nsm_key{old_id, bit->second.cid});
         }
         sh.by_flow.erase(bit);
+        remember_torn_down(att, sh.index, flow_key{vm, fd});
         ++sh.stats.mappings_removed;
         ++aborted;
         deliver_error_to_vm(att, sh.index, fd, errc::nsm_reset);

@@ -31,6 +31,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -403,6 +404,12 @@ class core_engine {
     sim::cpu_core* core = nullptr;  // never null once constructed
     std::unordered_map<flow_key, flow_entry, flow_key_hash> by_flow;
     std::unordered_map<nsm_key, flow_key, nsm_key_hash> by_nsm;
+    // Flows the engine tore down with an ev_error (a stack error or a
+    // failover abort), kept until the guest's req_close or detach: a
+    // request the guest issued before it saw the error still names the fd,
+    // and that race is benign, not a forged fd. At most
+    // torn_down_per_lane per VM (lane::torn_down counts them).
+    std::unordered_set<flow_key, flow_key_hash> torn_down;
     core_engine_stats stats;
     std::uint64_t traces_dropped = 0;  // live traces this shard retired
     // Discards whose nqe carried no live trace (forged nqes, sampled-out
@@ -424,6 +431,7 @@ class core_engine {
     std::unique_ptr<queue_pump> nsm_to_vm;  // drains ch->nsm_q(s).{cmp,recv}
     std::unique_ptr<lane_stages> stage;
     std::uint32_t next_accept_fd = 0;  // set per shard at attach
+    std::size_t torn_down = 0;  // this VM's entries in the shard's torn_down
   };
 
   // Per-VM abuse record (heap-allocated: the metrics gauges capture a
@@ -512,6 +520,10 @@ class core_engine {
                           sim_time deadline);
   void replay_flow(attachment& att, std::size_t s, std::uint32_t fd,
                    flow_entry& fl);
+  // Adds `key` to shard s's torn_down set unless the VM already holds
+  // torn_down_per_lane entries there.
+  void remember_torn_down(attachment& att, std::size_t s,
+                          const flow_key& key);
   // Discards an nqe from a dead incarnation: chunk recycled, drop traced.
   void discard_stale(attachment& att, std::size_t s, const shm::nqe& e);
 

@@ -84,9 +84,11 @@ std::size_t guest_lib::flush_job_lanes() {
 }
 
 void guest_lib::wake_writers() {
+  credit_returned_ = false;
+  chunk_starved_ = false;
   std::vector<std::uint32_t> ready;
   for (auto& [fd, gs] : sockets_) {
-    if (gs.writable_blocked && gs.inflight < send_credit &&
+    if (gs.writable_blocked && gs.inflight < gs.send_buffer &&
         !lane_backlogged(gs.shard)) {
       gs.writable_blocked = false;
       ready.push_back(fd);
@@ -95,6 +97,11 @@ void guest_lib::wake_writers() {
   for (const std::uint32_t fd : ready) {
     emit_event(fd, stack::socket_event_type::writable);
   }
+}
+
+void guest_lib::set_send_buffer(g_socket& gs, std::uint64_t bytes) {
+  if (gs.writable_blocked && bytes > gs.send_buffer) credit_returned_ = true;
+  gs.send_buffer = bytes;
 }
 
 void guest_lib::free_chunk(const shm::data_descriptor& desc) {
@@ -231,7 +238,7 @@ result<std::size_t> guest_lib::nk_send(std::uint32_t fd, buffer data) {
   const std::size_t chunk_size = ch_.pool.chunk_size();
   std::size_t accepted = 0;
   while (accepted < data.size()) {
-    if (gs->inflight >= send_credit || lane_backlogged(gs->shard)) {
+    if (gs->inflight >= gs->send_buffer || lane_backlogged(gs->shard)) {
       gs->writable_blocked = true;
       ++stats_.send_blocked;
       break;
@@ -239,10 +246,12 @@ result<std::size_t> guest_lib::nk_send(std::uint32_t fd, buffer data) {
     auto chunk = ch_.pool.alloc();
     if (!chunk) {
       gs->writable_blocked = true;
+      chunk_starved_ = true;
       ++stats_.send_blocked;
       break;
     }
-    const std::size_t len = std::min(chunk_size, data.size() - accepted);
+    const std::size_t len = std::min<std::uint64_t>(
+        {chunk_size, data.size() - accepted, gs->send_buffer - gs->inflight});
     auto span = ch_.pool.writable(chunk.value());
     std::memcpy(span.value().data(), data.bytes().data() + accepted, len);
 
@@ -329,13 +338,14 @@ result<std::size_t> guest_lib::nk_udp_send_to(std::uint32_t fd,
   if (gs == nullptr) return errc::not_found;
   if (!gs->udp) return errc::invalid_argument;
   if (data.size() > ch_.pool.chunk_size()) return errc::invalid_argument;
-  if (gs->inflight + data.size() > send_credit ||
+  if (gs->inflight + data.size() > gs->send_buffer ||
       lane_backlogged(gs->shard)) {
     ++stats_.send_blocked;
     return errc::would_block;
   }
   auto chunk = ch_.pool.alloc();
   if (!chunk) {
+    chunk_starved_ = true;
     ++stats_.send_blocked;
     return errc::would_block;
   }
@@ -524,13 +534,19 @@ std::size_t guest_lib::drain() {
     // Freed out-ring space: let this shard flush anything it has staged.
     if (lane_popped > 0) engine_.notify_vm_space(vm_.id(), s);
   }
+  if (credit_returned_ || (chunk_starved_ && ch_.pool.chunks_free() > 0)) {
+    wake_writers();
+  }
   return n + popped;
 }
 
 void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {
   switch (e.op) {
-    case shm::nqe_op::cmp_socket:
-      return;  // fd was minted locally; nothing to learn
+    case shm::nqe_op::cmp_socket: {
+      // The fd was minted locally; the NSM reports its send buffer.
+      if (auto* gs = socket_of(e.handle)) set_send_buffer(*gs, e.arg0);
+      return;
+    }
     case shm::nqe_op::cmp_generic: {
       auto* gs = socket_of(e.handle);
       if (gs == nullptr) return;
@@ -538,6 +554,10 @@ void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {
         gs->ph = phase::failed;
         gs->err = static_cast<errc>(-e.status);
         emit_event(e.handle, stack::socket_event_type::error, gs->err);
+      } else if (e.arg_small ==
+                     static_cast<std::uint32_t>(shm::nqe_op::req_setsockopt) &&
+                 e.arg0 == static_cast<std::uint64_t>(nk_option::send_buffer)) {
+        set_send_buffer(*gs, e.arg1);
       }
       return;
     }
@@ -549,13 +569,11 @@ void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {
       return;
     }
     case shm::nqe_op::cmp_send: {
+      // The peer acknowledged the bytes and the chunk is back in the pool.
       auto* gs = socket_of(e.handle);
       if (gs == nullptr) return;
       gs->inflight = gs->inflight >= e.arg0 ? gs->inflight - e.arg0 : 0;
-      if (gs->writable_blocked && gs->inflight < send_credit) {
-        gs->writable_blocked = false;
-        emit_event(e.handle, stack::socket_event_type::writable);
-      }
+      if (gs->writable_blocked) credit_returned_ = true;
       return;
     }
     case shm::nqe_op::ev_accept: {
@@ -563,6 +581,7 @@ void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {
       const auto new_fd = static_cast<std::uint32_t>(e.arg0);
       g_socket child;
       child.ph = phase::connected;
+      child.send_buffer = e.arg_small;
       child.core = pick_core();
       // The engine steered this event to the child's home shard (hash of
       // <NSM, cID>); the arrival lane tells the guest where to send the

@@ -194,7 +194,12 @@ class guest_lib {
     std::deque<udp_rx_item> udp_rx;
     bool udp = false;
     std::size_t rx_bytes = 0;
-    std::uint64_t inflight = 0;  // submitted to NSM, not yet credited back
+    // Send credit: bytes submitted and not yet credited back (cmp_send,
+    // sent once the peer acknowledged them) stay within the socket's send
+    // buffer, as the NSM reports it in cmp_socket / ev_accept / setsockopt.
+    // Until that first report only the pool and the lane gate bound it.
+    std::uint64_t inflight = 0;
+    std::uint64_t send_buffer = UINT64_MAX;
     bool eof = false;
     bool closed_reported = false;
     errc err = errc::ok;
@@ -217,6 +222,8 @@ class guest_lib {
   void enqueue_job(std::size_t shard, shm::nqe e);
   std::size_t flush_job_lanes();
   void wake_writers();
+  // Adopts the send buffer the NSM reported as the socket's credit limit.
+  void set_send_buffer(g_socket& gs, std::uint64_t bytes);
   // Frees a chunk into the shared pool in place (no nqe).
   void free_chunk(const shm::data_descriptor& desc);
   // Frees a socket's buffered rx/udp_rx chunks and empties its buffers.
@@ -224,8 +231,6 @@ class guest_lib {
   // Jobs staged locally when the VM-side job ring is full before the app
   // starts seeing would_block on sends.
   static constexpr std::size_t max_deferred_jobs = 256;
-  // Outstanding (submitted, not yet credited back) bytes per socket.
-  static constexpr std::uint64_t send_credit = 1024 * 1024;
   [[nodiscard]] bool lane_backlogged(std::size_t shard) const {
     return job_lanes_[shard].size() >= max_deferred_jobs;
   }
@@ -253,6 +258,12 @@ class guest_lib {
   std::unordered_map<std::uint32_t, g_socket> sockets_;
   std::uint32_t next_fd_ = 3;
   std::size_t next_core_ = 0;
+  // Writer wake-up, run at most once per drain: a blocked writer got
+  // credit back (a cmp_send or a larger send buffer), or a writer starved
+  // of chunks may find one now — chunks come home from any socket's ACKs,
+  // not just the blocked one's.
+  bool credit_returned_ = false;
+  bool chunk_starved_ = false;
 
   event_handler handler_;
   guest_lib_stats stats_;

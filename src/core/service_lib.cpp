@@ -57,7 +57,10 @@ void service_lib::detach_channel(virt::vm_id vm) {
   served_vm& svm = it->second;
   // Staged out-nqes will never reach the departing VM; recycle their chunks.
   discard_staged(svm);
-  // Close this VM's sockets on the stack and forget them.
+  // Close this VM's sockets on the stack and forget them. A socket still
+  // holding pinned chunks is aborted, as in fail(): its unacknowledged
+  // bytes live in the departing VM's pool, which no stack may read after
+  // the chunks go home.
   std::vector<std::uint32_t> cids;
   cids.reserve(sockets_.size());
   for (const auto& [cid, ps] : sockets_) {
@@ -66,9 +69,12 @@ void service_lib::detach_channel(virt::vm_id vm) {
   for (const std::uint32_t cid : cids) {
     auto* ps = socket_by_cid(cid);
     if (ps == nullptr) continue;
-    if (ps->ssock != 0) (void)nsm_.transport().close(ps->ssock);
-    for (const auto& tx : ps->pending_send) tracer_.finish(tx.trace);
-    drop_socket(cid);
+    if (ps->ssock != 0 && !ps->tx.empty()) {
+      (void)nsm_.transport().abort(ps->ssock);
+    } else if (ps->ssock != 0 && !ps->stack_closed) {
+      (void)nsm_.transport().close(ps->ssock);
+    }
+    drop_socket(cid);  // pinned chunks go back to the departing VM's pool
   }
   vms_.erase(vm);
 }
@@ -88,8 +94,7 @@ void service_lib::fail() {
   for (auto& [cid, ps] : sockets_) {
     if (ps.ssock != 0) (void)nsm_.transport().abort(ps.ssock);
     release_slot(ps);
-    for (const auto& tx : ps.pending_send) tracer_.finish(tx.trace);
-    ps.pending_send.clear();
+    release_pins(ps);
   }
   sockets_.clear();
   by_ssock_.clear();
@@ -127,7 +132,7 @@ bool service_lib::quiescent() const {
     }
   }
   for (const auto& [cid, ps] : sockets_) {
-    if (!ps.pending_send.empty()) return false;
+    if (ps.unsent != 0) return false;
   }
   return true;
 }
@@ -302,7 +307,18 @@ void service_lib::drop_socket(std::uint32_t cid) {
     vit->second.stalled_reads.erase(cid);
   }
   release_slot(it->second);
+  release_pins(it->second);
   sockets_.erase(it);
+}
+
+void service_lib::release_pins(proto_socket& ps) {
+  auto vit = vms_.find(ps.vm);
+  for (std::size_t i = 0; i < ps.tx.size(); ++i) {
+    if (i >= ps.tx.size() - ps.unsent) tracer_.finish(ps.tx[i].trace);
+    if (vit != vms_.end()) (void)vit->second.ch->pool.free(ps.tx[i].chunk);
+  }
+  ps.tx.clear();
+  ps.unsent = 0;
 }
 
 void service_lib::release_slot(proto_socket& ps) {
@@ -422,7 +438,7 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
 
   // Forward traces end here, once the op has been dispatched into the
   // stack — except req_send, which finishes when the stack accepts the
-  // bytes (see try_deliver_sends).
+  // bytes (see pump_sends).
   if (e.reserved != 0) {
     tracer_.stamp(e.reserved, obs::nqe_stage::servicelib_dispatch);
     if (e.op != shm::nqe_op::req_send) tracer_.finish(e.reserved);
@@ -438,11 +454,12 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       // The arrival lane is the flow's home shard (the guest steered the
       // request by hashing <VM, fd>); every output rides the same lane.
       ps.shard = shard;
-      sockets_[cid] = std::move(ps);
       shm::nqe out;
       out.op = shm::nqe_op::cmp_socket;
       out.handle = cid;
       out.token = e.token;
+      out.arg0 = ps.cfg.send_buffer;  // the guest's send credit
+      sockets_[cid] = std::move(ps);
       push_completion(svm, shard, out);
       return;
     }
@@ -453,6 +470,10 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       out.handle = e.handle;
       out.token = e.token;
       out.arg_small = static_cast<std::uint32_t>(e.op);
+      // Echo the option and value: a new send buffer (option 3) is the
+      // guest's new send credit.
+      out.arg0 = e.arg0;
+      out.arg1 = e.arg1;
       if (ps == nullptr) {
         out.status = -static_cast<std::int32_t>(errc::not_found);
       } else if (e.arg0 == 1) {  // option 1: congestion control
@@ -549,8 +570,6 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
         push_receive(svm, shard, out);
         return;
       }
-      // Copy the payload out of the huge pages into stack-owned memory; the
-      // copy itself is the Table 1 cost, charged by the caller's dispatch.
       auto span = svm.ch->pool.readable(e.desc);
       if (!span) {
         tracer_.finish(e.reserved);
@@ -561,14 +580,16 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
         push_receive(svm, shard, out);
         return;
       }
-      buffer data = buffer::copy_of(span.value());
-      (void)svm.ch->pool.free(e.desc.chunk);
-      // Account the ServiceLib-side chunk copy.
-      bill(svm, costs_.memcpy_cost(data.size()));
-      const std::uint64_t len = data.size();
-      ps->pending_send.push_back(
-          pending_tx{std::move(data), e.token, len, e.reserved});
-      try_deliver_sends(*ps);
+      // Zero-copy transmit: the stack sends straight from the tenant's
+      // chunk, as the NIC would DMA it, so nothing is billed here. The
+      // simulator's copy_of stands in for that DMA read: packets outlive
+      // the ACK at the receiver, so they cannot alias the pool.
+      ps->queued += e.desc.length;
+      ps->tx.push_back(tx_pin{e.desc.chunk, ps->queued, e.desc.length,
+                              e.token, e.reserved,
+                              buffer::copy_of(span.value())});
+      ++ps->unsent;
+      pump_sends(*ps);
       return;
     }
     case shm::nqe_op::req_udp_open: {
@@ -577,11 +598,13 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       ps.cid = cid;
       ps.vm = svm.ch->vm_id;
       ps.udp = true;
+      ps.cfg = nsm_.config().tcp;
       ps.shard = shard;  // home lane: where the creating request arrived
       shm::nqe out;
       out.op = shm::nqe_op::cmp_socket;
       out.handle = cid;
       out.token = e.token;
+      out.arg0 = ps.cfg.send_buffer;  // the guest's send credit
       auto r = stack.udp_open(static_cast<std::uint16_t>(e.arg0));
       if (r) {
         ps.ssock = r.value();
@@ -605,9 +628,9 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
         push_receive(svm, shard, out);
         return;
       }
+      // Zero-copy like req_send (copy_of is the DMA read); the datagram
+      // leaves at once, so its chunk goes home right after the hand-off.
       buffer data = buffer::copy_of(span.value());
-      (void)svm.ch->pool.free(e.desc.chunk);
-      bill(svm, costs_.memcpy_cost(data.size()));
       const net::socket_addr dest{
           net::ipv4_addr{static_cast<std::uint32_t>(e.arg0)},
           static_cast<std::uint16_t>(e.arg1)};
@@ -618,6 +641,7 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
         stats_.bytes_to_stack += len;
         sla_.record_send(*svm.tenant, len);
       }
+      (void)svm.ch->pool.free(e.desc.chunk);
       // Credit back to GuestLib regardless (datagram semantics).
       shm::nqe out;
       out.op = shm::nqe_op::cmp_send;
@@ -630,22 +654,23 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
     case shm::nqe_op::req_shutdown_wr: {
       auto* ps = socket_by_cid(e.handle);
       if (ps != nullptr && ps->ssock != 0) {
-        (void)stack.shutdown_write(ps->ssock);
+        ps->shutdown_pending = true;
+        pump_sends(*ps);  // issues it once the parked sends are taken
       }
       return;
     }
     case shm::nqe_op::req_close: {
       auto* ps = socket_by_cid(e.handle);
-      if (ps != nullptr) {
-        if (!ps->pending_send.empty()) {
-          // Parked sends were queued ahead of this close; deliver them
-          // first (try_deliver_sends finishes the close when it drains).
-          ps->close_pending = true;
-          return;
-        }
-        if (ps->ssock != 0) (void)stack.close(ps->ssock);
+      if (ps == nullptr) return;
+      if (ps->ssock == 0) {
         drop_socket(e.handle);
+        return;
       }
+      // The guest is done with the connection: its quota slot frees now,
+      // even if the socket lingers for its pinned chunks.
+      release_slot(*ps);
+      ps->guest_closed = true;
+      pump_sends(*ps);  // closes once the parked sends are taken
       return;
     }
     default:
@@ -665,6 +690,17 @@ void service_lib::handle_stack_event(const stack::socket_event& ev) {
   auto vit = vms_.find(ps->vm);
   if (vit == vms_.end()) return;
   served_vm& svm = vit->second;
+  if (ps->guest_closed) {
+    // Closed by the guest, still holding pinned chunks: only the ack
+    // progress and the end of the connection matter now.
+    if (ev.type == stack::socket_event_type::writable) {
+      pump_sends(*ps);
+    } else if (ev.type == stack::socket_event_type::closed ||
+               ev.type == stack::socket_event_type::error) {
+      drop_socket(ps->cid);
+    }
+    return;
+  }
 
   switch (ev.type) {
     case stack::socket_event_type::connected: {
@@ -705,6 +741,9 @@ void service_lib::handle_stack_event(const stack::socket_event& ev) {
         out.op = shm::nqe_op::ev_accept;
         out.handle = listener_cid;  // listener
         out.arg0 = cid;             // the new connection
+        // The child's send buffer: the guest's send credit.
+        out.arg_small = static_cast<std::uint32_t>(
+            std::min<std::size_t>(cfg.send_buffer, UINT32_MAX));
         if (auto remote = stack.remote_of(r.value())) {
           out.arg1 =
               (std::uint64_t{remote->ip.value} << 16) | remote->port;
@@ -724,7 +763,7 @@ void service_lib::handle_stack_event(const stack::socket_event& ev) {
       }
       return;
     case stack::socket_event_type::writable:
-      try_deliver_sends(*ps);
+      pump_sends(*ps);
       return;
     case stack::socket_event_type::closed:
     case stack::socket_event_type::error: {
@@ -863,8 +902,8 @@ void service_lib::pump_udp_reads(proto_socket& ps) {
   }
 }
 
-void service_lib::try_deliver_sends(proto_socket& ps) {
-  NK_PROF("servicelib", "deliver_sends");
+void service_lib::pump_sends(proto_socket& ps) {
+  NK_PROF("servicelib", "pump_sends");
   if (ps.ssock == 0) return;
   // find, not operator[]: never implant a null-channel served_vm.
   auto vit = vms_.find(ps.vm);
@@ -872,66 +911,85 @@ void service_lib::try_deliver_sends(proto_socket& ps) {
   served_vm& svm = vit->second;
   auto& stack = nsm_.transport();
 
-  while (!ps.pending_send.empty()) {
-    auto& [data, token, original, trace] = ps.pending_send.front();
+  // Chunks whose last byte the peer acknowledged go home; each one's
+  // cmp_send hands the guest its credit back. A guest that closed the fd
+  // gets none: the engine has already forgotten the flow.
+  if (const auto acked = stack.acked_bytes(ps.ssock)) {
+    while (!ps.tx.empty() && ps.tx.front().end <= *acked) {
+      const tx_pin& pin = ps.tx.front();
+      (void)svm.ch->pool.free(pin.chunk);
+      if (!ps.guest_closed) {
+        shm::nqe out;
+        out.op = shm::nqe_op::cmp_send;
+        out.handle = ps.cid;
+        out.token = pin.token;
+        out.arg0 = pin.len;
+        push_completion(svm, ps.shard, out);
+      }
+      ps.tx.pop_front();
+    }
+  }
 
-    if (!sla_.allow_send(*svm.tenant, data.size(), sim_.now())) {
+  while (ps.unsent > 0) {
+    tx_pin& pin = ps.tx[ps.tx.size() - ps.unsent];
+    if (!sla_.allow_send(*svm.tenant, pin.unsent.size(), sim_.now())) {
       if (!ps.sla_retry_armed) {
         ps.sla_retry_armed = true;
         const sim_time at =
-            sla_.retry_at(*svm.tenant, data.size(), sim_.now());
+            sla_.retry_at(*svm.tenant, pin.unsent.size(), sim_.now());
         const std::uint32_t cid = ps.cid;
         sim_.schedule_at(std::max(at, sim_.now() + microseconds(1)),
                          [this, cid] {
                            if (auto* p = socket_by_cid(cid)) {
                              p->sla_retry_armed = false;
-                             try_deliver_sends(*p);
+                             pump_sends(*p);
                            }
                          });
       }
       return;
     }
 
-    auto r = stack.send(ps.ssock, data);
+    auto r = stack.send(ps.ssock, pin.unsent);
     if (!r) {
       if (r.error() == errc::would_block) return;  // wait for writable
-      // Connection went away: report and drop the queue.
-      shm::nqe out;
-      out.op = shm::nqe_op::ev_error;
-      out.handle = ps.cid;
-      out.status = -static_cast<std::int32_t>(r.error());
-      push_receive(svm, ps.shard, out);
-      for (const auto& tx : ps.pending_send) tracer_.finish(tx.trace);
-      ps.pending_send.clear();
-      if (ps.close_pending) {
-        if (ps.ssock != 0) (void)stack.close(ps.ssock);
-        drop_socket(ps.cid);  // invalidates ps
+      // Connection went away: report, and return every chunk uncredited.
+      if (!ps.guest_closed) {
+        shm::nqe out;
+        out.op = shm::nqe_op::ev_error;
+        out.handle = ps.cid;
+        out.status = -static_cast<std::int32_t>(r.error());
+        push_receive(svm, ps.shard, out);
       }
-      return;
+      release_pins(ps);
+      break;
     }
     const std::size_t accepted = r.value();
     stats_.bytes_to_stack += accepted;
     sla_.record_send(*svm.tenant, accepted);
-    if (accepted < data.size()) {
-      data = data.suffix_from(accepted);
+    if (accepted < pin.unsent.size()) {
+      pin.unsent = pin.unsent.suffix_from(accepted);
       return;  // stack buffer full; resume on writable
     }
-
-    if (trace != 0) {
-      tracer_.stamp(trace, obs::nqe_stage::stack_accept);
-      tracer_.finish(trace);
+    if (pin.trace != 0) {
+      tracer_.stamp(pin.trace, obs::nqe_stage::stack_accept);
+      tracer_.finish(pin.trace);
     }
-    shm::nqe out;
-    out.op = shm::nqe_op::cmp_send;
-    out.handle = ps.cid;
-    out.token = token;
-    out.arg0 = original;
-    push_completion(svm, ps.shard, out);
-    ps.pending_send.pop_front();
+    pin.unsent = buffer{};
+    --ps.unsent;
   }
 
-  if (ps.close_pending) {
-    if (ps.ssock != 0) (void)stack.close(ps.ssock);
+  // Every byte queued ahead of a shutdown or close is in the stack now.
+  if (ps.shutdown_pending) {
+    ps.shutdown_pending = false;
+    (void)stack.shutdown_write(ps.ssock);
+  }
+  if (ps.guest_closed && !ps.stack_closed) {
+    ps.stack_closed = true;
+    (void)stack.close(ps.ssock);
+  }
+  // A closed socket lingers only while the stack still holds its bytes.
+  if (ps.stack_closed &&
+      (ps.tx.empty() || !stack.acked_bytes(ps.ssock).has_value())) {
     drop_socket(ps.cid);  // invalidates ps
   }
 }

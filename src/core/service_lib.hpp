@@ -5,8 +5,10 @@
 // events (new data, new connections — the prototype's
 // nk_new_data_callback / nk_new_accept_callback) back through the NSM-side
 // completion/receive queues. Payload moves through the per-VM huge-page
-// pool; every ServiceLib-side chunk copy and dispatch is charged to the
-// NSM's core.
+// pool. Transmit is zero-copy: the stack sends straight from the tenant's
+// chunk, which stays pinned until the peer acknowledges its bytes. Receive
+// copies into a fresh chunk; that copy and every dispatch are charged to
+// the NSM's core.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +69,9 @@ class service_lib {
   void attach_channel(channel& ch, std::function<void(std::size_t)> notify_ce,
                       std::uint8_t epoch = 0);
 
-  // Reverse of attach_channel: frees staged chunks, closes the VM's sockets
-  // on the stack, and forgets the channel (detach_vm / teardown path).
+  // Reverse of attach_channel: frees staged and pinned chunks, closes the
+  // VM's sockets on the stack (aborting those that still hold pins), and
+  // forgets the channel (detach_vm / teardown path).
   void detach_channel(virt::vm_id vm);
 
   // Begins polling/serving (installs the stack event handler).
@@ -81,7 +84,8 @@ class service_lib {
   // socket dies with the module. A crashed stack says no goodbyes — tenants
   // learn through the provider's failure detection (core/monitor.hpp) and
   // the CoreEngine failover machinery, not from the dead module. Staged
-  // out-nqes are recycled here (their chunks would otherwise leak).
+  // out-nqes and pinned transmit chunks are recycled here (they would
+  // otherwise leak), with no cmp_send.
   void fail();
   [[nodiscard]] bool failed() const { return failed_; }
 
@@ -95,8 +99,9 @@ class service_lib {
   [[nodiscard]] sim_time last_heartbeat() const { return last_heartbeat_; }
 
   // True when nothing is in flight on this module: no staged out-nqes, no
-  // queued jobs or undrained outputs in any served channel, no partially
-  // delivered sends. A planned live update waits for this before switching.
+  // queued jobs or undrained outputs in any served channel, no send bytes
+  // the stack has not taken. A planned live update waits for this before
+  // switching.
   [[nodiscard]] bool quiescent() const;
 
   [[nodiscard]] const service_lib_stats& stats() const { return stats_; }
@@ -142,11 +147,17 @@ class service_lib {
     bool quota_wake_armed = false;  // period-end re-drain timer pending
   };
 
-  struct pending_tx {
-    buffer data;                 // unsent remainder
-    std::uint64_t token = 0;     // GuestLib correlation
-    std::uint64_t original = 0;  // size as submitted (credit release amount)
-    std::uint64_t trace = 0;     // lifecycle trace id (0: untraced)
+  // One req_send's chunk. The stack transmits from it (`unsent` is the
+  // NIC's DMA view of the bytes it has not taken yet), so it stays pinned
+  // until the peer acknowledges its last byte; then it goes back to the
+  // pool and its cmp_send returns the guest's credit.
+  struct tx_pin {
+    shm::chunk_ref chunk{};
+    std::uint64_t end = 0;    // stream offset one past the chunk's last byte
+    std::uint32_t len = 0;    // payload bytes (the credit the cmp_send returns)
+    std::uint64_t token = 0;  // GuestLib correlation
+    std::uint64_t trace = 0;  // lifecycle trace id (0: untraced)
+    buffer unsent;
   };
 
   struct proto_socket {
@@ -157,13 +168,21 @@ class service_lib {
     stack::socket_id ssock = 0;  // 0 until listen/connect/udp_open binds it
     bool listener = false;
     bool udp = false;
-    std::deque<pending_tx> pending_send;
+    // Pinned chunks, oldest first; the last `unsent` of them still hold
+    // bytes the stack has not taken. `queued` is the stream length so far.
+    std::deque<tx_pin> tx;
+    std::size_t unsent = 0;
+    std::uint64_t queued = 0;
     bool sla_retry_armed = false;
     bool holds_slot = false;  // counted against the VM's connection quota
-    // Guest closed while sends were still parked in pending_send: finish
-    // delivering them, then close (a req_close must never outrun the
-    // req_sends queued ahead of it and drop their bytes).
-    bool close_pending = false;
+    // A req_shutdown_wr or req_close waits for the bytes of the req_sends
+    // queued ahead of it to reach the stack; it must never outrun them.
+    bool shutdown_pending = false;
+    // req_close seen: the guest fd is gone, so no further output goes up.
+    // The stack is closed once `unsent` is 0 (stack_closed); the socket
+    // then lingers only until its last pinned chunk comes home.
+    bool guest_closed = false;
+    bool stack_closed = false;
     // Home engine shard: learned from the job-ring lane the creating request
     // arrived on; accepted children are steered by shm::nsm_shard. All of
     // this socket's outputs go out the home lane.
@@ -189,7 +208,14 @@ class service_lib {
   // counter bumped, and a re-drain armed where no doorbell will announce
   // the resume.
   [[nodiscard]] bool read_stalled(served_vm& svm, const proto_socket& ps);
-  void try_deliver_sends(proto_socket& ps);
+  // The transmit side of one socket, run on req_send, on every `writable`
+  // (the transport's ack notification) and on a rate-cap retry: returns
+  // acknowledged chunks with their cmp_sends, hands unsent bytes to the
+  // stack, then issues a deferred shutdown or close. May drop `ps`.
+  void pump_sends(proto_socket& ps);
+  // Frees every pinned chunk without a cmp_send (teardown and error paths:
+  // nobody is left to credit) and ends the traces of sends never taken.
+  void release_pins(proto_socket& ps);
 
   // Queue push helpers. Fallible by contract: true means the nqe was
   // delivered or staged for in-order retry; false means it was discarded

@@ -77,14 +77,10 @@ void connection::connect(std::uint64_t token) {
 result<std::size_t> connection::send(buffer data) {
   if (state_ == conn_state::closed || fin_pending_) return errc::closed;
   const std::size_t space = send_space();
-  if (space == 0) {
-    writable_blocked_ = true;
-    return errc::would_block;
-  }
+  if (space == 0) return errc::would_block;
   const std::size_t n = std::min(space, data.size());
   send_chain_.append(data.prefix(n));
   stream_len_ += n;
-  if (n < data.size()) writable_blocked_ = true;
   maybe_send();
   return n;
 }
@@ -435,7 +431,7 @@ void connection::process_ack(const ack_frame& a) {
     cc_->on_ack(s);
   }
 
-  // Acked prefix: release send-buffer space and wake a blocked writer.
+  // Acked prefix: release send-buffer space and report the advance.
   auto first = acked_.begin();
   if (first != acked_.end() && first->first <= send_base_ &&
       first->second > send_base_) {
@@ -443,10 +439,7 @@ void connection::process_ack(const ack_frame& a) {
     send_chain_.consume(static_cast<std::size_t>(release));
     send_base_ = first->second;
     if (first->second <= send_base_) acked_.erase(first);
-    if (writable_blocked_ && send_space() > 0) {
-      writable_blocked_ = false;
-      if (cb_.on_writable) cb_.on_writable();
-    }
+    if (cb_.on_writable) cb_.on_writable();
   }
 
   arm_pto();

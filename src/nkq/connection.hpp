@@ -110,6 +110,9 @@ class connection {
   [[nodiscard]] std::size_t send_space() const {
     return cfg_.send_buffer - send_chain_.size();
   }
+  // Stream bytes the peer has cumulatively acknowledged. Every advance
+  // raises on_writable.
+  [[nodiscard]] std::uint64_t acked_bytes() const { return send_base_; }
 
   [[nodiscard]] obs::nk_flow_info flow_info() const;
 
@@ -171,7 +174,6 @@ class connection {
   bool draining_ = false;  // local close waiting for the send side to ack out
   bool fin_sent_ = false;
   bool fin_acked_ = false;
-  bool writable_blocked_ = false;
   std::deque<sent_range> retx_queue_;
   std::map<std::uint64_t, std::uint64_t> acked_;  // merged [off, end) ranges
   std::map<std::uint64_t, sent_packet> sent_packets_;

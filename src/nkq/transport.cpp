@@ -105,6 +105,13 @@ result<buffer> nkq_transport::recv(stack::socket_id sock, std::size_t max) {
   return it->second.conn->recv(max);
 }
 
+std::optional<std::uint64_t> nkq_transport::acked_bytes(
+    stack::socket_id sock) {
+  auto it = conns_.find(sock);
+  if (it == conns_.end()) return std::nullopt;
+  return it->second.conn->acked_bytes();
+}
+
 status nkq_transport::shutdown_write(stack::socket_id sock) {
   auto it = conns_.find(sock);
   if (it == conns_.end()) return errc::not_found;
@@ -286,11 +293,11 @@ connection::callbacks nkq_transport::callbacks_for(stack::socket_id sock) {
   cb.on_closed = [this, sock](errc err) {
     if (auto it = conns_.find(sock);
         it != conns_.end() && it->second.closing) {
-      // Locally-initiated close finished draining (or timed out): the app
-      // is gone, so no event — just tear the entry down off this frame.
+      // Locally-initiated close finished draining (or timed out): tear the
+      // entry down off this frame. The event still goes up — ServiceLib
+      // holds the unacknowledged bytes' chunks until it hears the end.
       net_.simulator().schedule(sim_time::zero(),
                                 [this, sock] { reap(sock); });
-      return;
     }
     if (err == errc::ok) {
       push_event({sock, stack::socket_event_type::closed, errc::ok});

@@ -33,12 +33,14 @@ enum class nqe_op : std::uint8_t {
 
   // Completions (ServiceLib -> CoreEngine -> GuestLib), via completion queues.
   cmp_generic,    // status of the correlated request (token)
-  cmp_socket,     // handle = newly assigned fd / cID
+  cmp_socket,     // handle = newly assigned fd / cID, arg0 = send buffer
   cmp_connected,  // connect finished; status 0 or error
-  cmp_send,       // desc consumed by the stack; chunk may be reused
+  cmp_send,       // arg0 bytes acknowledged by the peer: send credit back,
+                  // the req_send's chunk already freed by ServiceLib
 
   // Events (ServiceLib -> CoreEngine -> GuestLib), via receive queues.
-  ev_accept,    // new connection; handle = new fd, arg0/arg1 = peer ip/port
+  ev_accept,    // new connection; handle = listener, arg0 = new fd / cID,
+                // arg1 = peer ip/port, arg_small = send buffer
   ev_data,      // desc = received payload in huge pages
   ev_udp_data,  // desc = datagram, arg0 = src ip, arg1 = src port
   ev_closed,    // peer closed (FIN) or connection fully closed
@@ -175,8 +177,10 @@ static_assert(sizeof(nqe) == 64, "nqe must occupy exactly one cache line");
 // Chunk ownership: the data-bearing ops (payload requests, data events) own
 // the huge-page chunk their descriptor names. Whoever discards one frees a
 // non-empty descriptor's chunk or the pool leaks; every other op must carry
-// no descriptor. (GuestLib frees consumed receive chunks in place: the pool
-// is shared, so no op carries a chunk back.)
+// no descriptor. The pool is shared, so no op carries a chunk back: GuestLib
+// frees consumed receive chunks in place, and ServiceLib keeps a req_send's
+// chunk pinned while the stack transmits from it and frees it once the peer
+// acknowledges its bytes (or the socket is torn down).
 [[nodiscard]] constexpr bool owns_chunk(const nqe& e) {
   switch (e.op) {
     case nqe_op::req_send:

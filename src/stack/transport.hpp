@@ -54,6 +54,12 @@ class transport {
                                                  buffer data) = 0;
   [[nodiscard]] virtual result<buffer> recv(socket_id sock,
                                             std::size_t max) = 0;
+  // Cumulative stream bytes the peer has acknowledged; nullopt once the
+  // transport no longer knows the socket. Every advance raises `writable`,
+  // so ServiceLib can hand the acknowledged bytes' chunks back to the
+  // tenant.
+  [[nodiscard]] virtual std::optional<std::uint64_t> acked_bytes(
+      socket_id sock) = 0;
   virtual status shutdown_write(socket_id sock) = 0;
   virtual status close(socket_id sock) = 0;
   virtual status abort(socket_id sock) = 0;
@@ -115,6 +121,11 @@ class tcp_transport final : public transport {
   }
   [[nodiscard]] result<buffer> recv(socket_id sock, std::size_t max) override {
     return net_.recv(sock, max);
+  }
+  [[nodiscard]] std::optional<std::uint64_t> acked_bytes(
+      socket_id sock) override {
+    if (auto* t = net_.tcb_of(sock)) return t->acked_bytes();
+    return std::nullopt;
   }
   status shutdown_write(socket_id sock) override {
     return net_.shutdown_write(sock);

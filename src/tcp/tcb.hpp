@@ -113,6 +113,9 @@ class tcb {
 
   [[nodiscard]] std::size_t receive_available() const { return recvq_.size(); }
   [[nodiscard]] std::size_t send_space() const;
+  // Payload bytes the peer has cumulatively acknowledged (SYN and FIN
+  // excluded). Every advance raises on_writable.
+  [[nodiscard]] std::uint64_t acked_bytes() const { return sendq_base_ - 1; }
   [[nodiscard]] bool eof_pending() const {
     return fin_received_ && recvq_.empty();
   }

@@ -428,6 +428,73 @@ TEST(netkernel_conn_quota, crashed_nsm_returns_its_connections_slots) {
   EXPECT_EQ(q.usage().connections, 1u);
 }
 
+// A guest that connects to a closed port over and over and never closes
+// the refused fds: the engine remembers each torn-down flow (so a request
+// the guest raced against the ev_error is not a forgery), but at most 1024
+// per VM and shard. Past that bound a late request is refused as badfd, and
+// a req_close gives the slot back.
+TEST(netkernel_torn_down, unclosed_refused_connects_stay_bounded) {
+  nk_pair rig;
+  core_engine& ce = rig.bed.netkernel(side::a);
+  ASSERT_EQ(ce.shards(), 1u);
+  auto& gc = *rig.client.glib;
+  std::set<std::uint32_t> refused;
+  gc.set_event_handler(
+      [&](std::uint32_t fd, stack::socket_event_type t, errc) {
+        if (t == stack::socket_event_type::error) refused.insert(fd);
+      });
+  const net::socket_addr closed_port{rig.server.module->config().address,
+                                     7999};
+  const auto refuse = [&](std::size_t n) {
+    std::vector<std::uint32_t> fds;
+    while (fds.size() < n) {
+      for (int i = 0; i < 64 && fds.size() < n; ++i) {
+        const auto fd = gc.nk_socket().value();
+        EXPECT_TRUE(gc.nk_connect(fd, closed_port).ok());
+        fds.push_back(fd);
+      }
+      rig.bed.run_for(milliseconds(1));
+    }
+    return fds;
+  };
+  // One late request per fd, straight onto the job ring (GuestLib itself
+  // sends nothing on an fd it knows has failed).
+  const virt::vm_id vm = rig.client.vm->id();
+  channel& ch = *ce.channel_of(vm);
+  const auto late_requests = [&](const std::vector<std::uint32_t>& fds) {
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      shm::nqe e;
+      e.op = shm::nqe_op::req_shutdown_wr;
+      e.handle = fds[i];
+      e.owner = static_cast<std::uint16_t>(vm);
+      ASSERT_TRUE(ch.vm_q(0).job.push(e));
+      if (i % 64 == 63 || i + 1 == fds.size()) {
+        ce.notify_from_vm(vm, 0);
+        rig.bed.run_for(milliseconds(1));
+      }
+    }
+  };
+
+  const auto fds = refuse(1024 + 8);
+  ASSERT_EQ(refused.size(), fds.size());
+  const auto before = ce.shard_stats(0);
+  late_requests(fds);
+  const auto after = ce.shard_stats(0);
+  EXPECT_EQ(after.unroutable_nqes - before.unroutable_nqes, 1024u);
+  EXPECT_EQ(after.rejected_nqes - before.rejected_nqes, 8u);
+
+  // Closing the remembered fds frees their entries: the next refused
+  // connect is remembered again.
+  for (const auto fd : fds) (void)gc.nk_close(fd);
+  rig.bed.run_for(milliseconds(5));
+  const auto again = refuse(1);
+  ASSERT_TRUE(refused.contains(again.front()));
+  const auto mid = ce.shard_stats(0);
+  late_requests(again);
+  EXPECT_EQ(ce.shard_stats(0).unroutable_nqes - mid.unroutable_nqes, 1u);
+  EXPECT_EQ(ce.shard_stats(0).rejected_nqes, mid.rejected_nqes);
+}
+
 TEST(netkernel_accounting, pricing_models_differ) {
   nk_pair rig;
   apps::bulk_sink sink{*rig.server.api, 7001, false};
@@ -1724,6 +1791,378 @@ TEST(netkernel_memory, attach_retire_churn_keeps_pool_memory_bounded) {
   EXPECT_GT(one_pool, 0.0);
   EXPECT_EQ(resident("engine_pool_resident_bytes"), resident(anchor_gauge));
   EXPECT_EQ(ce.metrics().value_of("engine_pool_bad_frees").value_or(-1.0), 0.0);
+}
+
+// --- zero-copy transmit ------------------------------------------------------------
+//
+// ServiceLib transmits straight from the tenant's chunk and keeps it pinned
+// until the peer acknowledges its bytes; the chunk and the guest's send
+// credit come back together in the one cmp_send of its req_send. On every
+// teardown path the pins go home with no cmp_send.
+
+constexpr std::uint16_t zc_port = 7300;
+
+// One sender VM (side a) and one receiver VM (side b), each with its own
+// NSM speaking `transport`. The receiver accepts every connection and reads
+// it to EOF, checking the byte pattern; the sender streams `limit` bytes of
+// pattern on each socket it opens, refilling on writable.
+struct zc_rig {
+  explicit zc_rig(
+      const std::string& transport = "tcp", std::uint64_t seed = 5,
+      const std::function<void(apps::testbed_params&)>& tweak = {},
+      const std::function<void(nsm_config&)>& nsm_tweak = {})
+      : bed{[&] {
+          auto p = apps::datacenter_params(seed);
+          if (tweak) tweak(p);
+          return p;
+        }()} {
+    nsm_config nsm_cfg;
+    nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
+    nsm_cfg.transport = transport;
+    if (nsm_tweak) nsm_tweak(nsm_cfg);
+    virt::vm_config vm_cfg;
+    vm_cfg.name = "tx";
+    tx = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
+    vm_cfg.name = "rx";
+    nsm_cfg.name = "nsm-rx";
+    rx = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+
+    auto& g = *rx.glib;
+    lfd = g.nk_socket().value();
+    EXPECT_TRUE(g.nk_bind(lfd, zc_port).ok());
+    EXPECT_TRUE(g.nk_listen(lfd).ok());
+    g.set_event_handler([this](std::uint32_t fd, stack::socket_event_type t,
+                               errc) {
+      if (fd == lfd) {
+        while (auto c = rx.glib->nk_accept(lfd)) received[c.value()];
+      } else if (t == stack::socket_event_type::readable) {
+        drain(fd);
+      }
+    });
+    tx.glib->set_event_handler([this](std::uint32_t fd,
+                                      stack::socket_event_type t, errc) {
+      auto it = writers.find(fd);
+      if (it == writers.end()) return;
+      if (t == stack::socket_event_type::error) {
+        ++it->second.errors;
+      } else if (t == stack::socket_event_type::connected ||
+                 t == stack::socket_event_type::writable) {
+        if (it->second.errors > 0) ++it->second.writable_after_error;
+        pump(fd);
+      }
+    });
+  }
+
+  struct writer {
+    std::uint64_t limit = 0;
+    std::uint64_t sent = 0;  // accepted by GuestLib
+    int errors = 0;
+    int writable_after_error = 0;
+  };
+  struct reader {
+    std::uint64_t bytes = 0;
+    bool eof = false;
+  };
+
+  std::uint32_t open(std::uint64_t limit) {
+    const auto fd = tx.glib->nk_socket().value();
+    writers[fd].limit = limit;
+    EXPECT_TRUE(
+        tx.glib->nk_connect(fd, {rx.module->config().address, zc_port}).ok());
+    return fd;
+  }
+
+  void pump(std::uint32_t fd) {
+    writer& w = writers[fd];
+    while (w.sent < w.limit) {
+      const std::uint64_t want = std::min<std::uint64_t>(64 * 1024,
+                                                         w.limit - w.sent);
+      auto r = tx.glib->nk_send(fd, buffer::pattern(want, w.sent));
+      if (!r) return;
+      w.sent += r.value();
+    }
+  }
+
+  void drain(std::uint32_t fd) {
+    reader& r = received[fd];
+    while (true) {
+      auto got = rx.glib->nk_recv(fd, 1 << 20);
+      if (!got) {
+        if (got.error() == errc::closed) r.eof = true;
+        return;
+      }
+      pattern_ok = pattern_ok && got.value().matches_pattern(r.bytes);
+      r.bytes += got.value().size();
+    }
+  }
+
+  [[nodiscard]] std::uint64_t total_received() const {
+    std::uint64_t n = 0;
+    for (const auto& [fd, r] : received) n += r.bytes;
+    return n;
+  }
+
+  channel& tx_channel() {
+    return *bed.netkernel(side::a).channel_of(tx.vm->id());
+  }
+
+  // True while the sending NSM's transport still holds a connection (TCP
+  // numbers sockets from 1, nkq from 2^32).
+  bool tx_stack_holds_a_connection() {
+    for (const stack::socket_id base :
+         {std::uint64_t{0}, std::uint64_t{1} << 32}) {
+      for (stack::socket_id s = base; s < base + 64; ++s) {
+        if (tx.module->transport().flow_info(s)) return true;
+      }
+    }
+    return false;
+  }
+
+  // The sender-side tcb of the (only) connection to the receiver.
+  tcp::tcb* tx_tcb() {
+    for (stack::socket_id s = 1; s < 64; ++s) {
+      if (auto* t = tx.module->stack().tcb_of(s);
+          t != nullptr && t->tuple().remote.port == zc_port) {
+        return t;
+      }
+    }
+    return nullptr;
+  }
+
+  testbed bed;
+  apps::nk_tenant tx;
+  apps::nk_tenant rx;
+  std::uint32_t lfd = 0;
+  std::map<std::uint32_t, writer> writers;
+  std::map<std::uint32_t, reader> received;
+  bool pattern_ok = true;
+};
+
+// Every engine-side discard is a traced drop or an untraced one, shard by
+// shard — the drop identity a pin leak or a stray nqe would break.
+void expect_drop_identity(core_engine& ce) {
+  for (std::size_t s = 0; s < ce.shards(); ++s) {
+    const auto& st = ce.shard_stats(s);
+    EXPECT_EQ(st.unroutable_nqes + st.nqes_dropped + st.stale_nqes +
+                  st.rejected_nqes,
+              ce.shard_traces_dropped(s) + ce.shard_discards_untraced(s))
+        << "shard " << s;
+  }
+}
+
+TEST(netkernel_zero_copy, chunk_stays_pinned_until_the_ack) {
+  zc_rig rig;
+  const auto fd = rig.open(0);
+  rig.bed.run_for(milliseconds(1));
+  channel& ch = rig.tx_channel();
+  const std::size_t free0 = ch.pool.chunks_free();
+  const std::uint64_t out0 = ch.nqes_nsm_to_vm();
+  ASSERT_TRUE(rig.tx.glib->nk_send(fd, buffer::pattern(8192, 0)).ok());
+
+  bool pinned_in_flight = false;
+  bool credited = false;
+  for (int step = 0; step < 10000 && !credited; ++step) {
+    rig.bed.run_for(nanoseconds(100));
+    const tcp::tcb* t = rig.tx_tcb();
+    ASSERT_NE(t, nullptr);
+    // On the wire but not yet acknowledged: the chunk is still out.
+    if (t->stats().bytes_sent >= 8192 && t->acked_bytes() < 8192) {
+      EXPECT_EQ(ch.pool.chunks_free(), free0 - 1);
+      pinned_in_flight = true;
+    }
+    // The first output after the send is its cmp_send, and it comes after
+    // the ACK, together with the chunk.
+    if (ch.nqes_nsm_to_vm() > out0) {
+      credited = true;
+      EXPECT_EQ(t->acked_bytes(), 8192u);
+      EXPECT_EQ(ch.pool.chunks_free(), free0);
+    }
+  }
+  EXPECT_TRUE(pinned_in_flight);
+  EXPECT_TRUE(credited);
+  rig.bed.run_for(milliseconds(1));
+  EXPECT_EQ(rig.total_received(), 8192u);
+  EXPECT_TRUE(rig.pattern_ok);
+}
+
+TEST(netkernel_zero_copy, lossy_bulk_transfer_returns_every_chunk) {
+  zc_rig rig{"tcp", 9, [](apps::testbed_params& p) { p.wire.loss_rate = 0.01; }};
+  constexpr std::uint64_t total = 4u << 20;
+  const auto fd = rig.open(total);
+  rig.bed.run_for(seconds(2));
+  ASSERT_EQ(rig.total_received(), total);
+  EXPECT_TRUE(rig.pattern_ok);
+  // Lost segments were retransmitted from the stack's own copy while their
+  // chunks stayed pinned.
+  ASSERT_NE(rig.tx_tcb(), nullptr);
+  EXPECT_GT(rig.tx_tcb()->stats().bytes_retransmitted, 0u);
+
+  ASSERT_TRUE(rig.tx.glib->nk_close(fd).ok());
+  rig.bed.run_for(milliseconds(100));
+  EXPECT_TRUE(rig.received.begin()->second.eof);
+  for (auto s : {side::a, side::b}) {
+    for (const auto vm : rig.bed.netkernel(s).attached_vms()) {
+      const channel* ch = rig.bed.netkernel(s).channel_of(vm);
+      EXPECT_EQ(ch->pool.chunks_free(), ch->pool.chunk_count());
+    }
+    expect_drop_identity(rig.bed.netkernel(s));
+  }
+}
+
+// Mid-stream teardown of the sending VM's service: its NSM fails over, the
+// VM is detached, or it is quarantined. A burst fills the 4 MB send
+// buffer; once every req_send has reached the stack, part of the bytes are
+// still unacknowledged, so their chunks are pinned.
+enum class teardown { failover, detach, quarantine };
+
+class netkernel_zero_copy_teardown
+    : public ::testing::TestWithParam<std::tuple<std::string, teardown>> {};
+
+TEST_P(netkernel_zero_copy_teardown, returns_every_pinned_chunk) {
+  const auto [transport, kind] = GetParam();
+  zc_rig rig{transport};
+  core_engine& ce = rig.bed.netkernel(side::a);
+  const auto vm = rig.tx.vm->id();
+  const auto fd = rig.open(0);
+  rig.bed.run_for(milliseconds(1));
+  // The send buffer the NSM reported in cmp_socket stops the burst.
+  rig.writers[fd].limit = 8u << 20;
+  rig.pump(fd);
+  ASSERT_EQ(rig.writers[fd].sent, 4u << 20);
+  rig.writers[fd].limit = rig.writers[fd].sent;
+  channel& ch = rig.tx_channel();
+  service_lib* dead = ce.service_of(rig.tx.module->id());
+  for (int i = 0; i < 1000 && dead->stats().bytes_to_stack < (4u << 20); ++i) {
+    rig.bed.run_for(microseconds(10));
+  }
+  ASSERT_EQ(dead->stats().bytes_to_stack, 4u << 20);
+  ASSERT_LT(rig.total_received(), 4u << 20);
+  ASSERT_LT(ch.pool.chunks_free(), ch.pool.chunk_count());  // pins held
+  ASSERT_TRUE(rig.tx_stack_holds_a_connection());
+
+  switch (kind) {
+    case teardown::failover: {
+      dead->fail();
+      nsm_config fresh = rig.tx.module->config();
+      fresh.name = "nsm-tx2";
+      fresh.form = nsm_form::container;
+      ce.replace_nsm(rig.tx.module->id(), fresh);
+      break;
+    }
+    case teardown::detach:
+      ce.detach_vm(vm);
+      break;
+    case teardown::quarantine:
+      ce.quarantine_vm(vm, "test");
+      break;
+  }
+  // Every pin is back the moment the service lets go of the socket, and
+  // no stack is left to transmit from the returned chunks: the connection
+  // that held them was aborted, not closed gracefully.
+  EXPECT_EQ(ch.pool.chunks_free(), ch.pool.chunk_count());
+  EXPECT_FALSE(rig.tx_stack_holds_a_connection());
+  const std::uint64_t late_drops = dead->stats().nqes_dropped;
+  rig.bed.run_for(milliseconds(200));
+
+  EXPECT_EQ(ch.pool.chunks_free(), ch.pool.chunk_count());
+  // The module emitted nothing after it let go: no cmp_send, so no credit
+  // and no writable reached the guest.
+  EXPECT_EQ(dead->stats().nqes_dropped, late_drops);
+  EXPECT_EQ(rig.writers[fd].writable_after_error, 0);
+  if (kind != teardown::detach) {
+    EXPECT_EQ(rig.writers[fd].errors, 1);  // detach raises no events
+  }
+  EXPECT_TRUE(rig.pattern_ok);
+  for (auto s : {side::a, side::b}) expect_drop_identity(rig.bed.netkernel(s));
+}
+
+std::string teardown_name(
+    const ::testing::TestParamInfo<std::tuple<std::string, teardown>>& info) {
+  const char* kinds[] = {"failover", "detach", "quarantine"};
+  return std::get<0>(info.param) + "_" +
+         kinds[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    transports, netkernel_zero_copy_teardown,
+    ::testing::Combine(::testing::Values(std::string{"tcp"},
+                                         std::string{"nkq"}),
+                       ::testing::Values(teardown::failover, teardown::detach,
+                                         teardown::quarantine)),
+    teardown_name);
+
+TEST(netkernel_zero_copy, setsockopt_send_buffer_bounds_outstanding_bytes) {
+  zc_rig rig;
+  constexpr std::uint64_t sndbuf = 64 * 1024;
+  const auto fd = rig.tx.glib->nk_socket().value();
+  ASSERT_TRUE(
+      rig.tx.glib->nk_setsockopt(fd, nk_option::send_buffer, sndbuf).ok());
+  rig.writers[fd].limit = UINT64_MAX;
+  ASSERT_TRUE(rig.tx.glib
+                  ->nk_connect(fd, {rig.rx.module->config().address, zc_port})
+                  .ok());
+  std::uint64_t peak = 0;
+  for (int step = 0; step < 2000; ++step) {
+    rig.bed.run_for(microseconds(5));
+    if (const tcp::tcb* t = rig.tx_tcb()) {
+      // Unsent plus unacknowledged bytes, counted from the application.
+      peak = std::max(peak, rig.writers[fd].sent - t->acked_bytes());
+    }
+  }
+  EXPECT_LE(peak, sndbuf);
+  EXPECT_GT(peak, sndbuf / 2);
+  EXPECT_GT(rig.total_received(), 1u << 20);
+  EXPECT_TRUE(rig.pattern_ok);
+}
+
+// A shutdown queued behind sends the stack has not taken yet must wait for
+// them. The 512 KB goes down before the NSM has reported the socket's
+// credit, so most of it parks in ServiceLib behind the 64 KB send buffer.
+TEST(netkernel_zero_copy, shutdown_waits_for_parked_sends) {
+  zc_rig rig{"tcp", 5, {},
+             [](nsm_config& c) { c.tcp.send_buffer = 64 * 1024; }};
+  constexpr std::uint64_t total = 512 * 1024;
+  const auto fd = rig.open(0);
+  rig.writers[fd].limit = total;
+  rig.pump(fd);
+  ASSERT_EQ(rig.writers[fd].sent, total);
+  ASSERT_TRUE(rig.tx.glib->nk_shutdown(fd).ok());
+  rig.bed.run_for(milliseconds(200));
+
+  EXPECT_EQ(rig.total_received(), total);
+  EXPECT_TRUE(rig.pattern_ok);
+  ASSERT_EQ(rig.received.size(), 1u);
+  EXPECT_TRUE(rig.received.begin()->second.eof);
+  EXPECT_EQ(rig.writers[fd].errors, 0);
+  channel& ch = rig.tx_channel();
+  EXPECT_EQ(ch.pool.chunks_free(), ch.pool.chunk_count());
+}
+
+// Pins are held for a round trip, so one socket can drain the pool. A
+// writer starved of chunks with nothing of its own in flight must still
+// wake when another socket's chunks come home.
+TEST(netkernel_zero_copy, chunk_starved_writer_wakes_on_any_chunk_return) {
+  zc_rig rig{"tcp", 5, [](apps::testbed_params& p) {
+               p.netkernel.channel.hugepages.page_count = 1;  // 256 chunks
+             }};
+  channel& ch = rig.tx_channel();
+  const std::uint64_t pool_bytes =
+      ch.pool.chunk_count() * ch.pool.chunk_size();
+  const auto bulk = rig.open(pool_bytes);
+  const auto small = rig.open(0);
+  // The bulk socket takes every chunk the moment it connects.
+  while (rig.writers[bulk].sent < pool_bytes) {
+    rig.bed.run_for(nanoseconds(100));
+  }
+  ASSERT_EQ(ch.pool.chunks_free(), 0u);
+  rig.writers[small].limit = 64 * 1024;
+  rig.pump(small);
+  ASSERT_EQ(rig.writers[small].sent, 0u);  // starved, nothing in flight
+
+  rig.bed.run_for(milliseconds(5));
+  EXPECT_EQ(rig.writers[small].sent, 64u * 1024);
+  EXPECT_EQ(rig.total_received(), pool_bytes + 64 * 1024);
+  EXPECT_TRUE(rig.pattern_ok);
 }
 
 }  // namespace

@@ -18,11 +18,11 @@ constexpr std::size_t drain_batch = 64;
 // chunks in flight per lane — instead of in the core's unbounded execute
 // FIFO. Same gate ServiceLib applies in drain_jobs.
 constexpr sim_time pump_backlog_bound = microseconds(3);
-// Accepted-connection fds are minted per shard from disjoint ranges so the
-// accept hot path touches no cross-shard counter. 1M fds per shard leaves
-// the whole range above any GuestLib-minted fd.
+// Accepted-connection fds sit above every GuestLib-minted fd. Each shard
+// mints its own interleaved sequence (see mint_id), so the accept hot path
+// touches no cross-shard counter and (fd - accept_fd_base) mod N names the
+// home shard.
 constexpr std::uint32_t accept_fd_base = 0x80000000;
-constexpr std::uint32_t accept_fd_stride = 0x00100000;
 // Throttled VMs drain at most `throttle_batch` job nqes per
 // `throttle_period` per shard — the lane pump is deprioritized, not
 // stopped, so a tenant that merely glitched keeps limping.
@@ -33,10 +33,20 @@ constexpr std::size_t throttle_batch = 8;
 // cannot grow provider memory past this; beyond it a late request for
 // such a fd is refused as badfd, as if the flow had never existed.
 constexpr std::size_t torn_down_per_lane = 1024;
-// Planned live update: how long replace_nsm waits for the old module to
-// quiesce before switching anyway (bounds a module that never drains).
-constexpr sim_time planned_drain_timeout = milliseconds(50);
+
+// Shard s of N mints the ids first, first + N, first + 2N, ... inside one
+// 2^31-wide range ([0, 2^31) for cIDs, [2^31, 2^32) for accepted fds), so
+// an id's offset in its range mod N is its home shard. The counter never
+// goes backwards except to restart at `first` before it would leave the
+// range: an id can repeat only after 2^31/N mints on one shard.
+std::uint32_t mint_id(std::uint32_t& next, std::uint32_t first,
+                      std::size_t n) {
+  const std::uint32_t id = next;
+  const auto step = static_cast<std::uint32_t>(n);
+  next = (id & 0x7fffffffu) + step < 0x80000000u ? id + step : first;
+  return id;
 }
+}  // namespace
 
 core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
     : host_{host},
@@ -54,6 +64,7 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
   for (std::size_t s = 0; s < n_shards; ++s) {
     shards_[s].index = s;
     shards_[s].core = &host.allocate_core();
+    shards_[s].next_cid = static_cast<std::uint32_t>(s + n_shards);
     // Rename shard cores for profiler attribution (safe: the profiler
     // caches a core's name at its first charge, and a freshly allocated
     // pool core has executed nothing). The single-shard engine keeps the
@@ -279,23 +290,23 @@ core_engine_stats core_engine::stats() const {
 }
 
 const core_engine::flow_key* core_engine::find_by_nsm(nsm_key key) const {
-  for (const auto& sh : shards_) {
-    auto it = sh.by_nsm.find(key);
-    if (it != sh.by_nsm.end()) return &it->second;
-  }
-  return nullptr;
+  const std::size_t n = shards_.size();
+  const auto& by_nsm =
+      shards_[key.cid < service_lib::child_cid_base
+                  ? key.cid % n
+                  : shm::nsm_shard(key.id, key.cid, n)]
+          .by_nsm;
+  auto it = by_nsm.find(key);
+  return it == by_nsm.end() ? nullptr : &it->second;
 }
 
 std::optional<std::size_t> core_engine::shard_of(virt::vm_id vm,
                                                  std::uint32_t fd) const {
-  const std::size_t home =
-      fd >= accept_fd_base && shards_.size() > 1
-          ? (fd - accept_fd_base) / accept_fd_stride
-          : shm::flow_shard(vm, fd, shards_.size());
-  if (home >= shards_.size() ||
-      !shards_[home].by_flow.contains(flow_key{vm, fd})) {
-    return std::nullopt;
-  }
+  const std::size_t n = shards_.size();
+  const std::size_t home = fd >= accept_fd_base
+                               ? (fd - accept_fd_base) % n
+                               : shm::flow_shard(vm, fd, n);
+  if (!shards_[home].by_flow.contains(flow_key{vm, fd})) return std::nullopt;
   return home;
 }
 
@@ -304,7 +315,7 @@ std::vector<core_engine::flow_row> core_engine::flow_table() {
   for (auto& [id, svc] : services_) {
     for (auto& rec : svc->flow_table()) {
       const flow_key* key = find_by_nsm(nsm_key{id, rec.cid});
-      if (key == nullptr) continue;  // mapping not installed yet
+      if (key == nullptr) continue;  // the guest already closed the fd
       flow_row row;
       row.vm = key->vm;
       row.fd = key->fd;
@@ -418,7 +429,6 @@ std::optional<std::pair<nsm_id, std::uint32_t>> core_engine::mapping_of(
   const auto s = shard_of(vm, fd);
   if (!s) return std::nullopt;
   const flow_entry& fl = shards_[*s].by_flow.at(flow_key{vm, fd});
-  if (!fl.cid_known) return std::nullopt;
   return std::make_pair(fl.nsm, fl.cid);
 }
 
@@ -488,8 +498,7 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     lane& ln = att.lanes[s];
     ln.stage = std::make_unique<lane_stages>(*att.ch, s);
-    ln.next_accept_fd =
-        accept_fd_base + static_cast<std::uint32_t>(s) * accept_fd_stride;
+    ln.next_accept_fd = accept_fd_base + static_cast<std::uint32_t>(s);
     ln.vm_to_nsm = std::make_unique<queue_pump>(
         sim_, cfg_.notification, [this, id = vm.id(), s]() -> std::size_t {
           auto it = attachments_.find(id);
@@ -755,9 +764,9 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
   }
 
   if (e.op == shm::nqe_op::req_socket || e.op == shm::nqe_op::req_udp_open) {
-    // New flow: install a mapping (in this shard's partition — the guest
-    // steered the request here by hashing <VM, fd>) that learns its cID
-    // from cmp_socket.
+    // New flow: name it with a cID minted by this shard and map both
+    // directions in this shard's partition (the guest steered the request
+    // here by hashing <VM, fd>). The NSM adopts the cID the request carries.
     const auto fd = static_cast<std::uint32_t>(e.token);
     // Exec-time fd gate: minting a socket over a live fd, inside the
     // engine-owned accept range, or off the fd's home lane is a forgery.
@@ -770,10 +779,14 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
     }
     flow_entry fl;
     fl.nsm = att.module->id();
+    const std::size_t n = shards_.size();
+    fl.cid = mint_id(sh.next_cid, static_cast<std::uint32_t>(s + n), n);
     fl.udp = e.op == shm::nqe_op::req_udp_open;
     shm::nqe j = e;
     j.reserved = 0;  // journal copies are re-traced when replayed
     fl.journal.push_back(j);
+    sh.by_nsm[nsm_key{fl.nsm, fl.cid}] = flow_key{vm, fd};
+    e.handle = fl.cid;
     sh.by_flow[flow_key{vm, fd}] = std::move(fl);
     ++sh.stats.mappings_installed;
     deliver_to_nsm(att, s, e);
@@ -825,12 +838,6 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
       break;
     default:
       break;
-  }
-
-  if (!it->second.cid_known) {
-    // The NSM has not assigned a cID yet; hold the op (FIFO per flow).
-    it->second.pending.push_back(e);
-    return;
   }
 
   e.handle = it->second.cid;
@@ -945,40 +952,17 @@ void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
   const nsm_id module = att.module->id();
 
   switch (e.op) {
-    case shm::nqe_op::cmp_socket: {
-      // Learn the <VM,fd> <-> <NSM,cID> mapping and release held ops. The
-      // completion rides the same shard lane the req_socket went down, so
-      // the flow entry is in this shard's partition.
-      const auto fd = static_cast<std::uint32_t>(e.token);
-      auto it = sh.by_flow.find(flow_key{vm, fd});
-      if (it != sh.by_flow.end()) {
-        it->second.cid = e.handle;
-        it->second.cid_known = true;
-        sh.by_nsm[nsm_key{module, e.handle}] = flow_key{vm, fd};
-        auto held = std::move(it->second.pending);
-        it->second.pending.clear();
-        bool closed = false;
-        for (auto& op : held) {
-          op.handle = it->second.cid;
-          closed = closed || op.op == shm::nqe_op::req_close;
-          deliver_to_nsm(att, s, op);
-        }
-        if (closed) {
-          sh.by_nsm.erase(nsm_key{module, it->second.cid});
-          sh.by_flow.erase(it);
-          ++sh.stats.mappings_removed;
-        }
-      }
-      e.handle = fd;
+    case shm::nqe_op::cmp_socket:
+      // Routed by its token, the fd: the flow may be closed already.
+      e.handle = static_cast<std::uint32_t>(e.token);
       break;
-    }
     case shm::nqe_op::ev_accept: {
       // handle = listener cID, arg0 = new connection cID. Mint a VM fd for
       // the new flow and register it (paper §3.2 accept path). ServiceLib
       // steered this event to the child's home shard (hash of <NSM, cID>),
       // so the child's mapping installs here; the listener may live in a
-      // different partition — resolving it is a cross-shard *read* on the
-      // accept control path, never a write to another shard's state.
+      // different partition — resolving it is a *read* of the listener
+      // cID's home partition, never a write to another shard's state.
       const flow_key* lkey = find_by_nsm(nsm_key{module, e.handle});
       if (lkey == nullptr) {
         ++sh.stats.unroutable_nqes;
@@ -988,12 +972,14 @@ void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
       // Copy the listener fd out before the inserts below: they may rehash
       // the very map lkey points into.
       const std::uint32_t listener_fd = lkey->fd;
-      const std::uint32_t new_fd = att.lanes[s].next_accept_fd++;
+      const std::uint32_t new_fd =
+          mint_id(att.lanes[s].next_accept_fd,
+                  accept_fd_base + static_cast<std::uint32_t>(s),
+                  shards_.size());
       const auto new_cid = static_cast<std::uint32_t>(e.arg0);
       flow_entry fl;
       fl.nsm = module;
       fl.cid = new_cid;
-      fl.cid_known = true;
       sh.by_flow[flow_key{vm, new_fd}] = std::move(fl);
       sh.by_nsm[nsm_key{module, new_cid}] = flow_key{vm, new_fd};
       ++sh.stats.accept_fds_minted;
@@ -1028,7 +1014,7 @@ void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
 
   tracer_.stamp(e.reserved, obs::nqe_stage::engine_copy_rev);
   // A failed push must not count as delivered, and a critical nqe (a
-  // cmp_socket carrying the flow's cID, a cmp_send releasing credit) must
+  // cmp_socket carrying the send credit, a cmp_send releasing credit) must
   // survive a full ring — it parks in the stage and flushes in order.
   lane_stages& stage = *att.lanes[s].stage;
   push_to_vm(att, s, receive_queue ? stage.receive : stage.completion, e);
@@ -1260,19 +1246,16 @@ void core_engine::detach_vm(virt::vm_id vm) {
     }
   };
 
-  // Both directions of the mapping table, including ops held for a cid.
-  // Each flow lives in exactly one shard's partition, so every shard is
-  // scrubbed of precisely its own entries.
+  // Both directions of the mapping table. Each flow lives in exactly one
+  // shard's partition, so every shard is scrubbed of precisely its own
+  // entries.
   for (auto& sh : shards_) {
     for (auto fit = sh.by_flow.begin(); fit != sh.by_flow.end();) {
       if (fit->first.vm != vm) {
         ++fit;
         continue;
       }
-      for (const auto& held : fit->second.pending) discard(sh, held);
-      if (fit->second.cid_known) {
-        sh.by_nsm.erase(nsm_key{fit->second.nsm, fit->second.cid});
-      }
+      sh.by_nsm.erase(nsm_key{fit->second.nsm, fit->second.cid});
       fit = sh.by_flow.erase(fit);
       ++sh.stats.mappings_removed;
     }
@@ -1308,116 +1291,53 @@ void core_engine::detach_vm(virt::vm_id vm) {
 
 // --- NSM replacement -----------------------------------------------------------------
 
-nsm& core_engine::replace_nsm(nsm_id failed_id, const nsm_config& cfg,
-                              replace_mode mode) {
+nsm& core_engine::replace_nsm(nsm_id failed_id, const nsm_config& cfg) {
   const sim_time started = sim_.now();
   nsm& fresh = create_nsm(cfg);
   const nsm_id new_id = fresh.id();
-  log_info("core_engine: replacing nsm ", failed_id, " with nsm ", new_id,
-           mode == replace_mode::planned ? " (planned)" : " (unplanned)");
-  recorder_.note(failed_id, 0,
-                 std::string(mode == replace_mode::planned
-                                 ? "replace planned -> nsm "
-                                 : "replace unplanned -> nsm ") +
-                     std::to_string(new_id),
+  log_info("core_engine: replacing nsm ", failed_id, " with nsm ", new_id);
+  recorder_.note(failed_id, 0, "replace -> nsm " + std::to_string(new_id),
                  sim_.now());
-  if (mode == replace_mode::unplanned) {
-    metrics_.get_counter("nsm_failures").inc();
-    // Crash recovery: the old incarnation is dead as of now; the channels
-    // switch over the moment the replacement finishes booting, so the
-    // per-form startup time is part of the measured recovery time.
-    if (auto* old_service = service_of(failed_id);
-        old_service != nullptr && !old_service->failed()) {
-      old_service->fail();
-    }
-    sim_.schedule_at(std::max(fresh.ready_at(), sim_.now()),
-                     [this, failed_id, new_id, started] {
-                       switch_over(failed_id, new_id, started);
-                     });
-  } else {
-    metrics_.get_counter("nsm_planned_updates").inc();
-    try_planned_switch(failed_id, new_id, started,
-                       sim_.now() + planned_drain_timeout);
+  metrics_.get_counter("nsm_failures").inc();
+  // The old incarnation is dead as of now; the channels switch over the
+  // moment the replacement finishes booting, so the per-form startup time
+  // is part of the measured recovery time.
+  if (auto* old_service = service_of(failed_id);
+      old_service != nullptr && !old_service->failed()) {
+    old_service->fail();
   }
+  sim_.schedule_at(std::max(fresh.ready_at(), sim_.now()),
+                   [this, failed_id, new_id, started] {
+                     switch_over(failed_id, new_id, started);
+                   });
   return fresh;
 }
 
-void core_engine::try_planned_switch(nsm_id old_id, nsm_id new_id,
-                                     sim_time started, sim_time deadline) {
-  nsm* fresh = nsm_by_id(new_id);
-  if (fresh == nullptr) return;
-  service_lib* old_service = service_of(old_id);
-  bool stages_clear = true;
-  for (const auto& [vm, att] : attachments_) {
-    if (att.module->id() != old_id) continue;
-    for (const auto& ln : att.lanes) {
-      if (!ln.stage->to_nsm.empty()) {
-        stages_clear = false;
-        break;
-      }
-    }
-    if (!stages_clear) break;
-  }
-  const bool drained =
-      stages_clear && (old_service == nullptr || old_service->quiescent());
-  const bool booted = sim_.now() >= fresh->ready_at();
-  if (booted && (drained || sim_.now() >= deadline)) {
-    switch_over(old_id, new_id, started);
-    return;
-  }
-  sim_.schedule(microseconds(100), [this, old_id, new_id, started, deadline] {
-    try_planned_switch(old_id, new_id, started, deadline);
-  });
-}
-
 void core_engine::replay_flow(attachment& att, std::size_t s,
-                              std::uint32_t fd, flow_entry& fl) {
+                              const flow_key& key, flow_entry& fl) {
+  // The flow keeps its cID; only the NSM half of its mapping moves. The
+  // whole journal goes down the flow's own lane at once, cID-addressed, so
+  // the replacement ServiceLib rebuilds the socket under the same name and
+  // learns the same steering the guest still uses.
   engine_shard& sh = shards_[s];
-  if (fl.cid_known) sh.by_nsm.erase(nsm_key{fl.nsm, fl.cid});
+  sh.by_nsm.erase(nsm_key{fl.nsm, fl.cid});
   fl.nsm = att.module->id();
-  fl.cid = 0;
-  fl.cid_known = false;  // the replacement assigns a fresh cid (cmp_socket)
-  // Ops still held for the dead incarnation's cid duplicate the journal
-  // (control plane) or are data that died with the module; discard them
-  // with accounting before rebuilding the pending list from the journal.
-  for (const shm::nqe& held : fl.pending) discard_stale(att, s, held);
-  fl.pending.clear();
-  // Only the socket-creation op can go down now: everything after it is
-  // cid-addressed on the NSM side, and the fresh cid arrives asynchronously
-  // via cmp_socket. Park the rest on the flow's pending list; the
-  // cid-arrival path translates and delivers them in journal order. The
-  // replay stays inside the flow's owning shard: the journal head rides
-  // this shard's lane, so the replacement ServiceLib re-learns the same
-  // steering the guest still uses.
-  bool first = true;
+  sh.by_nsm[nsm_key{fl.nsm, fl.cid}] = key;
   for (const shm::nqe& entry : fl.journal) {
     shm::nqe e = entry;
-    e.reserved = 0;
+    e.handle = fl.cid;
     if (const std::uint64_t id = tracer_.maybe_begin(
             e, /*reverse=*/false, att.vm->id(), att.module->id())) {
       tracer_.stamp(id, obs::nqe_stage::failover_replay);
     }
-    if (first) {
-      deliver_to_nsm(att, s, e);
-      first = false;
-    } else {
-      fl.pending.push_back(e);
-    }
+    deliver_to_nsm(att, s, e);
   }
-  (void)fd;
 }
 
 void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
   nsm* fresh = nsm_by_id(new_id);
   service_lib* next = service_of(new_id);
   if (fresh == nullptr || next == nullptr) return;
-
-  // Make sure the old incarnation really is dead before taking its place
-  // (the planned path reaches here without an explicit fail()).
-  if (auto* old_service = service_of(old_id);
-      old_service != nullptr && !old_service->failed()) {
-    old_service->fail();
-  }
 
   std::uint64_t recovered = 0;
   std::uint64_t aborted = 0;
@@ -1462,7 +1382,7 @@ void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
       for (auto& [key, fl] : sh.by_flow) {
         if (key.vm != vm || fl.nsm != old_id) continue;
         if (!fl.connecting && !fl.journal.empty()) {
-          replay_flow(att, sh.index, key.fd, fl);
+          replay_flow(att, sh.index, key, fl);
           ++recovered;
         } else {
           doomed.push_back(key.fd);
@@ -1471,12 +1391,7 @@ void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
       for (const std::uint32_t fd : doomed) {
         auto bit = sh.by_flow.find(flow_key{vm, fd});
         if (bit == sh.by_flow.end()) continue;
-        for (const auto& held : bit->second.pending) {
-          discard_stale(att, sh.index, held);
-        }
-        if (bit->second.cid_known) {
-          sh.by_nsm.erase(nsm_key{old_id, bit->second.cid});
-        }
+        sh.by_nsm.erase(nsm_key{old_id, bit->second.cid});
         sh.by_flow.erase(bit);
         remember_torn_down(att, sh.index, flow_key{vm, fd});
         ++sh.stats.mappings_removed;

@@ -8,7 +8,9 @@
 //     ~12 ns per copied event to its own core;
 //   * maintains the connection mapping table <VM ID, fd> <-> <NSM ID, cID>
 //     and rewrites identifiers as nqes cross the boundary;
-//   * mints fds for passively accepted connections on behalf of the VM.
+//   * names what the other side lacks: the cID of every socket the guest
+//     creates (at req_socket, so every later op goes down at once) and the
+//     fd of every connection the NSM accepts.
 //
 // Multi-queue scaling (arXiv full version; DESIGN.md §13): the engine runs
 // as N independent shards, NIC-RSS style. Each shard owns a partition of
@@ -18,13 +20,14 @@
 // picked by a splitmix64 steering hash (shm/steering.hpp) over <VM, fd>
 // for guest-created sockets and over <NSM, cID> for accepted children;
 // every producer pushes a flow's nqes to its home lane, so both directions
-// of one flow live entirely inside one shard. shards = 1 (the default)
-// degenerates to the paper's single-loop engine.
+// of one flow live entirely inside one shard. The ids the engine mints
+// name their shard too (cID mod N, accepted fd offset mod N), so any id
+// leads to one partition. shards = 1 (the default) degenerates to the
+// paper's single-loop engine.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -190,13 +193,9 @@ class core_engine {
   // the guest with errc::nsm_reset. In-flight nqes stamped with the old
   // incarnation's epoch are discarded with accounting on both sides.
   // Steering is stable across failover: the epoch bump and each flow's
-  // journal replay happen within the flow's owning shard.
-  enum class replace_mode {
-    unplanned,  // crash recovery: the old module is failed now
-    planned,    // live update: drain the old module first, then switch
-  };
-  nsm& replace_nsm(nsm_id failed_id, const nsm_config& cfg,
-                   replace_mode mode = replace_mode::unplanned);
+  // journal replay happen within the flow's owning shard, and a replayed
+  // flow keeps its cID. The old module is failed now if it is not already.
+  nsm& replace_nsm(nsm_id failed_id, const nsm_config& cfg);
 
   // --- abuse quarantine (hostile-tenant hardening, DESIGN.md §14) -------------
   //
@@ -292,9 +291,10 @@ class core_engine {
     return shards_[s].core;
   }
   // The shard homing <vm, fd>, or nullopt if the flow is unknown. Flows
-  // never move, so the home is a pure function of the identity: the
-  // minting shard's accept-fd range for accepted children, else
-  // shm::flow_shard(vm, fd). Only that one partition is consulted.
+  // never move, so the home is a pure function of the identity:
+  // (fd - 0x80000000) mod N for accepted children (each shard mints every
+  // N-th fd above 0x80000000), else shm::flow_shard(vm, fd). Only that one
+  // partition is consulted.
   [[nodiscard]] std::optional<std::size_t> shard_of(virt::vm_id vm,
                                                     std::uint32_t fd) const;
 
@@ -303,14 +303,15 @@ class core_engine {
   // One row per TCP connection across every live NSM: ServiceLib's per-NSM
   // flow tables (<NSM, cID>) joined with the connection-mapping table, so
   // each row is addressed the way the tenant sees it: <VM ID, fd>. Rows
-  // whose cid has no mapping yet (connect still in flight) are skipped.
+  // whose fd the guest already closed (the stack still drains its bytes)
+  // are skipped.
   // Sorted by (vm, fd) for deterministic output.
   struct flow_row {
     virt::vm_id vm = 0;
     std::uint32_t fd = 0;
     nsm_id nsm = 0;
     std::uint32_t cid = 0;
-    std::string transport;      // registry name of the serving protocol
+    std::string transport;      // name of the serving protocol
     net::socket_addr remote{};  // guest-chosen peer address
     obs::nk_flow_info info;
   };
@@ -325,7 +326,8 @@ class core_engine {
   void publish_stat_pages();
 
   // The connection-mapping table's view of one guest socket: <NSM ID, cID>,
-  // or nullopt when the fd has no mapping (or the cid is not yet known).
+  // or nullopt when the fd has no mapping. A created socket is mapped from
+  // the moment the engine forwards its req_socket.
   // Lets tests and the introspection ablation cross-check flow_table()
   // against the table it joins.
   [[nodiscard]] std::optional<std::pair<nsm_id, std::uint32_t>> mapping_of(
@@ -370,11 +372,9 @@ class core_engine {
   struct flow_entry {
     nsm_id nsm = 0;
     std::uint32_t cid = 0;
-    bool cid_known = false;
     bool listening = false;   // saw req_listen (replayable across failover)
     bool udp = false;         // datagram flow (replayable across failover)
     bool connecting = false;  // saw req_connect (dies with the module)
-    std::deque<shm::nqe> pending;  // ops queued until the cid arrives
     // Control-plane journal: the socket's setup ops as the guest submitted
     // them (fd-addressed, pre-translation). Replaying it into a replacement
     // NSM reconstructs listeners and datagram bindings; data-plane state is
@@ -404,6 +404,9 @@ class core_engine {
     sim::cpu_core* core = nullptr;  // never null once constructed
     std::unordered_map<flow_key, flow_entry, flow_key_hash> by_flow;
     std::unordered_map<nsm_key, flow_key, nsm_key_hash> by_nsm;
+    // Next cID for a socket created on this shard: index + N·k, k >= 1,
+    // below service_lib::child_cid_base (see mint_id).
+    std::uint32_t next_cid = 0;
     // Flows the engine tore down with an ev_error (a stack error or a
     // failover abort), kept until the guest's req_close or detach: a
     // request the guest issued before it saw the error still names the fd,
@@ -424,8 +427,8 @@ class core_engine {
 
   // Per-attachment, per-shard plumbing: each lane owns the two pumps that
   // drain its ring set and the staged lanes those pumps re-drain. fds for
-  // accepted connections are minted from a shard-local range so no shared
-  // counter sits on the accept path.
+  // accepted connections are minted from a shard-local interleaved sequence
+  // so no shared counter sits on the accept path.
   struct lane {
     std::unique_ptr<queue_pump> vm_to_nsm;  // drains ch->vm_q(s).job
     std::unique_ptr<queue_pump> nsm_to_vm;  // drains ch->nsm_q(s).{cmp,recv}
@@ -514,11 +517,9 @@ class core_engine {
 
   // Failover internals. switch_over retires the old module, re-points every
   // attachment at the new one under a bumped epoch, replays journals and
-  // aborts connection state; try_planned_switch polls for quiescence first.
+  // aborts connection state.
   void switch_over(nsm_id old_id, nsm_id new_id, sim_time started);
-  void try_planned_switch(nsm_id old_id, nsm_id new_id, sim_time started,
-                          sim_time deadline);
-  void replay_flow(attachment& att, std::size_t s, std::uint32_t fd,
+  void replay_flow(attachment& att, std::size_t s, const flow_key& key,
                    flow_entry& fl);
   // Adds `key` to shard s's torn_down set unless the VM already holds
   // torn_down_per_lane entries there.
@@ -546,8 +547,10 @@ class core_engine {
       ++sh.discards_untraced;
     }
   }
-  // Cross-shard by_nsm lookup (control plane only: the ev_accept listener
-  // resolution, flow_table joins). Returns the owning shard's entry.
+  // by_nsm lookup in the cID's home partition (control plane only: the
+  // ev_accept listener resolution, flow_table joins, stat pages). An
+  // engine-minted cID's home is cid mod N; an accepted child's is
+  // shm::nsm_shard(nsm, cid).
   [[nodiscard]] const flow_key* find_by_nsm(nsm_key key) const;
 
   virt::hypervisor& host_;

@@ -426,9 +426,7 @@ nsm_supervisor::nsm_supervisor(core_engine& engine, health_monitor& monitor)
     if (dead == nullptr) return;  // already retired by an earlier failover
     nsm_config cfg = dead->config();
     cfg.name += "-r" + std::to_string(++failovers_);
-    last_replacement_ =
-        engine_.replace_nsm(a.module, cfg, core_engine::replace_mode::unplanned)
-            .id();
+    last_replacement_ = engine_.replace_nsm(a.module, cfg).id();
   });
 }
 

@@ -6,6 +6,19 @@
 
 namespace nk::core {
 
+namespace {
+// The tenant-selected protocol over the NSM's stack. A bad name is a tenant
+// configuration error: it throws here, at provisioning time, never at
+// serving time.
+std::unique_ptr<stack::transport> make_transport(const std::string& name,
+                                                 stack::netstack& base) {
+  if (name == "tcp") return std::make_unique<stack::tcp_transport>(base);
+  if (name == "nkq") return std::make_unique<nkq::nkq_transport>(base);
+  throw std::invalid_argument("unknown transport '" + name +
+                              "' (known: nkq, tcp)");
+}
+}  // namespace
+
 nsm::nsm(virt::hypervisor& host, nsm_id id, const nsm_config& cfg)
     : id_{id},
       cfg_{cfg},
@@ -33,11 +46,7 @@ nsm::nsm(virt::hypervisor& host, nsm_id id, const nsm_config& cfg)
   stack_->bind_nic(vnic_);
   for (auto* core : cores_) stack_->add_core(*core);
 
-  // Tenant-selected protocol. A bad name throws here, at provisioning time
-  // (tenant configuration error), never at serving time.
-  nkq::ensure_registered();
-  transport_ =
-      stack::transport_registry::instance().create(cfg_.transport, *stack_);
+  transport_ = make_transport(cfg_.transport, *stack_);
 
   host.attach_nic(vnic_, cfg.address, cfg.sriov);
 }

@@ -65,8 +65,8 @@ struct form_profile {
 struct nsm_config {
   std::string name = "nsm";
   nsm_form form = nsm_form::vm;
-  // Transport-registry name of the protocol this NSM serves ("tcp", "nkq",
-  // ...). Unknown names throw std::invalid_argument at NSM creation.
+  // The protocol this NSM serves: "tcp" or "nkq". Any other name throws
+  // std::invalid_argument at NSM creation.
   std::string transport = "tcp";
   tcp::cc_algorithm cc = tcp::cc_algorithm::cubic;
   tcp::tcp_config tcp{};  // `cc` above is applied onto this

@@ -124,19 +124,6 @@ std::vector<service_lib::flow_record> service_lib::flow_table() {
   return out;
 }
 
-bool service_lib::quiescent() const {
-  for (const auto& [vm, svm] : vms_) {
-    if (staged_depth(vm) != 0) return false;
-    if (svm.ch->nsm_job_depth() != 0 || svm.ch->nsm_out_depth() != 0) {
-      return false;
-    }
-  }
-  for (const auto& [cid, ps] : sockets_) {
-    if (ps.unsent != 0) return false;
-  }
-  return true;
-}
-
 void service_lib::start() {
   nsm_.transport().set_event_handler(
       [this](const stack::socket_event& ev) { handle_stack_event(ev); });
@@ -446,7 +433,7 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
 
   switch (e.op) {
     case shm::nqe_op::req_socket: {
-      const std::uint32_t cid = next_cid_++;
+      const std::uint32_t cid = e.handle;  // minted by CoreEngine
       proto_socket ps;
       ps.cid = cid;
       ps.vm = svm.ch->vm_id;
@@ -593,7 +580,7 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       return;
     }
     case shm::nqe_op::req_udp_open: {
-      const std::uint32_t cid = next_cid_++;
+      const std::uint32_t cid = e.handle;  // minted by CoreEngine
       proto_socket ps;
       ps.cid = cid;
       ps.vm = svm.ch->vm_id;
@@ -720,7 +707,7 @@ void service_lib::handle_stack_event(const stack::socket_event& ev) {
       while (true) {
         auto r = stack.accept(ev.sock);
         if (!r) break;
-        const std::uint32_t cid = next_cid_++;
+        const std::uint32_t cid = next_cid_++ | child_cid_base;
         proto_socket child;
         child.cid = cid;
         child.vm = vm;

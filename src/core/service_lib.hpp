@@ -98,11 +98,10 @@ class service_lib {
   // stops beating, which is the watchdog's unresponsiveness signal.
   [[nodiscard]] sim_time last_heartbeat() const { return last_heartbeat_; }
 
-  // True when nothing is in flight on this module: no staged out-nqes, no
-  // queued jobs or undrained outputs in any served channel, no send bytes
-  // the stack has not taken. A planned live update waits for this before
-  // switching.
-  [[nodiscard]] bool quiescent() const;
+  // cIDs at or above this name accepted children, minted here; CoreEngine
+  // mints the cIDs of guest-created sockets below it and a req_socket or
+  // req_udp_open carries its cID in `handle`.
+  static constexpr std::uint32_t child_cid_base = 0x80000000;
 
   [[nodiscard]] const service_lib_stats& stats() const { return stats_; }
   [[nodiscard]] nsm& module() { return nsm_; }
@@ -278,7 +277,9 @@ class service_lib {
   std::unordered_map<virt::vm_id, served_vm> vms_;
   std::unordered_map<std::uint32_t, proto_socket> sockets_;
   std::unordered_map<stack::socket_id, std::uint32_t> by_ssock_;
-  std::uint32_t next_cid_ = 1;
+  // Accepted children only. Stays in [child_cid_base, 2^32): a cID repeats
+  // only after 2^31 accepts on this module.
+  std::uint32_t next_cid_ = child_cid_base;
 
   service_lib_stats stats_;
 };

@@ -1,15 +1,12 @@
 // In-simulator packet representation.
 //
-// The fast path passes structured headers plus a zero-copy payload slice;
-// the wire codecs in net/wire.hpp can serialize/parse the same packet to
-// real bytes (with checksums) and are exercised by tests, so the
-// representation is faithful without paying per-packet serialization inside
-// throughput experiments.
+// Packets are never serialized: the fast path passes structured headers
+// plus a zero-copy payload slice, and wire_size() charges the link for the
+// bytes the real headers would take.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <variant>
 
 #include "common/buffer.hpp"
@@ -47,7 +44,6 @@ struct tcp_flags {
   bool ece = false;  // ECN-echo
   bool cwr = false;  // congestion window reduced
 
-  [[nodiscard]] std::string to_string() const;
   friend bool operator==(const tcp_flags&, const tcp_flags&) = default;
 };
 
@@ -65,8 +61,8 @@ struct tcp_header {
   std::uint32_t seq = 0;
   std::uint32_t ack = 0;
   tcp_flags flags{};
-  // Advertised receive window in bytes. The struct carries the descaled
-  // value; the wire codec applies the negotiated shift (wire.hpp).
+  // Advertised receive window in bytes, descaled (RFC 7323 window scaling
+  // is not modeled: no wire field narrows it).
   std::uint32_t wnd = 0;
   // RFC 7323 timestamps, always present in this stack (10-byte option,
   // padded to 12 on the wire).
@@ -129,8 +125,6 @@ struct packet {
         is_tcp() ? tcp().header_bytes() : udp_header::wire_bytes;
     return 18 + ipv4_header::wire_bytes + l4_bytes + payload.size();
   }
-
-  [[nodiscard]] std::string summary() const;
 };
 
 }  // namespace nk::net

@@ -365,15 +365,4 @@ void nkq_transport::register_metrics(obs::metrics_registry& reg,
     [](const nkq_transport& t) { return t.conns_.size(); });
 }
 
-void ensure_registered() {
-  static const bool once = [] {
-    stack::transport_registry::instance().add(
-        "nkq", [](stack::netstack& base) {
-          return std::make_unique<nkq_transport>(base);
-        });
-    return true;
-  }();
-  (void)once;
-}
-
 }  // namespace nk::nkq

@@ -129,8 +129,4 @@ class nkq_transport final : public stack::transport {
   nkq_transport_stats stats_;
 };
 
-// Registers the "nkq" factory with the global transport registry
-// (idempotent); called from NSM construction so link order never matters.
-void ensure_registered();
-
 }  // namespace nk::nkq

@@ -18,8 +18,8 @@ namespace nk::obs {
 struct nk_flow_info {
   // Identity / algorithm. All three strings come from compile-time
   // to_string tables (transport kind, tcp_state / nkq state, cc name), so
-  // they are JSON-safe without escaping. `transport` is the registry name
-  // of the protocol that filled this row ("tcp", "nkq", ...): the flow
+  // they are JSON-safe without escaping. `transport` is the name of the
+  // protocol that filled this row ("tcp" or "nkq"): the flow
   // table is transport-agnostic, fields keep their closest-equivalent
   // meaning (retransmits = fast retransmits + timeouts for TCP, lost
   // packets recovered by pn-threshold/PTO for nkq).

@@ -19,7 +19,7 @@ enum class nqe_op : std::uint8_t {
   invalid = 0,
 
   // Requests (GuestLib -> CoreEngine -> ServiceLib), via job queues.
-  req_socket,       // create a socket
+  req_socket,       // handle = token = new fd; CoreEngine swaps in its cID
   req_bind,         // arg0 = local port
   req_listen,       // arg0 = backlog
   req_connect,      // arg0 = remote ip, arg1 = remote port
@@ -33,7 +33,7 @@ enum class nqe_op : std::uint8_t {
 
   // Completions (ServiceLib -> CoreEngine -> GuestLib), via completion queues.
   cmp_generic,    // status of the correlated request (token)
-  cmp_socket,     // handle = newly assigned fd / cID, arg0 = send buffer
+  cmp_socket,     // token = the new fd, arg0 = send buffer
   cmp_connected,  // connect finished; status 0 or error
   cmp_send,       // arg0 bytes acknowledged by the peer: send credit back,
                   // the req_send's chunk already freed by ServiceLib

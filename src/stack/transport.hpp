@@ -1,23 +1,18 @@
 // Protocol-plugin contract (DESIGN.md §15): the NSM/ServiceLib boundary
 // speaks this interface, not tcp::tcb. A transport owns socket lifecycle,
 // tx/rx, its own timers/CC, and per-flow telemetry; ServiceLib never looks
-// past it. netstack's TCP implements it (tcp_transport below, registered as
-// "tcp"), and src/nkq/ ships a second implementation ("nkq") — a UDP-based
+// past it. netstack's TCP implements it (tcp_transport below, named "tcp"),
+// and src/nkq/ ships a second implementation ("nkq") — a UDP-based
 // reliable transport with QUIC-like streams — proving the paper's
 // stack-as-a-service claim for tenant-defined protocols (Chamelio model).
-//
-// The registry maps nsm_config::transport names to factories; an unknown
-// name is a tenant configuration error and throws std::invalid_argument at
-// NSM creation (never a crash at serving time).
+// The NSM builds the one its nsm_config::transport names (core/nsm.cpp).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/buffer.hpp"
 #include "common/result.hpp"
@@ -40,7 +35,8 @@ class transport {
  public:
   virtual ~transport() = default;
 
-  // Registry name of this transport ("tcp", "nkq", ...).
+  // Name of this transport, as nsm_config::transport spells it ("tcp" or
+  // "nkq").
   [[nodiscard]] virtual std::string_view kind() const = 0;
 
   // Connection-oriented sockets.
@@ -163,33 +159,6 @@ class tcp_transport final : public transport {
 
  private:
   netstack& net_;
-};
-
-// Name -> factory registry. Builtin "tcp" is registered on first access;
-// other modules (nkq) add themselves via ensure-registered hooks called
-// from NSM creation, which keeps static-library link order irrelevant.
-class transport_registry {
- public:
-  using factory = std::function<std::unique_ptr<transport>(netstack&)>;
-
-  [[nodiscard]] static transport_registry& instance();
-
-  // Registers (or replaces) a factory under `name`.
-  void add(std::string name, factory make);
-
-  [[nodiscard]] bool known(std::string_view name) const;
-  // Registered names, sorted (deterministic error messages / listings).
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  // Builds a transport over `base`. Unknown names are a tenant
-  // configuration error: throws std::invalid_argument naming the culprit
-  // and the registered alternatives.
-  [[nodiscard]] std::unique_ptr<transport> create(const std::string& name,
-                                                  netstack& base) const;
-
- private:
-  transport_registry();
-  std::vector<std::pair<std::string, factory>> entries_;
 };
 
 }  // namespace nk::stack

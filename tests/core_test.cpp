@@ -625,6 +625,48 @@ TEST(netkernel_guestlib, close_releases_mapping_and_chunks) {
   EXPECT_GT(rig.bed.netkernel(side::a).stats().mappings_removed, 0u);
 }
 
+// The engine names a guest-created socket when it forwards req_socket, so
+// the flow is mapped, and its next op goes down, before the cmp_socket ever
+// reaches the guest. Batched interrupts with a 100 us delay spread the hops
+// apart: engine forward at 100 us, ServiceLib at 200 us, engine reverse at
+// 300 us, guest drain at 400 us.
+TEST(netkernel_mapping, created_socket_is_mapped_before_its_completion) {
+  auto params = apps::datacenter_params(5);
+  params.netkernel.notification.kind =
+      notify_config::mode::batched_interrupt;
+  params.netkernel.notification.interrupt_delay = microseconds(100);
+  testbed bed{params};
+  nsm_config nsm_cfg;
+  nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
+  virt::vm_config vm_cfg;
+  vm_cfg.name = "a";
+  auto a = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
+  vm_cfg.name = "b";
+  nsm_cfg.name = "nsm-b";
+  auto b = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+
+  core_engine& ce = bed.netkernel(side::a);
+  const auto vm = a.vm->id();
+  const auto fd = a.glib->nk_socket().value();
+  ASSERT_TRUE(a.glib->nk_connect(fd, {b.module->config().address, 7000}).ok());
+  EXPECT_FALSE(ce.mapping_of(vm, fd).has_value());
+
+  // The engine has forwarded req_socket: the mapping carries its cID.
+  bed.run_for(microseconds(110));
+  const auto mapped = ce.mapping_of(vm, fd);
+  ASSERT_TRUE(mapped.has_value());
+  EXPECT_EQ(mapped->first, a.module->id());
+  EXPECT_LT(mapped->second, service_lib::child_cid_base);
+
+  // ServiceLib ran the connect in the same drain as the socket, while the
+  // cmp_socket still waits in the NSM-side completion ring.
+  bed.run_for(microseconds(100));
+  auto* ch = ce.channel_of(vm);
+  EXPECT_GT(ch->nsm_out_depth(), 0u);
+  EXPECT_EQ(ce.service_of(a.module->id())->stats().ops_processed, 2u);
+  EXPECT_EQ(ce.mapping_of(vm, fd), mapped);
+}
+
 // Tiny rings (depth 8) force every queue in the pipeline to overflow, and
 // an abrupt mid-stream close adds unroutable events on top. Afterward the
 // failure-accounting invariant must hold on both hosts: all chunks back in
@@ -1131,9 +1173,11 @@ TEST(netkernel_sharding, four_shards_carry_traffic_and_sum_to_aggregate) {
 
 // Flows never move between shards, so a flow's home shard is a pure
 // function of its identity: shm::flow_shard(vm, fd) for sockets the guest
-// created, and the minting shard's accept-fd range (1M fds per shard above
-// 0x80000000) for accepted children, which ServiceLib steered by
-// shm::nsm_shard(nsm, cid).
+// created, and (fd - 0x80000000) mod N for accepted children (each shard
+// mints every N-th fd above 0x80000000), which ServiceLib steered by
+// shm::nsm_shard(nsm, cid). Every mapped cID sits in its home partition:
+// cid mod N for the cIDs the engine mints, shm::nsm_shard for the ones
+// ServiceLib mints for accepted children.
 TEST(netkernel_sharding, shard_of_is_the_steering_formula) {
   sharded_pair rig;
   auto& glib_s = *rig.server.glib;
@@ -1171,28 +1215,37 @@ TEST(netkernel_sharding, shard_of_is_the_steering_formula) {
     const auto s = ce_c.shard_of(vm_c, fd);
     ASSERT_TRUE(s.has_value()) << "fd " << fd;
     EXPECT_EQ(*s, shm::flow_shard(vm_c, fd, n)) << "fd " << fd;
+    const auto mapped = ce_c.mapping_of(vm_c, fd);
+    ASSERT_TRUE(mapped.has_value()) << "fd " << fd;
+    EXPECT_LT(mapped->second, service_lib::child_cid_base) << "fd " << fd;
+    EXPECT_EQ(*s, mapped->second % n) << "fd " << fd;
     homes.insert(*s);
   }
   EXPECT_GE(homes.size(), 2u);
 
   const auto vm_s = rig.server.vm->id();
-  EXPECT_EQ(ce_s.shard_of(vm_s, lfd), shm::flow_shard(vm_s, lfd, n));
+  const auto ls = ce_s.shard_of(vm_s, lfd);
+  ASSERT_TRUE(ls.has_value());
+  EXPECT_EQ(*ls, shm::flow_shard(vm_s, lfd, n));
+  EXPECT_EQ(*ls, ce_s.mapping_of(vm_s, lfd).value().second % n);
   homes.clear();
   for (const auto fd : accepted) {
     const auto s = ce_s.shard_of(vm_s, fd);
     ASSERT_TRUE(s.has_value()) << "fd " << fd;
-    EXPECT_EQ(*s, (fd - 0x80000000u) / 0x00100000u) << "fd " << fd;
+    EXPECT_EQ(*s, (fd - 0x80000000u) % n) << "fd " << fd;
     const auto mapped = ce_s.mapping_of(vm_s, fd);
     ASSERT_TRUE(mapped.has_value()) << "fd " << fd;
+    EXPECT_GE(mapped->second, service_lib::child_cid_base) << "fd " << fd;
     EXPECT_EQ(*s, shm::nsm_shard(mapped->first, mapped->second, n))
         << "fd " << fd;
     homes.insert(*s);
   }
   EXPECT_GE(homes.size(), 2u);
 
-  // Unknown fds, including one past every shard's accept range, have no home.
+  // Unknown fds, including an accept fd no shard has minted yet, have no
+  // home.
   EXPECT_FALSE(ce_c.shard_of(vm_c, 9999).has_value());
-  EXPECT_FALSE(ce_s.shard_of(vm_s, 0x80000000u + 4 * 0x00100000u).has_value());
+  EXPECT_FALSE(ce_s.shard_of(vm_s, 0x80000000u + 1000 * n).has_value());
 
   // Detach the client mid-stream so every shard has in-flight nqes to
   // discard. Per-shard drop accounting stays exact: every engine-side

@@ -296,6 +296,53 @@ TEST(failure_detection, supervisor_replaces_nsm_and_listener_resumes) {
   EXPECT_EQ(accepts, 2);
 }
 
+// A replayed flow keeps the cID the engine minted for it: only the NSM half
+// of its mapping changes. The listener is not the first socket the guest
+// created, so a replacement that numbered its sockets from scratch would
+// not hit the same cID by chance.
+TEST(failure_detection, supervisor_failover_keeps_replayed_listener_cid) {
+  testbed bed{apps::datacenter_params(29)};
+  nsm_config nsm_cfg;
+  nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
+  nsm_cfg.form = nsm_form::container;  // 60 ms boot keeps the test brisk
+  virt::vm_config vm_cfg;
+  vm_cfg.name = "server";
+  auto server = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+
+  auto& gs = *server.glib;
+  const auto scratch = gs.nk_socket().value();
+  bed.run_for(milliseconds(1));
+  ASSERT_TRUE(gs.nk_close(scratch).ok());
+  const auto lfd = gs.nk_socket().value();
+  ASSERT_TRUE(gs.nk_bind(lfd, 7000).ok());
+  ASSERT_TRUE(gs.nk_listen(lfd).ok());
+  bed.run_for(milliseconds(10));
+
+  core_engine& ce = bed.netkernel(side::b);
+  const auto vm = server.vm->id();
+  const auto before = ce.mapping_of(vm, lfd);
+  ASSERT_TRUE(before.has_value());
+  const nsm_id dead_id = server.module->id();
+  EXPECT_EQ(before->first, dead_id);
+
+  monitor_config mcfg;
+  mcfg.interval = milliseconds(5);
+  health_monitor mon{ce, mcfg};
+  nsm_supervisor sup{ce, mon};
+  mon.start();
+  ce.service_of(dead_id)->fail();
+  bed.run_for(milliseconds(200));  // detect + 60 ms boot + switchover
+  ASSERT_EQ(sup.failovers(), 1);
+
+  const auto after = ce.mapping_of(vm, lfd);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->first, sup.last_replacement());
+  EXPECT_NE(after->first, dead_id);
+  EXPECT_EQ(after->second, before->second);
+  // Only the listener was replayed; the closed scratch socket was gone.
+  EXPECT_EQ(ce.metrics().value_of("sockets_recovered").value_or(0.0), 1.0);
+}
+
 TEST(failure_detection, connect_times_out_against_dead_nsm) {
   auto params = apps::datacenter_params(28);
   params.netkernel.guest.connect_timeout = milliseconds(10);

@@ -10,7 +10,6 @@
 
 #include "common/rng.hpp"
 #include "common/token_bucket.hpp"
-#include "net/wire.hpp"
 #include "shm/spsc_ring.hpp"
 #include "tcp/reassembly.hpp"
 #include "util/loopback.hpp"
@@ -212,109 +211,6 @@ TEST_P(bucket_fuzz, never_admits_faster_than_rate_plus_burst) {
 
 INSTANTIATE_TEST_SUITE_P(seeds, bucket_fuzz,
                          ::testing::Range<std::uint64_t>(1, 11));
-
-// --- wire codec: random packets round-trip, single-byte corruption caught ----
-
-net::packet random_packet(rng& random) {
-  net::packet p;
-  p.ip.src = net::ipv4_addr{static_cast<std::uint32_t>(random.next_u64())};
-  p.ip.dst = net::ipv4_addr{static_cast<std::uint32_t>(random.next_u64())};
-  p.ip.ttl = static_cast<std::uint8_t>(1 + random.next_below(254));
-  p.ip.id = static_cast<std::uint16_t>(random.next_u64());
-  p.ip.ecn = static_cast<net::ecn_codepoint>(random.next_below(4));
-  const std::size_t payload_len = random.next_below(2000);
-  if (random.chance(0.8)) {
-    net::tcp_header h;
-    h.src_port = static_cast<std::uint16_t>(1 + random.next_below(65535));
-    h.dst_port = static_cast<std::uint16_t>(1 + random.next_below(65535));
-    h.seq = static_cast<std::uint32_t>(random.next_u64());
-    h.ack = static_cast<std::uint32_t>(random.next_u64());
-    h.flags.syn = random.chance(0.2);
-    h.flags.ack = random.chance(0.8);
-    h.flags.fin = random.chance(0.1);
-    h.flags.psh = random.chance(0.4);
-    h.flags.ece = random.chance(0.2);
-    h.flags.cwr = random.chance(0.1);
-    // Keep wnd a multiple of the scale and within the 16-bit scaled wire
-    // field so the round trip is lossless.
-    h.wnd = static_cast<std::uint32_t>(random.next_below(1 << 16)) << 7;
-    h.ts_val = static_cast<std::uint32_t>(random.next_u64());
-    h.ts_ecr = static_cast<std::uint32_t>(random.next_u64());
-    h.sack_count = static_cast<std::uint8_t>(random.next_below(4));
-    for (int b = 0; b < h.sack_count; ++b) {
-      const auto start = static_cast<std::uint32_t>(random.next_u64());
-      h.sacks[static_cast<std::size_t>(b)] =
-          net::sack_block{start, start + 1 +
-                              static_cast<std::uint32_t>(
-                                  random.next_below(100000))};
-    }
-    p.l4 = h;
-  } else {
-    p.ip.proto = net::ip_proto::udp;
-    net::udp_header h;
-    h.src_port = static_cast<std::uint16_t>(1 + random.next_below(65535));
-    h.dst_port = static_cast<std::uint16_t>(1 + random.next_below(65535));
-    p.l4 = h;
-  }
-  p.payload = buffer::pattern(payload_len, random.next_u64());
-  return p;
-}
-
-class wire_fuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(wire_fuzz, random_packets_roundtrip_exactly) {
-  rng random{GetParam()};
-  for (int i = 0; i < 500; ++i) {
-    const net::packet p = random_packet(random);
-    const auto bytes = net::serialize(p);
-    auto parsed = net::parse(bytes);
-    ASSERT_TRUE(parsed.ok()) << "packet " << i;
-    const net::packet& q = parsed.value();
-    ASSERT_EQ(q.ip.src, p.ip.src);
-    ASSERT_EQ(q.ip.dst, p.ip.dst);
-    ASSERT_EQ(q.ip.ttl, p.ip.ttl);
-    ASSERT_EQ(q.ip.ecn, p.ip.ecn);
-    ASSERT_EQ(q.is_tcp(), p.is_tcp());
-    if (p.is_tcp()) {
-      ASSERT_EQ(q.tcp().seq, p.tcp().seq);
-      ASSERT_EQ(q.tcp().ack, p.tcp().ack);
-      ASSERT_EQ(q.tcp().flags, p.tcp().flags);
-      ASSERT_EQ(q.tcp().wnd, p.tcp().wnd);
-      ASSERT_EQ(q.tcp().sack_count, p.tcp().sack_count);
-      for (int b = 0; b < p.tcp().sack_count; ++b) {
-        ASSERT_EQ(q.tcp().sacks[static_cast<std::size_t>(b)],
-                  p.tcp().sacks[static_cast<std::size_t>(b)]);
-      }
-    }
-    ASSERT_EQ(q.payload, p.payload);
-  }
-}
-
-TEST_P(wire_fuzz, any_single_byte_flip_is_detected) {
-  rng random{GetParam() + 1000};
-  for (int i = 0; i < 200; ++i) {
-    const net::packet p = random_packet(random);
-    auto bytes = net::serialize(p);
-    const std::size_t at = random.next_below(bytes.size());
-    std::byte flip;
-    do {
-      flip = static_cast<std::byte>(random.next_below(256));
-    } while (flip == std::byte{0});
-    bytes[at] ^= flip;
-    auto parsed = net::parse(bytes);
-    // The internet checksum catches every single-byte corruption, except a
-    // flip inside the IP "total length" field which may just truncate the
-    // buffer view — that too must not round-trip silently as the original.
-    if (parsed.ok()) {
-      ASSERT_FALSE(parsed.value().payload == p.payload &&
-                   parsed.value().ip.src == p.ip.src)
-          << "corruption at byte " << at << " went unnoticed";
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(seeds, wire_fuzz,
-                         ::testing::Range<std::uint64_t>(1, 6));
 
 }  // namespace
 }  // namespace nk

@@ -1,4 +1,4 @@
-// Transport-plugin framework (DESIGN.md §15): registry resolution, config
+// Transport-plugin framework (DESIGN.md §15): the TCP adapter, config
 // errors, and the transport-tagged flow table.
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 
 #include "apps/scenario.hpp"
 #include "apps/workloads.hpp"
-#include "nkq/transport.hpp"
 #include "stack/transport.hpp"
 
 namespace {
@@ -14,38 +13,15 @@ namespace {
 using namespace nk;
 using apps::side;
 
-TEST(transport_registry, builtin_tcp_is_always_known) {
-  auto& reg = stack::transport_registry::instance();
-  EXPECT_TRUE(reg.known("tcp"));
-  const auto names = reg.names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "tcp"), names.end());
-}
-
-TEST(transport_registry, nkq_registers_via_ensure_hook) {
-  nkq::ensure_registered();
-  EXPECT_TRUE(stack::transport_registry::instance().known("nkq"));
-}
-
-TEST(transport_registry, unknown_name_throws_invalid_argument) {
-  sim::simulator s;
-  stack::netstack_config ncfg;
-  stack::netstack net{s, ncfg, net::ipv4_addr{0x0a000001}};
-  EXPECT_THROW(
-      (void)stack::transport_registry::instance().create("not-a-protocol",
-                                                         net),
-      std::invalid_argument);
-}
-
 TEST(transport_registry, create_tcp_builds_a_working_adapter) {
   sim::simulator s;
   stack::netstack_config ncfg;
   stack::netstack net{s, ncfg, net::ipv4_addr{0x0a000001}};
-  auto t = stack::transport_registry::instance().create("tcp", net);
-  ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->kind(), "tcp");
-  auto ls = t->listen(80, tcp::tcp_config{});
+  stack::tcp_transport t{net};
+  EXPECT_EQ(t.kind(), "tcp");
+  auto ls = t.listen(80, tcp::tcp_config{});
   ASSERT_TRUE(ls.ok());
-  EXPECT_EQ(t->accept(ls.value()).error(), errc::would_block);
+  EXPECT_EQ(t.accept(ls.value()).error(), errc::would_block);
 }
 
 // A tenant typo in nsm_config::transport must surface at provisioning time

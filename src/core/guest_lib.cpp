@@ -99,6 +99,15 @@ void guest_lib::wake_writers() {
   }
 }
 
+void guest_lib::starve_on_chunks() {
+  chunk_starved_ = true;
+  // ServiceLib frees a transmit chunk on its ACK with no nqe, often after
+  // the chunk's cmp_send, so no doorbell announces it. Under batched
+  // interrupts this re-drain is the writer's only wakeup; under polling the
+  // next tick re-checks anyway and notify() does nothing.
+  pump_->notify();
+}
+
 void guest_lib::set_send_buffer(g_socket& gs, std::uint64_t bytes) {
   if (gs.writable_blocked && bytes > gs.send_buffer) credit_returned_ = true;
   gs.send_buffer = bytes;
@@ -246,7 +255,7 @@ result<std::size_t> guest_lib::nk_send(std::uint32_t fd, buffer data) {
     auto chunk = ch_.pool.alloc();
     if (!chunk) {
       gs->writable_blocked = true;
-      chunk_starved_ = true;
+      starve_on_chunks();
       ++stats_.send_blocked;
       break;
     }
@@ -345,7 +354,7 @@ result<std::size_t> guest_lib::nk_udp_send_to(std::uint32_t fd,
   }
   auto chunk = ch_.pool.alloc();
   if (!chunk) {
-    chunk_starved_ = true;
+    starve_on_chunks();
     ++stats_.send_blocked;
     return errc::would_block;
   }
@@ -536,6 +545,8 @@ std::size_t guest_lib::drain() {
   }
   if (credit_returned_ || (chunk_starved_ && ch_.pool.chunks_free() > 0)) {
     wake_writers();
+  } else if (chunk_starved_) {
+    starve_on_chunks();
   }
   return n + popped;
 }
@@ -569,9 +580,11 @@ void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {
       return;
     }
     case shm::nqe_op::cmp_send: {
-      // The peer acknowledged the bytes and the chunk is back in the pool.
+      // The stack transmitted the bytes (or the peer acknowledged them):
+      // their credit is back. The chunk comes home on the ACK, with no nqe.
       auto* gs = socket_of(e.handle);
       if (gs == nullptr) return;
+      if (gs->inflight < e.arg0) ++stats_.over_credits;
       gs->inflight = gs->inflight >= e.arg0 ? gs->inflight - e.arg0 : 0;
       if (gs->writable_blocked) credit_returned_ = true;
       return;

@@ -67,6 +67,10 @@ struct guest_lib_stats {
   std::uint64_t chunks_freed_local = 0;
   std::uint64_t ops_timed_out = 0;       // deadline expired, retries spent
   std::uint64_t ops_retried = 0;         // deadline expired, op resubmitted
+  // cmp_sends that returned more credit than the socket had outstanding: a
+  // double credit from the NSM. The excess is dropped; always 0 when every
+  // req_send gets exactly one cmp_send.
+  std::uint64_t over_credits = 0;
 };
 
 struct guest_lib_config {
@@ -194,10 +198,12 @@ class guest_lib {
     std::deque<udp_rx_item> udp_rx;
     bool udp = false;
     std::size_t rx_bytes = 0;
-    // Send credit: bytes submitted and not yet credited back (cmp_send,
-    // sent once the peer acknowledged them) stay within the socket's send
-    // buffer, as the NSM reports it in cmp_socket / ev_accept / setsockopt.
-    // Until that first report only the pool and the lane gate bound it.
+    // Send credit: bytes submitted and not yet credited back stay within
+    // `send_buffer`, the credit the NSM reports in cmp_socket / ev_accept /
+    // setsockopt (the socket's send buffer, capped at the NSM's not-sent
+    // low-water mark). A req_send's cmp_send comes back once the stack has
+    // transmitted its bytes, or once the peer acknowledged them. Until the
+    // first report only the pool and the lane gate bound it.
     std::uint64_t inflight = 0;
     std::uint64_t send_buffer = UINT64_MAX;
     bool eof = false;
@@ -222,6 +228,9 @@ class guest_lib {
   void enqueue_job(std::size_t shard, shm::nqe e);
   std::size_t flush_job_lanes();
   void wake_writers();
+  // A writer found the pool empty: marks it and arms a re-drain that
+  // re-checks the pool.
+  void starve_on_chunks();
   // Adopts the send buffer the NSM reported as the socket's credit limit.
   void set_send_buffer(g_socket& gs, std::uint64_t bytes);
   // Frees a chunk into the shared pool in place (no nqe).
@@ -261,7 +270,7 @@ class guest_lib {
   // Writer wake-up, run at most once per drain: a blocked writer got
   // credit back (a cmp_send or a larger send buffer), or a writer starved
   // of chunks may find one now — chunks come home from any socket's ACKs,
-  // not just the blocked one's.
+  // not just the blocked one's, and with no nqe.
   bool credit_returned_ = false;
   bool chunk_starved_ = false;
 

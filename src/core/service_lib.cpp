@@ -11,7 +11,17 @@ namespace nk::core {
 
 namespace {
 constexpr std::size_t drain_batch = 64;
+// The most bytes a guest may have written that the stack has not yet
+// transmitted (Linux TCP_NOTSENT_LOWAT). A chunk's credit goes back when
+// the stack transmits its last byte, so a large send buffer holds data in
+// flight, not a queue in front of it.
+constexpr std::uint64_t notsent_lowat = 128 * 1024;
+
+// The guest's send credit for a socket with this send buffer.
+std::uint64_t send_credit(const tcp::tcp_config& cfg) {
+  return std::min<std::uint64_t>(cfg.send_buffer, notsent_lowat);
 }
+}  // namespace
 
 service_lib::service_lib(nsm& owner, sim::simulator& s,
                          const netkernel_costs& costs,
@@ -305,6 +315,8 @@ void service_lib::release_pins(proto_socket& ps) {
     if (vit != vms_.end()) (void)vit->second.ch->pool.free(ps.tx[i].chunk);
   }
   ps.tx.clear();
+  ps.credited = 0;
+  ps.credited_bytes = 0;
   ps.unsent = 0;
 }
 
@@ -445,7 +457,7 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       out.op = shm::nqe_op::cmp_socket;
       out.handle = cid;
       out.token = e.token;
-      out.arg0 = ps.cfg.send_buffer;  // the guest's send credit
+      out.arg0 = send_credit(ps.cfg);
       sockets_[cid] = std::move(ps);
       push_completion(svm, shard, out);
       return;
@@ -457,8 +469,8 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       out.handle = e.handle;
       out.token = e.token;
       out.arg_small = static_cast<std::uint32_t>(e.op);
-      // Echo the option and value: a new send buffer (option 3) is the
-      // guest's new send credit.
+      // Echo the option and value; for a new send buffer (option 3) the
+      // value is the guest's new send credit.
       out.arg0 = e.arg0;
       out.arg1 = e.arg1;
       if (ps == nullptr) {
@@ -469,6 +481,7 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
         ps->cfg.recv_buffer = e.arg1;
       } else if (e.arg0 == 3) {  // option 3: send buffer
         ps->cfg.send_buffer = e.arg1;
+        out.arg1 = send_credit(ps->cfg);
       } else if (e.arg0 == 4) {  // option 4: nagle on/off
         ps->cfg.nagle = e.arg1 != 0;
       } else {
@@ -591,7 +604,7 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       out.op = shm::nqe_op::cmp_socket;
       out.handle = cid;
       out.token = e.token;
-      out.arg0 = ps.cfg.send_buffer;  // the guest's send credit
+      out.arg0 = send_credit(ps.cfg);
       auto r = stack.udp_open(static_cast<std::uint16_t>(e.arg0));
       if (r) {
         ps.ssock = r.value();
@@ -728,9 +741,7 @@ void service_lib::handle_stack_event(const stack::socket_event& ev) {
         out.op = shm::nqe_op::ev_accept;
         out.handle = listener_cid;  // listener
         out.arg0 = cid;             // the new connection
-        // The child's send buffer: the guest's send credit.
-        out.arg_small = static_cast<std::uint32_t>(
-            std::min<std::size_t>(cfg.send_buffer, UINT32_MAX));
+        out.arg_small = static_cast<std::uint32_t>(send_credit(cfg));
         if (auto remote = stack.remote_of(r.value())) {
           out.arg1 =
               (std::uint64_t{remote->ip.value} << 16) | remote->port;
@@ -889,6 +900,16 @@ void service_lib::pump_udp_reads(proto_socket& ps) {
   }
 }
 
+void service_lib::send_credit_back(served_vm& svm, const proto_socket& ps,
+                                   const tx_pin& pin) {
+  shm::nqe out;
+  out.op = shm::nqe_op::cmp_send;
+  out.handle = ps.cid;
+  out.token = pin.token;
+  out.arg0 = pin.len;
+  push_completion(svm, ps.shard, out);
+}
+
 void service_lib::pump_sends(proto_socket& ps) {
   NK_PROF("servicelib", "pump_sends");
   if (ps.ssock == 0) return;
@@ -898,25 +919,60 @@ void service_lib::pump_sends(proto_socket& ps) {
   served_vm& svm = vit->second;
   auto& stack = nsm_.transport();
 
-  // Chunks whose last byte the peer acknowledged go home; each one's
-  // cmp_send hands the guest its credit back. A guest that closed the fd
-  // gets none: the engine has already forgotten the flow.
+  // Chunks whose last byte the peer acknowledged go home; one not credited
+  // at transmit time brings the guest its credit now. A guest that closed
+  // the fd gets none: the engine has already forgotten the flow.
   if (const auto acked = stack.acked_bytes(ps.ssock)) {
     while (!ps.tx.empty() && ps.tx.front().end <= *acked) {
       const tx_pin& pin = ps.tx.front();
       (void)svm.ch->pool.free(pin.chunk);
-      if (!ps.guest_closed) {
-        shm::nqe out;
-        out.op = shm::nqe_op::cmp_send;
-        out.handle = ps.cid;
-        out.token = pin.token;
-        out.arg0 = pin.len;
-        push_completion(svm, ps.shard, out);
+      if (ps.credited > 0) {
+        --ps.credited;
+        ps.credited_bytes -= pin.len;
+      } else if (!ps.guest_closed) {
+        send_credit_back(svm, ps, pin);
       }
       ps.tx.pop_front();
     }
   }
 
+  const bool all_taken = push_unsent(svm, ps);
+
+  // Transmitted chunks return their credit while they stay pinned, as long
+  // as the pinned bytes stay within the send buffer: credited-but-unacked
+  // bytes plus the guest's credit never exceed it. With a send buffer at
+  // or below the low-water mark there is no room, and every credit waits
+  // for the ACK.
+  const std::uint64_t room = ps.cfg.send_buffer - send_credit(ps.cfg);
+  if (const auto sent = stack.sent_bytes(ps.ssock); sent && !ps.guest_closed) {
+    while (ps.credited < ps.tx.size()) {
+      const tx_pin& pin = ps.tx[ps.credited];
+      if (pin.end > *sent || ps.credited_bytes + pin.len > room) break;
+      send_credit_back(svm, ps, pin);
+      ps.credited_bytes += pin.len;
+      ++ps.credited;
+    }
+  }
+  if (!all_taken) return;
+
+  // Every byte queued ahead of a shutdown or close is in the stack now.
+  if (ps.shutdown_pending) {
+    ps.shutdown_pending = false;
+    (void)stack.shutdown_write(ps.ssock);
+  }
+  if (ps.guest_closed && !ps.stack_closed) {
+    ps.stack_closed = true;
+    (void)stack.close(ps.ssock);
+  }
+  // A closed socket lingers only while the stack still holds its bytes.
+  if (ps.stack_closed &&
+      (ps.tx.empty() || !stack.acked_bytes(ps.ssock).has_value())) {
+    drop_socket(ps.cid);  // invalidates ps
+  }
+}
+
+bool service_lib::push_unsent(served_vm& svm, proto_socket& ps) {
+  auto& stack = nsm_.transport();
   while (ps.unsent > 0) {
     tx_pin& pin = ps.tx[ps.tx.size() - ps.unsent];
     if (!sla_.allow_send(*svm.tenant, pin.unsent.size(), sim_.now())) {
@@ -933,12 +989,12 @@ void service_lib::pump_sends(proto_socket& ps) {
                            }
                          });
       }
-      return;
+      return false;
     }
 
     auto r = stack.send(ps.ssock, pin.unsent);
     if (!r) {
-      if (r.error() == errc::would_block) return;  // wait for writable
+      if (r.error() == errc::would_block) return false;  // wait for writable
       // Connection went away: report, and return every chunk uncredited.
       if (!ps.guest_closed) {
         shm::nqe out;
@@ -948,14 +1004,14 @@ void service_lib::pump_sends(proto_socket& ps) {
         push_receive(svm, ps.shard, out);
       }
       release_pins(ps);
-      break;
+      return true;
     }
     const std::size_t accepted = r.value();
     stats_.bytes_to_stack += accepted;
     sla_.record_send(*svm.tenant, accepted);
     if (accepted < pin.unsent.size()) {
       pin.unsent = pin.unsent.suffix_from(accepted);
-      return;  // stack buffer full; resume on writable
+      return false;  // stack buffer full; resume on writable
     }
     if (pin.trace != 0) {
       tracer_.stamp(pin.trace, obs::nqe_stage::stack_accept);
@@ -964,21 +1020,7 @@ void service_lib::pump_sends(proto_socket& ps) {
     pin.unsent = buffer{};
     --ps.unsent;
   }
-
-  // Every byte queued ahead of a shutdown or close is in the stack now.
-  if (ps.shutdown_pending) {
-    ps.shutdown_pending = false;
-    (void)stack.shutdown_write(ps.ssock);
-  }
-  if (ps.guest_closed && !ps.stack_closed) {
-    ps.stack_closed = true;
-    (void)stack.close(ps.ssock);
-  }
-  // A closed socket lingers only while the stack still holds its bytes.
-  if (ps.stack_closed &&
-      (ps.tx.empty() || !stack.acked_bytes(ps.ssock).has_value())) {
-    drop_socket(ps.cid);  // invalidates ps
-  }
+  return true;
 }
 
 }  // namespace nk::core

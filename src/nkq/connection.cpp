@@ -317,6 +317,7 @@ void connection::drain_reassembly() {
 
 void connection::process_ack(const ack_frame& a) {
   peer_max_data_ = std::max(peer_max_data_, a.max_data);
+  const std::uint64_t sent_before = next_unsent_;
 
   std::uint64_t newly_acked = 0;
   bool rtt_sampled = false;
@@ -374,6 +375,7 @@ void connection::process_ack(const ack_frame& a) {
   if (newly_acked == 0 && !rtt_sampled) {
     // Window-update / duplicate ack: still worth a send attempt.
     maybe_send();
+    if (next_unsent_ > sent_before && cb_.on_writable) cb_.on_writable();
     return;
   }
 
@@ -431,19 +433,24 @@ void connection::process_ack(const ack_frame& a) {
     cc_->on_ack(s);
   }
 
-  // Acked prefix: release send-buffer space and report the advance.
+  // Acked prefix: release send-buffer space.
   auto first = acked_.begin();
-  if (first != acked_.end() && first->first <= send_base_ &&
-      first->second > send_base_) {
+  const bool advanced = first != acked_.end() && first->first <= send_base_ &&
+                        first->second > send_base_;
+  if (advanced) {
     const std::uint64_t release = first->second - send_base_;
     send_chain_.consume(static_cast<std::size_t>(release));
     send_base_ = first->second;
     if (first->second <= send_base_) acked_.erase(first);
-    if (cb_.on_writable) cb_.on_writable();
   }
 
   arm_pto();
   maybe_send();
+  // Report the advance after the sends it clocked out, so the listener sees
+  // both in one event.
+  if ((advanced || next_unsent_ > sent_before) && cb_.on_writable) {
+    cb_.on_writable();
+  }
   maybe_finish_drain();
 }
 
@@ -636,6 +643,7 @@ void connection::on_pto() {
   if (pto_count_ >= 3 && cc_ != nullptr) {
     cc_->on_rto(tcp::loss_sample{sim_.now(), bytes_in_flight_});
   }
+  const std::uint64_t sent_before = next_unsent_;
   // Treat the oldest in-flight packet as lost and resend its payload now.
   auto it = sent_packets_.begin();
   if (it != sent_packets_.end()) {
@@ -673,6 +681,7 @@ void connection::on_pto() {
     emit_packet(std::move(p), std::move(fresh), /*track=*/true);
   }
   arm_pto();
+  if (next_unsent_ > sent_before && cb_.on_writable) cb_.on_writable();
 }
 
 void connection::terminate(errc err) {

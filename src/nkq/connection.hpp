@@ -110,9 +110,13 @@ class connection {
   [[nodiscard]] std::size_t send_space() const {
     return cfg_.send_buffer - send_chain_.size();
   }
-  // Stream bytes the peer has cumulatively acknowledged. Every advance
-  // raises on_writable.
+  // Stream bytes the peer has cumulatively acknowledged.
   [[nodiscard]] std::uint64_t acked_bytes() const { return send_base_; }
+  // Stream bytes sent at least once: the new-data cursor, which loss
+  // recovery never moves back (retransmissions go through retx_queue_).
+  // An ACK that advances either count, or a probe timeout that advances
+  // sent_bytes(), raises on_writable once, after the sends it caused.
+  [[nodiscard]] std::uint64_t sent_bytes() const { return next_unsent_; }
 
   [[nodiscard]] obs::nk_flow_info flow_info() const;
 

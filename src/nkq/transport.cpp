@@ -112,6 +112,12 @@ std::optional<std::uint64_t> nkq_transport::acked_bytes(
   return it->second.conn->acked_bytes();
 }
 
+std::optional<std::uint64_t> nkq_transport::sent_bytes(stack::socket_id sock) {
+  auto it = conns_.find(sock);
+  if (it == conns_.end()) return std::nullopt;
+  return it->second.conn->sent_bytes();
+}
+
 status nkq_transport::shutdown_write(stack::socket_id sock) {
   auto it = conns_.find(sock);
   if (it == conns_.end()) return errc::not_found;

@@ -56,6 +56,8 @@ class nkq_transport final : public stack::transport {
                                     std::size_t max) override;
   [[nodiscard]] std::optional<std::uint64_t> acked_bytes(
       stack::socket_id sock) override;
+  [[nodiscard]] std::optional<std::uint64_t> sent_bytes(
+      stack::socket_id sock) override;
   status shutdown_write(stack::socket_id sock) override;
   status close(stack::socket_id sock) override;
   status abort(stack::socket_id sock) override;

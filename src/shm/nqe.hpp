@@ -33,14 +33,16 @@ enum class nqe_op : std::uint8_t {
 
   // Completions (ServiceLib -> CoreEngine -> GuestLib), via completion queues.
   cmp_generic,    // status of the correlated request (token)
-  cmp_socket,     // token = the new fd, arg0 = send buffer
+  cmp_socket,     // token = the new fd, arg0 = send credit
   cmp_connected,  // connect finished; status 0 or error
-  cmp_send,       // arg0 bytes acknowledged by the peer: send credit back,
-                  // the req_send's chunk already freed by ServiceLib
+  cmp_send,       // arg0 bytes of one req_send back as send credit: sent
+                  // once the stack transmitted them, or on the peer's ACK
+                  // if the pinned bytes would outgrow the send buffer. The
+                  // chunk goes back to the pool on the ACK, with no nqe.
 
   // Events (ServiceLib -> CoreEngine -> GuestLib), via receive queues.
   ev_accept,    // new connection; handle = listener, arg0 = new fd / cID,
-                // arg1 = peer ip/port, arg_small = send buffer
+                // arg1 = peer ip/port, arg_small = send credit
   ev_data,      // desc = received payload in huge pages
   ev_udp_data,  // desc = datagram, arg0 = src ip, arg1 = src port
   ev_closed,    // peer closed (FIN) or connection fully closed

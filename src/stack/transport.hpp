@@ -51,10 +51,19 @@ class transport {
   [[nodiscard]] virtual result<buffer> recv(socket_id sock,
                                             std::size_t max) = 0;
   // Cumulative stream bytes the peer has acknowledged; nullopt once the
-  // transport no longer knows the socket. Every advance raises `writable`,
-  // so ServiceLib can hand the acknowledged bytes' chunks back to the
-  // tenant.
+  // transport no longer knows the socket.
   [[nodiscard]] virtual std::optional<std::uint64_t> acked_bytes(
+      socket_id sock) = 0;
+  // Stream bytes transmitted at least once: the highest payload offset ever
+  // sent, never lowered when loss recovery rewinds. Connection setup and
+  // teardown markers (SYN, FIN) are not payload. nullopt once the transport
+  // no longer knows the socket.
+  //
+  // Every advance of either count that the application's own call did not
+  // cause (an ACK, a timer) raises `writable`, once, after the
+  // transmissions that event caused: ServiceLib then hands acknowledged
+  // chunks back to the pool and credits transmitted ones in the same event.
+  [[nodiscard]] virtual std::optional<std::uint64_t> sent_bytes(
       socket_id sock) = 0;
   virtual status shutdown_write(socket_id sock) = 0;
   virtual status close(socket_id sock) = 0;
@@ -121,6 +130,11 @@ class tcp_transport final : public transport {
   [[nodiscard]] std::optional<std::uint64_t> acked_bytes(
       socket_id sock) override {
     if (auto* t = net_.tcb_of(sock)) return t->acked_bytes();
+    return std::nullopt;
+  }
+  [[nodiscard]] std::optional<std::uint64_t> sent_bytes(
+      socket_id sock) override {
+    if (auto* t = net_.tcb_of(sock)) return t->sent_bytes();
     return std::nullopt;
   }
   status shutdown_write(socket_id sock) override {

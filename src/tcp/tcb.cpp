@@ -291,8 +291,11 @@ bool tcb::pacing_gate() {
   const sim_time now = env_.sim->now();
   if (next_release_ > now) {
     if (!pacing_timer_.pending()) {
-      pacing_timer_ =
-          env_.sim->schedule(next_release_ - now, [this] { try_send(); });
+      pacing_timer_ = env_.sim->schedule(next_release_ - now, [this] {
+        const std::uint64_t sent_before = sent_bytes();
+        try_send();
+        report_send_progress(snd_una_, sent_before);
+      });
     }
     return false;
   }
@@ -614,8 +617,6 @@ void tcb::ack_advanced(std::uint64_t newly_acked, const net::packet& p) {
   } else {
     arm_rto();
   }
-
-  if (send_space() > 0 && env_.on_writable) env_.on_writable();
 }
 
 void tcb::process_sacks(const net::tcp_header& h) {
@@ -693,6 +694,8 @@ void tcb::handle_ack(const net::packet& p) {
 
   const std::uint64_t old_wnd = snd_wnd_;
   snd_wnd_ = h.wnd;
+  const std::uint64_t una_before = snd_una_;
+  const std::uint64_t sent_before = sent_bytes();
 
   process_sacks(h);
 
@@ -704,6 +707,7 @@ void tcb::handle_ack(const net::packet& p) {
     if (persist_timer_.pending()) persist_timer_.cancel();
     ack_advanced(newly, p);
     try_send();
+    report_send_progress(una_before, sent_before);
     return;
   }
 
@@ -727,6 +731,15 @@ void tcb::handle_ack(const net::packet& p) {
   // whose retransmission was window-blocked at the time) — always give the
   // output path a chance.
   try_send();
+  report_send_progress(una_before, sent_before);
+}
+
+void tcb::report_send_progress(std::uint64_t una_before,
+                               std::uint64_t sent_before) {
+  const bool freed = snd_una_ > una_before && send_space() > 0;
+  if ((freed || sent_bytes() > sent_before) && env_.on_writable) {
+    env_.on_writable();
+  }
 }
 
 void tcb::segment_arrived(const net::packet& p) {
@@ -829,6 +842,7 @@ void tcb::on_rto_fired() {
   // slow start re-drive transmission. Without this, holes behind snd_nxt
   // would each cost a further (backed-off) RTO, collapsing throughput after
   // any multi-segment loss burst.
+  const std::uint64_t sent_before = sent_bytes();
   rto_rewind_high_water_ = std::max(rto_rewind_high_water_, snd_nxt_);
   inflight_.clear();
   sacked_bytes_ = 0;
@@ -838,6 +852,7 @@ void tcb::on_rto_fired() {
   next_release_ = sim_time::zero();
   try_send();
   arm_rto();
+  report_send_progress(snd_una_, sent_before);
 }
 
 void tcb::arm_persist() {
@@ -857,8 +872,10 @@ void tcb::on_persist_fired() {
   if (bytes_in_flight() > 0 || snd_una_ < data_end) {
     const std::uint64_t at = std::max<std::uint64_t>(snd_una_, 1);
     if (at < data_end) {
+      const std::uint64_t sent_before = sent_bytes();
       transmit_range(at, at + 1, /*rtx=*/at < snd_nxt_);
       snd_nxt_ = std::max(snd_nxt_, at + 1);
+      report_send_progress(snd_una_, sent_before);
     } else {
       net::tcp_flags flags;
       flags.ack = true;

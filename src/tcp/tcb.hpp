@@ -13,6 +13,7 @@
 // sockets live in stack/netstack.hpp.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -83,7 +84,7 @@ class tcb {
     std::function<void()> on_connected;          // handshake done (active open)
     std::function<void()> on_accept_ready;       // handshake done (passive open)
     std::function<void()> on_readable;           // data or EOF became available
-    std::function<void()> on_writable;           // send space became available
+    std::function<void()> on_writable;           // send space freed or payload sent
     std::function<void(errc)> on_closed;         // fully closed / reset / timeout
   };
 
@@ -114,8 +115,17 @@ class tcb {
   [[nodiscard]] std::size_t receive_available() const { return recvq_.size(); }
   [[nodiscard]] std::size_t send_space() const;
   // Payload bytes the peer has cumulatively acknowledged (SYN and FIN
-  // excluded). Every advance raises on_writable.
+  // excluded).
   [[nodiscard]] std::uint64_t acked_bytes() const { return sendq_base_ - 1; }
+  // Payload bytes transmitted at least once (SYN and FIN excluded): an RTO
+  // rewind of the send cursor does not lower it. An ACK that frees send
+  // space, and an ACK or timer that advances sent_bytes(), raises
+  // on_writable once, after the transmissions it caused.
+  [[nodiscard]] std::uint64_t sent_bytes() const {
+    std::uint64_t hi = std::max(snd_nxt_, rto_rewind_high_water_);
+    if (fin_offset_valid_) hi = std::min(hi, fin_offset_);
+    return hi > 0 ? hi - 1 : 0;
+  }
   [[nodiscard]] bool eof_pending() const {
     return fin_received_ && recvq_.empty();
   }
@@ -183,6 +193,10 @@ class tcb {
 
   // --- receive path ----------------------------------------------------------
   void handle_ack(const net::packet& p);
+  // Raises on_writable if snd_una_ moved past `una_before` with send space
+  // free, or sent_bytes() past `sent_before`.
+  void report_send_progress(std::uint64_t una_before,
+                            std::uint64_t sent_before);
   void process_sacks(const net::tcp_header& h);
   void retransmit_lost();
   void handle_payload(const net::packet& p, std::uint64_t seg_abs);

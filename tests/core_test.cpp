@@ -1849,9 +1849,11 @@ TEST(netkernel_memory, attach_retire_churn_keeps_pool_memory_bounded) {
 // --- zero-copy transmit ------------------------------------------------------------
 //
 // ServiceLib transmits straight from the tenant's chunk and keeps it pinned
-// until the peer acknowledges its bytes; the chunk and the guest's send
-// credit come back together in the one cmp_send of its req_send. On every
-// teardown path the pins go home with no cmp_send.
+// until the peer acknowledges its bytes. The one cmp_send of its req_send
+// returns the guest's send credit once the stack has transmitted the bytes
+// (on the ACK, if the pinned bytes would otherwise outgrow the send
+// buffer); the chunk goes home on the ACK. On every teardown path the pins
+// go home with no cmp_send.
 
 constexpr std::uint16_t zc_port = 7300;
 
@@ -1959,16 +1961,22 @@ struct zc_rig {
     return *bed.netkernel(side::a).channel_of(tx.vm->id());
   }
 
-  // True while the sending NSM's transport still holds a connection (TCP
-  // numbers sockets from 1, nkq from 2^32).
-  bool tx_stack_holds_a_connection() {
+  // The sending NSM's first live connection, 0 if none (TCP numbers
+  // sockets from 1, nkq from 2^32).
+  stack::socket_id tx_connection() {
     for (const stack::socket_id base :
          {std::uint64_t{0}, std::uint64_t{1} << 32}) {
       for (stack::socket_id s = base; s < base + 64; ++s) {
-        if (tx.module->transport().flow_info(s)) return true;
+        if (tx.module->transport().flow_info(s)) return s;
       }
     }
-    return false;
+    return 0;
+  }
+  bool tx_stack_holds_a_connection() { return tx_connection() != 0; }
+
+  // cmp_sends that returned more credit than the sender had outstanding.
+  [[nodiscard]] std::uint64_t over_credits() const {
+    return tx.glib->stats().over_credits;
   }
 
   // The sender-side tcb of the (only) connection to the receiver.
@@ -2012,30 +2020,32 @@ TEST(netkernel_zero_copy, chunk_stays_pinned_until_the_ack) {
   const std::uint64_t out0 = ch.nqes_nsm_to_vm();
   ASSERT_TRUE(rig.tx.glib->nk_send(fd, buffer::pattern(8192, 0)).ok());
 
-  bool pinned_in_flight = false;
-  bool credited = false;
-  for (int step = 0; step < 10000 && !credited; ++step) {
+  bool credited_before_ack = false;
+  bool acked = false;
+  for (int step = 0; step < 10000 && !acked; ++step) {
     rig.bed.run_for(nanoseconds(100));
     const tcp::tcb* t = rig.tx_tcb();
     ASSERT_NE(t, nullptr);
-    // On the wire but not yet acknowledged: the chunk is still out.
-    if (t->stats().bytes_sent >= 8192 && t->acked_bytes() < 8192) {
-      EXPECT_EQ(ch.pool.chunks_free(), free0 - 1);
-      pinned_in_flight = true;
+    acked = t->acked_bytes() == 8192;
+    // The first output after the send is its cmp_send: it comes once the
+    // stack has transmitted the bytes, before the peer acknowledges them.
+    if (ch.nqes_nsm_to_vm() > out0 && !credited_before_ack) {
+      EXPECT_EQ(t->sent_bytes(), 8192u);
+      EXPECT_FALSE(acked);
+      credited_before_ack = !acked;
     }
-    // The first output after the send is its cmp_send, and it comes after
-    // the ACK, together with the chunk.
-    if (ch.nqes_nsm_to_vm() > out0) {
-      credited = true;
-      EXPECT_EQ(t->acked_bytes(), 8192u);
-      EXPECT_EQ(ch.pool.chunks_free(), free0);
-    }
+    // The chunk stays out of the pool until the ACK, and comes home then.
+    EXPECT_EQ(ch.pool.chunks_free(), acked ? free0 : free0 - 1);
   }
-  EXPECT_TRUE(pinned_in_flight);
-  EXPECT_TRUE(credited);
+  EXPECT_TRUE(credited_before_ack);
+  EXPECT_TRUE(acked);
+  // The ACK frees the chunk with no second nqe: the one cmp_send is
+  // counted at both of its hops (ServiceLib's push, the engine's forward).
+  EXPECT_EQ(ch.nqes_nsm_to_vm(), out0 + 2);
   rig.bed.run_for(milliseconds(1));
   EXPECT_EQ(rig.total_received(), 8192u);
   EXPECT_TRUE(rig.pattern_ok);
+  EXPECT_EQ(rig.over_credits(), 0u);
 }
 
 TEST(netkernel_zero_copy, lossy_bulk_transfer_returns_every_chunk) {
@@ -2060,12 +2070,13 @@ TEST(netkernel_zero_copy, lossy_bulk_transfer_returns_every_chunk) {
     }
     expect_drop_identity(rig.bed.netkernel(s));
   }
+  EXPECT_EQ(rig.over_credits(), 0u);
 }
 
 // Mid-stream teardown of the sending VM's service: its NSM fails over, the
-// VM is detached, or it is quarantined. A burst fills the 4 MB send
-// buffer; once every req_send has reached the stack, part of the bytes are
-// still unacknowledged, so their chunks are pinned.
+// VM is detached, or it is quarantined. The sender writes 4 MB over a
+// 2 ms round trip; once every req_send has reached the stack, megabytes
+// are still unacknowledged in flight, so their chunks are pinned.
 enum class teardown { failover, detach, quarantine };
 
 class netkernel_zero_copy_teardown
@@ -2073,24 +2084,24 @@ class netkernel_zero_copy_teardown
 
 TEST_P(netkernel_zero_copy_teardown, returns_every_pinned_chunk) {
   const auto [transport, kind] = GetParam();
-  zc_rig rig{transport};
+  zc_rig rig{transport, 5, [](apps::testbed_params& p) {
+               p.wire.propagation_delay = milliseconds(1);
+             }};
   core_engine& ce = rig.bed.netkernel(side::a);
   const auto vm = rig.tx.vm->id();
-  const auto fd = rig.open(0);
-  rig.bed.run_for(milliseconds(1));
-  // The send buffer the NSM reported in cmp_socket stops the burst.
-  rig.writers[fd].limit = 8u << 20;
-  rig.pump(fd);
-  ASSERT_EQ(rig.writers[fd].sent, 4u << 20);
-  rig.writers[fd].limit = rig.writers[fd].sent;
+  const auto fd = rig.open(4u << 20);
   channel& ch = rig.tx_channel();
   service_lib* dead = ce.service_of(rig.tx.module->id());
-  for (int i = 0; i < 1000 && dead->stats().bytes_to_stack < (4u << 20); ++i) {
+  for (int i = 0; i < 10000 && dead->stats().bytes_to_stack < (4u << 20); ++i) {
     rig.bed.run_for(microseconds(10));
   }
+  ASSERT_EQ(rig.writers[fd].sent, 4u << 20);
   ASSERT_EQ(dead->stats().bytes_to_stack, 4u << 20);
   ASSERT_LT(rig.total_received(), 4u << 20);
-  ASSERT_LT(ch.pool.chunks_free(), ch.pool.chunk_count());  // pins held
+  // Megabytes are unacknowledged, so their chunks are pinned.
+  ASSERT_GE((ch.pool.chunk_count() - ch.pool.chunks_free()) *
+                ch.pool.chunk_size(),
+            1u << 20);
   ASSERT_TRUE(rig.tx_stack_holds_a_connection());
 
   switch (kind) {
@@ -2127,6 +2138,7 @@ TEST_P(netkernel_zero_copy_teardown, returns_every_pinned_chunk) {
   }
   EXPECT_TRUE(rig.pattern_ok);
   for (auto s : {side::a, side::b}) expect_drop_identity(rig.bed.netkernel(s));
+  EXPECT_EQ(rig.over_credits(), 0u);
 }
 
 std::string teardown_name(
@@ -2166,6 +2178,7 @@ TEST(netkernel_zero_copy, setsockopt_send_buffer_bounds_outstanding_bytes) {
   EXPECT_GT(peak, sndbuf / 2);
   EXPECT_GT(rig.total_received(), 1u << 20);
   EXPECT_TRUE(rig.pattern_ok);
+  EXPECT_EQ(rig.over_credits(), 0u);
 }
 
 // A shutdown queued behind sends the stack has not taken yet must wait for
@@ -2189,6 +2202,7 @@ TEST(netkernel_zero_copy, shutdown_waits_for_parked_sends) {
   EXPECT_EQ(rig.writers[fd].errors, 0);
   channel& ch = rig.tx_channel();
   EXPECT_EQ(ch.pool.chunks_free(), ch.pool.chunk_count());
+  EXPECT_EQ(rig.over_credits(), 0u);
 }
 
 // Pins are held for a round trip, so one socket can drain the pool. A
@@ -2197,26 +2211,78 @@ TEST(netkernel_zero_copy, shutdown_waits_for_parked_sends) {
 TEST(netkernel_zero_copy, chunk_starved_writer_wakes_on_any_chunk_return) {
   zc_rig rig{"tcp", 5, [](apps::testbed_params& p) {
                p.netkernel.channel.hugepages.page_count = 1;  // 256 chunks
+               p.wire.propagation_delay = milliseconds(1);
              }};
   channel& ch = rig.tx_channel();
-  const std::uint64_t pool_bytes =
-      ch.pool.chunk_count() * ch.pool.chunk_size();
-  const auto bulk = rig.open(pool_bytes);
+  const auto bulk = rig.open(UINT64_MAX);
   const auto small = rig.open(0);
-  // The bulk socket takes every chunk the moment it connects.
-  while (rig.writers[bulk].sent < pool_bytes) {
-    rig.bed.run_for(nanoseconds(100));
+  // The bulk socket's unacknowledged bytes take every chunk once its window
+  // outgrows the 2 MB pool on the 2 ms round trip; then it stops writing.
+  for (int i = 0; i < 100000 && ch.pool.chunks_free() > 0; ++i) {
+    rig.bed.run_for(microseconds(1));
   }
   ASSERT_EQ(ch.pool.chunks_free(), 0u);
+  rig.writers[bulk].limit = rig.writers[bulk].sent;
   rig.writers[small].limit = 64 * 1024;
   rig.pump(small);
   ASSERT_EQ(rig.writers[small].sent, 0u);  // starved, nothing in flight
 
-  rig.bed.run_for(milliseconds(5));
+  rig.bed.run_for(milliseconds(10));
   EXPECT_EQ(rig.writers[small].sent, 64u * 1024);
-  EXPECT_EQ(rig.total_received(), pool_bytes + 64 * 1024);
+  EXPECT_EQ(rig.total_received(), rig.writers[bulk].sent + 64 * 1024);
   EXPECT_TRUE(rig.pattern_ok);
+  EXPECT_EQ(rig.over_credits(), 0u);
 }
+
+// A 4 MB send buffer at line rate: the guest's credit holds the bytes the
+// stack has not transmitted under the 128 KB low-water mark, while the
+// bytes in flight fill the window, and unsent plus unacknowledged bytes
+// stay within the send buffer.
+class netkernel_zero_copy_lowat : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(netkernel_zero_copy_lowat, credit_bounds_unsent_bytes_not_the_window) {
+  zc_rig rig{GetParam()};
+  const auto fd = rig.open(UINT64_MAX);
+  // Past slow start's overshoot into the 2 MB switch queue.
+  rig.bed.run_for(milliseconds(20));
+  const stack::socket_id sock = rig.tx_connection();
+  ASSERT_NE(sock, 0u);
+  auto& transport = rig.tx.module->transport();
+  const std::uint64_t received0 = rig.total_received();
+  std::uint64_t unsent_peak = 0;
+  std::uint64_t outstanding_peak = 0;
+  std::uint64_t in_flight_peak = 0;
+  for (int step = 0; step < 1000; ++step) {  // 5 ms
+    rig.bed.run_for(microseconds(5));
+    const auto sent = transport.sent_bytes(sock);
+    const auto acked = transport.acked_bytes(sock);
+    ASSERT_TRUE(sent.has_value() && acked.has_value());
+    // Counted from the application: bytes it wrote that the stack has not
+    // transmitted, and bytes it wrote that the peer has not acknowledged.
+    const std::uint64_t app_sent = rig.writers[fd].sent;
+    unsent_peak = std::max(unsent_peak, app_sent - *sent);
+    outstanding_peak = std::max(outstanding_peak, app_sent - *acked);
+    in_flight_peak = std::max(in_flight_peak, *sent - *acked);
+  }
+  EXPECT_LE(unsent_peak, 128u * 1024);
+  EXPECT_LE(outstanding_peak, 4u << 20);
+  // The mark bounds the queue in front of the window, not the window.
+  EXPECT_GT(in_flight_peak, 4 * 128u * 1024);
+  const double gbps =
+      static_cast<double>(rig.total_received() - received0) * 8 / 5e6;
+  // TCP runs at the 40 Gb/s line rate; nkq's 1200-byte packets reach ~36.
+  EXPECT_GT(gbps, GetParam() == "tcp" ? 39.0 : 30.0);
+  EXPECT_TRUE(rig.pattern_ok);
+  EXPECT_EQ(rig.over_credits(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(transports, netkernel_zero_copy_lowat,
+                         ::testing::Values(std::string{"tcp"},
+                                           std::string{"nkq"}),
+                         [](const ::testing::TestParamInfo<std::string>& i) {
+                           return i.param;
+                         });
 
 }  // namespace
 }  // namespace nk::core

@@ -23,7 +23,10 @@ struct tcb_harness {
     env.emit = [this](net::packet p) { sent.push_back(std::move(p)); };
     env.on_connected = [this] { connected = true; };
     env.on_readable = [this] { ++readable_events; };
-    env.on_writable = [this] { ++writable_events; };
+    env.on_writable = [this] {
+      ++writable_events;
+      sent_at_writable = conn->sent_bytes();
+    };
     env.on_closed = [this](errc reason) {
       closed = true;
       close_reason = reason;
@@ -90,6 +93,7 @@ struct tcb_harness {
   errc close_reason = errc::ok;
   int readable_events = 0;
   int writable_events = 0;
+  std::uint64_t sent_at_writable = 0;  // sent_bytes() at the last writable
 };
 
 TEST(tcb_wire, syn_carries_correct_iss_and_no_ack) {
@@ -366,6 +370,57 @@ TEST(tcb_buffers, send_after_shutdown_rejected) {
   h.establish();
   h.conn->shutdown_write();
   EXPECT_EQ(h.conn->send(buffer::pattern(10, 0)).error(), errc::closed);
+}
+
+TEST(tcb_sent_bytes, excludes_syn_and_fin_and_survives_an_rto_rewind) {
+  tcb_harness h;
+  h.establish();
+  EXPECT_EQ(h.conn->sent_bytes(), 0u);  // the SYN is not payload
+  ASSERT_EQ(h.conn->send(buffer::pattern(5000, 0)).value(), 5000u);
+  h.sim.run_until(h.sim.now() + microseconds(10));
+  EXPECT_EQ(h.conn->sent_bytes(), 5000u);
+
+  // The first segment is acknowledged, the rest is lost: the RTO rewinds
+  // the send cursor to the hole (go-back-N), and sent_bytes stays put.
+  net::tcp_flags ack;
+  ack.ack = true;
+  h.conn->segment_arrived(h.peer_segment(1, 1001, ack));
+  h.sent.clear();
+  h.sim.run_until(h.sim.now() + milliseconds(60));
+  ASSERT_EQ(h.conn->stats().rtos, 1u);
+  ASSERT_FALSE(h.sent.empty());
+  EXPECT_EQ(h.sent.front().tcp().seq, wrap_seq(1001, 5000));
+  EXPECT_EQ(h.conn->bytes_in_flight(), 1000u);  // the cursor went back
+  EXPECT_EQ(h.conn->sent_bytes(), 5000u);
+
+  // Everything acknowledged, then the FIN goes out: it is not payload.
+  h.conn->segment_arrived(h.peer_segment(1, 5001, ack));
+  h.sent.clear();
+  h.conn->shutdown_write();
+  h.sim.run_until(h.sim.now() + microseconds(10));
+  ASSERT_FALSE(h.sent.empty());
+  EXPECT_TRUE(h.last_sent().tcp().flags.fin);
+  EXPECT_EQ(h.conn->sent_bytes(), 5000u);
+  h.conn->segment_arrived(h.peer_segment(1, 5002, ack));
+  EXPECT_EQ(h.conn->acked_bytes(), 5000u);
+  EXPECT_EQ(h.conn->sent_bytes(), 5000u);
+}
+
+// An ACK's writable is raised after the transmissions it clocked out, so a
+// listener sees the acknowledged and the newly sent bytes together.
+TEST(tcb_sent_bytes, writable_follows_the_ack_clocked_transmissions) {
+  tcb_harness h;
+  h.establish();
+  ASSERT_EQ(h.conn->send(buffer::pattern(50000, 0)).value(), 50000u);
+  h.sim.run_until(h.sim.now() + microseconds(10));
+  const std::uint64_t first_flight = h.conn->sent_bytes();
+  ASSERT_GT(first_flight, 0u);
+  ASSERT_LT(first_flight, 50000u);  // the initial window binds
+  net::tcp_flags ack;
+  ack.ack = true;
+  h.conn->segment_arrived(h.peer_segment(1, 2001, ack));
+  EXPECT_GT(h.conn->sent_bytes(), first_flight);
+  EXPECT_EQ(h.sent_at_writable, h.conn->sent_bytes());
 }
 
 }  // namespace

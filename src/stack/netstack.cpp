@@ -35,6 +35,8 @@ void netstack::register_metrics(obs::metrics_registry& reg,
                                 const std::string& prefix) {
   reg.register_gauge_fn(prefix + "_tx_packets",
                         [this] { return double(stats_.tx_packets); });
+  reg.register_gauge_fn(prefix + "_tx_bursts",
+                        [this] { return double(stats_.tx_bursts); });
   reg.register_gauge_fn(prefix + "_rx_packets",
                         [this] { return double(stats_.rx_packets); });
   reg.register_gauge_fn(prefix + "_rx_no_socket",
@@ -114,7 +116,9 @@ socket_id netstack::make_connection(net::four_tuple tuple,
   tcp::tcb::environment env;
   env.sim = &sim_;
   sim::cpu_core* core = conn.core;
-  env.emit = [this, core](net::packet p) { transmit(core, std::move(p)); };
+  env.emit = [this, core](std::span<net::packet> burst) {
+    transmit(core, burst);
+  };
   env.on_connected = [this, sock] {
     push_event({sock, socket_event_type::connected, errc::ok});
   };
@@ -320,7 +324,7 @@ result<std::size_t> netstack::udp_send_to(socket_id sock,
   p.l4 = h;
   const std::size_t len = data.size();
   p.payload = std::move(data);
-  transmit(pick_core(), std::move(p));
+  transmit(pick_core(), {&p, 1});
   return len;
 }
 
@@ -338,16 +342,35 @@ result<std::pair<net::socket_addr, buffer>> netstack::udp_recv_from(
 
 // --- data path --------------------------------------------------------------------
 
-void netstack::transmit(sim::cpu_core* core, net::packet p) {
+void netstack::transmit(sim::cpu_core* core, std::span<net::packet> burst) {
   NK_PROF("netstack", "tx");
-  ++stats_.tx_packets;
-  const sim_time cost = cfg_.tx_cost.of(p.wire_size());
-  if (core != nullptr && cost > sim_time::zero()) {
-    core->execute(cost, [this, p = std::move(p)]() mutable {
-      if (dev_ != nullptr) dev_->transmit(std::move(p));
-    });
+  stats_.tx_packets += burst.size();
+  ++stats_.tx_bursts;
+  std::size_t bytes = 0;
+  for (const auto& p : burst) bytes += p.wire_size();
+  const sim_time cost = cfg_.tx_cost.of(bytes);
+  if (core == nullptr || cost == sim_time::zero()) {
+    for (auto& p : burst) send_frame(std::move(p));
     return;
   }
+  // GSO: the burst pays the per-packet cost once, then leaves as the
+  // MSS-sized frames it was built from. The frames wait on the core's
+  // queue, not in the completion, so std::function holds the completion
+  // without allocating; the core runs its work in FIFO order, so each
+  // completion releases the oldest burst on its queue.
+  tx_queue& q = tx_queues_[core];
+  q.burst_sizes.push_back(burst.size());
+  for (auto& p : burst) q.frames.push_back(std::move(p));
+  core->execute(cost, [this, &q] {
+    for (std::size_t n = q.burst_sizes.front(); n > 0; --n) {
+      send_frame(std::move(q.frames.front()));
+      q.frames.pop_front();
+    }
+    q.burst_sizes.pop_front();
+  });
+}
+
+void netstack::send_frame(net::packet p) {
   if (dev_ != nullptr) dev_->transmit(std::move(p));
 }
 
@@ -367,7 +390,7 @@ void netstack::send_rst_for(const net::packet& p) {
   h.flags.rst = true;
   h.flags.ack = true;
   rst.l4 = h;
-  transmit(nullptr, std::move(rst));
+  transmit(nullptr, {&rst, 1});
 }
 
 void netstack::packet_arrived(net::packet p) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <optional>
 
 #include "obs/profiler.hpp"
 #include "tcp/seq.hpp"
@@ -109,7 +110,18 @@ void tcb::emit_segment(net::packet p) {
   // A CE mark is echoed on the next ACK-bearing segment only, whether that
   // is a pure ACK or a reply carrying the ACK.
   if (p.tcp().flags.ack) ece_pending_ = false;
-  env_.emit(std::move(p));
+  const std::size_t bytes = p.wire_size();
+  if (burst_bytes_ + bytes > gso_max_bytes) flush_burst();
+  burst_bytes_ += bytes;
+  burst_.push_back(std::move(p));
+  if (!batching_) flush_burst();
+}
+
+void tcb::flush_burst() {
+  if (burst_.empty()) return;
+  env_.emit(burst_);
+  burst_.clear();
+  burst_bytes_ = 0;
 }
 
 void tcb::send_control(net::tcp_flags flags) {
@@ -237,7 +249,13 @@ void tcb::transmit_range(std::uint64_t start, std::uint64_t end, bool rtx) {
   if (fin_at(end - 1)) flags.fin = true;
 
   buffer payload = payload_for(start, end);
-  if (!payload.empty()) flags.psh = true;
+  // PSH (the BSD/Linux tcp_push rule) marks the segment that empties the
+  // queued data, which includes the one carrying the FIN, and a zero-window
+  // probe: the receiver ACKs those at once and every second one otherwise.
+  if (!payload.empty() &&
+      (end >= sendq_base_ + sendq_.size() || snd_wnd_ == 0)) {
+    flags.psh = true;
+  }
   if (flags.ack && ecn_enabled_ && ece_pending_) flags.ece = true;
 
   if (rtx || end <= rto_rewind_high_water_) {
@@ -320,6 +338,8 @@ void tcb::try_send() {
     next_release_ = std::max(next_release_, now) + gap;
   };
 
+  // Everything this pass sends leaves as one burst (GSO).
+  batching_ = true;
   while (true) {
     const std::uint64_t wnd = effective_window();
     const std::uint64_t in_flight = bytes_in_flight();
@@ -387,6 +407,8 @@ void tcb::try_send() {
     charge_pacing(len);
     if (include_fin) break;
   }
+  batching_ = false;
+  flush_burst();
 
   // Zero-window with pending data and nothing in flight: persist probing.
   if (snd_wnd_ == 0 && bytes_in_flight() == 0 &&
@@ -479,8 +501,12 @@ void tcb::handle_payload(const net::packet& p, std::uint64_t seg_abs) {
   if (h.flags.syn) payload_abs += 1;  // SYN occupies the first slot
 
   bool delivered_data = false;
+  bool ack_now = false;
   if (!p.payload.empty()) {
     const bool out_of_order = payload_abs != rcv_nxt_;
+    // A segment that fills all or part of a reassembly gap is ACKed at once
+    // (RFC 5681 §4.2): it is usually the sender's retransmission.
+    const bool fills_gap = !reasm_.empty();
     const std::uint64_t before = rcv_nxt_;
     buffer_chain ready = reasm_.insert(payload_abs, p.payload, rcv_nxt_);
     const std::uint64_t advanced = rcv_nxt_ - before;
@@ -492,16 +518,23 @@ void tcb::handle_payload(const net::packet& p, std::uint64_t seg_abs) {
     // PSH asks for a quick ACK, except a short segment on an interactive
     // flow: its ACK waits for the reply (or the 2nd segment, or the timer).
     const bool hold_for_reply = pingpong_ && p.payload.size() < cfg_.mss;
-    maybe_send_ack(out_of_order || h.flags.fin ||
-                   (h.flags.psh && !hold_for_reply));
+    ack_now = out_of_order || fills_gap || h.flags.fin ||
+              (h.flags.psh && !hold_for_reply);
   }
 
+  // The FIN this segment carries, or an earlier one whose reassembly gap
+  // this segment just closed.
+  std::optional<std::uint64_t> fin;
   if (h.flags.fin) {
-    handle_fin(payload_abs + p.payload.size());
+    fin = payload_abs + p.payload.size();
   } else if (fin_seen_ && !fin_received_ && rcv_nxt_ == fin_abs_) {
-    // A reassembly gap in front of an earlier FIN just closed.
-    handle_fin(fin_abs_);
+    fin = fin_abs_;
   }
+  // handle_fin ACKs a FIN at or below rcv_nxt_, and that one ACK covers
+  // this segment's data too.
+  const bool fin_acks = fin && rcv_nxt_ >= *fin;
+  if (!p.payload.empty() && !fin_acks) maybe_send_ack(ack_now);
+  if (fin) handle_fin(*fin);
 
   if (delivered_data && env_.on_readable) env_.on_readable();
 }

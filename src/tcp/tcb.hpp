@@ -2,12 +2,13 @@
 //
 // One tcb is one connection: handshake, ordered reliable byte stream with
 // flow control, NewReno loss recovery (fast retransmit / partial ACKs),
-// RFC 6298 RTO, delayed ACKs (held for the reply on request/response
-// flows), optional Nagle, optional pacing (driven by the congestion
-// controller, e.g. BBR), ECN feedback for DCTCP, and full close/TIME_WAIT
-// handling. Sequence tracking is in absolute 64-bit stream offsets (0 =
-// SYN, 1 = first data byte); the wire carries 32-bit sequence numbers via
-// tcp/seq.hpp.
+// RFC 6298 RTO, delayed ACKs (every second segment, at once for PSH and
+// gap-filling segments, held for the reply on request/response flows),
+// GSO-style transmit bursts, optional Nagle, optional pacing (driven by
+// the congestion controller, e.g. BBR), ECN feedback for DCTCP, and full
+// close/TIME_WAIT handling. Sequence tracking is in absolute 64-bit stream
+// offsets (0 = SYN, 1 = first data byte); the wire carries 32-bit sequence
+// numbers via tcp/seq.hpp.
 //
 // The tcb is transport only: demultiplexing, port allocation and listener
 // sockets live in stack/netstack.hpp.
@@ -18,7 +19,9 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/buffer.hpp"
 #include "common/result.hpp"
@@ -78,8 +81,11 @@ class tcb {
  public:
   struct environment {
     sim::simulator* sim = nullptr;
-    // Hands a finished segment to the IP layer / nic below.
-    std::function<void(net::packet)> emit;
+    // Hands finished segments to the IP layer / nic below, in wire order;
+    // the callee moves them out of the span. Each call is one burst: the
+    // segments of one output pass (at most gso_max_bytes of wire bytes), or
+    // a single segment sent on its own.
+    std::function<void(std::span<net::packet>)> emit;
     // Socket-layer notifications.
     std::function<void()> on_connected;          // handshake done (active open)
     std::function<void()> on_accept_ready;       // handshake done (passive open)
@@ -87,6 +93,11 @@ class tcb {
     std::function<void()> on_writable;           // send space freed or payload sent
     std::function<void(errc)> on_closed;         // fully closed / reset / timeout
   };
+
+  // Largest transmit burst, in wire bytes (the Linux GSO limit): the output
+  // path hands the stack its segments in bursts up to this size, and the
+  // stack pays its per-packet cost once per burst.
+  static constexpr std::size_t gso_max_bytes = 64 * 1024;
 
   tcb(environment env, tcp_config cfg, net::four_tuple tuple,
       std::uint32_t initial_seq);
@@ -178,7 +189,9 @@ class tcb {
   // --- segment construction -------------------------------------------------
   net::packet make_segment(std::uint64_t seq_abs, net::tcp_flags flags,
                            buffer payload) const;
+  // Queues a segment on the open burst (try_send) or emits it on its own.
   void emit_segment(net::packet p);
+  void flush_burst();
   void send_control(net::tcp_flags flags);  // bare ACK / RST etc at snd_nxt
 
   // --- transmission ----------------------------------------------------------
@@ -284,6 +297,11 @@ class tcb {
   bool ecn_requested_;
   bool ecn_enabled_ = false;
   bool ece_pending_ = false;  // echo CE back on outgoing ACKs
+
+  // Transmit burst: segments try_send() has built but not yet emitted.
+  std::vector<net::packet> burst_;
+  std::size_t burst_bytes_ = 0;
+  bool batching_ = false;  // try_send() is filling burst_
 
   // Pacing.
   sim_time next_release_{};

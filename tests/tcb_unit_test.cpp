@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <span>
 
 #include "tcp/seq.hpp"
 #include "tcp/tcb.hpp"
@@ -20,7 +21,9 @@ struct tcb_harness {
   explicit tcb_harness(tcp_config cfg = make_cfg()) {
     tcb::environment env;
     env.sim = &sim;
-    env.emit = [this](net::packet p) { sent.push_back(std::move(p)); };
+    env.emit = [this](std::span<net::packet> burst) {
+      for (auto& p : burst) sent.push_back(std::move(p));
+    };
     env.on_connected = [this] { connected = true; };
     env.on_readable = [this] { ++readable_events; };
     env.on_writable = [this] {

@@ -3,6 +3,12 @@
 // reassembly).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <optional>
+#include <vector>
+
+#include "sim/cpu_core.hpp"
 #include "tcp/reassembly.hpp"
 #include "tcp/rtt_estimator.hpp"
 #include "tcp/seq.hpp"
@@ -44,6 +50,39 @@ void install_sink(stack::netstack& st, std::uint16_t port, sink_state& state) {
     }
   });
 }
+
+// Records the frames on the wire: those stack a hands to the link (a→b),
+// stamped when its nic transmits them, and those the link delivers back to
+// it (b→a). `drop` may discard an a→b frame before it reaches the link.
+struct wire_tap {
+  struct frame {
+    sim_time at;
+    net::packet p;
+  };
+  std::vector<frame> a_to_b;
+  std::vector<frame> b_to_a;
+  std::function<bool(const net::packet&)> drop;
+
+  explicit wire_tap(loopback& net) {
+    net.nic_a.attach_tx([this, &net](net::packet p) {
+      if (drop && drop(p)) return;
+      a_to_b.push_back({net.sim.now(), p});
+      net.cable.forward().send(std::move(p));
+    });
+    net.cable.backward().set_sink([this, &net](net::packet p) {
+      b_to_a.push_back({net.sim.now(), p});
+      net.nic_a.receive(std::move(p));
+    });
+  }
+
+  [[nodiscard]] std::vector<frame> data_frames() const {
+    std::vector<frame> out;
+    for (const auto& f : a_to_b) {
+      if (!f.p.payload.empty()) out.push_back(f);
+    }
+    return out;
+  }
+};
 
 // --- handshake / teardown ---------------------------------------------------------------
 
@@ -308,9 +347,7 @@ TEST(tcp_acks, delayed_acks_reduce_ack_traffic) {
   net.run_for(milliseconds(100));
 
   const auto& tx = net.a.tcb_of(conn)->stats();
-  // Every data segment carries PSH and this flow is one-way, so the receiver
-  // ACKs each one: the sender's two handshake segments (SYN, ACK) against
-  // the one SYN-ACK it receives keep it exactly one segment ahead.
+  // The receiver of this one-way flow ACKs every second data segment.
   EXPECT_LT(tx.segments_received, tx.segments_sent);
 }
 
@@ -434,7 +471,7 @@ TEST(tcp_acks, unanswered_request_is_acked_after_the_timeout) {
   EXPECT_EQ(client.bytes_acked, acked_before + 128);
 }
 
-TEST(tcp_acks, one_way_bulk_acks_every_segment) {
+TEST(tcp_acks, one_way_bulk_acks_every_second_segment) {
   const auto params = lan_params();
   loopback net{params};
   sink_state sink;
@@ -446,14 +483,231 @@ TEST(tcp_acks, one_way_bulk_acks_every_segment) {
   net.run_for(milliseconds(100));
   ASSERT_EQ(sink.received.size(), total);
 
-  // The receiver never replies, so every PSH data segment is ACKed at once.
+  // Only the last data segment empties the sender's queue, so only it
+  // carries PSH: the receiver ACKs every second segment and the last.
   const std::uint64_t data_segments =
       (total + params.tcp_a.mss - 1) / params.tcp_a.mss;
   const auto& rx = net.b.tcb_of(sink.conn)->stats();
   // The listener consumes the SYN; the tcb counts the handshake ACK and
   // sends the SYN-ACK.
   EXPECT_EQ(rx.segments_received, 1 + data_segments);
-  EXPECT_EQ(rx.segments_sent, 1 + data_segments);
+  EXPECT_LE(rx.segments_sent, 2 + (data_segments + 1) / 2);
+  EXPECT_EQ(net.a.tcb_of(conn)->stats().rtos, 0u);
+}
+
+TEST(tcp_acks, data_with_fin_draws_one_ack) {
+  constexpr std::size_t total = 200000;
+  // The same transfer twice, the second time with the FIN on its last data
+  // segment: one ACK covers both, so the FIN costs the receiver nothing.
+  const auto receiver_segments = [total](bool fin) -> std::uint64_t {
+    loopback net{lan_params()};
+    wire_tap tap{net};
+    sink_state sink;
+    install_sink(net.b, 5001, sink);
+    const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+    net.run_for(milliseconds(5));
+    EXPECT_TRUE(net.a.send(conn, buffer::pattern(total, 0)).ok());
+    if (fin) {
+      EXPECT_TRUE(net.a.shutdown_write(conn).ok());
+    }
+    net.run_for(milliseconds(100));
+    EXPECT_EQ(sink.received.size(), total);
+    EXPECT_EQ(sink.saw_eof, fin);
+    const auto data = tap.data_frames();
+    EXPECT_EQ(data.back().p.tcp().flags.fin, fin);
+    if (fin) {
+      EXPECT_EQ(net.a.tcb_of(conn)->state(), tcp::tcp_state::fin_wait_2);
+    }
+    return net.b.tcb_of(sink.conn)->stats().segments_sent;
+  };
+  EXPECT_EQ(receiver_segments(true), receiver_segments(false));
+}
+
+TEST(tcp_acks, gap_filling_segment_is_acked_at_once) {
+  const auto params = lan_params();
+  loopback net{params};
+  wire_tap tap{net};
+  // The receiving app reads nothing until the end, so no window update can
+  // stand in for the ACK.
+  const auto listener = net.b.tcp_listen(5001).value();
+  stack::socket_id server = 0;
+  net.b.set_event_handler([&](const stack::socket_event& ev) {
+    if (ev.type != socket_event_type::accept_ready) return;
+    if (auto r = net.b.accept(listener)) server = r.value();
+  });
+  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  net.run_for(milliseconds(5));
+
+  // Drop the first transmission of data segment 3 of 10. All ten leave in
+  // the initial window, so the retransmission goes out alone: no second
+  // segment or PSH follows it to draw the ACK.
+  int data_seen = 0;
+  std::optional<std::uint32_t> hole;
+  tap.drop = [&](const net::packet& p) {
+    if (hole || p.payload.empty() || ++data_seen < 3) return false;
+    hole = p.tcp().seq;
+    return true;
+  };
+  const std::size_t total = 10 * params.tcp_a.mss;
+  ASSERT_TRUE(net.a.send(conn, buffer::pattern(total, 0)).ok());
+  net.run_for(milliseconds(100));
+  ASSERT_TRUE(hole.has_value());
+  buffer_chain received;
+  while (auto r = net.b.recv(server, 1 << 20)) {
+    received.append(std::move(r).value());
+  }
+  ASSERT_EQ(received.size(), total);
+  EXPECT_TRUE(received.pop(total).matches_pattern(0));
+
+  const auto& frames = tap.a_to_b;
+  const auto rtx =
+      std::find_if(frames.begin(), frames.end(), [&](const auto& f) {
+        return !f.p.payload.empty() && f.p.tcp().seq == *hole;
+      });
+  ASSERT_NE(rtx, frames.end());
+  // The retransmission does not empty the queue, so it carries no PSH: the
+  // filled gap alone draws its ACK.
+  EXPECT_FALSE(rtx->p.tcp().flags.psh);
+  const std::uint32_t hole_end =
+      *hole + static_cast<std::uint32_t>(rtx->p.payload.size());
+  const auto ack = std::find_if(
+      tap.b_to_a.begin(), tap.b_to_a.end(), [&](const auto& f) {
+        return f.at >= rtx->at &&
+               static_cast<std::int32_t>(f.p.tcp().ack - hole_end) >= 0;
+      });
+  ASSERT_NE(ack, tap.b_to_a.end());
+  // One 50 us round trip, far inside the 1 ms delayed-ACK timeout.
+  EXPECT_LT(ack->at - rtx->at, microseconds(200));
+  EXPECT_LT(microseconds(200), params.tcp_b.delayed_ack_timeout);
+  EXPECT_EQ(net.a.tcb_of(conn)->stats().rtos, 0u);
+}
+
+TEST(tcp_acks, psh_marks_only_the_segment_that_drains_the_queue) {
+  const auto params = lan_params();
+  const std::size_t mss = params.tcp_a.mss;
+  loopback net{params};
+  wire_tap tap{net};
+  sink_state sink;
+  install_sink(net.b, 5001, sink);
+  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  net.run_for(milliseconds(5));
+
+  // 3.5 segments leave in one pass; the last one empties the queue.
+  const std::size_t first = 3 * mss + mss / 2;
+  ASSERT_TRUE(net.a.send(conn, buffer::pattern(first, 0)).ok());
+  net.run_for(milliseconds(5));
+  // 40 segments, more than the window, leave over several ACK-clocked
+  // passes; only the last, which carries the FIN, empties the queue.
+  const std::size_t second = 40 * mss;
+  ASSERT_TRUE(net.a.send(conn, buffer::pattern(second, first)).ok());
+  ASSERT_TRUE(net.a.shutdown_write(conn).ok());
+  net.run_for(milliseconds(50));
+  ASSERT_EQ(sink.received.size(), first + second);
+  EXPECT_TRUE(sink.received.pop(first + second).matches_pattern(0));
+
+  const auto data = tap.data_frames();
+  ASSERT_EQ(data.size(), 4u + 40u);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(data[i].p.tcp().flags.psh, i == 3 || i == data.size() - 1)
+        << "segment " << i;
+  }
+  EXPECT_TRUE(data.back().p.tcp().flags.fin);
+}
+
+// --- GSO transmit --------------------------------------------------------------------
+
+TEST(tcp_gso, burst_charges_one_per_packet_cost) {
+  auto params = lan_params();
+  params.tx_cost_a = stack::processing_cost{microseconds(2), 0.5};
+  const std::size_t mss = params.tcp_a.mss;
+  loopback net{params};
+  sim::cpu_core core{net.sim, "a/tx"};
+  net.a.add_core(core);
+  wire_tap tap{net};
+  sink_state sink;
+  install_sink(net.b, 5001, sink);
+  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  net.run_for(milliseconds(5));
+
+  const sim_time busy_before = core.busy_time();
+  const stack::netstack_stats stats_before = net.a.stats();
+  const std::size_t frames_before = tap.a_to_b.size();
+  const sim_time sent_at = net.sim.now();
+  ASSERT_TRUE(net.a.send(conn, buffer::pattern(3 * mss, 0)).ok());
+  net.run_for(milliseconds(5));
+  ASSERT_EQ(sink.received.size(), 3 * mss);
+  EXPECT_EQ(net.a.stats().tx_packets, stats_before.tx_packets + 3);
+  EXPECT_EQ(net.a.stats().tx_bursts, stats_before.tx_bursts + 1);
+
+  // The link carries the three MSS-sized frames, in stream order...
+  ASSERT_EQ(tap.a_to_b.size(), frames_before + 3);
+  const auto first = tap.a_to_b.begin() + static_cast<long>(frames_before);
+  std::size_t wire_bytes = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto& f = first[static_cast<long>(i)];
+    EXPECT_EQ(f.p.tcp().seq, first->p.tcp().seq + i * mss);
+    EXPECT_TRUE(f.p.payload.matches_pattern(i * mss));
+    EXPECT_EQ(f.p.payload.size(), mss);
+    wire_bytes += f.p.wire_size();
+  }
+  // ...which cost the core one per-packet charge plus their bytes, and
+  // leave together when that one charge completes.
+  const sim_time burst = params.tx_cost_a.of(wire_bytes);
+  EXPECT_EQ(core.busy_time() - busy_before, burst);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(first[static_cast<long>(i)].at, sent_at + burst);
+  }
+}
+
+TEST(tcp_gso, initial_window_over_64k_splits_into_two_bursts) {
+  auto params = lan_params();
+  params.tcp_a.mss = 8000;
+  params.tcp_b.mss = 8000;
+  params.tx_cost_a = stack::processing_cost{microseconds(2), 0.5};
+  loopback net{params};
+  sim::cpu_core core{net.sim, "a/tx"};
+  net.a.add_core(core);
+  wire_tap tap{net};
+  sink_state sink;
+  install_sink(net.b, 5001, sink);
+  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  net.run_for(milliseconds(5));
+
+  // The initial window is 10 segments, 80 000 B of payload: more than one
+  // burst may carry.
+  const sim_time busy_before = core.busy_time();
+  const std::size_t frames_before = tap.a_to_b.size();
+  const sim_time sent_at = net.sim.now();
+  ASSERT_TRUE(net.a.send(conn, buffer::pattern(10 * 8000, 0)).ok());
+  net.run_for(microseconds(100));
+  ASSERT_EQ(tap.a_to_b.size(), frames_before + 10);
+
+  // The first burst takes whole frames up to gso_max_bytes, the second the
+  // rest; each pays one per-packet charge and leaves when it completes.
+  std::vector<std::size_t> sizes;
+  for (std::size_t i = frames_before; i < tap.a_to_b.size(); ++i) {
+    sizes.push_back(tap.a_to_b[i].p.wire_size());
+  }
+  std::size_t split = 0;
+  std::size_t first_bytes = 0;
+  while (first_bytes + sizes[split] <= tcp::tcb::gso_max_bytes) {
+    first_bytes += sizes[split++];
+  }
+  ASSERT_GT(split, 1u);
+  ASSERT_LT(split, sizes.size());
+  std::size_t second_bytes = 0;
+  for (std::size_t i = split; i < sizes.size(); ++i) second_bytes += sizes[i];
+  const sim_time first_cost = params.tx_cost_a.of(first_bytes);
+  const sim_time second_cost = params.tx_cost_a.of(second_bytes);
+  EXPECT_EQ(core.busy_time() - busy_before, first_cost + second_cost);
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const sim_time at = tap.a_to_b[frames_before + i].at;
+    EXPECT_EQ(at, sent_at + first_cost + (i < split ? sim_time::zero()
+                                                     : second_cost))
+        << "frame " << i;
+  }
+  net.run_for(milliseconds(5));
+  EXPECT_EQ(sink.received.size(), 10u * 8000u);
 }
 
 TEST(tcp_nagle, coalesces_small_writes) {

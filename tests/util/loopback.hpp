@@ -15,6 +15,7 @@ struct loopback_params {
   double forward_loss = -1.0;  // a->b loss override (< 0: use wire.loss_rate)
   tcp::tcp_config tcp_a{};
   tcp::tcp_config tcp_b{};
+  stack::processing_cost tx_cost_a{};  // charged on cores added to stack a
 };
 
 struct loopback {
@@ -23,7 +24,8 @@ struct loopback {
         cable{sim, p.wire},
         nic_a{"a"},
         nic_b{"b"},
-        a{sim, make_cfg("a", p.tcp_a), net::ipv4_addr::from_octets(10, 0, 0, 1)},
+        a{sim, make_cfg("a", p.tcp_a, p.tx_cost_a),
+          net::ipv4_addr::from_octets(10, 0, 0, 1)},
         b{sim, make_cfg("b", p.tcp_b), net::ipv4_addr::from_octets(10, 0, 0, 2)} {
     if (p.forward_loss >= 0.0) cable.forward().set_loss_rate(p.forward_loss);
     phys::attach_duplex(nic_a, nic_b, cable);
@@ -32,10 +34,12 @@ struct loopback {
   }
 
   static stack::netstack_config make_cfg(const char* name,
-                                         const tcp::tcp_config& tcp) {
+                                         const tcp::tcp_config& tcp,
+                                         stack::processing_cost tx_cost = {}) {
     stack::netstack_config cfg;
     cfg.name = name;
     cfg.tcp = tcp;
+    cfg.tx_cost = tx_cost;
     return cfg;
   }
 

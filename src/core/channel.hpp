@@ -5,10 +5,11 @@
 // is the only component that touches both sides.
 //
 // Sharding (multi-queue CoreEngine, NIC-RSS style): the channel carries one
-// ring set per engine shard and per side, so each shard pumps — and each
-// producer pushes to — rings no other shard ever touches. A flow's entire
-// nqe stream rides the ring set of its owning shard (shm/steering.hpp);
-// with one shard this degenerates to the paper's single queue pair.
+// ring set per engine shard and per side. Shard s's one drain loop pops
+// ring set s of every channel, and no other shard touches it. A flow's
+// entire nqe stream rides the ring set of its owning shard
+// (shm/steering.hpp); with one shard this degenerates to the paper's
+// single queue pair.
 #pragma once
 
 #include <cstddef>

@@ -24,7 +24,7 @@ constexpr sim_time pump_backlog_bound = microseconds(3);
 // home shard.
 constexpr std::uint32_t accept_fd_base = 0x80000000;
 // Throttled VMs drain at most `throttle_batch` job nqes per
-// `throttle_period` per shard — the lane pump is deprioritized, not
+// `throttle_period` per shard — the VM's jobs are deprioritized, not
 // stopped, so a tenant that merely glitched keeps limping.
 constexpr sim_time throttle_period = microseconds(100);
 constexpr std::size_t throttle_batch = 8;
@@ -72,6 +72,15 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
     if (n_shards > 1) {
       shards_[s].core->set_name("engine/shard" + std::to_string(s));
     }
+    shards_[s].pump = std::make_unique<queue_pump>(
+        sim_, cfg_.notification, [this, s] {
+          std::size_t n = 0;
+          for (auto& [vm, att] : attachments_) {
+            n += drain_vm_jobs(att, s);
+            n += drain_nsm_queues(att, s);
+          }
+          return n;
+        });
   }
 
   // Default history: the engine-level accounting gauges, so every bench
@@ -437,7 +446,7 @@ nsm& core_engine::create_nsm(const nsm_config& cfg) {
   nsm& ref = *module;
   auto service = std::make_unique<service_lib>(
       ref, sim_, cfg_.costs, cfg_.notification, tracer_, cfg_.overflow_limit,
-      sla_);
+      sla_, [this](std::size_t s) { notify(s); });
   service->start();
   services_[ref.id()] = std::move(service);
   nsms_.push_back(std::move(module));
@@ -492,41 +501,22 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
   att.ch = std::make_unique<channel>(vm.id(), module.id(),
                                      host_.next_region_key(), cfg_.channel,
                                      shards_.size());
-  // One lane per engine shard: each shard's pumps drain only its own ring
-  // set and re-drain only its own staged lanes.
+  // One lane per engine shard: each shard's drain loop drains only its own
+  // ring set and re-drains only its own staged lanes.
   att.lanes.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     lane& ln = att.lanes[s];
     ln.stage = std::make_unique<lane_stages>(*att.ch, s);
     ln.next_accept_fd = accept_fd_base + static_cast<std::uint32_t>(s);
-    ln.vm_to_nsm = std::make_unique<queue_pump>(
-        sim_, cfg_.notification, [this, id = vm.id(), s]() -> std::size_t {
-          auto it = attachments_.find(id);
-          return it == attachments_.end() ? 0 : drain_vm_jobs(it->second, s);
-        });
-    ln.nsm_to_vm = std::make_unique<queue_pump>(
-        sim_, cfg_.notification, [this, id = vm.id(), s]() -> std::size_t {
-          auto it = attachments_.find(id);
-          return it == attachments_.end() ? 0 : drain_nsm_queues(it->second, s);
-        });
   }
 
   channel* ch = att.ch.get();
   service_lib* service = services_.at(module.id()).get();
-  service->attach_channel(*ch, [this, id = vm.id()](std::size_t s) {
-    if (auto it = attachments_.find(id); it != attachments_.end()) {
-      it->second.lanes[s].nsm_to_vm->notify();
-    }
-  });
+  service->attach_channel(*ch);
 
   att.glib = std::make_unique<guest_lib>(vm, *ch, *this, cfg_.costs,
                                          cfg_.notification, tracer_,
                                          cfg_.guest);
-
-  for (auto& ln : att.lanes) {
-    ln.vm_to_nsm->start();
-    ln.nsm_to_vm->start();
-  }
 
   // Channel queue-depth gauges (both queue sets, summed over shard lanes)
   // and lifetime nqe counters.
@@ -557,8 +547,8 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
   });
   // Staged (overflowed) depth per direction; nonzero means a ring filled
   // and the engine is carrying the excess until the consumer catches up.
-  // The stages are heap-allocated, so capturing their addresses survives
-  // rehashes of attachments_.
+  // The stages are heap-allocated, so their addresses survive the move of
+  // the attachment into attachments_ below.
   std::vector<const lane_stages*> stages;
   stages.reserve(att.lanes.size());
   for (const auto& ln : att.lanes) stages.push_back(ln.stage.get());
@@ -587,7 +577,7 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
   });
 
   // Abuse record + firewall gauges. Heap-allocated like the overflow
-  // stages, so the closures stay valid across rehashes of attachments_.
+  // stages, so the closures stay valid after the attachment is moved in.
   att.abuse = std::make_unique<abuse_state>(make_violation_budget(),
                                             make_stat_refresh_budget());
   abuse_state* ab = att.abuse.get();
@@ -602,6 +592,11 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
   });
 
   auto [it, inserted] = attachments_.emplace(vm.id(), std::move(att));
+  // The drain loops run while anything is attached: an engine serving no
+  // VM polls nothing.
+  if (attachments_.size() == 1) {
+    for (auto& sh : shards_) sh.pump->start();
+  }
   // A VM re-attaching under an active quarantine comes up barred: its job
   // lanes refuse to drain until probation expires (auto-readmit below) or
   // readmit_vm() paroles it early.
@@ -624,17 +619,7 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
   return *it->second.glib;
 }
 
-void core_engine::notify_from_vm(virt::vm_id vm, std::size_t shard) {
-  if (auto it = attachments_.find(vm); it != attachments_.end()) {
-    it->second.lanes[shard].vm_to_nsm->notify();
-  }
-}
-
-void core_engine::notify_vm_space(virt::vm_id vm, std::size_t shard) {
-  if (auto it = attachments_.find(vm); it != attachments_.end()) {
-    it->second.lanes[shard].nsm_to_vm->notify();
-  }
-}
+void core_engine::notify(std::size_t shard) { shards_[shard].pump->notify(); }
 
 // --- overflow staging ------------------------------------------------------------
 
@@ -678,16 +663,16 @@ std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
   if (ab.level == abuse_level::throttled) {
     const sim_time now = sim_.now();
     if (now < ab.next_drain) {
-      // Deprioritized, not stopped: one wake timer per VM re-rings every
-      // job lane when the next drain window opens, so a throttled tenant
-      // keeps limping even under batched-interrupt notification.
+      // Deprioritized, not stopped: one wake timer per VM rings every
+      // shard's loop when the next drain window opens, so a throttled
+      // tenant keeps limping even under batched-interrupt notification.
       if (!ab.throttle_wake_pending) {
         ab.throttle_wake_pending = true;
         sim_.schedule_at(ab.next_drain, [this, id = att.vm->id()] {
           auto wit = attachments_.find(id);
           if (wit == attachments_.end()) return;
           wit->second.abuse->throttle_wake_pending = false;
-          for (auto& ln : wit->second.lanes) ln.vm_to_nsm->notify();
+          for (auto& sh : shards_) sh.pump->notify();
         });
       }
       return 0;
@@ -876,7 +861,7 @@ std::size_t core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
   sim::cpu_core& core = *shards_[s].core;
   bool gated = false;
   // Completions first, then events; the shard core keeps this order
-  // downstream. The same backlog gate as the forward pump applies: past the
+  // downstream. The same backlog gate as the forward drain applies: past the
   // bound, nqes — and the chunks ev_data descriptors pin — stay in the NSM
   // rings where ServiceLib can see and react to the pressure.
   for (const bool receive : {false, true}) {
@@ -912,18 +897,14 @@ void core_engine::schedule_shard_redrain(std::size_t s) {
   engine_shard& sh = shards_[s];
   if (sh.redrain_pending) return;
   sh.redrain_pending = true;
-  // Wake once the committed copy work clears. Under polling pumps this is
-  // belt-and-braces (they re-poll anyway); under batched_interrupt it is
-  // what stops a gated lane from wedging with no producer left to ring the
-  // doorbell.
+  // Wake once the committed copy work clears. Under polling this is
+  // belt-and-braces (the loop re-polls anyway); under batched_interrupt it
+  // is what stops a gated lane from wedging with no producer left to ring
+  // the doorbell.
   const sim_time wait = std::max(sh.core->backlog(), microseconds(1));
   sim_.schedule(wait, [this, s] {
     shards_[s].redrain_pending = false;
-    for (auto& [vm, att] : attachments_) {
-      (void)vm;
-      att.lanes[s].vm_to_nsm->notify();
-      att.lanes[s].nsm_to_vm->notify();
-    }
+    shards_[s].pump->notify();
   });
 }
 
@@ -1193,7 +1174,7 @@ bool core_engine::readmit_vm(virt::vm_id vm) {
     att.abuse->level = abuse_level::ok;
     att.abuse->throttled_violations = 0;
     att.abuse->budget = make_violation_budget();
-    for (auto& ln : att.lanes) ln.vm_to_nsm->notify();
+    for (auto& sh : shards_) sh.pump->notify();
   }
   return true;
 }
@@ -1229,10 +1210,6 @@ void core_engine::detach_vm(virt::vm_id vm) {
   auto it = attachments_.find(vm);
   if (it == attachments_.end()) return;
   attachment& att = it->second;
-  for (auto& ln : att.lanes) {
-    ln.vm_to_nsm->stop();
-    ln.nsm_to_vm->stop();
-  }
   att.glib->stop();
   if (auto* service = service_of(att.module->id())) {
     service->detach_channel(vm);
@@ -1287,6 +1264,9 @@ void core_engine::detach_vm(virt::vm_id vm) {
   log_info("core_engine: detached vm ", vm, " from nsm ", att.module->id());
   retired_attachments_.push_back(std::move(att));
   attachments_.erase(it);
+  if (attachments_.empty()) {
+    for (auto& sh : shards_) sh.pump->stop();
+  }
 }
 
 // --- NSM replacement -----------------------------------------------------------------
@@ -1360,14 +1340,7 @@ void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
     }
     att.module = fresh;
     att.ch->nsm = new_id;
-    next->attach_channel(
-        *att.ch,
-        [this, id = vm](std::size_t s) {
-          if (auto a = attachments_.find(id); a != attachments_.end()) {
-            a->second.lanes[s].nsm_to_vm->notify();
-          }
-        },
-        att.epoch);
+    next->attach_channel(*att.ch, att.epoch);
     metrics_.register_gauge_fn(
         "vm" + std::to_string(vm) + "_nsm_staged_out",
         [next, id = vm] { return static_cast<double>(next->staged_depth(id)); });

@@ -16,19 +16,21 @@
 // as N independent shards, NIC-RSS style. Each shard owns a partition of
 // the connection-mapping table, its own cpu_core, its own per-channel ring
 // lane, its own overflow stages and its own accounting — so no lock or
-// shared mutable structure sits on the nqe hot path. A flow's home shard is
-// picked by a splitmix64 steering hash (shm/steering.hpp) over <VM, fd>
-// for guest-created sockets and over <NSM, cID> for accepted children;
-// every producer pushes a flow's nqes to its home lane, so both directions
-// of one flow live entirely inside one shard. The ids the engine mints
-// name their shard too (cID mod N, accepted fd offset mod N), so any id
-// leads to one partition. shards = 1 (the default) degenerates to the
-// paper's single-loop engine.
+// shared mutable structure sits on the nqe hot path. Each shard runs one
+// drain loop over every attachment, and every doorbell wakes that loop.
+// A flow's home shard is picked by a splitmix64 steering hash
+// (shm/steering.hpp) over <VM, fd> for guest-created sockets and over
+// <NSM, cID> for accepted children; every producer pushes a flow's nqes to
+// its home lane, so both directions of one flow live entirely inside one
+// shard. The ids the engine mints name their shard too (cID mod N,
+// accepted fd offset mod N), so any id leads to one partition. shards = 1
+// (the default) degenerates to the paper's single-loop engine.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -169,13 +171,13 @@ class core_engine {
   // Boots an NSM (allocating its cores from the host pool).
   nsm& create_nsm(const nsm_config& cfg);
 
-  // Attaches a VM to an NSM: allocates the shared-memory channel, starts
-  // the pumps, and returns the GuestLib endpoint for the VM's applications.
+  // Attaches a VM to an NSM: allocates the shared-memory channel, adds it to
+  // the shards' drain loops, and returns the VM's GuestLib endpoint.
   // Several VMs may attach to the same NSM (multiplexing, §2.1).
   guest_lib& attach_vm(virt::machine& vm, nsm& module);
 
-  // Reverse of attach_vm: stops the pumps, removes both directions of the
-  // mapping table (each flow scrubbed from exactly its owning shard),
+  // Reverse of attach_vm: leaves the drain loops, removes both directions
+  // of the mapping table (each flow scrubbed from exactly its owning shard),
   // recycles every chunk still referenced by rings or staging lists, and
   // unregisters the VM's gauges. The channel and GuestLib objects are
   // retired, not destroyed — in-flight simulator callbacks may still hold
@@ -333,15 +335,13 @@ class core_engine {
   [[nodiscard]] std::optional<std::pair<nsm_id, std::uint32_t>> mapping_of(
       virt::vm_id vm, std::uint32_t fd) const;
 
-  // --- used by GuestLib --------------------------------------------------------
+  // --- used by GuestLib and ServiceLib -----------------------------------------
 
-  // Doorbell: the VM pushed into its job queue lane for `shard`.
-  void notify_from_vm(virt::vm_id vm, std::size_t shard = 0);
-
-  // Doorbell: the VM popped from a shard's completion/receive lane, so
-  // staged NSM->VM nqes may now fit (keeps the overflow lists live under
-  // batched-interrupt notification, where nothing else would re-run the pump).
-  void notify_vm_space(virt::vm_id vm, std::size_t shard = 0);
+  // Doorbell for shard `shard`'s drain loop (no-op under polling): a VM
+  // pushed a job, ServiceLib pushed an output, or a VM popped from its
+  // completion/receive lane so staged NSM->VM nqes may now fit. One wakeup
+  // drains every attachment in both directions.
+  void notify(std::size_t shard = 0);
 
  private:
   struct flow_key {
@@ -381,8 +381,8 @@ class core_engine {
     // deliberately not journaled — it dies with the module.
     std::vector<shm::nqe> journal;
   };
-  // The engine's staged lanes of one shard (DESIGN.md §8). Heap-allocated so
-  // the gauges can hold a stable pointer across rehashes of `attachments_`.
+  // The engine's staged lanes of one shard (DESIGN.md §8). Heap-allocated:
+  // gauges hold their address before the attachment moves into the map.
   struct lane_stages {
     lane_stages(channel& ch, std::size_t s)
         : to_nsm{ch.nsm_q(s).job},
@@ -396,12 +396,14 @@ class core_engine {
     }
   };
 
-  // One engine shard: a partition of the mapping table, the core its pumps
-  // charge, and its private accounting. Only control-plane code (introspection
-  // joins, detach, failover) ever looks across shards.
+  // One engine shard: a partition of the mapping table, the core its drain
+  // loop charges, and its private accounting. Only control-plane code
+  // (introspection joins, detach, failover) ever looks across shards.
   struct engine_shard {
     std::size_t index = 0;
     sim::cpu_core* core = nullptr;  // never null once constructed
+    // Drains every attachment, in `attachments_` order, while any exists.
+    std::unique_ptr<queue_pump> pump;
     std::unordered_map<flow_key, flow_entry, flow_key_hash> by_flow;
     std::unordered_map<nsm_key, flow_key, nsm_key_hash> by_nsm;
     // Next cID for a socket created on this shard: index + N·k, k >= 1,
@@ -422,24 +424,22 @@ class core_engine {
     std::array<std::uint64_t, 4> rejected_reason{};
     // NSM-side outputs whose desc named a foreign pool key.
     std::uint64_t chunk_key_mismatch = 0;
-    bool redrain_pending = false;      // backlog-gated pump left work in rings
+    bool redrain_pending = false;  // a backlog-gated drain left work in rings
   };
 
-  // Per-attachment, per-shard plumbing: each lane owns the two pumps that
-  // drain its ring set and the staged lanes those pumps re-drain. fds for
-  // accepted connections are minted from a shard-local interleaved sequence
-  // so no shared counter sits on the accept path.
+  // Per-attachment, per-shard plumbing: the staged lanes the shard's drain
+  // loop re-drains for this VM. fds for accepted connections are minted
+  // from a shard-local interleaved sequence so no shared counter sits on
+  // the accept path.
   struct lane {
-    std::unique_ptr<queue_pump> vm_to_nsm;  // drains ch->vm_q(s).job
-    std::unique_ptr<queue_pump> nsm_to_vm;  // drains ch->nsm_q(s).{cmp,recv}
     std::unique_ptr<lane_stages> stage;
     std::uint32_t next_accept_fd = 0;  // set per shard at attach
     std::size_t torn_down = 0;  // this VM's entries in the shard's torn_down
   };
 
-  // Per-VM abuse record (heap-allocated: the metrics gauges capture a
-  // stable pointer across rehashes of `attachments_`, like the overflow
-  // stages).
+  // Per-VM abuse record (heap-allocated, like the overflow stages: the
+  // metrics gauges capture its address before attach_vm moves the
+  // attachment into `attachments_`).
   struct abuse_state {
     abuse_state(token_bucket b, token_bucket refresh)
         : budget{std::move(b)}, stat_refresh{std::move(refresh)} {}
@@ -501,8 +501,8 @@ class core_engine {
   [[nodiscard]] const quarantine_record* active_quarantine(
       virt::vm_id vm) const;
 
-  // A pump hit the shard-core backlog gate with work still in its rings:
-  // re-kick every pump on the shard once the committed copy work clears.
+  // A drain hit the shard-core backlog gate with work still in its rings:
+  // ring the shard's loop once the committed copy work clears.
   void schedule_shard_redrain(std::size_t s);
   void forward_to_nsm(attachment& att, std::size_t s, shm::nqe e);
   void forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
@@ -561,13 +561,14 @@ class core_engine {
   obs::nqe_tracer tracer_;
   obs::timeseries series_;
 
-  // The shard array is fixed at construction; pumps capture shard indices,
-  // never pointers into it.
+  // The shard array is fixed at construction; the drain loops capture shard
+  // indices, never pointers into it.
   std::vector<engine_shard> shards_;
 
   std::vector<std::unique_ptr<nsm>> nsms_;
   std::unordered_map<nsm_id, std::unique_ptr<service_lib>> services_;
-  std::unordered_map<virt::vm_id, attachment> attachments_;
+  // Ordered by VM id: the order every drain loop visits the attachments.
+  std::map<virt::vm_id, attachment> attachments_;
   nsm_id next_nsm_id_ = 1;
 
   // Retired objects are kept alive, not destroyed: scheduled simulator

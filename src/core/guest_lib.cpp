@@ -64,7 +64,7 @@ void guest_lib::enqueue_job(std::size_t shard, shm::nqe e) {
   // Uncapped: jobs are never dropped; lane_backlogged gates the app instead.
   if (job_lanes_[shard].push(e, shm::staged_lane::no_cap) ==
       shm::push_result::ring) {
-    engine_.notify_from_vm(vm_.id(), shard);
+    engine_.notify(shard);
     return;
   }
   ++stats_.jobs_deferred;
@@ -74,7 +74,7 @@ std::size_t guest_lib::flush_job_lanes() {
   std::size_t n = 0;
   for (std::size_t s = 0; s < job_lanes_.size(); ++s) {
     const std::size_t lane_n = job_lanes_[s].flush();
-    if (lane_n > 0) engine_.notify_from_vm(vm_.id(), s);
+    if (lane_n > 0) engine_.notify(s);
     n += lane_n;
   }
   // A backlog cleared below the gate: sockets blocked on their lane can
@@ -541,7 +541,7 @@ std::size_t guest_lib::drain() {
       }
     }
     // Freed out-ring space: let this shard flush anything it has staged.
-    if (lane_popped > 0) engine_.notify_vm_space(vm_.id(), s);
+    if (lane_popped > 0) engine_.notify(s);
   }
   if (credit_returned_ || (chunk_starved_ && ch_.pool.chunks_free() > 0)) {
     wake_writers();

@@ -130,7 +130,7 @@ bool hostile_guest::inject(attack kind) {
     return false;
   }
   ++stats_.injected;
-  engine_.notify_from_vm(vm_, s);
+  engine_.notify(s);
   return true;
 }
 

@@ -44,8 +44,10 @@ class queue_pump {
     if (cfg_.kind == notify_config::mode::polling) schedule_poll();
   }
 
+  // Cancels the pending tick or wakeup; start() resumes from now.
   void stop() {
     running_ = false;
+    wakeup_pending_ = false;
     tick_.cancel();
   }
 

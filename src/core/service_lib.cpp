@@ -26,22 +26,21 @@ std::uint64_t send_credit(const tcp::tcp_config& cfg) {
 service_lib::service_lib(nsm& owner, sim::simulator& s,
                          const netkernel_costs& costs,
                          const notify_config& ncfg, obs::nqe_tracer& tracer,
-                         std::size_t overflow_limit, sla_manager& sla)
+                         std::size_t overflow_limit, sla_manager& sla,
+                         std::function<void(std::size_t)> notify_engine)
     : nsm_{owner},
       sim_{s},
       costs_{costs},
       overflow_limit_{overflow_limit},
       sla_{sla},
-      tracer_{tracer} {
+      tracer_{tracer},
+      notify_engine_{std::move(notify_engine)} {
   pump_ = std::make_unique<queue_pump>(s, ncfg, [this] { return drain_jobs(); });
 }
 
-void service_lib::attach_channel(channel& ch,
-                                 std::function<void(std::size_t)> notify_ce,
-                                 std::uint8_t epoch) {
+void service_lib::attach_channel(channel& ch, std::uint8_t epoch) {
   served_vm svm;
   svm.ch = &ch;
-  svm.notify_ce = std::move(notify_ce);
   svm.epoch = epoch;
   svm.tenant = &sla_.tenant_of(ch.vm_id);
   svm.lanes.reserve(ch.shards());
@@ -216,7 +215,7 @@ bool service_lib::push_out(served_vm& svm, std::size_t shard, shm::nqe e,
       (receive ? lane.receive : lane.completion).push(e, overflow_limit_);
   if (r == shm::push_result::ring) {
     svm.ch->count_nsm_to_vm(shard);
-    if (svm.notify_ce) svm.notify_ce(shard);
+    notify_engine_(shard);
     return true;
   }
   if (r == shm::push_result::staged) {
@@ -238,7 +237,7 @@ std::size_t service_lib::flush_staged(served_vm& svm) {
     lane_n += svm.lanes[s].receive.flush();
     if (lane_n > 0) {
       svm.ch->count_nsm_to_vm(s, lane_n);
-      if (svm.notify_ce) svm.notify_ce(s);
+      notify_engine_(s);
     }
     n += lane_n;
   }

@@ -54,20 +54,21 @@ struct service_lib_stats {
 
 class service_lib {
  public:
+  // `notify_engine` is CoreEngine's doorbell: ServiceLib rings it with the
+  // shard whose NSM-side out-ring it pushed to.
   service_lib(nsm& owner, sim::simulator& s, const netkernel_costs& costs,
               const notify_config& ncfg, obs::nqe_tracer& tracer,
-              std::size_t overflow_limit, sla_manager& sla);
+              std::size_t overflow_limit, sla_manager& sla,
+              std::function<void(std::size_t)> notify_engine);
 
   service_lib(const service_lib&) = delete;
   service_lib& operator=(const service_lib&) = delete;
 
-  // CoreEngine wires one channel per served VM. `notify_ce` is the doorbell
-  // toward CoreEngine's NSM->VM pump for one shard lane (the engine runs one
-  // pump per shard). `epoch` is the NSM-incarnation tag of this attachment:
-  // outputs carry it, and jobs stamped with a different epoch (left over
-  // from a dead predecessor) are discarded with accounting.
-  void attach_channel(channel& ch, std::function<void(std::size_t)> notify_ce,
-                      std::uint8_t epoch = 0);
+  // CoreEngine wires one channel per served VM. `epoch` is the
+  // NSM-incarnation tag of this attachment: outputs carry it, and jobs
+  // stamped with a different epoch (left over from a dead predecessor) are
+  // discarded with accounting.
+  void attach_channel(channel& ch, std::uint8_t epoch = 0);
 
   // Reverse of attach_channel: frees staged and pinned chunks, closes the
   // VM's sockets on the stack (aborting those that still hold pins), and
@@ -138,7 +139,6 @@ class service_lib {
 
   struct served_vm {
     channel* ch = nullptr;
-    std::function<void(std::size_t)> notify_ce;
     std::uint8_t epoch = 0;  // incarnation tag stamped on every output
     std::unordered_set<std::uint32_t> stalled_reads;  // cids awaiting chunks
     std::vector<out_stages> lanes;  // one per engine shard (ch->shards())
@@ -281,6 +281,7 @@ class service_lib {
   std::size_t overflow_limit_;
   sla_manager& sla_;
   obs::nqe_tracer& tracer_;
+  std::function<void(std::size_t)> notify_engine_;
   std::unique_ptr<queue_pump> pump_;
 
   bool redrain_pending_ = false;

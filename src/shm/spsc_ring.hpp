@@ -8,16 +8,19 @@
 //
 // The simulation uses the same code single-threaded (functionally); the
 // microbenchmarks (bench/nqe_copy, bench/shm_throughput) measure it for
-// real across two threads.
+// real across two threads. The slots are bytes of a shm::region, committed
+// when a push first writes them (no slot is read before it is written).
 #pragma once
 
 #include <atomic>
 #include <bit>
 #include <cstddef>
-#include <memory>
+#include <cstring>
 #include <new>
 #include <span>
 #include <type_traits>
+
+#include "shm/region.hpp"
 
 namespace nk::shm {
 
@@ -36,12 +39,17 @@ class spsc_ring {
   explicit spsc_ring(std::size_t capacity)
       : cap_{std::bit_ceil(capacity)},
         mask_{cap_ - 1},
-        slots_{std::make_unique<T[]>(cap_)} {}
+        slots_{cap_ * sizeof(T)} {}
 
   spsc_ring(const spsc_ring&) = delete;
   spsc_ring& operator=(const spsc_ring&) = delete;
 
   [[nodiscard]] std::size_t capacity() const { return cap_; }
+
+  // Bytes of slot memory the kernel currently holds for this ring.
+  [[nodiscard]] std::size_t resident_bytes() const {
+    return slots_.resident_bytes();
+  }
 
   // Producer side -----------------------------------------------------------
 
@@ -51,7 +59,7 @@ class spsc_ring {
       tail_cache_ = tail_.load(std::memory_order_acquire);
       if (head - tail_cache_ >= cap_) return false;
     }
-    slots_[head & mask_] = value;
+    store(head, value);
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
@@ -65,7 +73,7 @@ class spsc_ring {
       free_slots = cap_ - (head - tail_cache_);
     }
     const std::size_t n = std::min(free_slots, values.size());
-    for (std::size_t i = 0; i < n; ++i) slots_[(head + i) & mask_] = values[i];
+    for (std::size_t i = 0; i < n; ++i) store(head + i, values[i]);
     if (n > 0) head_.store(head + n, std::memory_order_release);
     return n;
   }
@@ -78,7 +86,7 @@ class spsc_ring {
       head_cache_ = head_.load(std::memory_order_acquire);
       if (tail == head_cache_) return false;
     }
-    out = slots_[tail & mask_];
+    load(tail, out);
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -92,7 +100,7 @@ class spsc_ring {
       avail = head_cache_ - tail;
     }
     const std::size_t n = std::min(avail, out.size());
-    for (std::size_t i = 0; i < n; ++i) out[i] = slots_[(tail + i) & mask_];
+    for (std::size_t i = 0; i < n; ++i) load(tail + i, out[i]);
     if (n > 0) tail_.store(tail + n, std::memory_order_release);
     return n;
   }
@@ -106,7 +114,7 @@ class spsc_ring {
       head_cache_ = head;
       if (tail == head) return false;
     }
-    out = slots_[tail & mask_];
+    load(tail, out);
     return true;
   }
 
@@ -128,9 +136,18 @@ class spsc_ring {
   }
 
  private:
+  void store(std::size_t index, const T& value) {
+    std::memcpy(slots_.data() + (index & mask_) * sizeof(T), &value,
+                sizeof(T));
+  }
+  void load(std::size_t index, T& out) const {
+    std::memcpy(&out, slots_.data() + (index & mask_) * sizeof(T),
+                sizeof(T));
+  }
+
   const std::size_t cap_;
   const std::size_t mask_;
-  std::unique_ptr<T[]> slots_;
+  region slots_;  // cap_ slots of sizeof(T) bytes
 
   alignas(cache_line) std::atomic<std::size_t> head_{0};  // producer writes
   alignas(cache_line) std::size_t tail_cache_ = 0;        // producer-local

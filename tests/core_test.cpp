@@ -469,7 +469,7 @@ TEST(netkernel_torn_down, unclosed_refused_connects_stay_bounded) {
       e.owner = static_cast<std::uint16_t>(vm);
       ASSERT_TRUE(ch.vm_q(0).job.push(e));
       if (i % 64 == 63 || i + 1 == fds.size()) {
-        ce.notify_from_vm(vm, 0);
+        ce.notify(0);
         rig.bed.run_for(milliseconds(1));
       }
     }
@@ -594,6 +594,120 @@ TEST(netkernel_notification, batched_interrupt_mode_works_end_to_end) {
   bed.run_for(seconds(5));
   EXPECT_EQ(sink.total_bytes(), 1024u * 1024);
   EXPECT_TRUE(sink.pattern_ok());
+}
+
+// --- the engine's drain loop -------------------------------------------------
+//
+// Each engine shard runs one drain loop over every attachment, so a VM costs
+// the engine no timer of its own.
+
+// Under polling an idle VM costs one event per poll tick: its GuestLib pump.
+TEST(netkernel_engine_loop, idle_polling_adds_one_event_per_tick_per_vm) {
+  testbed bed{apps::datacenter_params(5)};
+  nsm_config nsm_cfg;
+  nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
+  virt::vm_config vm_cfg;
+  vm_cfg.name = "vm0";
+  auto first = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
+  // Events in one idle modeled millisecond (1000 ticks of the 1 us poll).
+  const auto events_per_ms = [&] {
+    bed.run_for(milliseconds(1));
+    const std::uint64_t before = bed.sim().events_processed();
+    bed.run_for(milliseconds(1));
+    return bed.sim().events_processed() - before;
+  };
+  std::uint64_t last = events_per_ms();
+  for (int i = 1; i <= 3; ++i) {
+    vm_cfg.name = "vm" + std::to_string(i);
+    (void)bed.attach_netkernel_vm(side::a, vm_cfg, *first.module);
+    const std::uint64_t now = events_per_ms();
+    EXPECT_EQ(now - last, 1000u) << "attaching vm" << i;
+    last = now;
+  }
+}
+
+// Under batched interrupts one doorbell wakes the whole shard: VM B's
+// doorbell inside VM A's pending wakeup is drained by that same wakeup.
+TEST(netkernel_engine_loop, doorbells_from_two_vms_share_one_wakeup) {
+  auto params = apps::datacenter_params(5);
+  params.netkernel.notification.kind = notify_config::mode::batched_interrupt;
+  params.netkernel.notification.interrupt_delay = microseconds(10);
+  testbed bed{params};
+  nsm_config nsm_cfg;
+  nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
+  virt::vm_config vm_cfg;
+  vm_cfg.name = "a";
+  auto a = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
+  vm_cfg.name = "b";
+  auto b = bed.attach_netkernel_vm(side::a, vm_cfg, *a.module);
+  core_engine& ce = bed.netkernel(side::a);
+  bed.run_for(milliseconds(1));
+
+  // A stat-page refresh is served inside the engine, so the job ring's
+  // depth alone shows whether the loop has drained it.
+  const auto ring_refresh = [&](const apps::nk_tenant& t) {
+    shm::nqe e;
+    e.op = shm::nqe_op::req_stat_refresh;
+    e.owner = static_cast<std::uint16_t>(t.vm->id());
+    ASSERT_TRUE(ce.channel_of(t.vm->id())->vm_q(0).job.push(e));
+    ce.notify(0);
+  };
+  ring_refresh(a);
+  bed.run_for(microseconds(5));
+  ring_refresh(b);
+  bed.run_for(microseconds(4));
+  EXPECT_EQ(ce.channel_of(a.vm->id())->vm_job_depth(), 1u);
+  EXPECT_EQ(ce.channel_of(b.vm->id())->vm_job_depth(), 1u);
+  // A's wakeup fires at +10 us; a wakeup of B's own would come at +15 us.
+  bed.run_for(microseconds(2));
+  EXPECT_EQ(ce.channel_of(a.vm->id())->vm_job_depth(), 0u);
+  EXPECT_EQ(ce.channel_of(b.vm->id())->vm_job_depth(), 0u);
+  EXPECT_EQ(ce.stats().rejected_nqes, 0u);
+}
+
+// Quarantine detaches one VM mid-run; the loop keeps serving its neighbour,
+// under either notification mode.
+TEST(netkernel_engine_loop, quarantine_leaves_the_loop_serving_the_rest) {
+  for (const auto mode : {notify_config::mode::polling,
+                          notify_config::mode::batched_interrupt}) {
+    auto params = apps::datacenter_params(5);
+    params.netkernel.notification.kind = mode;
+    testbed bed{params};
+    nsm_config nsm_cfg;
+    nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
+    virt::vm_config vm_cfg;
+    vm_cfg.name = "rogue";
+    auto rogue = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
+    vm_cfg.name = "neighbour";
+    auto neighbour = bed.attach_netkernel_vm(side::a, vm_cfg, *rogue.module);
+    vm_cfg.name = "server";
+    nsm_cfg.name = "nsm-b";
+    auto server = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+
+    apps::echo_server echo{*server.api, 5002};
+    echo.start();
+    apps::rpc_client_config rcfg;
+    rcfg.request_size = 512;
+    rcfg.requests = 0;
+    const net::socket_addr dest{server.module->config().address, 5002};
+    apps::rpc_client r1{*rogue.api, bed.sim(), dest, rcfg};
+    apps::rpc_client r2{*neighbour.api, bed.sim(), dest, rcfg};
+    r1.start();
+    r2.start();
+    bed.run_for(milliseconds(20));
+    ASSERT_GT(r1.completed(), 0);
+    ASSERT_GT(r2.completed(), 0);
+
+    core_engine& ce = bed.netkernel(side::a);
+    ce.quarantine_vm(rogue.vm->id());
+    EXPECT_EQ(ce.attached_vms(),
+              std::vector<virt::vm_id>{neighbour.vm->id()});
+    const int rogue_done = r1.completed();
+    const int neighbour_done = r2.completed();
+    bed.run_for(milliseconds(20));
+    EXPECT_EQ(r1.completed(), rogue_done);
+    EXPECT_GT(r2.completed(), neighbour_done + 100);
+  }
 }
 
 TEST(netkernel_guestlib, close_releases_mapping_and_chunks) {

@@ -253,7 +253,7 @@ TEST_P(raw_ring_fuzz, random_garbage_nqes_never_crash_or_leak) {
     const auto s = static_cast<std::size_t>(random.next_below(ch->shards()));
     if (ch->vm_q(s).job.push(e)) {
       ++landed;
-      rig.engine().notify_from_vm(rig.target.vm->id(), s);
+      rig.engine().notify(s);
     }
     if (random.chance(0.2)) {
       rig.bed.run_for(microseconds(1 + random.next_below(300)));
@@ -393,7 +393,7 @@ TEST(raw_ring_desc_wrap, wrapped_offset_rejected_as_badchunk) {
   e.desc = shm::data_descriptor{chunk, 0xFFFFF000u, 0x1100u};
   const auto s = shm::flow_shard(vm, fd, ch->shards());
   ASSERT_TRUE(ch->vm_q(s).job.push(e));
-  rig.engine().notify_from_vm(vm, s);
+  rig.engine().notify(s);
   rig.bed.run_for(milliseconds(5));
 
   EXPECT_EQ(rig.rejected_total(), 1u);

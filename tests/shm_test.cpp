@@ -3,6 +3,7 @@
 // isolation, the prioritized queue set, and the staged lane every producer
 // pushes through.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
@@ -46,6 +47,21 @@ TEST(spsc_ring, push_pop_roundtrip) {
   }
   int v;
   EXPECT_FALSE(ring.try_pop(v));  // empty
+}
+
+// Ring slots are committed on first write, like pool pages: a fresh ring
+// holds no memory, and a few pushes commit only the page they land in.
+TEST(spsc_ring, slots_are_committed_on_first_push) {
+  spsc_ring<nqe> ring{4096};
+  EXPECT_EQ(ring.resident_bytes(), 0u);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.try_push(nqe{}));
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  EXPECT_EQ(ring.resident_bytes(), page);
+  // Pushes fill the slots in order, so 256 more touch exactly the pages
+  // up to the last slot written.
+  for (int i = 0; i < 256; ++i) ASSERT_TRUE(ring.try_push(nqe{}));
+  const std::size_t touched = 259 * sizeof(nqe);
+  EXPECT_EQ(ring.resident_bytes(), (touched + page - 1) / page * page);
 }
 
 TEST(spsc_ring, capacity_rounds_to_power_of_two) {

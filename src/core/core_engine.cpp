@@ -74,12 +74,10 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
     }
     shards_[s].pump = std::make_unique<queue_pump>(
         sim_, cfg_.notification, [this, s] {
-          std::size_t n = 0;
           for (auto& [vm, att] : attachments_) {
-            n += drain_vm_jobs(att, s);
-            n += drain_nsm_queues(att, s);
+            drain_vm_jobs(att, s);
+            drain_nsm_queues(att, s);
           }
-          return n;
         });
   }
 
@@ -647,11 +645,11 @@ void core_engine::push_to_vm(attachment& att, std::size_t s,
 
 // --- VM -> NSM direction ---------------------------------------------------------
 
-std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
+void core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
   NK_PROF("core_engine", "pump_fwd");
   abuse_state& ab = *att.abuse;
   std::size_t batch = drain_batch;
-  if (ab.level == abuse_level::quarantined) return 0;
+  if (ab.level == abuse_level::quarantined) return;
   // De-escalation: a violation budget back at full burst means the tenant
   // has behaved for a while — clear the warn/throttle standing.
   if (ab.level != abuse_level::ok &&
@@ -663,19 +661,11 @@ std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
   if (ab.level == abuse_level::throttled) {
     const sim_time now = sim_.now();
     if (now < ab.next_drain) {
-      // Deprioritized, not stopped: one wake timer per VM rings every
-      // shard's loop when the next drain window opens, so a throttled
-      // tenant keeps limping even under batched-interrupt notification.
-      if (!ab.throttle_wake_pending) {
-        ab.throttle_wake_pending = true;
-        sim_.schedule_at(ab.next_drain, [this, id = att.vm->id()] {
-          auto wit = attachments_.find(id);
-          if (wit == attachments_.end()) return;
-          wit->second.abuse->throttle_wake_pending = false;
-          for (auto& sh : shards_) sh.pump->notify();
-        });
-      }
-      return 0;
+      // Deprioritized, not stopped: the shard's loop wakes when the next
+      // drain window opens, so a throttled tenant keeps limping even under
+      // batched-interrupt notification.
+      shards_[s].pump->wake_at(ab.next_drain);
+      return;
     }
     ab.next_drain = now + throttle_period;
     batch = throttle_batch;
@@ -722,8 +712,11 @@ std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
   }
   // Job-ring slots opened up: GuestLib may have deferred ops to flush.
   if (popped > 0) att.glib->notify();
-  if (gated) schedule_shard_redrain(s);
-  return n;
+  // Jobs left behind at the gate or the batch limit may have no producer
+  // left to ring the doorbell: drain again once the copy work clears.
+  if (gated || (n >= batch && !att.ch->vm_q(s).job.empty_approx())) {
+    shards_[s].pump->wake_when_idle(core);
+  }
 }
 
 void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
@@ -844,7 +837,7 @@ void core_engine::deliver_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
 
 // --- NSM -> VM direction -----------------------------------------------------------
 
-std::size_t core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
+void core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
   NK_PROF("core_engine", "pump_rev");
   // Staged completions/events first, then new work — but only while the
   // VM-side stages stay below the limit; beyond it, leave nqes in the NSM
@@ -889,23 +882,7 @@ std::size_t core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
   if (popped > 0) {
     if (auto* service = service_of(att.module->id())) service->notify();
   }
-  if (gated) schedule_shard_redrain(s);
-  return n;
-}
-
-void core_engine::schedule_shard_redrain(std::size_t s) {
-  engine_shard& sh = shards_[s];
-  if (sh.redrain_pending) return;
-  sh.redrain_pending = true;
-  // Wake once the committed copy work clears. Under polling this is
-  // belt-and-braces (the loop re-polls anyway); under batched_interrupt it
-  // is what stops a gated lane from wedging with no producer left to ring
-  // the doorbell.
-  const sim_time wait = std::max(sh.core->backlog(), microseconds(1));
-  sim_.schedule(wait, [this, s] {
-    shards_[s].redrain_pending = false;
-    shards_[s].pump->notify();
-  });
+  if (gated) shards_[s].pump->wake_when_idle(core);
 }
 
 void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,

@@ -424,7 +424,6 @@ class core_engine {
     std::array<std::uint64_t, 4> rejected_reason{};
     // NSM-side outputs whose desc named a foreign pool key.
     std::uint64_t chunk_key_mismatch = 0;
-    bool redrain_pending = false;  // a backlog-gated drain left work in rings
   };
 
   // Per-attachment, per-shard plumbing: the staged lanes the shard's drain
@@ -452,7 +451,6 @@ class core_engine {
     // escalates to quarantine.
     std::uint64_t throttled_violations = 0;
     sim_time next_drain = sim_time::zero();  // throttled: next allowed drain
-    bool throttle_wake_pending = false;      // one wake timer at a time
   };
 
   // attach_vm sets every pointer member; none is ever null afterwards.
@@ -466,8 +464,8 @@ class core_engine {
     std::unique_ptr<abuse_state> abuse;
   };
 
-  std::size_t drain_vm_jobs(attachment& att, std::size_t s);
-  std::size_t drain_nsm_queues(attachment& att, std::size_t s);
+  void drain_vm_jobs(attachment& att, std::size_t s);
+  void drain_nsm_queues(attachment& att, std::size_t s);
 
   // --- admission firewall internals (DESIGN.md §14) ---------------------------
   // Stateless pop-time validation of a guest-emitted nqe: role-appropriate
@@ -501,9 +499,6 @@ class core_engine {
   [[nodiscard]] const quarantine_record* active_quarantine(
       virt::vm_id vm) const;
 
-  // A drain hit the shard-core backlog gate with work still in its rings:
-  // ring the shard's loop once the committed copy work clears.
-  void schedule_shard_redrain(std::size_t s);
   void forward_to_nsm(attachment& att, std::size_t s, shm::nqe e);
   void forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
                      bool receive_queue);

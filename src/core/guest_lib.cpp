@@ -27,7 +27,7 @@ guest_lib::guest_lib(virt::machine& vm, channel& ch, core_engine& engine,
     job_lanes_.emplace_back(ch.vm_q(s).job);
   }
   pump_ = std::make_unique<queue_pump>(engine.simulator(), ncfg,
-                                       [this] { return drain(); });
+                                       [this] { drain(); });
   pump_->start();
 }
 
@@ -70,7 +70,7 @@ void guest_lib::enqueue_job(std::size_t shard, shm::nqe e) {
   ++stats_.jobs_deferred;
 }
 
-std::size_t guest_lib::flush_job_lanes() {
+void guest_lib::flush_job_lanes() {
   std::size_t n = 0;
   for (std::size_t s = 0; s < job_lanes_.size(); ++s) {
     const std::size_t lane_n = job_lanes_[s].flush();
@@ -80,7 +80,6 @@ std::size_t guest_lib::flush_job_lanes() {
   // A backlog cleared below the gate: sockets blocked on their lane can
   // write again (wake_writers re-checks per socket).
   if (n > 0) wake_writers();
-  return n;
 }
 
 void guest_lib::wake_writers() {
@@ -517,11 +516,11 @@ void guest_lib::emit_event(std::uint32_t fd, stack::socket_event_type type,
   if (handler_) handler_(fd, type, error);
 }
 
-std::size_t guest_lib::drain() {
+void guest_lib::drain() {
   NK_PROF("guestlib", "pump");
   // Re-drive jobs deferred on a full VM-side job ring before consuming new
   // completions; CoreEngine may have drained the ring since the overflow.
-  std::size_t n = flush_job_lanes();
+  flush_job_lanes();
   shm::nqe e;
   std::size_t popped = 0;
   // All lanes, completions before events within each. The arrival lane is
@@ -548,7 +547,6 @@ std::size_t guest_lib::drain() {
   } else if (chunk_starved_) {
     starve_on_chunks();
   }
-  return n + popped;
 }
 
 void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {

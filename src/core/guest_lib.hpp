@@ -216,7 +216,7 @@ class guest_lib {
     std::size_t shard = 0;        // home engine shard (steering hash)
   };
 
-  std::size_t drain();  // pump callback: completion + receive queues
+  void drain();  // pump callback: completion + receive queues
   // `shard` is the lane the nqe arrived on — for an accepted child, the
   // home shard the engine steered it to.
   void handle_nqe(const shm::nqe& e, std::size_t shard);
@@ -226,7 +226,7 @@ class guest_lib {
   // finds the lane's ring full is staged and re-driven, in order, by
   // flush_job_lanes() on every drain.
   void enqueue_job(std::size_t shard, shm::nqe e);
-  std::size_t flush_job_lanes();
+  void flush_job_lanes();
   void wake_writers();
   // A writer found the pool empty: marks it and arms a re-drain that
   // re-checks the pool.

@@ -10,12 +10,17 @@
 //     once, interrupt_delay later, covering everything queued since
 //     (coalesced: one outstanding wakeup at a time).
 //
+// The pump alone decides when its consumer runs. Besides the poll ticks it
+// keeps one pending wakeup — a doorbell's, or a timed one a drain asked for
+// with wake_at — and the earliest request wins.
+//
 // Ablation A1 (bench/ablate_notification) sweeps both.
 #pragma once
 
-#include <cstdint>
+#include <algorithm>
 #include <functional>
 
+#include "sim/cpu_core.hpp"
 #include "sim/simulator.hpp"
 
 namespace nk::core {
@@ -29,10 +34,9 @@ struct notify_config {
 
 class queue_pump {
  public:
-  // `drain` empties the watched queue(s) and returns how many items it
-  // consumed.
+  // `drain` empties the watched queue(s), as far as it can.
   queue_pump(sim::simulator& s, const notify_config& cfg,
-             std::function<std::size_t()> drain)
+             std::function<void()> drain)
       : sim_{s}, cfg_{cfg}, drain_{std::move(drain)} {}
 
   queue_pump(const queue_pump&) = delete;
@@ -41,34 +45,47 @@ class queue_pump {
 
   void start() {
     running_ = true;
-    if (cfg_.kind == notify_config::mode::polling) schedule_poll();
+    if (polling()) schedule_poll();
   }
 
-  // Cancels the pending tick or wakeup; start() resumes from now.
+  // Cancels the pending tick and wakeup; requests are ignored until
+  // start(), which resumes from now.
   void stop() {
     running_ = false;
-    wakeup_pending_ = false;
     tick_.cancel();
+    wakeup_.cancel();
   }
 
   // Producer-side doorbell; no-op under polling.
   void notify() {
-    if (!running_ || cfg_.kind != notify_config::mode::batched_interrupt) {
-      return;
-    }
-    if (wakeup_pending_) return;  // coalesce: batch everything into one drain
-    wakeup_pending_ = true;
-    tick_ = sim_.schedule(cfg_.interrupt_delay, [this] {
-      wakeup_pending_ = false;
-      run_drain();
-    });
+    if (!polling()) wake_at(sim_.now() + cfg_.interrupt_delay);
   }
 
-  [[nodiscard]] std::uint64_t items_drained() const { return drained_; }
-  [[nodiscard]] std::uint64_t wakeups() const { return wakeups_; }
+  // Runs the drain at `at`, under either mode. A request no earlier than
+  // the pending wakeup is dropped: a drain that still needs a later wakeup
+  // asks again.
+  void wake_at(sim_time at) {
+    if (!running_ || (wakeup_.pending() && wakeup_at_ <= at)) return;
+    wakeup_.cancel();
+    wakeup_at_ = at;
+    wakeup_ = sim_.schedule_at(at, [this] { run_drain(); });
+  }
+
+  // Drain again once `core`'s committed work clears, at least 1 us from
+  // now: the wakeup for work a drain left behind on purpose.
+  void wake_when_idle(const sim::cpu_core& core) {
+    wake_at(sim_.now() + std::max(core.backlog(), microseconds(1)));
+  }
+
+  // When the drain last ran: a live consumer's heartbeat.
+  [[nodiscard]] sim_time last_drain() const { return last_drain_; }
   [[nodiscard]] const notify_config& config() const { return cfg_; }
 
  private:
+  [[nodiscard]] bool polling() const {
+    return cfg_.kind == notify_config::mode::polling;
+  }
+
   void schedule_poll() {
     if (!running_) return;
     tick_ = sim_.schedule(cfg_.poll_interval, [this] {
@@ -78,18 +95,18 @@ class queue_pump {
   }
 
   void run_drain() {
-    ++wakeups_;
-    drained_ += drain_();
+    last_drain_ = sim_.now();
+    drain_();
   }
 
   sim::simulator& sim_;
   notify_config cfg_;
-  std::function<std::size_t()> drain_;
+  std::function<void()> drain_;
   bool running_ = false;
-  bool wakeup_pending_ = false;
-  std::uint64_t drained_ = 0;
-  std::uint64_t wakeups_ = 0;
+  sim_time wakeup_at_{};  // when `wakeup_` fires, while it is pending
+  sim_time last_drain_{};
   sim::timer tick_;
+  sim::timer wakeup_;
 };
 
 }  // namespace nk::core

@@ -35,7 +35,7 @@ service_lib::service_lib(nsm& owner, sim::simulator& s,
       sla_{sla},
       tracer_{tracer},
       notify_engine_{std::move(notify_engine)} {
-  pump_ = std::make_unique<queue_pump>(s, ncfg, [this] { return drain_jobs(); });
+  pump_ = std::make_unique<queue_pump>(s, ncfg, [this] { drain_jobs(); });
 }
 
 void service_lib::attach_channel(channel& ch, std::uint8_t epoch) {
@@ -143,19 +143,10 @@ void service_lib::start() {
 
 void service_lib::bill(served_vm& svm, sim_time cost,
                        std::function<void()> done) {
-  if (sla_.charge_cycles(*svm.tenant, cost, sim_.now(), nsm_.id()) &&
-      !svm.quota_wake_armed) {
+  if (sla_.charge_cycles(*svm.tenant, cost, sim_.now(), nsm_.id())) {
     // Rising edge: this period's budget is spent. Jobs stay in the rings
-    // and reads stall; a period-end wakeup resumes them.
-    svm.quota_wake_armed = true;
-    const virt::vm_id vm = svm.ch->vm_id;
-    sim_.schedule_at(sla_.period_end(*svm.tenant), [this, vm] {
-      if (auto it = vms_.find(vm); it != vms_.end()) {
-        it->second.quota_wake_armed = false;
-        (void)drain_jobs();
-        maybe_resume_stalled(it->second);
-      }
-    });
+    // and reads stall; a period-end drain resumes them.
+    pump_->wake_at(sla_.period_end(*svm.tenant));
   }
   if (done) {
     nsm_.core().execute(cost, std::move(done));
@@ -230,8 +221,7 @@ bool service_lib::push_out(served_vm& svm, std::size_t shard, shm::nqe e,
   return false;
 }
 
-std::size_t service_lib::flush_staged(served_vm& svm) {
-  std::size_t n = 0;
+void service_lib::flush_staged(served_vm& svm) {
   for (std::size_t s = 0; s < svm.lanes.size(); ++s) {
     std::size_t lane_n = svm.lanes[s].completion.flush();
     lane_n += svm.lanes[s].receive.flush();
@@ -239,9 +229,7 @@ std::size_t service_lib::flush_staged(served_vm& svm) {
       svm.ch->count_nsm_to_vm(s, lane_n);
       notify_engine_(s);
     }
-    n += lane_n;
   }
-  return n;
 }
 
 void service_lib::maybe_resume_stalled(served_vm& svm) {
@@ -249,14 +237,14 @@ void service_lib::maybe_resume_stalled(served_vm& svm) {
   // A read stalls on chunk exhaustion, quota exhaustion or out-queue
   // pressure; resume once all have cleared on the socket's own lane.
   // GuestLib frees consumed chunks in place without a doorbell, so a
-  // chunk-starved VM keeps the re-drain armed until chunks come back.
+  // chunk-starved VM keeps asking for a re-drain until chunks come back.
   if (svm.ch->pool.chunks_free() == 0) {
-    arm_redrain();
+    pump_->wake_when_idle(nsm_.core());
     return;
   }
   if (cycle_budget_exhausted(svm)) return;
   if (chunk_quota_hit(svm)) {
-    arm_redrain();
+    pump_->wake_when_idle(nsm_.core());
     return;
   }
   auto stalled = std::move(svm.stalled_reads);
@@ -327,7 +315,7 @@ void service_lib::release_slot(proto_socket& ps) {
 
 // --- job-queue drain -----------------------------------------------------------
 
-std::size_t service_lib::drain_jobs() {
+void service_lib::drain_jobs() {
   NK_PROF("servicelib", "pump");
   // A real polling loop pops one operation, executes it, then pops the
   // next: work waits in the *ring*, not in some infinite CPU backlog. Model
@@ -336,20 +324,17 @@ std::size_t service_lib::drain_jobs() {
   // (connection events can still bypass queued data events; nothing can
   // bypass work already committed to the core).
   constexpr sim_time backlog_bound = microseconds(3);
-  if (failed_) return 0;
-  // Watchdog heartbeat: a live drain loop beats even when idle; a crashed
-  // or frozen module stops, which is what the failure detector watches.
-  last_heartbeat_ = sim_.now();
-  std::size_t total = 0;
+  if (failed_) return;
   bool left_behind = false;
   for (auto& [vm, svm] : vms_) {
     // Re-drain overflowed out-nqes before taking on new work, and resume
     // reads the cleared pressure had stalled.
-    total += flush_staged(svm);
+    flush_staged(svm);
     maybe_resume_stalled(svm);
     if (cycle_budget_exhausted(svm)) {
-      // Budget spent: jobs wait in the rings (pure backpressure, no drop);
-      // the period-end wakeup armed by bill() resumes the drain.
+      // Budget spent: jobs wait in the rings (pure backpressure, no drop)
+      // until the period-end drain resumes them.
+      pump_->wake_at(sla_.period_end(*svm.tenant));
       continue;
     }
     shm::nqe e;
@@ -400,22 +385,10 @@ std::size_t service_lib::drain_jobs() {
         left_behind = left_behind || !svm.ch->nsm_q(s).job.empty_approx();
       }
     }
-    total += n;
   }
-  if (left_behind) arm_redrain();
-  return total;
-}
-
-void service_lib::arm_redrain() {
   // Under batched-interrupt notification there may be no further doorbell;
   // re-drain once the committed work clears.
-  if (redrain_pending_) return;
-  redrain_pending_ = true;
-  const sim_time wait = std::max(nsm_.core().backlog(), microseconds(1));
-  sim_.schedule(wait, [this] {
-    redrain_pending_ = false;
-    (void)drain_jobs();
-  });
+  if (left_behind) pump_->wake_when_idle(nsm_.core());
 }
 
 void service_lib::discard_stale(served_vm& svm, const shm::nqe& e) {
@@ -801,7 +774,7 @@ bool service_lib::read_stalled(served_vm& svm, const proto_socket& ps) {
     return false;
   }
   svm.stalled_reads.insert(ps.cid);
-  if (redrain) arm_redrain();
+  if (redrain) pump_->wake_when_idle(nsm_.core());
   return true;
 }
 

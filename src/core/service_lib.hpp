@@ -90,14 +90,16 @@ class service_lib {
   void fail();
   [[nodiscard]] bool failed() const { return failed_; }
 
-  // Fault injection: the NSM hangs (pump wedged, failed_ not set). The
-  // watchdog must detect this via missed heartbeats, not the failed flag.
+  // Fault injection: the NSM hangs (pump wedged, failed_ not set): no drain
+  // runs again, timed or rung. The watchdog must detect this via missed
+  // heartbeats, not the failed flag.
   void freeze() { pump_->stop(); }
 
-  // Simulated time of the last drain-loop heartbeat. A live module under
-  // polling notification beats every poll interval; a dead or frozen one
-  // stops beating, which is the watchdog's unresponsiveness signal.
-  [[nodiscard]] sim_time last_heartbeat() const { return last_heartbeat_; }
+  // Simulated time of the last drain-loop heartbeat: the pump's last drain.
+  // A live module under polling notification beats every poll interval; a
+  // dead or frozen one stops beating, which is the watchdog's
+  // unresponsiveness signal.
+  [[nodiscard]] sim_time last_heartbeat() const { return pump_->last_drain(); }
 
   // cIDs at or above this name accepted children, minted here; CoreEngine
   // mints the cIDs of guest-created sockets below it and a req_socket or
@@ -143,7 +145,6 @@ class service_lib {
     std::unordered_set<std::uint32_t> stalled_reads;  // cids awaiting chunks
     std::vector<out_stages> lanes;  // one per engine shard (ch->shards())
     sla_manager::tenant* tenant = nullptr;  // the VM's policy and meters
-    bool quota_wake_armed = false;  // period-end re-drain timer pending
   };
 
   // One req_send's chunk. The stack transmits from it (`unsent` is the
@@ -195,7 +196,7 @@ class service_lib {
   };
 
   // Job-queue drain (the pump's callback).
-  std::size_t drain_jobs();
+  void drain_jobs();
   // `shard` is the job-ring lane the nqe arrived on — the flow's home shard.
   void handle_nqe(served_vm& svm, std::size_t shard, const shm::nqe& e);
   // Discards a job from a retired incarnation: chunk freed, drop traced.
@@ -210,8 +211,8 @@ class service_lib {
   // The read-stall check both pumps run before each read: pool exhaustion,
   // cycle budget, chunk quota, then receive-lane pressure. True means the
   // read stalled: `ps` is parked on `svm`'s stalled list, the matching
-  // counter bumped, and a re-drain armed where no doorbell will announce
-  // the resume.
+  // counter bumped, and the pump asked for a re-drain where no doorbell
+  // will announce the resume.
   [[nodiscard]] bool read_stalled(served_vm& svm, const proto_socket& ps);
   // The transmit side of one socket, run on req_send, on every `writable`
   // (the transport's ack notification) and on a rate-cap retry: returns
@@ -238,12 +239,8 @@ class service_lib {
 
   // Overflow plumbing: re-drain staged nqes into the rings, resume reads
   // stalled on chunk or queue pressure once it clears.
-  std::size_t flush_staged(served_vm& svm);
+  void flush_staged(served_vm& svm);
   void maybe_resume_stalled(served_vm& svm);
-  // One-shot drain_jobs after max(core backlog, 1 us): the wakeup for jobs
-  // left in the rings and for reads stalled on chunks, which no doorbell
-  // announces (GuestLib frees chunks in place).
-  void arm_redrain();
   [[nodiscard]] bool out_backlogged(const served_vm& svm,
                                     std::size_t shard) const {
     return svm.lanes[shard].size() >= overflow_limit_;
@@ -259,8 +256,8 @@ class service_lib {
   // Bills `cost` of the VM's work to the NSM core and to the VM's cycle
   // budget together. With `done`, the work completes on the core (FIFO
   // behind what is already committed there); without, it is charge-only.
-  // On the budget's rising edge a period-end wakeup is armed so throttled
-  // work resumes by itself.
+  // On the budget's rising edge the pump is asked for a period-end drain so
+  // throttled work resumes by itself.
   void bill(served_vm& svm, sim_time cost, std::function<void()> done = {});
   [[nodiscard]] bool chunk_quota_hit(served_vm& svm);
   [[nodiscard]] bool cycle_budget_exhausted(served_vm& svm) {
@@ -284,9 +281,7 @@ class service_lib {
   std::function<void(std::size_t)> notify_engine_;
   std::unique_ptr<queue_pump> pump_;
 
-  bool redrain_pending_ = false;
   bool failed_ = false;
-  sim_time last_heartbeat_{};
   std::unordered_map<virt::vm_id, served_vm> vms_;
   std::unordered_map<std::uint32_t, proto_socket> sockets_;
   std::unordered_map<stack::socket_id, std::uint32_t> by_ssock_;

@@ -710,6 +710,32 @@ TEST(netkernel_engine_loop, quarantine_leaves_the_loop_serving_the_rest) {
   }
 }
 
+// A drain that stops at its batch limit with jobs still in the ring wakes
+// itself: 200 closes land in the job ring at once, and under batched
+// interrupts no producer rings the doorbell after the last of them.
+TEST(netkernel_engine_loop, batch_limited_drain_wakes_itself) {
+  auto params = apps::datacenter_params(5);
+  params.netkernel.notification.kind = notify_config::mode::batched_interrupt;
+  testbed bed{params};
+  nsm_config nsm_cfg;
+  nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
+  virt::vm_config vm_cfg;
+  vm_cfg.name = "closer";
+  auto t = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
+  core_engine& ce = bed.netkernel(side::a);
+  bed.run_for(milliseconds(1));
+
+  std::vector<std::uint32_t> fds;
+  for (int i = 0; i < 200; ++i) fds.push_back(t.glib->nk_socket().value());
+  bed.run_for(milliseconds(5));
+  ASSERT_EQ(ce.stats().mappings_installed, 200u);
+
+  for (const auto fd : fds) ASSERT_TRUE(t.glib->nk_close(fd).ok());
+  bed.run_for(milliseconds(5));
+  EXPECT_EQ(ce.stats().mappings_removed, 200u);
+  EXPECT_EQ(ce.channel_of(t.vm->id())->vm_job_depth(), 0u);
+}
+
 TEST(netkernel_guestlib, close_releases_mapping_and_chunks) {
   nk_pair rig;
   auto& glib_s = *rig.server.glib;

@@ -214,6 +214,70 @@ TEST(failure_detection, frozen_nsm_detected_within_deadline) {
   EXPECT_LE(failure->at - frozen_at, mcfg.failure_deadline + milliseconds(10));
 }
 
+// A frozen module runs no drain at all, timed or rung. Here its read is
+// stalled on an exhausted pool, which asks the pump for a re-drain every
+// microsecond: none may run, so the heartbeat stops, a job submitted after
+// the freeze stays queued, and the watchdog declares the module dead.
+TEST(failure_detection, frozen_nsm_with_chunk_stalled_read_stops_beating) {
+  auto params = apps::datacenter_params(11);
+  params.netkernel.channel.hugepages.page_count = 1;  // 256 chunks
+  testbed bed{params};
+  nsm_config nsm_cfg;
+  nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
+  virt::vm_config vm_cfg;
+  vm_cfg.name = "tx";
+  auto tx = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
+  vm_cfg.name = "rx";
+  nsm_cfg.name = "nsm-rx";
+  auto rx = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+
+  // The reader accepts but never reads: 8 MB is far more than the 2 MB
+  // pool, so ServiceLib chunk-stalls the read.
+  auto& glib = *rx.glib;
+  const auto lfd = glib.nk_socket().value();
+  ASSERT_TRUE(glib.nk_bind(lfd, 7001).ok());
+  ASSERT_TRUE(glib.nk_listen(lfd).ok());
+  glib.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                             errc) {
+    if (fd == lfd && t == stack::socket_event_type::accept_ready) {
+      (void)glib.nk_accept(lfd);
+    }
+  });
+  apps::bulk_sender_config cfg;
+  cfg.bytes_per_flow = 8u << 20;
+  apps::bulk_sender sender{*tx.api, {rx.module->config().address, 7001}, cfg};
+  sender.start();
+  bed.run_for(milliseconds(20));
+
+  core_engine& ce = bed.netkernel(side::b);
+  service_lib* svc = ce.service_of(rx.module->id());
+  ASSERT_GT(svc->stats().chunk_stalls, 0u);
+  svc->freeze();
+  const sim_time frozen_at = bed.sim().now();
+  const sim_time beat = svc->last_heartbeat();
+  const std::uint64_t ops = svc->stats().ops_processed;
+  (void)glib.nk_socket();  // one job toward the frozen module
+
+  monitor_config mcfg;
+  mcfg.interval = milliseconds(2);
+  mcfg.failure_deadline = milliseconds(20);
+  health_monitor mon{ce, mcfg};
+  mon.start();
+  bed.run_for(milliseconds(35));
+
+  EXPECT_EQ(svc->last_heartbeat(), beat);
+  EXPECT_EQ(svc->stats().ops_processed, ops);
+  EXPECT_EQ(ce.channel_of(rx.vm->id())->nsm_job_depth(), 1u);
+  const alert* failure = nullptr;
+  for (const auto& a : mon.alerts()) {
+    if (a.kind == alert_kind::nsm_failed && a.module == rx.module->id()) {
+      failure = &a;
+    }
+  }
+  ASSERT_NE(failure, nullptr);
+  EXPECT_LE(failure->at - frozen_at, mcfg.failure_deadline + mcfg.interval);
+}
+
 TEST(failure_detection, supervisor_replaces_nsm_and_listener_resumes) {
   testbed bed{apps::datacenter_params(27)};
   nsm_config nsm_cfg;

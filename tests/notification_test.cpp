@@ -2,6 +2,8 @@
 // accounting/pricing unit tests.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/accounting.hpp"
 #include "core/notification.hpp"
 #include "sim/simulator.hpp"
@@ -15,14 +17,10 @@ TEST(queue_pump, polling_fires_at_fixed_cadence) {
   notify_config cfg;
   cfg.kind = notify_config::mode::polling;
   cfg.poll_interval = microseconds(10);
-  queue_pump pump{s, cfg, [&] {
-                    ++drains;
-                    return std::size_t{0};
-                  }};
+  queue_pump pump{s, cfg, [&] { ++drains; }};
   pump.start();
   s.run_until(microseconds(105));
   EXPECT_EQ(drains, 10);
-  EXPECT_EQ(pump.wakeups(), 10u);
   pump.stop();
   s.run_until(microseconds(205));
   EXPECT_EQ(drains, 10);  // stopped pumps stop polling
@@ -34,10 +32,7 @@ TEST(queue_pump, polling_ignores_notify) {
   notify_config cfg;
   cfg.kind = notify_config::mode::polling;
   cfg.poll_interval = milliseconds(10);
-  queue_pump pump{s, cfg, [&] {
-                    ++drains;
-                    return std::size_t{1};
-                  }};
+  queue_pump pump{s, cfg, [&] { ++drains; }};
   pump.start();
   pump.notify();  // no effect in polling mode
   s.run_until(milliseconds(5));
@@ -47,19 +42,21 @@ TEST(queue_pump, polling_ignores_notify) {
 TEST(queue_pump, batched_interrupt_coalesces_doorbells) {
   sim::simulator s;
   int drains = 0;
+  std::vector<sim_time> drained_at;
   notify_config cfg;
   cfg.kind = notify_config::mode::batched_interrupt;
   cfg.interrupt_delay = microseconds(5);
   queue_pump pump{s, cfg, [&] {
                     ++drains;
-                    return std::size_t{3};
+                    drained_at.push_back(s.now());
                   }};
   pump.start();
-  // Many doorbells inside one coalescing window: exactly one drain.
+  // Many doorbells inside one coalescing window: exactly one drain, one
+  // interrupt delay after the first.
   for (int i = 0; i < 50; ++i) pump.notify();
   s.run_until(microseconds(10));
   EXPECT_EQ(drains, 1);
-  EXPECT_EQ(pump.items_drained(), 3u);
+  EXPECT_EQ(drained_at, std::vector<sim_time>{microseconds(5)});
 
   // After the drain a fresh doorbell schedules a fresh wake-up.
   pump.notify();
@@ -72,10 +69,7 @@ TEST(queue_pump, batched_interrupt_idle_without_doorbell) {
   int drains = 0;
   notify_config cfg;
   cfg.kind = notify_config::mode::batched_interrupt;
-  queue_pump pump{s, cfg, [&] {
-                    ++drains;
-                    return std::size_t{0};
-                  }};
+  queue_pump pump{s, cfg, [&] { ++drains; }};
   pump.start();
   s.run_until(seconds(1));
   EXPECT_EQ(drains, 0);  // no timers burn when nothing rings
@@ -86,13 +80,93 @@ TEST(queue_pump, notify_before_start_is_ignored) {
   int drains = 0;
   notify_config cfg;
   cfg.kind = notify_config::mode::batched_interrupt;
-  queue_pump pump{s, cfg, [&] {
-                    ++drains;
-                    return std::size_t{0};
-                  }};
+  queue_pump pump{s, cfg, [&] { ++drains; }};
   pump.notify();
   s.run_until(milliseconds(1));
   EXPECT_EQ(drains, 0);
+}
+
+// --- timed wakeups -------------------------------------------------------------
+
+TEST(queue_pump, wake_at_earliest_request_wins) {
+  sim::simulator s;
+  std::vector<sim_time> drained_at;
+  notify_config cfg;
+  cfg.kind = notify_config::mode::batched_interrupt;
+  queue_pump pump{s, cfg, [&] { drained_at.push_back(s.now()); }};
+  pump.start();
+  pump.wake_at(microseconds(30));
+  pump.wake_at(microseconds(10));  // earlier: replaces the pending wakeup
+  pump.wake_at(microseconds(20));  // later than the pending one: dropped
+  s.run_until(milliseconds(1));
+  EXPECT_EQ(drained_at, std::vector<sim_time>{microseconds(10)});
+}
+
+TEST(queue_pump, wake_at_drains_under_polling) {
+  sim::simulator s;
+  std::vector<sim_time> drained_at;
+  notify_config cfg;
+  cfg.kind = notify_config::mode::polling;
+  cfg.poll_interval = microseconds(100);
+  queue_pump pump{s, cfg, [&] { drained_at.push_back(s.now()); }};
+  pump.start();
+  // Between two ticks: the drain runs then, and the ticks keep their grid.
+  pump.wake_at(microseconds(40));
+  s.run_until(microseconds(250));
+  EXPECT_EQ(drained_at, (std::vector<sim_time>{microseconds(40),
+                                               microseconds(100),
+                                               microseconds(200)}));
+}
+
+TEST(queue_pump, stop_cancels_wake_at_until_start) {
+  sim::simulator s;
+  int drains = 0;
+  notify_config cfg;
+  cfg.kind = notify_config::mode::batched_interrupt;
+  queue_pump pump{s, cfg, [&] { ++drains; }};
+  pump.start();
+  pump.wake_at(microseconds(10));
+  pump.stop();
+  s.run_until(microseconds(20));
+  EXPECT_EQ(drains, 0);
+  // Stopped: requests are ignored, timed or rung.
+  pump.wake_at(microseconds(30));
+  pump.notify();
+  s.run_until(microseconds(50));
+  EXPECT_EQ(drains, 0);
+  pump.start();
+  pump.wake_at(microseconds(60));
+  s.run_until(microseconds(70));
+  EXPECT_EQ(drains, 1);
+}
+
+TEST(queue_pump, doorbell_rides_a_pending_earlier_wakeup) {
+  sim::simulator s;
+  std::vector<sim_time> drained_at;
+  notify_config cfg;
+  cfg.kind = notify_config::mode::batched_interrupt;
+  cfg.interrupt_delay = microseconds(10);
+  queue_pump pump{s, cfg, [&] { drained_at.push_back(s.now()); }};
+  pump.start();
+  pump.wake_at(microseconds(5));
+  pump.notify();  // would drain at 10 us; the 5 us wakeup covers it
+  s.run_until(microseconds(50));
+  EXPECT_EQ(drained_at, std::vector<sim_time>{microseconds(5)});
+}
+
+TEST(queue_pump, last_drain_is_the_most_recent_drain) {
+  sim::simulator s;
+  notify_config cfg;
+  cfg.kind = notify_config::mode::batched_interrupt;
+  queue_pump pump{s, cfg, [] {}};
+  pump.start();
+  EXPECT_EQ(pump.last_drain(), sim_time::zero());
+  pump.wake_at(microseconds(7));
+  s.run_until(microseconds(10));
+  EXPECT_EQ(pump.last_drain(), microseconds(7));
+  pump.wake_at(microseconds(25));
+  s.run_until(microseconds(100));
+  EXPECT_EQ(pump.last_drain(), microseconds(25));
 }
 
 // --- accounting / pricing ------------------------------------------------------------

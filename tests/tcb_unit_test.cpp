@@ -351,8 +351,16 @@ TEST(tcb_ecn, plain_cubic_does_not_negotiate) {
   tcb_harness h;  // newreno, no ECN
   h.conn->connect();
   h.sim.run_until(microseconds(10));
+  ASSERT_EQ(h.sent.size(), 1u);
   EXPECT_FALSE(h.sent.front().tcp().flags.ece);
-  h.establish();
+  EXPECT_FALSE(h.sent.front().tcp().flags.cwr);
+
+  net::tcp_flags synack;
+  synack.syn = true;
+  synack.ack = true;
+  h.conn->segment_arrived(h.peer_segment(0, 1, synack));
+  h.sim.run_until(h.sim.now() + microseconds(10));
+  ASSERT_TRUE(h.connected);
   EXPECT_FALSE(h.conn->ecn_active());
 }
 

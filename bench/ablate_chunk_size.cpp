@@ -4,10 +4,13 @@
 // chunk size and report NetKernel bulk throughput — the trade between
 // per-nqe overhead (small chunks) and copy latency (large chunks).
 //
-// --smoke asserts the claim as orderings: throughput never falls as the
-// chunk grows, 8 KB chunks reach line rate (>= 39 Gb/s), and 512 B chunks
-// stay below half of it. It writes ablate_chunk_size.json and exits 1 when
-// an ordering fails.
+// --smoke asserts the claim as orderings. Per-chunk work (an nqe per hop,
+// a dispatch, a stack send) amortizes over larger chunks, so below line
+// rate throughput rises with the chunk; from 8 KB on (the prototype's
+// choice) the link, not the chunk, sets it, so those rows are held to line
+// rate (>= 39 Gb/s) rather than to each other; and 512 B chunks stay below
+// half of it. It writes ablate_chunk_size.json and exits 1 when an ordering
+// fails.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -21,6 +24,9 @@ namespace {
 
 using namespace nk;
 using apps::side;
+
+constexpr sim_time warmup = milliseconds(100);
+constexpr sim_time window = milliseconds(300);
 
 double run(std::size_t chunk_size) {
   auto params = apps::datacenter_params(5);
@@ -46,11 +52,10 @@ double run(std::size_t chunk_size) {
                            scfg};
   sender.start();
 
-  bed.run_for(milliseconds(100));
+  bed.run_for(warmup);
   const std::uint64_t at_warmup = sink.total_bytes();
-  bed.run_for(milliseconds(300));
-  return rate_of(sink.total_bytes() - at_warmup, milliseconds(300)).bps() /
-         1e9;
+  bed.run_for(window);
+  return rate_of(sink.total_bytes() - at_warmup, window).bps() / 1e9;
 }
 
 }  // namespace
@@ -70,12 +75,19 @@ int main(int argc, char** argv) {
   if (!smoke) return 0;
 
   const double line_rate = 40.0;
+  // The 40 GbE link carries 8930 B of MSS per 9000 B frame: 39.69 Gb/s of
+  // payload. Two rows at that rate differ only by the sink's counting
+  // phase at the window's edges (whole receive chunks behind a pipeline
+  // whose backlog varies), not by the chunk size, so they are not ordered.
+  const double at_line_rate = 39.0;
   bool ok = true;
   for (std::size_t i = 1; i < rows.size(); ++i) {
-    ok = ok && rows[i].second >= rows[i - 1].second;
+    if (rows[i - 1].second < at_line_rate) {
+      ok = ok && rows[i].second > rows[i - 1].second;
+    }
   }
   for (const auto& [size, gbps] : rows) {
-    if (size == 8192) ok = ok && gbps >= 39.0;
+    if (size >= 8192) ok = ok && gbps >= at_line_rate;
     if (size == 512) ok = ok && gbps < line_rate / 2;
   }
   std::ofstream jout{"ablate_chunk_size.json"};
@@ -83,7 +95,7 @@ int main(int argc, char** argv) {
   const char* sep = "\n";
   for (const auto& [size, gbps] : rows) {
     char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s    {\"chunk\": %zu, \"gbps\": %.3f}",
+    std::snprintf(buf, sizeof(buf), "%s    {\"chunk\": %zu, \"gbps\": %.6f}",
                   sep, size, gbps);
     jout << buf;
     sep = ",\n";
@@ -92,8 +104,9 @@ int main(int argc, char** argv) {
   std::printf("\nsnapshot: ablate_chunk_size.json\n");
   if (!ok) {
     std::printf(
-        "FAIL: throughput fell as the chunk grew, 8 KB below 39 Gb/s, or "
-        "512 B at half of line rate or more\n");
+        "FAIL: throughput did not rise with the chunk below line rate, a "
+        "chunk of 8 KB or more below 39 Gb/s, or 512 B at half of line rate "
+        "or more\n");
     return 1;
   }
   return 0;

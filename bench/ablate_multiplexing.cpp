@@ -6,10 +6,13 @@
 // NSM's core utilization — the provider-side efficiency the paper argues
 // for (compare N tenants on one shared module vs one module each).
 //
-// --smoke asserts the claim as orderings, not absolute numbers: the link
-// stays full (aggregate >= 39 Gb/s) at every N, and a module per tenant is
-// fairer than one shared module at N = 2 and N = 4. It writes
-// ablate_multiplexing.json and exits 1 when an ordering fails.
+// --smoke asserts the claim: one module's cores carry the link at line
+// rate for every N, as N dedicated modules do. Line rate is the 40 GbE
+// link's payload share, 8930 B of MSS per 9000 B frame (39.69 Gb/s); the
+// bound, 39 Gb/s, leaves the runs' slow-start ramp from t = 0. Fairness is
+// printed but not asserted: with no core saturated, it is set by the CUBIC
+// flows' start phase at the shared queue (EXPERIMENTS A4). It writes
+// ablate_multiplexing.json and exits 1 when a row falls below the bound.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -126,9 +129,6 @@ int main(int argc, char** argv) {
   for (const auto* rows : {&shared, &per_vm}) {
     for (const auto& [tenants, r] : *rows) ok = ok && r.gbps >= 39.0;
   }
-  for (const int tenants : {2, 4}) {
-    ok = ok && per_vm.at(tenants).fairness > shared.at(tenants).fairness;
-  }
   std::ofstream jout{"ablate_multiplexing.json"};
   jout << "{\n  \"rows\": [";
   const char* sep = "\n";
@@ -148,9 +148,7 @@ int main(int argc, char** argv) {
   jout << "\n  ],\n  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
   std::printf("\nsnapshot: ablate_multiplexing.json\n");
   if (!ok) {
-    std::printf(
-        "FAIL: aggregate below 39 Gb/s, or per-VM NSMs not fairer than a "
-        "shared one at N = 2 and 4\n");
+    std::printf("FAIL: aggregate below 39 Gb/s\n");
     return 1;
   }
   return 0;

@@ -1,5 +1,7 @@
 #include "apps/workloads.hpp"
 
+#include <algorithm>
+
 namespace nk::apps {
 
 namespace {
@@ -90,9 +92,8 @@ void bulk_sender::pump(std::size_t idx) {
       want = static_cast<std::size_t>(
           std::min<std::uint64_t>(want, cfg_.bytes_per_flow - f.sent));
     }
-    buffer chunk = cfg_.patterned ? buffer::pattern(want, f.sent)
-                                  : buffer::zeroed(want);
-    auto r = api_.send(f.sock, std::move(chunk));
+    auto r = api_.send(f.sock, cfg_.patterned ? pattern_at(f, want)
+                                              : buffer::zeroed(want));
     if (!r) break;  // would_block: resume on writable
     f.sent += r.value();
     bytes_sent_ += r.value();
@@ -103,6 +104,16 @@ void bulk_sender::pump(std::size_t idx) {
     ++done_;
     (void)api_.close(f.sock);
   }
+}
+
+buffer bulk_sender::pattern_at(flow& f, std::size_t len) {
+  // A would_block or a partial send leaves the rest of the window for the
+  // next write, so the pattern is built once per window, not per write.
+  if (f.sent + len > f.window_start + f.window.size()) {
+    f.window = buffer::pattern(std::max(len, 4 * cfg_.write_size), f.sent);
+    f.window_start = f.sent;
+  }
+  return f.window.slice(f.sent - f.window_start, len);
 }
 
 // --- echo_server ------------------------------------------------------------------------

@@ -80,8 +80,13 @@ class bulk_sender {
     std::uint64_t sent = 0;
     bool connected = false;
     bool closed = false;
+    // Pattern bytes from stream offset `window_start` on, sliced for writes.
+    buffer window;
+    std::uint64_t window_start = 0;
   };
   void pump(std::size_t idx);
+  // The flow's next `len` pattern bytes (from offset `sent`).
+  buffer pattern_at(flow& f, std::size_t len);
 
   socket_api& api_;
   net::socket_addr dest_;

@@ -582,6 +582,7 @@ void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {
       // their credit is back. The chunk comes home on the ACK, with no nqe.
       auto* gs = socket_of(e.handle);
       if (gs == nullptr) return;
+      ++stats_.credit_returns;
       if (gs->inflight < e.arg0) ++stats_.over_credits;
       gs->inflight = gs->inflight >= e.arg0 ? gs->inflight - e.arg0 : 0;
       if (gs->writable_blocked) credit_returned_ = true;

@@ -67,9 +67,10 @@ struct guest_lib_stats {
   std::uint64_t chunks_freed_local = 0;
   std::uint64_t ops_timed_out = 0;       // deadline expired, retries spent
   std::uint64_t ops_retried = 0;         // deadline expired, op resubmitted
+  std::uint64_t credit_returns = 0;  // cmp_sends received
   // cmp_sends that returned more credit than the socket had outstanding: a
-  // double credit from the NSM. The excess is dropped; always 0 when every
-  // req_send gets exactly one cmp_send.
+  // double credit from the NSM. The excess is dropped; always 0 when a
+  // cmp_send returns accumulated credit, never more than is outstanding.
   std::uint64_t over_credits = 0;
 };
 
@@ -201,9 +202,10 @@ class guest_lib {
     // Send credit: bytes submitted and not yet credited back stay within
     // `send_buffer`, the credit the NSM reports in cmp_socket / ev_accept /
     // setsockopt (the socket's send buffer, capped at the NSM's not-sent
-    // low-water mark). A req_send's cmp_send comes back once the stack has
-    // transmitted its bytes, or once the peer acknowledged them. Until the
-    // first report only the pool and the lane gate bound it.
+    // low-water mark). A req_send's bytes are owed back once the
+    // stack has transmitted them, or once the peer acknowledged them; a
+    // cmp_send returns accumulated credit, never more than is outstanding.
+    // Until the first report only the pool and the lane gate bound it.
     std::uint64_t inflight = 0;
     std::uint64_t send_buffer = UINT64_MAX;
     bool eof = false;

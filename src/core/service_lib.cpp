@@ -305,6 +305,7 @@ void service_lib::release_pins(proto_socket& ps) {
   ps.credited = 0;
   ps.credited_bytes = 0;
   ps.unsent = 0;
+  ps.owed = 0;
 }
 
 void service_lib::release_slot(proto_socket& ps) {
@@ -454,6 +455,8 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       } else if (e.arg0 == 3) {  // option 3: send buffer
         ps->cfg.send_buffer = e.arg1;
         out.arg1 = send_credit(ps->cfg);
+        // A smaller credit lowers the batch: what is owed may be due now.
+        send_credit_back(svm, *ps, 0);
       } else if (e.arg0 == 4) {  // option 4: nagle on/off
         ps->cfg.nagle = e.arg1 != 0;
       } else {
@@ -558,8 +561,7 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       // the ACK at the receiver, so they cannot alias the pool.
       ps->queued += e.desc.length;
       ps->tx.push_back(tx_pin{e.desc.chunk, ps->queued, e.desc.length,
-                              e.token, e.reserved,
-                              buffer::copy_of(span.value())});
+                              e.reserved, buffer::copy_of(span.value())});
       ++ps->unsent;
       pump_sends(*ps);
       return;
@@ -615,12 +617,7 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       }
       (void)svm.ch->pool.free(e.desc.chunk);
       // Credit back to GuestLib regardless (datagram semantics).
-      shm::nqe out;
-      out.op = shm::nqe_op::cmp_send;
-      out.handle = e.handle;
-      out.token = e.token;
-      out.arg0 = len;
-      push_completion(svm, shard, out);
+      send_credit_back(svm, *ps, len);
       return;
     }
     case shm::nqe_op::req_shutdown_wr: {
@@ -872,13 +869,38 @@ void service_lib::pump_udp_reads(proto_socket& ps) {
   }
 }
 
-void service_lib::send_credit_back(served_vm& svm, const proto_socket& ps,
-                                   const tx_pin& pin) {
+void service_lib::send_credit_back(served_vm& svm, proto_socket& ps,
+                                   std::uint64_t bytes) {
+  // The engine forgets a flow at the guest's close: what is owed then is
+  // nobody's.
+  if (ps.guest_closed) return;
+  ps.owed += bytes;
+  // A stream's credit goes up in batches: one cmp_send per chunk's worth,
+  // so a sub-chunk writer (an RPC) no longer costs a completion per write.
+  // The batch is at most half the credit, so a guest blocked on credit
+  // always gets it back: GuestLib blocks a stream only once its
+  // outstanding bytes reach the credit, and less than half of them are
+  // owed here, so more than half are still in the rings, unsent, or
+  // waiting for their ACK. Each of those bytes is credited in time, and
+  // together they lift `owed` past the batch. A cmp_send never returns
+  // more than the guest has outstanding: every owed byte is one it wrote
+  // and has not been credited for.
+  //
+  // A datagram socket owes nothing. Its binding outlives an NSM failover
+  // (CoreEngine replays it), so credit owed by the dead module would be
+  // lost for good and shrink the guest's credit with every failover until
+  // the socket stalls. A TCP connection dies with its module, owed credit
+  // and all.
+  const std::uint64_t batch =
+      ps.udp ? 0
+             : std::min<std::uint64_t>(svm.ch->pool.chunk_size(),
+                                       send_credit(ps.cfg) / 2);
+  if (ps.owed == 0 || ps.owed < batch) return;
   shm::nqe out;
   out.op = shm::nqe_op::cmp_send;
   out.handle = ps.cid;
-  out.token = pin.token;
-  out.arg0 = pin.len;
+  out.arg0 = ps.owed;
+  ps.owed = 0;
   push_completion(svm, ps.shard, out);
 }
 
@@ -892,8 +914,7 @@ void service_lib::pump_sends(proto_socket& ps) {
   auto& stack = nsm_.transport();
 
   // Chunks whose last byte the peer acknowledged go home; one not credited
-  // at transmit time brings the guest its credit now. A guest that closed
-  // the fd gets none: the engine has already forgotten the flow.
+  // at transmit time is credited now.
   if (const auto acked = stack.acked_bytes(ps.ssock)) {
     while (!ps.tx.empty() && ps.tx.front().end <= *acked) {
       const tx_pin& pin = ps.tx.front();
@@ -901,8 +922,8 @@ void service_lib::pump_sends(proto_socket& ps) {
       if (ps.credited > 0) {
         --ps.credited;
         ps.credited_bytes -= pin.len;
-      } else if (!ps.guest_closed) {
-        send_credit_back(svm, ps, pin);
+      } else {
+        send_credit_back(svm, ps, pin.len);
       }
       ps.tx.pop_front();
     }
@@ -916,11 +937,11 @@ void service_lib::pump_sends(proto_socket& ps) {
   // or below the low-water mark there is no room, and every credit waits
   // for the ACK.
   const std::uint64_t room = ps.cfg.send_buffer - send_credit(ps.cfg);
-  if (const auto sent = stack.sent_bytes(ps.ssock); sent && !ps.guest_closed) {
+  if (const auto sent = stack.sent_bytes(ps.ssock)) {
     while (ps.credited < ps.tx.size()) {
       const tx_pin& pin = ps.tx[ps.credited];
       if (pin.end > *sent || ps.credited_bytes + pin.len > room) break;
-      send_credit_back(svm, ps, pin);
+      send_credit_back(svm, ps, pin.len);
       ps.credited_bytes += pin.len;
       ++ps.credited;
     }

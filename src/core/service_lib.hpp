@@ -150,14 +150,13 @@ class service_lib {
   // One req_send's chunk. The stack transmits from it (`unsent` is the
   // NIC's DMA view of the bytes it has not taken yet), so it stays pinned
   // until the peer acknowledges its last byte; then it goes back to the
-  // pool. Its one cmp_send returns the guest's credit once the stack has
-  // transmitted its last byte, or with the chunk on the ACK when crediting
-  // it earlier would let the pinned bytes outgrow the send buffer.
+  // pool. Its credit is owed to the guest once the stack has transmitted
+  // its last byte, or on the ACK when crediting it earlier would let the
+  // pinned bytes outgrow the send buffer.
   struct tx_pin {
     shm::chunk_ref chunk{};
     std::uint64_t end = 0;    // stream offset one past the chunk's last byte
-    std::uint32_t len = 0;    // payload bytes (the credit the cmp_send returns)
-    std::uint64_t token = 0;  // GuestLib correlation
+    std::uint32_t len = 0;    // payload bytes (the credit it returns)
     std::uint64_t trace = 0;  // lifecycle trace id (0: untraced)
     buffer unsent;
   };
@@ -170,15 +169,16 @@ class service_lib {
     stack::socket_id ssock = 0;  // 0 until listen/connect/udp_open binds it
     bool listener = false;
     bool udp = false;
-    // Pinned chunks, oldest first; the first `credited` of them had their
-    // cmp_send at transmit time (`credited_bytes` in all), and the last
+    // Pinned chunks, oldest first; the first `credited` of them were
+    // credited at transmit time (`credited_bytes` in all), and the last
     // `unsent` still hold bytes the stack has not taken. `queued` is the
-    // stream length so far.
+    // stream length so far. `owed` is credit not yet sent up in a cmp_send.
     std::deque<tx_pin> tx;
     std::size_t credited = 0;
     std::uint64_t credited_bytes = 0;
     std::size_t unsent = 0;
     std::uint64_t queued = 0;
+    std::uint64_t owed = 0;
     bool sla_retry_armed = false;
     bool holds_slot = false;  // counted against the VM's connection quota
     // A req_shutdown_wr or req_close waits for the bytes of the req_sends
@@ -216,15 +216,19 @@ class service_lib {
   [[nodiscard]] bool read_stalled(served_vm& svm, const proto_socket& ps);
   // The transmit side of one socket, run on req_send, on every `writable`
   // (the transport's ack notification) and on a rate-cap retry: returns
-  // acknowledged chunks, hands unsent bytes to the stack, sends the
-  // cmp_sends of transmitted and acknowledged chunks, then issues a deferred
-  // shutdown or close. May drop `ps`.
+  // acknowledged chunks, hands unsent bytes to the stack, credits
+  // transmitted and acknowledged chunks, then issues a deferred shutdown or
+  // close. May drop `ps`.
   void pump_sends(proto_socket& ps);
   // Hands pinned bytes to the stack in order; false while some wait for
   // stack space or the rate cap (a writable or a retry resumes them).
   bool push_unsent(served_vm& svm, proto_socket& ps);
-  void send_credit_back(served_vm& svm, const proto_socket& ps,
-                        const tx_pin& pin);
+  // Owes the guest `bytes` more credit, and sends everything owed up in one
+  // cmp_send once it reaches min(chunk size, credit / 2) on a stream, at
+  // once on a datagram socket. The one path for TCP's transmit- and
+  // ACK-time credit and UDP's per-datagram credit; a guest that closed the
+  // fd gets nothing.
+  void send_credit_back(served_vm& svm, proto_socket& ps, std::uint64_t bytes);
   // Frees every pinned chunk without a cmp_send (teardown and error paths:
   // nobody is left to credit) and ends the traces of sends never taken.
   void release_pins(proto_socket& ps);

@@ -35,8 +35,9 @@ enum class nqe_op : std::uint8_t {
   cmp_generic,    // status of the correlated request (token)
   cmp_socket,     // token = the new fd, arg0 = send credit
   cmp_connected,  // connect finished; status 0 or error
-  cmp_send,       // arg0 bytes of one req_send back as send credit: sent
-                  // once the stack transmitted them, or on the peer's ACK
+  cmp_send,       // arg0 bytes back as send credit, accumulated over
+                  // req_sends (never more than is outstanding): a byte is
+                  // owed once the stack transmitted it, or on the peer's ACK
                   // if the pinned bytes would outgrow the send buffer. The
                   // chunk goes back to the pool on the ACK, with no nqe.
 

@@ -22,9 +22,8 @@ void bbr::on_established(sim_time now) {
 }
 
 double bbr::max_bw() const {
-  double best = 0.0;
-  for (const auto& [round, rate] : bw_samples_) best = std::max(best, rate);
-  return best;
+  return bw_samples_.empty() ? 0.0
+                             : std::max(0.0, bw_samples_.front().second);
 }
 
 std::uint64_t bbr::bdp_bytes(double gain) const {
@@ -36,6 +35,12 @@ std::uint64_t bbr::bdp_bytes(double gain) const {
 }
 
 void bbr::push_bw_sample(double rate, std::uint64_t round) {
+  // Rounds never decrease, so a sample no larger than a newer one can never
+  // be the window's max again: drop it. Rates then fall front to back, and
+  // the front is the max of every sample the window still holds.
+  while (!bw_samples_.empty() && bw_samples_.back().second <= rate) {
+    bw_samples_.pop_back();
+  }
   bw_samples_.emplace_back(round, rate);
   while (!bw_samples_.empty() &&
          bw_samples_.front().first + bw_window_rounds < round) {

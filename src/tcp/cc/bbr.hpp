@@ -44,8 +44,10 @@ class bbr final : public congestion_controller {
   cc_config cfg_;
   mode mode_ = mode::startup;
 
-  // Windowed-max bottleneck bandwidth filter (last 10 rounds).
-  std::deque<std::pair<std::uint64_t, double>> bw_samples_;  // (round, rate)
+  // Windowed-max bottleneck bandwidth filter (last 10 rounds): a monotonic
+  // deque of (round, rate), rates strictly falling front to back, so the
+  // max is the front, exactly as a scan of every sample would find it.
+  std::deque<std::pair<std::uint64_t, double>> bw_samples_;
   static constexpr std::uint64_t bw_window_rounds = 10;
 
   sim_time min_rtt_ = sim_time::max();

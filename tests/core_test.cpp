@@ -1989,11 +1989,11 @@ TEST(netkernel_memory, attach_retire_churn_keeps_pool_memory_bounded) {
 // --- zero-copy transmit ------------------------------------------------------------
 //
 // ServiceLib transmits straight from the tenant's chunk and keeps it pinned
-// until the peer acknowledges its bytes. The one cmp_send of its req_send
-// returns the guest's send credit once the stack has transmitted the bytes
-// (on the ACK, if the pinned bytes would otherwise outgrow the send
-// buffer); the chunk goes home on the ACK. On every teardown path the pins
-// go home with no cmp_send.
+// until the peer acknowledges its bytes. Its req_send's credit is owed to
+// the guest once the stack has transmitted the bytes (on the ACK, if the
+// pinned bytes would otherwise outgrow the send buffer) and goes up in a
+// cmp_send with the rest owed; the chunk goes home on the ACK. On every
+// teardown path the pins go home with no cmp_send.
 
 constexpr std::uint16_t zc_port = 7300;
 
@@ -2053,6 +2053,10 @@ struct zc_rig {
     std::uint64_t sent = 0;  // accepted by GuestLib
     int errors = 0;
     int writable_after_error = 0;
+    // Pattern bytes from stream offset `window_start` on, sliced for writes
+    // so a blocked write does not build its payload for nothing.
+    buffer window;
+    std::uint64_t window_start = 0;
   };
   struct reader {
     std::uint64_t bytes = 0;
@@ -2068,11 +2072,16 @@ struct zc_rig {
   }
 
   void pump(std::uint32_t fd) {
+    constexpr std::uint64_t write_size = 64 * 1024;
     writer& w = writers[fd];
     while (w.sent < w.limit) {
-      const std::uint64_t want = std::min<std::uint64_t>(64 * 1024,
-                                                         w.limit - w.sent);
-      auto r = tx.glib->nk_send(fd, buffer::pattern(want, w.sent));
+      const std::uint64_t want = std::min(write_size, w.limit - w.sent);
+      if (w.sent + want > w.window_start + w.window.size()) {
+        w.window = buffer::pattern(4 * write_size, w.sent);
+        w.window_start = w.sent;
+      }
+      auto r = tx.glib->nk_send(
+          fd, w.window.slice(w.sent - w.window_start, want));
       if (!r) return;
       w.sent += r.value();
     }
@@ -2167,8 +2176,9 @@ TEST(netkernel_zero_copy, chunk_stays_pinned_until_the_ack) {
     const tcp::tcb* t = rig.tx_tcb();
     ASSERT_NE(t, nullptr);
     acked = t->acked_bytes() == 8192;
-    // The first output after the send is its cmp_send: it comes once the
-    // stack has transmitted the bytes, before the peer acknowledges them.
+    // The first output after the send is its cmp_send (a whole chunk's
+    // credit is one batch): it comes once the stack has transmitted the
+    // bytes, before the peer acknowledges them.
     if (ch.nqes_nsm_to_vm() > out0 && !credited_before_ack) {
       EXPECT_EQ(t->sent_bytes(), 8192u);
       EXPECT_FALSE(acked);
@@ -2179,8 +2189,8 @@ TEST(netkernel_zero_copy, chunk_stays_pinned_until_the_ack) {
   }
   EXPECT_TRUE(credited_before_ack);
   EXPECT_TRUE(acked);
-  // The ACK frees the chunk with no second nqe: the one cmp_send is
-  // counted at both of its hops (ServiceLib's push, the engine's forward).
+  // The ACK frees the chunk with no second nqe: the cmp_send is counted
+  // at both of its hops (ServiceLib's push, the engine's forward).
   EXPECT_EQ(ch.nqes_nsm_to_vm(), out0 + 2);
   rig.bed.run_for(milliseconds(1));
   EXPECT_EQ(rig.total_received(), 8192u);
@@ -2423,6 +2433,212 @@ INSTANTIATE_TEST_SUITE_P(transports, netkernel_zero_copy_lowat,
                          [](const ::testing::TestParamInfo<std::string>& i) {
                            return i.param;
                          });
+
+// --- accumulated send credit ---------------------------------------------------
+//
+// ServiceLib owes a socket the credit of its transmitted (or acknowledged)
+// bytes and returns it in one cmp_send once min(chunk size, credit / 2) of
+// it has built up; a cmp_send never returns more than is outstanding.
+
+// 1000 sequential 64 B echoes on one socket: 64 000 bytes of credit come
+// back in at most one cmp_send per 8 KB chunk, not one per request.
+TEST(netkernel_send_credit, sequential_echoes_batch_their_credit) {
+  zc_rig rig;
+  constexpr int requests = 1000;
+  constexpr std::size_t request_size = 64;
+  auto& srv = *rig.rx.glib;
+  srv.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                            errc) {
+    if (fd == rig.lfd) {
+      while (srv.nk_accept(rig.lfd)) {
+      }
+    } else if (t == stack::socket_event_type::readable) {
+      while (auto got = srv.nk_recv(fd, 1 << 16)) {
+        EXPECT_TRUE(srv.nk_send(fd, std::move(got).value()).ok());
+      }
+    }
+  });
+  auto& cli = *rig.tx.glib;
+  const auto fd = cli.nk_socket().value();
+  int echoed = 0;
+  std::size_t reply_bytes = 0;
+  auto request = [&] {
+    EXPECT_TRUE(cli.nk_send(fd, buffer::pattern(request_size, 0)).ok());
+  };
+  cli.set_event_handler([&](std::uint32_t, stack::socket_event_type t, errc) {
+    if (t == stack::socket_event_type::connected) request();
+    if (t != stack::socket_event_type::readable) return;
+    while (auto got = cli.nk_recv(fd, 1 << 16)) {
+      reply_bytes += got.value().size();
+      while (reply_bytes >= request_size) {
+        reply_bytes -= request_size;
+        if (++echoed < requests) request();
+      }
+    }
+  });
+  ASSERT_TRUE(
+      cli.nk_connect(fd, {rig.rx.module->config().address, zc_port}).ok());
+  for (int i = 0; i < 1000 && echoed < requests; ++i) {
+    rig.bed.run_for(milliseconds(1));
+  }
+  ASSERT_EQ(echoed, requests);
+  const std::size_t chunk = rig.tx_channel().pool.chunk_size();
+  EXPECT_LE(cli.stats().credit_returns,
+            (requests * request_size + chunk - 1) / chunk);
+  EXPECT_GT(cli.stats().credit_returns, 0u);
+  EXPECT_EQ(rig.over_credits(), 0u);
+}
+
+// A send buffer below one chunk: the credit (2 KB) is smaller than the
+// batch a chunk would set, and every credit waits for the ACK. The batch
+// is half the credit, so the writer never stalls with its credit owed.
+TEST(netkernel_send_credit, small_send_buffer_finishes_a_large_write) {
+  zc_rig rig;
+  constexpr std::uint64_t sndbuf = 2 * 1024;
+  constexpr std::uint64_t total = 1u << 20;
+  const auto fd = rig.tx.glib->nk_socket().value();
+  ASSERT_TRUE(
+      rig.tx.glib->nk_setsockopt(fd, nk_option::send_buffer, sndbuf).ok());
+  rig.writers[fd].limit = total;
+  ASSERT_TRUE(rig.tx.glib
+                  ->nk_connect(fd, {rig.rx.module->config().address, zc_port})
+                  .ok());
+  for (int i = 0; i < 1000 && rig.total_received() < total; ++i) {
+    rig.bed.run_for(milliseconds(1));
+  }
+  EXPECT_EQ(rig.writers[fd].sent, total);
+  EXPECT_EQ(rig.total_received(), total);
+  EXPECT_TRUE(rig.pattern_ok);
+  EXPECT_EQ(rig.over_credits(), 0u);
+}
+
+// Lowering the send buffer lowers the batch: credit owed below the old
+// batch but above the new one goes up at once, or a writer now blocked on
+// the smaller credit would wait for it forever.
+TEST(netkernel_send_credit, lowering_the_send_buffer_returns_what_is_owed) {
+  zc_rig rig;
+  const auto fd = rig.open(0);
+  rig.bed.run_for(milliseconds(1));
+  auto& cli = *rig.tx.glib;
+  ASSERT_TRUE(cli.nk_send(fd, buffer::pattern(7000, 0)).ok());
+  rig.bed.run_for(milliseconds(1));
+  ASSERT_EQ(rig.total_received(), 7000u);
+  ASSERT_EQ(cli.stats().credit_returns, 0u);  // owed: below the 8 KB batch
+
+  ASSERT_TRUE(cli.nk_setsockopt(fd, nk_option::send_buffer, 2048).ok());
+  rig.bed.run_for(milliseconds(1));
+  EXPECT_EQ(cli.stats().credit_returns, 1u);
+  ASSERT_TRUE(cli.nk_send(fd, buffer::pattern(2048, 7000)).ok());
+  rig.bed.run_for(milliseconds(1));
+  EXPECT_EQ(rig.total_received(), 9048u);
+  EXPECT_TRUE(rig.pattern_ok);
+  EXPECT_EQ(rig.over_credits(), 0u);
+}
+
+// A UDP sender held at its credit keeps sending: a datagram's credit comes
+// back at once, never owed. With a 12 KB credit, six 1000 B datagrams owed
+// against a stream's 6 KB batch would leave no room for the 7000 B one
+// after them, and nothing more would be credited.
+TEST(netkernel_send_credit, udp_sender_at_its_credit_keeps_sending) {
+  zc_rig rig;
+  auto& cli = *rig.tx.glib;
+  auto& srv = *rig.rx.glib;
+  const auto sink = srv.nk_udp_open(zc_port + 1).value();
+  std::size_t received = 0;
+  srv.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                            errc) {
+    if (fd != sink || t != stack::socket_event_type::readable) return;
+    while (srv.nk_udp_recv_from(sink)) ++received;
+  });
+  const auto fd = cli.nk_udp_open().value();
+  ASSERT_TRUE(cli.nk_setsockopt(fd, nk_option::send_buffer, 12 * 1024).ok());
+  rig.bed.run_for(milliseconds(1));
+  const net::socket_addr dest{rig.rx.module->config().address,
+                              static_cast<std::uint16_t>(zc_port + 1)};
+  constexpr std::size_t datagrams = 280;
+  std::size_t sent = 0;
+  std::uint64_t blocked = 0;
+  for (int step = 0; step < 100000 && sent < datagrams; ++step) {
+    const std::size_t size = sent % 7 == 6 ? 7000 : 1000;
+    if (cli.nk_udp_send_to(fd, dest, buffer::pattern(size, sent))) {
+      ++sent;
+    } else {
+      ++blocked;
+      rig.bed.run_for(microseconds(10));
+    }
+  }
+  rig.bed.run_for(milliseconds(5));
+  EXPECT_EQ(sent, datagrams);
+  EXPECT_GT(blocked, 0u);  // it really was held at its credit
+  EXPECT_EQ(received, datagrams);
+  EXPECT_EQ(cli.stats().credit_returns, datagrams);
+  EXPECT_EQ(rig.over_credits(), 0u);
+}
+
+// A datagram socket outlives NSM failover (CoreEngine replays its
+// binding), so none of its credit may sit owed in a module that can die:
+// four failovers, each after 900 B of datagrams (below a 2 KB credit's
+// 1 KB stream batch), and the socket still sends.
+TEST(netkernel_send_credit, udp_credit_survives_failovers) {
+  zc_rig rig;
+  auto& cli = *rig.tx.glib;
+  const auto fd = cli.nk_udp_open().value();
+  ASSERT_TRUE(cli.nk_setsockopt(fd, nk_option::send_buffer, 2048).ok());
+  rig.bed.run_for(milliseconds(1));
+  const net::socket_addr dest{rig.rx.module->config().address,
+                              static_cast<std::uint16_t>(zc_port + 1)};
+  core_engine& ce = rig.bed.netkernel(side::a);
+  nsm_id id = rig.tx.module->id();
+  nsm_config cfg = rig.tx.module->config();
+  cfg.form = nsm_form::container;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 9; ++i) {
+      ASSERT_TRUE(cli.nk_udp_send_to(fd, dest, buffer::pattern(100, 0)).ok())
+          << "round " << round;
+      rig.bed.run_for(microseconds(50));
+    }
+    ce.service_of(id)->fail();
+    cfg.name = "nsm-tx-" + std::to_string(round);
+    id = ce.replace_nsm(id, cfg).id();
+    rig.bed.run_for(milliseconds(200));  // boot + switchover
+  }
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(cli.nk_udp_send_to(fd, dest, buffer::pattern(100, 0)).ok());
+    rig.bed.run_for(microseconds(50));
+  }
+  EXPECT_EQ(rig.over_credits(), 0u);
+}
+
+// A guest that closes while the NSM owes it credit gets no cmp_send after
+// the close: the owed bytes are dropped with the flow, and every chunk
+// still comes home.
+TEST(netkernel_send_credit, close_while_owed_sends_no_credit) {
+  zc_rig rig;
+  const auto fd = rig.open(0);
+  rig.bed.run_for(milliseconds(1));
+  channel& ch = rig.tx_channel();
+  ASSERT_TRUE(rig.tx.glib->nk_send(fd, buffer::pattern(100, 0)).ok());
+  rig.bed.run_for(milliseconds(1));
+  // Transmitted and acknowledged, and still owed: 100 B is below the batch.
+  ASSERT_EQ(rig.total_received(), 100u);
+  ASSERT_EQ(ch.pool.chunks_free(), ch.pool.chunk_count());
+  ASSERT_EQ(rig.tx.glib->stats().credit_returns, 0u);
+  const std::uint64_t out0 = ch.nqes_nsm_to_vm();
+
+  ASSERT_TRUE(rig.tx.glib->nk_close(fd).ok());
+  rig.bed.run_for(milliseconds(10));
+  EXPECT_EQ(ch.nqes_nsm_to_vm(), out0);
+  EXPECT_EQ(rig.tx.glib->stats().credit_returns, 0u);
+  EXPECT_TRUE(rig.received.begin()->second.eof);
+  for (auto s : {side::a, side::b}) {
+    for (const auto vm : rig.bed.netkernel(s).attached_vms()) {
+      const channel* c = rig.bed.netkernel(s).channel_of(vm);
+      EXPECT_EQ(c->pool.chunks_free(), c->pool.chunk_count());
+    }
+    expect_drop_identity(rig.bed.netkernel(s));
+  }
+  EXPECT_EQ(rig.over_credits(), 0u);
+}
 
 }  // namespace
 }  // namespace nk::core

@@ -122,6 +122,8 @@ TEST_P(guestlib_fuzz, random_op_sequences_hold_invariants) {
   // Invariant: the channel queues drained (nothing wedged).
   EXPECT_EQ(ch->vm_job_depth(), 0u);
   EXPECT_EQ(ch->nsm_job_depth(), 0u);
+  // Invariant: no cmp_send returned more credit than was outstanding.
+  EXPECT_EQ(glib.stats().over_credits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, guestlib_fuzz,

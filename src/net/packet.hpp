@@ -7,6 +7,9 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <variant>
 
 #include "common/buffer.hpp"
@@ -90,10 +93,64 @@ struct udp_header {
   static constexpr std::size_t wire_bytes = 8;
 };
 
+// TCP Small Queues accounting: the wire bytes one connection has handed
+// below its stack that have not left the host yet. Shared by the connection
+// and the tickets of its packets, so either may go first.
+struct tx_account {
+  std::size_t queued_bytes = 0;
+  // Runs after every release while the connection lives; the connection
+  // clears it when it goes away.
+  std::function<void()> on_release;
+};
+
+// A packet's claim on its sender's tx_account. Moving a packet moves the
+// claim; a copied packet holds nothing. Destroying a held ticket (or
+// assigning over it) returns its bytes, so a dropped, lost or locally
+// delivered packet cannot leak them.
+class tx_ticket {
+ public:
+  tx_ticket() = default;
+  tx_ticket(std::shared_ptr<tx_account> account, std::size_t bytes)
+      : account_{std::move(account)}, bytes_{bytes} {
+    account_->queued_bytes += bytes_;
+  }
+  tx_ticket(const tx_ticket&) noexcept {}
+  tx_ticket& operator=(const tx_ticket& other) noexcept {
+    if (this != &other) release();
+    return *this;
+  }
+  tx_ticket(tx_ticket&& other) noexcept
+      : account_{std::move(other.account_)},
+        bytes_{std::exchange(other.bytes_, 0)} {}
+  tx_ticket& operator=(tx_ticket&& other) noexcept {
+    if (this != &other) {
+      release();
+      account_ = std::move(other.account_);
+      bytes_ = std::exchange(other.bytes_, 0);
+    }
+    return *this;
+  }
+  ~tx_ticket() { release(); }
+
+ private:
+  void release() {
+    if (!account_) return;
+    const std::shared_ptr<tx_account> account = std::move(account_);
+    account->queued_bytes -= std::exchange(bytes_, 0);
+    if (account->on_release) account->on_release();
+  }
+
+  std::shared_ptr<tx_account> account_;
+  std::size_t bytes_ = 0;
+};
+
 struct packet {
   ipv4_header ip{};
   std::variant<tcp_header, udp_header> l4{tcp_header{}};
   buffer payload{};
+  // Held from the sending connection's output path until the packet
+  // finishes serializing on the first link it crosses (TCP Small Queues).
+  tx_ticket ticket{};
 
   [[nodiscard]] bool is_tcp() const {
     return std::holds_alternative<tcp_header>(l4);

@@ -20,6 +20,7 @@ void link::send(net::packet p) {
 void link::begin_transmission(net::packet p) {
   NK_PROF("link", "transmit");
   transmitting_ = true;
+  serializing_ = std::move(p.ticket);
   const std::size_t size = p.wire_size();
   ++stats_.packets_sent;
   stats_.bytes_sent += size;
@@ -41,6 +42,8 @@ void link::begin_transmission(net::packet p) {
 }
 
 void link::transmission_done() {
+  // Released on return, once the transmitter has taken the next packet.
+  const net::tx_ticket sent = std::move(serializing_);
   transmitting_ = false;
   if (auto next = queue_.take()) begin_transmission(std::move(*next));
 }

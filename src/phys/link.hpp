@@ -1,6 +1,8 @@
 // Unidirectional link: serialization at a fixed rate, a queue in front of
 // the transmitter, propagation delay, and an optional Bernoulli loss gate
-// (used to emulate the lossy WAN path of Figure 5).
+// (used to emulate the lossy WAN path of Figure 5). A packet's TCP Small
+// Queues ticket is released when its serialization ends, so a later link
+// on the path sees it without one.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +65,7 @@ class link {
   droptail_queue queue_;
   sink sink_;
   bool transmitting_ = false;
+  net::tx_ticket serializing_;  // the ticket of the packet on the transmitter
   link_stats stats_;
 };
 

@@ -17,6 +17,10 @@ constexpr std::uint32_t ack_every_segments = 2;
 // TIME_WAIT hold before the connection is fully closed (a short 2·MSL for
 // datacenter RTTs).
 constexpr sim_time time_wait_duration = milliseconds(500);
+// Wire bytes of a segment beyond its payload, at most: L2 framing, IP, and
+// TCP with timestamps and three SACK blocks.
+constexpr std::size_t max_segment_overhead =
+    18 + net::ipv4_header::wire_bytes + net::tcp_header::wire_bytes + 28;
 }  // namespace
 
 std::string_view to_string(tcp_state s) {
@@ -44,12 +48,18 @@ tcb::tcb(environment env, tcp_config cfg, net::four_tuple tuple,
           cfg.cc, cc_config{.mss = cfg.mss, .initial_cwnd_segments = 10})},
       rtt_{cfg.rto},
       iss_{initial_seq},
-      ecn_requested_{false} {
+      ecn_requested_{false},
+      tsq_{std::make_shared<net::tx_account>()} {
   ecn_requested_ = cc_->wants_ecn();
   assert(env_.sim != nullptr && env_.emit);
+  tsq_->on_release = [this] { tsq_released(); };
 }
 
 tcb::~tcb() {
+  // Segments still below the stack outlive the connection; their releases
+  // must not reach it.
+  tsq_->on_release = nullptr;
+  tsq_timer_.cancel();
   rto_timer_.cancel();
   delack_timer_.cancel();
   persist_timer_.cancel();
@@ -111,6 +121,7 @@ void tcb::emit_segment(net::packet p) {
   // is a pure ACK or a reply carrying the ACK.
   if (p.tcp().flags.ack) ece_pending_ = false;
   const std::size_t bytes = p.wire_size();
+  p.ticket = net::tx_ticket{tsq_, bytes};
   if (burst_bytes_ + bytes > gso_max_bytes) flush_burst();
   burst_bytes_ += bytes;
   burst_.push_back(std::move(p));
@@ -320,6 +331,30 @@ bool tcb::pacing_gate() {
   return true;
 }
 
+bool tcb::tsq_blocks(std::size_t bytes) {
+  if (tsq_->queued_bytes == 0 ||
+      tsq_->queued_bytes + bytes <= tsq_limit_bytes) {
+    return false;
+  }
+  tsq_throttled_ = true;
+  return true;
+}
+
+void tcb::tsq_released() {
+  if (!tsq_throttled_ || tsq_timer_.pending() ||
+      tsq_->queued_bytes + gso_max_bytes > tsq_limit_bytes) {
+    return;
+  }
+  // From a fresh event, like Linux's TSQ tasklet: the release may come from
+  // inside this connection's own transmit (a drop on a synchronous path) or
+  // from a link being torn down.
+  tsq_timer_ = env_.sim->schedule(sim_time::zero(), [this] {
+    const std::uint64_t sent_before = sent_bytes();
+    try_send();
+    report_send_progress(snd_una_, sent_before);
+  });
+}
+
 void tcb::try_send() {
   NK_PROF("tcp", "output");
   if (state_ != tcp_state::established && state_ != tcp_state::close_wait &&
@@ -327,6 +362,10 @@ void tcb::try_send() {
       state_ != tcp_state::closing) {
     return;
   }
+  // A pass starts only with room for a whole burst below the stack.
+  if (tsq_blocks(gso_max_bytes)) return;
+  tsq_throttled_ = false;
+  const std::size_t max_segment_bytes = cfg_.mss + max_segment_overhead;
 
   const std::uint64_t data_end_abs =
       fin_offset_valid_ ? fin_offset_ : sendq_base_ + sendq_.size();
@@ -344,6 +383,8 @@ void tcb::try_send() {
     const std::uint64_t wnd = effective_window();
     const std::uint64_t in_flight = bytes_in_flight();
     if (in_flight >= wnd) break;
+    // The next segment must not take the connection past the TSQ limit.
+    if (tsq_blocks(max_segment_bytes)) break;
 
     // Scoreboard-lost data retransmits first, through the same pacing and
     // window gates as fresh data — an unpaced retransmission burst would
@@ -933,6 +974,7 @@ void tcb::become_closed(errc reason) {
   persist_timer_.cancel();
   time_wait_timer_.cancel();
   pacing_timer_.cancel();
+  tsq_timer_.cancel();
   if (env_.on_closed) env_.on_closed(reason);
 }
 

@@ -4,8 +4,9 @@
 // flow control, NewReno loss recovery (fast retransmit / partial ACKs),
 // RFC 6298 RTO, delayed ACKs (every second segment, at once for PSH and
 // gap-filling segments, held for the reply on request/response flows),
-// GSO-style transmit bursts, optional Nagle, optional pacing (driven by
-// the congestion controller, e.g. BBR), ECN feedback for DCTCP, and full
+// GSO-style transmit bursts, TCP Small Queues (at most two bursts of wire
+// bytes below the stack), optional Nagle, optional pacing (driven by the
+// congestion controller, e.g. BBR), ECN feedback for DCTCP, and full
 // close/TIME_WAIT handling. Sequence tracking is in absolute 64-bit stream
 // offsets (0 = SYN, 1 = first data byte); the wire carries 32-bit sequence
 // numbers via tcp/seq.hpp.
@@ -98,6 +99,11 @@ class tcb {
   // path hands the stack its segments in bursts up to this size, and the
   // stack pays its per-packet cost once per burst.
   static constexpr std::size_t gso_max_bytes = 64 * 1024;
+  // TCP Small Queues: the most wire bytes one connection may hold below
+  // the stack — on the stack core's transmit queue, in the vSwitch and in
+  // the host link's queue — until they finish serializing on the link.
+  // Two bursts: one on the wire while the next is built behind it.
+  static constexpr std::size_t tsq_limit_bytes = 2 * gso_max_bytes;
 
   tcb(environment env, tcp_config cfg, net::four_tuple tuple,
       std::uint32_t initial_seq);
@@ -167,6 +173,10 @@ class tcb {
     return gross > deduct ? gross - deduct : 0;
   }
   [[nodiscard]] std::uint64_t cwnd_bytes() const { return cc_->cwnd_bytes(); }
+  // Wire bytes emitted and not yet serialized on the host link (TSQ).
+  [[nodiscard]] std::size_t tsq_queued_bytes() const {
+    return tsq_->queued_bytes;
+  }
   [[nodiscard]] bool ecn_active() const { return ecn_enabled_; }
 
   // Provider-side telemetry snapshot (paper §5 introspection): everything
@@ -196,6 +206,10 @@ class tcb {
 
   // --- transmission ----------------------------------------------------------
   void try_send();
+  // TSQ: true (and output marked throttled) when `bytes` more would take
+  // this connection's queued wire bytes past tsq_limit_bytes.
+  bool tsq_blocks(std::size_t bytes);
+  void tsq_released();
   bool pacing_gate();  // true = allowed to send now
   void transmit_range(std::uint64_t start, std::uint64_t end, bool rtx);
   void retransmit_first_unacked();
@@ -302,6 +316,13 @@ class tcb {
   std::vector<net::packet> burst_;
   std::size_t burst_bytes_ = 0;
   bool batching_ = false;  // try_send() is filling burst_
+
+  // TCP Small Queues. Every emitted segment carries a ticket on tsq_; a
+  // throttled output pass re-runs, from a fresh event, once a release
+  // leaves room for a whole burst again.
+  std::shared_ptr<net::tx_account> tsq_;
+  bool tsq_throttled_ = false;
+  sim::timer tsq_timer_;
 
   // Pacing.
   sim_time next_release_{};

@@ -1,7 +1,10 @@
 // DCTCP end-to-end over an ECN-marking bottleneck (the §5 scenario: "A
 // container running a Spark task may use DCTCP for its traffic"): DCTCP
 // must hold throughput while keeping the bottleneck queue near the marking
-// threshold K, where a loss-based controller fills the whole buffer.
+// threshold K, where a loss-based controller fills the whole buffer. The
+// 10 Gb/s bottleneck is a switch port behind the sender's 40 Gb/s access
+// link: TCP Small Queues bounds what a sender holds in its own NIC queue,
+// not what piles up at a slower hop further on.
 #include <gtest/gtest.h>
 
 #include "common/stats.hpp"
@@ -23,6 +26,10 @@ ecn_run run_flow(tcp::cc_algorithm cc) {
   params.wire.propagation_delay = microseconds(25);
   params.wire.queue.capacity_bytes = 512 * 1024;
   params.wire.queue.ecn_threshold_bytes = 64 * 1024;  // DCTCP K
+  phys::link_config access;
+  access.rate = data_rate::gbps(40);
+  access.propagation_delay = microseconds(1);
+  params.access = access;
   tcp::tcp_config t = params.tcp_a;
   t.cc = cc;
   t.send_buffer = 4 * 1024 * 1024;

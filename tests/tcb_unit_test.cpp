@@ -434,5 +434,65 @@ TEST(tcb_sent_bytes, writable_follows_the_ack_clocked_transmissions) {
   EXPECT_EQ(h.sent_at_writable, h.conn->sent_bytes());
 }
 
+// TCP Small Queues. With 16 000-byte segments the 10-segment initial window
+// (160 000 B) is more than tsq_limit_bytes, and the harness holds every
+// emitted frame, so the frames' tickets keep their bytes below the stack.
+// Output stops before a frame would cross the limit and, with no ACK,
+// resumes only once released tickets leave room for a whole burst.
+TEST(tcb_tsq, released_tickets_wake_output_without_an_ack) {
+  constexpr std::uint64_t mss = 16000;
+  tcp_config cfg = tcb_harness::make_cfg();
+  cfg.mss = mss;
+  tcb_harness h{cfg};
+  h.establish();
+  ASSERT_EQ(h.conn->send(buffer::pattern(10 * mss, 0)).value(), 10 * mss);
+  h.sim.run_until(h.sim.now() + microseconds(10));
+  const std::size_t first = h.sent.size();
+  ASSERT_GT(first, 0u);
+  ASSERT_LT(first, 10u);
+  std::size_t held = 0;
+  for (const auto& p : h.sent) held += p.wire_size();
+  EXPECT_EQ(h.conn->tsq_queued_bytes(), held);
+  EXPECT_LE(held, tcb::tsq_limit_bytes);
+  EXPECT_GT(held + h.sent.front().wire_size(), tcb::tsq_limit_bytes);
+  EXPECT_EQ(h.conn->sent_bytes(), first * mss);
+
+  // Frames leave the host one at a time, oldest first: output stays
+  // stopped while a whole burst would not fit.
+  const int writable_before = h.writable_events;
+  while (true) {
+    h.sent.pop_front();
+    const bool room = h.conn->tsq_queued_bytes() + tcb::gso_max_bytes <=
+                      tcb::tsq_limit_bytes;
+    EXPECT_EQ(h.conn->sent_bytes(), first * mss);  // never from the release
+    h.sim.run_until(h.sim.now() + microseconds(10));
+    if (room) break;
+    ASSERT_EQ(h.conn->sent_bytes(), first * mss);
+  }
+  // The release that made room re-ran output from a fresh event and
+  // reported the transmitted bytes.
+  EXPECT_EQ(h.conn->sent_bytes(), 10 * mss);
+  EXPECT_GT(h.writable_events, writable_before);
+  EXPECT_EQ(h.sent_at_writable, 10 * mss);
+}
+
+// A copied frame holds nothing; the original's ticket is released when it
+// is destroyed, and only once.
+TEST(tcb_tsq, copied_frames_hold_no_bytes) {
+  tcb_harness h;
+  h.establish();
+  ASSERT_TRUE(h.conn->send(buffer::pattern(3000, 0)).ok());
+  h.sim.run_until(h.sim.now() + microseconds(10));
+  ASSERT_FALSE(h.sent.empty());
+  const std::size_t held = h.conn->tsq_queued_bytes();
+  ASSERT_GT(held, 0u);
+  std::vector<net::packet> copies{h.sent.begin(), h.sent.end()};
+  EXPECT_EQ(h.conn->tsq_queued_bytes(), held);
+  copies.clear();
+  EXPECT_EQ(h.conn->tsq_queued_bytes(), held);
+  h.sent.clear();
+  EXPECT_EQ(h.conn->tsq_queued_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace nk::tcp

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -708,6 +709,190 @@ TEST(tcp_gso, initial_window_over_64k_splits_into_two_bursts) {
   }
   net.run_for(milliseconds(5));
   EXPECT_EQ(sink.received.size(), 10u * 8000u);
+}
+
+// --- TCP Small Queues ----------------------------------------------------------------
+
+// The datacenter testbed's host path: 40 GbE with a 2 MB drop-tail queue in
+// front of a's NIC, jumbo segments, and windows that never bind, so a
+// loss-based flow without TSQ grows until that queue overflows.
+test::loopback_params host_queue_params(std::uint64_t seed = 1) {
+  test::loopback_params p = lan_params(seed);
+  p.wire.rate = data_rate::gbps(40);
+  p.wire.propagation_delay = microseconds(5);
+  p.wire.queue.capacity_bytes = 2 * 1024 * 1024;
+  for (tcp::tcp_config* t : {&p.tcp_a, &p.tcp_b}) {
+    t->mss = 8930;
+    t->send_buffer = 4 * 1024 * 1024;
+    t->recv_buffer = 4 * 1024 * 1024;
+  }
+  return p;
+}
+
+// A listener on `st` that accepts every connection and counts (and, for
+// pattern streams, checks) what each one delivers.
+struct counting_sink {
+  counting_sink(stack::netstack& st, std::uint16_t port) {
+    const stack::socket_id listener = st.tcp_listen(port).value();
+    st.set_event_handler([this, &st, listener](const stack::socket_event& ev) {
+      if (ev.type == socket_event_type::accept_ready) {
+        while (auto r = st.accept(listener)) bytes[r.value()];
+      } else if (ev.type == socket_event_type::readable) {
+        while (auto r = st.recv(ev.sock, 1 << 20)) {
+          pattern_ok = pattern_ok && r.value().matches_pattern(bytes[ev.sock]);
+          bytes[ev.sock] += r.value().size();
+        }
+      }
+    });
+  }
+  [[nodiscard]] std::uint64_t total() const {
+    std::uint64_t n = 0;
+    for (const auto& [sock, b] : bytes) n += b;
+    return n;
+  }
+
+  std::map<stack::socket_id, std::uint64_t> bytes;
+  bool pattern_ok = true;
+};
+
+// Keeps a's connection `conn` written: zero-filled 64 KB writes without
+// end, or `total` pattern bytes.
+struct bulk_source {
+  bulk_source(stack::netstack& st, stack::socket_id conn,
+              std::uint64_t total = 0)
+      : st{st}, conn{conn}, total{total} {}
+
+  void push() {
+    while (total == 0 || written < total) {
+      const std::uint64_t n =
+          total == 0 ? zeros.size()
+                     : std::min<std::uint64_t>(zeros.size(), total - written);
+      auto r = st.send(conn, total == 0 ? zeros : buffer::pattern(n, written));
+      if (!r) return;
+      written += r.value();
+    }
+  }
+
+  stack::netstack& st;
+  stack::socket_id conn;
+  std::uint64_t total;
+  std::uint64_t written = 0;
+  buffer zeros = buffer::zeroed(64 * 1024);
+};
+
+// Opens a bulk connection from a to the sink at `port` and writes it from
+// its connected and writable events.
+void start_bulk(loopback& net, std::uint16_t port,
+                std::optional<bulk_source>& src, std::uint64_t total = 0) {
+  src.emplace(net.a, net.a.tcp_connect(net.addr_b(port)).value(), total);
+  net.a.set_event_handler([&src](const stack::socket_event& ev) {
+    if (ev.sock == src->conn && (ev.type == socket_event_type::connected ||
+                                 ev.type == socket_event_type::writable)) {
+      src->push();
+    }
+  });
+}
+
+// One CUBIC flow whose bottleneck is its own host's NIC queue keeps at most
+// two GSO bursts there, yet fills the link and loses nothing.
+TEST(tcp_tsq, bulk_flow_keeps_two_bursts_in_the_host_queue) {
+  loopback net{host_queue_params()};
+  counting_sink sink{net.b, 5001};
+  std::optional<bulk_source> src;
+  start_bulk(net, 5001, src);
+  net.run_for(milliseconds(20));  // well past slow start
+
+  const std::uint64_t at_warm = sink.total();
+  std::size_t queue_peak = 0;
+  std::size_t tsq_peak = 0;
+  for (int i = 0; i < 5000; ++i) {  // 10 ms
+    net.run_for(microseconds(2));
+    queue_peak = std::max(queue_peak, net.cable.forward().queue_bytes());
+    tsq_peak = std::max(tsq_peak, net.a.tcb_of(src->conn)->tsq_queued_bytes());
+  }
+  EXPECT_LE(queue_peak, tcp::tcb::tsq_limit_bytes);
+  EXPECT_LE(tsq_peak, tcp::tcb::tsq_limit_bytes);
+  const double gbps =
+      rate_of(sink.total() - at_warm, milliseconds(10)).bps() / 1e9;
+  EXPECT_GT(gbps, 39.0);
+  EXPECT_EQ(net.cable.forward().queue_statistics().dropped, 0u);
+  EXPECT_EQ(net.a.tcb_of(src->conn)->stats().bytes_retransmitted, 0u);
+}
+
+// A queue smaller than one GSO burst drops the sender's segments inside its
+// own transmit (the stack has no core, so sends run synchronously). The
+// dropped packets' tickets release their bytes and wake the sender, so a
+// 4 MB flow completes byte-exact and leaves nothing accounted below the
+// stack; leaked bytes would close the gate for good and stall the flow.
+TEST(tcp_tsq, dropped_segments_release_their_bytes) {
+  auto params = host_queue_params(7);
+  params.wire.queue.capacity_bytes = 32 * 1024;
+  loopback net{params};
+  counting_sink sink{net.b, 5001};
+  std::optional<bulk_source> src;
+  constexpr std::uint64_t total = 4u << 20;
+  start_bulk(net, 5001, src, total);
+  net.run_for(milliseconds(100));
+
+  EXPECT_EQ(sink.total(), total);
+  EXPECT_TRUE(sink.pattern_ok);
+  EXPECT_GT(net.cable.forward().queue_statistics().dropped, 0u);
+  const tcp::tcb* t = net.a.tcb_of(src->conn);
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->tsq_queued_bytes(), 0u);
+}
+
+// A connection aborted while its segments still wait in the link queue:
+// their tickets outlive the tcb, and releasing them later must not touch it.
+TEST(tcp_tsq, abort_with_segments_in_the_host_queue) {
+  loopback net{host_queue_params()};
+  counting_sink sink{net.b, 5001};
+  std::optional<bulk_source> src;
+  start_bulk(net, 5001, src);
+  net.run_for(milliseconds(5));
+  ASSERT_GT(net.cable.forward().queue_bytes(), 0u);
+  ASSERT_GT(net.a.tcb_of(src->conn)->tsq_queued_bytes(), 0u);
+
+  ASSERT_TRUE(net.a.abort(src->conn).ok());
+  EXPECT_EQ(net.a.tcb_of(src->conn), nullptr);
+  EXPECT_GT(net.cable.forward().queue_bytes(), 0u);
+  net.run_for(milliseconds(5));
+  EXPECT_EQ(net.cable.forward().queue_bytes(), 0u);
+  EXPECT_GT(sink.total(), 0u);
+}
+
+// A connection opened behind a bulk flow on the same host waits for what
+// TSQ lets the bulk flow queue (about 128 KB of serialization), not for a
+// full 2 MB queue.
+TEST(tcp_tsq, new_connection_waits_behind_two_bursts_not_the_queue) {
+  const test::loopback_params params = host_queue_params();
+  loopback net{params};
+  counting_sink sink{net.b, 5001};
+  std::optional<bulk_source> src;
+  start_bulk(net, 5001, src);
+  net.run_for(milliseconds(20));
+
+  const sim_time opened = net.sim.now();
+  const stack::socket_id conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  std::optional<sim_time> connected;
+  net.a.set_event_handler([&](const stack::socket_event& ev) {
+    if (ev.sock == src->conn && ev.type == socket_event_type::writable) {
+      src->push();
+    } else if (ev.sock == conn && ev.type == socket_event_type::connected) {
+      connected = net.sim.now();
+    }
+  });
+  net.run_for(milliseconds(2));
+  ASSERT_TRUE(connected.has_value());
+
+  // The SYN queues behind at most the TSQ limit plus the frame on the wire;
+  // then one round trip, with a few microseconds for the SYN-ACK's own
+  // serialization behind the bulk flow's ACKs.
+  const sim_time bound =
+      params.wire.rate.transmission_time(tcp::tcb::tsq_limit_bytes +
+                                         params.tcp_a.mss + 100) +
+      2 * params.wire.propagation_delay + microseconds(5);
+  EXPECT_LE(*connected - opened, bound);
 }
 
 TEST(tcp_nagle, coalesces_small_writes) {

@@ -1,6 +1,11 @@
 // Test harness: two netstacks joined by a duplex link, no virtualization
-// layer — the minimal rig for exercising TCP end to end.
+// layer — the minimal rig for exercising TCP end to end. Optionally a's
+// frames first cross an access link (a's NIC to a switch), so the cable's
+// forward direction is a switch port rather than a's own NIC queue.
 #pragma once
+
+#include <memory>
+#include <optional>
 
 #include "phys/link.hpp"
 #include "phys/nic.hpp"
@@ -13,6 +18,7 @@ struct loopback_params {
   std::uint64_t seed = 1;
   phys::link_config wire{};  // applied to both directions
   double forward_loss = -1.0;  // a->b loss override (< 0: use wire.loss_rate)
+  std::optional<phys::link_config> access{};  // a->b hop before the cable
   tcp::tcp_config tcp_a{};
   tcp::tcp_config tcp_b{};
   stack::processing_cost tx_cost_a{};  // charged on cores added to stack a
@@ -22,6 +28,8 @@ struct loopback {
   explicit loopback(const loopback_params& p = {})
       : sim{p.seed},
         cable{sim, p.wire},
+        access{p.access ? std::make_unique<phys::link>(sim, *p.access)
+                        : nullptr},
         nic_a{"a"},
         nic_b{"b"},
         a{sim, make_cfg("a", p.tcp_a, p.tx_cost_a),
@@ -29,6 +37,11 @@ struct loopback {
         b{sim, make_cfg("b", p.tcp_b), net::ipv4_addr::from_octets(10, 0, 0, 2)} {
     if (p.forward_loss >= 0.0) cable.forward().set_loss_rate(p.forward_loss);
     phys::attach_duplex(nic_a, nic_b, cable);
+    if (access) {
+      nic_a.attach_tx(*access);
+      access->set_sink(
+          [this](net::packet pkt) { cable.forward().send(std::move(pkt)); });
+    }
     a.bind_nic(nic_a);
     b.bind_nic(nic_b);
   }
@@ -54,6 +67,7 @@ struct loopback {
 
   sim::simulator sim;
   phys::duplex_link cable;
+  std::unique_ptr<phys::link> access;  // null without params.access
   phys::nic nic_a;
   phys::nic nic_b;
   stack::netstack a;

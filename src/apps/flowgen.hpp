@@ -6,8 +6,7 @@
 // leans on (PIAS, pHost, DCTCP): most flows are mice, most bytes are in
 // elephants, and the metric that matters is flow completion time (FCT) per
 // size class. NSaaS turns the transport under such workloads into a
-// provider-side knob (bench/fct_workload compares stacks under this
-// generator).
+// provider-side knob.
 #pragma once
 
 #include <cstdint>

@@ -23,16 +23,6 @@ class token_bucket {
   [[nodiscard]] data_rate rate() const { return rate_; }
   [[nodiscard]] std::uint64_t burst() const { return burst_; }
 
-  void set_rate(data_rate r) { rate_ = r; }
-
-  // Changes the depth without granting tokens (clamps the current level).
-  void set_burst(std::uint64_t burst_bytes) {
-    burst_ = burst_bytes;
-    if (tokens_ > static_cast<double>(burst_)) {
-      tokens_ = static_cast<double>(burst_);
-    }
-  }
-
  private:
   void refill(sim_time now);
 

@@ -759,7 +759,6 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
     fl.nsm = att.module->id();
     const std::size_t n = shards_.size();
     fl.cid = mint_id(sh.next_cid, static_cast<std::uint32_t>(s + n), n);
-    fl.udp = e.op == shm::nqe_op::req_udp_open;
     shm::nqe j = e;
     j.reserved = 0;  // journal copies are re-traced when replayed
     fl.journal.push_back(j);
@@ -798,21 +797,22 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
     return;
   }
 
-  // Control-plane ops feed the failover journal (fd-addressed originals);
-  // a connect marks the flow as carrying connection state that cannot be
-  // reconstructed on a replacement module.
+  // Control-plane ops feed the failover journal (fd-addressed originals)
+  // while the flow has one; a connect gives the flow connection state that
+  // cannot be reconstructed on a replacement module, so it drops the journal.
+  std::vector<shm::nqe>& journal = it->second.journal;
   switch (e.op) {
     case shm::nqe_op::req_bind:
     case shm::nqe_op::req_listen:
-    case shm::nqe_op::req_setsockopt: {
-      shm::nqe j = e;
-      j.reserved = 0;
-      it->second.journal.push_back(j);
-      if (e.op == shm::nqe_op::req_listen) it->second.listening = true;
+    case shm::nqe_op::req_setsockopt:
+      if (!journal.empty()) {
+        shm::nqe j = e;
+        j.reserved = 0;
+        journal.push_back(j);
+      }
       break;
-    }
     case shm::nqe_op::req_connect:
-      it->second.connecting = true;
+      std::vector<shm::nqe>().swap(journal);
       break;
     default:
       break;
@@ -1331,7 +1331,7 @@ void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
       std::vector<std::uint32_t> doomed;
       for (auto& [key, fl] : sh.by_flow) {
         if (key.vm != vm || fl.nsm != old_id) continue;
-        if (!fl.connecting && !fl.journal.empty()) {
+        if (!fl.journal.empty()) {
           replay_flow(att, sh.index, key, fl);
           ++recovered;
         } else {

@@ -372,13 +372,12 @@ class core_engine {
   struct flow_entry {
     nsm_id nsm = 0;
     std::uint32_t cid = 0;
-    bool listening = false;   // saw req_listen (replayable across failover)
-    bool udp = false;         // datagram flow (replayable across failover)
-    bool connecting = false;  // saw req_connect (dies with the module)
     // Control-plane journal: the socket's setup ops as the guest submitted
-    // them (fd-addressed, pre-translation). Replaying it into a replacement
-    // NSM reconstructs listeners and datagram bindings; data-plane state is
-    // deliberately not journaled — it dies with the module.
+    // them (fd-addressed, pre-translation), starting with its req_socket or
+    // req_udp_open. Replaying it into a replacement NSM reconstructs
+    // listeners, datagram bindings and unconnected sockets. A req_connect
+    // empties it for good, as accepted children start empty: connection
+    // state dies with the module, so failover aborts a flow with no journal.
     std::vector<shm::nqe> journal;
   };
   // The engine's staged lanes of one shard (DESIGN.md §8). Heap-allocated:

@@ -31,7 +31,7 @@ guest_lib::guest_lib(virt::machine& vm, channel& ch, core_engine& engine,
   pump_->start();
 }
 
-guest_lib::~guest_lib() = default;
+guest_lib::~guest_lib() { connect_timer_.cancel(); }
 
 sim::cpu_core* guest_lib::pick_core() {
   const auto& cores = vm_.vcpus();
@@ -181,8 +181,6 @@ status guest_lib::nk_connect(std::uint32_t fd, net::socket_addr remote) {
     return errc::already_connected;
   }
   gs->ph = phase::connecting;
-  gs->remote = remote;
-  gs->connect_attempts = 1;
 
   shm::nqe e;
   e.op = shm::nqe_op::req_connect;
@@ -194,34 +192,44 @@ status guest_lib::nk_connect(std::uint32_t fd, net::socket_addr remote) {
   return {};
 }
 
-void guest_lib::arm_connect_deadline(std::uint32_t fd) {
-  if (cfg_.connect_timeout <= sim_time::zero()) return;
-  engine_.simulator().schedule(cfg_.connect_timeout,
-                               [this, fd] { connect_deadline_expired(fd); });
+bool guest_lib::connecting(std::uint32_t fd) const {
+  const auto* gs = socket_of(fd);
+  return gs != nullptr && gs->ph == phase::connecting;
 }
 
-void guest_lib::connect_deadline_expired(std::uint32_t fd) {
-  auto* gs = socket_of(fd);
-  // Completed, failed, or closed in the meantime: the deadline is moot.
-  if (gs == nullptr || gs->ph != phase::connecting) return;
-  if (gs->connect_attempts <= cfg_.connect_retries) {
-    // Resubmit: idempotent at ServiceLib against a live module, and the
-    // only way to reach a replacement module after an aborted attempt.
-    ++gs->connect_attempts;
-    ++stats_.ops_retried;
-    shm::nqe e;
-    e.op = shm::nqe_op::req_connect;
-    e.handle = fd;
-    e.arg0 = gs->remote.ip.value;
-    e.arg1 = gs->remote.port;
-    submit(*gs, e, sim_time::zero());
-    arm_connect_deadline(fd);
-    return;
+void guest_lib::arm_connect_deadline(std::uint32_t fd) {
+  if (cfg_.connect_timeout <= sim_time::zero()) return;
+  // Completed, failed, or closed: those deadlines are moot.
+  while (!connect_deadlines_.empty() &&
+         !connecting(connect_deadlines_.front().fd)) {
+    connect_deadlines_.pop_front();
   }
-  ++stats_.ops_timed_out;
-  gs->ph = phase::failed;
-  gs->err = errc::timed_out;
-  emit_event(fd, stack::socket_event_type::error, gs->err);
+  connect_deadlines_.push_back(
+      {engine_.simulator().now() + cfg_.connect_timeout, fd});
+  arm_connect_timer();
+}
+
+void guest_lib::arm_connect_timer() {
+  if (connect_deadlines_.empty() || connect_timer_.pending()) return;
+  connect_timer_ = engine_.simulator().schedule_at(
+      connect_deadlines_.front().at, [this] { connect_deadlines_expired(); });
+}
+
+void guest_lib::connect_deadlines_expired() {
+  const sim_time now = engine_.simulator().now();
+  while (!connect_deadlines_.empty()) {
+    const connect_deadline d = connect_deadlines_.front();
+    if (connecting(d.fd) && d.at > now) break;
+    connect_deadlines_.pop_front();
+    if (!connecting(d.fd)) continue;
+    ++stats_.ops_timed_out;
+    g_socket& gs = sockets_.at(d.fd);
+    gs.ph = phase::failed;
+    gs.err = errc::timed_out;
+    emit_event(d.fd, stack::socket_event_type::error, gs.err);
+  }
+  // An error handler that connected again has armed the timer already.
+  arm_connect_timer();
 }
 
 result<std::uint32_t> guest_lib::nk_accept(std::uint32_t listener_fd) {

@@ -65,8 +65,7 @@ struct guest_lib_stats {
   // (consumed, closed unread, or arrived for a closed fd) and the chunks
   // abort_all scrubs from staged jobs.
   std::uint64_t chunks_freed_local = 0;
-  std::uint64_t ops_timed_out = 0;       // deadline expired, retries spent
-  std::uint64_t ops_retried = 0;         // deadline expired, op resubmitted
+  std::uint64_t ops_timed_out = 0;       // connect deadline expired
   std::uint64_t credit_returns = 0;  // cmp_sends received
   // cmp_sends that returned more credit than the socket had outstanding: a
   // double credit from the NSM. The excess is dropped; always 0 when a
@@ -75,14 +74,11 @@ struct guest_lib_stats {
 };
 
 struct guest_lib_config {
-  // Pending-op deadline policy: an async op whose completion never arrives
-  // (its NSM died mid-request) fails with errc::timed_out instead of
-  // stranding the socket forever. Each expiry first resubmits the op up to
-  // `connect_retries` times — ServiceLib treats a duplicate connect as a
-  // no-op, so a retry is safe against a live-but-slow module and reaches a
-  // freshly recovered one. zero() disables the watchdog.
+  // Connect deadline: a connect whose completion never arrives (its NSM
+  // froze, or died with no supervisor to fail it over) fails with
+  // errc::timed_out instead of stranding the socket forever. zero()
+  // disables the watchdog.
   sim_time connect_timeout = seconds(5);
-  int connect_retries = 1;
 };
 
 class guest_lib {
@@ -213,8 +209,6 @@ class guest_lib {
     errc err = errc::ok;
     sim::cpu_core* core = nullptr;  // the vCPU this socket's work runs on
     bool writable_blocked = false;
-    net::socket_addr remote{};    // connect target (deadline resubmission)
-    int connect_attempts = 0;     // req_connect submissions so far
     std::size_t shard = 0;        // home engine shard (steering hash)
   };
 
@@ -245,10 +239,12 @@ class guest_lib {
   [[nodiscard]] bool lane_backlogged(std::size_t shard) const {
     return job_lanes_[shard].size() >= max_deferred_jobs;
   }
-  // Pending-op watchdog: arms a deadline after each req_connect submission;
-  // on expiry the op is resubmitted (bounded) or failed with timed_out.
+  // Connect watchdog: queues a deadline after each req_connect submission;
+  // a socket still connecting at its deadline fails with timed_out.
   void arm_connect_deadline(std::uint32_t fd);
-  void connect_deadline_expired(std::uint32_t fd);
+  void arm_connect_timer();  // for the front deadline, unless armed
+  void connect_deadlines_expired();
+  [[nodiscard]] bool connecting(std::uint32_t fd) const;
   void emit_event(std::uint32_t fd, stack::socket_event_type type,
                   errc error = errc::ok);
   [[nodiscard]] g_socket* socket_of(std::uint32_t fd);
@@ -269,6 +265,15 @@ class guest_lib {
   std::unordered_map<std::uint32_t, g_socket> sockets_;
   std::uint32_t next_fd_ = 3;
   std::size_t next_core_ = 0;
+  // Connect deadlines in submission order, so sorted by time (the timeout
+  // is fixed). Settled entries leave from the front on every push; one
+  // timer is armed for the front, so a connect costs no event of its own.
+  struct connect_deadline {
+    sim_time at;
+    std::uint32_t fd = 0;
+  };
+  std::deque<connect_deadline> connect_deadlines_;
+  sim::timer connect_timer_;
   // Writer wake-up, run at most once per drain: a blocked writer got
   // credit back (a cmp_send or a larger send buffer), or a writer starved
   // of chunks may find one now — chunks come home from any socket's ACKs,

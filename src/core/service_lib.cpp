@@ -512,9 +512,11 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       if (ps == nullptr) {
         out.status = -static_cast<std::int32_t>(errc::not_found);
       } else if (ps->ssock != 0) {
-        // Duplicate connect — a GuestLib deadline retry racing the original
-        // attempt. The first tcp_connect is still in flight; acknowledging
-        // without a second connect keeps the retry idempotent.
+        // The socket already has a stack connection and the guest sent
+        // another connect: a forged nqe, or a reconnect after a failed
+        // connect (GuestLib refuses one while a connect is pending or up).
+        // Acknowledging without a second connect leaves the first
+        // connection and the connection quota untouched.
       } else if (!sla_.allow_connection(*svm.tenant)) {
         out.status = -static_cast<std::int32_t>(errc::resource_exhausted);
       } else {

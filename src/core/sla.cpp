@@ -14,19 +14,6 @@ void sla_manager::set_tenant(virt::vm_id vm, const sla_spec& spec) {
   t.bucket = token_bucket{spec.rate_cap, spec.burst_bytes};  // unused if zero
 }
 
-void sla_manager::set_rate(virt::vm_id vm, data_rate rate_cap,
-                           std::uint64_t burst_bytes) {
-  tenant& t = tenant_of(vm);
-  if (t.spec.rate_cap.is_zero()) {
-    t.bucket = token_bucket{rate_cap, burst_bytes};
-  } else {
-    t.bucket.set_rate(rate_cap);
-    t.bucket.set_burst(burst_bytes);
-  }
-  t.spec.rate_cap = rate_cap;
-  t.spec.burst_bytes = burst_bytes;
-}
-
 bool sla_manager::allow_send(tenant& t, std::uint64_t bytes, sim_time now) {
   if (t.spec.rate_cap.is_zero() || t.bucket.try_consume(now, bytes)) {
     return true;

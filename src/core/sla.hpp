@@ -69,10 +69,6 @@ class sla_manager {
 
   // Replaces the VM's whole spec (with a fresh token bucket).
   void set_tenant(virt::vm_id vm, const sla_spec& spec);
-  // Live rate change (the bandwidth arbiter): keeps the rest of the spec and
-  // the bucket's token level — refilling it every update would admit an
-  // extra burst per epoch.
-  void set_rate(virt::vm_id vm, data_rate rate_cap, std::uint64_t burst_bytes);
   // The VM's entry, created unlimited on first use.
   [[nodiscard]] tenant& tenant_of(virt::vm_id vm);
 

@@ -765,6 +765,55 @@ TEST(netkernel_guestlib, close_releases_mapping_and_chunks) {
   EXPECT_GT(rig.bed.netkernel(side::a).stats().mappings_removed, 0u);
 }
 
+// The connect watchdog costs a GuestLib one timer, not one event per
+// connect: 64 connects that complete and close leave at most one watchdog
+// event to run once their deadlines pass. Under batched interrupts a
+// testbed past its TCP TIME_WAITs schedules nothing else, so the deadline
+// window's events are the watchdog's.
+TEST(netkernel_guestlib, settled_connects_leave_one_watchdog_event) {
+  constexpr sim_time timeout = seconds(2);
+  nk_pair rig{tcp::cc_algorithm::cubic, 5, [&](apps::testbed_params& p) {
+    p.netkernel.notification.kind = notify_config::mode::batched_interrupt;
+    p.netkernel.guest.connect_timeout = timeout;
+  }};
+  auto& glib_s = *rig.server.glib;
+  const auto lfd = glib_s.nk_socket().value();
+  ASSERT_TRUE(glib_s.nk_bind(lfd, 7000).ok());
+  ASSERT_TRUE(glib_s.nk_listen(lfd).ok());
+  glib_s.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                               errc) {
+    if (fd != lfd || t != stack::socket_event_type::accept_ready) return;
+    while (auto child = glib_s.nk_accept(lfd)) {
+      (void)glib_s.nk_close(child.value());
+    }
+  });
+  rig.bed.run_for(milliseconds(1));
+
+  auto& glib_c = *rig.client.glib;
+  int connected = 0;
+  glib_c.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                               errc) {
+    if (t != stack::socket_event_type::connected) return;
+    ++connected;
+    (void)glib_c.nk_close(fd);
+  });
+  constexpr int n = 64;
+  for (int i = 0; i < n; ++i) {
+    const auto fd = glib_c.nk_socket().value();
+    ASSERT_TRUE(
+        glib_c.nk_connect(fd, {rig.server.module->config().address, 7000})
+            .ok());
+  }
+  // Past TIME_WAIT (500 ms), short of the deadlines.
+  rig.bed.run_for(timeout / 2);
+  ASSERT_EQ(connected, n);
+
+  const std::uint64_t before = rig.bed.sim().events_processed();
+  rig.bed.run_for(timeout);
+  EXPECT_LE(rig.bed.sim().events_processed() - before, 1u);
+  EXPECT_EQ(glib_c.stats().ops_timed_out, 0u);
+}
+
 // The engine names a guest-created socket when it forwards req_socket, so
 // the flow is mapped, and its next op goes down, before the cmp_socket ever
 // reaches the guest. Batched interrupts with a 100 us delay spread the hops

@@ -12,7 +12,7 @@
 //   * the admission firewall rejects every forgery and the abuse escalator
 //     ends the storm with the hostile VM quarantined (monitor alert raised);
 //   * zero huge-page chunks leak on any channel, including the quarantined
-//     (detached, retired) hostile channel;
+//     hostile VM's, which the VM keeps after the engine detaches it;
 //   * per-shard accounting stays exact on both hosts:
 //       unroutable + dropped + stale + rejected
 //         == traced drops + untraced discards;
@@ -104,8 +104,8 @@ outcome run(bool attack, std::uint64_t seed, bool smoke) {
   mon.start();
 
   const virt::vm_id vm_h = rogue.vm->id();
-  // Captured before the storm: quarantine detaches the VM, but the retired
-  // attachment keeps the channel (and its pool) alive for the leak audit.
+  // Captured before the storm: quarantine detaches the VM, which keeps its
+  // channel (and pool), so the leak audit can still read it.
   core::channel* hch = ce.channel_of(vm_h);
   core::hostile_guest attacker{ce, vm_h, seed ^ 0x9e3779b97f4a7c15ull};
 

@@ -111,6 +111,8 @@ outcome run(core::nsm_form form, std::uint64_t seed) {
   // The replayed listener must accept brand-new connections. A refused
   // probe retries on a fresh socket, like any reconnecting client.
   if (out.failed_over) {
+    // rx.module died at the switchover; its replacement took the address.
+    const core::nsm* fresh = ce.nsm_by_id(sup.last_replacement());
     auto& gp = *prober.glib;
     bool connected = false;
     for (int attempt = 0; attempt < 20 && !connected; ++attempt) {
@@ -122,7 +124,7 @@ outcome run(core::nsm_form form, std::uint64_t seed) {
         if (t == stack::socket_event_type::connected) connected = true;
         if (t == stack::socket_event_type::error) failed = true;
       });
-      (void)gp.nk_connect(fd, {rx.module->config().address, 7000});
+      (void)gp.nk_connect(fd, {fresh->config().address, 7000});
       for (int i = 0; i < 100 && !connected && !failed; ++i) {
         bed.run_for(milliseconds(1));
       }

@@ -21,7 +21,8 @@
 //   * cost: publishing is off the data path — the tcp tenant's mice p99
 //     FCT with the full publish load stays within 2% of the stats-off run;
 //   * the PR 8 invariants survive: zero chunk leaks anywhere (including
-//     the retired hostile channel) and exact per-shard drop accounting.
+//     the quarantined hostile VM's channel, which the VM keeps after the
+//     engine detaches it) and exact per-shard drop accounting.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -306,8 +307,8 @@ outcome run(bool stats_on, std::uint64_t seed, bool smoke) {
   }
   check_page(qch, "nkq", 7001, 7011);  // post-failover sample, still clean
 
-  // Leak + accounting audit across both hosts, every shard (the retired
-  // hostile channel audited explicitly).
+  // Leak + accounting audit across both hosts, every shard (the detached
+  // hostile VM's channel audited explicitly).
   std::size_t chunks_total = hch->pool.chunk_count();
   std::size_t chunks_free = hch->pool.chunks_free();
   for (auto* engine : {&bed.netkernel(side::a), &bed.netkernel(side::b)}) {

@@ -1,8 +1,8 @@
 // The shared-memory plumbing between one tenant VM and its NSM (Figure 3):
 // per-engine-shard queue triples on the VM side (VM <-> CoreEngine) and the
 // NSM side (CoreEngine <-> ServiceLib), and the uniquely-keyed huge-page
-// pool both endpoints copy payload through. CoreEngine owns the channel and
-// is the only component that touches both sides.
+// pool both endpoints copy payload through. The tenant's GuestLib owns the
+// channel; CoreEngine is the only component that touches both sides.
 //
 // Sharding (multi-queue CoreEngine, NIC-RSS style): the channel carries one
 // ring set per engine shard and per side. Shard s's one drain loop pops
@@ -49,9 +49,9 @@ struct channel {
   shm::hugepage_pool pool;  // payload region, unique key per pair
 
   // Tenant-facing stat page (DESIGN.md §16): engine-written, guest-read-
-  // only. Lives on the channel so it survives quarantine (the retired
-  // attachment keeps the channel alive and the guest keeps its mapping —
-  // it just reads a frozen terminal snapshot).
+  // only. Lives on the channel so it survives quarantine (the VM owns the
+  // channel and the guest keeps its mapping — it just reads a frozen
+  // terminal snapshot).
   shm::stat_page stats;
 
   [[nodiscard]] std::size_t shards() const { return lanes_.size(); }

@@ -1,6 +1,7 @@
 #include "core/core_engine.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <string>
 #include <vector>
 
@@ -117,43 +118,26 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
   // every ServiceLib's and GuestLib's, so one pair of numbers captures the
   // failure-accounting invariant (delivered + deferred + dropped = produced).
   metrics_.register_gauge_fn("engine_nqes_deferred", [this] {
-    double d = static_cast<double>(stats().nqes_deferred);
-    for (const auto& [id, svc] : services_) {
-      d += static_cast<double>(svc->stats().nqes_deferred);
-    }
-    for (const auto& svc : retired_services_) {
-      d += static_cast<double>(svc->stats().nqes_deferred);
-    }
+    std::uint64_t n = stats().nqes_deferred + gone_services_.nqes_deferred +
+                      gone_guests_.jobs_deferred;
+    for (const auto& [id, svc] : services_) n += svc->stats().nqes_deferred;
     for (const auto& [vm, att] : attachments_) {
-      d += static_cast<double>(att.glib->stats().jobs_deferred);
+      n += att.glib->stats().jobs_deferred;
     }
-    for (const auto& att : retired_attachments_) {
-      d += static_cast<double>(att.glib->stats().jobs_deferred);
-    }
-    return d;
+    return static_cast<double>(n);
   });
   metrics_.register_gauge_fn("engine_nqes_dropped", [this] {
-    double d = static_cast<double>(stats().nqes_dropped);
-    for (const auto& [id, svc] : services_) {
-      d += static_cast<double>(svc->stats().nqes_dropped);
-    }
-    for (const auto& svc : retired_services_) {
-      d += static_cast<double>(svc->stats().nqes_dropped);
-    }
-    return d;
+    std::uint64_t n = stats().nqes_dropped + gone_services_.nqes_dropped;
+    for (const auto& [id, svc] : services_) n += svc->stats().nqes_dropped;
+    return static_cast<double>(n);
   });
   // Fault-domain accounting: nqes discarded because they were stamped by a
-  // retired NSM incarnation (engine side plus every ServiceLib, retired
-  // ones included — the invariant must survive replacement).
+  // dead NSM incarnation (engine side plus every ServiceLib, destroyed ones
+  // included — the invariant must survive replacement).
   metrics_.register_gauge_fn("engine_stale_nqes", [this] {
-    double d = static_cast<double>(stats().stale_nqes);
-    for (const auto& [id, svc] : services_) {
-      d += static_cast<double>(svc->stats().stale_nqes);
-    }
-    for (const auto& svc : retired_services_) {
-      d += static_cast<double>(svc->stats().stale_nqes);
-    }
-    return d;
+    std::uint64_t n = stats().stale_nqes + gone_services_.stale_nqes;
+    for (const auto& [id, svc] : services_) n += svc->stats().stale_nqes;
+    return static_cast<double>(n);
   });
   // Admission-firewall accounting (DESIGN.md §14): total rejections, the
   // per-reason split, the untraced-discard half of the drop invariant, and
@@ -177,50 +161,38 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
     return static_cast<double>(n);
   });
   metrics_.register_gauge_fn("engine_chunk_key_mismatch", [this] {
-    std::uint64_t n = 0;
+    std::uint64_t n = gone_services_.chunk_key_mismatch;
     for (const auto& sh : shards_) n += sh.chunk_key_mismatch;
     for (const auto& [id, svc] : services_) {
       n += svc->stats().chunk_key_mismatch;
     }
-    for (const auto& svc : retired_services_) {
-      n += svc->stats().chunk_key_mismatch;
-    }
     return static_cast<double>(n);
   });
-  // Defended frees across every attached (and retired) VM's pool: forged
-  // double-free / free-of-unowned descriptors the pool refused to apply.
+  // Defended frees across every VM's pool (detached ones in the totals):
+  // forged double-free / free-of-unowned descriptors the pool refused.
   metrics_.register_gauge_fn("engine_pool_bad_frees", [this] {
-    std::uint64_t n = 0;
+    std::uint64_t n = gone_bad_frees_;
     for (const auto& [vm, att] : attachments_) {
       n += att.ch->pool.bad_frees();
     }
-    for (const auto& att : retired_attachments_) {
-      n += att.ch->pool.bad_frees();
-    }
     return static_cast<double>(n);
   });
-  // Huge-page memory the kernel holds for every pool, live and retired. A
-  // detach returns its pool's free chunks, so this follows the live
-  // attachments' working sets, not how many attachments ever existed.
+  // Huge-page memory the kernel holds for the pools the engine serves. A
+  // detached pool is the tenant's business, and a detach first returns its
+  // free chunks, so this follows the live attachments' working sets.
   metrics_.register_gauge_fn("engine_pool_resident_bytes", [this] {
     std::size_t n = 0;
     for (const auto& [vm, att] : attachments_) {
       n += att.ch->pool.resident_bytes();
     }
-    for (const auto& att : retired_attachments_) {
-      n += att.ch->pool.resident_bytes();
-    }
     return static_cast<double>(n);
   });
   metrics_.register_gauge_fn("engine_ops_timed_out", [this] {
-    double d = 0.0;
+    std::uint64_t n = gone_guests_.ops_timed_out;
     for (const auto& [vm, att] : attachments_) {
-      d += static_cast<double>(att.glib->stats().ops_timed_out);
+      n += att.glib->stats().ops_timed_out;
     }
-    for (const auto& att : retired_attachments_) {
-      d += static_cast<double>(att.glib->stats().ops_timed_out);
-    }
-    return d;
+    return static_cast<double>(n);
   });
   metrics_.register_gauge_fn("engine_core_utilization", [this] {
     double util = 0.0;
@@ -346,8 +318,7 @@ void core_engine::publish_stat_pages() {
   for (auto& [vm, att] : attachments_) {
     (void)vm;
     // A VM attached under an active quarantine gets no fresh telemetry:
-    // its frozen terminal page (on the retired channel) stays the last
-    // word until parole.
+    // its fresh page stays unpublished until parole.
     if (att.abuse->level == abuse_level::quarantined) {
       continue;
     }
@@ -477,12 +448,12 @@ service_lib* core_engine::service_of(nsm_id id) {
 
 guest_lib* core_engine::guestlib_of(virt::vm_id vm) {
   auto it = attachments_.find(vm);
-  return it == attachments_.end() ? nullptr : it->second.glib.get();
+  return it == attachments_.end() ? nullptr : it->second.glib;
 }
 
 channel* core_engine::channel_of(virt::vm_id vm) {
   auto it = attachments_.find(vm);
-  return it == attachments_.end() ? nullptr : it->second.ch.get();
+  return it == attachments_.end() ? nullptr : it->second.ch;
 }
 
 std::vector<virt::vm_id> core_engine::attached_vms() const {
@@ -493,12 +464,16 @@ std::vector<virt::vm_id> core_engine::attached_vms() const {
 }
 
 guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
+  if (auto it = attachments_.find(vm.id()); it != attachments_.end()) {
+    return *it->second.glib;  // already attached
+  }
   attachment att;
   att.vm = &vm;
   att.module = &module;
-  att.ch = std::make_unique<channel>(vm.id(), module.id(),
-                                     host_.next_region_key(), cfg_.channel,
-                                     shards_.size());
+  auto owned_ch = std::make_unique<channel>(vm.id(), module.id(),
+                                           host_.next_region_key(),
+                                           cfg_.channel, shards_.size());
+  att.ch = owned_ch.get();
   // One lane per engine shard: each shard's drain loop drains only its own
   // ring set and re-drains only its own staged lanes.
   att.lanes.resize(shards_.size());
@@ -508,13 +483,21 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
     ln.next_accept_fd = accept_fd_base + static_cast<std::uint32_t>(s);
   }
 
-  channel* ch = att.ch.get();
+  channel* ch = att.ch;
   service_lib* service = services_.at(module.id()).get();
   service->attach_channel(*ch);
 
-  att.glib = std::make_unique<guest_lib>(vm, *ch, *this, cfg_.costs,
-                                         cfg_.notification, tracer_,
-                                         cfg_.guest);
+  auto glib = std::make_shared<guest_lib>(vm, std::move(owned_ch), *this,
+                                          cfg_.costs, cfg_.notification,
+                                          tracer_, cfg_.guest);
+  att.glib = glib.get();
+  // The VM owns GuestLib (and so the channel) from here on. Its previous
+  // one goes once the submissions it left on the vCPUs have run.
+  if (auto old = vm.set_guest_half(std::move(glib))) {
+    sim_time busy = sim_time::zero();
+    for (const auto* core : vm.vcpus()) busy = std::max(busy, core->backlog());
+    sim_.schedule(busy, [old = std::move(old)] {});
+  }
 
   // Channel queue-depth gauges (both queue sets, summed over shard lanes)
   // and lifetime nqe counters.
@@ -1122,9 +1105,9 @@ void core_engine::quarantine_vm(virt::vm_id vm, std::string reason) {
   log_info("core_engine: quarantined vm ", vm, " (", rec.reason, ")");
   // Freeze the guest-visible stat page with the terminal flag before the
   // detach scrub empties the flow table: the guest keeps its mapping (the
-  // retired attachment keeps the channel alive), and every read from now
-  // on returns this last snapshot with stat_frozen set — an in-guest nk_ss
-  // can tell "my stack is gone" from "my stack is idle".
+  // VM owns the channel), and every read from now on returns this last
+  // snapshot with stat_frozen set — an in-guest nk_ss can tell "my stack is
+  // gone" from "my stack is idle".
   publish_stat_page(att, /*freeze=*/true);
   // Abort the guest's local state first: the detach scrub below recycles
   // everything in rings, stages and mapping tables, but not the chunks
@@ -1234,12 +1217,14 @@ void core_engine::detach_vm(virt::vm_id vm) {
     }
   }
   // Give the scrubbed pool's memory back. Chunks the stopped GuestLib still
-  // holds stay resident and intact.
+  // holds stay resident and intact: the pool is the VM's now.
   att.ch->pool.release_free();
 
   metrics_.unregister_prefix("vm" + std::to_string(vm) + "_");
+  gone_guests_.jobs_deferred += att.glib->stats().jobs_deferred;
+  gone_guests_.ops_timed_out += att.glib->stats().ops_timed_out;
+  gone_bad_frees_ += att.ch->pool.bad_frees();
   log_info("core_engine: detached vm ", vm, " from nsm ", att.module->id());
-  retired_attachments_.push_back(std::move(att));
   attachments_.erase(it);
   if (attachments_.empty()) {
     for (auto& sh : shards_) sh.pump->stop();
@@ -1289,6 +1274,27 @@ void core_engine::replay_flow(attachment& att, std::size_t s,
     }
     deliver_to_nsm(att, s, e);
   }
+}
+
+void core_engine::destroy_nsm(nsm_id id) {
+  metrics_.unregister_prefix("nsm" + std::to_string(id) + "_");
+  if (auto sit = services_.find(id); sit != services_.end()) {
+    const service_lib_stats& st = sit->second->stats();
+    gone_services_.nqes_deferred += st.nqes_deferred;
+    gone_services_.nqes_dropped += st.nqes_dropped;
+    gone_services_.stale_nqes += st.stale_nqes;
+    gone_services_.chunk_key_mismatch += st.chunk_key_mismatch;
+    services_.erase(sit);
+  }
+  auto nit = std::find_if(nsms_.begin(), nsms_.end(),
+                          [id](const auto& m) { return m->id() == id; });
+  if (nit == nsms_.end()) return;
+  // Queued core work would call into the stack and ServiceLib; fail() stopped
+  // new work at least the replacement's boot time (>= 1 ms) ago.
+  assert(std::ranges::all_of((*nit)->cores(), [](const sim::cpu_core* c) {
+    return c->backlog() == sim_time::zero();
+  }));
+  nsms_.erase(nit);
 }
 
 void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
@@ -1357,21 +1363,7 @@ void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
     publish_stat_page(att);
   }
 
-  // Retire the dead incarnation. Kept alive — simulator callbacks and the
-  // pipeline-wide accounting gauges still reference it — but its own gauges
-  // go away and the monitor stops sampling it.
-  for (auto nit = nsms_.begin(); nit != nsms_.end(); ++nit) {
-    if ((*nit)->id() == old_id) {
-      retired_nsms_.push_back(std::move(*nit));
-      nsms_.erase(nit);
-      break;
-    }
-  }
-  if (auto sit = services_.find(old_id); sit != services_.end()) {
-    retired_services_.push_back(std::move(sit->second));
-    services_.erase(sit);
-  }
-  metrics_.unregister_prefix("nsm" + std::to_string(old_id) + "_");
+  destroy_nsm(old_id);
 
   metrics_.get_counter("sockets_recovered").inc(recovered);
   metrics_.get_counter("sockets_aborted").inc(aborted);

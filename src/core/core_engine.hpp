@@ -173,15 +173,15 @@ class core_engine {
 
   // Attaches a VM to an NSM: allocates the shared-memory channel, adds it to
   // the shards' drain loops, and returns the VM's GuestLib endpoint.
-  // Several VMs may attach to the same NSM (multiplexing, §2.1).
+  // Several VMs may attach to the same NSM (multiplexing, §2.1). The VM
+  // owns GuestLib and the channel (virt::machine::set_guest_half).
   guest_lib& attach_vm(virt::machine& vm, nsm& module);
 
   // Reverse of attach_vm: leaves the drain loops, removes both directions
   // of the mapping table (each flow scrubbed from exactly its owning shard),
-  // recycles every chunk still referenced by rings or staging lists, and
-  // unregisters the VM's gauges. The channel and GuestLib objects are
-  // retired, not destroyed — in-flight simulator callbacks may still hold
-  // pointers into them.
+  // recycles every chunk still referenced by rings or staging lists,
+  // unregisters the VM's gauges and forgets the attachment (its counters
+  // join the running totals). GuestLib and the channel stay with the VM.
   void detach_vm(virt::vm_id vm);
 
   // --- fault domains (NSM replacement) ----------------------------------------
@@ -196,16 +196,17 @@ class core_engine {
   // incarnation's epoch are discarded with accounting on both sides.
   // Steering is stable across failover: the epoch bump and each flow's
   // journal replay happen within the flow's owning shard, and a replayed
-  // flow keeps its cID. The old module is failed now if it is not already.
+  // flow keeps its cID. The old module is failed now if it is not already,
+  // and destroyed at the switchover (its counters join the running totals).
   nsm& replace_nsm(nsm_id failed_id, const nsm_config& cfg);
 
   // --- abuse quarantine (hostile-tenant hardening, DESIGN.md §14) -------------
   //
   // Forcibly detaches a VM that exhausted its violation budget (or that an
-  // operator condemns): its flows are aborted toward the guest with
-  // errc::nsm_reset-style errors, every chunk it still references is
-  // recycled through the detach_vm scrub path, a quarantine_record is
-  // appended for the health monitor, and `vms_quarantined` increments.
+  // operator condemns): its stat page freezes, its flows are aborted toward
+  // the guest with errc::nsm_reset-style errors, every chunk it still
+  // references is recycled through the detach_vm scrub path, a
+  // quarantine_record is appended, and `vms_quarantined` increments.
   // While the quarantine is active (until `readmit_at`, or forever when
   // probation is zero) a re-attach comes up quarantined: attached but with
   // its job lanes refused until probation expires or readmit_vm() clears it.
@@ -453,11 +454,12 @@ class core_engine {
   };
 
   // attach_vm sets every pointer member; none is ever null afterwards.
+  // `glib` (which owns `ch`) belongs to the VM.
   struct attachment {
     virt::machine* vm = nullptr;
     nsm* module = nullptr;
-    std::unique_ptr<channel> ch;
-    std::unique_ptr<guest_lib> glib;
+    channel* ch = nullptr;
+    guest_lib* glib = nullptr;
     std::vector<lane> lanes;  // one per engine shard
     std::uint8_t epoch = 0;   // NSM incarnation serving this channel
     std::unique_ptr<abuse_state> abuse;
@@ -509,10 +511,12 @@ class core_engine {
   void deliver_error_to_vm(attachment& att, std::size_t s, std::uint32_t fd,
                            errc err);
 
-  // Failover internals. switch_over retires the old module, re-points every
-  // attachment at the new one under a bumped epoch, replays journals and
-  // aborts connection state.
+  // Failover internals. switch_over re-points every attachment of the old
+  // module at the new one under a bumped epoch, replays journals, aborts
+  // connection state and destroys the old module.
   void switch_over(nsm_id old_id, nsm_id new_id, sim_time started);
+  // Folds the ServiceLib's counters into the totals and destroys both.
+  void destroy_nsm(nsm_id id);
   void replay_flow(attachment& att, std::size_t s, const flow_key& key,
                    flow_entry& fl);
   // Adds `key` to shard s's torn_down set unless the VM already holds
@@ -565,13 +569,11 @@ class core_engine {
   std::map<virt::vm_id, attachment> attachments_;
   nsm_id next_nsm_id_ = 1;
 
-  // Retired objects are kept alive, not destroyed: scheduled simulator
-  // callbacks and metric closures may still dereference them. Their gauges
-  // are unregistered and their stats keep feeding the pipeline-wide
-  // accounting sums, so invariants survive replacement and detach.
-  std::vector<std::unique_ptr<nsm>> retired_nsms_;
-  std::vector<std::unique_ptr<service_lib>> retired_services_;
-  std::vector<attachment> retired_attachments_;
+  // Running totals of destroyed ServiceLibs and detached GuestLibs and
+  // pools: the pipeline-wide sums survive failover and detach.
+  service_lib_stats gone_services_;
+  guest_lib_stats gone_guests_;
+  std::uint64_t gone_bad_frees_ = 0;
 
   // Append-only quarantine history; health_monitor consumes new entries
   // with a watermark and tests/benches read it for lifecycle assertions.

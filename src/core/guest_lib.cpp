@@ -13,18 +13,19 @@ namespace {
 constexpr std::size_t drain_batch = 128;
 }
 
-guest_lib::guest_lib(virt::machine& vm, channel& ch, core_engine& engine,
-                     const netkernel_costs& costs, const notify_config& ncfg,
-                     obs::nqe_tracer& tracer, const guest_lib_config& cfg)
+guest_lib::guest_lib(virt::machine& vm, std::unique_ptr<channel> ch,
+                     core_engine& engine, const netkernel_costs& costs,
+                     const notify_config& ncfg, obs::nqe_tracer& tracer,
+                     const guest_lib_config& cfg)
     : vm_{vm},
-      ch_{ch},
+      ch_{std::move(ch)},
       engine_{engine},
       costs_{costs},
       cfg_{cfg},
       tracer_{tracer} {
-  job_lanes_.reserve(ch.shards());
-  for (std::size_t s = 0; s < ch.shards(); ++s) {
-    job_lanes_.emplace_back(ch.vm_q(s).job);
+  job_lanes_.reserve(ch_->shards());
+  for (std::size_t s = 0; s < ch_->shards(); ++s) {
+    job_lanes_.emplace_back(ch_->vm_q(s).job);
   }
   pump_ = std::make_unique<queue_pump>(engine.simulator(), ncfg,
                                        [this] { drain(); });
@@ -60,7 +61,7 @@ void guest_lib::enqueue_job(std::size_t shard, shm::nqe e) {
   // Trace begins at the moment the nqe is bound for the VM-side job queue
   // (after the GuestLib interception cost), whether it lands on the ring
   // immediately or waits in the lane's stage.
-  tracer_.maybe_begin(e, /*reverse=*/false, vm_.id(), ch_.nsm);
+  tracer_.maybe_begin(e, /*reverse=*/false, vm_.id(), ch_->nsm);
   // Uncapped: jobs are never dropped; lane_backlogged gates the app instead.
   if (job_lanes_[shard].push(e, shm::staged_lane::no_cap) ==
       shm::push_result::ring) {
@@ -116,7 +117,7 @@ void guest_lib::free_chunk(const shm::data_descriptor& desc) {
   // GuestLib shares the pool with ServiceLib, so a consumed chunk goes
   // straight back to the free list; a read ServiceLib stalled on chunks
   // sees it on its next re-drain.
-  (void)ch_.pool.free(desc.chunk);
+  (void)ch_->pool.free(desc.chunk);
   ++stats_.chunks_freed_local;
 }
 
@@ -134,7 +135,7 @@ result<std::uint32_t> guest_lib::nk_socket() {
   const std::uint32_t fd = next_fd_++;
   g_socket gs;
   gs.core = pick_core();
-  gs.shard = shm::flow_shard(vm_.id(), fd, ch_.shards());
+  gs.shard = shm::flow_shard(vm_.id(), fd, ch_->shards());
   auto [it, inserted] = sockets_.emplace(fd, gs);
 
   shm::nqe e;
@@ -180,6 +181,9 @@ status guest_lib::nk_connect(std::uint32_t fd, net::socket_addr remote) {
   if (gs->ph == phase::connected || gs->ph == phase::connecting) {
     return errc::already_connected;
   }
+  // A failed socket stays failed, as POSIX leaves it after a failed connect:
+  // the app closes it and opens a new one.
+  if (gs->ph == phase::failed) return gs->err;
   gs->ph = phase::connecting;
 
   shm::nqe e;
@@ -251,7 +255,7 @@ result<std::size_t> guest_lib::nk_send(std::uint32_t fd, buffer data) {
                                           : gs->err;
   if (gs->ph == phase::closed) return errc::closed;
 
-  const std::size_t chunk_size = ch_.pool.chunk_size();
+  const std::size_t chunk_size = ch_->pool.chunk_size();
   std::size_t accepted = 0;
   while (accepted < data.size()) {
     if (gs->inflight >= gs->send_buffer || lane_backlogged(gs->shard)) {
@@ -259,7 +263,7 @@ result<std::size_t> guest_lib::nk_send(std::uint32_t fd, buffer data) {
       ++stats_.send_blocked;
       break;
     }
-    auto chunk = ch_.pool.alloc();
+    auto chunk = ch_->pool.alloc();
     if (!chunk) {
       gs->writable_blocked = true;
       starve_on_chunks();
@@ -268,7 +272,7 @@ result<std::size_t> guest_lib::nk_send(std::uint32_t fd, buffer data) {
     }
     const std::size_t len = std::min<std::uint64_t>(
         {chunk_size, data.size() - accepted, gs->send_buffer - gs->inflight});
-    auto span = ch_.pool.writable(chunk.value());
+    auto span = ch_->pool.writable(chunk.value());
     std::memcpy(span.value().data(), data.bytes().data() + accepted, len);
 
     shm::nqe e;
@@ -309,7 +313,7 @@ result<buffer> guest_lib::nk_recv(std::uint32_t fd, std::size_t max) {
     shm::data_descriptor view = item.desc;
     view.offset += item.consumed;
     view.length = take;
-    auto span = ch_.pool.readable(view);
+    auto span = ch_->pool.readable(view);
     if (!span) return span.error();
     out.insert(out.end(), span.value().begin(), span.value().end());
 
@@ -333,7 +337,7 @@ result<std::uint32_t> guest_lib::nk_udp_open(std::uint16_t port) {
   const std::uint32_t fd = next_fd_++;
   g_socket gs;
   gs.core = pick_core();
-  gs.shard = shm::flow_shard(vm_.id(), fd, ch_.shards());
+  gs.shard = shm::flow_shard(vm_.id(), fd, ch_->shards());
   gs.udp = true;
   gs.ph = phase::connected;  // datagram sockets are immediately usable
   auto [it, inserted] = sockets_.emplace(fd, gs);
@@ -353,19 +357,19 @@ result<std::size_t> guest_lib::nk_udp_send_to(std::uint32_t fd,
   auto* gs = socket_of(fd);
   if (gs == nullptr) return errc::not_found;
   if (!gs->udp) return errc::invalid_argument;
-  if (data.size() > ch_.pool.chunk_size()) return errc::invalid_argument;
+  if (data.size() > ch_->pool.chunk_size()) return errc::invalid_argument;
   if (gs->inflight + data.size() > gs->send_buffer ||
       lane_backlogged(gs->shard)) {
     ++stats_.send_blocked;
     return errc::would_block;
   }
-  auto chunk = ch_.pool.alloc();
+  auto chunk = ch_->pool.alloc();
   if (!chunk) {
     starve_on_chunks();
     ++stats_.send_blocked;
     return errc::would_block;
   }
-  auto span = ch_.pool.writable(chunk.value());
+  auto span = ch_->pool.writable(chunk.value());
   std::memcpy(span.value().data(), data.bytes().data(), data.size());
 
   shm::nqe e;
@@ -394,7 +398,7 @@ result<std::pair<net::socket_addr, buffer>> guest_lib::nk_udp_recv_from(
   gs->udp_rx.pop_front();
   gs->rx_bytes -= item.desc.length;
 
-  auto span = ch_.pool.readable(item.desc);
+  auto span = ch_->pool.readable(item.desc);
   if (!span) return span.error();
   buffer data = buffer::copy_of(span.value());
   gs->core->charge(costs_.memcpy_cost(data.size()));
@@ -423,7 +427,7 @@ result<shm::nk_sock_stats> guest_lib::nk_getsockopt(std::uint32_t fd,
   if (opt != nk_option::tcp_info) return errc::not_supported;
   if (socket_of(fd) == nullptr) return errc::not_found;
   shm::stat_snapshot snap;
-  if (!ch_.stats.ever_published() || !ch_.stats.read(snap)) {
+  if (!ch_->stats.ever_published() || !ch_->stats.read(snap)) {
     return errc::would_block;  // engine has not published yet
   }
   const shm::nk_sock_stats* row = snap.find(fd);
@@ -433,14 +437,14 @@ result<shm::nk_sock_stats> guest_lib::nk_getsockopt(std::uint32_t fd,
 
 result<shm::nk_vm_stats> guest_lib::nk_stack_stats() const {
   shm::stat_snapshot snap;
-  if (!ch_.stats.ever_published() || !ch_.stats.read(snap)) {
+  if (!ch_->stats.ever_published() || !ch_->stats.read(snap)) {
     return errc::would_block;
   }
   return snap.vm;
 }
 
 bool guest_lib::nk_stat_snapshot(shm::stat_snapshot& out) const {
-  return ch_.stats.ever_published() && ch_.stats.read(out);
+  return ch_->stats.ever_published() && ch_->stats.read(out);
 }
 
 status guest_lib::nk_stat_refresh() {
@@ -533,10 +537,10 @@ void guest_lib::drain() {
   std::size_t popped = 0;
   // All lanes, completions before events within each. The arrival lane is
   // the nqe's home shard — handle_nqe needs it to home accepted children.
-  for (std::size_t s = 0; s < ch_.shards(); ++s) {
+  for (std::size_t s = 0; s < ch_->shards(); ++s) {
     std::size_t lane_popped = 0;
     for (shm::nqe_queue* ring :
-         {&ch_.vm_q(s).completion, &ch_.vm_q(s).receive}) {
+         {&ch_->vm_q(s).completion, &ch_->vm_q(s).receive}) {
       while (popped < drain_batch && ring->pop(e)) {
         ++popped;
         ++lane_popped;
@@ -550,7 +554,7 @@ void guest_lib::drain() {
     // Freed out-ring space: let this shard flush anything it has staged.
     if (lane_popped > 0) engine_.notify(s);
   }
-  if (credit_returned_ || (chunk_starved_ && ch_.pool.chunks_free() > 0)) {
+  if (credit_returned_ || (chunk_starved_ && ch_->pool.chunks_free() > 0)) {
     wake_writers();
   } else if (chunk_starved_) {
     starve_on_chunks();

@@ -83,9 +83,11 @@ struct guest_lib_config {
 
 class guest_lib {
  public:
-  guest_lib(virt::machine& vm, channel& ch, core_engine& engine,
-            const netkernel_costs& costs, const notify_config& ncfg,
-            obs::nqe_tracer& tracer, const guest_lib_config& cfg = {});
+  // Owns `ch`, the shared memory it maps: it outlives a detach with the VM.
+  guest_lib(virt::machine& vm, std::unique_ptr<channel> ch,
+            core_engine& engine, const netkernel_costs& costs,
+            const notify_config& ncfg, obs::nqe_tracer& tracer,
+            const guest_lib_config& cfg = {});
   ~guest_lib();
 
   guest_lib(const guest_lib&) = delete;
@@ -157,7 +159,6 @@ class guest_lib {
   void abort_all(errc err);
 
   [[nodiscard]] const guest_lib_stats& stats() const { return stats_; }
-  [[nodiscard]] virt::machine& vm() { return vm_; }
 
   // Jobs staged locally across every lane (the stat page's staged_jobs).
   [[nodiscard]] std::size_t deferred_jobs() const {
@@ -253,7 +254,7 @@ class guest_lib {
   [[nodiscard]] sim::cpu_core* pick_core();
 
   virt::machine& vm_;
-  channel& ch_;
+  std::unique_ptr<channel> ch_;
   core_engine& engine_;
   netkernel_costs costs_;
   guest_lib_config cfg_;

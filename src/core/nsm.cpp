@@ -20,7 +20,8 @@ std::unique_ptr<stack::transport> make_transport(const std::string& name,
 }  // namespace
 
 nsm::nsm(virt::hypervisor& host, nsm_id id, const nsm_config& cfg)
-    : id_{id},
+    : host_{host},
+      id_{id},
       cfg_{cfg},
       profile_{profile_of(cfg.form)},
       vnic_{cfg.name + "/vnic"} {
@@ -48,7 +49,9 @@ nsm::nsm(virt::hypervisor& host, nsm_id id, const nsm_config& cfg)
 
   transport_ = make_transport(cfg_.transport, *stack_);
 
-  host.attach_nic(vnic_, cfg.address, cfg.sriov);
+  port_ = host.attach_nic(vnic_, cfg.address, cfg.sriov);
 }
+
+nsm::~nsm() { host_.detach_nic(port_); }
 
 }  // namespace nk::core

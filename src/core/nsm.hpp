@@ -4,7 +4,7 @@
 // The paper's prototype realizes NSMs as KVM VMs (1 core, 1 GB RAM, an
 // SR-IOV VF of the X710); §5 discusses containers and hypervisor modules as
 // alternative forms with different overhead/isolation trade-offs. The form
-// here selects an overhead profile (ablation A2 measures the difference).
+// here selects an overhead profile (A10 times each form's failover boot).
 #pragma once
 
 #include <cstdint>
@@ -82,6 +82,8 @@ struct nsm_config {
 class nsm {
  public:
   nsm(virt::hypervisor& host, nsm_id id, const nsm_config& cfg);
+  // Unplugs the vNIC; the stack and transport cancel their own timers.
+  ~nsm();
 
   nsm(const nsm&) = delete;
   nsm& operator=(const nsm&) = delete;
@@ -110,6 +112,7 @@ class nsm {
   [[nodiscard]] sim_time ready_at() const { return ready_at_; }
 
  private:
+  virt::hypervisor& host_;
   nsm_id id_;
   nsm_config cfg_;
   form_profile profile_;
@@ -117,6 +120,7 @@ class nsm {
   std::vector<sim::cpu_core*> cores_;
   std::unique_ptr<stack::netstack> stack_;
   std::unique_ptr<stack::transport> transport_;
+  int port_ = 0;  // the vNIC's vSwitch port
   sim_time ready_at_{};
 };
 

@@ -38,6 +38,10 @@ service_lib::service_lib(nsm& owner, sim::simulator& s,
   pump_ = std::make_unique<queue_pump>(s, ncfg, [this] { drain_jobs(); });
 }
 
+service_lib::~service_lib() {
+  for (auto& [cid, ps] : sockets_) ps.sla_retry.cancel();
+}
+
 void service_lib::attach_channel(channel& ch, std::uint8_t epoch) {
   served_vm svm;
   svm.ch = &ch;
@@ -102,6 +106,7 @@ void service_lib::fail() {
   // watchdog and CoreEngine's failover abort path notify the tenants.
   for (auto& [cid, ps] : sockets_) {
     if (ps.ssock != 0) (void)nsm_.transport().abort(ps.ssock);
+    ps.sla_retry.cancel();
     release_slot(ps);
     release_pins(ps);
   }
@@ -290,6 +295,7 @@ void service_lib::drop_socket(std::uint32_t cid) {
   if (auto vit = vms_.find(it->second.vm); vit != vms_.end()) {
     vit->second.stalled_reads.erase(cid);
   }
+  it->second.sla_retry.cancel();
   release_slot(it->second);
   release_pins(it->second);
   sockets_.erase(it);
@@ -321,9 +327,8 @@ void service_lib::drain_jobs() {
   // A real polling loop pops one operation, executes it, then pops the
   // next: work waits in the *ring*, not in some infinite CPU backlog. Model
   // that by stopping the drain once the core has a small amount of
-  // committed work — this is what makes prioritized rings effective
-  // (connection events can still bypass queued data events; nothing can
-  // bypass work already committed to the core).
+  // committed work, so the ring's occupancy is the backpressure the engine
+  // and the guest see.
   constexpr sim_time backlog_bound = microseconds(3);
   if (failed_) return;
   bool left_behind = false;
@@ -513,8 +518,8 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
         out.status = -static_cast<std::int32_t>(errc::not_found);
       } else if (ps->ssock != 0) {
         // The socket already has a stack connection and the guest sent
-        // another connect: a forged nqe, or a reconnect after a failed
-        // connect (GuestLib refuses one while a connect is pending or up).
+        // another connect: a forged nqe (GuestLib refuses a second connect
+        // on a socket whose connect is pending, up or failed).
         // Acknowledging without a second connect leaves the first
         // connection and the connection quota untouched.
       } else if (!sla_.allow_connection(*svm.tenant)) {
@@ -971,18 +976,14 @@ bool service_lib::push_unsent(served_vm& svm, proto_socket& ps) {
   while (ps.unsent > 0) {
     tx_pin& pin = ps.tx[ps.tx.size() - ps.unsent];
     if (!sla_.allow_send(*svm.tenant, pin.unsent.size(), sim_.now())) {
-      if (!ps.sla_retry_armed) {
-        ps.sla_retry_armed = true;
+      if (!ps.sla_retry.pending()) {
         const sim_time at =
             sla_.retry_at(*svm.tenant, pin.unsent.size(), sim_.now());
         const std::uint32_t cid = ps.cid;
-        sim_.schedule_at(std::max(at, sim_.now() + microseconds(1)),
-                         [this, cid] {
-                           if (auto* p = socket_by_cid(cid)) {
-                             p->sla_retry_armed = false;
-                             pump_sends(*p);
-                           }
-                         });
+        ps.sla_retry = sim_.schedule_at(
+            std::max(at, sim_.now() + microseconds(1)), [this, cid] {
+              if (auto* p = socket_by_cid(cid)) pump_sends(*p);
+            });
       }
       return false;
     }

@@ -60,6 +60,8 @@ class service_lib {
               const notify_config& ncfg, obs::nqe_tracer& tracer,
               std::size_t overflow_limit, sla_manager& sla,
               std::function<void(std::size_t)> notify_engine);
+  // Cancels pending rate-cap retries; the NSM core must be idle.
+  ~service_lib();
 
   service_lib(const service_lib&) = delete;
   service_lib& operator=(const service_lib&) = delete;
@@ -107,7 +109,6 @@ class service_lib {
   static constexpr std::uint32_t child_cid_base = 0x80000000;
 
   [[nodiscard]] const service_lib_stats& stats() const { return stats_; }
-  [[nodiscard]] nsm& module() { return nsm_; }
 
   // Staged (overflowed) completion/receive nqes held for one served VM —
   // nonzero means the NSM-side out-rings filled faster than CoreEngine
@@ -179,7 +180,7 @@ class service_lib {
     std::size_t unsent = 0;
     std::uint64_t queued = 0;
     std::uint64_t owed = 0;
-    bool sla_retry_armed = false;
+    sim::timer sla_retry;  // rate-cap resume, pending while armed
     bool holds_slot = false;  // counted against the VM's connection quota
     // A req_shutdown_wr or req_close waits for the bytes of the req_sends
     // queued ahead of it to reach the stack; it must never outrun them.

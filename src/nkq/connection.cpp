@@ -41,7 +41,10 @@ connection::connection(sim::simulator& sim, const nkq_config& cfg,
   }
 }
 
-connection::~connection() { pto_timer_.cancel(); }
+connection::~connection() {
+  pto_timer_.cancel();
+  connected_timer_.cancel();
+}
 
 void connection::connect(std::uint64_t token) {
   if (server_ || state_ != conn_state::connecting) return;
@@ -52,7 +55,7 @@ void connection::connect(std::uint64_t token) {
     resumed_ = true;
     state_ = conn_state::established;
     cc_->on_established(sim_.now());
-    sim_.schedule(sim_time::zero(), [this] {
+    connected_timer_ = sim_.schedule(sim_time::zero(), [this] {
       if (state_ != conn_state::closed && cb_.on_connected) cb_.on_connected();
     });
   }

@@ -208,6 +208,7 @@ class connection {
   bool rtt_valid_ = false;
   int pto_count_ = 0;
   sim::timer pto_timer_;
+  sim::timer connected_timer_;  // a resumed connect's on_connected
   bool pto_armed_ = false;
   std::uint64_t delivered_ = 0;
   double delivery_rate_ = 0.0;

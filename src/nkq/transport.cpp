@@ -26,6 +26,11 @@ nkq_transport::nkq_transport(stack::netstack& base, nkq_config cfg)
   });
 }
 
+nkq_transport::~nkq_transport() {
+  dispatch_.cancel();
+  for (auto& r : reaps_) r.cancel();
+}
+
 nkq_config nkq_transport::derive_config(const tcp::tcp_config& cfg) const {
   nkq_config out = defaults_;
   out.cc = cfg.cc;
@@ -144,11 +149,14 @@ status nkq_transport::close(stack::socket_id sock) {
   // acks and retransmissions flow until every byte is delivered.
   it->second.closing = true;
   it->second.conn->close();
-  if (it->second.conn->state() == conn_state::closed) {
-    net_.simulator().schedule(sim_time::zero(),
-                              [this, sock] { reap(sock); });
-  }
+  if (it->second.conn->state() == conn_state::closed) reap_later(sock);
   return errc::ok;
+}
+
+void nkq_transport::reap_later(stack::socket_id sock) {
+  while (!reaps_.empty() && !reaps_.front().pending()) reaps_.pop_front();
+  reaps_.push_back(net_.simulator().schedule(sim_time::zero(),
+                                             [this, sock] { reap(sock); }));
 }
 
 void nkq_transport::reap(stack::socket_id sock) {
@@ -302,8 +310,7 @@ connection::callbacks nkq_transport::callbacks_for(stack::socket_id sock) {
       // Locally-initiated close finished draining (or timed out): tear the
       // entry down off this frame. The event still goes up — ServiceLib
       // holds the unacknowledged bytes' chunks until it hears the end.
-      net_.simulator().schedule(sim_time::zero(),
-                                [this, sock] { reap(sock); });
+      reap_later(sock);
     }
     if (err == errc::ok) {
       push_event({sock, stack::socket_event_type::closed, errc::ok});
@@ -316,13 +323,12 @@ connection::callbacks nkq_transport::callbacks_for(stack::socket_id sock) {
 
 void nkq_transport::push_event(stack::socket_event ev) {
   events_.push_back(ev);
-  if (dispatch_scheduled_) return;
-  dispatch_scheduled_ = true;
-  net_.simulator().schedule(sim_time::zero(), [this] { dispatch_events(); });
+  if (dispatch_.pending()) return;
+  dispatch_ = net_.simulator().schedule(sim_time::zero(),
+                                        [this] { dispatch_events(); });
 }
 
 void nkq_transport::dispatch_events() {
-  dispatch_scheduled_ = false;
   while (!events_.empty()) {
     const stack::socket_event ev = events_.front();
     events_.pop_front();

@@ -41,6 +41,7 @@ struct nkq_transport_stats {
 class nkq_transport final : public stack::transport {
  public:
   explicit nkq_transport(stack::netstack& base, nkq_config cfg = {});
+  ~nkq_transport() override;  // cancels the pending dispatch and reaps
 
   [[nodiscard]] std::string_view kind() const override { return "nkq"; }
 
@@ -110,6 +111,8 @@ class nkq_transport final : public stack::transport {
   void push_event(stack::socket_event ev);
   void dispatch_events();
   void reap(stack::socket_id sock);
+  // Reaps `sock` from a fresh event (we may be inside its connection).
+  void reap_later(stack::socket_id sock);
 
   stack::netstack& net_;
   nkq_config defaults_;
@@ -126,7 +129,8 @@ class nkq_transport final : public stack::transport {
 
   stack::netstack::event_handler upstream_;
   std::deque<stack::socket_event> events_;
-  bool dispatch_scheduled_ = false;
+  sim::timer dispatch_;
+  std::deque<sim::timer> reaps_;  // zero-delay, so fired ones lead
 
   nkq_transport_stats stats_;
 };

@@ -77,26 +77,6 @@ enum class nqe_op : std::uint8_t {
   return "unknown";
 }
 
-// Classification used by the priority queue pair (paper §3.2: handle
-// connection events and data events separately to avoid HoL blocking).
-[[nodiscard]] constexpr bool is_connection_event(nqe_op op) {
-  switch (op) {
-    case nqe_op::req_socket:
-    case nqe_op::req_bind:
-    case nqe_op::req_listen:
-    case nqe_op::req_connect:
-    case nqe_op::req_close:
-    case nqe_op::req_udp_open:
-    case nqe_op::cmp_socket:
-    case nqe_op::cmp_connected:
-    case nqe_op::ev_accept:
-    case nqe_op::ev_closed:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Role gate for the CoreEngine admission firewall (DESIGN.md §14): the
 // guest-writable job rings may only carry requests. A completion, event or
 // invalid opcode popped from a VM queue is a forgery — only the provider

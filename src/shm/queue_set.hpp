@@ -3,9 +3,9 @@
 // queue (asynchronous data/accept events out). Both a tenant VM and an NSM
 // own one set; CoreEngine shuttles nqes between the two sets.
 //
-// Each logical queue can optionally be *prioritized* (paper §3.2): it is
-// then backed by two rings so connection events bypass queued data events,
-// avoiding head-of-line blocking (ablation A3 measures the difference).
+// Each queue is one FIFO ring. The paper (§3.2) suggests a second ring so
+// connection events bypass queued data events; no workload here builds the
+// data backlog that would need it (EXPERIMENTS A3).
 #pragma once
 
 #include <cstddef>
@@ -17,55 +17,27 @@ namespace nk::shm {
 
 struct queue_config {
   std::size_t depth = 4096;  // slots per ring
-  bool prioritized = false;  // split connection vs data events
 };
 
 class nqe_queue {
  public:
-  explicit nqe_queue(const queue_config& cfg = {})
-      : data_ring_{cfg.depth},
-        conn_ring_{cfg.prioritized ? cfg.depth : 2},
-        prioritized_{cfg.prioritized} {}
+  explicit nqe_queue(const queue_config& cfg = {}) : ring_{cfg.depth} {}
 
-  [[nodiscard]] bool push(const nqe& e) {
-    if (prioritized_ && is_connection_event(e.op)) {
-      return conn_ring_.try_push(e);
-    }
-    return data_ring_.try_push(e);
-  }
+  [[nodiscard]] bool push(const nqe& e) { return ring_.try_push(e); }
+  [[nodiscard]] bool pop(nqe& out) { return ring_.try_pop(out); }
 
-  // Connection events drain first when prioritized.
-  [[nodiscard]] bool pop(nqe& out) {
-    if (prioritized_ && conn_ring_.try_pop(out)) return true;
-    return data_ring_.try_pop(out);
-  }
-
-  [[nodiscard]] bool peek(nqe& out) const {
-    if (prioritized_ && conn_ring_.try_peek(out)) return true;
-    return data_ring_.try_peek(out);
-  }
-
-  [[nodiscard]] std::size_t size_approx() const {
-    return data_ring_.size_approx() +
-           (prioritized_ ? conn_ring_.size_approx() : 0);
-  }
+  [[nodiscard]] std::size_t size_approx() const { return ring_.size_approx(); }
   [[nodiscard]] bool empty_approx() const { return size_approx() == 0; }
-  [[nodiscard]] bool prioritized() const { return prioritized_; }
 
-  // Usable slots of the data ring (rounded up from queue_config::depth).
-  [[nodiscard]] std::size_t capacity() const { return data_ring_.capacity(); }
+  // Usable slots (rounded up from queue_config::depth).
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
 
-  // Free slots on the ring that carries data events — the ring whose
-  // occupancy actually tracks load. Producers use this to decide whether to
-  // keep generating work; it is a conservative (consumer-lagged) bound.
-  [[nodiscard]] std::size_t space_approx() const {
-    return data_ring_.free_approx();
-  }
+  // Free slots. Producers use this to decide whether to keep generating
+  // work; it is a conservative (consumer-lagged) bound.
+  [[nodiscard]] std::size_t space_approx() const { return ring_.free_approx(); }
 
  private:
-  spsc_ring<nqe> data_ring_;
-  spsc_ring<nqe> conn_ring_;  // minimal allocation when unused
-  bool prioritized_;
+  spsc_ring<nqe> ring_;
 };
 
 // One endpoint's view of the shared-memory control region.

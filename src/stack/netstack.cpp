@@ -24,6 +24,11 @@ netstack::netstack(sim::simulator& s, netstack_config cfg, net::ipv4_addr addr)
       addr_{addr},
       next_ephemeral_{ephemeral_base} {}
 
+netstack::~netstack() {
+  dispatch_.cancel();
+  for (auto& reap : reaps_) reap.cancel();
+}
+
 void netstack::bind_nic(phys::nic& dev) {
   dev_ = &dev;
   dev.set_receive_handler([this](net::packet p) { packet_arrived(std::move(p)); });
@@ -62,16 +67,14 @@ sim::cpu_core* netstack::pick_core() {
 
 void netstack::push_event(socket_event ev) {
   events_.push_back(ev);
-  if (handler_ && !dispatch_scheduled_) {
-    dispatch_scheduled_ = true;
+  if (handler_ && !dispatch_.pending()) {
     // Deliver from a fresh simulator event so application callbacks never
     // run re-entrantly inside TCP processing.
-    sim_.schedule(sim_time::zero(), [this] { dispatch_events(); });
+    dispatch_ = sim_.schedule(sim_time::zero(), [this] { dispatch_events(); });
   }
 }
 
 void netstack::dispatch_events() {
-  dispatch_scheduled_ = false;
   while (handler_ && !events_.empty()) {
     socket_event ev = events_.front();
     events_.pop_front();
@@ -81,9 +84,8 @@ void netstack::dispatch_events() {
 
 void netstack::set_event_handler(event_handler handler) {
   handler_ = std::move(handler);
-  if (handler_ && !events_.empty() && !dispatch_scheduled_) {
-    dispatch_scheduled_ = true;
-    sim_.schedule(sim_time::zero(), [this] { dispatch_events(); });
+  if (handler_ && !events_.empty() && !dispatch_.pending()) {
+    dispatch_ = sim_.schedule(sim_time::zero(), [this] { dispatch_events(); });
   }
 }
 
@@ -152,12 +154,13 @@ socket_id netstack::make_connection(net::four_tuple tuple,
     tcp_demux_.erase(tuple);
     // Reap the socket entry once the tcb has unwound (we may be inside one
     // of its member functions right now).
-    sim_.schedule(sim_time::zero(), [this, sock] {
+    while (!reaps_.empty() && !reaps_.front().pending()) reaps_.pop_front();
+    reaps_.push_back(sim_.schedule(sim_time::zero(), [this, sock] {
       if (auto* c = connection_of(sock);
           c != nullptr && c->tcb->state() == tcp::tcp_state::closed) {
         sockets_.erase(sock);
       }
-    });
+    }));
   };
 
   const auto iss = static_cast<std::uint32_t>(sim_.random().next_u64());

@@ -117,6 +117,8 @@ struct socket_entry {
 class netstack {
  public:
   netstack(sim::simulator& s, netstack_config cfg, net::ipv4_addr addr);
+  // Cancels the pending dispatch and reaps; the cores must be idle.
+  ~netstack();
 
   netstack(const netstack&) = delete;
   netstack& operator=(const netstack&) = delete;
@@ -230,7 +232,8 @@ class netstack {
 
   std::deque<socket_event> events_;
   event_handler handler_;
-  bool dispatch_scheduled_ = false;
+  sim::timer dispatch_;
+  std::deque<sim::timer> reaps_;  // zero-delay, so fired ones lead
 
   // Frames of the bursts each core is still paying for, oldest first.
   struct tx_queue {

@@ -52,6 +52,8 @@ class hypervisor {
 
   // Registers an extra nic (e.g. an NSM's vNIC) on the vSwitch.
   int attach_nic(phys::nic& dev, net::ipv4_addr addr, bool sriov);
+  // Unplugs the nic on `port` (returned by attach_nic) before it dies.
+  void detach_nic(int port) { vswitch_.remove_port(port); }
 
   // Unique shared-memory region keys (IVSHMEM broker role).
   [[nodiscard]] std::uint32_t next_region_key() { return next_region_key_++; }

@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
@@ -63,12 +64,20 @@ class machine {
   // In-guest stack; nullptr when the VM is NetKernel-only.
   [[nodiscard]] stack::netstack* guest_stack() { return guest_stack_.get(); }
 
+  // The tenant half of a NetKernel attachment (GuestLib and the shared
+  // memory it maps), owned like any in-guest library: it outlives a detach
+  // and goes with the VM or the next half. Returns the previous half.
+  std::shared_ptr<void> set_guest_half(std::shared_ptr<void> half) {
+    return std::exchange(guest_half_, std::move(half));
+  }
+
  private:
   vm_id id_;
   vm_config cfg_;
   phys::nic vnic_;
   std::vector<sim::cpu_core*> vcpus_;
   std::unique_ptr<stack::netstack> guest_stack_;
+  std::shared_ptr<void> guest_half_;  // last: GuestLib refers to this VM
 };
 
 }  // namespace nk::virt

@@ -11,6 +11,11 @@ int vswitch::add_port(egress out, bool bypass) {
   return static_cast<int>(ports_.size()) - 1;
 }
 
+void vswitch::remove_port(int port) {
+  ports_[static_cast<std::size_t>(port)].out = nullptr;
+  std::erase_if(routes_, [port](const auto& r) { return r.second == port; });
+}
+
 bool vswitch::is_bypass(int port_index) const {
   if (port_index == uplink_port) return true;  // pNIC is the hardware side
   return ports_[static_cast<std::size_t>(port_index)].bypass;
@@ -46,7 +51,8 @@ void vswitch::deliver(net::packet p, int to_port) {
     if (uplink_) uplink_(std::move(p));
     return;
   }
-  ports_[static_cast<std::size_t>(to_port)].out(std::move(p));
+  auto& out = ports_[static_cast<std::size_t>(to_port)].out;
+  if (out) out(std::move(p));  // a removed port drops it
 }
 
 }  // namespace nk::virt

@@ -44,6 +44,9 @@ class vswitch {
 
   // Adds a port. `bypass` = SR-IOV VF on the embedded switch.
   int add_port(egress out, bool bypass);
+  // Unplugs a port: packets still bound for it are dropped, and every
+  // route that names it goes (a route another port took over stays).
+  void remove_port(int port);
 
   // The uplink to the pNIC (hardware side; counts as bypass).
   void set_uplink(egress out) { uplink_ = std::move(out); }

@@ -814,6 +814,52 @@ TEST(netkernel_guestlib, settled_connects_leave_one_watchdog_event) {
   EXPECT_EQ(glib_c.stats().ops_timed_out, 0u);
 }
 
+// A socket whose connect failed stays failed: connecting it again returns
+// the stored error at once and submits nothing. (ServiceLib acknowledges a
+// repeated connect without starting one, so a submitted reconnect would
+// only wait for the connect deadline.)
+TEST(netkernel_guestlib, reconnect_on_a_failed_socket_fails_at_once) {
+  constexpr sim_time timeout = milliseconds(50);
+  nk_pair rig{tcp::cc_algorithm::cubic, 31, [&](apps::testbed_params& p) {
+    p.netkernel.guest.connect_timeout = timeout;
+  }};
+  auto& glib_s = *rig.server.glib;
+  const auto lfd = glib_s.nk_socket().value();
+  ASSERT_TRUE(glib_s.nk_bind(lfd, 7000).ok());
+  ASSERT_TRUE(glib_s.nk_listen(lfd).ok());
+  rig.bed.run_for(milliseconds(1));
+
+  auto& glib_c = *rig.client.glib;
+  std::vector<errc> errors;
+  bool connected = false;
+  glib_c.set_event_handler(
+      [&](std::uint32_t, stack::socket_event_type t, errc e) {
+        if (t == stack::socket_event_type::error) errors.push_back(e);
+        if (t == stack::socket_event_type::connected) connected = true;
+      });
+  const net::ipv4_addr server = rig.server.module->config().address;
+  const auto fd = glib_c.nk_socket().value();
+  ASSERT_TRUE(glib_c.nk_connect(fd, {server, 7001}).ok());  // no listener
+  rig.bed.run_for(milliseconds(10));
+  ASSERT_EQ(errors.size(), 1u);  // the peer's RST
+  const errc refused = errors.front();
+  ASSERT_NE(refused, errc::timed_out);
+
+  const service_lib* svc =
+      rig.bed.netkernel(side::a).service_of(rig.client.module->id());
+  const std::uint64_t processed = svc->stats().ops_processed;
+  const std::uint64_t issued = glib_c.stats().ops_issued;
+  const status again = glib_c.nk_connect(fd, {server, 7000});
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error(), refused);
+  rig.bed.run_for(timeout * 2);
+  EXPECT_EQ(svc->stats().ops_processed, processed);
+  EXPECT_EQ(glib_c.stats().ops_issued, issued);
+  EXPECT_EQ(errors.size(), 1u);  // no timed_out
+  EXPECT_EQ(glib_c.stats().ops_timed_out, 0u);
+  EXPECT_FALSE(connected);
+}
+
 // The engine names a guest-created socket when it forwards req_socket, so
 // the flow is mapped, and its next op goes down, before the cmp_socket ever
 // reaches the guest. Batched interrupts with a 100 us delay spread the hops
@@ -1207,7 +1253,8 @@ TEST(core_engine, detach_vm_reclaims_channel_and_metrics) {
   EXPECT_EQ(ce.guestlib_of(vm1), nullptr);
   EXPECT_FALSE(ce.metrics().value_of(prefix + "vmq_job_depth").has_value());
   EXPECT_EQ(ce.attached_vms().size(), 1u);
-  // The retired channel's pool got every chunk back.
+  // The detached channel's pool (the VM still owns it) got every chunk
+  // back.
   EXPECT_EQ(ch->pool.chunks_free(), ch->pool.chunk_count());
 
   // The surviving tenant on the same NSM is unaffected.
@@ -1648,8 +1695,8 @@ TEST(netkernel_firewall, escalation_quarantines_rogue_and_spares_neighbor) {
   EXPECT_EQ(rig.engine().abuse_level_of(rig.rogue_id()), abuse_level::ok);
   rig.storm_until_quarantined(attacker);
 
-  // The rogue ends quarantined and detached; its channel is retired but the
-  // decision is on the record.
+  // The rogue ends quarantined and detached (the engine no longer holds its
+  // channel), and the decision is on the record.
   EXPECT_TRUE(rig.engine().quarantined(rig.rogue_id()));
   EXPECT_EQ(rig.engine().abuse_level_of(rig.rogue_id()),
             abuse_level::quarantined);
@@ -1691,7 +1738,7 @@ TEST(netkernel_firewall, escalation_quarantines_rogue_and_spares_neighbor) {
   rig.bed.run_for(milliseconds(100));
   EXPECT_TRUE(connected);
 
-  // No chunk leaked anywhere, the retired rogue channel included.
+  // No chunk leaked on any attached channel.
   for (const auto vm : rig.engine().attached_vms()) {
     auto* ch = rig.engine().channel_of(vm);
     EXPECT_EQ(ch->pool.chunks_free(), ch->pool.chunk_count());
@@ -1875,7 +1922,7 @@ TEST(netkernel_statpage, failover_bumps_page_epoch) {
 }
 
 // Quarantine freezes the page: the terminal snapshot carries stat_frozen and
-// never advances again, even though the retired channel stays mapped.
+// never advances again, even though the VM keeps the channel mapped.
 TEST(netkernel_statpage, quarantine_freezes_page) {
   firewall_rig rig{sim_time::zero()};
   auto& rogue_glib = *rig.rogue->glib;
@@ -1883,8 +1930,8 @@ TEST(netkernel_statpage, quarantine_freezes_page) {
   rig.storm_until_quarantined(attacker);
   ASSERT_TRUE(rig.engine().quarantined(rig.rogue_id()));
 
-  // The guest can still read its (terminal) page through the retired
-  // channel and learns why its sockets died.
+  // The guest can still read its (terminal) page through the channel its
+  // VM owns and learns why its sockets died.
   shm::stat_snapshot snap;
   ASSERT_TRUE(rogue_glib.nk_stat_snapshot(snap));
   EXPECT_NE(snap.vm.flags & shm::stat_frozen, 0u);
@@ -1923,7 +1970,7 @@ TEST(netkernel_firewall, manual_readmit_clears_permanent_quarantine) {
 // --- memory per attachment ----------------------------------------------------
 
 // 200 attach -> echo traffic -> retire cycles on one multiplexed NSM; even
-// cycles detach, odd cycles quarantine and readmit. Every retired pool gives
+// cycles detach, odd cycles quarantine and readmit. Every detached pool gives
 // its pages back, so after each cycle the engine's resident pool memory is
 // the live tenant's working set plus at most one pool's, however many
 // attachments have come and gone.
@@ -1931,8 +1978,8 @@ TEST(netkernel_memory, attach_retire_churn_keeps_pool_memory_bounded) {
   testbed bed{[] {
     auto p = apps::datacenter_params(21);
     p.netkernel.shards = 2;
-    // Retired attachments keep their ring storage; small rings keep 200 of
-    // them cheap.
+    // Detached VMs keep their channels (rings included); small rings keep
+    // 200 of them cheap.
     p.netkernel.channel.queues.depth = 64;
     return p;
   }()};
@@ -1981,7 +2028,7 @@ TEST(netkernel_memory, attach_retire_churn_keeps_pool_memory_bounded) {
         10, 0, static_cast<std::uint8_t>(3 + cycle / 200),
         static_cast<std::uint8_t>(1 + cycle % 200));
     auto t = bed.attach_netkernel_vm(side::a, vm_cfg, *anchor.module);
-    guest_lib* g = t.glib;  // retired, never destroyed: safe to capture
+    guest_lib* g = t.glib;  // owned by its VM, which outlives the test
     const auto vm = t.vm->id();
     const auto fd = g->nk_socket().value();
     echoed = 0;
@@ -2033,6 +2080,187 @@ TEST(netkernel_memory, attach_retire_churn_keeps_pool_memory_bounded) {
   EXPECT_GT(one_pool, 0.0);
   EXPECT_EQ(resident("engine_pool_resident_bytes"), resident(anchor_gauge));
   EXPECT_EQ(ce.metrics().value_of("engine_pool_bad_frees").value_or(-1.0), 0.0);
+}
+
+// A VM that attaches again gets a new GuestLib (and channel). The old one
+// goes only once the submissions it left on the vCPUs have run: here a
+// socket and a connect issued just before the detach, still being charged
+// when the VM attaches again.
+TEST(netkernel_memory, reattach_frees_the_old_guestlib_after_its_vcpu_work) {
+  nk_pair rig;
+  auto& gs = *rig.server.glib;
+  const auto lfd = gs.nk_socket().value();
+  ASSERT_TRUE(gs.nk_bind(lfd, 7000).ok());
+  ASSERT_TRUE(gs.nk_listen(lfd).ok());
+  rig.bed.run_for(milliseconds(1));
+
+  core_engine& ce = rig.bed.netkernel(side::a);
+  const net::socket_addr server{rig.server.module->config().address, 7000};
+  guest_lib* old = rig.client.glib;
+  const auto old_fd = old->nk_socket().value();
+  ASSERT_TRUE(old->nk_connect(old_fd, server).ok());
+  ASSERT_GT(rig.client.vm->vcpus().front()->backlog(), sim_time::zero());
+  ce.detach_vm(rig.client.vm->id());
+  guest_lib& fresh = ce.attach_vm(*rig.client.vm, *rig.client.module);
+  ASSERT_NE(&fresh, old);
+
+  bool connected = false;
+  const auto fd = fresh.nk_socket().value();
+  fresh.set_event_handler([&](std::uint32_t f, stack::socket_event_type t,
+                              errc) {
+    if (f == fd && t == stack::socket_event_type::connected) connected = true;
+  });
+  ASSERT_TRUE(fresh.nk_connect(fd, server).ok());
+  rig.bed.run_for(milliseconds(5));
+  EXPECT_TRUE(connected);
+  const channel* ch = ce.channel_of(rig.client.vm->id());
+  ASSERT_NE(ch, nullptr);
+  EXPECT_EQ(ch->nqes_vm_to_nsm(), 2u);  // only the new GuestLib's jobs
+}
+
+// 50 replacements of a served NSM. In every cycle the tenant holds a
+// listener (replayed onto each replacement, and still accepting) and an
+// established echo flow with bytes in flight (aborted with nsm_reset). Each
+// switchover destroys the dead module: the engine keeps only live modules,
+// every chunk comes home, and the drop accounting loses nothing the dead
+// ServiceLib had counted.
+TEST(netkernel_memory, failover_churn_frees_every_dead_module) {
+  testbed bed{[] {
+    auto p = apps::datacenter_params(23);
+    p.netkernel.shards = 2;
+    return p;
+  }()};
+  nsm_config nsm_cfg;
+  nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
+  nsm_cfg.form = nsm_form::hypervisor_module;  // 1 ms boot
+  virt::vm_config vm_cfg;
+  vm_cfg.name = "echo";
+  nsm_cfg.name = "nsm-b";
+  auto echo = bed.add_netkernel_vm(side::b, vm_cfg, nsm_cfg);
+  vm_cfg.name = "tenant";
+  nsm_cfg.name = "nsm-a";
+  auto tenant = bed.add_netkernel_vm(side::a, vm_cfg, nsm_cfg);
+  // The tenant's module dies in the first cycle; keep what outlives it.
+  nsm_config fresh_cfg = tenant.module->config();
+  nsm_id current = tenant.module->id();
+  const net::ipv4_addr echo_addr = echo.module->config().address;
+  const net::ipv4_addr tenant_addr = fresh_cfg.address;
+  constexpr std::size_t payload = 32 * 1024;
+
+  // Side b: an echo server on 7000 and, each cycle, a probe that connects
+  // to the tenant's listener and closes once connected.
+  using ev = stack::socket_event_type;
+  auto& gb = *echo.glib;
+  const auto echo_lfd = gb.nk_socket().value();
+  ASSERT_TRUE(gb.nk_bind(echo_lfd, 7000).ok());
+  ASSERT_TRUE(gb.nk_listen(echo_lfd).ok());
+  std::set<std::uint32_t> probes;
+  int probes_connected = 0;
+  gb.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                           errc) {
+    if (fd == echo_lfd && t == ev::accept_ready) {
+      while (gb.nk_accept(echo_lfd).ok()) {
+      }
+    } else if (t == ev::connected && probes.erase(fd) != 0) {
+      ++probes_connected;
+      (void)gb.nk_close(fd);
+    } else if (t == ev::readable) {
+      while (auto r = gb.nk_recv(fd, 1 << 20)) {
+        (void)gb.nk_send(fd, std::move(r).value());
+      }
+    } else if (t == ev::closed || t == ev::error) {
+      (void)gb.nk_close(fd);
+    }
+  });
+
+  // The tenant: a listener on 7100 that accepts and closes, and one echo
+  // client per cycle, closed when the failover aborts it.
+  auto& ga = *tenant.glib;
+  const auto lfd = ga.nk_socket().value();
+  ASSERT_TRUE(ga.nk_bind(lfd, 7100).ok());
+  ASSERT_TRUE(ga.nk_listen(lfd).ok());
+  std::uint32_t client = 0;
+  std::size_t echoed = 0;
+  int accepted = 0;
+  std::vector<errc> client_errors;
+  ga.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                           errc e) {
+    if (fd == lfd && t == ev::accept_ready) {
+      while (auto child = ga.nk_accept(lfd)) {
+        ++accepted;
+        (void)ga.nk_close(child.value());
+      }
+    } else if (fd == client && t == ev::connected) {
+      (void)ga.nk_send(fd, buffer::pattern(payload, fd));
+    } else if (fd == client && t == ev::readable) {
+      while (auto r = ga.nk_recv(fd, 1 << 20)) echoed += r.value().size();
+    } else if (fd == client && t == ev::error) {
+      client_errors.push_back(e);
+      (void)ga.nk_close(fd);
+    } else if (fd != lfd && t == ev::closed) {
+      (void)ga.nk_close(fd);
+    }
+  });
+  bed.run_for(milliseconds(1));
+
+  core_engine& ce = bed.netkernel(side::a);
+  auto gauge = [&](const char* name) {
+    return ce.metrics().value_of(name).value_or(-1.0);
+  };
+  double dropped = 0.0;
+  double stale = 0.0;
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    client = ga.nk_socket().value();
+    echoed = 0;
+    client_errors.clear();
+    ASSERT_TRUE(ga.nk_connect(client, {echo_addr, 7000}).ok());
+    bed.run_for(milliseconds(2));
+    ASSERT_EQ(echoed, payload) << "cycle " << cycle;
+    const auto probe = gb.nk_socket().value();
+    probes.insert(probe);
+    ASSERT_TRUE(gb.nk_connect(probe, {tenant_addr, 7100}).ok());
+    bed.run_for(milliseconds(1));
+    ASSERT_EQ(probes_connected, cycle + 1) << "cycle " << cycle;
+    ASSERT_EQ(accepted, cycle + 1) << "cycle " << cycle;
+
+    // Fail the module with a second payload still on its way.
+    ASSERT_TRUE(ga.nk_send(client, buffer::pattern(payload, cycle)).ok());
+    bed.run_for(microseconds(5));
+    const nsm_id old = current;
+    fresh_cfg.name = "nsm-a-r" + std::to_string(cycle);
+    current = ce.replace_nsm(old, fresh_cfg).id();
+    bed.run_for(milliseconds(5));
+
+    ASSERT_EQ(client_errors, std::vector<errc>{errc::nsm_reset})
+        << "cycle " << cycle;
+    EXPECT_EQ(ce.nsm_by_id(old), nullptr) << "cycle " << cycle;
+    EXPECT_EQ(ce.service_of(old), nullptr) << "cycle " << cycle;
+    ASSERT_EQ(ce.nsms().size(), 1u) << "cycle " << cycle;
+    EXPECT_EQ(ce.nsms().front()->id(), current);
+    ASSERT_NE(ce.service_of(current), nullptr);
+    EXPECT_FALSE(ce.service_of(current)->failed());
+    for (auto* engine : {&ce, &bed.netkernel(side::b)}) {
+      for (const auto vm : engine->attached_vms()) {
+        const channel* ch = engine->channel_of(vm);
+        ASSERT_EQ(ch->pool.chunks_free(), ch->pool.chunk_count())
+            << "cycle " << cycle << " vm " << vm;
+      }
+      for (std::size_t s = 0; s < engine->shards(); ++s) {
+        const auto& st = engine->shard_stats(s);
+        ASSERT_EQ(st.unroutable_nqes + st.nqes_dropped + st.stale_nqes +
+                      st.rejected_nqes,
+                  engine->shard_traces_dropped(s) +
+                      engine->shard_discards_untraced(s))
+            << "cycle " << cycle << " shard " << s;
+      }
+    }
+    EXPECT_GE(gauge("engine_nqes_dropped"), dropped) << "cycle " << cycle;
+    EXPECT_GE(gauge("engine_stale_nqes"), stale) << "cycle " << cycle;
+    dropped = gauge("engine_nqes_dropped");
+    stale = gauge("engine_stale_nqes");
+  }
+  // The failovers really discarded work in flight.
+  EXPECT_GT(dropped + stale, 0.0);
 }
 
 // --- zero-copy transmit ------------------------------------------------------------
@@ -2324,13 +2552,18 @@ TEST_P(netkernel_zero_copy_teardown, returns_every_pinned_chunk) {
   // that held them was aborted, not closed gracefully.
   EXPECT_EQ(ch.pool.chunks_free(), ch.pool.chunk_count());
   EXPECT_FALSE(rig.tx_stack_holds_a_connection());
-  const std::uint64_t late_drops = dead->stats().nqes_dropped;
+  // Read through the engine: a failover destroys the dead ServiceLib at the
+  // switchover and keeps its counters in the engine's running totals.
+  auto dropped = [&] {
+    return ce.metrics().value_of("engine_nqes_dropped").value_or(-1.0);
+  };
+  const double late_drops = dropped();
   rig.bed.run_for(milliseconds(200));
 
   EXPECT_EQ(ch.pool.chunks_free(), ch.pool.chunk_count());
   // The module emitted nothing after it let go: no cmp_send, so no credit
   // and no writable reached the guest.
-  EXPECT_EQ(dead->stats().nqes_dropped, late_drops);
+  EXPECT_EQ(dropped(), late_drops);
   EXPECT_EQ(rig.writers[fd].writable_after_error, 0);
   if (kind != teardown::detach) {
     EXPECT_EQ(rig.writers[fd].errors, 1);  // detach raises no events

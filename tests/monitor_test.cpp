@@ -326,15 +326,17 @@ TEST(failure_detection, supervisor_replaces_nsm_and_listener_resumes) {
   mon.start();
 
   const nsm_id dead_id = server.module->id();
+  const net::ipv4_addr dead_addr = server.module->config().address;
   ce.service_of(dead_id)->fail();
   bed.run_for(milliseconds(200));  // detect + 60 ms boot + switchover
 
-  // The supervisor spawned exactly one replacement and retired the corpse.
+  // The supervisor spawned exactly one replacement and destroyed the corpse.
   EXPECT_EQ(sup.failovers(), 1);
   EXPECT_EQ(ce.service_of(dead_id), nullptr);
+  EXPECT_EQ(ce.nsm_by_id(dead_id), nullptr);
   nsm* fresh = ce.nsm_by_id(sup.last_replacement());
   ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(fresh->config().address, server.module->config().address);
+  EXPECT_EQ(fresh->config().address, dead_addr);
 
   // Established state died with the module; the listener was replayed.
   EXPECT_EQ(child_error, errc::nsm_reset);
@@ -353,8 +355,7 @@ TEST(failure_detection, supervisor_replaces_nsm_and_listener_resumes) {
       reconnected = true;
     }
   });
-  ASSERT_TRUE(
-      gc.nk_connect(fd2, {server.module->config().address, 7000}).ok());
+  ASSERT_TRUE(gc.nk_connect(fd2, {dead_addr, 7000}).ok());
   bed.run_for(milliseconds(100));
   EXPECT_TRUE(reconnected);
   EXPECT_EQ(accepts, 2);

@@ -1,6 +1,6 @@
 // Unit tests for the shared-memory substrate: nqe layout, SPSC rings
 // (single-threaded semantics and a real two-thread stress), huge-page pool
-// isolation, the prioritized queue set, and the staged lane every producer
+// isolation, the FIFO queue set, and the staged lane every producer
 // pushes through.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -25,15 +25,6 @@ namespace {
 TEST(nqe, is_one_cache_line) {
   EXPECT_EQ(sizeof(nqe), 64u);
   EXPECT_TRUE(std::is_trivially_copyable_v<nqe>);
-}
-
-TEST(nqe, connection_event_classification) {
-  EXPECT_TRUE(is_connection_event(nqe_op::req_connect));
-  EXPECT_TRUE(is_connection_event(nqe_op::ev_accept));
-  EXPECT_TRUE(is_connection_event(nqe_op::req_close));
-  EXPECT_FALSE(is_connection_event(nqe_op::req_send));
-  EXPECT_FALSE(is_connection_event(nqe_op::ev_data));
-  EXPECT_FALSE(is_connection_event(nqe_op::cmp_send));
 }
 
 TEST(spsc_ring, push_pop_roundtrip) {
@@ -352,7 +343,7 @@ TEST(hugepage_pool, data_written_is_read_back) {
 }
 
 TEST(nqe_queue, fifo_when_not_prioritized) {
-  nqe_queue q{queue_config{.depth = 16, .prioritized = false}};
+  nqe_queue q{queue_config{.depth = 16}};
   nqe data;
   data.op = nqe_op::req_send;
   nqe conn;
@@ -362,23 +353,6 @@ TEST(nqe_queue, fifo_when_not_prioritized) {
   nqe out;
   ASSERT_TRUE(q.pop(out));
   EXPECT_EQ(out.op, nqe_op::req_send);  // strict FIFO
-}
-
-TEST(nqe_queue, connection_events_bypass_data_when_prioritized) {
-  nqe_queue q{queue_config{.depth = 16, .prioritized = true}};
-  nqe data;
-  data.op = nqe_op::req_send;
-  nqe conn;
-  conn.op = nqe_op::req_connect;
-  ASSERT_TRUE(q.push(data));
-  ASSERT_TRUE(q.push(data));
-  ASSERT_TRUE(q.push(conn));
-  nqe out;
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out.op, nqe_op::req_connect);  // jumped the data queue
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out.op, nqe_op::req_send);
-  EXPECT_EQ(q.size_approx(), 1u);
 }
 
 TEST(endpoint_queues, three_independent_queues) {

@@ -38,9 +38,7 @@ status native_socket_api::listen(app_socket s, int backlog) {
   (void)backlog;
   auto it = sockets_.find(s);
   if (it == sockets_.end()) return errc::not_found;
-  auto r = it->second.has_cfg
-               ? stack_.tcp_listen(it->second.port, it->second.cfg)
-               : stack_.tcp_listen(it->second.port);
+  auto r = stack_.listen(it->second.port, it->second.cfg);
   if (!r) return r.error();
   it->second.real = r.value();
   by_real_[r.value()] = s;
@@ -50,8 +48,7 @@ status native_socket_api::listen(app_socket s, int backlog) {
 status native_socket_api::connect(app_socket s, net::socket_addr remote) {
   auto it = sockets_.find(s);
   if (it == sockets_.end()) return errc::not_found;
-  auto r = it->second.has_cfg ? stack_.tcp_connect(remote, it->second.cfg)
-                              : stack_.tcp_connect(remote);
+  auto r = stack_.connect(remote, it->second.cfg);
   if (!r) return r.error();
   it->second.real = r.value();
   by_real_[r.value()] = s;
@@ -95,9 +92,7 @@ status native_socket_api::set_congestion_control(app_socket s,
   auto it = sockets_.find(s);
   if (it == sockets_.end()) return errc::not_found;
   if (it->second.real != 0) return errc::already_connected;
-  it->second.cfg = tcp::tcp_config{};
-  it->second.cfg.cc = algo;
-  it->second.has_cfg = true;
+  it->second.cfg.emplace().cc = algo;
   return {};
 }
 

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 
@@ -90,8 +91,7 @@ class native_socket_api final : public socket_api {
   struct entry {
     stack::socket_id real = 0;  // 0 until listen/connect
     std::uint16_t port = 0;
-    tcp::tcp_config cfg;
-    bool has_cfg = false;
+    std::optional<tcp::tcp_config> cfg;  // nullopt: the stack's defaults
   };
   [[nodiscard]] app_socket wrap(stack::socket_id real);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/hash.hpp"
+
 namespace nk {
 
 buffer buffer::copy_of(std::span<const std::byte> bytes) {
@@ -18,10 +20,7 @@ buffer buffer::copy_of(const void* data, std::size_t len) {
 std::byte buffer::pattern_byte(std::uint64_t off) {
   // Mix the offset so adjacent bytes differ and period is far beyond any
   // window size a test will use.
-  std::uint64_t z = off + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return static_cast<std::byte>((z ^ (z >> 31)) & 0xff);
+  return static_cast<std::byte>(mix64(off) & 0xff);
 }
 
 buffer buffer::pattern(std::size_t len, std::uint64_t stream_offset) {

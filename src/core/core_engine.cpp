@@ -302,7 +302,6 @@ std::vector<core_engine::flow_row> core_engine::flow_table() {
       row.cid = rec.cid;
       row.remote = rec.remote;
       row.info = std::move(rec.info);
-      row.transport = row.info.transport;
       out.push_back(std::move(row));
     }
   }
@@ -428,7 +427,9 @@ nsm& core_engine::create_nsm(const nsm_config& cfg) {
     return util / static_cast<double>(m->cores().size());
   });
   ref.stack().register_metrics(metrics_, p + "_stack");
-  ref.transport().register_metrics(metrics_, p + "_transport");
+  if (&ref.transport() != &ref.stack()) {
+    ref.transport().register_metrics(metrics_, p + "_transport");
+  }
   log_info("core_engine: created nsm ", ref.id(), " (", ref.name(),
            ", transport=", ref.transport().kind(), ")");
   return ref;

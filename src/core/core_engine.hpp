@@ -314,7 +314,6 @@ class core_engine {
     std::uint32_t fd = 0;
     nsm_id nsm = 0;
     std::uint32_t cid = 0;
-    std::string transport;      // name of the serving protocol
     net::socket_addr remote{};  // guest-chosen peer address
     obs::nk_flow_info info;
   };
@@ -356,7 +355,7 @@ class core_engine {
   struct flow_key_hash {
     std::size_t operator()(const flow_key& k) const {
       return static_cast<std::size_t>(
-          shm::mix64((std::uint64_t{k.vm} << 32) | k.fd));
+          mix64((std::uint64_t{k.vm} << 32) | k.fd));
     }
   };
   struct nsm_key {
@@ -367,7 +366,7 @@ class core_engine {
   struct nsm_key_hash {
     std::size_t operator()(const nsm_key& k) const {
       return static_cast<std::size_t>(
-          shm::mix64((std::uint64_t{k.id} << 32) | k.cid));
+          mix64((std::uint64_t{k.id} << 32) | k.cid));
     }
   };
   struct flow_entry {

@@ -16,8 +16,6 @@ constexpr double overload_threshold = 0.9;
 constexpr int overload_consecutive = 3;
 // Ticks of queued-but-no-progress before a channel is reported stalled.
 constexpr int stall_consecutive = 3;
-// Samples retained per NSM.
-constexpr std::size_t history = 256;
 }  // namespace
 
 std::string_view to_string(alert_kind k) {
@@ -57,16 +55,10 @@ void health_monitor::stop() {
   timer_.cancel();
 }
 
-const std::deque<nsm_sample>& health_monitor::history_of(nsm_id id) const {
-  static const std::deque<nsm_sample> empty;
-  auto it = history_.find(id);
-  return it == history_.end() ? empty : it->second;
-}
-
 void health_monitor::tick() {
   if (!running_) return;
   ++ticks_;
-  for (const auto& module : engine_.nsms()) sample_nsm(*module);
+  for (const auto& module : engine_.nsms()) check_overload(*module);
   check_channels();
   check_failures();
   check_quarantines();
@@ -148,33 +140,23 @@ void health_monitor::emit(alert a) {
   }
 }
 
-void health_monitor::sample_nsm(nsm& module) {
-  // All readings come off the metrics registry (the gauges CoreEngine
+void health_monitor::check_overload(nsm& module) {
+  // The reading comes off the metrics registry (the gauge CoreEngine
   // registered at create_nsm time) so the monitor, the exporters, and any
   // external scraper agree on one set of numbers.
-  const std::string p = "nsm" + std::to_string(module.id());
-  const auto& reg = engine_.metrics();
-  nsm_sample s;
-  s.at = engine_.simulator().now();
-  s.utilization = reg.value_of(p + "_core_utilization").value_or(0.0);
-  s.tx_packets = static_cast<std::uint64_t>(
-      reg.value_of(p + "_stack_tx_packets").value_or(0.0));
-  s.rx_packets = static_cast<std::uint64_t>(
-      reg.value_of(p + "_stack_rx_packets").value_or(0.0));
-
-  auto& hist = history_[module.id()];
-  hist.push_back(s);
-  while (hist.size() > history) hist.pop_front();
-
+  const double utilization =
+      engine_.metrics()
+          .value_of("nsm" + std::to_string(module.id()) + "_core_utilization")
+          .value_or(0.0);
   int& streak = hot_streak_[module.id()];
-  if (s.utilization >= overload_threshold) {
+  if (utilization >= overload_threshold) {
     if (++streak == overload_consecutive) {
       alert a;
       a.kind = alert_kind::nsm_overloaded;
-      a.at = s.at;
+      a.at = engine_.simulator().now();
       a.module = module.id();
       a.detail = module.name() + " mean core utilization " +
-                 std::to_string(s.utilization);
+                 std::to_string(utilization);
       emit(std::move(a));
       streak = 0;  // re-alert only after another full streak
     }
@@ -310,24 +292,6 @@ void health_monitor::check_quotas() {
   }
 }
 
-std::string health_monitor::report() const {
-  std::ostringstream os;
-  for (const auto& module : engine_.nsms()) {
-    const auto& hist = history_of(module->id());
-    os << module->name() << ": ";
-    if (hist.empty()) {
-      os << "no samples";
-    } else {
-      os << "util=" << hist.back().utilization
-         << " tx=" << hist.back().tx_packets
-         << " rx=" << hist.back().rx_packets << " samples=" << hist.size();
-    }
-    os << '\n';
-  }
-  os << "alerts=" << alerts_.size() << '\n';
-  return os.str();
-}
-
 std::string health_monitor::report_json() const {
   std::ostringstream os;
   os << "{\"at_ns\":" << engine_.simulator().now().count()
@@ -347,7 +311,7 @@ std::string health_monitor::report_json() const {
        << ",\"rx_packets\":"
        << static_cast<std::uint64_t>(
               reg.value_of(p + "_stack_rx_packets").value_or(0.0))
-       << ",\"samples\":" << history_of(module->id()).size() << "}";
+       << "}";
   }
   // Provider-wide flow table: ServiceLib per-NSM tables joined through the
   // connection-mapping table, so each connection appears under the address

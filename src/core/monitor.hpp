@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -23,13 +22,6 @@
 #include "obs/slo.hpp"
 
 namespace nk::core {
-
-struct nsm_sample {
-  sim_time at{};
-  double utilization = 0.0;          // mean across the NSM's cores
-  std::uint64_t tx_packets = 0;      // cumulative stack counters
-  std::uint64_t rx_packets = 0;
-};
 
 enum class alert_kind {
   nsm_overloaded,
@@ -85,19 +77,15 @@ class health_monitor {
     handlers_.push_back(std::move(handler));
   }
 
-  [[nodiscard]] const std::deque<nsm_sample>& history_of(nsm_id id) const;
   [[nodiscard]] const std::vector<alert>& alerts() const { return alerts_; }
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
 
-  // Human-readable one-line status per NSM.
-  [[nodiscard]] std::string report() const;
-
-  // Machine-readable status: per-NSM latest sample plus the full alert log,
-  // built from the same registry gauges report() reads. Also carries the
-  // provider-wide flow table (every connection addressed as <VM, fd> with
-  // its nk_flow_info), per-VM / per-NSM flow aggregates, and the tracer's
-  // stage-pair critical-path summary — one document answers "which tenant,
-  // which flow, which hop".
+  // Machine-readable status: per-NSM utilization and packet counters (the
+  // registry gauges; their history lives in the timeseries ring) plus the
+  // full alert log. Also carries the provider-wide flow table (every
+  // connection addressed as <VM, fd> with its nk_flow_info), per-VM /
+  // per-NSM flow aggregates, and the tracer's stage-pair critical-path
+  // summary — one document answers "which tenant, which flow, which hop".
   [[nodiscard]] std::string report_json() const;
 
   // SLO integration: subscribe to a burn-rate engine so objective burns
@@ -142,7 +130,7 @@ class health_monitor {
 
  private:
   void tick();
-  void sample_nsm(nsm& module);
+  void check_overload(nsm& module);
   void check_channels();
   void check_failures();
   void check_quarantines();
@@ -160,7 +148,6 @@ class health_monitor {
   bool running_ = false;
   std::uint64_t ticks_ = 0;
 
-  std::unordered_map<nsm_id, std::deque<nsm_sample>> history_;
   std::unordered_map<nsm_id, int> hot_streak_;
   struct channel_watch {
     std::uint64_t last_forwarded = 0;

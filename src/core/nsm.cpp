@@ -6,19 +6,6 @@
 
 namespace nk::core {
 
-namespace {
-// The tenant-selected protocol over the NSM's stack. A bad name is a tenant
-// configuration error: it throws here, at provisioning time, never at
-// serving time.
-std::unique_ptr<stack::transport> make_transport(const std::string& name,
-                                                 stack::netstack& base) {
-  if (name == "tcp") return std::make_unique<stack::tcp_transport>(base);
-  if (name == "nkq") return std::make_unique<nkq::nkq_transport>(base);
-  throw std::invalid_argument("unknown transport '" + name +
-                              "' (known: nkq, tcp)");
-}
-}  // namespace
-
 nsm::nsm(virt::hypervisor& host, nsm_id id, const nsm_config& cfg)
     : host_{host},
       id_{id},
@@ -47,7 +34,14 @@ nsm::nsm(virt::hypervisor& host, nsm_id id, const nsm_config& cfg)
   stack_->bind_nic(vnic_);
   for (auto* core : cores_) stack_->add_core(*core);
 
-  transport_ = make_transport(cfg_.transport, *stack_);
+  // The tenant-selected protocol. A bad name is a tenant configuration
+  // error: it throws here, at provisioning time, never at serving time.
+  if (cfg_.transport == "nkq") {
+    nkq_ = std::make_unique<nkq::nkq_transport>(*stack_);
+  } else if (cfg_.transport != "tcp") {
+    throw std::invalid_argument("unknown transport '" + cfg_.transport +
+                                "' (known: nkq, tcp)");
+  }
 
   port_ = host.attach_nic(vnic_, cfg.address, cfg.sriov);
 }

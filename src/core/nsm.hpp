@@ -96,10 +96,12 @@ class nsm {
   [[nodiscard]] tcp::cc_algorithm cc() const { return cfg_.tcp.cc; }
 
   [[nodiscard]] stack::netstack& stack() { return *stack_; }
-  // The protocol implementation ServiceLib drives. For transport="tcp" this
-  // is a thin adapter over stack(); for tenant-defined protocols (nkq) it
-  // owns its own connection state on top of the stack's UDP plane.
-  [[nodiscard]] stack::transport& transport() { return *transport_; }
+  // The protocol implementation ServiceLib drives. For transport="tcp" it
+  // is stack() itself; a tenant-defined protocol (nkq) keeps its own
+  // connection state on top of the stack's UDP plane.
+  [[nodiscard]] stack::transport& transport() {
+    return nkq_ ? *nkq_ : *stack_;
+  }
   [[nodiscard]] phys::nic& vnic() { return vnic_; }
   // The dispatch core ServiceLib charges; the stack spreads its packet
   // work over all of cores().
@@ -119,7 +121,7 @@ class nsm {
   phys::nic vnic_;
   std::vector<sim::cpu_core*> cores_;
   std::unique_ptr<stack::netstack> stack_;
-  std::unique_ptr<stack::transport> transport_;
+  std::unique_ptr<stack::transport> nkq_;  // null for transport="tcp"
   int port_ = 0;  // the vNIC's vSwitch port
   sim_time ready_at_{};
 };

@@ -29,7 +29,8 @@ connection::connection(sim::simulator& sim, const nkq_config& cfg,
       server_{server},
       issue_token_{issue_token},
       cb_{std::move(cb)},
-      peer_max_data_{initial_max_data} {
+      peer_max_data_{initial_max_data},
+      reassembly_{cfg.recv_buffer} {
   cc_ = tcp::make_congestion_controller(
       cfg.cc, tcp::cc_config{static_cast<std::uint32_t>(cfg.mss), 10});
   if (server_) {
@@ -62,16 +63,7 @@ void connection::connect(std::uint64_t token) {
   // Cold or resumed, an initial goes out now; until the first accept/ack
   // confirms the server has our connection, every packet stays
   // initial-typed so a lost first flight still creates server state.
-  wire_packet p;
-  p.type = packet_type::initial;
-  p.conn_id = conn_id_;
-  p.pn = next_pn_++;
-  p.token = client_token_;
-  sent_packet sp;
-  sp.sent_at = sim_.now();
-  sp.initial = true;
-  sp.delivered_at_send = delivered_;
-  emit_packet(std::move(p), std::move(sp), /*track=*/true);
+  send_initial();
   arm_pto();
 }
 
@@ -262,55 +254,18 @@ frame connection::make_ack_frame() {
 }
 
 void connection::process_stream(const stream_frame& s) {
-  std::uint64_t off = s.offset;
-  buffer data = s.data;
-  if (s.fin) {
-    const std::uint64_t fin_at = off + data.size();
-    if (!fin_offset_.has_value()) fin_offset_ = fin_at;
-  }
-  // Trim what the app already consumed.
-  if (off + data.size() <= recv_next_ && !(s.fin && data.empty())) {
-    if (!s.fin) return;  // pure duplicate
-  }
-  if (off < recv_next_) {
-    const std::uint64_t skip = recv_next_ - off;
-    if (skip >= data.size()) {
-      data = buffer{};
-    } else {
-      data = data.suffix_from(static_cast<std::size_t>(skip));
-    }
-    off = recv_next_;
-  }
+  const std::uint64_t end = s.offset + s.data.size();
+  if (s.fin && !fin_offset_.has_value()) fin_offset_ = end;
+  if (!s.fin && end <= recv_next_) return;  // pure duplicate
   // Flow control: data beyond our advertised window is not buffered — and
   // crucially not acked (the pn bookkeeping already counted the packet, but
   // the sender treats unacked as lost and retransmits once the window
   // reopens; an honest sender never gets here).
-  if (off + data.size() > advertised_max_data()) return;
-  if (!data.empty()) {
-    auto it = reassembly_.find(off);
-    if (it == reassembly_.end() || it->second.size() < data.size()) {
-      reassembly_[off] = std::move(data);
-    }
-  }
-  drain_reassembly();
-}
-
-void connection::drain_reassembly() {
+  if (end > advertised_max_data()) return;
   const std::uint64_t before = recv_next_;
-  while (true) {
-    auto it = reassembly_.begin();
-    if (it == reassembly_.end() || it->first > recv_next_) break;
-    std::uint64_t off = it->first;
-    buffer seg = std::move(it->second);
-    reassembly_.erase(it);
-    if (off + seg.size() <= recv_next_) continue;  // fully duplicate
-    if (off < recv_next_) {
-      seg = seg.suffix_from(static_cast<std::size_t>(recv_next_ - off));
-    }
-    stats_.bytes_received += seg.size();
-    recv_next_ += seg.size();
-    recv_chain_.append(std::move(seg));
-  }
+  buffer_chain ready = reassembly_.insert(s.offset, s.data, recv_next_);
+  stats_.bytes_received += ready.size();
+  recv_chain_.append(std::move(ready));
   const bool eof_now =
       fin_offset_.has_value() && recv_next_ >= *fin_offset_;
   if ((recv_next_ > before || eof_now) && cb_.on_readable) cb_.on_readable();
@@ -397,7 +352,8 @@ void connection::process_ack(const ack_frame& a) {
   pto_count_ = 0;
 
   if (rtt_sampled && rtt > sim_time::zero()) {
-    record_rtt(rtt);
+    min_rtt_ = rtt_.has_sample() ? std::min(min_rtt_, rtt) : rtt;
+    rtt_.add_sample(rtt);
     const sim_time interval = sim_.now() - sent_at;
     if (interval > sim_time::zero()) {
       delivery_rate_ =
@@ -478,20 +434,6 @@ void connection::on_packet_lost(std::uint64_t pn, sent_packet& sp) {
     recovery_end_pn_ = next_pn_;
     cc_->on_fast_retransmit(tcp::loss_sample{sim_.now(), bytes_in_flight_});
   }
-}
-
-void connection::record_rtt(sim_time rtt) {
-  if (!rtt_valid_) {
-    srtt_ = rtt;
-    rttvar_ = rtt / 2;
-    min_rtt_ = rtt;
-    rtt_valid_ = true;
-    return;
-  }
-  min_rtt_ = std::min(min_rtt_, rtt);
-  const sim_time err = rtt > srtt_ ? rtt - srtt_ : srtt_ - rtt;
-  rttvar_ = (rttvar_ * 3 + err) / 4;
-  srtt_ = (srtt_ * 7 + rtt) / 8;
 }
 
 // --- tx assembly ---------------------------------------------------------------
@@ -580,7 +522,7 @@ void connection::maybe_send() {
     sp.delivered_at_send = delivered_;
     sp.initial = p.type == packet_type::initial;
     stats_.bytes_sent += rg->len;
-    emit_packet(std::move(p), std::move(sp), /*track=*/true);
+    emit_packet(std::move(p), std::move(sp));
     sent_any = true;
   }
 
@@ -600,22 +542,33 @@ void connection::maybe_send() {
   if (sent_any || !sent_packets_.empty()) arm_pto();
 }
 
-void connection::emit_packet(wire_packet p, sent_packet tracked, bool track) {
+void connection::emit_packet(wire_packet p, sent_packet tracked) {
   const std::uint64_t pn = p.pn;
   if (cb_.emit) cb_.emit(encode(p));
   ++stats_.packets_sent;
-  if (track) {
-    bytes_in_flight_ += tracked.bytes;
-    sent_packets_[pn] = std::move(tracked);
-  }
+  bytes_in_flight_ += tracked.bytes;
+  sent_packets_[pn] = std::move(tracked);
+}
+
+void connection::send_initial() {
+  wire_packet p;
+  p.type = packet_type::initial;
+  p.conn_id = conn_id_;
+  p.pn = next_pn_++;
+  p.token = client_token_;
+  sent_packet sp;
+  sp.sent_at = sim_.now();
+  sp.initial = true;
+  sp.delivered_at_send = delivered_;
+  emit_packet(std::move(p), std::move(sp));
 }
 
 // --- PTO -----------------------------------------------------------------------
 
 sim_time connection::pto_interval() const {
   sim_time base;
-  if (rtt_valid_) {
-    base = srtt_ + std::max(rttvar_ * 4, milliseconds(1));
+  if (rtt_.has_sample()) {
+    base = rtt_.srtt() + std::max(rtt_.rttvar() * 4, milliseconds(1));
   } else {
     base = initial_rtt * 2;
   }
@@ -626,14 +579,11 @@ sim_time connection::pto_interval() const {
 
 void connection::arm_pto() {
   pto_timer_.cancel();
-  pto_armed_ = false;
   if (sent_packets_.empty() || state_ == conn_state::closed) return;
-  pto_armed_ = true;
   pto_timer_ = sim_.schedule(pto_interval(), [this] { on_pto(); });
 }
 
 void connection::on_pto() {
-  pto_armed_ = false;
   if (state_ == conn_state::closed || sent_packets_.empty()) return;
   ++stats_.pto_fired;
   ++pto_count_;
@@ -655,33 +605,11 @@ void connection::on_pto() {
     sent_packets_.erase(it);
     const bool was_initial = sp.initial;
     on_packet_lost(pn, sp);
-    if (was_initial && state_ == conn_state::connecting) {
-      // Re-fire the client hello.
-      wire_packet p;
-      p.type = packet_type::initial;
-      p.conn_id = conn_id_;
-      p.pn = next_pn_++;
-      p.token = client_token_;
-      sent_packet fresh;
-      fresh.sent_at = sim_.now();
-      fresh.initial = true;
-      fresh.delivered_at_send = delivered_;
-      emit_packet(std::move(p), std::move(fresh), /*track=*/true);
-    }
+    if (was_initial && state_ == conn_state::connecting) send_initial();
   }
   maybe_send();
   if (sent_packets_.empty() && state_ == conn_state::connecting) {
-    // maybe_send had nothing to probe with; keep the handshake alive.
-    wire_packet p;
-    p.type = packet_type::initial;
-    p.conn_id = conn_id_;
-    p.pn = next_pn_++;
-    p.token = client_token_;
-    sent_packet fresh;
-    fresh.sent_at = sim_.now();
-    fresh.initial = true;
-    fresh.delivered_at_send = delivered_;
-    emit_packet(std::move(p), std::move(fresh), /*track=*/true);
+    send_initial();  // maybe_send had nothing to probe with
   }
   arm_pto();
   if (next_unsent_ > sent_before && cb_.on_writable) cb_.on_writable();
@@ -701,8 +629,8 @@ obs::nk_flow_info connection::flow_info() const {
   fi.transport = "nkq";
   fi.state = std::string{to_string(state_)};
   fi.cc = cc_ != nullptr ? std::string{cc_->name()} : "none";
-  fi.srtt_ns = static_cast<std::uint64_t>(srtt_.count());
-  fi.rttvar_ns = static_cast<std::uint64_t>(rttvar_.count());
+  fi.srtt_ns = static_cast<std::uint64_t>(rtt_.srtt().count());
+  fi.rttvar_ns = static_cast<std::uint64_t>(rtt_.rttvar().count());
   fi.min_rtt_ns = static_cast<std::uint64_t>(min_rtt_.count());
   fi.cwnd_bytes = cc_ != nullptr ? cc_->cwnd_bytes() : 0;
   fi.ssthresh_bytes = cc_ != nullptr ? cc_->ssthresh_bytes() : 0;

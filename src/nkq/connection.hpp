@@ -30,6 +30,8 @@
 #include "obs/flow_info.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/cc/congestion_controller.hpp"
+#include "tcp/reassembly.hpp"
+#include "tcp/rtt_estimator.hpp"
 
 namespace nk::nkq {
 
@@ -135,7 +137,10 @@ class connection {
   };
 
   void maybe_send();
-  void emit_packet(wire_packet p, sent_packet tracked, bool track);
+  // Sends `p` and tracks it in flight until acked or declared lost.
+  void emit_packet(wire_packet p, sent_packet tracked);
+  // Sends a frameless client hello carrying the resumption token.
+  void send_initial();
   [[nodiscard]] frame make_ack_frame();
   void process_ack(const ack_frame& a);
   void process_stream(const stream_frame& s);
@@ -143,7 +148,6 @@ class connection {
   // Next retransmittable/new stream range up to mss, clipped against the
   // acked set; nullopt when there is nothing stream-wise to send.
   [[nodiscard]] std::optional<sent_range> next_stream_range();
-  void record_rtt(sim_time rtt);
   void arm_pto();
   void on_pto();
   void terminate(errc err);
@@ -154,7 +158,6 @@ class connection {
   }
   [[nodiscard]] sim_time pto_interval() const;
   void note_pn_received(std::uint64_t pn);
-  void drain_reassembly();
 
   sim::simulator& sim_;
   nkq_config cfg_;
@@ -190,7 +193,12 @@ class connection {
   std::uint64_t recovery_end_pn_ = 0;
 
   // --- receive side ----------------------------------------------------------
-  std::map<std::uint64_t, buffer> reassembly_;  // offset -> segment
+  // Out-of-order stream data. Every range a sender puts on the wire is a
+  // front-clipped piece of one first-transmission range, so overlapping
+  // arrivals share their end and keep-first trimming never drops a byte
+  // the packet-level ack covers. Its limit, recv_buffer, never binds: flow
+  // control keeps every held byte inside the advertised window.
+  tcp::reassembly_buffer reassembly_;
   std::uint64_t recv_next_ = 0;     // next in-order offset to deliver
   buffer_chain recv_chain_;         // in-order data awaiting the app
   std::uint64_t consumed_total_ = 0;
@@ -202,14 +210,11 @@ class connection {
   std::uint64_t last_advertised_max_ = 0;
 
   // --- timing / cc -----------------------------------------------------------
-  sim_time srtt_{};
-  sim_time rttvar_{};
-  sim_time min_rtt_{};
-  bool rtt_valid_ = false;
+  tcp::rtt_estimator rtt_;  // srtt/rttvar; its RTO is unused (PTO below)
+  sim_time min_rtt_{};      // all-time minimum
   int pto_count_ = 0;
   sim::timer pto_timer_;
   sim::timer connected_timer_;  // a resumed connect's on_connected
-  bool pto_armed_ = false;
   std::uint64_t delivered_ = 0;
   double delivery_rate_ = 0.0;
   std::uint64_t round_trips_ = 0;

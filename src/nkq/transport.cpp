@@ -3,19 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/hash.hpp"
+
 namespace nk::nkq {
-
-namespace {
-
-// splitmix64 finalizer — good avalanche for the stateless token MAC.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 nkq_transport::nkq_transport(stack::netstack& base, nkq_config cfg)
     : net_{base},
@@ -31,11 +21,14 @@ nkq_transport::~nkq_transport() {
   for (auto& r : reaps_) r.cancel();
 }
 
-nkq_config nkq_transport::derive_config(const tcp::tcp_config& cfg) const {
+nkq_config nkq_transport::derive_config(
+    const std::optional<tcp::tcp_config>& cfg) const {
   nkq_config out = defaults_;
-  out.cc = cfg.cc;
-  out.send_buffer = cfg.send_buffer;
-  out.recv_buffer = cfg.recv_buffer;
+  if (cfg.has_value()) {
+    out.cc = cfg->cc;
+    out.send_buffer = cfg->send_buffer;
+    out.recv_buffer = cfg->recv_buffer;
+  }
   return out;
 }
 
@@ -48,8 +41,8 @@ std::uint64_t nkq_transport::token_for(net::socket_addr peer) const {
 
 // --- socket API ----------------------------------------------------------------
 
-result<stack::socket_id> nkq_transport::listen(std::uint16_t port,
-                                               const tcp::tcp_config& cfg) {
+result<stack::socket_id> nkq_transport::listen(
+    std::uint16_t port, std::optional<tcp::tcp_config> cfg) {
   auto usock = net_.udp_open(port);
   if (!usock.ok()) return usock.error();
   const stack::socket_id id = next_socket_++;
@@ -62,8 +55,8 @@ result<stack::socket_id> nkq_transport::listen(std::uint16_t port,
   return id;
 }
 
-result<stack::socket_id> nkq_transport::connect(net::socket_addr remote,
-                                                const tcp::tcp_config& cfg) {
+result<stack::socket_id> nkq_transport::connect(
+    net::socket_addr remote, std::optional<tcp::tcp_config> cfg) {
   auto usock = net_.udp_open(0);
   if (!usock.ok()) return usock.error();
   const stack::socket_id id = next_socket_++;
@@ -142,7 +135,7 @@ status nkq_transport::close(stack::socket_id sock) {
     return errc::ok;
   }
   auto it = conns_.find(sock);
-  if (it == conns_.end()) return errc::not_found;
+  if (it == conns_.end()) return net_.close(sock);  // a passthrough socket
   // Mark before closing: a synchronous drain completion fires on_closed
   // re-entrantly and must see the flag (suppresses app events, schedules
   // the reap). A connection still draining keeps its demux entries so
@@ -173,14 +166,9 @@ void nkq_transport::reap(stack::socket_id sock) {
 status nkq_transport::abort(stack::socket_id sock) {
   if (listeners_.contains(sock)) return close(sock);
   auto it = conns_.find(sock);
-  if (it == conns_.end()) return errc::not_found;
+  if (it == conns_.end()) return net_.abort(sock);  // a passthrough socket
   it->second.conn->abort();
-  by_conn_.erase(it->second.conn->conn_id());
-  if (!it->second.server) {
-    usock_owner_.erase(it->second.usock);
-    (void)net_.close(it->second.usock);
-  }
-  conns_.erase(it);
+  reap(sock);
   return errc::ok;
 }
 
@@ -203,7 +191,7 @@ result<std::pair<net::socket_addr, buffer>> nkq_transport::udp_recv_from(
 
 // --- events / rx path ----------------------------------------------------------
 
-void nkq_transport::set_event_handler(stack::netstack::event_handler handler) {
+void nkq_transport::set_event_handler(event_handler handler) {
   upstream_ = std::move(handler);
 }
 

@@ -24,6 +24,7 @@
 #include <unordered_map>
 
 #include "nkq/connection.hpp"
+#include "stack/netstack.hpp"
 #include "stack/transport.hpp"
 
 namespace nk::nkq {
@@ -46,9 +47,10 @@ class nkq_transport final : public stack::transport {
   [[nodiscard]] std::string_view kind() const override { return "nkq"; }
 
   [[nodiscard]] result<stack::socket_id> listen(
-      std::uint16_t port, const tcp::tcp_config& cfg) override;
+      std::uint16_t port, std::optional<tcp::tcp_config> cfg = {}) override;
   [[nodiscard]] result<stack::socket_id> connect(
-      net::socket_addr remote, const tcp::tcp_config& cfg) override;
+      net::socket_addr remote,
+      std::optional<tcp::tcp_config> cfg = {}) override;
   [[nodiscard]] result<stack::socket_id> accept(
       stack::socket_id listener) override;
   [[nodiscard]] result<std::size_t> send(stack::socket_id sock,
@@ -63,14 +65,15 @@ class nkq_transport final : public stack::transport {
   status close(stack::socket_id sock) override;
   status abort(stack::socket_id sock) override;
 
-  [[nodiscard]] result<stack::socket_id> udp_open(std::uint16_t port) override;
+  [[nodiscard]] result<stack::socket_id> udp_open(
+      std::uint16_t port = 0) override;
   [[nodiscard]] result<std::size_t> udp_send_to(stack::socket_id sock,
                                                 net::socket_addr dest,
                                                 buffer data) override;
   [[nodiscard]] result<std::pair<net::socket_addr, buffer>> udp_recv_from(
       stack::socket_id sock) override;
 
-  void set_event_handler(stack::netstack::event_handler handler) override;
+  void set_event_handler(event_handler handler) override;
 
   [[nodiscard]] std::optional<net::socket_addr> remote_of(
       stack::socket_id sock) override;
@@ -98,7 +101,9 @@ class nkq_transport final : public stack::transport {
     bool closing = false;  // app closed; draining, reap when terminal
   };
 
-  [[nodiscard]] nkq_config derive_config(const tcp::tcp_config& cfg) const;
+  // The per-socket options applied onto the transport's defaults.
+  [[nodiscard]] nkq_config derive_config(
+      const std::optional<tcp::tcp_config>& cfg) const;
   [[nodiscard]] std::uint64_t token_for(net::socket_addr peer) const;
   void on_base_event(const stack::socket_event& ev);
   void drain_datagrams(stack::socket_id usock);
@@ -127,7 +132,7 @@ class nkq_transport final : public stack::transport {
   std::unordered_map<stack::socket_id, stack::socket_id> usock_owner_;
   std::unordered_map<net::socket_addr, std::uint64_t> token_cache_;
 
-  stack::netstack::event_handler upstream_;
+  event_handler upstream_;
   std::deque<stack::socket_event> events_;
   sim::timer dispatch_;
   std::deque<sim::timer> reaps_;  // zero-delay, so fired ones lead

@@ -12,24 +12,17 @@
 // The mixer matters: <VM, fd> and cID keys are tiny sequential integers,
 // and libstdc++'s std::hash<uint64_t> is the identity function, which would
 // collapse low-entropy keys onto a handful of shards (and a handful of
-// hash-table buckets). splitmix64's finalizer is a full-avalanche mixer —
-// every input bit flips ~half the output bits — so sequential keys spread
-// uniformly across any shard count.
+// hash-table buckets). nk::mix64, splitmix64's finalizer, is a
+// full-avalanche mixer, so sequential keys spread uniformly across any
+// shard count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
-namespace nk::shm {
+#include "common/hash.hpp"
 
-// splitmix64 finalizer (Steele et al.; the mixer inside java.util
-// SplittableRandom). Full avalanche, bijective, constexpr.
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+namespace nk::shm {
 
 // Owning shard of a tenant-side flow identity <VM, fd>.
 [[nodiscard]] constexpr std::size_t flow_shard(std::uint32_t vm,

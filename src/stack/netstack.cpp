@@ -6,18 +6,6 @@
 
 namespace nk::stack {
 
-std::string_view to_string(socket_event_type t) {
-  switch (t) {
-    case socket_event_type::connected: return "connected";
-    case socket_event_type::accept_ready: return "accept_ready";
-    case socket_event_type::readable: return "readable";
-    case socket_event_type::writable: return "writable";
-    case socket_event_type::closed: return "closed";
-    case socket_event_type::error: return "error";
-  }
-  return "unknown";
-}
-
 netstack::netstack(sim::simulator& s, netstack_config cfg, net::ipv4_addr addr)
     : sim_{s},
       cfg_{std::move(cfg)},
@@ -171,8 +159,8 @@ socket_id netstack::make_connection(net::four_tuple tuple,
   return sock;
 }
 
-result<socket_id> netstack::tcp_listen(std::uint16_t port,
-                                       std::optional<tcp::tcp_config> cfg) {
+result<socket_id> netstack::listen(std::uint16_t port,
+                                   std::optional<tcp::tcp_config> cfg) {
   if (port == 0) return errc::invalid_argument;
   if (tcp_listeners_.contains(port)) return errc::in_use;
   const socket_id sock = next_socket_++;
@@ -184,8 +172,8 @@ result<socket_id> netstack::tcp_listen(std::uint16_t port,
   return sock;
 }
 
-result<socket_id> netstack::tcp_connect(net::socket_addr remote,
-                                        std::optional<tcp::tcp_config> cfg) {
+result<socket_id> netstack::connect(net::socket_addr remote,
+                                    std::optional<tcp::tcp_config> cfg) {
   auto port = allocate_ephemeral_port();
   if (!port) return port.error();
   const net::four_tuple tuple{{addr_, port.value()}, remote};
@@ -269,8 +257,17 @@ status netstack::close(socket_id sock) {
 }
 
 status netstack::abort(socket_id sock) {
-  auto* conn = connection_of(sock);
-  if (conn == nullptr) return errc::not_found;
+  auto it = sockets_.find(sock);
+  if (it == sockets_.end()) return errc::not_found;
+  if (auto* ls = std::get_if<listener_state>(&it->second.state)) {
+    // The connections nobody accepted yet die with their listener.
+    const std::deque<socket_id> pending = std::move(ls->pending);
+    (void)close(sock);
+    for (const socket_id child : pending) (void)abort(child);
+    return {};
+  }
+  auto* conn = std::get_if<connection_state>(&it->second.state);
+  if (conn == nullptr) return close(sock);  // a datagram socket unbinds
   conn->tcb->abort();
   tcp_demux_.erase(conn->tcb->tuple());
   sockets_.erase(sock);
@@ -285,6 +282,21 @@ bool netstack::eof(socket_id sock) const {
 tcp::tcb* netstack::tcb_of(socket_id sock) {
   auto* conn = connection_of(sock);
   return conn ? conn->tcb.get() : nullptr;
+}
+
+std::optional<std::uint64_t> netstack::acked_bytes(socket_id sock) {
+  if (auto* t = tcb_of(sock)) return t->acked_bytes();
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> netstack::sent_bytes(socket_id sock) {
+  if (auto* t = tcb_of(sock)) return t->sent_bytes();
+  return std::nullopt;
+}
+
+std::optional<net::socket_addr> netstack::remote_of(socket_id sock) {
+  if (auto* t = tcb_of(sock)) return t->tuple().remote;
+  return std::nullopt;
 }
 
 std::optional<obs::nk_flow_info> netstack::flow_info(socket_id sock) {

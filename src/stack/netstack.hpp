@@ -6,12 +6,12 @@
 // The same class plays both roles in the paper's Figure 2: instantiated
 // inside a guest VM it is the legacy in-kernel stack (baseline); mounted
 // inside an NSM it is the provider-operated "network stack module" that
-// ServiceLib drives (NetKernel path). The stack is moved, not changed.
+// ServiceLib drives (NetKernel path) through the stack::transport contract
+// it implements as "tcp". The stack is moved, not changed.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -21,36 +21,13 @@
 #include <variant>
 #include <vector>
 
-#include "common/buffer.hpp"
-#include "common/result.hpp"
-#include "net/address.hpp"
 #include "net/packet.hpp"
-#include "obs/metrics.hpp"
 #include "phys/nic.hpp"
 #include "sim/cpu_core.hpp"
 #include "sim/simulator.hpp"
-#include "tcp/tcb.hpp"
+#include "stack/transport.hpp"
 
 namespace nk::stack {
-
-using socket_id = std::uint64_t;
-
-enum class socket_event_type {
-  connected,     // active open completed
-  accept_ready,  // listener has >=1 pending connection
-  readable,      // data or EOF available
-  writable,      // send-buffer space available
-  closed,        // connection fully closed
-  error,         // connection failed/reset; `error` field holds the reason
-};
-
-[[nodiscard]] std::string_view to_string(socket_event_type t);
-
-struct socket_event {
-  socket_id sock = 0;
-  socket_event_type type = socket_event_type::error;
-  errc error = errc::ok;
-};
 
 // CPU cost of moving packets through the stack. Received packets pay it
 // one by one; transmitted segments pay it once per burst (GSO: a TCP output
@@ -114,11 +91,11 @@ struct socket_entry {
 
 }  // namespace detail
 
-class netstack {
+class netstack final : public transport {
  public:
   netstack(sim::simulator& s, netstack_config cfg, net::ipv4_addr addr);
   // Cancels the pending dispatch and reaps; the cores must be idle.
-  ~netstack();
+  ~netstack() override;
 
   netstack(const netstack&) = delete;
   netstack& operator=(const netstack&) = delete;
@@ -137,57 +114,53 @@ class netstack {
   [[nodiscard]] const netstack_stats& stats() const { return stats_; }
   [[nodiscard]] sim::simulator& simulator() { return sim_; }
 
-  // Exposes the stack counters to a metrics registry as callback gauges
-  // under `<prefix>_...` — export-time sampling, zero per-packet cost. The
-  // registry must not outlive this stack.
-  void register_metrics(obs::metrics_registry& reg, const std::string& prefix);
+  // The stack counters, sampled at export time (zero per-packet cost).
+  void register_metrics(obs::metrics_registry& reg,
+                        const std::string& prefix) override;
 
-  // TCP sockets ----------------------------------------------------------------
+  // stack::transport (TCP connections, UDP datagrams) -----------------------
 
-  [[nodiscard]] result<socket_id> tcp_listen(
-      std::uint16_t port, std::optional<tcp::tcp_config> cfg = {});
+  [[nodiscard]] std::string_view kind() const override { return "tcp"; }
 
-  [[nodiscard]] result<socket_id> tcp_connect(
-      net::socket_addr remote, std::optional<tcp::tcp_config> cfg = {});
+  [[nodiscard]] result<socket_id> listen(
+      std::uint16_t port, std::optional<tcp::tcp_config> cfg = {}) override;
+  [[nodiscard]] result<socket_id> connect(
+      net::socket_addr remote,
+      std::optional<tcp::tcp_config> cfg = {}) override;
+  [[nodiscard]] result<socket_id> accept(socket_id listener) override;
+  [[nodiscard]] result<std::size_t> send(socket_id sock, buffer data) override;
+  [[nodiscard]] result<buffer> recv(socket_id sock, std::size_t max) override;
+  [[nodiscard]] std::optional<std::uint64_t> acked_bytes(
+      socket_id sock) override;
+  [[nodiscard]] std::optional<std::uint64_t> sent_bytes(
+      socket_id sock) override;
 
-  // Pops one pending connection from a listener (would_block if none).
-  [[nodiscard]] result<socket_id> accept(socket_id listener);
+  status shutdown_write(socket_id sock) override;
+  status close(socket_id sock) override;
+  status abort(socket_id sock) override;
 
-  [[nodiscard]] result<std::size_t> send(socket_id sock, buffer data);
-  [[nodiscard]] result<buffer> recv(socket_id sock, std::size_t max);
-
-  status shutdown_write(socket_id sock);
-  status close(socket_id sock);
-  status abort(socket_id sock);
-
-  [[nodiscard]] bool eof(socket_id sock) const;
-
-  // UDP sockets ----------------------------------------------------------------
-
-  [[nodiscard]] result<socket_id> udp_open(std::uint16_t port = 0);
+  [[nodiscard]] result<socket_id> udp_open(std::uint16_t port = 0) override;
   [[nodiscard]] result<std::size_t> udp_send_to(socket_id sock,
                                                 net::socket_addr dest,
-                                                buffer data);
+                                                buffer data) override;
   [[nodiscard]] result<std::pair<net::socket_addr, buffer>> udp_recv_from(
-      socket_id sock);
+      socket_id sock) override;
 
-  // Events ---------------------------------------------------------------------
+  // Events raised while no handler is installed queue up and are
+  // delivered, in order, once one is.
+  void set_event_handler(event_handler handler) override;
 
-  using event_handler = std::function<void(const socket_event&)>;
-
-  // Callback delivery: events are dispatched from a fresh simulator event,
-  // never re-entrantly from inside stack processing. Events raised while no
-  // handler is installed queue up and are delivered, in order, once one is.
-  void set_event_handler(event_handler handler);
+  [[nodiscard]] std::optional<net::socket_addr> remote_of(
+      socket_id sock) override;
+  [[nodiscard]] std::optional<obs::nk_flow_info> flow_info(
+      socket_id sock) override;
 
   // Introspection ----------------------------------------------------------------
 
+  [[nodiscard]] bool eof(socket_id sock) const;
+
   // The connection state of a TCP socket; nullptr for listeners/UDP/unknown.
   [[nodiscard]] tcp::tcb* tcb_of(socket_id sock);
-
-  // Per-flow telemetry snapshot for a TCP connection socket; nullopt for
-  // listeners, UDP sockets and unknown ids.
-  [[nodiscard]] std::optional<obs::nk_flow_info> flow_info(socket_id sock);
 
  private:
   using listener_state = detail::listener_state;

@@ -353,7 +353,7 @@ TEST_P(cc_e2e, lossy_transfer_completes_with_integrity) {
   params.tcp_a = t;
   test::loopback net{params};
 
-  stack::socket_id listener = net.b.tcp_listen(5001).value();
+  stack::socket_id listener = net.b.listen(5001).value();
   stack::socket_id server_conn = 0;
   buffer_chain received;
   net.b.set_event_handler([&](const stack::socket_event& ev) {
@@ -367,7 +367,7 @@ TEST_P(cc_e2e, lossy_transfer_completes_with_integrity) {
     }
   });
 
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   constexpr std::uint64_t total = 256 * 1024;
   std::uint64_t queued = 0;
   auto push = [&] {

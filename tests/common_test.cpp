@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "common/buffer.hpp"
+#include "common/hash.hpp"
 #include "common/log.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/token_bucket.hpp"
 #include "common/units.hpp"
+#include "shm/steering.hpp"
 
 namespace nk {
 namespace {
@@ -83,6 +85,31 @@ TEST(rng, exponential_mean) {
   const int trials = 100000;
   for (int i = 0; i < trials; ++i) sum += r.exponential(5.0);
   EXPECT_NEAR(sum / trials, 5.0, 0.15);
+}
+
+// One splitmix64 finalizer feeds the rng seeding, the pattern bytes, flow
+// steering and nkq's ids and tokens. These values pin it to the published
+// splitmix64 outputs and pin what is derived from it.
+TEST(hash, mix64_pins_rng_pattern_and_steering) {
+  static_assert(mix64(0) == 0xe220a8397b1dcdafULL);  // splitmix64, seed 0
+  EXPECT_EQ(mix64(1), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(mix64(0xdeadbeef), 0x4adfb90f68c9eb9bULL);
+
+  const std::uint8_t bytes[] = {0xaf, 0xc1, 0xce, 0xed};
+  for (std::uint64_t off = 0; off < 4; ++off) {
+    EXPECT_EQ(buffer::pattern_byte(off), std::byte{bytes[off]});
+  }
+  EXPECT_EQ(buffer::pattern_byte(1000), std::byte{0x48});
+
+  rng r{42};
+  EXPECT_EQ(r.next_u64(), 0x15780b2e0c2ec716ULL);
+  EXPECT_EQ(r.next_u64(), 0x6104d9866d113a7eULL);
+  EXPECT_EQ(r.next_u64(), 0xae17533239e499a1ULL);
+
+  const std::size_t shards[] = {0, 3, 2, 3, 1, 2, 3, 3};
+  for (std::uint32_t fd = 0; fd < 8; ++fd) {
+    EXPECT_EQ(shm::flow_shard(1, fd, 4), shards[fd]) << "fd " << fd;
+  }
 }
 
 TEST(buffer, pattern_roundtrip) {

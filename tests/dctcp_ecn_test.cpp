@@ -39,7 +39,7 @@ ecn_run run_flow(tcp::cc_algorithm cc) {
   params.tcp_b = tb;
   test::loopback net{params};
 
-  stack::socket_id listener = net.b.tcp_listen(5001).value();
+  stack::socket_id listener = net.b.listen(5001).value();
   stack::socket_id server_conn = 0;
   std::uint64_t received = 0;
   net.b.set_event_handler([&](const stack::socket_event& ev) {
@@ -52,7 +52,7 @@ ecn_run run_flow(tcp::cc_algorithm cc) {
     }
   });
 
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   auto push = [&] {
     while (net.a.send(conn, buffer::zeroed(64 * 1024)).ok()) {
     }

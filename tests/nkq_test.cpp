@@ -181,7 +181,7 @@ TEST(nkq_e2e, lossy_pulses_bulk_transfer_recovers_all_bytes) {
     bed.run_for(milliseconds(1));
     // Sample mid-flight: rows vanish once flows close.
     for (const auto& row : bed.netkernel(side::a).flow_table()) {
-      if (row.transport == "nkq") {
+      if (row.info.transport == "nkq") {
         retransmits = std::max(retransmits, row.info.retransmits);
       }
     }
@@ -254,6 +254,58 @@ TEST(nkq_e2e, zero_rtt_resumption_cuts_reconnect_latency) {
   EXPECT_EQ(snt->stats().handshakes_resumed, 1u);
   EXPECT_EQ(snt->stats().tokens_rejected, 0u);
   EXPECT_EQ(cnt->stats().zero_rtt_connects, 1u);
+}
+
+// Receive-side reassembly fed directly: frames out of order, duplicated,
+// and overlapping the way an nkq sender overlaps them (a retransmission is
+// its first transmission with the acked front clipped off, so overlapping
+// ranges share their end). The exact stream comes out, and on_readable
+// fires once per frame that advances the in-order edge, then at EOF.
+TEST(nkq_connection, reassembles_out_of_order_duplicate_and_overlapping) {
+  sim::simulator sim{1};
+  int readable = 0;
+  nkq::connection::callbacks cb;
+  cb.emit = [](buffer) {};
+  cb.on_readable = [&readable] { ++readable; };
+  nkq::connection conn{sim, nkq::nkq_config{}, 7, /*server=*/true,
+                       /*issue_token=*/0, std::move(cb)};
+
+  constexpr std::uint64_t total = 4000;
+  const buffer stream = buffer::pattern(total, 0);
+  std::uint64_t pn = 0;
+  const auto feed = [&](std::uint64_t begin, std::uint64_t end, bool fin) {
+    nkq::wire_packet p;
+    p.type = nkq::packet_type::data;
+    p.conn_id = 7;
+    p.pn = pn++;
+    nkq::frame f;
+    f.type = nkq::frame_type::stream;
+    f.stream.offset = begin;
+    f.stream.fin = fin;
+    f.stream.data = stream.slice(begin, end - begin);
+    p.frames.push_back(std::move(f));
+    conn.on_packet(p);
+  };
+
+  feed(3000, 3600, false);  // out of order
+  feed(2400, 3600, false);  // overlaps the held tail, same end
+  feed(2400, 3600, false);  // duplicate
+  EXPECT_EQ(readable, 0);
+  EXPECT_EQ(conn.recv(total).error(), errc::would_block);
+  feed(0, 1200, false);  // fills the front: one advance
+  EXPECT_EQ(readable, 1);
+  feed(600, 1200, false);  // already delivered
+  EXPECT_EQ(readable, 1);
+  feed(1200, 2400, false);  // fills the gap: releases everything held
+  EXPECT_EQ(readable, 2);
+  feed(3600, total, true);
+  EXPECT_EQ(readable, 3);
+
+  const auto got = conn.recv(2 * total);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), stream);
+  EXPECT_EQ(conn.stats().bytes_received, total);
+  EXPECT_EQ(conn.recv(1).error(), errc::closed);  // EOF
 }
 
 }  // namespace

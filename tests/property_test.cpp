@@ -34,7 +34,7 @@ TEST_P(tcp_integrity, byte_stream_is_exact) {
   params.tcp_a = t;
   test::loopback net{params};
 
-  stack::socket_id listener = net.b.tcp_listen(5001).value();
+  stack::socket_id listener = net.b.listen(5001).value();
   stack::socket_id server_conn = 0;
   buffer_chain received;
   bool eof = false;
@@ -54,7 +54,7 @@ TEST_P(tcp_integrity, byte_stream_is_exact) {
     }
   });
 
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   std::uint64_t queued = 0;
   auto push = [&, total = total] {
     while (queued < total) {

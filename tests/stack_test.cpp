@@ -14,15 +14,15 @@ using test::loopback;
 
 TEST(netstack_api, listen_rejects_duplicate_port) {
   loopback net{lan_params()};
-  ASSERT_TRUE(net.b.tcp_listen(80).ok());
-  auto dup = net.b.tcp_listen(80);
+  ASSERT_TRUE(net.b.listen(80).ok());
+  auto dup = net.b.listen(80);
   EXPECT_FALSE(dup.ok());
   EXPECT_EQ(dup.error(), errc::in_use);
 }
 
 TEST(netstack_api, listen_rejects_port_zero) {
   loopback net{lan_params()};
-  EXPECT_EQ(net.b.tcp_listen(0).error(), errc::invalid_argument);
+  EXPECT_EQ(net.b.listen(0).error(), errc::invalid_argument);
 }
 
 TEST(netstack_api, operations_on_unknown_socket_fail) {
@@ -35,22 +35,22 @@ TEST(netstack_api, operations_on_unknown_socket_fail) {
 
 TEST(netstack_api, accept_on_connection_socket_is_invalid) {
   loopback net{lan_params()};
-  ASSERT_TRUE(net.b.tcp_listen(5001).ok());
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  ASSERT_TRUE(net.b.listen(5001).ok());
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   EXPECT_EQ(net.a.accept(conn).error(), errc::invalid_argument);
 }
 
 TEST(netstack_api, accept_empty_backlog_would_block) {
   loopback net{lan_params()};
-  const auto listener = net.b.tcp_listen(5001).value();
+  const auto listener = net.b.listen(5001).value();
   EXPECT_EQ(net.b.accept(listener).error(), errc::would_block);
 }
 
 TEST(netstack_api, ephemeral_ports_are_distinct) {
   loopback net{lan_params()};
-  ASSERT_TRUE(net.b.tcp_listen(5001).ok());
-  const auto c1 = net.a.tcp_connect(net.addr_b(5001)).value();
-  const auto c2 = net.a.tcp_connect(net.addr_b(5001)).value();
+  ASSERT_TRUE(net.b.listen(5001).ok());
+  const auto c1 = net.a.connect(net.addr_b(5001)).value();
+  const auto c2 = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(10));
   EXPECT_NE(net.a.tcb_of(c1)->tuple().local.port,
             net.a.tcb_of(c2)->tuple().local.port);
@@ -58,9 +58,9 @@ TEST(netstack_api, ephemeral_ports_are_distinct) {
 
 TEST(netstack_api, close_listener_then_syn_gets_rst) {
   loopback net{lan_params()};
-  const auto listener = net.b.tcp_listen(5001).value();
+  const auto listener = net.b.listen(5001).value();
   ASSERT_TRUE(net.b.close(listener).ok());
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   errc err = errc::ok;
   net.a.set_event_handler([&](const socket_event& ev) {
     if (ev.sock == conn && ev.type == socket_event_type::error) {
@@ -73,9 +73,9 @@ TEST(netstack_api, close_listener_then_syn_gets_rst) {
 
 TEST(netstack_api, stats_count_connections) {
   loopback net{lan_params()};
-  ASSERT_TRUE(net.b.tcp_listen(5001).ok());
-  (void)net.a.tcp_connect(net.addr_b(5001));
-  (void)net.a.tcp_connect(net.addr_b(5001));
+  ASSERT_TRUE(net.b.listen(5001).ok());
+  (void)net.a.connect(net.addr_b(5001));
+  (void)net.a.connect(net.addr_b(5001));
   net.run_for(milliseconds(20));
   EXPECT_EQ(net.a.stats().connections_opened, 2u);
   EXPECT_EQ(net.b.stats().connections_accepted, 2u);
@@ -83,14 +83,14 @@ TEST(netstack_api, stats_count_connections) {
 
 TEST(netstack_events, queued_events_delivered_in_order_once_handler_set) {
   loopback net{lan_params()};
-  const auto l1 = net.b.tcp_listen(5001).value();
-  const auto l2 = net.b.tcp_listen(5002).value();
+  const auto l1 = net.b.listen(5001).value();
+  const auto l2 = net.b.listen(5002).value();
   const auto u = net.b.udp_open(6000).value();
   const auto sender = net.a.udp_open().value();
   // No handler on b: three distinguishable events queue up, in this order.
-  (void)net.a.tcp_connect(net.addr_b(5001));
+  (void)net.a.connect(net.addr_b(5001));
   net.run_for(milliseconds(10));
-  (void)net.a.tcp_connect(net.addr_b(5002));
+  (void)net.a.connect(net.addr_b(5002));
   net.run_for(milliseconds(10));
   ASSERT_TRUE(
       net.a.udp_send_to(sender, net.addr_b(6000), buffer::pattern(64)).ok());
@@ -116,7 +116,7 @@ TEST(netstack_events, queued_events_delivered_in_order_once_handler_set) {
 
 TEST(netstack_events, handler_not_called_reentrantly) {
   loopback net{lan_params()};
-  ASSERT_TRUE(net.b.tcp_listen(5001).ok());
+  ASSERT_TRUE(net.b.listen(5001).ok());
   int depth = 0;
   int max_depth = 0;
   net.b.set_event_handler([&](const socket_event&) {
@@ -124,7 +124,7 @@ TEST(netstack_events, handler_not_called_reentrantly) {
     max_depth = std::max(max_depth, depth);
     --depth;
   });
-  (void)net.a.tcp_connect(net.addr_b(5001));
+  (void)net.a.connect(net.addr_b(5001));
   net.run_for(milliseconds(10));
   EXPECT_EQ(max_depth, 1);
 }
@@ -198,9 +198,9 @@ TEST(netstack_cpu, tx_cost_serializes_on_core) {
   sim::cpu_core core{s, "tx0"};
   a.add_core(core);
 
-  ASSERT_TRUE(b.tcp_listen(5001).ok());
+  ASSERT_TRUE(b.listen(5001).ok());
   const auto conn =
-      a.tcp_connect({net::ipv4_addr::from_octets(10, 0, 0, 2), 5001}).value();
+      a.connect({net::ipv4_addr::from_octets(10, 0, 0, 2), 5001}).value();
   ASSERT_TRUE(a.send(conn, buffer::pattern(100000, 0)).ok());
   s.run_until(seconds(1));
   // With 10 us per packet on one core, the core must show real busy time.

@@ -33,7 +33,7 @@ struct sink_state {
 
 // Installs a byte sink on stack `st` listening at `port`.
 void install_sink(stack::netstack& st, std::uint16_t port, sink_state& state) {
-  state.listener = st.tcp_listen(port).value();
+  state.listener = st.listen(port).value();
   st.set_event_handler([&st, &state](const stack::socket_event& ev) {
     if (ev.type == socket_event_type::accept_ready) {
       if (auto r = st.accept(state.listener)) state.conn = r.value();
@@ -93,7 +93,7 @@ TEST(tcp_handshake, connects_and_reports_events) {
   install_sink(net.b, 5001, sink);
 
   bool connected = false;
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.a.set_event_handler([&](const stack::socket_event& ev) {
     if (ev.sock == conn && ev.type == socket_event_type::connected) {
       connected = true;
@@ -109,7 +109,7 @@ TEST(tcp_handshake, connects_and_reports_events) {
 
 TEST(tcp_handshake, connect_to_closed_port_is_refused) {
   loopback net{lan_params()};
-  const auto conn = net.a.tcp_connect(net.addr_b(4444)).value();
+  const auto conn = net.a.connect(net.addr_b(4444)).value();
   errc err = errc::ok;
   net.a.set_event_handler([&](const stack::socket_event& ev) {
     if (ev.sock == conn && ev.type == socket_event_type::error) {
@@ -130,7 +130,7 @@ TEST(tcp_handshake, syn_timeout_when_peer_unreachable) {
   params.tcp_a = t;
   loopback net{params};
 
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   errc err = errc::ok;
   net.a.set_event_handler([&](const stack::socket_event& ev) {
     if (ev.sock == conn && ev.type == socket_event_type::error) {
@@ -146,7 +146,7 @@ TEST(tcp_close, fin_handshake_reaches_closed_and_signals_eof) {
   sink_state sink;
   install_sink(net.b, 5001, sink);
 
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
   ASSERT_TRUE(net.a.send(conn, buffer::pattern(1000, 0)).ok());
   net.run_for(milliseconds(5));
@@ -167,7 +167,7 @@ TEST(tcp_close, abort_sends_rst) {
   loopback net{lan_params()};
   sink_state sink;
   install_sink(net.b, 5001, sink);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
 
   errc remote_err = errc::ok;
@@ -185,7 +185,7 @@ TEST(tcp_transfer, small_message_delivered_exactly) {
   loopback net{lan_params()};
   sink_state sink;
   install_sink(net.b, 5001, sink);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
   ASSERT_TRUE(net.a.send(conn, buffer::pattern(12345, 0)).ok());
   net.run_for(milliseconds(50));
@@ -197,7 +197,7 @@ TEST(tcp_transfer, multi_megabyte_clean_link) {
   loopback net{lan_params()};
   sink_state sink;
   install_sink(net.b, 5001, sink);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
 
   constexpr std::uint64_t total = 8 * 1024 * 1024;
@@ -230,7 +230,7 @@ TEST(tcp_transfer, survives_heavy_loss_with_integrity) {
   loopback net{params};
   sink_state sink;
   install_sink(net.b, 5001, sink);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(20));
 
   constexpr std::uint64_t total = 512 * 1024;
@@ -259,7 +259,7 @@ TEST(tcp_transfer, bidirectional_streams_do_not_interfere) {
   loopback net{lan_params()};
   sink_state sink_b;
   install_sink(net.b, 5001, sink_b);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
 
   // b echoes nothing; instead both sides just send independent patterns.
@@ -289,7 +289,7 @@ TEST(tcp_flow_control, zero_window_stalls_then_resumes) {
   loopback net{params};
 
   // Receiver that does NOT read until told to.
-  auto listener = net.b.tcp_listen(5001).value();
+  auto listener = net.b.listen(5001).value();
   stack::socket_id server_conn = 0;
   net.b.set_event_handler([&](const stack::socket_event& ev) {
     if (ev.type == socket_event_type::accept_ready) {
@@ -297,7 +297,7 @@ TEST(tcp_flow_control, zero_window_stalls_then_resumes) {
     }
   });
 
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
 
   std::uint64_t queued = 0;
@@ -342,7 +342,7 @@ TEST(tcp_acks, delayed_acks_reduce_ack_traffic) {
   loopback net{lan_params()};
   sink_state sink;
   install_sink(net.b, 5001, sink);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
   ASSERT_TRUE(net.a.send(conn, buffer::pattern(200000, 0)).ok());
   net.run_for(milliseconds(100));
@@ -363,7 +363,7 @@ struct echo_state {
 
 void install_echo(stack::netstack& st, const sim::simulator& sim,
                   std::uint16_t port, echo_state& state) {
-  state.listener = st.tcp_listen(port).value();
+  state.listener = st.listen(port).value();
   st.set_event_handler([&st, &sim, &state](const stack::socket_event& ev) {
     if (ev.type == socket_event_type::accept_ready) {
       if (auto r = st.accept(state.listener)) state.conn = r.value();
@@ -390,7 +390,7 @@ TEST(tcp_acks, echo_replies_carry_the_acks) {
   loopback net{lan_params()};
   echo_state echo;
   install_echo(net.b, net.sim, 5001, echo);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
 
   constexpr int exchanges = 100;
   constexpr std::size_t request_size = 64;
@@ -436,7 +436,7 @@ TEST(tcp_acks, unanswered_request_is_acked_after_the_timeout) {
   loopback net{params};
   echo_state echo;
   install_echo(net.b, net.sim, 5001, echo);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
 
   // Two answered exchanges: the server has replied, so its flow is
@@ -477,7 +477,7 @@ TEST(tcp_acks, one_way_bulk_acks_every_second_segment) {
   loopback net{params};
   sink_state sink;
   install_sink(net.b, 5001, sink);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
   constexpr std::size_t total = 200000;
   ASSERT_TRUE(net.a.send(conn, buffer::pattern(total, 0)).ok());
@@ -505,7 +505,7 @@ TEST(tcp_acks, data_with_fin_draws_one_ack) {
     wire_tap tap{net};
     sink_state sink;
     install_sink(net.b, 5001, sink);
-    const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+    const auto conn = net.a.connect(net.addr_b(5001)).value();
     net.run_for(milliseconds(5));
     EXPECT_TRUE(net.a.send(conn, buffer::pattern(total, 0)).ok());
     if (fin) {
@@ -530,13 +530,13 @@ TEST(tcp_acks, gap_filling_segment_is_acked_at_once) {
   wire_tap tap{net};
   // The receiving app reads nothing until the end, so no window update can
   // stand in for the ACK.
-  const auto listener = net.b.tcp_listen(5001).value();
+  const auto listener = net.b.listen(5001).value();
   stack::socket_id server = 0;
   net.b.set_event_handler([&](const stack::socket_event& ev) {
     if (ev.type != socket_event_type::accept_ready) return;
     if (auto r = net.b.accept(listener)) server = r.value();
   });
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
 
   // Drop the first transmission of data segment 3 of 10. All ten leave in
@@ -590,7 +590,7 @@ TEST(tcp_acks, psh_marks_only_the_segment_that_drains_the_queue) {
   wire_tap tap{net};
   sink_state sink;
   install_sink(net.b, 5001, sink);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
 
   // 3.5 segments leave in one pass; the last one empties the queue.
@@ -627,7 +627,7 @@ TEST(tcp_gso, burst_charges_one_per_packet_cost) {
   wire_tap tap{net};
   sink_state sink;
   install_sink(net.b, 5001, sink);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
 
   const sim_time busy_before = core.busy_time();
@@ -671,7 +671,7 @@ TEST(tcp_gso, initial_window_over_64k_splits_into_two_bursts) {
   wire_tap tap{net};
   sink_state sink;
   install_sink(net.b, 5001, sink);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
 
   // The initial window is 10 segments, 80 000 B of payload: more than one
@@ -733,7 +733,7 @@ test::loopback_params host_queue_params(std::uint64_t seed = 1) {
 // pattern streams, checks) what each one delivers.
 struct counting_sink {
   counting_sink(stack::netstack& st, std::uint16_t port) {
-    const stack::socket_id listener = st.tcp_listen(port).value();
+    const stack::socket_id listener = st.listen(port).value();
     st.set_event_handler([this, &st, listener](const stack::socket_event& ev) {
       if (ev.type == socket_event_type::accept_ready) {
         while (auto r = st.accept(listener)) bytes[r.value()];
@@ -784,7 +784,7 @@ struct bulk_source {
 // its connected and writable events.
 void start_bulk(loopback& net, std::uint16_t port,
                 std::optional<bulk_source>& src, std::uint64_t total = 0) {
-  src.emplace(net.a, net.a.tcp_connect(net.addr_b(port)).value(), total);
+  src.emplace(net.a, net.a.connect(net.addr_b(port)).value(), total);
   net.a.set_event_handler([&src](const stack::socket_event& ev) {
     if (ev.sock == src->conn && (ev.type == socket_event_type::connected ||
                                  ev.type == socket_event_type::writable)) {
@@ -873,7 +873,7 @@ TEST(tcp_tsq, new_connection_waits_behind_two_bursts_not_the_queue) {
   net.run_for(milliseconds(20));
 
   const sim_time opened = net.sim.now();
-  const stack::socket_id conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const stack::socket_id conn = net.a.connect(net.addr_b(5001)).value();
   std::optional<sim_time> connected;
   net.a.set_event_handler([&](const stack::socket_event& ev) {
     if (ev.sock == src->conn && ev.type == socket_event_type::writable) {
@@ -903,7 +903,7 @@ TEST(tcp_nagle, coalesces_small_writes) {
   loopback net{params};
   sink_state sink;
   install_sink(net.b, 5001, sink);
-  const auto conn = net.a.tcp_connect(net.addr_b(5001)).value();
+  const auto conn = net.a.connect(net.addr_b(5001)).value();
   net.run_for(milliseconds(5));
 
   for (int i = 0; i < 100; ++i) {

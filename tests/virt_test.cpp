@@ -51,10 +51,10 @@ TEST(machine, guest_stack_defaults_to_os_native_cc) {
   machine& vm = host.create_vm(cfg);
   ASSERT_NE(vm.guest_stack(), nullptr);
   // Open a socket and check its controller name.
-  auto listener = vm.guest_stack()->tcp_listen(80);
+  auto listener = vm.guest_stack()->listen(80);
   ASSERT_TRUE(listener.ok());
   // The config flows into new connections; verify via a connect tcb.
-  auto conn = vm.guest_stack()->tcp_connect(
+  auto conn = vm.guest_stack()->connect(
       {net::ipv4_addr::from_octets(10, 0, 0, 2), 80});
   ASSERT_TRUE(conn.ok());
   EXPECT_EQ(vm.guest_stack()->tcb_of(conn.value())->cc().name(), "compound");
@@ -178,8 +178,8 @@ TEST(hypervisor, two_hosts_route_vm_to_vm) {
   machine& vmb = hb.create_vm(cb);
 
   // End-to-end TCP through vNIC -> vSwitch -> pNIC -> wire -> ... -> vNIC.
-  ASSERT_TRUE(vmb.guest_stack()->tcp_listen(5001).ok());
-  auto conn = vma.guest_stack()->tcp_connect({cb.address, 5001});
+  ASSERT_TRUE(vmb.guest_stack()->listen(5001).ok());
+  auto conn = vma.guest_stack()->connect({cb.address, 5001});
   ASSERT_TRUE(conn.ok());
   s.run_until(milliseconds(50));
   ASSERT_NE(vma.guest_stack()->tcb_of(conn.value()), nullptr);

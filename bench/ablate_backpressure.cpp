@@ -51,7 +51,6 @@ outcome run(std::size_t depth, std::uint64_t seed, std::size_t cap = 0) {
   params.netkernel.channel.queues.depth = depth;
   // Trace every nqe so the accounting cross-check below is exact.
   params.netkernel.trace.enabled = true;
-  params.netkernel.trace.sample_rate = 1.0;
   params.netkernel.trace.max_active = 1 << 16;
   params.netkernel.trace.max_spans = 1 << 17;
   apps::testbed bed{params};

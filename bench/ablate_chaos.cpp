@@ -56,7 +56,6 @@ outcome run(bool attack, std::uint64_t seed, bool smoke) {
   // Trace everything; forged nqes carry no trace id and land in the
   // untraced-discard counter, so the cross-check below is exact either way.
   params.netkernel.trace.enabled = true;
-  params.netkernel.trace.sample_rate = 1.0;
   params.netkernel.trace.max_active = 1 << 16;
   params.netkernel.trace.max_spans = 1 << 17;
   params.netkernel.shards = 2;

@@ -48,7 +48,6 @@ outcome run(core::nsm_form form, std::uint64_t seed) {
   auto params = apps::datacenter_params(seed);
   // Trace every nqe so the accounting cross-check below is exact.
   params.netkernel.trace.enabled = true;
-  params.netkernel.trace.sample_rate = 1.0;
   params.netkernel.trace.max_active = 1 << 16;
   params.netkernel.trace.max_spans = 1 << 17;
   apps::testbed bed{params};

@@ -1,8 +1,7 @@
 // Ablation A11: provider-side stack introspection (paper §5).
 //
-// Two bulk flows cross a lossy WAN path behind NetKernel while tracing runs
-// at sample rate 1.0. The run then checks everything the introspection
-// layer promises:
+// Two bulk flows cross a lossy WAN path behind NetKernel with tracing on.
+// The run then checks everything the introspection layer promises:
 //
 //   1. Flow table join — every row CoreEngine::flow_table() reports
 //      (<VM, fd> -> <NSM, cID> + nk_flow_info) agrees with the
@@ -62,7 +61,6 @@ outcome run(bool smoke, std::uint64_t seed) {
   auto params = apps::datacenter_params(seed);
   params.wire.loss_rate = 0.002;
   params.netkernel.trace.enabled = true;
-  params.netkernel.trace.sample_rate = 1.0;
   params.netkernel.trace.max_active = 1 << 16;
   params.netkernel.trace.max_spans = 1 << 17;
   apps::testbed bed{params};
@@ -176,8 +174,14 @@ outcome run(bool smoke, std::uint64_t seed) {
       out.recorder_dumped = false;
     }
   }
-  const auto& snaps = mon.crash_snapshots();
-  out.recorder_dumped = out.recorder_dumped && snaps.count(victim) == 1;
+  std::size_t crash_alerts = 0;
+  for (const auto& a : mon.alerts()) {
+    if (a.kind == core::alert_kind::nsm_failed && a.module == victim &&
+        !a.snapshot.empty()) {
+      ++crash_alerts;
+    }
+  }
+  out.recorder_dumped = out.recorder_dumped && crash_alerts == 1;
 
   // --- accounting invariant + chunk-leak check across both engines -----------
   for (auto* engine : {&tx_ce, &rx_ce}) {

@@ -8,16 +8,12 @@
 //      rest lands in the explicit "(unattributed)" bucket, never silently.
 //   2. Overhead — a wall-clock shm-style ring loop with one NK_PROF scope
 //      per 4096-op batch costs <= 2% extra with a live profiler vs none,
-//      beyond the noise floor two unprofiled runs measure (and exactly
-//      nothing under -DNK_DISABLE_PROFILING, where NK_PROF expands to no
-//      tokens at all).
+//      beyond the noise floor two unprofiled runs measure.
 //   3. SLO alarm — an injected latency objective (1 ns threshold on the
 //      traced p99 of the VM-side job-queue dwell: impossible to meet)
 //      burns through its budget, fires a multi-window burn-rate alert
 //      through the health monitor, and the alarm-time snapshot embeds the
-//      profiler top-N plus the flight-recorder ring. The SLO reads a
-//      tracer-fed series, so under -DNK_DISABLE_TRACING this check (the
-//      alert and its snapshot) is reported as not applicable.
+//      profiler top-N plus the flight-recorder ring.
 //   4. Fidelity — after snap_now() the time-series' last sample of a
 //      counter equals the registry value bit-for-bit.
 //
@@ -68,9 +64,7 @@ struct outcome {
   // from the gaps between two unprofiled runs (the noise floor)
   double overhead_pct = 0.0;
   double noise_pct = 0.0;
-  bool profiling_compiled_out = false;
   // 3. SLO burn (fed by the tracer's nqe_attr histograms)
-  bool tracing_compiled_out = false;
   std::uint64_t slo_alerts = 0;
   bool monitor_saw_burn = false;
   bool snapshot_has_top = false;
@@ -82,18 +76,14 @@ struct outcome {
 };
 
 // Checks 1, 3 and 4 share one Figure-4-shaped run: a NetKernel VM pair
-// moving bulk TCP across the 40 GbE testbed with tracing at rate 1.0 (the
+// moving bulk TCP across the 40 GbE testbed with tracing on (the
 // nqe_attr histograms feed the SLO's p99 series).
 void run_sim_checks(bool smoke, std::uint64_t seed, outcome& out) {
   auto params = apps::datacenter_params(seed);
   params.netkernel.trace.enabled = true;
-  params.netkernel.trace.sample_rate = 1.0;
   params.netkernel.trace.max_active = 1 << 16;
   params.netkernel.trace.max_spans = 1 << 17;
   apps::testbed bed{params};
-#ifdef NK_NO_TRACING
-  out.tracing_compiled_out = true;
-#endif
 
   core::nsm_config nsm_cfg;
   nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
@@ -155,16 +145,14 @@ void run_sim_checks(bool smoke, std::uint64_t seed, outcome& out) {
   // --- 3. burn alert + alarm-time snapshot -------------------------------
   out.slo_alerts = slo.alerts_total();
   for (const auto& a : mon.alerts()) {
-    if (a.kind == core::alert_kind::slo_burn) out.monitor_saw_burn = true;
-  }
-  const auto snap = mon.slo_snapshots().find(o.name);
-  if (snap != mon.slo_snapshots().end()) {
+    if (a.kind != core::alert_kind::slo_burn) continue;
+    out.monitor_saw_burn = true;
     out.snapshot_has_top =
-        snap->second.find("\"profiler_top\"") != std::string::npos &&
-        snap->second.find("\"top\"") != std::string::npos &&
-        snap->second.find("\"stack\"") != std::string::npos;
+        a.snapshot.find("\"profiler_top\"") != std::string::npos &&
+        a.snapshot.find("\"top\"") != std::string::npos &&
+        a.snapshot.find("\"stack\"") != std::string::npos;
     out.snapshot_has_recorder =
-        snap->second.find("\"flight_recorder\"") != std::string::npos;
+        a.snapshot.find("\"flight_recorder\"") != std::string::npos;
   }
 
   // --- 4. last sample == registry value, exactly -------------------------
@@ -213,9 +201,6 @@ double median(std::vector<double> v) {
 }
 
 void run_overhead_check(bool smoke, outcome& out) {
-#ifdef NK_NO_PROFILING
-  out.profiling_compiled_out = true;
-#endif
   const std::size_t iters = (smoke ? 1u : 4u) * 1'000'000u;
   (void)timed_loop(iters / 4);  // warm caches and the branch predictor
 
@@ -266,42 +251,28 @@ int main(int argc, char** argv) {
   run_sim_checks(smoke, smoke ? 42 : 4242, o);
   run_overhead_check(smoke, o);
 
-  // Under -DNK_DISABLE_PROFILING the listener and every NK_PROF scope are
-  // compiled out: the proof of the kill switch is zero charges (and an
-  // empty top-N in the SLO snapshot), not attribution.
-  const bool attribution_ok =
-      o.profiling_compiled_out ? o.charged_ns == 0
-                               : o.attribution >= 0.95 && o.charged_ns > 0;
+  const bool attribution_ok = o.attribution >= 0.95 && o.charged_ns > 0;
   // The budget is 2% plus two noise floors: a gap the host's own noise
-  // explains is not the profiler's. Compiled-out builds time two
-  // byte-identical loops, so their "overhead" is pure noise and is held to
-  // the same bound.
+  // explains is not the profiler's.
   const double overhead_budget = (NK_ABLATE_SANITIZED ? 10.0 : 2.0) +
                                  2 * o.noise_pct;
   const bool overhead_ok = o.overhead_pct <= overhead_budget;
-  // Under -DNK_DISABLE_TRACING the SLO's p99 series has no samples, so
-  // no alert can fire and no snapshot exists: not applicable, not failed.
-  const bool slo_ok = o.tracing_compiled_out ||
-                      (o.slo_alerts >= 1 && o.monitor_saw_burn &&
-                       o.snapshot_has_recorder &&
-                       (o.profiling_compiled_out || o.snapshot_has_top));
-  const char* slo_na =
-      o.tracing_compiled_out ? " (n/a: tracing compiled out)" : "";
+  const bool slo_ok = o.slo_alerts >= 1 && o.monitor_saw_burn &&
+                      o.snapshot_has_recorder && o.snapshot_has_top;
 
   std::printf("attribution             %.4f (%llu ns charged, %zu nodes)\n",
               o.attribution, static_cast<unsigned long long>(o.charged_ns),
               o.profile_nodes);
   std::printf("profiler overhead       %.2f%% (noise floor %.2f%%, budget "
-              "%.2f%%)%s\n",
-              o.overhead_pct, o.noise_pct, overhead_budget,
-              o.profiling_compiled_out ? " (compiled out)" : "");
-  std::printf("slo burn alerts         %llu (monitor saw burn: %s)%s\n",
+              "%.2f%%)\n",
+              o.overhead_pct, o.noise_pct, overhead_budget);
+  std::printf("slo burn alerts         %llu (monitor saw burn: %s)\n",
               static_cast<unsigned long long>(o.slo_alerts),
-              o.monitor_saw_burn ? "yes" : "NO", slo_na);
-  std::printf("snapshot has top-N      %s%s\n",
-              o.snapshot_has_top ? "yes" : "NO", slo_na);
-  std::printf("snapshot has recorder   %s%s\n",
-              o.snapshot_has_recorder ? "yes" : "NO", slo_na);
+              o.monitor_saw_burn ? "yes" : "NO");
+  std::printf("snapshot has top-N      %s\n",
+              o.snapshot_has_top ? "yes" : "NO");
+  std::printf("snapshot has recorder   %s\n",
+              o.snapshot_has_recorder ? "yes" : "NO");
   std::printf("timeseries == registry  %s (%.0f vs %.0f)\n",
               o.ts_matches_registry ? "yes" : "NO", o.ts_last, o.reg_value);
 
@@ -310,15 +281,12 @@ int main(int argc, char** argv) {
   std::snprintf(
       buf, sizeof(buf),
       "{\"attribution\": %.4f, \"charged_ns\": %llu, "
-      "\"overhead_pct\": %.2f, \"noise_pct\": %.2f, \"compiled_out\": %s, "
-      "\"tracing_compiled_out\": %s, \"slo_alerts\": %llu, "
+      "\"overhead_pct\": %.2f, \"noise_pct\": %.2f, \"slo_alerts\": %llu, "
       "\"snapshot_has_top\": %s, "
       "\"snapshot_has_recorder\": %s, \"ts_matches_registry\": %s, "
       "\"ts_last\": %.0f, \"registry\": %.0f}\n",
       o.attribution, static_cast<unsigned long long>(o.charged_ns),
-      o.overhead_pct, o.noise_pct, o.profiling_compiled_out ? "true" : "false",
-      o.tracing_compiled_out ? "true" : "false",
-      static_cast<unsigned long long>(o.slo_alerts),
+      o.overhead_pct, o.noise_pct, static_cast<unsigned long long>(o.slo_alerts),
       o.snapshot_has_top ? "true" : "false",
       o.snapshot_has_recorder ? "true" : "false",
       o.ts_matches_registry ? "true" : "false", o.ts_last, o.reg_value);

@@ -269,9 +269,9 @@ isolation_result run_isolation(bool hog_on, std::uint64_t seed, bool smoke) {
   for (const auto& a : mon.alerts()) {
     if (a.kind == core::alert_kind::tenant_quota_exceeded && a.vm == hog_vm) {
       out.alerted = true;
+      out.snapshot = out.snapshot || !a.snapshot.empty();
     }
   }
-  out.snapshot = mon.quota_snapshots().count(hog_vm) > 0;
   out.gauge_cycles =
       ce.metrics()
           .value_of("vm" + std::to_string(hog_vm) + "_cycle_budget_used")

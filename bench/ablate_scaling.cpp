@@ -180,7 +180,6 @@ stress_outcome run_shard_backpressure() {
   params.netkernel.channel.queues.depth = 8;
   params.netkernel.overflow_limit = 64;
   params.netkernel.trace.enabled = true;
-  params.netkernel.trace.sample_rate = 1.0;
   params.netkernel.trace.max_active = 1 << 16;
   params.netkernel.trace.max_spans = 1 << 17;
   apps::testbed bed{params};

@@ -70,7 +70,6 @@ struct outcome {
 outcome run(bool stats_on, std::uint64_t seed, bool smoke) {
   auto params = apps::datacenter_params(seed);
   params.netkernel.trace.enabled = true;
-  params.netkernel.trace.sample_rate = 1.0;
   params.netkernel.trace.max_active = 1 << 16;
   params.netkernel.trace.max_spans = 1 << 17;
   params.netkernel.shards = 2;

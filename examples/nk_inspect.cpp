@@ -41,7 +41,6 @@ int main() {
   auto params = apps::datacenter_params(/*seed=*/7);
   params.wire.loss_rate = 0.002;
   params.netkernel.trace.enabled = true;
-  params.netkernel.trace.sample_rate = 1.0;
   params.netkernel.trace.max_active = 1 << 16;
   params.netkernel.trace.max_spans = 1 << 17;
   apps::testbed bed{params};
@@ -167,12 +166,15 @@ int main() {
         st.short_burn, st.long_burn, st.burning ? "BURNING" : "ok",
         static_cast<unsigned long long>(st.alerts_fired));
   }
-  if (auto it = mon.slo_snapshots().find(obj.name);
-      it != mon.slo_snapshots().end()) {
+  const core::alert* burn = nullptr;  // the objective's latest burn
+  for (const auto& a : mon.alerts()) {
+    if (a.kind == core::alert_kind::slo_burn) burn = &a;
+  }
+  if (burn != nullptr) {
     std::printf(
         "  alarm-time snapshot captured (%zu bytes: objective, burns,\n"
         "  profiler top-N, flight-recorder ring) -> slo_vm_dwell_p99.json\n",
-        it->second.size());
+        burn->snapshot.size());
   }
 
   // --- 5. kill the server NSM; the monitor snapshots its last moments ------
@@ -185,11 +187,16 @@ int main() {
     bed.run_for(milliseconds(1));
   }
   bed.run_for(milliseconds(50));
-  const auto& snaps = mon.crash_snapshots();
-  if (auto it = snaps.find(victim); it != snaps.end()) {
+  const core::alert* crash = nullptr;
+  for (const auto& a : mon.alerts()) {
+    if (a.kind == core::alert_kind::nsm_failed && a.module == victim) {
+      crash = &a;
+    }
+  }
+  if (crash != nullptr) {
     std::printf("flight recorder snapshot captured (%zu bytes), dump: "
                 "flight_recorder_nsm%u.json\n",
-                it->second.size(), static_cast<unsigned>(victim));
+                crash->snapshot.size(), static_cast<unsigned>(victim));
   } else {
     std::printf("NO flight recorder snapshot captured\n");
     return 1;

@@ -17,11 +17,10 @@ using apps::side;
 int main() {
   // A testbed is two hypervisors joined by a 40 GbE link, each with a
   // NetKernel CoreEngine (apps/scenario.hpp wires it all). Lifecycle
-  // tracing is on at full sampling: every nqe through the pipeline becomes
+  // tracing is on: every nqe through the pipeline becomes
   // a row in quickstart_trace.json (see the Perfetto hint at the end).
   auto params = apps::datacenter_params(/*seed=*/1);
   params.netkernel.trace.enabled = true;
-  params.netkernel.trace.sample_rate = 1.0;
   apps::testbed bed{params};
 
   // Provider side: create an NSM running the Cubic TCP stack and attach a
@@ -94,7 +93,7 @@ int main() {
                   client.module->stack().stats().tx_packets));
 
   // Machine-readable observability dumps from the client-side CoreEngine:
-  // per-stage nqe latency histograms + every counter/gauge in Prometheus
+  // per-hop nqe latency histograms + every counter/gauge in Prometheus
   // text format, and the traced spans as Chrome trace events.
   core::core_engine& ce = bed.netkernel(side::a);
   {

@@ -41,7 +41,6 @@ struct token_bucket {
 };
 
 struct rate_limiter_state {
-  log_rate_limit_config cfg;
   std::unordered_map<std::string, token_bucket> buckets;
   std::uint64_t emitted = 0;
   std::uint64_t suppressed = 0;
@@ -66,11 +65,6 @@ std::int64_t limiter_now_ns() {
 // the file-scope statics.
 bool limiter_admit(const std::string& message, std::string& annotation) {
   rate_limiter_state& st = limiter_ref();
-  if (!st.cfg.enabled || st.cfg.burst <= 0.0 ||
-      st.cfg.refill_interval_ns <= 0) {
-    ++st.emitted;
-    return true;
-  }
   const std::int64_t now = limiter_now_ns();
   auto it = st.buckets.find(message);
   if (it == st.buckets.end()) {
@@ -80,15 +74,15 @@ bool limiter_admit(const std::string& message, std::string& annotation) {
       return true;
     }
     token_bucket b;
-    b.tokens = st.cfg.burst;
+    b.tokens = log_warn_burst;
     b.last_refill_ns = now;
     it = st.buckets.emplace(message, b).first;
   }
   token_bucket& b = it->second;
   if (now > b.last_refill_ns) {
     const double refill = static_cast<double>(now - b.last_refill_ns) /
-                          static_cast<double>(st.cfg.refill_interval_ns);
-    b.tokens = std::min(st.cfg.burst, b.tokens + refill);
+                          static_cast<double>(log_warn_refill_ns);
+    b.tokens = std::min(log_warn_burst, b.tokens + refill);
     b.last_refill_ns = now;
   }
   if (b.tokens < 1.0) {
@@ -144,12 +138,6 @@ std::optional<log_level> parse_log_level(std::string_view name) {
 }
 
 void set_log_clock(log_clock now_ns) { clock_ref() = std::move(now_ns); }
-
-void set_log_rate_limit(const log_rate_limit_config& cfg) {
-  limiter_ref().cfg = cfg;
-}
-
-log_rate_limit_config current_log_rate_limit() { return limiter_ref().cfg; }
 
 std::uint64_t log_emitted_total() { return limiter_ref().emitted; }
 std::uint64_t log_suppressed_total() { return limiter_ref().suppressed; }

@@ -43,13 +43,10 @@ void set_log_clock(log_clock now_ns);
 // error and below-warn levels are never limited. Refill time comes from
 // the log clock when one is installed (simulated time), wall clock
 // otherwise.
-struct log_rate_limit_config {
-  bool enabled = true;
-  double burst = 8.0;  // lines a new message may emit back-to-back
-  std::int64_t refill_interval_ns = 1'000'000'000;  // one token per interval
-};
-void set_log_rate_limit(const log_rate_limit_config& cfg);
-[[nodiscard]] log_rate_limit_config current_log_rate_limit();
+// A new message text may emit log_warn_burst lines back-to-back, and gets
+// one more every log_warn_refill_ns.
+inline constexpr double log_warn_burst = 8.0;
+inline constexpr std::int64_t log_warn_refill_ns = 1'000'000'000;
 
 // Limiter observability for tests: lifetime counts of warn lines emitted
 // and suppressed, and a full reset (buckets + counters).

@@ -13,12 +13,6 @@
 namespace nk::core {
 
 namespace {
-constexpr std::size_t drain_batch = 64;
-// A shard core with more than this much committed copy work stops popping
-// rings: nqes then wait in the *ring* — visible backpressure that bounds the
-// chunks in flight per lane — instead of in the core's unbounded execute
-// FIFO. Same gate ServiceLib applies in drain_jobs.
-constexpr sim_time pump_backlog_bound = microseconds(3);
 // Accepted-connection fds sit above every GuestLib-minted fd. Each shard
 // mints its own interleaved sequence (see mint_id), so the accept hot path
 // touches no cross-shard counter and (fd - accept_fd_base) mod N names the
@@ -53,9 +47,8 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
     : host_{host},
       sim_{host.simulator()},
       cfg_{cfg},
-      recorder_{cfg_.flight},
       tracer_{sim_, metrics_, cfg_.trace},
-      series_{sim_, metrics_, cfg_.timeseries} {
+      series_{sim_, metrics_} {
   tracer_.set_flight_recorder(&recorder_);
 
   // Build the shard array: one partition of the mapping table per shard,
@@ -669,7 +662,7 @@ void core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
   // Likewise once the shard core's copy backlog passes the bound: further
   // pops would just park nqes in its infinite FIFO, hiding the pressure.
   while (n < batch && stage.size() < cfg_.overflow_limit) {
-    if (core.backlog() > pump_backlog_bound) {
+    if (core.backlog() > drain_backlog_bound) {
       gated = true;
       break;
     }
@@ -845,7 +838,7 @@ void core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
     shm::nqe_queue& ring =
         receive ? att.ch->nsm_q(s).receive : att.ch->nsm_q(s).completion;
     while (n < drain_batch && stage.to_vm_depth() < cfg_.overflow_limit) {
-      if (core.backlog() > pump_backlog_bound) {
+      if (core.backlog() > drain_backlog_bound) {
         gated = true;
         break;
       }

@@ -84,10 +84,6 @@ struct core_engine_config {
   notify_config notification{};  // used for every pump in the system
   channel_config channel{};
   obs::trace_config trace{};  // nqe lifecycle tracing (off by default)
-  obs::flight_recorder_config flight{};  // per-NSM failure flight recorder
-  // Metric history ring; engine stats are pre-tracked. Sampling starts only
-  // when a caller runs series().start() (see obs::timeseries::start).
-  obs::timeseries_config timeseries{};
   guest_lib_config guest{};   // applied to every attached VM's GuestLib
   // Backpressure: staged nqes per direction per VM before the engine stops
   // accepting new work from the upstream ring, and the hard cap beyond
@@ -249,6 +245,8 @@ class core_engine {
   [[nodiscard]] const obs::flight_recorder& recorder() const {
     return recorder_;
   }
+  // Metric history ring; engine stats are pre-tracked. Sampling starts only
+  // when a caller runs series().start() (see obs::timeseries::start).
   [[nodiscard]] obs::timeseries& series() { return series_; }
   [[nodiscard]] const obs::timeseries& series() const { return series_; }
   // Aggregate over every shard (by value: the partitions are summed on
@@ -273,9 +271,9 @@ class core_engine {
   // Live traces this shard retired via tracer drop() — the shard-local
   // slice of the global nqe_traces_dropped counter. Discards whose nqe
   // carried no live trace (hostile injections arrive with reserved=0, and
-  // sampled-out nqes at sample_rate < 1.0) land in
+  // nqes begun with tracing off or the active set full) land in
   // shard_discards_untraced(s) instead, so the per-shard invariant is exact
-  // at every sample rate:
+  // whether tracing is on or off:
   //   unroutable + dropped + stale + rejected
   //     == shard_traces_dropped(s) + shard_discards_untraced(s).
   [[nodiscard]] std::uint64_t shard_traces_dropped(std::size_t s) const {
@@ -416,7 +414,7 @@ class core_engine {
     std::unordered_set<flow_key, flow_key_hash> torn_down;
     core_engine_stats stats;
     std::uint64_t traces_dropped = 0;  // live traces this shard retired
-    // Discards whose nqe carried no live trace (forged nqes, sampled-out
+    // Discards whose nqe carried no live trace (forged nqes, untraced
     // ones) — the other half of the drop-accounting invariant.
     std::uint64_t discards_untraced = 0;
     // Firewall rejections by reject_reason (badop/badfd/badchunk/badepoch).
@@ -534,7 +532,7 @@ class core_engine {
                   const shm::nqe& e);
   // Tracer drop with shard attribution: a retired live trace lands in the
   // shard's slice of nqe_traces_dropped; a discard with no live trace (a
-  // forged nqe with reserved=0, or a sampled-out one) is counted as
+  // forged nqe with reserved=0, or an untraced one) is counted as
   // untraced, so every engine-side discard increments exactly one of the
   // two and the accounting invariant stays exact.
   void drop_trace(engine_shard& sh, std::uint64_t id) {

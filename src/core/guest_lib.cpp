@@ -10,7 +10,7 @@
 namespace nk::core {
 
 namespace {
-constexpr std::size_t drain_batch = 128;
+constexpr std::size_t guest_drain_batch = 128;
 }
 
 guest_lib::guest_lib(virt::machine& vm, std::unique_ptr<channel> ch,
@@ -541,7 +541,7 @@ void guest_lib::drain() {
     std::size_t lane_popped = 0;
     for (shm::nqe_queue* ring :
          {&ch_->vm_q(s).completion, &ch_->vm_q(s).receive}) {
-      while (popped < drain_batch && ring->pop(e)) {
+      while (popped < guest_drain_batch && ring->pop(e)) {
         ++popped;
         ++lane_popped;
         if (e.reserved != 0) {

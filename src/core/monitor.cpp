@@ -113,10 +113,8 @@ void health_monitor::on_slo_burn(const obs::slo_status& st) {
        << (profiler_ != nullptr ? profiler_->top_json(10) : "null")
        << ",\"flight_recorder\":" << engine_.recorder().snapshot_json(0, now)
        << '}';
-  slo_snapshots_[st.objective.name] =
-      dump_snapshot("slo_" + st.objective.name + ".json", snap.str());
-
   alert a;
+  a.snapshot = dump_snapshot("slo_" + st.objective.name + ".json", snap.str());
   a.kind = alert_kind::slo_burn;
   a.at = now;
   a.module = 0;
@@ -230,8 +228,8 @@ void health_monitor::check_failures() {
   // Snapshot each victim's flight recorder NOW — the emit below runs the
   // supervisor, which replaces the module and retires its state; the ring's
   // last events are the evidence of what it saw before dying.
-  for (const auto& a : dead) {
-    crash_snapshots_[a.module] = dump_snapshot(
+  for (auto& a : dead) {
+    a.snapshot = dump_snapshot(
         "flight_recorder_nsm" + std::to_string(a.module) + ".json",
         engine_.recorder().snapshot_json(a.module, engine_.simulator().now()));
   }
@@ -248,11 +246,10 @@ void health_monitor::check_quarantines() {
   const auto& log = engine_.quarantine_log();
   for (; quarantine_seen_ < log.size(); ++quarantine_seen_) {
     const quarantine_record& rec = log[quarantine_seen_];
-    quarantine_snapshots_[rec.vm] = dump_snapshot(
+    alert a;
+    a.snapshot = dump_snapshot(
         "quarantine_vm" + std::to_string(rec.vm) + ".json",
         engine_.recorder().snapshot_json(rec.module, engine_.simulator().now()));
-
-    alert a;
     a.kind = alert_kind::vm_quarantined;
     a.at = rec.at;
     a.module = rec.module;
@@ -273,11 +270,10 @@ void health_monitor::check_quotas() {
   const auto& log = engine_.sla().quota_log();
   for (; quota_seen_ < log.size(); ++quota_seen_) {
     const quota_event& ev = log[quota_seen_];
-    quota_snapshots_[ev.vm] = dump_snapshot(
+    alert a;
+    a.snapshot = dump_snapshot(
         "quota_vm" + std::to_string(ev.vm) + ".json",
         engine_.recorder().snapshot_json(ev.module, engine_.simulator().now()));
-
-    alert a;
     a.kind = alert_kind::tenant_quota_exceeded;
     a.at = ev.at;
     a.module = ev.module;

@@ -41,6 +41,12 @@ struct alert {
   virt::vm_id vm = 0;  // set for channel_stalled, vm_quarantined and
                        // tenant_quota_exceeded
   std::string detail;
+  // Alarm-time evidence, captured before any handler runs: the SLO burn
+  // document (objective, burn rates, profiler top-N, flight-recorder ring)
+  // for slo_burn; the flight-recorder snapshot_json() of the NSM that died
+  // (nsm_failed) or that served the tenant (vm_quarantined,
+  // tenant_quota_exceeded); empty for nsm_overloaded and channel_stalled.
+  std::string snapshot;
 };
 
 std::ostream& operator<<(std::ostream& os, const alert& a);
@@ -56,7 +62,7 @@ struct monitor_config {
   // Flight-recorder dump directory: when non-empty, an NSM declared dead
   // gets its flight-recorder ring written to
   // <dir>/flight_recorder_nsm<id>.json before the supervisor replaces it.
-  // The in-memory snapshot (crash_snapshots()) is taken regardless.
+  // The in-memory snapshot (alert::snapshot) is taken regardless.
   std::string flight_recorder_dir;
 };
 
@@ -90,43 +96,13 @@ class health_monitor {
 
   // SLO integration: subscribe to a burn-rate engine so objective burns
   // flow through the same alert pipeline as overload/stall/failure. Each
-  // burn captures an alarm-time snapshot (objective, burn rates, profiler
-  // top-N, flight-recorder ring) in slo_snapshots(), and — when
-  // flight_recorder_dir is set — writes it to <dir>/slo_<objective>.json.
+  // burn alert carries its alarm-time snapshot, which — when
+  // flight_recorder_dir is set — is also written to
+  // <dir>/slo_<objective>.json.
   void attach_slo(obs::slo_engine& slo);
   // Profiler whose top-N is embedded in report_json() and in every SLO
   // burn snapshot. Not owned; may be nullptr.
   void set_profiler(const obs::profiler* prof) { profiler_ = prof; }
-  [[nodiscard]] const std::unordered_map<std::string, std::string>&
-  slo_snapshots() const {
-    return slo_snapshots_;
-  }
-
-  // Flight-recorder snapshots captured by check_failures() at the moment
-  // each NSM was declared dead — before the supervisor replaced it. Keyed
-  // by the dead NSM's id; value is flight_recorder::snapshot_json().
-  [[nodiscard]] const std::unordered_map<nsm_id, std::string>&
-  crash_snapshots() const {
-    return crash_snapshots_;
-  }
-
-  // Flight-recorder snapshots captured by check_quarantines() when the
-  // engine quarantined a hostile VM — the ring shows what the module saw of
-  // the abuse before the tenant was cut off. Keyed by the quarantined VM's
-  // id; value is flight_recorder::snapshot_json() of the serving NSM.
-  [[nodiscard]] const std::unordered_map<virt::vm_id, std::string>&
-  quarantine_snapshots() const {
-    return quarantine_snapshots_;
-  }
-
-  // Flight-recorder snapshots captured by check_quotas() when a tenant
-  // first tripped its cycle or chunk quota (rising edge per quota_event).
-  // Keyed by the throttled VM's id; value is the serving NSM's
-  // flight_recorder::snapshot_json() at alert time.
-  [[nodiscard]] const std::unordered_map<virt::vm_id, std::string>&
-  quota_snapshots() const {
-    return quota_snapshots_;
-  }
 
  private:
   void tick();
@@ -139,7 +115,7 @@ class health_monitor {
   void emit(alert a);
   // Alarm-time snapshot dump: writes `doc` to <flight_recorder_dir>/<file>
   // when a directory is set (warning if the write fails) and returns it for
-  // the caller's snapshot map.
+  // the alert's snapshot.
   std::string dump_snapshot(const std::string& file, std::string doc) const;
 
   core_engine& engine_;
@@ -155,16 +131,12 @@ class health_monitor {
   };
   std::unordered_map<virt::vm_id, channel_watch> channels_;
   std::unordered_set<nsm_id> flagged_dead_;  // alert once per incarnation
-  std::unordered_map<nsm_id, std::string> crash_snapshots_;
   std::size_t quarantine_seen_ = 0;  // watermark into engine quarantine_log()
-  std::unordered_map<virt::vm_id, std::string> quarantine_snapshots_;
   std::size_t quota_seen_ = 0;  // watermark into the sla_manager quota_log()
-  std::unordered_map<virt::vm_id, std::string> quota_snapshots_;
   std::vector<alert> alerts_;
   std::vector<alert_handler> handlers_;
   const obs::slo_engine* slo_ = nullptr;
   const obs::profiler* profiler_ = nullptr;
-  std::unordered_map<std::string, std::string> slo_snapshots_;
 };
 
 // Failure-recovery policy: when the monitor declares an NSM dead, spawn a

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <functional>
 
 #include "sim/cpu_core.hpp"
@@ -31,6 +32,15 @@ struct notify_config {
   sim_time poll_interval = microseconds(1);
   sim_time interrupt_delay = microseconds(2);
 };
+
+// Limits of the provider-side drains (CoreEngine's shard pumps and
+// ServiceLib's job drain). One drain pops at most `drain_batch` nqes from a
+// ring, and stops popping while its core has more than
+// `drain_backlog_bound` of committed work: nqes then wait in the *ring* —
+// the backpressure the producer sees — instead of in the core's unbounded
+// execute FIFO.
+inline constexpr std::size_t drain_batch = 64;
+inline constexpr sim_time drain_backlog_bound = microseconds(3);
 
 class queue_pump {
  public:

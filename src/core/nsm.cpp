@@ -43,7 +43,8 @@ nsm::nsm(virt::hypervisor& host, nsm_id id, const nsm_config& cfg)
                                 "' (known: nkq, tcp)");
   }
 
-  port_ = host.attach_nic(vnic_, cfg.address, cfg.sriov);
+  // The vNIC is a VF of the pNIC: host-bypass forwarding.
+  port_ = host.attach_nic(vnic_, cfg.address, /*sriov=*/true);
 }
 
 nsm::~nsm() { host_.detach_nic(port_); }

@@ -71,7 +71,6 @@ struct nsm_config {
   tcp::cc_algorithm cc = tcp::cc_algorithm::cubic;
   tcp::tcp_config tcp{};  // `cc` above is applied onto this
   int cores = 1;          // dedicated host cores, >= 1 (prototype: 1)
-  bool sriov = true;      // VF of the pNIC (host-bypass forwarding)
   net::ipv4_addr address{};
   // Provider-optimized stack: lighter per-byte processing than the legacy
   // guest kernel stack (the efficiency argument of §2.1).

@@ -10,7 +10,6 @@
 namespace nk::core {
 
 namespace {
-constexpr std::size_t drain_batch = 64;
 // The most bytes a guest may have written that the stack has not yet
 // transmitted (Linux TCP_NOTSENT_LOWAT). A chunk's credit goes back when
 // the stack transmits its last byte, so a large send buffer holds data in
@@ -326,10 +325,9 @@ void service_lib::drain_jobs() {
   NK_PROF("servicelib", "pump");
   // A real polling loop pops one operation, executes it, then pops the
   // next: work waits in the *ring*, not in some infinite CPU backlog. Model
-  // that by stopping the drain once the core has a small amount of
+  // that by stopping the drain once the core has drain_backlog_bound of
   // committed work, so the ring's occupancy is the backpressure the engine
   // and the guest see.
-  constexpr sim_time backlog_bound = microseconds(3);
   if (failed_) return;
   bool left_behind = false;
   for (auto& [vm, svm] : vms_) {
@@ -353,7 +351,7 @@ void service_lib::drain_jobs() {
       // Budget spent mid-drain on an earlier lane.
       if (svm.tenant->over_budget) break;
       while (n < drain_batch) {
-        if (core.backlog() > backlog_bound) {
+        if (core.backlog() > drain_backlog_bound) {
           left_behind =
               left_behind || !svm.ch->nsm_q(s).job.empty_approx();
           break;

@@ -31,8 +31,8 @@ connection::connection(sim::simulator& sim, const nkq_config& cfg,
       cb_{std::move(cb)},
       peer_max_data_{initial_max_data},
       reassembly_{cfg.recv_buffer} {
-  cc_ = tcp::make_congestion_controller(
-      cfg.cc, tcp::cc_config{static_cast<std::uint32_t>(cfg.mss), 10});
+  cc_ = tcp::make_congestion_controller(cfg.cc,
+                                        static_cast<std::uint32_t>(cfg.mss));
   if (server_) {
     // A server connection exists because an initial arrived; it is
     // established from birth (the creating packet is fed via on_packet).

@@ -10,9 +10,8 @@
 namespace nk::obs {
 
 void flight_recorder::append(std::uint16_t nsm, const flight_event& ev) {
-  if (cfg_.capacity == 0) return;
   ring& r = rings_[nsm];
-  if (r.buf.empty()) r.buf.resize(cfg_.capacity);
+  if (r.buf.empty()) r.buf.resize(capacity());
   r.buf[r.next] = ev;
   r.next = (r.next + 1) % r.buf.size();
   ++r.total;
@@ -56,7 +55,7 @@ std::string flight_recorder::snapshot_json(std::uint16_t nsm,
   std::ostringstream os;
   os << "{\"nsm\":" << nsm << ",\"at_ns\":" << now.count()
      << ",\"events_total\":" << total(nsm) << ",\"capacity\":"
-     << cfg_.capacity << ",\"events\":[";
+     << capacity() << ",\"events\":[";
   bool first = true;
   for (const flight_event& ev : events(nsm)) {
     if (!first) os << ',';

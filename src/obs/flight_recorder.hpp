@@ -6,9 +6,8 @@
 // Hot-path appends are mirrored from the nqe tracer (begin / stamp / finish
 // / drop); they are fixed-size POD writes into a pre-sized ring — no
 // allocation, no locking (each simulation is single-threaded, see
-// sim::simulator). With -DNK_DISABLE_TRACING the tracer hooks that feed the
-// ring compile out, so the recorder costs nothing on the hot path; explicit
-// control-plane note() calls (crash, switchover, alerts) still land.
+// sim::simulator). With tracing off (trace_config::enabled false) only the
+// explicit control-plane note() calls (crash, switchover, alerts) land.
 #pragma once
 
 #include <array>
@@ -24,7 +23,7 @@
 namespace nk::obs {
 
 enum class flight_event_kind : std::uint8_t {
-  trace_begin,   // nqe entered the pipeline (sampled)
+  trace_begin,   // nqe entered the pipeline (traced)
   trace_stamp,   // nqe crossed a pipeline stage
   trace_finish,  // trace completed normally
   trace_drop,    // traced nqe discarded (unroutable / overflow / stale)
@@ -54,14 +53,9 @@ struct flight_event {
   std::array<char, 48> note{};    // NUL-terminated, truncated free text
 };
 
-struct flight_recorder_config {
-  std::size_t capacity = 256;  // events retained per NSM ring
-};
-
 class flight_recorder {
  public:
-  explicit flight_recorder(const flight_recorder_config& cfg = {})
-      : cfg_{cfg} {}
+  flight_recorder() = default;
 
   flight_recorder(const flight_recorder&) = delete;
   flight_recorder& operator=(const flight_recorder&) = delete;
@@ -81,7 +75,8 @@ class flight_recorder {
   // Lifetime event count for `nsm` (> ring size once the ring has wrapped).
   [[nodiscard]] std::uint64_t total(std::uint16_t nsm) const;
 
-  [[nodiscard]] std::size_t capacity() const { return cfg_.capacity; }
+  // Events retained per NSM ring.
+  [[nodiscard]] static constexpr std::size_t capacity() { return 256; }
 
   // JSON dump of one NSM's ring: {"nsm":..,"at_ns":..,"events_total":..,
   // "events":[{...}]}. This is what the monitor writes next to the failover
@@ -96,7 +91,6 @@ class flight_recorder {
     std::uint64_t total = 0;        // lifetime appends
   };
 
-  flight_recorder_config cfg_;
   std::unordered_map<std::uint16_t, ring> rings_;
 };
 

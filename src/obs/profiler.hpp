@@ -12,9 +12,6 @@
 // simulator) each scope charges its own steady_clock self time (child time
 // subtracted), which is what the real microbenches (shm_throughput,
 // nqe_copy) report as cycles/op.
-//
-// Compiled out entirely under -DNK_DISABLE_PROFILING (NK_NO_PROFILING):
-// NK_PROF becomes a no-op and cpu_core skips the listener call.
 #pragma once
 
 #include <cstdint>
@@ -164,11 +161,7 @@ class prof_scope {
 
 }  // namespace nk::obs
 
-#ifdef NK_NO_PROFILING
-#define NK_PROF(component, op)
-#else
 #define NK_PROF_CONCAT2(a, b) a##b
 #define NK_PROF_CONCAT(a, b) NK_PROF_CONCAT2(a, b)
 #define NK_PROF(component, op) \
   ::nk::obs::prof_scope NK_PROF_CONCAT(nk_prof_scope_, __LINE__)(component, op)
-#endif

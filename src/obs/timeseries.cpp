@@ -5,12 +5,9 @@
 
 namespace nk::obs {
 
-timeseries::timeseries(sim::simulator& sim, metrics_registry& reg,
-                       timeseries_config cfg)
-    : sim_{sim}, reg_{reg}, cfg_{cfg} {
-  if (cfg_.retention == 0) cfg_.retention = 1;
-  if (cfg_.resolution <= sim_time::zero()) cfg_.resolution = milliseconds(1);
-  times_.assign(cfg_.retention, sim_time::zero());
+timeseries::timeseries(sim::simulator& sim, metrics_registry& reg)
+    : sim_{sim}, reg_{reg} {
+  times_.assign(retention, sim_time::zero());
 }
 
 timeseries::~timeseries() { stop(); }
@@ -19,7 +16,7 @@ void timeseries::track(std::string_view name) {
   if (series_.find(name) != series_.end()) return;
   series s;
   s.src.metric = std::string{name};
-  s.ring.assign(cfg_.retention, nan_);
+  s.ring.assign(retention, nan_);
   series_.emplace(std::string{name}, std::move(s));
 }
 
@@ -30,7 +27,7 @@ std::string timeseries::track_percentile(std::string_view hist, double p) {
     series s;
     s.src.metric = std::string{hist};
     s.src.pct = p;
-    s.ring.assign(cfg_.retention, nan_);
+    s.ring.assign(retention, nan_);
     series_.emplace(name.str(), std::move(s));
   }
   return name.str();
@@ -43,7 +40,7 @@ void timeseries::add_tick_handler(std::function<void(sim_time)> h) {
 void timeseries::start() {
   if (running_) return;
   running_ = true;
-  timer_ = sim_.schedule(cfg_.resolution, [this] { tick(); });
+  timer_ = sim_.schedule(resolution, [this] { tick(); });
 }
 
 void timeseries::stop() {
@@ -56,7 +53,7 @@ void timeseries::tick() {
   take_row();
   const sim_time now = sim_.now();
   for (const auto& h : tick_handlers_) h(now);
-  timer_ = sim_.schedule(cfg_.resolution, [this] { tick(); });
+  timer_ = sim_.schedule(resolution, [this] { tick(); });
 }
 
 void timeseries::snap_now() { take_row(); }
@@ -77,8 +74,8 @@ void timeseries::take_row() {
     s.ring[at] = sample(s.src);
   }
   if (!overwrite) {
-    next_ = (next_ + 1) % cfg_.retention;
-    if (count_ < cfg_.retention) ++count_;
+    next_ = (next_ + 1) % retention;
+    if (count_ < retention) ++count_;
   }
 }
 
@@ -94,7 +91,7 @@ double timeseries::sample(const source& s) const {
 
 std::size_t timeseries::slot(std::size_t i) const {
   // next_ is one past the newest row; oldest = next_ - count_.
-  return (next_ + cfg_.retention - count_ + i) % cfg_.retention;
+  return (next_ + retention - count_ + i) % retention;
 }
 
 const timeseries::series* timeseries::find(std::string_view name) const {
@@ -177,8 +174,8 @@ double timeseries::violation_fraction(std::string_view name, sim_time window,
 
 std::string timeseries::to_json() const {
   std::ostringstream os;
-  os << "{\"resolution_ns\":" << cfg_.resolution.count()
-     << ",\"retention\":" << cfg_.retention << ",\"samples\":" << count_
+  os << "{\"resolution_ns\":" << resolution.count()
+     << ",\"retention\":" << retention << ",\"samples\":" << count_
      << ",\"timestamps_ns\":[";
   for (std::size_t i = 0; i < count_; ++i) {
     if (i != 0) os << ',';

@@ -6,7 +6,7 @@
 // sources are registry counters/gauges/callback-gauges (by name) or a
 // histogram percentile; every `resolution` of sim time a snapshot of all
 // sources lands in one aligned row. Memory is fixed at
-// retention * series count doubles; old rows are overwritten.
+// `retention` * series count doubles; old rows are overwritten.
 //
 // A source that disappears mid-run (unregister_prefix on VM detach / NSM
 // retirement) samples as NaN from then on — exported as null, never a
@@ -27,15 +27,12 @@
 
 namespace nk::obs {
 
-struct timeseries_config {
-  sim_time resolution = milliseconds(1);
-  std::size_t retention = 512;  // rows kept; window = retention * resolution
-};
-
 class timeseries {
  public:
-  timeseries(sim::simulator& sim, metrics_registry& reg,
-             timeseries_config cfg = {});
+  static constexpr sim_time resolution = milliseconds(1);
+  static constexpr std::size_t retention = 512;  // rows kept
+
+  timeseries(sim::simulator& sim, metrics_registry& reg);
   ~timeseries();
 
   timeseries(const timeseries&) = delete;
@@ -64,7 +61,6 @@ class timeseries {
   void snap_now();
 
   [[nodiscard]] std::size_t samples() const { return count_; }
-  [[nodiscard]] const timeseries_config& config() const { return cfg_; }
 
   // Most recent sampled value (NaN if no samples / unknown series).
   [[nodiscard]] double latest(std::string_view name) const;
@@ -104,7 +100,6 @@ class timeseries {
 
   sim::simulator& sim_;
   metrics_registry& reg_;
-  timeseries_config cfg_;
   std::map<std::string, series, std::less<>> series_;
   std::vector<sim_time> times_;  // size retention
   std::size_t next_ = 0;         // next physical slot to write

@@ -8,15 +8,9 @@ namespace nk::obs {
 nqe_tracer::nqe_tracer(sim::simulator& s, metrics_registry& reg,
                        const trace_config& cfg)
     : sim_{s}, reg_{reg}, cfg_{cfg} {
-  for (int i = 0; i < nqe_stage_count; ++i) {
-    stage_hist_[static_cast<std::size_t>(i)] = &reg.get_histogram(
-        std::string("nqe_stage_") +
-        std::string(to_string(static_cast<nqe_stage>(i))) + "_ns");
-  }
   sampled_ = &reg.get_counter("nqe_traces_sampled");
   overflow_ = &reg.get_counter("nqe_traces_overflow");
   dropped_ = &reg.get_counter("nqe_traces_dropped");
-#ifndef NK_NO_TRACING
   // Critical-path summary gauges: per direction, the sum of the per-hop
   // mean latencies — the expected wall-clock of an nqe that crosses every
   // hop. Export-time sampling only; the detailed per-hop breakdown lives in
@@ -34,7 +28,6 @@ nqe_tracer::nqe_tracer(sim::simulator& s, metrics_registry& reg,
           return total;
         });
   }
-#endif
 }
 
 void nqe_tracer::note(std::uint16_t nsm, std::uint16_t vm,
@@ -78,17 +71,7 @@ void nqe_tracer::attribute(const nqe_trace& t) {
 
 std::uint64_t nqe_tracer::maybe_begin(shm::nqe& e, bool reverse,
                                       std::uint16_t vm, std::uint16_t nsm) {
-#ifdef NK_NO_TRACING
-  (void)e;
-  (void)reverse;
-  (void)vm;
-  (void)nsm;
-  return 0;
-#else
   if (!cfg_.enabled) return 0;
-  if (cfg_.sample_rate < 1.0 && !sim_.random().chance(cfg_.sample_rate)) {
-    return 0;
-  }
   if (active_.size() >= cfg_.max_active) {
     overflow_->inc();
     return 0;
@@ -107,31 +90,21 @@ std::uint64_t nqe_tracer::maybe_begin(shm::nqe& e, bool reverse,
   record_event(t, flight_event_kind::trace_begin, nqe_stage::vm_job_dwell,
                t.begin);
   return id;
-#endif
 }
 
 void nqe_tracer::stamp(std::uint64_t id, nqe_stage stage) {
-#ifdef NK_NO_TRACING
-  (void)id;
-  (void)stage;
-#else
   if (id == 0) return;
   auto it = active_.find(id);
   if (it == active_.end()) return;
   nqe_trace& t = it->second;
   const sim_time now = sim_.now();
-  stage_hist_[static_cast<std::size_t>(stage)]->record_time(now - t.end());
   if (t.n_stamps < nqe_trace::max_stamps) {
     t.stamps[t.n_stamps++] = trace_stamp{stage, now};
   }
   record_event(t, flight_event_kind::trace_stamp, stage, now);
-#endif
 }
 
 void nqe_tracer::finish(std::uint64_t id) {
-#ifdef NK_NO_TRACING
-  (void)id;
-#else
   if (id == 0) return;
   auto it = active_.find(id);
   if (it == active_.end()) return;
@@ -165,7 +138,6 @@ void nqe_tracer::finish(std::uint64_t id) {
 
   if (done_.size() < cfg_.max_spans) done_.push_back(t);
   active_.erase(it);
-#endif
 }
 
 bool nqe_tracer::drop(std::uint64_t id) {

@@ -1,6 +1,6 @@
-// nqe lifecycle tracer (ISSUE 1 tentpole): stamps each sampled nqe at the
-// paper's pipeline stages and turns the stamps into per-stage latency
-// histograms plus Chrome trace_event spans.
+// nqe lifecycle tracer: stamps each nqe at the paper's pipeline stages and
+// turns the stamps into per-hop latency histograms plus Chrome trace_event
+// spans.
 //
 // Forward path (request):
 //   GuestLib submit ──vm_job_dwell──▶ CoreEngine pop ──engine_copy_fwd──▶
@@ -12,9 +12,9 @@
 //
 // The trace id rides in nqe.reserved (the cache-line pad), so tracing never
 // widens the nqe or adds a lookup on the untraced path: id 0 means "not
-// sampled" and every hook is a single predictable branch. Compile with
-// NK_NO_TRACING defined (cmake -DNK_DISABLE_TRACING=ON) to compile all
-// hooks out entirely.
+// traced" and every hook is a single predictable branch. Tracing is off
+// unless trace_config::enabled is set; when on, every nqe is traced (up to
+// max_active at once) and tracing draws nothing from the simulator's rng.
 #pragma once
 
 #include <array>
@@ -61,9 +61,6 @@ inline constexpr int nqe_stage_count = 9;
 
 struct trace_config {
   bool enabled = false;
-  // Probability that an nqe entering the pipeline is traced. Drawn from the
-  // simulator-owned rng, so a fixed seed gives a fixed sample.
-  double sample_rate = 1.0;
   std::size_t max_active = 4096;    // in-flight traced nqes
   std::size_t max_spans = 1 << 16;  // retained completed traces
 };
@@ -110,14 +107,14 @@ class nqe_tracer {
   // switchover, monitor alert). No-op without a recorder. Not a hot path.
   void note(std::uint16_t nsm, std::uint16_t vm, std::string_view text);
 
-  // Sampling decision at a pipeline entry point. On a hit, assigns a trace
-  // id, writes it into e.reserved and records the begin timestamp; returns
-  // the id (0 when tracing is off / the nqe was not sampled).
+  // Trace start at a pipeline entry point: assigns a trace id, writes it
+  // into e.reserved and records the begin timestamp; returns the id (0 when
+  // tracing is off or max_active traces are already live).
   std::uint64_t maybe_begin(shm::nqe& e, bool reverse, std::uint16_t vm,
                             std::uint16_t nsm);
 
-  // Records `stage` for trace `id`: feeds the elapsed-since-previous-stamp
-  // delta into the stage histogram and appends the stamp. id 0 is a no-op.
+  // Records `stage` for trace `id` by appending the stamp; finish() turns
+  // the stamps into per-hop deltas. id 0 is a no-op.
   void stamp(std::uint64_t id, nqe_stage stage);
 
   // Completes the trace: records the end-to-end latency into the per-VM and
@@ -133,7 +130,7 @@ class nqe_tracer {
   bool drop(std::uint64_t id);
 
   // Live traces retired via drop() — the tracer's independent count of
-  // discarded nqes (sampled ones only; sample_rate 1.0 sees every drop).
+  // discarded traced nqes.
   [[nodiscard]] std::uint64_t drops() const {
     return dropped_ == nullptr ? 0 : dropped_->value();
   }
@@ -166,7 +163,6 @@ class nqe_tracer {
   trace_config cfg_;
   std::uint64_t next_id_ = 1;
 
-  std::array<histogram*, nqe_stage_count> stage_hist_{};
   // Attribution histograms, one per (direction, stage) pair, lazily
   // registered as nqe_attr_{fwd,rev}_<stage>_ns when first fed.
   std::array<histogram*, 2 * nqe_stage_count> attr_hist_{};

@@ -31,11 +31,9 @@ void cpu_core::execute(sim_time cost, std::function<void()> done) {
 
 void cpu_core::charge(sim_time cost) {
   assert(cost >= sim_time::zero());
-#ifndef NK_NO_PROFILING
   if (cpu_charge_listener* l = listener_slot(); l != nullptr) {
     l->on_charge(*this, cost);
   }
-#endif
   const sim_time start = std::max(sim_.now(), busy_until_);
   busy_until_ = start + cost;
   busy_accum_ += cost;

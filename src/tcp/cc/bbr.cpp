@@ -13,8 +13,8 @@ constexpr double probe_bw_cwnd_gain = 2.0;
 constexpr std::uint64_t min_cwnd_segments = 4;
 }  // namespace
 
-bbr::bbr(const cc_config& cfg)
-    : cfg_{cfg}, pacing_gain_{startup_gain}, cwnd_gain_{startup_gain} {}
+bbr::bbr(std::uint32_t mss)
+    : mss_{mss}, pacing_gain_{startup_gain}, cwnd_gain_{startup_gain} {}
 
 void bbr::on_established(sim_time now) {
   cycle_stamp_ = now;
@@ -28,7 +28,7 @@ double bbr::max_bw() const {
 
 std::uint64_t bbr::bdp_bytes(double gain) const {
   if (min_rtt_ == sim_time::max() || max_bw() <= 0.0) {
-    return cfg_.mss * cfg_.initial_cwnd_segments;
+    return mss_ * initial_cwnd_segments;
   }
   const double bdp = max_bw() * to_seconds(min_rtt_);
   return static_cast<std::uint64_t>(gain * bdp);
@@ -167,15 +167,15 @@ void bbr::on_rto(const loss_sample& loss) {
 }
 
 std::uint64_t bbr::cwnd_bytes() const {
-  if (rto_collapsed_) return min_cwnd_segments * cfg_.mss;
-  if (mode_ == mode::probe_rtt) return min_cwnd_segments * cfg_.mss;
+  if (rto_collapsed_) return min_cwnd_segments * mss_;
+  if (mode_ == mode::probe_rtt) return min_cwnd_segments * mss_;
   return std::max<std::uint64_t>(bdp_bytes(cwnd_gain_),
-                                 min_cwnd_segments * cfg_.mss);
+                                 min_cwnd_segments * mss_);
 }
 
 data_rate bbr::pacing_rate() const {
   const double init_bytes =
-      static_cast<double>(cfg_.mss * cfg_.initial_cwnd_segments);
+      static_cast<double>(mss_ * initial_cwnd_segments);
   // Floor: never pace slower than the initial window per round trip (one
   // guessed millisecond before the first RTT sample). Early, noisy
   // bandwidth samples must not strangle startup.

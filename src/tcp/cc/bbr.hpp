@@ -17,7 +17,7 @@ namespace nk::tcp {
 
 class bbr final : public congestion_controller {
  public:
-  explicit bbr(const cc_config& cfg);
+  explicit bbr(std::uint32_t mss);
 
   void on_established(sim_time now) override;
   void on_ack(const ack_sample& ack) override;
@@ -41,7 +41,7 @@ class bbr final : public congestion_controller {
   void check_full_pipe(const ack_sample& ack);
   void advance_machine(const ack_sample& ack);
 
-  cc_config cfg_;
+  std::uint32_t mss_;
   mode mode_ = mode::startup;
 
   // Windowed-max bottleneck bandwidth filter (last 10 rounds): a monotonic

@@ -10,27 +10,9 @@
 
 namespace nk::tcp {
 
-// Defaults follow Tan et al. for beta/gamma but with the more aggressive
-// delay-window gain production Windows stacks ship (the original paper's
-// alpha=0.125, k=0.75 recovers far too slowly on large-BDP paths — the
-// Figure 5 point is precisely that C-TCP's delay component keeps the pipe
-// fuller than pure loss-based control under sporadic loss).
-struct compound_params {
-  double alpha = 0.4;   // dwnd increase factor
-  double beta = 0.5;    // dwnd decrease factor on congestion loss
-  double k = 0.8;       // binomial exponent for dwnd growth
-  double gamma = 30.0;  // queueing threshold in packets
-  double zeta = 1.0;    // dwnd decrease slope vs measured queueing
-  // Loss with an empty-queue delay estimate is treated as non-congestion
-  // (CTCP-TUBE-style discrimination): the total window shrinks by this mild
-  // factor instead of beta. This is what lets C-TCP hold most of a clean
-  // high-BDP pipe under sporadic random loss where Reno/Cubic collapse.
-  double random_loss_beta = 0.15;
-};
-
 class compound final : public congestion_controller {
  public:
-  compound(const cc_config& cfg, const compound_params& params = {});
+  explicit compound(std::uint32_t mss);
 
   void on_ack(const ack_sample& ack) override;
   void on_fast_retransmit(const loss_sample& loss) override;
@@ -45,14 +27,13 @@ class compound final : public congestion_controller {
     return ssthresh_seg_ >= 1e17
                ? 0
                : static_cast<std::uint64_t>(ssthresh_seg_ *
-                                            static_cast<double>(cfg_.mss));
+                                            static_cast<double>(mss_));
   }
 
  private:
   void per_rtt_update();
 
-  cc_config cfg_;
-  compound_params p_;
+  std::uint32_t mss_;
 
   double cwnd_seg_;
   double dwnd_seg_ = 0.0;

@@ -87,12 +87,10 @@ class congestion_controller {
   [[nodiscard]] virtual std::string_view name() const = 0;
 };
 
-struct cc_config {
-  std::uint32_t mss = 1448;
-  std::uint64_t initial_cwnd_segments = 10;  // RFC 6928
-};
+// Every controller starts from this window, in segments (RFC 6928).
+inline constexpr std::uint64_t initial_cwnd_segments = 10;
 
 [[nodiscard]] std::unique_ptr<congestion_controller> make_congestion_controller(
-    cc_algorithm algorithm, const cc_config& cfg);
+    cc_algorithm algorithm, std::uint32_t mss);
 
 }  // namespace nk::tcp

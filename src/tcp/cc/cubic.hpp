@@ -8,16 +8,9 @@
 
 namespace nk::tcp {
 
-struct cubic_params {
-  double c = 0.4;     // cubic scaling constant (segments/sec^3)
-  double beta = 0.7;  // multiplicative decrease factor
-  bool fast_convergence = true;
-  bool tcp_friendly = true;
-};
-
 class cubic final : public congestion_controller {
  public:
-  cubic(const cc_config& cfg, const cubic_params& params = {});
+  explicit cubic(std::uint32_t mss);
 
   void on_established(sim_time now) override;
   void on_ack(const ack_sample& ack) override;
@@ -26,7 +19,7 @@ class cubic final : public congestion_controller {
 
   [[nodiscard]] std::uint64_t cwnd_bytes() const override {
     return static_cast<std::uint64_t>(cwnd_segments_ *
-                                      static_cast<double>(cfg_.mss));
+                                      static_cast<double>(mss_));
   }
   [[nodiscard]] std::string_view name() const override { return "cubic"; }
   // 0 while ssthresh is still at its "infinite" initial value.
@@ -34,7 +27,7 @@ class cubic final : public congestion_controller {
     return ssthresh_segments_ >= 1e17
                ? 0
                : static_cast<std::uint64_t>(ssthresh_segments_ *
-                                            static_cast<double>(cfg_.mss));
+                                            static_cast<double>(mss_));
   }
 
   [[nodiscard]] bool in_slow_start() const {
@@ -42,11 +35,10 @@ class cubic final : public congestion_controller {
   }
 
  private:
-  void enter_congestion(double factor);
+  void enter_congestion();
   [[nodiscard]] double w_cubic(double t_seconds) const;
 
-  cc_config cfg_;
-  cubic_params p_;
+  std::uint32_t mss_;
 
   double cwnd_segments_;
   double ssthresh_segments_;

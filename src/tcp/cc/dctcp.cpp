@@ -4,8 +4,11 @@
 
 namespace nk::tcp {
 
-dctcp::dctcp(const cc_config& cfg, const dctcp_params& params)
-    : newreno{cfg}, p_{params} {}
+namespace {
+constexpr double dctcp_gain = 1.0 / 16.0;  // EWMA weight g
+}  // namespace
+
+dctcp::dctcp(std::uint32_t mss) : newreno{mss} {}
 
 void dctcp::on_ack(const ack_sample& ack) {
   window_acked_ += ack.acked_bytes;
@@ -14,14 +17,14 @@ void dctcp::on_ack(const ack_sample& ack) {
   if (ack.delivered >= next_window_at_ && window_acked_ > 0) {
     const double fraction = static_cast<double>(window_marked_) /
                             static_cast<double>(window_acked_);
-    alpha_ = (1.0 - p_.gain) * alpha_ + p_.gain * fraction;
+    alpha_ = (1.0 - dctcp_gain) * alpha_ + dctcp_gain * fraction;
 
     if (window_marked_ > 0) {
       // DCTCP's proportional decrease replaces Reno's halving for ECN.
       const double factor = 1.0 - alpha_ / 2.0;
       cwnd_ = std::max<std::uint64_t>(
           static_cast<std::uint64_t>(static_cast<double>(cwnd_) * factor),
-          2 * cfg_.mss);
+          2 * mss_);
       ssthresh_ = cwnd_;
     }
     window_acked_ = 0;

@@ -13,13 +13,9 @@
 
 namespace nk::tcp {
 
-struct dctcp_params {
-  double gain = 1.0 / 16.0;  // EWMA weight g
-};
-
 class dctcp final : public newreno {
  public:
-  dctcp(const cc_config& cfg, const dctcp_params& params = {});
+  explicit dctcp(std::uint32_t mss);
 
   void on_ack(const ack_sample& ack) override;
 
@@ -29,7 +25,6 @@ class dctcp final : public newreno {
   [[nodiscard]] double alpha() const { return alpha_; }
 
  private:
-  dctcp_params p_;
   double alpha_ = 1.0;  // start conservative, as Linux does
   std::uint64_t window_acked_ = 0;
   std::uint64_t window_marked_ = 0;

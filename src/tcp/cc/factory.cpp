@@ -17,15 +17,15 @@ std::optional<cc_algorithm> parse_cc_algorithm(std::string_view name) {
 }
 
 std::unique_ptr<congestion_controller> make_congestion_controller(
-    cc_algorithm algorithm, const cc_config& cfg) {
+    cc_algorithm algorithm, std::uint32_t mss) {
   switch (algorithm) {
-    case cc_algorithm::newreno: return std::make_unique<newreno>(cfg);
-    case cc_algorithm::cubic: return std::make_unique<cubic>(cfg);
-    case cc_algorithm::bbr: return std::make_unique<bbr>(cfg);
-    case cc_algorithm::compound: return std::make_unique<compound>(cfg);
-    case cc_algorithm::dctcp: return std::make_unique<dctcp>(cfg);
+    case cc_algorithm::newreno: return std::make_unique<newreno>(mss);
+    case cc_algorithm::cubic: return std::make_unique<cubic>(mss);
+    case cc_algorithm::bbr: return std::make_unique<bbr>(mss);
+    case cc_algorithm::compound: return std::make_unique<compound>(mss);
+    case cc_algorithm::dctcp: return std::make_unique<dctcp>(mss);
   }
-  return std::make_unique<newreno>(cfg);
+  return std::make_unique<newreno>(mss);
 }
 
 }  // namespace nk::tcp

@@ -8,9 +8,9 @@ namespace {
 constexpr std::uint64_t infinite_ssthresh = ~std::uint64_t{0};
 }
 
-newreno::newreno(const cc_config& cfg)
-    : cfg_{cfg},
-      cwnd_{cfg.mss * cfg.initial_cwnd_segments},
+newreno::newreno(std::uint32_t mss)
+    : mss_{mss},
+      cwnd_{mss * initial_cwnd_segments},
       ssthresh_{infinite_ssthresh} {}
 
 void newreno::on_ack(const ack_sample& ack) {
@@ -24,7 +24,7 @@ void newreno::on_ack(const ack_sample& ack) {
   ca_accumulator_ += ack.acked_bytes;
   if (ca_accumulator_ >= cwnd_) {
     ca_accumulator_ -= cwnd_;
-    cwnd_ += cfg_.mss;
+    cwnd_ += mss_;
   }
 }
 
@@ -32,7 +32,7 @@ void newreno::enter_loss(std::uint64_t in_flight, double factor) {
   const auto base = std::max<std::uint64_t>(in_flight, cwnd_ / 2);
   ssthresh_ = std::max<std::uint64_t>(
       static_cast<std::uint64_t>(static_cast<double>(base) * factor),
-      2 * cfg_.mss);
+      2 * mss_);
   cwnd_ = ssthresh_;
   ca_accumulator_ = 0;
 }
@@ -43,8 +43,8 @@ void newreno::on_fast_retransmit(const loss_sample& loss) {
 
 void newreno::on_rto(const loss_sample& loss) {
   // RFC 5681 (4.2): ssthresh = max(FlightSize/2, 2 MSS); cwnd = 1 MSS.
-  ssthresh_ = std::max<std::uint64_t>(loss.in_flight / 2, 2 * cfg_.mss);
-  cwnd_ = cfg_.mss;
+  ssthresh_ = std::max<std::uint64_t>(loss.in_flight / 2, 2 * mss_);
+  cwnd_ = mss_;
   ca_accumulator_ = 0;
 }
 

@@ -9,7 +9,7 @@ namespace nk::tcp {
 
 class newreno : public congestion_controller {
  public:
-  explicit newreno(const cc_config& cfg);
+  explicit newreno(std::uint32_t mss);
 
   void on_ack(const ack_sample& ack) override;
   void on_fast_retransmit(const loss_sample& loss) override;
@@ -28,7 +28,7 @@ class newreno : public congestion_controller {
   // Shared halving logic; DCTCP overrides the multiplicative factor.
   void enter_loss(std::uint64_t in_flight, double factor);
 
-  cc_config cfg_;
+  std::uint32_t mss_;
   std::uint64_t cwnd_;
   std::uint64_t ssthresh_;
   std::uint64_t ca_accumulator_ = 0;  // byte-counting congestion avoidance

@@ -30,11 +30,11 @@ void rtt_estimator::add_sample(sim_time rtt) {
 
 void rtt_estimator::recompute_rto() {
   const sim_time var_term = std::max(clock_granularity, rttvar_ * 4);
-  rto_ = std::clamp(srtt_ + var_term, cfg_.min_rto, cfg_.max_rto);
+  rto_ = std::clamp(srtt_ + var_term, cfg_.min_rto, max_rto);
 }
 
 void rtt_estimator::backoff() {
-  rto_ = std::min(rto_ * 2, cfg_.max_rto);
+  rto_ = std::min(rto_ * 2, max_rto);
 }
 
 void min_rtt_tracker::add(sim_time rtt, sim_time now) {

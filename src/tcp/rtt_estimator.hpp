@@ -10,17 +10,20 @@
 namespace nk::tcp {
 
 struct rtt_config {
-  sim_time initial_rto = seconds(1);
   sim_time min_rto = milliseconds(200);
-  sim_time max_rto = seconds(60);
 };
 
 class rtt_estimator {
  public:
   using config = rtt_config;
 
+  // RFC 6298 (2.1): the RTO before the first sample; backoff caps at
+  // max_rto (RFC 6298 (2.5) allows an upper bound of at least 60 s).
+  static constexpr sim_time initial_rto = seconds(1);
+  static constexpr sim_time max_rto = seconds(60);
+
   explicit rtt_estimator(const config& cfg = {})
-      : cfg_{cfg}, rto_{cfg.initial_rto} {}
+      : cfg_{cfg}, rto_{initial_rto} {}
 
   // Feeds a new sample from a segment that was not retransmitted (Karn).
   void add_sample(sim_time rtt);

@@ -17,6 +17,9 @@ constexpr std::uint32_t ack_every_segments = 2;
 // TIME_WAIT hold before the connection is fully closed (a short 2·MSL for
 // datacenter RTTs).
 constexpr sim_time time_wait_duration = milliseconds(500);
+// SYN / SYN-ACK retransmissions before a handshake gives up (Linux
+// tcp_syn_retries).
+constexpr int max_syn_retries = 6;
 // Wire bytes of a segment beyond its payload, at most: L2 framing, IP, and
 // TCP with timestamps and three SACK blocks.
 constexpr std::size_t max_segment_overhead =
@@ -44,8 +47,7 @@ tcb::tcb(environment env, tcp_config cfg, net::four_tuple tuple,
     : env_{std::move(env)},
       cfg_{cfg},
       tuple_{tuple},
-      cc_{make_congestion_controller(
-          cfg.cc, cc_config{.mss = cfg.mss, .initial_cwnd_segments = 10})},
+      cc_{make_congestion_controller(cfg.cc, cfg.mss)},
       rtt_{cfg.rto},
       iss_{initial_seq},
       ecn_requested_{false},
@@ -823,7 +825,9 @@ void tcb::segment_arrived(const net::packet& p) {
   const auto& h = p.tcp();
 
   if (h.flags.rst) {
-    become_closed(errc::connection_reset);
+    // An RST answering our SYN means no listener at the destination.
+    become_closed(state_ == tcp_state::syn_sent ? errc::connection_refused
+                                                : errc::connection_reset);
     return;
   }
 
@@ -894,7 +898,7 @@ void tcb::on_rto_fired() {
 
   // Give up on a connection whose SYN goes unanswered.
   if (state_ == tcp_state::syn_sent || state_ == tcp_state::syn_received) {
-    if (++syn_retries_ > cfg_.max_syn_retries) {
+    if (++syn_retries_ > max_syn_retries) {
       become_closed(errc::timed_out);
       return;
     }

@@ -59,7 +59,6 @@ struct tcp_config {
   // Longest an ACK is held for a second segment or for the reply. Must stay
   // below rto.min_rto, or the peer's RTO fires before a held ACK is sent.
   sim_time delayed_ack_timeout = milliseconds(25);
-  int max_syn_retries = 6;
   rtt_estimator::config rto{};
 };
 

@@ -10,7 +10,7 @@ hypervisor::hypervisor(sim::simulator& s, const host_config& cfg)
       vswitch_{cfg.name + "/vswitch"},
       pnic_{cfg.name + "/pnic"} {
   // The vSwitch software path runs on core 0.
-  vswitch_.set_cost(&allocate_core(), cfg.switch_cost);
+  vswitch_.set_core(&allocate_core());
   // Wire pNIC <-> vSwitch.
   vswitch_.set_uplink([this](net::packet p) { pnic_.transmit(std::move(p)); });
   pnic_.set_receive_handler([this](net::packet p) {
@@ -47,7 +47,7 @@ machine& hypervisor::create_vm(const vm_config& cfg) {
   auto vm =
       std::make_unique<machine>(sim_, next_vm_id_++, cfg, std::move(vcpus));
   machine& ref = *vm;
-  attach_nic(ref.vnic(), cfg.address, cfg.sriov);
+  attach_nic(ref.vnic(), cfg.address, /*sriov=*/false);
   vms_.push_back(std::move(vm));
   return ref;
 }

@@ -20,7 +20,6 @@ namespace nk::virt {
 
 struct host_config {
   std::string name = "host";
-  vswitch_cost switch_cost{};
 };
 
 class hypervisor {
@@ -40,9 +39,9 @@ class hypervisor {
   // core and no cycle runs free.
   [[nodiscard]] sim::cpu_core& allocate_core();
 
-  // Creates a VM with cfg.vcpus dedicated cores, wires its vNIC to the
-  // vSwitch (software port, or embedded port when cfg.sriov), and routes
-  // its address. Throws std::invalid_argument when cfg.vcpus < 1.
+  // Creates a VM with cfg.vcpus dedicated cores, wires its vNIC to a
+  // software port of the vSwitch, and routes its address. Throws
+  // std::invalid_argument when cfg.vcpus < 1.
   machine& create_vm(const vm_config& cfg);
 
   [[nodiscard]] machine* vm_by_id(vm_id id);
@@ -50,7 +49,8 @@ class hypervisor {
     return vms_;
   }
 
-  // Registers an extra nic (e.g. an NSM's vNIC) on the vSwitch.
+  // Registers a nic on the vSwitch: a software port, or an embedded (SR-IOV
+  // VF) port when `sriov` — an NSM's vNIC.
   int attach_nic(phys::nic& dev, net::ipv4_addr addr, bool sriov);
   // Unplugs the nic on `port` (returned by attach_nic) before it dies.
   void detach_nic(int port) { vswitch_.remove_port(port); }

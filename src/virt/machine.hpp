@@ -1,5 +1,5 @@
-// A tenant virtual machine: guest-OS personality, vCPU cores, a vNIC on the
-// hypervisor's vSwitch (or an SR-IOV VF), and — when legacy networking is
+// A tenant virtual machine: guest-OS personality, vCPU cores, a vNIC on a
+// software port of the hypervisor's vSwitch, and — when legacy networking is
 // enabled — an in-guest network stack (the Figure 1a baseline). A
 // NetKernel-attached VM may run without any in-guest stack: its networking
 // is served by an NSM through GuestLib (Figure 1b).
@@ -27,7 +27,6 @@ struct vm_config {
   guest_os os = guest_os::linux_kernel;
   net::ipv4_addr address{};
   int vcpus = 2;                 // dedicated host cores; must be >= 1
-  bool sriov = false;            // vNIC is an SR-IOV virtual function
   bool legacy_networking = true; // instantiate the in-guest stack
   // In-guest stack parameters (ignored when legacy_networking is false).
   stack::netstack_config guest_stack{};
@@ -52,7 +51,6 @@ class machine {
   [[nodiscard]] const std::string& name() const { return cfg_.name; }
   [[nodiscard]] guest_os os() const { return cfg_.os; }
   [[nodiscard]] net::ipv4_addr address() const { return cfg_.address; }
-  [[nodiscard]] bool sriov() const { return cfg_.sriov; }
 
   [[nodiscard]] phys::nic& vnic() { return vnic_; }
 

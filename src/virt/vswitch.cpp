@@ -40,8 +40,7 @@ void vswitch::ingress(int from_port, net::packet p) {
   }
 
   ++stats_.software_forwards;
-  const sim_time cost = cost_.of(p.wire_size());
-  core_->execute(cost, [this, p = std::move(p), to_port]() mutable {
+  core_->execute(forward_cost, [this, p = std::move(p), to_port]() mutable {
     deliver(std::move(p), to_port);
   });
 }

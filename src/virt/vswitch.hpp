@@ -26,18 +26,11 @@ struct vswitch_stats {
   std::uint64_t no_route = 0;
 };
 
-struct vswitch_cost {
-  sim_time per_packet = nanoseconds(250);
-  double ns_per_byte = 0.0;
-
-  [[nodiscard]] sim_time of(std::size_t bytes) const {
-    return per_packet + sim_time{static_cast<std::int64_t>(
-                            ns_per_byte * static_cast<double>(bytes))};
-  }
-};
-
 class vswitch {
  public:
+  // Host CPU one software-path forward costs, whatever the packet size.
+  static constexpr sim_time forward_cost = nanoseconds(250);
+
   explicit vswitch(std::string name) : name_{std::move(name)} {}
 
   using egress = std::function<void(net::packet)>;
@@ -53,11 +46,8 @@ class vswitch {
 
   void set_route(net::ipv4_addr dst, int port) { routes_[dst] = port; }
 
-  // Software-path forwarding cost, charged to `core`.
-  void set_cost(sim::cpu_core* core, vswitch_cost cost) {
-    core_ = core;
-    cost_ = cost;
-  }
+  // The core software-path forwards are charged to.
+  void set_core(sim::cpu_core* core) { core_ = core; }
 
   // `from_port` is the ingress port index, or uplink_port for the pNIC.
   static constexpr int uplink_port = -1;
@@ -80,7 +70,6 @@ class vswitch {
   egress uplink_;
   std::unordered_map<net::ipv4_addr, int> routes_;
   sim::cpu_core* core_ = nullptr;
-  vswitch_cost cost_{};
   vswitch_stats stats_;
 };
 

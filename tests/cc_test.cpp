@@ -14,7 +14,7 @@
 namespace nk::tcp {
 namespace {
 
-constexpr cc_config cfg{.mss = 1000, .initial_cwnd_segments = 10};
+constexpr std::uint32_t mss = 1000;
 
 ack_sample make_ack(sim_time now, std::uint64_t acked, sim_time rtt,
                     std::uint64_t delivered, std::uint64_t round = 1) {
@@ -43,17 +43,17 @@ TEST(cc_factory, constructs_each_algorithm) {
   for (auto algo : {cc_algorithm::newreno, cc_algorithm::cubic,
                     cc_algorithm::bbr, cc_algorithm::compound,
                     cc_algorithm::dctcp}) {
-    auto cc = make_congestion_controller(algo, cfg);
+    auto cc = make_congestion_controller(algo, mss);
     ASSERT_NE(cc, nullptr);
     EXPECT_EQ(cc->name(), to_string(algo));
-    EXPECT_GE(cc->cwnd_bytes(), cfg.mss);
+    EXPECT_GE(cc->cwnd_bytes(), mss);
   }
 }
 
 // --- NewReno -----------------------------------------------------------------------
 
 TEST(newreno_cc, slow_start_doubles_per_rtt) {
-  newreno cc{cfg};
+  newreno cc{mss};
   const auto initial = cc.cwnd_bytes();
   // One RTT's worth of ACKs: every acked byte grows cwnd by a byte.
   std::uint64_t delivered = 0;
@@ -66,7 +66,7 @@ TEST(newreno_cc, slow_start_doubles_per_rtt) {
 }
 
 TEST(newreno_cc, congestion_avoidance_adds_one_mss_per_window) {
-  newreno cc{cfg};
+  newreno cc{mss};
   cc.on_fast_retransmit({milliseconds(1), 20000});  // forces ssthresh
   const auto cwnd0 = cc.cwnd_bytes();
   EXPECT_FALSE(cc.in_slow_start());
@@ -82,13 +82,13 @@ TEST(newreno_cc, congestion_avoidance_adds_one_mss_per_window) {
 }
 
 TEST(newreno_cc, fast_retransmit_halves) {
-  newreno cc{cfg};
+  newreno cc{mss};
   cc.on_fast_retransmit({milliseconds(1), 20000});
   EXPECT_EQ(cc.cwnd_bytes(), 10000u);  // max(in_flight, cwnd/2) * 0.5
 }
 
 TEST(newreno_cc, rto_collapses_to_one_mss) {
-  newreno cc{cfg};
+  newreno cc{mss};
   cc.on_rto({milliseconds(1), 20000});
   EXPECT_EQ(cc.cwnd_bytes(), 1000u);
   EXPECT_EQ(cc.ssthresh_bytes(), 10000u);
@@ -96,7 +96,7 @@ TEST(newreno_cc, rto_collapses_to_one_mss) {
 }
 
 TEST(newreno_cc, no_growth_during_recovery) {
-  newreno cc{cfg};
+  newreno cc{mss};
   const auto before = cc.cwnd_bytes();
   auto a = make_ack(milliseconds(1), 1000, milliseconds(10), 1000);
   a.in_recovery = true;
@@ -107,7 +107,7 @@ TEST(newreno_cc, no_growth_during_recovery) {
 // --- CUBIC --------------------------------------------------------------------------
 
 TEST(cubic_cc, reduces_by_beta_on_loss) {
-  cubic cc{cfg};
+  cubic cc{mss};
   // Grow a bit in slow start first.
   std::uint64_t delivered = 0;
   for (int i = 0; i < 50; ++i) {
@@ -118,11 +118,11 @@ TEST(cubic_cc, reduces_by_beta_on_loss) {
   cc.on_fast_retransmit({milliseconds(60), before});
   EXPECT_NEAR(static_cast<double>(cc.cwnd_bytes()),
               static_cast<double>(before) * 0.7,
-              static_cast<double>(cfg.mss));
+              static_cast<double>(mss));
 }
 
 TEST(cubic_cc, grows_toward_wmax_after_loss) {
-  cubic cc{cfg};
+  cubic cc{mss};
   std::uint64_t delivered = 0;
   for (int i = 0; i < 100; ++i) {
     delivered += 1000;
@@ -143,7 +143,7 @@ TEST(cubic_cc, grows_toward_wmax_after_loss) {
 }
 
 TEST(cubic_cc, rto_resets_to_one_segment) {
-  cubic cc{cfg};
+  cubic cc{mss};
   cc.on_rto({milliseconds(1), 10000});
   EXPECT_EQ(cc.cwnd_bytes(), 1000u);
 }
@@ -151,7 +151,7 @@ TEST(cubic_cc, rto_resets_to_one_segment) {
 // --- BBR ---------------------------------------------------------------------------
 
 TEST(bbr_cc, startup_exits_when_bandwidth_plateaus) {
-  bbr cc{cfg};
+  bbr cc{mss};
   cc.on_established(sim_time::zero());
   EXPECT_EQ(cc.state(), bbr::mode::startup);
 
@@ -168,7 +168,7 @@ TEST(bbr_cc, startup_exits_when_bandwidth_plateaus) {
 }
 
 TEST(bbr_cc, tracks_bottleneck_bandwidth) {
-  bbr cc{cfg};
+  bbr cc{mss};
   cc.on_established(sim_time::zero());
   auto a = make_ack(milliseconds(10), 10000, milliseconds(10), 10000, 1);
   a.delivery_rate = 5e6;
@@ -183,7 +183,7 @@ TEST(bbr_cc, tracks_bottleneck_bandwidth) {
 }
 
 TEST(bbr_cc, cwnd_is_gain_times_bdp) {
-  bbr cc{cfg};
+  bbr cc{mss};
   cc.on_established(sim_time::zero());
   // Drive to probe_bw with stable 5 MB/s, 10 ms RTT -> BDP = 50 KB.
   std::uint64_t delivered = 0;
@@ -201,7 +201,7 @@ TEST(bbr_cc, cwnd_is_gain_times_bdp) {
 }
 
 TEST(bbr_cc, ignores_isolated_loss) {
-  bbr cc{cfg};
+  bbr cc{mss};
   cc.on_established(sim_time::zero());
   auto a = make_ack(milliseconds(10), 10000, milliseconds(10), 10000, 1);
   a.delivery_rate = 5e6;
@@ -212,7 +212,7 @@ TEST(bbr_cc, ignores_isolated_loss) {
 }
 
 TEST(bbr_cc, probe_rtt_after_min_rtt_expiry) {
-  bbr cc{cfg};
+  bbr cc{mss};
   cc.on_established(sim_time::zero());
   std::uint64_t delivered = 0;
   bool visited_probe_rtt = false;
@@ -235,7 +235,7 @@ TEST(bbr_cc, probe_rtt_after_min_rtt_expiry) {
   }
   EXPECT_TRUE(visited_probe_rtt);
   // During probe_rtt the window collapses to the 4-segment floor.
-  EXPECT_EQ(cwnd_in_probe, 4u * cfg.mss);
+  EXPECT_EQ(cwnd_in_probe, 4u * mss);
   // And it exits again (back to probing for bandwidth).
   EXPECT_NE(cc.state(), bbr::mode::probe_rtt);
 }
@@ -243,7 +243,7 @@ TEST(bbr_cc, probe_rtt_after_min_rtt_expiry) {
 // --- Compound -----------------------------------------------------------------------
 
 TEST(compound_cc, delay_window_grows_on_uncongested_path) {
-  compound cc{cfg};
+  compound cc{mss};
   // Force congestion avoidance so dwnd logic engages.
   cc.on_fast_retransmit({milliseconds(0), 20000});
   std::uint64_t delivered = 0;
@@ -256,7 +256,7 @@ TEST(compound_cc, delay_window_grows_on_uncongested_path) {
 }
 
 TEST(compound_cc, delay_window_retreats_under_queueing) {
-  compound cc{cfg};
+  compound cc{mss};
   cc.on_fast_retransmit({milliseconds(0), 20000});
   std::uint64_t delivered = 0;
   // Establish base RTT.
@@ -274,7 +274,7 @@ TEST(compound_cc, delay_window_retreats_under_queueing) {
 }
 
 TEST(compound_cc, loss_reduces_total_window) {
-  compound cc{cfg};
+  compound cc{mss};
   std::uint64_t delivered = 0;
   for (int i = 0; i < 100; ++i) {
     delivered += 1000;
@@ -283,20 +283,20 @@ TEST(compound_cc, loss_reduces_total_window) {
   const auto before = cc.cwnd_bytes();
   cc.on_fast_retransmit({milliseconds(100), before});
   EXPECT_LT(cc.cwnd_bytes(), before);
-  EXPECT_GE(cc.cwnd_bytes(), 2 * cfg.mss);
+  EXPECT_GE(cc.cwnd_bytes(), 2 * mss);
 }
 
 // --- DCTCP -------------------------------------------------------------------------
 
 TEST(dctcp_cc, wants_ecn) {
-  dctcp cc{cfg};
+  dctcp cc{mss};
   EXPECT_TRUE(cc.wants_ecn());
-  newreno plain{cfg};
+  newreno plain{mss};
   EXPECT_FALSE(plain.wants_ecn());
 }
 
 TEST(dctcp_cc, alpha_tracks_marking_fraction) {
-  dctcp cc{cfg};
+  dctcp cc{mss};
   // Pin the window to congestion-avoidance scale so alpha updates (once per
   // cwnd of delivered data) happen often, as they would on a real path.
   cc.on_fast_retransmit({sim_time::zero(), 20000});
@@ -319,7 +319,7 @@ TEST(dctcp_cc, alpha_tracks_marking_fraction) {
 }
 
 TEST(dctcp_cc, proportional_decrease_is_gentler_than_halving) {
-  dctcp cc{cfg};
+  dctcp cc{mss};
   cc.on_fast_retransmit({sim_time::zero(), 20000});  // bounded window
   std::uint64_t delivered = 0;
   // Decay alpha with a clean period first.

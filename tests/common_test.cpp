@@ -288,14 +288,12 @@ TEST(log, set_level_overrides_and_restores) {
   EXPECT_EQ(current_log_level(), before);
 }
 
-// Restores logger globals (level, clock, limiter config + buckets) on exit
-// so the limiter tests cannot leak state into later tests.
+// Restores logger globals (level, clock, limiter buckets) on exit so the
+// limiter test cannot leak state into later tests.
 struct limiter_fixture {
   log_level level = current_log_level();
-  log_rate_limit_config cfg = current_log_rate_limit();
   ~limiter_fixture() {
     reset_log_rate_limiter();
-    set_log_rate_limit(cfg);
     set_log_clock(nullptr);
     set_log_level(level);
   }
@@ -306,22 +304,19 @@ TEST(log, warn_rate_limiter_suppresses_repeats) {
   set_log_level(log_level::warn);
   std::int64_t fake_ns = 0;
   set_log_clock([&fake_ns] { return fake_ns; });
-  log_rate_limit_config cfg;
-  cfg.burst = 3.0;
-  cfg.refill_interval_ns = 1'000'000'000;
-  set_log_rate_limit(cfg);
   reset_log_rate_limiter();
+  ASSERT_EQ(log_warn_burst, 8.0);
 
   testing::internal::CaptureStderr();
 
   // The burst passes, the flood behind it is swallowed.
-  for (int i = 0; i < 10; ++i) log_warn("hot path warning");
-  EXPECT_EQ(log_emitted_total(), 3u);
+  for (int i = 0; i < 15; ++i) log_warn("hot path warning");
+  EXPECT_EQ(log_emitted_total(), 8u);
   EXPECT_EQ(log_suppressed_total(), 7u);
 
   // A different message text has its own bucket.
   log_warn("unrelated warning");
-  EXPECT_EQ(log_emitted_total(), 4u);
+  EXPECT_EQ(log_emitted_total(), 9u);
   EXPECT_EQ(log_suppressed_total(), 7u);
 
   // error is never limited, and does not feed the warn counters.
@@ -330,34 +325,17 @@ TEST(log, warn_rate_limiter_suppresses_repeats) {
 
   // One refill interval later a token is back; the first line through is
   // annotated with how many lines were swallowed meanwhile.
-  fake_ns += cfg.refill_interval_ns;
+  fake_ns += log_warn_refill_ns;
   log_warn("hot path warning");
   const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("hot path warning"), std::string::npos);
   EXPECT_NE(err.find("[suppressed 7 similar]"), std::string::npos);
-  EXPECT_EQ(log_emitted_total(), 5u);
+  EXPECT_EQ(log_emitted_total(), 10u);
 
   // The single refilled token is spent: the next repeat is suppressed again.
   log_warn("hot path warning");
-  EXPECT_EQ(log_emitted_total(), 5u);
+  EXPECT_EQ(log_emitted_total(), 10u);
   EXPECT_EQ(log_suppressed_total(), 8u);
-}
-
-TEST(log, warn_rate_limiter_disabled_passes_everything) {
-  limiter_fixture restore;
-  set_log_level(log_level::warn);
-  std::int64_t fake_ns = 0;
-  set_log_clock([&fake_ns] { return fake_ns; });
-  log_rate_limit_config cfg;
-  cfg.enabled = false;
-  set_log_rate_limit(cfg);
-  reset_log_rate_limiter();
-
-  testing::internal::CaptureStderr();
-  for (int i = 0; i < 20; ++i) log_warn("repeated warning");
-  (void)testing::internal::GetCapturedStderr();
-  EXPECT_EQ(log_emitted_total(), 20u);
-  EXPECT_EQ(log_suppressed_total(), 0u);
 }
 
 TEST(token_bucket, starts_full_and_refills) {

@@ -99,6 +99,31 @@ TEST(netkernel_path, connect_and_echo_roundtrip) {
   EXPECT_GT(rig.bed.netkernel(side::b).stats().accept_fds_minted, 0u);
 }
 
+// The server NSM is live but nothing listens on the port: its stack answers
+// the SYN with an RST, and the guest learns the connect was refused, not
+// reset.
+TEST(netkernel_path, connect_to_port_without_listener_is_refused) {
+  nk_pair rig;
+  auto& gc = *rig.client.glib;
+  const auto fd = gc.nk_socket().value();
+  bool connected = false;
+  errc error = errc::ok;
+  gc.set_event_handler([&](std::uint32_t f, stack::socket_event_type t,
+                           errc e) {
+    if (f != fd) return;
+    if (t == stack::socket_event_type::connected) connected = true;
+    if (t == stack::socket_event_type::error) error = e;
+  });
+  ASSERT_TRUE(
+      gc.nk_connect(fd, {rig.server.module->config().address, 7999}).ok());
+  rig.bed.run_for(milliseconds(50));
+  EXPECT_FALSE(connected);
+  EXPECT_EQ(error, errc::connection_refused);
+  const auto sent = gc.nk_send(fd, buffer::pattern(100, 0));
+  ASSERT_FALSE(sent.ok());
+  EXPECT_EQ(sent.error(), errc::connection_refused);
+}
+
 TEST(netkernel_path, bulk_transfer_off_the_unified_api) {
   nk_pair rig;
   apps::bulk_sink sink{*rig.server.api, 7001, /*validate=*/true};
@@ -524,7 +549,7 @@ TEST(netkernel_accounting, pricing_models_differ) {
 }
 
 TEST(netkernel_datapath, sriov_nsm_bypasses_the_software_switch) {
-  nk_pair rig;  // default NSMs are SR-IOV VFs
+  nk_pair rig;  // every NSM's vNIC is an SR-IOV VF
   apps::bulk_sink sink{*rig.server.api, 7001, false};
   sink.start();
   apps::bulk_sender_config cfg;
@@ -539,32 +564,6 @@ TEST(netkernel_datapath, sriov_nsm_bypasses_the_software_switch) {
   const auto& sw = rig.bed.host(apps::side::a).overlay_switch().stats();
   EXPECT_GT(sw.embedded_forwards, 0u);
   EXPECT_EQ(sw.software_forwards, 0u);
-}
-
-TEST(netkernel_datapath, non_sriov_nsm_pays_the_software_switch) {
-  auto params = apps::datacenter_params(8);
-  apps::testbed bed{params};
-  core::nsm_config nsm_cfg;
-  nsm_cfg.sriov = false;  // software vSwitch path
-  nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
-  virt::vm_config vm_cfg;
-  vm_cfg.name = "a";
-  auto a = bed.add_netkernel_vm(apps::side::a, vm_cfg, nsm_cfg);
-  vm_cfg.name = "b";
-  nsm_cfg.name = "nsm-b";
-  auto b = bed.add_netkernel_vm(apps::side::b, vm_cfg, nsm_cfg);
-
-  apps::bulk_sink sink{*b.api, 7001, false};
-  sink.start();
-  apps::bulk_sender_config cfg;
-  cfg.flows = 1;
-  cfg.bytes_per_flow = 256 * 1024;
-  apps::bulk_sender sender{*a.api, {b.module->config().address, 7001}, cfg};
-  sender.start();
-  bed.run_for(seconds(1));
-  ASSERT_EQ(sink.total_bytes(), 256u * 1024);
-  EXPECT_GT(bed.host(apps::side::a).overlay_switch().stats().software_forwards,
-            0u);
 }
 
 TEST(netkernel_notification, batched_interrupt_mode_works_end_to_end) {
@@ -912,7 +911,6 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
   params.netkernel.channel.queues.depth = 8;
   params.netkernel.overflow_limit = 64;
   params.netkernel.trace.enabled = true;
-  params.netkernel.trace.sample_rate = 1.0;
   params.netkernel.trace.max_active = 1 << 16;
   params.netkernel.trace.max_spans = 1 << 17;
   testbed bed{params};
@@ -1045,12 +1043,9 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
   EXPECT_GT(service_deferred, 0u);
   EXPECT_GT(engine_deferred, 0u);
 
-  // Failure accounting: with every nqe traced (sample_rate 1, no tracer
-  // overflow), each loss to unroutable teardown or an overflow cap is
-  // visible to the tracer — nothing vanished silently. (With
-  // -DNK_DISABLE_TRACING the tracer observes nothing, so the invariant
-  // only holds when the hooks are compiled in.)
-#ifndef NK_NO_TRACING
+  // Failure accounting: with every nqe traced (no tracer overflow), each
+  // loss to unroutable teardown or an overflow cap is visible to the
+  // tracer — nothing vanished silently.
   for (auto* ce : {&bed.netkernel(side::a), &bed.netkernel(side::b)}) {
     const auto& m = ce->metrics();
     EXPECT_EQ(m.value_of("nqe_traces_overflow").value_or(0.0), 0.0);
@@ -1058,7 +1053,6 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
                         m.value_of("engine_nqes_dropped").value_or(0.0);
     EXPECT_EQ(lost, m.value_of("nqe_traces_dropped").value_or(0.0));
   }
-#endif
 }
 
 // GuestLib frees consumed receive chunks straight into the shared pool,
@@ -1151,7 +1145,6 @@ TEST(netkernel_backpressure, udp_burst_drops_at_the_cap_and_frees_chunks) {
   params.netkernel.channel.queues.depth = 8;
   params.netkernel.overflow_limit = 2;
   params.netkernel.trace.enabled = true;
-  params.netkernel.trace.sample_rate = 1.0;
   testbed bed{params};
 
   nsm_config nsm_cfg;
@@ -1204,7 +1197,6 @@ TEST(netkernel_backpressure, udp_burst_drops_at_the_cap_and_frees_chunks) {
     }
   }
 
-#ifndef NK_NO_TRACING
   for (auto* engine : {&bed.netkernel(side::a), &ce}) {
     for (std::size_t s = 0; s < engine->shards(); ++s) {
       const auto& st = engine->shard_stats(s);
@@ -1220,7 +1212,6 @@ TEST(netkernel_backpressure, udp_burst_drops_at_the_cap_and_frees_chunks) {
                   m.value_of("engine_nqes_dropped").value_or(0.0),
               m.value_of("nqe_traces_dropped").value_or(0.0));
   }
-#endif
 }
 
 TEST(core_engine, detach_vm_reclaims_channel_and_metrics) {
@@ -1540,7 +1531,6 @@ TEST(netkernel_sharding, failover_replays_flows_within_owning_shards) {
   auto params = apps::datacenter_params(13);
   params.netkernel.shards = 4;
   params.netkernel.trace.enabled = true;
-  params.netkernel.trace.sample_rate = 1.0;
   params.netkernel.trace.max_active = 1 << 16;
   params.netkernel.trace.max_spans = 1 << 17;
   testbed bed{params};
@@ -1615,7 +1605,6 @@ TEST(netkernel_sharding, failover_replays_flows_within_owning_shards) {
   // Per-shard drop accounting stayed consistent through the failover: every
   // engine-side discard (unroutable, capped, stale) retired a live trace in
   // the shard that discarded it.
-#ifndef NK_NO_TRACING
   for (std::size_t s = 0; s < ce.shards(); ++s) {
     const auto& st = ce.shard_stats(s);
     EXPECT_EQ(st.unroutable_nqes + st.nqes_dropped + st.stale_nqes +
@@ -1623,7 +1612,6 @@ TEST(netkernel_sharding, failover_replays_flows_within_owning_shards) {
               ce.shard_traces_dropped(s) + ce.shard_discards_untraced(s))
         << "shard " << s;
   }
-#endif
 }
 
 // --- admission firewall + abuse quarantine (DESIGN.md §14) -----------------

@@ -68,7 +68,7 @@ TEST(netstack_api, close_listener_then_syn_gets_rst) {
     }
   });
   net.run_for(milliseconds(50));
-  EXPECT_EQ(err, errc::connection_reset);
+  EXPECT_EQ(err, errc::connection_refused);
 }
 
 TEST(netstack_api, stats_count_connections) {

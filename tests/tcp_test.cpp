@@ -117,17 +117,13 @@ TEST(tcp_handshake, connect_to_closed_port_is_refused) {
     }
   });
   net.run_for(milliseconds(50));
-  EXPECT_EQ(err, errc::connection_reset);
+  EXPECT_EQ(err, errc::connection_refused);
   EXPECT_GT(net.b.stats().resets_sent, 0u);
 }
 
 TEST(tcp_handshake, syn_timeout_when_peer_unreachable) {
   auto params = lan_params();
   params.wire.loss_rate = 1.0;  // black hole
-  tcp::tcp_config t = params.tcp_a;
-  t.max_syn_retries = 2;
-  t.rto.initial_rto = milliseconds(20);
-  params.tcp_a = t;
   loopback net{params};
 
   const auto conn = net.a.connect(net.addr_b(5001)).value();
@@ -137,6 +133,10 @@ TEST(tcp_handshake, syn_timeout_when_peer_unreachable) {
       err = ev.error;
     }
   });
+  // Six SYN retransmissions after RTOs of 1, 2, 4, 8, 16 and 32 s; the
+  // seventh RTO (capped at 60 s) gives up at 123 s.
+  net.run_for(seconds(122));
+  EXPECT_EQ(err, errc::ok);
   net.run_for(seconds(2));
   EXPECT_EQ(err, errc::timed_out);
 }
@@ -960,15 +960,14 @@ TEST(rtt_estimator, converges_on_stable_rtt) {
 }
 
 TEST(rtt_estimator, backoff_doubles_and_caps) {
-  tcp::rtt_estimator::config cfg;
-  cfg.max_rto = seconds(4);
-  tcp::rtt_estimator est{cfg};
+  tcp::rtt_estimator est;
+  EXPECT_EQ(est.rto(), tcp::rtt_estimator::initial_rto);
   est.add_sample(milliseconds(100));
   const sim_time base = est.rto();
   est.backoff();
   EXPECT_EQ(est.rto(), base * 2);
   for (int i = 0; i < 10; ++i) est.backoff();
-  EXPECT_EQ(est.rto(), seconds(4));
+  EXPECT_EQ(est.rto(), tcp::rtt_estimator::max_rto);
 }
 
 TEST(min_rtt_tracker, windowed_minimum_expires) {

@@ -112,7 +112,7 @@ TEST(vswitch, software_hop_charges_core) {
   sim::simulator s;
   sim::cpu_core core{s, "sw"};
   vswitch sw{"sw"};
-  sw.set_cost(&core, vswitch_cost{nanoseconds(500), 0.0});
+  sw.set_core(&core);
   int delivered = 0;
   const int port = sw.add_port([&](net::packet) { ++delivered; }, false);
   const auto dst = net::ipv4_addr::from_octets(10, 0, 0, 1);
@@ -124,14 +124,14 @@ TEST(vswitch, software_hop_charges_core) {
   s.run();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(sw.stats().software_forwards, 1u);
-  EXPECT_EQ(core.busy_time(), nanoseconds(500));
+  EXPECT_EQ(core.busy_time(), vswitch::forward_cost);
 }
 
 TEST(vswitch, sriov_to_uplink_bypasses_host) {
   sim::simulator s;
   sim::cpu_core core{s, "sw"};
   vswitch sw{"sw"};
-  sw.set_cost(&core, vswitch_cost{nanoseconds(500), 0.0});
+  sw.set_core(&core);
   net::packet out;
   bool sent = false;
   sw.set_uplink([&](net::packet p) {

@@ -66,7 +66,6 @@ outcome run(bool attack, std::uint64_t seed, bool smoke) {
   params.netkernel.firewall.violations_per_sec = 50.0;
   params.netkernel.firewall.violation_burst = 32;
   params.netkernel.firewall.quarantine_threshold = 64;
-  params.netkernel.firewall.probation = sim_time::zero();  // permanent
   apps::testbed bed{params};
 
   core::nsm_config nsm_cfg;

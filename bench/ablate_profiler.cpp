@@ -7,8 +7,9 @@
 //      attributes >= 95% of all modeled busy time to NK_PROF scopes; the
 //      rest lands in the explicit "(unattributed)" bucket, never silently.
 //   2. Overhead — a wall-clock shm-style ring loop with one NK_PROF scope
-//      per 4096-op batch costs <= 2% extra with a live profiler vs none,
-//      beyond the noise floor two unprofiled runs measure.
+//      per 4096-op batch costs <= 2% extra with a live profiler (the one
+//      every simulation installs, bound to a simulator) vs none, beyond
+//      the noise floor two unprofiled runs measure.
 //   3. SLO alarm — an injected latency objective (1 ns threshold on the
 //      traced p99 of the VM-side job-queue dwell: impossible to meet)
 //      burns through its budget, fires a multi-window burn-rate alert
@@ -215,7 +216,8 @@ void run_overhead_check(bool smoke, outcome& out) {
     const auto off_before = static_cast<double>(timed_loop(iters));
     double on;
     {
-      obs::profiler prof{nullptr};  // wall mode; installs as current()
+      sim::simulator sim{1};
+      obs::profiler prof{sim};  // installs as current(), as testbeds do
       on = static_cast<double>(timed_loop(iters));
     }
     const auto off_after = static_cast<double>(timed_loop(iters));

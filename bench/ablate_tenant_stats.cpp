@@ -79,7 +79,6 @@ outcome run(bool stats_on, std::uint64_t seed, bool smoke) {
   params.netkernel.firewall.violations_per_sec = 50.0;
   params.netkernel.firewall.violation_burst = 32;
   params.netkernel.firewall.quarantine_threshold = 64;
-  params.netkernel.firewall.probation = sim_time::zero();
   apps::testbed bed{params};
 
   core::nsm_config nsm_cfg;
@@ -181,13 +180,13 @@ outcome run(bool stats_on, std::uint64_t seed, bool smoke) {
          ++i) {
       ++out.rows_seen;
       const auto& r = snap.rows[i];
-      if (std::strcmp(r.transport, transport) != 0 ||
+      if (std::strcmp(r.info.transport, transport) != 0 ||
           (r.remote_port != p1 && r.remote_port != p2)) {
         ++out.isolation_violations;
         std::fprintf(stderr,
                      "ISOLATION: %s page row fd=%llu transport=%s port=%u\n",
                      transport, static_cast<unsigned long long>(r.fd),
-                     r.transport, r.remote_port);
+                     r.info.transport, r.remote_port);
       }
     }
   };

@@ -13,7 +13,6 @@
 #include <sstream>
 #include <vector>
 
-#include "obs/profiler.hpp"
 #include "shm/nqe.hpp"
 #include "shm/spsc_ring.hpp"
 
@@ -66,30 +65,32 @@ void nqe_copy_batched(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 
-// Self-timed variants of the two google-benchmark bodies above, run under
-// the wall-clock profiler so the BENCH summary carries CPU ns/op from the
-// same instrument every other bench uses (the profiler subtracts nothing
-// here — one flat scope — so charged time == loop self time).
+// Self-timed variants of the two google-benchmark bodies above: the BENCH
+// summary carries steady_clock ns per event over the whole loop.
+double elapsed_ns(std::chrono::steady_clock::time_point start) {
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 double measure_single_ns(std::size_t iters) {
   spsc_ring<nqe> vm_ring{4096};
   spsc_ring<nqe> nsm_ring{4096};
   nqe e;
   e.op = nk::shm::nqe_op::req_send;
   e.handle = 7;
-  nk::obs::profiler prof{nullptr};
-  {
-    NK_PROF("nqe_copy", "single");
-    for (std::size_t i = 0; i < iters; ++i) {
-      (void)vm_ring.try_push(e);
-      nqe moved;
-      (void)vm_ring.try_pop(moved);
-      (void)nsm_ring.try_push(moved);
-      nqe sink;
-      (void)nsm_ring.try_pop(sink);
-      benchmark::DoNotOptimize(sink);
-    }
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < iters; ++i) {
+    (void)vm_ring.try_push(e);
+    nqe moved;
+    (void)vm_ring.try_pop(moved);
+    (void)nsm_ring.try_push(moved);
+    nqe sink;
+    (void)nsm_ring.try_pop(sink);
+    benchmark::DoNotOptimize(sink);
   }
-  return static_cast<double>(prof.charged_ns()) / static_cast<double>(iters);
+  return elapsed_ns(start) / static_cast<double>(iters);
 }
 
 double measure_batched_ns(std::size_t iters) {
@@ -100,20 +101,16 @@ double measure_batched_ns(std::size_t iters) {
   nqe e;
   e.op = nk::shm::nqe_op::req_send;
   std::vector<nqe> seed(batch, e);
-  nk::obs::profiler prof{nullptr};
-  {
-    NK_PROF("nqe_copy", "batched");
-    for (std::size_t i = 0; i < iters; ++i) {
-      (void)vm_ring.push_batch(std::span{seed});
-      const std::size_t n = vm_ring.pop_batch(std::span{buf});
-      (void)nsm_ring.push_batch(std::span{buf}.first(n));
-      const std::size_t m = nsm_ring.pop_batch(std::span{buf});
-      benchmark::DoNotOptimize(buf.data());
-      (void)m;
-    }
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < iters; ++i) {
+    (void)vm_ring.push_batch(std::span{seed});
+    const std::size_t n = vm_ring.pop_batch(std::span{buf});
+    (void)nsm_ring.push_batch(std::span{buf}.first(n));
+    const std::size_t m = nsm_ring.pop_batch(std::span{buf});
+    benchmark::DoNotOptimize(buf.data());
+    (void)m;
   }
-  return static_cast<double>(prof.charged_ns()) /
-         static_cast<double>(iters * batch);
+  return elapsed_ns(start) / static_cast<double>(iters * batch);
 }
 
 }  // namespace
@@ -133,7 +130,7 @@ int main(int argc, char** argv) {
   const double single_ns = measure_single_ns(iters);
   (void)measure_batched_ns(iters / 640);
   const double batched_ns = measure_batched_ns(iters / 64);
-  std::printf("\nprofiled: single %.2f ns/event, batched %.2f ns/event\n",
+  std::printf("\nself-timed: single %.2f ns/event, batched %.2f ns/event\n",
               single_ns, batched_ns);
 
   // Repo-root benchmark summary schema: metric name -> {value, units}.

@@ -17,7 +17,6 @@
 #include <sstream>
 #include <vector>
 
-#include "obs/profiler.hpp"
 #include "shm/hugepage_pool.hpp"
 #include "shm/nqe.hpp"
 #include "shm/spsc_ring.hpp"
@@ -28,6 +27,8 @@ using namespace nk;
 
 constexpr std::size_t batch = 256;
 
+// Runs at least `transfers` chunks through the path; returns wall seconds
+// per chunk moved.
 double run_pipeline(std::size_t chunk_bytes, std::size_t transfers) {
   shm::hugepage_config cfg;
   cfg.chunk_size = 8 * 1024;
@@ -50,24 +51,18 @@ double run_pipeline(std::size_t chunk_bytes, std::size_t transfers) {
   const auto start = std::chrono::steady_clock::now();
   std::size_t moved = 0;
   while (moved < transfers) {
-    {
-      // GuestLib role: fill chunks, enqueue descriptors. One wall-clock
-      // profiler scope per batch of 256: the scope cost amortizes to well
-      // under the 2% overhead budget (see bench/ablate_profiler).
-      NK_PROF("shm", "produce");
-      for (std::size_t i = 0; i < batch; ++i) {
-        auto span = pool.writable(chunks[i]);
-        std::memcpy(span.value().data(), src.data(), chunk_bytes);
-        out[i] = shm::nqe{};
-        out[i].op = shm::nqe_op::ev_data;
-        out[i].desc = shm::data_descriptor{
-            chunks[i], 0, static_cast<std::uint32_t>(chunk_bytes)};
-      }
-      (void)data_ring.push_batch(std::span{out});
+    // GuestLib role: fill chunks, enqueue descriptors.
+    for (std::size_t i = 0; i < batch; ++i) {
+      auto span = pool.writable(chunks[i]);
+      std::memcpy(span.value().data(), src.data(), chunk_bytes);
+      out[i] = shm::nqe{};
+      out[i].op = shm::nqe_op::ev_data;
+      out[i].desc = shm::data_descriptor{
+          chunks[i], 0, static_cast<std::uint32_t>(chunk_bytes)};
     }
+    (void)data_ring.push_batch(std::span{out});
 
     // ServiceLib role: drain the batch, copy payload out.
-    NK_PROF("shm", "consume");
     const std::size_t n = data_ring.pop_batch(std::span{in});
     for (std::size_t i = 0; i < n; ++i) {
       auto span = pool.readable(in[i].desc);
@@ -78,8 +73,7 @@ double run_pipeline(std::size_t chunk_bytes, std::size_t transfers) {
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
-  return static_cast<double>(moved) * static_cast<double>(chunk_bytes) *
-         8.0 / elapsed / 1e9;  // Gb/s
+  return elapsed / static_cast<double>(moved);
 }
 
 }  // namespace
@@ -99,12 +93,10 @@ int main() {
   bool first_metric = true;
   for (const auto& c : configs) {
     (void)run_pipeline(c.size, c.transfers / 10);  // warm-up
-    // Wall-clock profiler: the produce/consume scopes charge their own
-    // exclusive steady_clock time, giving CPU ns per transferred chunk.
-    nk::obs::profiler prof{nullptr};
-    const double gbps = run_pipeline(c.size, c.transfers);
-    const double ns_per_op = static_cast<double>(prof.charged_ns()) /
-                             static_cast<double>(c.transfers);
+    // One thread does both roles, so wall time per chunk is CPU per chunk.
+    const double per_chunk_s = run_pipeline(c.size, c.transfers);
+    const double gbps = static_cast<double>(c.size) * 8.0 / per_chunk_s / 1e9;
+    const double ns_per_op = per_chunk_s * 1e9;
     std::printf("%-10zu %6.1f Gb/s %8.1f ns\n", c.size, gbps, ns_per_op);
     if (!first_metric) bench << ',';
     first_metric = false;

@@ -105,7 +105,7 @@ int main() {
     std::printf("%-4u %-4u %-4u %-4u %-10s %-10.0f %-10llu %-6llu %-12llu\n",
                 static_cast<unsigned>(row.vm), row.fd,
                 static_cast<unsigned>(row.nsm), row.cid,
-                row.info.state.c_str(),
+                row.info.state,
                 static_cast<double>(row.info.srtt_ns) / 1e3,
                 static_cast<unsigned long long>(row.info.cwnd_bytes),
                 static_cast<unsigned long long>(row.info.retransmits),
@@ -127,11 +127,11 @@ int main() {
          ++i) {
       const auto& r = snap.rows[i];
       std::printf("%-4llu %-6s %-12s %-10.0f %-10llu %-6llu %-12llu\n",
-                  static_cast<unsigned long long>(r.fd), r.transport, r.state,
-                  static_cast<double>(r.srtt_ns) / 1e3,
-                  static_cast<unsigned long long>(r.cwnd_bytes),
-                  static_cast<unsigned long long>(r.retransmits),
-                  static_cast<unsigned long long>(r.bytes_out));
+                  static_cast<unsigned long long>(r.fd), r.info.transport,
+                  r.info.state, static_cast<double>(r.info.srtt_ns) / 1e3,
+                  static_cast<unsigned long long>(r.info.cwnd_bytes),
+                  static_cast<unsigned long long>(r.info.retransmits),
+                  static_cast<unsigned long long>(r.info.bytes_out));
     }
     std::printf(
         "  (provider table above addresses <vm,nsm,cid>; the page shows the\n"

@@ -53,12 +53,12 @@ void render_ss(const char* who, core::guest_lib& glib) {
                   (r.remote_ip >> 16) & 0xff, (r.remote_ip >> 8) & 0xff,
                   r.remote_ip & 0xff, r.remote_port);
     std::printf("%-4llu %-6s %-12s %-18s %-9.0f %-9.0f %-8llu %-6llu %-12llu\n",
-                static_cast<unsigned long long>(r.fd), r.transport, r.state,
-                peer, static_cast<double>(r.srtt_ns) / 1e3,
-                static_cast<double>(r.min_rtt_ns) / 1e3,
-                static_cast<unsigned long long>(r.cwnd_bytes),
-                static_cast<unsigned long long>(r.retransmits),
-                static_cast<unsigned long long>(r.bytes_out));
+                static_cast<unsigned long long>(r.fd), r.info.transport,
+                r.info.state, peer, static_cast<double>(r.info.srtt_ns) / 1e3,
+                static_cast<double>(r.info.min_rtt_ns) / 1e3,
+                static_cast<unsigned long long>(r.info.cwnd_bytes),
+                static_cast<unsigned long long>(r.info.retransmits),
+                static_cast<unsigned long long>(r.info.bytes_out));
   }
 }
 
@@ -130,7 +130,7 @@ int main() {
           static_cast<unsigned long long>(info.value().cwnd_bytes),
           static_cast<unsigned long long>(info.value().ssthresh_bytes),
           static_cast<unsigned long long>(info.value().bytes_in_flight),
-          static_cast<double>(info.value().delivery_rate_bps) / 1e6);
+          info.value().delivery_rate_bps / 1e6);
     }
   }
 

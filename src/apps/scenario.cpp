@@ -66,7 +66,7 @@ testbed::testbed(const testbed_params& params) : sim_{params.seed} {
   wire_->backward().register_metrics(ce_a_->metrics(), "wire_ingress");
   wire_->backward().register_metrics(ce_b_->metrics(), "wire_egress");
   wire_->forward().register_metrics(ce_b_->metrics(), "wire_ingress");
-  prof_ = std::make_unique<obs::profiler>(&sim_);
+  prof_ = std::make_unique<obs::profiler>(sim_);
 }
 
 net::ipv4_addr testbed::next_address(side s) {

@@ -337,30 +337,8 @@ void core_engine::publish_stat_page(attachment& att, bool freeze) {
       if (key == nullptr || key->vm != vm) continue;
       ++snap.vm.sockets_total;
       if (rows >= shm::stat_snapshot::max_rows) continue;
-      shm::nk_sock_stats& row = snap.rows[rows++];
-      row.fd = key->fd;
-      shm::set_stat_string(row.transport, sizeof row.transport,
-                           rec.info.transport);
-      shm::set_stat_string(row.state, sizeof row.state, rec.info.state);
-      shm::set_stat_string(row.cc, sizeof row.cc, rec.info.cc);
-      row.remote_ip = rec.remote.ip.value;
-      row.remote_port = rec.remote.port;
-      row.srtt_ns = rec.info.srtt_ns;
-      row.rttvar_ns = rec.info.rttvar_ns;
-      row.min_rtt_ns = rec.info.min_rtt_ns;
-      row.cwnd_bytes = rec.info.cwnd_bytes;
-      row.ssthresh_bytes = rec.info.ssthresh_bytes;
-      row.bytes_in_flight = rec.info.bytes_in_flight;
-      row.retransmits = rec.info.retransmits;
-      row.bytes_retransmitted = rec.info.bytes_retransmitted;
-      row.delivery_rate_bps =
-          static_cast<std::uint64_t>(rec.info.delivery_rate_bps);
-      row.bytes_in = rec.info.bytes_in;
-      row.bytes_out = rec.info.bytes_out;
-      row.sndbuf_bytes = rec.info.sndbuf_bytes;
-      row.sndbuf_capacity = rec.info.sndbuf_capacity;
-      row.rcvbuf_bytes = rec.info.rcvbuf_bytes;
-      row.rcvbuf_capacity = rec.info.rcvbuf_capacity;
+      snap.rows[rows++] = shm::nk_sock_stats{key->fd, rec.remote.ip.value,
+                                             rec.remote.port, rec.info};
     }
     snap.vm.staged_completions = service->staged_depth(vm);
   }
@@ -573,15 +551,10 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
     for (auto& sh : shards_) sh.pump->start();
   }
   // A VM re-attaching under an active quarantine comes up barred: its job
-  // lanes refuse to drain until probation expires (auto-readmit below) or
-  // readmit_vm() paroles it early.
-  if (const quarantine_record* q = active_quarantine(vm.id())) {
+  // lanes refuse to drain until readmit_vm() paroles it.
+  if (quarantined(vm.id())) {
     it->second.abuse->level = abuse_level::quarantined;
     log_info("core_engine: vm ", vm.id(), " attached under quarantine");
-    if (q->readmit_at != sim_time::zero()) {
-      sim_.schedule_at(q->readmit_at,
-                       [this, id = vm.id()] { (void)readmit_vm(id); });
-    }
   }
   // Seed the guest-visible stat page so in-guest readers see a valid
   // (empty) snapshot from the first instruction, not an unpublished page.
@@ -606,9 +579,7 @@ bool core_engine::push_staged(attachment& att, std::size_t s,
   if (r == shm::push_result::dropped) {
     // Hard cap: the pipeline never gets here while gating works (pops stop
     // when a stage fills); this is the bounded-memory backstop.
-    ++sh.stats.nqes_dropped;
-    drop_trace(sh, e.reserved);
-    if (!e.desc.empty()) (void)att.ch->pool.free(e.desc.chunk);
+    discard(att, s, e, sh.stats.nqes_dropped);
   }
   return r == shm::push_result::ring;
 }
@@ -666,7 +637,7 @@ void core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
       gated = true;
       break;
     }
-    if (!att.ch->vm_q(s).job.pop(e)) break;
+    if (!att.ch->vm_q(s).job.try_pop(e)) break;
     ++n;
     ++popped;
     att.ch->count_vm_to_nsm(s);
@@ -758,8 +729,7 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
     // the firewall.
     if (e.op == shm::nqe_op::req_close) {
       if (sh.torn_down.erase(flow_key{vm, fd}) != 0) --att.lanes[s].torn_down;
-      ++sh.stats.unroutable_nqes;
-      drop_trace(sh, e.reserved);
+      discard(att, s, e, sh.stats.unroutable_nqes);
       deliver_error_to_vm(att, s, fd, errc::not_found);
       return;
     }
@@ -767,10 +737,8 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
       reject_nqe(att, s, e, reject_reason::badfd);
       return;
     }
-    ++sh.stats.unroutable_nqes;
-    drop_trace(sh, e.reserved);
-    // The admission gate vouched for a data op's chunk; recycle it.
-    if (shm::owns_chunk(e)) (void)att.ch->pool.free(e.desc.chunk);
+    // The admission gate vouched for a data op's chunk; discard recycles it.
+    discard(att, s, e, sh.stats.unroutable_nqes);
     return;
   }
 
@@ -835,14 +803,14 @@ void core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
   // bound, nqes — and the chunks ev_data descriptors pin — stay in the NSM
   // rings where ServiceLib can see and react to the pressure.
   for (const bool receive : {false, true}) {
-    shm::nqe_queue& ring =
+    shm::spsc_ring<shm::nqe>& ring =
         receive ? att.ch->nsm_q(s).receive : att.ch->nsm_q(s).completion;
     while (n < drain_batch && stage.to_vm_depth() < cfg_.overflow_limit) {
       if (core.backlog() > drain_backlog_bound) {
         gated = true;
         break;
       }
-      if (!ring.pop(e)) break;
+      if (!ring.try_pop(e)) break;
       ++n;
       ++popped;
       tracer_.stamp(e.reserved, obs::nqe_stage::nsm_out_dwell);
@@ -869,7 +837,7 @@ void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
   if (e.epoch != att.epoch) {
     // Output produced by a dead incarnation, drained after the switchover:
     // its flow state no longer exists. Discard with accounting.
-    discard_stale(att, s, e);
+    discard(att, s, e, sh.stats.stale_nqes);
     return;
   }
   if (!e.desc.empty() && e.desc.chunk.pool_key != att.ch->pool.key()) {
@@ -900,8 +868,7 @@ void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
       // cID's home partition, never a write to another shard's state.
       const flow_key* lkey = find_by_nsm(nsm_key{module, e.handle});
       if (lkey == nullptr) {
-        ++sh.stats.unroutable_nqes;
-        drop_trace(sh, e.reserved);
+        discard(att, s, e, sh.stats.unroutable_nqes);
         return;
       }
       // Copy the listener fd out before the inserts below: they may rehash
@@ -926,13 +893,10 @@ void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
     default: {
       auto it = sh.by_nsm.find(nsm_key{module, e.handle});
       if (it == sh.by_nsm.end()) {
-        ++sh.stats.unroutable_nqes;
-        drop_trace(sh, e.reserved);
-        // Data events for an already-closed flow carry chunks; recycle.
-        // (Only ServiceLib writes the NSM out-rings, and it emits no req_*.)
-        if (shm::owns_chunk(e) && !e.desc.empty()) {
-          (void)att.ch->pool.free(e.desc.chunk);
-        }
+        // Data events for an already-closed flow carry chunks; discard
+        // recycles them. (Only ServiceLib writes the NSM out-rings, and it
+        // emits no req_*.)
+        discard(att, s, e, sh.stats.unroutable_nqes);
         return;
       }
       const std::uint32_t fd = it->second.fd;
@@ -965,11 +929,10 @@ void core_engine::remember_torn_down(attachment& att, std::size_t s,
   }
 }
 
-void core_engine::discard_stale(attachment& att, std::size_t s,
-                                const shm::nqe& e) {
-  engine_shard& sh = shards_[s];
-  ++sh.stats.stale_nqes;
-  drop_trace(sh, e.reserved);
+void core_engine::discard(attachment& att, std::size_t s, const shm::nqe& e,
+                          std::uint64_t& counter) {
+  ++counter;
+  drop_trace(shards_[s], e.reserved);
   if (shm::owns_chunk(e) && !e.desc.empty()) {
     (void)att.ch->pool.free(e.desc.chunk);
   }
@@ -1087,9 +1050,6 @@ void core_engine::quarantine_vm(virt::vm_id vm, std::string reason) {
   rec.vm = vm;
   rec.module = att.module->id();
   rec.at = now;
-  rec.readmit_at = cfg_.firewall.probation > sim_time::zero()
-                       ? now + cfg_.firewall.probation
-                       : sim_time::zero();
   rec.reason = std::move(reason);
   rec.violations = att.abuse->violations;
   metrics_.get_counter("vms_quarantined").inc();
@@ -1133,23 +1093,10 @@ bool core_engine::readmit_vm(virt::vm_id vm) {
   return true;
 }
 
-const quarantine_record* core_engine::active_quarantine(virt::vm_id vm) const {
-  const sim_time now = sim_.now();
-  // The most recent record governs: scan backwards, and once it is found
-  // either active (permanent, or inside probation) or expired, stop.
-  for (auto rit = quarantine_log_.rbegin(); rit != quarantine_log_.rend();
-       ++rit) {
-    if (rit->vm != vm || rit->readmitted) continue;
-    if (rit->readmit_at == sim_time::zero() || now < rit->readmit_at) {
-      return &*rit;
-    }
-    return nullptr;
-  }
-  return nullptr;
-}
-
 bool core_engine::quarantined(virt::vm_id vm) const {
-  return active_quarantine(vm) != nullptr;
+  return std::ranges::any_of(quarantine_log_, [vm](const quarantine_record& r) {
+    return r.vm == vm && !r.readmitted;
+  });
 }
 
 abuse_level core_engine::abuse_level_of(virt::vm_id vm) const {
@@ -1168,14 +1115,6 @@ void core_engine::detach_vm(virt::vm_id vm) {
   if (auto* service = service_of(att.module->id())) {
     service->detach_channel(vm);
   }
-
-  auto discard = [&](engine_shard& sh, const shm::nqe& e) {
-    ++sh.stats.nqes_dropped;
-    drop_trace(sh, e.reserved);
-    if (shm::owns_chunk(e) && !e.desc.empty()) {
-      (void)att.ch->pool.free(e.desc.chunk);
-    }
-  };
 
   // Both directions of the mapping table. Each flow lives in exactly one
   // shard's partition, so every shard is scrubbed of precisely its own
@@ -1196,14 +1135,15 @@ void core_engine::detach_vm(virt::vm_id vm) {
 
   // Every ring lane and staged lane may still reference huge-page chunks.
   for (std::size_t s = 0; s < att.lanes.size(); ++s) {
-    engine_shard& sh = shards_[s];
-    auto discard_here = [&](const shm::nqe& e) { discard(sh, e); };
-    for (shm::nqe_queue* ring :
+    auto discard_here = [&](const shm::nqe& e) {
+      discard(att, s, e, shards_[s].stats.nqes_dropped);
+    };
+    for (shm::spsc_ring<shm::nqe>* ring :
          {&att.ch->vm_q(s).job, &att.ch->vm_q(s).completion,
           &att.ch->vm_q(s).receive, &att.ch->nsm_q(s).job,
           &att.ch->nsm_q(s).completion, &att.ch->nsm_q(s).receive}) {
       shm::nqe e;
-      while (ring->pop(e)) discard_here(e);
+      while (ring->try_pop(e)) discard_here(e);
     }
     lane_stages& st = *att.lanes[s].stage;
     for (auto* lane : {&st.to_nsm, &st.completion, &st.receive}) {
@@ -1306,14 +1246,17 @@ void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
     // outputs — is discarded with accounting instead of being misapplied.
     ++att.epoch;
     for (std::size_t s = 0; s < att.lanes.size(); ++s) {
+      std::uint64_t& stale = shards_[s].stats.stale_nqes;
       att.lanes[s].stage->to_nsm.scrub(
-          [&](const shm::nqe& e) { discard_stale(att, s, e); });
+          [&](const shm::nqe& e) { discard(att, s, e, stale); });
       // Purge the job ring too: everything in it was addressed to the dead
       // incarnation, and replayed control ops must not queue behind a ring
       // full of doomed work (a slow drain there would delay the recovered
       // listener by whole seconds).
       shm::nqe queued;
-      while (att.ch->nsm_q(s).job.pop(queued)) discard_stale(att, s, queued);
+      while (att.ch->nsm_q(s).job.try_pop(queued)) {
+        discard(att, s, queued, stale);
+      }
     }
     att.module = fresh;
     att.ch->nsm = new_id;

@@ -74,9 +74,6 @@ struct firewall_config {
   double violations_per_sec = 100.0;
   std::uint64_t violation_burst = 64;
   std::uint64_t quarantine_threshold = 256;
-  // Probation: how long a quarantined VM stays barred from re-attachment.
-  // zero() means quarantine is permanent until readmit_vm() is called.
-  sim_time probation = milliseconds(100);
 };
 
 struct core_engine_config {
@@ -144,12 +141,9 @@ struct quarantine_record {
   virt::vm_id vm = 0;
   nsm_id module = 0;
   sim_time at{};
-  // When probation ends and the VM may attach again. zero(): permanent
-  // until readmit_vm().
-  sim_time readmit_at{};
   std::string reason;
   std::uint64_t violations = 0;  // lifetime violations at quarantine time
-  bool readmitted = false;       // cleared early via readmit_vm()
+  bool readmitted = false;       // cleared via readmit_vm()
 };
 
 class guest_lib;
@@ -203,18 +197,16 @@ class core_engine {
   // the guest with errc::nsm_reset-style errors, every chunk it still
   // references is recycled through the detach_vm scrub path, a
   // quarantine_record is appended, and `vms_quarantined` increments.
-  // While the quarantine is active (until `readmit_at`, or forever when
-  // probation is zero) a re-attach comes up quarantined: attached but with
-  // its job lanes refused until probation expires or readmit_vm() clears it.
+  // Until readmit_vm() clears it, a re-attach comes up quarantined:
+  // attached but with its job lanes refused.
   void quarantine_vm(virt::vm_id vm, std::string reason = "operator request");
 
-  // Clears every active quarantine of `vm` (early parole). If the VM is
+  // Clears every active quarantine of `vm` (the one way out). If the VM is
   // attached its abuse level resets to ok with a full violation budget.
   // Returns false when no active quarantine existed.
   bool readmit_vm(virt::vm_id vm);
 
-  // True while the VM has an active quarantine record (not readmitted, and
-  // its probation — when finite — has not expired).
+  // True while the VM has an active (not readmitted) quarantine record.
   [[nodiscard]] bool quarantined(virt::vm_id vm) const;
 
   [[nodiscard]] const std::vector<quarantine_record>& quarantine_log() const {
@@ -493,9 +485,6 @@ class core_engine {
   // Writes one redacted snapshot of `att`'s flows into its channel's stat
   // page. `freeze` marks the page terminal (quarantine).
   void publish_stat_page(attachment& att, bool freeze = false);
-  // Most recent active quarantine record for `vm`, else nullptr.
-  [[nodiscard]] const quarantine_record* active_quarantine(
-      virt::vm_id vm) const;
 
   void forward_to_nsm(attachment& att, std::size_t s, shm::nqe e);
   void forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
@@ -520,8 +509,11 @@ class core_engine {
   // torn_down_per_lane entries there.
   void remember_torn_down(attachment& att, std::size_t s,
                           const flow_key& key);
-  // Discards an nqe from a dead incarnation: chunk recycled, drop traced.
-  void discard_stale(attachment& att, std::size_t s, const shm::nqe& e);
+  // The engine's one discard: bumps `counter` (one of shard `s`'s stats),
+  // ends the nqe's trace as a drop and recycles the chunk a data nqe
+  // carries. reject_nqe and the pool-key mismatch keep their own rules.
+  void discard(attachment& att, std::size_t s, const shm::nqe& e,
+               std::uint64_t& counter);
 
   // Pushes through a staged lane of shard `s` with the engine's accounting
   // (deferred, or dropped: traced and chunk recycled); true: on the ring.

@@ -422,8 +422,8 @@ status guest_lib::nk_setsockopt(std::uint32_t fd, nk_option opt,
   return {};
 }
 
-result<shm::nk_sock_stats> guest_lib::nk_getsockopt(std::uint32_t fd,
-                                                    nk_option opt) {
+result<obs::nk_flow_info> guest_lib::nk_getsockopt(std::uint32_t fd,
+                                                   nk_option opt) {
   if (opt != nk_option::tcp_info) return errc::not_supported;
   if (socket_of(fd) == nullptr) return errc::not_found;
   shm::stat_snapshot snap;
@@ -432,7 +432,7 @@ result<shm::nk_sock_stats> guest_lib::nk_getsockopt(std::uint32_t fd,
   }
   const shm::nk_sock_stats* row = snap.find(fd);
   if (row == nullptr) return errc::would_block;  // no row in last snapshot
-  return *row;
+  return row->info;
 }
 
 result<shm::nk_vm_stats> guest_lib::nk_stack_stats() const {
@@ -539,9 +539,9 @@ void guest_lib::drain() {
   // the nqe's home shard — handle_nqe needs it to home accepted children.
   for (std::size_t s = 0; s < ch_->shards(); ++s) {
     std::size_t lane_popped = 0;
-    for (shm::nqe_queue* ring :
+    for (shm::spsc_ring<shm::nqe>* ring :
          {&ch_->vm_q(s).completion, &ch_->vm_q(s).receive}) {
-      while (popped < guest_drain_batch && ring->pop(e)) {
+      while (popped < guest_drain_batch && ring->try_pop(e)) {
         ++popped;
         ++lane_popped;
         if (e.reserved != 0) {

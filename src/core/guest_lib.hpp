@@ -112,8 +112,8 @@ class guest_lib {
   // zero round trips, zero nqes, safe to call from any diagnostic loop.
   // The data is as fresh as the last publish (timeseries cadence or
   // nk_stat_refresh); would_block means the fd has no published row yet.
-  [[nodiscard]] result<shm::nk_sock_stats> nk_getsockopt(std::uint32_t fd,
-                                                         nk_option opt);
+  [[nodiscard]] result<obs::nk_flow_info> nk_getsockopt(std::uint32_t fd,
+                                                        nk_option opt);
   // Per-VM aggregates (quota burn, staged depth, would_block counts).
   [[nodiscard]] result<shm::nk_vm_stats> nk_stack_stats() const;
   // Full-page snapshot for in-guest tools (examples/nk_ss); false only if

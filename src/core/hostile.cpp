@@ -125,7 +125,7 @@ bool hostile_guest::inject(attack kind) {
   }
 
   const auto s = static_cast<std::size_t>(rng_.next_below(ch->shards()));
-  if (!ch->vm_q(s).job.push(e)) {
+  if (!ch->vm_q(s).job.try_push(e)) {
     ++stats_.ring_full;
     return false;
   }

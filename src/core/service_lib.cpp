@@ -260,11 +260,7 @@ void service_lib::maybe_resume_stalled(served_vm& svm) {
         svm.stalled_reads.insert(cid);
         continue;
       }
-      if (ps->udp) {
-        pump_udp_reads(*ps);
-      } else {
-        pump_reads(*ps);
-      }
+      pump_reads(*ps);
     }
   }
 }
@@ -364,7 +360,7 @@ void service_lib::drain_jobs() {
               left_behind || !svm.ch->nsm_q(s).job.empty_approx();
           break;
         }
-        if (!svm.ch->nsm_q(s).job.pop(e)) break;
+        if (!svm.ch->nsm_q(s).job.try_pop(e)) break;
         ++n;
         if (e.epoch != svm.epoch) {
           // Left over from the dead incarnation this module replaced: the
@@ -728,11 +724,7 @@ void service_lib::handle_stack_event(const stack::socket_event& ev) {
       return;
     }
     case stack::socket_event_type::readable:
-      if (ps->udp) {
-        pump_udp_reads(*ps);
-      } else {
-        pump_reads(*ps);
-      }
+      pump_reads(*ps);
       return;
     case stack::socket_event_type::writable:
       pump_sends(*ps);
@@ -781,7 +773,7 @@ bool service_lib::read_stalled(served_vm& svm, const proto_socket& ps) {
 }
 
 void service_lib::pump_reads(proto_socket& ps) {
-  NK_PROF("servicelib", "pump_reads");
+  NK_PROF("servicelib", ps.udp ? "pump_udp_reads" : "pump_reads");
   if (ps.ssock == 0) return;
   // find, not operator[]: never implant a null-channel served_vm.
   auto vit = vms_.find(ps.vm);
@@ -793,23 +785,43 @@ void service_lib::pump_reads(proto_socket& ps) {
 
   while (true) {
     if (read_stalled(svm, ps)) return;
-    auto r = stack.recv(ps.ssock, chunk_size);
-    if (!r) {
-      if (r.error() == errc::closed) {
-        // EOF: the peer half-closed; tell the VM. Route through the core so
-        // the EOF cannot overtake data events still queued there.
-        shm::nqe out;
-        out.op = shm::nqe_op::ev_closed;
-        out.handle = ps.cid;
-        nsm_.core().execute(sim_time::zero(), [this, vm = ps.vm, shard, out] {
-          if (auto it = vms_.find(vm); it != vms_.end()) {
-            push_receive(it->second, shard, out);
-          }
-        });
+    shm::nqe out;
+    out.handle = ps.cid;
+    buffer data;
+    if (ps.udp) {
+      auto r = stack.udp_recv_from(ps.ssock);
+      if (!r) return;
+      auto [from, datagram] = std::move(r).value();
+      // A datagram larger than a chunk cannot be represented; drop it (the
+      // region broker sizes chunks >= the expected datagram MTU, but a
+      // sender outside NetKernel is not bound by it).
+      if (datagram.size() > chunk_size) {
+        ++stats_.oversize_datagrams;
+        continue;
       }
-      return;
+      data = std::move(datagram);
+      out.op = shm::nqe_op::ev_udp_data;
+      out.arg0 = from.ip.value;
+      out.arg1 = from.port;
+    } else {
+      auto r = stack.recv(ps.ssock, chunk_size);
+      if (!r) {
+        if (r.error() == errc::closed) {
+          // EOF: the peer half-closed; tell the VM. Route through the core
+          // so the EOF cannot overtake data events still queued there.
+          out.op = shm::nqe_op::ev_closed;
+          nsm_.core().execute(sim_time::zero(),
+                              [this, vm = ps.vm, shard, out] {
+                                if (auto it = vms_.find(vm); it != vms_.end()) {
+                                  push_receive(it->second, shard, out);
+                                }
+                              });
+        }
+        return;
+      }
+      data = std::move(r).value();
+      out.op = shm::nqe_op::ev_data;
     }
-    buffer data = std::move(r).value();
     auto chunk = svm.ch->pool.alloc();
     if (!chunk) return;  // raced to exhaustion; the stall path will resume
 
@@ -819,53 +831,8 @@ void service_lib::pump_reads(proto_socket& ps) {
     ++stats_.data_events;
     sla_.record_receive(*svm.tenant, data.size());
 
-    shm::nqe out;
-    out.op = shm::nqe_op::ev_data;
-    out.handle = ps.cid;
     out.desc = shm::data_descriptor{chunk.value(), 0,
                                     static_cast<std::uint32_t>(data.size())};
-    bill(svm, costs_.memcpy_cost(data.size()), [this, vm = ps.vm, shard, out] {
-      if (auto it = vms_.find(vm); it != vms_.end()) {
-        push_receive(it->second, shard, out);
-      }
-    });
-  }
-}
-
-void service_lib::pump_udp_reads(proto_socket& ps) {
-  NK_PROF("servicelib", "pump_udp_reads");
-  if (ps.ssock == 0) return;
-  // find, not operator[]: never implant a null-channel served_vm.
-  auto vit = vms_.find(ps.vm);
-  if (vit == vms_.end()) return;
-  served_vm& svm = vit->second;
-  auto& stack = nsm_.transport();
-  const std::size_t chunk_size = svm.ch->pool.chunk_size();
-  const std::size_t shard = ps.shard;
-
-  while (true) {
-    if (read_stalled(svm, ps)) return;
-    auto r = stack.udp_recv_from(ps.ssock);
-    if (!r) return;
-    auto [from, data] = std::move(r).value();
-    // Datagram larger than a chunk cannot be represented; drop it (the
-    // region broker sizes chunks >= the expected datagram MTU).
-    if (data.size() > chunk_size) continue;
-    auto chunk = svm.ch->pool.alloc();
-    if (!chunk) return;
-    auto span = svm.ch->pool.writable(chunk.value());
-    std::memcpy(span.value().data(), data.bytes().data(), data.size());
-    stats_.bytes_from_stack += data.size();
-    ++stats_.data_events;
-    sla_.record_receive(*svm.tenant, data.size());
-
-    shm::nqe out;
-    out.op = shm::nqe_op::ev_udp_data;
-    out.handle = ps.cid;
-    out.desc = shm::data_descriptor{chunk.value(), 0,
-                                    static_cast<std::uint32_t>(data.size())};
-    out.arg0 = from.ip.value;
-    out.arg1 = from.port;
     bill(svm, costs_.memcpy_cost(data.size()), [this, vm = ps.vm, shard, out] {
       if (auto it = vms_.find(vm); it != vms_.end()) {
         push_receive(it->second, shard, out);

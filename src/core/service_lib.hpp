@@ -45,6 +45,9 @@ struct service_lib_stats {
   // Outputs refused because their descriptor named a pool that is not the
   // destination channel's (pool-key isolation, DESIGN.md §14).
   std::uint64_t chunk_key_mismatch = 0;
+  // Inbound datagrams larger than a chunk, discarded (a sender outside
+  // NetKernel is not held to the chunk size).
+  std::uint64_t oversize_datagrams = 0;
   // Tenant-quota backpressure (sla_spec cycle budget and chunk quota). Jobs
   // wait in the rings and reads wait in the stack's receive buffer — never
   // silent loss, so the accounting invariant is untouched by throttling.
@@ -207,9 +210,10 @@ class service_lib {
 
   // Stack event plumbing.
   void handle_stack_event(const stack::socket_event& ev);
+  // Moves stream bytes (ev_data) or datagrams (ev_udp_data) from the stack
+  // into chunks until the socket is empty or a read stalls.
   void pump_reads(proto_socket& ps);
-  void pump_udp_reads(proto_socket& ps);
-  // The read-stall check both pumps run before each read: pool exhaustion,
+  // The read-stall check the pump runs before each read: pool exhaustion,
   // cycle budget, chunk quota, then receive-lane pressure. True means the
   // read stalled: `ps` is parked on `svm`'s stalled list, the matching
   // counter bumped, and the pump asked for a re-drain where no doorbell
@@ -255,7 +259,7 @@ class service_lib {
   [[nodiscard]] bool receive_pressured(const served_vm& svm,
                                        std::size_t shard) const {
     return !svm.lanes[shard].receive.empty() ||
-           svm.ch->nsm_q(shard).receive.space_approx() == 0;
+           svm.ch->nsm_q(shard).receive.free_approx() == 0;
   }
 
   // Bills `cost` of the VM's work to the NSM core and to the VM's cycle

@@ -626,9 +626,10 @@ void connection::terminate(errc err) {
 
 obs::nk_flow_info connection::flow_info() const {
   obs::nk_flow_info fi;
-  fi.transport = "nkq";
-  fi.state = std::string{to_string(state_)};
-  fi.cc = cc_ != nullptr ? std::string{cc_->name()} : "none";
+  obs::set_stat_string(fi.transport, sizeof fi.transport, "nkq");
+  obs::set_stat_string(fi.state, sizeof fi.state, to_string(state_));
+  obs::set_stat_string(fi.cc, sizeof fi.cc,
+                       cc_ != nullptr ? cc_->name() : "none");
   fi.srtt_ns = static_cast<std::uint64_t>(rtt_.srtt().count());
   fi.rttvar_ns = static_cast<std::uint64_t>(rtt_.rttvar().count());
   fi.min_rtt_ns = static_cast<std::uint64_t>(min_rtt_.count());

@@ -5,27 +5,34 @@
 // nk_flow_info is a plain snapshot filled by tcp::tcb::flow_info() and
 // surfaced through stack::netstack -> core::service_lib (keyed <NSM, cID>)
 // -> core::core_engine (joined with the connection-mapping table, keyed
-// <VM, fd>) -> health_monitor::report_json(). Header-only and free of any
-// tcp/stack dependency so the lower layers can fill it without a cycle.
+// <VM, fd>) -> health_monitor::report_json() and, unchanged, into the
+// owning tenant's stat page (shm/stat_page.hpp). Trivially copyable so it
+// can be that page row. Header-only and free of any tcp/stack dependency
+// so the lower layers can fill it without a cycle.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace nk::obs {
 
 struct nk_flow_info {
-  // Identity / algorithm. All three strings come from compile-time
-  // to_string tables (transport kind, tcp_state / nkq state, cc name), so
-  // they are JSON-safe without escaping. `transport` is the name of the
+  // Identity / algorithm, NUL-terminated. All three names come from
+  // compile-time to_string tables (transport kind, tcp_state / nkq state,
+  // cc name), so they fit their arrays (obs_test checks every name) and
+  // are JSON-safe without escaping. `transport` is the name of the
   // protocol that filled this row ("tcp" or "nkq"): the flow
   // table is transport-agnostic, fields keep their closest-equivalent
   // meaning (retransmits = fast retransmits + timeouts for TCP, lost
   // packets recovered by pn-threshold/PTO for nkq).
-  std::string transport = "tcp";
-  std::string state;
-  std::string cc;
+  char transport[8] = "tcp";
+  char state[16] = {};
+  char cc[16] = {};
 
   // Round-trip estimation (RFC 6298 smoothed values, nanoseconds).
   // min_rtt_ns is the windowed path-RTT floor both transports track for
@@ -81,5 +88,14 @@ struct nk_flow_info {
     return os.str();
   }
 };
+static_assert(std::is_trivially_copyable_v<nk_flow_info>);
+
+// Copies a name into one of nk_flow_info's fixed-width fields (truncating,
+// always NUL-terminated).
+inline void set_stat_string(char* dst, std::size_t cap, std::string_view s) {
+  const std::size_t n = s.size() < cap - 1 ? s.size() : cap - 1;
+  std::memcpy(dst, s.data(), n);
+  dst[n] = '\0';
+}
 
 }  // namespace nk::obs

@@ -1,7 +1,6 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 
 #include "obs/dump.hpp"
@@ -27,15 +26,12 @@ void append_double(std::ostringstream& os, double v) {
 
 profiler* profiler::current() { return current_slot(); }
 
-profiler::profiler(sim::simulator* sim)
-    : sim_{sim}, prev_current_{current_slot()} {
+profiler::profiler(sim::simulator& sim)
+    : sim_{sim},
+      prev_current_{current_slot()},
+      prev_listener_{sim::set_cpu_charge_listener(this)},
+      sim_start_{sim.now()} {
   current_slot() = this;
-  if (sim_ != nullptr) {
-    prev_listener_ = sim::set_cpu_charge_listener(this);
-    sim_start_ = sim_->now();
-  } else {
-    wall_start_ns_ = wall_now_ns();
-  }
   path_.reserve(256);
   frames_.reserve(max_depth);
 }
@@ -46,21 +42,12 @@ profiler::~profiler() {
     dump_write(tag + ".folded", collapsed());
     dump_write(tag + ".json", to_json());
   }
-  if (sim_ != nullptr) sim::set_cpu_charge_listener(prev_listener_);
+  sim::set_cpu_charge_listener(prev_listener_);
   current_slot() = prev_current_;
 }
 
-std::uint64_t profiler::wall_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 void profiler::enter(const char* component, const char* op) {
-  frame f;
-  f.parent_len = path_.size();
-  if (wall_mode()) f.enter_wall_ns = wall_now_ns();
+  const frame f{path_.size()};
   if (frames_.size() < max_depth) {
     path_.push_back(';');
     path_.append(component);
@@ -76,17 +63,6 @@ void profiler::enter(const char* component, const char* op) {
 void profiler::leave() {
   if (frames_.empty()) return;
   const frame f = frames_.back();
-  if (wall_mode()) {
-    const std::uint64_t now = wall_now_ns();
-    const std::uint64_t elapsed =
-        now > f.enter_wall_ns ? now - f.enter_wall_ns : 0;
-    const std::uint64_t self =
-        elapsed > f.child_wall_ns ? elapsed - f.child_wall_ns : 0;
-    charge_wall(self);
-    if (frames_.size() >= 2) {
-      frames_[frames_.size() - 2].child_wall_ns += elapsed;
-    }
-  }
   frames_.pop_back();
   if (path_.size() != f.parent_len) {
     path_.resize(f.parent_len);
@@ -162,14 +138,6 @@ void profiler::on_charge(const sim::cpu_core& core, sim_time cost) {
   if (prev_listener_ != nullptr) prev_listener_->on_charge(core, cost);
 }
 
-void profiler::charge_wall(std::uint64_t self_ns) {
-  charged_ns_ += self_ns;
-  attributed_ns_ += self_ns;
-  node* leaf = resolve("wall", nullptr);
-  leaf->ns += self_ns;
-  ++leaf->count;
-}
-
 double profiler::attribution_ratio() const {
   if (charged_ns_ == 0) return 1.0;
   return static_cast<double>(attributed_ns_) /
@@ -191,10 +159,8 @@ std::vector<profiler::node_view> profiler::top(std::size_t n) const {
 }
 
 std::vector<profiler::core_view> profiler::cores() const {
-  const std::uint64_t window =
-      sim_ != nullptr
-          ? static_cast<std::uint64_t>((sim_->now() - sim_start_).count())
-          : wall_now_ns() - wall_start_ns_;
+  const auto window =
+      static_cast<std::uint64_t>((sim_.now() - sim_start_).count());
   std::vector<core_view> out;
   out.reserve(core_stats_.size());
   for (const core_stat& s : core_stats_) {
@@ -224,7 +190,7 @@ std::string profiler::collapsed() const {
 
 std::string profiler::top_json(std::size_t n) const {
   std::ostringstream os;
-  os << "{\"mode\":\"" << (wall_mode() ? "wall" : "sim") << "\",";
+  os << "{\"mode\":\"sim\",";
   os << "\"charged_ns\":" << charged_ns_
      << ",\"attributed_ns\":" << attributed_ns_ << ",\"attribution\":";
   append_double(os, attribution_ratio());

@@ -3,15 +3,12 @@
 // PR 4's tracer answers "what happened to one nqe"; this answers "what did
 // every core spend the whole run doing". Code marks regions with
 // NK_PROF(component, op); scopes nest into a folded stack
-// ("guestlib:pump;netstack:tx;..."). In *simulation mode* the profiler
-// installs itself as the sim::cpu_charge_listener, so every modeled cost
-// committed through cpu_core::execute() or charge() is attributed to the
-// scope stack active at the call site and to the core it ran on — in a DES
-// the code between scope markers takes zero virtual time, so listening to
-// the charge stream is the only faithful accounting. In *wall-clock mode* (no
-// simulator) each scope charges its own steady_clock self time (child time
-// subtracted), which is what the real microbenches (shm_throughput,
-// nqe_copy) report as cycles/op.
+// ("guestlib:pump;netstack:tx;..."). The profiler installs itself as the
+// sim::cpu_charge_listener, so every modeled cost committed through
+// cpu_core::execute() or charge() is attributed to the scope stack active
+// at the call site and to the core it ran on — in a DES the code between
+// scope markers takes zero virtual time, so listening to the charge stream
+// is the only faithful accounting. Scopes only label; they measure nothing.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +26,7 @@ namespace nk::obs {
 
 class profiler : public sim::cpu_charge_listener {
  public:
-  // sim != nullptr: simulation mode (charges arrive via the cpu listener,
-  // scopes only label). sim == nullptr: wall-clock mode (scopes measure
-  // their own exclusive steady_clock time).
-  explicit profiler(sim::simulator* sim);
+  explicit profiler(sim::simulator& sim);
   ~profiler() override;
 
   profiler(const profiler&) = delete;
@@ -41,8 +35,6 @@ class profiler : public sim::cpu_charge_listener {
   // The innermost live profiler, or nullptr. NK_PROF scopes attach here.
   [[nodiscard]] static profiler* current();
 
-  [[nodiscard]] bool wall_mode() const { return sim_ == nullptr; }
-
   void enter(const char* component, const char* op);
   void leave();
 
@@ -50,7 +42,7 @@ class profiler : public sim::cpu_charge_listener {
   void on_charge(const sim::cpu_core& core, sim_time cost) override;
 
   struct node_view {
-    std::string stack;  // "core;comp:op;comp:op" (or "wall;..." in wall mode)
+    std::string stack;  // "core;comp:op;comp:op"
     std::uint64_t ns = 0;
     std::uint64_t count = 0;
   };
@@ -86,9 +78,7 @@ class profiler : public sim::cpu_charge_listener {
     std::uint64_t count = 0;
   };
   struct frame {
-    std::size_t parent_len = 0;        // path_ length before this frame
-    std::uint64_t child_wall_ns = 0;   // wall mode: time in child scopes
-    std::uint64_t enter_wall_ns = 0;   // wall mode: steady_clock at enter
+    std::size_t parent_len = 0;  // path_ length before this frame
   };
   struct core_stat {
     // Identity only — never dereferenced outside on_charge(), where the
@@ -110,8 +100,6 @@ class profiler : public sim::cpu_charge_listener {
 
   node* resolve(std::string_view core_name, const sim::cpu_core* core);
   core_stat& stat_for(const sim::cpu_core& core);
-  void charge_wall(std::uint64_t self_ns);
-  [[nodiscard]] static std::uint64_t wall_now_ns();
 
   // Distinct (core, stack) leaf nodes before further charges collapse into
   // a single "(overflow)" bucket (generously above any sane
@@ -120,7 +108,7 @@ class profiler : public sim::cpu_charge_listener {
   static constexpr std::size_t max_nodes = 1 << 14;
   static constexpr std::size_t max_depth = 32;
 
-  sim::simulator* sim_;
+  sim::simulator& sim_;
   profiler* prev_current_;
   sim::cpu_charge_listener* prev_listener_ = nullptr;
 
@@ -136,8 +124,7 @@ class profiler : public sim::cpu_charge_listener {
 
   std::uint64_t charged_ns_ = 0;
   std::uint64_t attributed_ns_ = 0;
-  sim_time sim_start_ = sim_time::zero();
-  std::uint64_t wall_start_ns_ = 0;
+  sim_time sim_start_;
   mutable std::string key_scratch_;
 };
 

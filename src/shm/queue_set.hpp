@@ -16,38 +16,17 @@
 namespace nk::shm {
 
 struct queue_config {
-  std::size_t depth = 4096;  // slots per ring
-};
-
-class nqe_queue {
- public:
-  explicit nqe_queue(const queue_config& cfg = {}) : ring_{cfg.depth} {}
-
-  [[nodiscard]] bool push(const nqe& e) { return ring_.try_push(e); }
-  [[nodiscard]] bool pop(nqe& out) { return ring_.try_pop(out); }
-
-  [[nodiscard]] std::size_t size_approx() const { return ring_.size_approx(); }
-  [[nodiscard]] bool empty_approx() const { return size_approx() == 0; }
-
-  // Usable slots (rounded up from queue_config::depth).
-  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
-
-  // Free slots. Producers use this to decide whether to keep generating
-  // work; it is a conservative (consumer-lagged) bound.
-  [[nodiscard]] std::size_t space_approx() const { return ring_.free_approx(); }
-
- private:
-  spsc_ring<nqe> ring_;
+  std::size_t depth = 4096;  // slots per ring (rounded up to a power of two)
 };
 
 // One endpoint's view of the shared-memory control region.
 struct endpoint_queues {
   explicit endpoint_queues(const queue_config& cfg = {})
-      : job{cfg}, completion{cfg}, receive{cfg} {}
+      : job{cfg.depth}, completion{cfg.depth}, receive{cfg.depth} {}
 
-  nqe_queue job;
-  nqe_queue completion;
-  nqe_queue receive;
+  spsc_ring<nqe> job;
+  spsc_ring<nqe> completion;
+  spsc_ring<nqe> receive;
 };
 
 }  // namespace nk::shm

@@ -9,7 +9,7 @@
 #include <limits>
 
 #include "shm/nqe.hpp"
-#include "shm/queue_set.hpp"
+#include "shm/spsc_ring.hpp"
 
 namespace nk::shm {
 
@@ -20,13 +20,13 @@ class staged_lane {
   static constexpr std::size_t no_cap = std::numeric_limits<std::size_t>::max();
 
   // `ring` is not owned; channel rings are heap-allocated, so it stays put.
-  explicit staged_lane(nqe_queue& ring) : ring_{&ring} {}
+  explicit staged_lane(spsc_ring<nqe>& ring) : ring_{&ring} {}
 
   // Onto the ring only while nothing is staged (a push never overtakes the
   // stage). Dropped only when the stage already holds `cap` or more and the
   // op is pure data (droppable_on_overflow); otherwise staged.
   [[nodiscard]] push_result push(const nqe& e, std::size_t cap) {
-    if (stage_.empty() && ring_->push(e)) return push_result::ring;
+    if (stage_.empty() && ring_->try_push(e)) return push_result::ring;
     if (stage_.size() >= cap && droppable_on_overflow(e.op)) {
       return push_result::dropped;
     }
@@ -37,7 +37,7 @@ class staged_lane {
   // Re-pushes staged nqes in order until the ring is full; returns the count.
   std::size_t flush() {
     std::size_t n = 0;
-    while (!stage_.empty() && ring_->push(stage_.front())) {
+    while (!stage_.empty() && ring_->try_push(stage_.front())) {
       stage_.pop_front();
       ++n;
     }
@@ -55,7 +55,7 @@ class staged_lane {
   }
 
  private:
-  nqe_queue* ring_;
+  spsc_ring<nqe>* ring_;
   std::deque<nqe> stage_;
 };
 

@@ -33,40 +33,20 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <string_view>
 #include <type_traits>
+
+#include "obs/flow_info.hpp"
 
 namespace nk::shm {
 
-// One per-socket row, keyed by the guest-visible fd. Plain POD mirror of
-// obs::nk_flow_info with the identity strings flattened into fixed-width
-// arrays (they come from compile-time to_string tables, so the bounds are
-// static facts, not tenant input).
+// One per-socket row, keyed by the guest-visible fd: the provider's flow
+// record for that socket, as the engine's flow table holds it.
 struct nk_sock_stats {
   std::uint64_t fd = 0;
-  char transport[8] = {};  // "tcp", "nkq", ...
-  char state[16] = {};     // "established", ...
-  char cc[16] = {};        // "cubic", "bbr", ...
-
   // Guest-chosen peer; safe to expose, lets a reader distinguish flows.
   std::uint32_t remote_ip = 0;  // host byte order
   std::uint32_t remote_port = 0;
-
-  std::uint64_t srtt_ns = 0;
-  std::uint64_t rttvar_ns = 0;
-  std::uint64_t min_rtt_ns = 0;
-  std::uint64_t cwnd_bytes = 0;
-  std::uint64_t ssthresh_bytes = 0;
-  std::uint64_t bytes_in_flight = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t bytes_retransmitted = 0;
-  std::uint64_t delivery_rate_bps = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t sndbuf_bytes = 0;
-  std::uint64_t sndbuf_capacity = 0;
-  std::uint64_t rcvbuf_bytes = 0;
-  std::uint64_t rcvbuf_capacity = 0;
+  obs::nk_flow_info info;
 };
 static_assert(std::is_trivially_copyable_v<nk_sock_stats>);
 
@@ -171,13 +151,5 @@ class stat_page {
   std::atomic<std::uint64_t> version_{0};
   std::array<std::atomic<std::uint64_t>, words> data_{};
 };
-
-// Copies the identity strings into a row's fixed-width fields (truncating,
-// always NUL-terminated). Shared by the engine publisher and tests.
-inline void set_stat_string(char* dst, std::size_t cap, std::string_view s) {
-  const std::size_t n = s.size() < cap - 1 ? s.size() : cap - 1;
-  std::memcpy(dst, s.data(), n);
-  dst[n] = '\0';
-}
 
 }  // namespace nk::shm

@@ -984,8 +984,8 @@ void tcb::become_closed(errc reason) {
 
 obs::nk_flow_info tcb::flow_info() const {
   obs::nk_flow_info fi;
-  fi.state = std::string{to_string(state_)};
-  fi.cc = std::string{cc_->name()};
+  obs::set_stat_string(fi.state, sizeof fi.state, to_string(state_));
+  obs::set_stat_string(fi.cc, sizeof fi.cc, cc_->name());
   fi.srtt_ns = static_cast<std::uint64_t>(
       rtt_.srtt().count() < 0 ? 0 : rtt_.srtt().count());
   fi.rttvar_ns = static_cast<std::uint64_t>(

@@ -492,7 +492,7 @@ TEST(netkernel_torn_down, unclosed_refused_connects_stay_bounded) {
       e.op = shm::nqe_op::req_shutdown_wr;
       e.handle = fds[i];
       e.owner = static_cast<std::uint16_t>(vm);
-      ASSERT_TRUE(ch.vm_q(0).job.push(e));
+      ASSERT_TRUE(ch.vm_q(0).job.try_push(e));
       if (i % 64 == 63 || i + 1 == fds.size()) {
         ce.notify(0);
         rig.bed.run_for(milliseconds(1));
@@ -648,7 +648,7 @@ TEST(netkernel_engine_loop, doorbells_from_two_vms_share_one_wakeup) {
     shm::nqe e;
     e.op = shm::nqe_op::req_stat_refresh;
     e.owner = static_cast<std::uint16_t>(t.vm->id());
-    ASSERT_TRUE(ce.channel_of(t.vm->id())->vm_q(0).job.push(e));
+    ASSERT_TRUE(ce.channel_of(t.vm->id())->vm_q(0).job.try_push(e));
     ce.notify(0);
   };
   ring_refresh(a);
@@ -1620,13 +1620,11 @@ TEST(netkernel_sharding, failover_replays_flows_within_owning_shards) {
 // test-tuned escalation budget: burst 4 warnings, then throttled, then 8
 // more violations quarantine. `burst` can be raised to disable escalation.
 struct firewall_rig : nk_pair {
-  explicit firewall_rig(sim_time probation,
-                        std::uint64_t burst = 4)
+  explicit firewall_rig(std::uint64_t burst = 4)
       : nk_pair{tcp::cc_algorithm::cubic, 1, [&](apps::testbed_params& p) {
                   p.netkernel.firewall.violations_per_sec = 1.0;
                   p.netkernel.firewall.violation_burst = burst;
                   p.netkernel.firewall.quarantine_threshold = 8;
-                  p.netkernel.firewall.probation = probation;
                 }} {
     nsm_config nsm_cfg;
     nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);
@@ -1652,7 +1650,7 @@ struct firewall_rig : nk_pair {
 
 TEST(netkernel_firewall, each_attack_category_hits_its_reason_counter) {
   // Escalation off: every forgery is rejected individually.
-  firewall_rig rig{sim_time::zero(), /*burst=*/1ull << 30};
+  firewall_rig rig{/*burst=*/1ull << 30};
   hostile_guest attacker{rig.engine(), rig.rogue_id(), 99};
 
   ASSERT_TRUE(attacker.inject(hostile_guest::attack::bad_op));
@@ -1677,7 +1675,7 @@ TEST(netkernel_firewall, each_attack_category_hits_its_reason_counter) {
 }
 
 TEST(netkernel_firewall, escalation_quarantines_rogue_and_spares_neighbor) {
-  firewall_rig rig{sim_time::zero()};
+  firewall_rig rig;
   hostile_guest attacker{rig.engine(), rig.rogue_id(), 7};
 
   EXPECT_EQ(rig.engine().abuse_level_of(rig.rogue_id()), abuse_level::ok);
@@ -1692,8 +1690,7 @@ TEST(netkernel_firewall, escalation_quarantines_rogue_and_spares_neighbor) {
   ASSERT_EQ(rig.engine().quarantine_log().size(), 1u);
   const auto& rec = rig.engine().quarantine_log().front();
   EXPECT_EQ(rec.vm, rig.rogue_id());
-  EXPECT_EQ(rec.readmit_at, sim_time::zero());  // permanent
-  EXPECT_GE(rec.violations, 12u);               // burst 4 + threshold 8
+  EXPECT_GE(rec.violations, 12u);  // burst 4 + threshold 8
   EXPECT_EQ(rig.engine()
                 .metrics()
                 .value_of("vms_quarantined")
@@ -1733,44 +1730,29 @@ TEST(netkernel_firewall, escalation_quarantines_rogue_and_spares_neighbor) {
   }
 }
 
-TEST(netkernel_firewall, probation_expiry_lifts_quarantine) {
-  firewall_rig rig{milliseconds(10)};
-  hostile_guest attacker{rig.engine(), rig.rogue_id(), 7};
-  rig.storm_until_quarantined(attacker);
-  ASSERT_TRUE(rig.engine().quarantined(rig.rogue_id()));
-
-  rig.bed.run_for(milliseconds(12));
-  EXPECT_FALSE(rig.engine().quarantined(rig.rogue_id()));
-
-  // A re-attach after probation comes up clean.
-  guest_lib& fresh =
-      rig.engine().attach_vm(*rig.rogue->vm, *rig.rogue->module);
-  (void)fresh;
-  EXPECT_EQ(rig.engine().abuse_level_of(rig.rogue_id()), abuse_level::ok);
-  EXPECT_NE(rig.engine().channel_of(rig.rogue_id()), nullptr);
-}
-
 TEST(netkernel_firewall, reattach_during_probation_stays_quarantined) {
-  firewall_rig rig{milliseconds(50)};
+  firewall_rig rig;
   hostile_guest attacker{rig.engine(), rig.rogue_id(), 7};
   rig.storm_until_quarantined(attacker);
   ASSERT_TRUE(rig.engine().quarantined(rig.rogue_id()));
-  const sim_time readmit_at = rig.engine().quarantine_log().front().readmit_at;
-  ASSERT_GT(readmit_at, rig.bed.sim().now() - milliseconds(50));
 
-  // Probation still running: the VM attaches, but comes up quarantined with
-  // its job lanes refused until the clock (scheduled at attach) clears it.
+  // The VM attaches again, but comes up quarantined with its job lanes
+  // refused; no clock clears it, however long it waits.
   (void)rig.engine().attach_vm(*rig.rogue->vm, *rig.rogue->module);
   EXPECT_EQ(rig.engine().abuse_level_of(rig.rogue_id()),
             abuse_level::quarantined);
+  rig.bed.run_for(milliseconds(500));
+  EXPECT_TRUE(rig.engine().quarantined(rig.rogue_id()));
+  EXPECT_EQ(rig.engine().abuse_level_of(rig.rogue_id()),
+            abuse_level::quarantined);
+  EXPECT_EQ(rig.engine().metrics().value_of("vms_readmitted").value_or(0.0),
+            0.0);
 
-  rig.bed.run_for(milliseconds(60));
+  // readmit_vm is the one way out: the attached VM is back in good standing.
+  EXPECT_TRUE(rig.engine().readmit_vm(rig.rogue_id()));
   EXPECT_FALSE(rig.engine().quarantined(rig.rogue_id()));
   EXPECT_EQ(rig.engine().abuse_level_of(rig.rogue_id()), abuse_level::ok);
-  EXPECT_GE(rig.engine()
-                .metrics()
-                .value_of("vms_readmitted")
-                .value_or(0.0),
+  EXPECT_EQ(rig.engine().metrics().value_of("vms_readmitted").value_or(0.0),
             1.0);
 }
 
@@ -1818,7 +1800,11 @@ TEST(netkernel_statpage, tcp_info_live_after_refresh) {
   EXPECT_GT(info.value().min_rtt_ns, 0u);
   EXPECT_GT(info.value().cwnd_bytes, 0u);
   EXPECT_GT(info.value().bytes_out, 0u);
-  EXPECT_EQ(info.value().remote_port, 7000u);
+  // The guest-chosen peer sits beside the record in the page row.
+  shm::stat_snapshot snap;
+  ASSERT_TRUE(gc.nk_stat_snapshot(snap));
+  ASSERT_NE(snap.find(cfd), nullptr);
+  EXPECT_EQ(snap.find(cfd)->remote_port, 7000u);
 
   const auto vm = gc.nk_stack_stats();
   ASSERT_TRUE(vm.ok());
@@ -1885,6 +1871,68 @@ TEST(netkernel_statpage, nkq_socket_reports_live_stats) {
   EXPECT_GT(info.value().bytes_out, 0u);
 }
 
+// The page row is the provider's flow record, whole: for every fd a page
+// publishes, the row's info equals core_engine::flow_table()'s record for
+// that <VM, fd> field for field — segment counters and the unrounded
+// delivery rate included. Both ends are checked, so an accepted fd is
+// covered too.
+TEST(netkernel_statpage, rows_are_the_flow_table_records) {
+  nk_pair rig;
+  auto& gs = *rig.server.glib;
+  auto& gc = *rig.client.glib;
+  const auto lfd = gs.nk_socket().value();
+  ASSERT_TRUE(gs.nk_bind(lfd, 7050).ok());
+  ASSERT_TRUE(gs.nk_listen(lfd).ok());
+  gs.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                           errc) {
+    if (fd == lfd && t == stack::socket_event_type::accept_ready) {
+      while (gs.nk_accept(lfd).ok()) {
+      }
+    }
+  });
+  const auto cfd = gc.nk_socket().value();
+  gc.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                           errc) {
+    if (fd == cfd && t == stack::socket_event_type::connected) {
+      (void)gc.nk_send(cfd, buffer::pattern(200000, 0));
+    }
+  });
+  ASSERT_TRUE(
+      gc.nk_connect(cfd, {rig.server.module->config().address, 7050}).ok());
+  rig.bed.run_for(milliseconds(50));
+
+  auto check = [&](side at, const apps::nk_tenant& t, std::size_t rows) {
+    core_engine& ce = rig.bed.netkernel(at);
+    // Publish and read the flow table at the same instant.
+    ce.publish_stat_pages();
+    const auto flows = ce.flow_table();
+    shm::stat_snapshot snap;
+    ASSERT_TRUE(t.glib->nk_stat_snapshot(snap));
+    ASSERT_EQ(snap.vm.sockets, rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const shm::nk_sock_stats& row = snap.rows[i];
+      const auto it = std::ranges::find_if(flows, [&](const auto& f) {
+        return f.vm == t.vm->id() && f.fd == row.fd;
+      });
+      ASSERT_NE(it, flows.end()) << "fd " << row.fd;
+      // to_json prints every field; the rate is also compared unprinted.
+      EXPECT_EQ(row.info.to_json(), it->info.to_json());
+      EXPECT_EQ(row.info.segments_in, it->info.segments_in);
+      EXPECT_EQ(row.info.segments_out, it->info.segments_out);
+      EXPECT_EQ(row.info.delivery_rate_bps, it->info.delivery_rate_bps);
+      EXPECT_EQ(row.remote_port, it->remote.port);
+    }
+  };
+  check(side::a, rig.client, 1);  // the connection
+  check(side::b, rig.server, 1);  // the accepted fd (a listener has no row)
+
+  // The bulk connection has moved segments both ways.
+  const auto info = gc.nk_getsockopt(cfd, nk_option::tcp_info);
+  ASSERT_TRUE(info.ok());
+  EXPECT_GT(info.value().segments_out, 0u);
+  EXPECT_GT(info.value().segments_in, 0u);
+}
+
 // NSM failover republishes the page under the bumped attachment epoch, so a
 // purely in-guest reader can tell its stack was replaced.
 TEST(netkernel_statpage, failover_bumps_page_epoch) {
@@ -1912,7 +1960,7 @@ TEST(netkernel_statpage, failover_bumps_page_epoch) {
 // Quarantine freezes the page: the terminal snapshot carries stat_frozen and
 // never advances again, even though the VM keeps the channel mapped.
 TEST(netkernel_statpage, quarantine_freezes_page) {
-  firewall_rig rig{sim_time::zero()};
+  firewall_rig rig;
   auto& rogue_glib = *rig.rogue->glib;
   hostile_guest attacker{rig.engine(), rig.rogue_id(), 21};
   rig.storm_until_quarantined(attacker);
@@ -1940,12 +1988,12 @@ TEST(netkernel_statpage, quarantine_freezes_page) {
 }
 
 TEST(netkernel_firewall, manual_readmit_clears_permanent_quarantine) {
-  firewall_rig rig{sim_time::zero()};
+  firewall_rig rig;
   hostile_guest attacker{rig.engine(), rig.rogue_id(), 7};
   rig.storm_until_quarantined(attacker);
   ASSERT_TRUE(rig.engine().quarantined(rig.rogue_id()));
 
-  // Permanent: no probation clock runs this down.
+  // Permanent: no clock runs this down.
   rig.bed.run_for(milliseconds(50));
   EXPECT_TRUE(rig.engine().quarantined(rig.rogue_id()));
 

@@ -253,7 +253,7 @@ TEST_P(raw_ring_fuzz, random_garbage_nqes_never_crash_or_leak) {
       e.desc.length = static_cast<std::uint32_t>(random.next_below(1 << 16));
     }
     const auto s = static_cast<std::size_t>(random.next_below(ch->shards()));
-    if (ch->vm_q(s).job.push(e)) {
+    if (ch->vm_q(s).job.try_push(e)) {
       ++landed;
       rig.engine().notify(s);
     }
@@ -394,7 +394,7 @@ TEST(raw_ring_desc_wrap, wrapped_offset_rejected_as_badchunk) {
   e.handle = fd;
   e.desc = shm::data_descriptor{chunk, 0xFFFFF000u, 0x1100u};
   const auto s = shm::flow_shard(vm, fd, ch->shards());
-  ASSERT_TRUE(ch->vm_q(s).job.push(e));
+  ASSERT_TRUE(ch->vm_q(s).job.try_push(e));
   rig.engine().notify(s);
   rig.bed.run_for(milliseconds(5));
 

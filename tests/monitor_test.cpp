@@ -89,7 +89,7 @@ TEST(health_monitor, stalled_channel_detected) {
   shm::nqe junk;
   junk.op = shm::nqe_op::req_send;
   junk.handle = 424242;
-  ASSERT_TRUE(ch->vm_q().job.push(junk));  // no doorbell rung
+  ASSERT_TRUE(ch->vm_q().job.try_push(junk));  // no doorbell rung
 
   monitor_config mcfg;
   mcfg.interval = milliseconds(5);
@@ -594,7 +594,6 @@ TEST(health_monitor, quarantine_raises_alert_with_flight_snapshot) {
   params.netkernel.firewall.violations_per_sec = 1.0;
   params.netkernel.firewall.violation_burst = 4;
   params.netkernel.firewall.quarantine_threshold = 8;
-  params.netkernel.firewall.probation = sim_time::zero();
   testbed bed{params};
   nsm_config nsm_cfg;
   nsm_cfg.tcp = apps::datacenter_tcp(tcp::cc_algorithm::cubic);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string_view>
 #include <vector>
 
 #include "apps/scenario.hpp"
@@ -181,7 +182,7 @@ TEST(nkq_e2e, lossy_pulses_bulk_transfer_recovers_all_bytes) {
     bed.run_for(milliseconds(1));
     // Sample mid-flight: rows vanish once flows close.
     for (const auto& row : bed.netkernel(side::a).flow_table()) {
-      if (row.info.transport == "nkq") {
+      if (std::string_view{row.info.transport} == "nkq") {
         retransmits = std::max(retransmits, row.info.retransmits);
       }
     }

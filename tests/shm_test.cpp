@@ -342,16 +342,18 @@ TEST(hugepage_pool, data_written_is_read_back) {
   }
 }
 
+// An endpoint's job queue is one FIFO ring: a connection op queued behind
+// data does not jump ahead of it.
 TEST(nqe_queue, fifo_when_not_prioritized) {
-  nqe_queue q{queue_config{.depth = 16}};
+  endpoint_queues eq{queue_config{.depth = 16}};
   nqe data;
   data.op = nqe_op::req_send;
   nqe conn;
   conn.op = nqe_op::req_connect;
-  ASSERT_TRUE(q.push(data));
-  ASSERT_TRUE(q.push(conn));
+  ASSERT_TRUE(eq.job.try_push(data));
+  ASSERT_TRUE(eq.job.try_push(conn));
   nqe out;
-  ASSERT_TRUE(q.pop(out));
+  ASSERT_TRUE(eq.job.try_pop(out));
   EXPECT_EQ(out.op, nqe_op::req_send);  // strict FIFO
 }
 
@@ -359,7 +361,8 @@ TEST(endpoint_queues, three_independent_queues) {
   endpoint_queues eq{queue_config{.depth = 4}};
   nqe e;
   e.op = nqe_op::req_send;
-  ASSERT_TRUE(eq.job.push(e));
+  ASSERT_TRUE(eq.job.try_push(e));
+  EXPECT_EQ(eq.job.capacity(), 4u);
   EXPECT_TRUE(eq.completion.empty_approx());
   EXPECT_TRUE(eq.receive.empty_approx());
   EXPECT_EQ(eq.job.size_approx(), 1u);
@@ -377,17 +380,6 @@ TEST(spsc_ring, free_approx_tracks_space) {
   while (ring.try_push(0)) {
   }
   EXPECT_EQ(ring.free_approx(), 0u);
-}
-
-TEST(nqe_queue, space_approx_follows_data_ring) {
-  nqe_queue q{queue_config{.depth = 4}};
-  EXPECT_EQ(q.capacity(), 4u);
-  EXPECT_EQ(q.space_approx(), 4u);
-  nqe e;
-  e.op = nqe_op::ev_data;
-  ASSERT_TRUE(q.push(e));
-  ASSERT_TRUE(q.push(e));
-  EXPECT_EQ(q.space_approx(), 2u);
 }
 
 TEST(nqe, only_pure_data_is_droppable_on_overflow) {
@@ -427,15 +419,15 @@ nqe tagged(nqe_op op, std::uint64_t token) {
   return e;
 }
 
-std::vector<std::uint64_t> drain_tokens(nqe_queue& ring) {
+std::vector<std::uint64_t> drain_tokens(spsc_ring<nqe>& ring) {
   std::vector<std::uint64_t> out;
   nqe e;
-  while (ring.pop(e)) out.push_back(e.token);
+  while (ring.try_pop(e)) out.push_back(e.token);
   return out;
 }
 
 TEST(staged_lane, keeps_fifo_across_stage_and_ring) {
-  nqe_queue ring{queue_config{.depth = 4}};
+  spsc_ring<nqe> ring{4};
   staged_lane lane{ring};
   for (std::uint64_t t = 0; t < 4; ++t) {
     EXPECT_EQ(lane.push(tagged(nqe_op::req_send, t), staged_lane::no_cap),
@@ -454,7 +446,7 @@ TEST(staged_lane, keeps_fifo_across_stage_and_ring) {
 }
 
 TEST(staged_lane, new_push_never_overtakes_the_stage) {
-  nqe_queue ring{queue_config{.depth = 4}};
+  spsc_ring<nqe> ring{4};
   staged_lane lane{ring};
   for (std::uint64_t t = 0; t < 5; ++t) {
     (void)lane.push(tagged(nqe_op::cmp_send, t), staged_lane::no_cap);
@@ -463,7 +455,7 @@ TEST(staged_lane, new_push_never_overtakes_the_stage) {
   // The ring has room again, but token 4 is still staged: 5 must queue
   // behind it instead of slipping onto the ring.
   nqe out;
-  ASSERT_TRUE(ring.pop(out));
+  ASSERT_TRUE(ring.try_pop(out));
   EXPECT_EQ(lane.push(tagged(nqe_op::cmp_send, 5), staged_lane::no_cap),
             push_result::staged);
   EXPECT_EQ(lane.size(), 2u);
@@ -474,7 +466,7 @@ TEST(staged_lane, new_push_never_overtakes_the_stage) {
 }
 
 TEST(staged_lane, cap_drops_only_droppable_ops) {
-  nqe_queue ring{queue_config{.depth = 4}};
+  spsc_ring<nqe> ring{4};
   staged_lane lane{ring};
   constexpr std::size_t cap = 2;
   for (std::uint64_t t = 0; t < 6; ++t) {
@@ -496,7 +488,7 @@ TEST(staged_lane, cap_drops_only_droppable_ops) {
 }
 
 TEST(staged_lane, cap_zero_drops_data_whenever_backed_up) {
-  nqe_queue ring{queue_config{.depth = 4}};
+  spsc_ring<nqe> ring{4};
   staged_lane lane{ring};
   const nqe data = tagged(nqe_op::ev_data, 1);
   EXPECT_EQ(lane.push(data, 0), push_result::ring);
@@ -509,13 +501,13 @@ TEST(staged_lane, cap_zero_drops_data_whenever_backed_up) {
   (void)lane.push(tagged(nqe_op::cmp_send, 3), staged_lane::no_cap);
   ASSERT_EQ(lane.size(), 1u);
   nqe out;
-  ASSERT_TRUE(ring.pop(out));
+  ASSERT_TRUE(ring.try_pop(out));
   EXPECT_EQ(lane.push(data, 0), push_result::dropped);
   EXPECT_EQ(lane.size(), 1u);
 }
 
 TEST(staged_lane, flush_stops_at_the_first_full_slot) {
-  nqe_queue ring{queue_config{.depth = 4}};
+  spsc_ring<nqe> ring{4};
   staged_lane lane{ring};
   for (std::uint64_t t = 0; t < 8; ++t) {
     (void)lane.push(tagged(nqe_op::req_send, t), staged_lane::no_cap);
@@ -523,15 +515,15 @@ TEST(staged_lane, flush_stops_at_the_first_full_slot) {
   ASSERT_EQ(lane.size(), 4u);
   EXPECT_EQ(lane.flush(), 0u);  // ring still full
   nqe out;
-  ASSERT_TRUE(ring.pop(out));
-  ASSERT_TRUE(ring.pop(out));
+  ASSERT_TRUE(ring.try_pop(out));
+  ASSERT_TRUE(ring.try_pop(out));
   EXPECT_EQ(lane.flush(), 2u);
   EXPECT_EQ(lane.size(), 2u);
   EXPECT_EQ(drain_tokens(ring), (std::vector<std::uint64_t>{2, 3, 4, 5}));
 }
 
 TEST(staged_lane, scrub_hands_over_and_empties_the_stage) {
-  nqe_queue ring{queue_config{.depth = 4}};
+  spsc_ring<nqe> ring{4};
   staged_lane lane{ring};
   for (std::uint64_t t = 0; t < 7; ++t) {
     (void)lane.push(tagged(nqe_op::ev_data, t), staged_lane::no_cap);
@@ -649,11 +641,9 @@ TEST(stat_page, publish_read_roundtrip_and_versioning) {
   snap.vm.epoch = 3;
   snap.vm.sockets = 2;
   snap.rows[0].fd = 4;
-  set_stat_string(snap.rows[0].transport, sizeof(snap.rows[0].transport),
-                  "tcp");
-  set_stat_string(snap.rows[0].state, sizeof(snap.rows[0].state),
-                  "established");
-  snap.rows[0].srtt_ns = 250'000;
+  obs::nk_flow_info& info = snap.rows[0].info;
+  obs::set_stat_string(info.state, sizeof(info.state), "established");
+  info.srtt_ns = 250'000;
   snap.rows[1].fd = 9;
   page.publish(snap);
 
@@ -662,9 +652,9 @@ TEST(stat_page, publish_read_roundtrip_and_versioning) {
   ASSERT_TRUE(page.read(out));
   EXPECT_EQ(out.vm.epoch, 3u);
   ASSERT_NE(out.find(4), nullptr);
-  EXPECT_STREQ(out.find(4)->transport, "tcp");
-  EXPECT_STREQ(out.find(4)->state, "established");
-  EXPECT_EQ(out.find(4)->srtt_ns, 250'000u);
+  EXPECT_STREQ(out.find(4)->info.transport, "tcp");
+  EXPECT_STREQ(out.find(4)->info.state, "established");
+  EXPECT_EQ(out.find(4)->info.srtt_ns, 250'000u);
   ASSERT_NE(out.find(9), nullptr);
   EXPECT_EQ(out.find(7), nullptr);  // fd 7 is not a published row
 
@@ -679,10 +669,10 @@ TEST(stat_page, publish_read_roundtrip_and_versioning) {
 
 TEST(stat_page, set_stat_string_truncates_and_terminates) {
   char buf[8];
-  set_stat_string(buf, sizeof(buf), "established");  // longer than buf
+  obs::set_stat_string(buf, sizeof(buf), "established");  // longer than buf
   EXPECT_EQ(buf[sizeof(buf) - 1], '\0');
   EXPECT_STREQ(buf, "establi");
-  set_stat_string(buf, sizeof(buf), "ok");
+  obs::set_stat_string(buf, sizeof(buf), "ok");
   EXPECT_STREQ(buf, "ok");
 }
 
@@ -709,10 +699,10 @@ TEST(stat_page, concurrent_reader_never_observes_torn_snapshot) {
     for (std::uint64_t r = 0; r < snap.vm.sockets; ++r) {
       auto& row = snap.rows[r];
       row.fd = seq + r;
-      row.srtt_ns = seq ^ r;
-      row.cwnd_bytes = seq + 2 * r;
-      row.retransmits = seq;
-      row.bytes_in = seq * 3 + r;
+      row.info.srtt_ns = seq ^ r;
+      row.info.cwnd_bytes = seq + 2 * r;
+      row.info.retransmits = seq;
+      row.info.bytes_in = seq * 3 + r;
     }
   };
 
@@ -732,10 +722,10 @@ TEST(stat_page, concurrent_reader_never_observes_torn_snapshot) {
         continue;
       }
       for (std::uint64_t r = 0; r < out.vm.sockets; ++r) {
-        if (out.rows[r].fd != seq + r || out.rows[r].srtt_ns != (seq ^ r) ||
-            out.rows[r].cwnd_bytes != seq + 2 * r ||
-            out.rows[r].retransmits != seq ||
-            out.rows[r].bytes_in != seq * 3 + r) {
+        const obs::nk_flow_info& info = out.rows[r].info;
+        if (out.rows[r].fd != seq + r || info.srtt_ns != (seq ^ r) ||
+            info.cwnd_bytes != seq + 2 * r || info.retransmits != seq ||
+            info.bytes_in != seq * 3 + r) {
           ++torn;
           break;
         }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "apps/scenario.hpp"
 #include "apps/workloads.hpp"
@@ -203,10 +204,11 @@ TEST(transport_flow_table, rows_are_tagged_with_transport_name) {
   bool saw_tcp = false;
   bool saw_nkq = false;
   for (const auto& row : bed.netkernel(side::a).flow_table()) {
-    if (row.info.transport == "tcp") saw_tcp = true;
-    if (row.info.transport == "nkq") {
+    const std::string_view transport{row.info.transport};
+    if (transport == "tcp") saw_tcp = true;
+    if (transport == "nkq") {
       saw_nkq = true;
-      EXPECT_EQ(row.info.cc, "cubic") << "nkq flows report the tenant's CC";
+      EXPECT_STREQ(row.info.cc, "cubic") << "nkq flows report the tenant's CC";
     }
   }
   EXPECT_TRUE(saw_tcp);

@@ -78,6 +78,39 @@ TEST(netkernel_udp, oversized_datagram_rejected) {
             errc::invalid_argument);
 }
 
+// A sender outside NetKernel (a legacy VM's own stack) is not held to the
+// chunk size. ServiceLib counts and discards a datagram that cannot fit a
+// chunk, and keeps delivering the ones that can.
+TEST(netkernel_udp, oversized_inbound_datagram_is_counted_and_skipped) {
+  udp_rig rig;
+  apps::legacy_tenant raw = rig.bed.add_legacy_vm(side::a, {.name = "raw-vm"});
+  stack::netstack& sender = *raw.vm->guest_stack();
+  auto& gb = *rig.b.glib;
+  const auto server = gb.nk_udp_open(9000).value();
+  const auto sock = sender.udp_open().value();
+  rig.bed.run_for(milliseconds(5));
+
+  auto* svc = rig.bed.netkernel(side::b).service_of(rig.b.module->id());
+  ASSERT_NE(svc, nullptr);
+  ASSERT_EQ(rig.bed.netkernel(side::b)
+                .channel_of(rig.b.vm->id())
+                ->pool.chunk_size(),
+            8u * 1024);
+  const net::socket_addr to{rig.b.module->config().address, 9000};
+  ASSERT_TRUE(sender.udp_send_to(sock, to, buffer::pattern(9000, 0)).ok());
+  rig.bed.run_for(milliseconds(20));
+  EXPECT_EQ(svc->stats().oversize_datagrams, 1u);
+  EXPECT_EQ(gb.nk_udp_recv_from(server).error(), errc::would_block);
+
+  ASSERT_TRUE(sender.udp_send_to(sock, to, buffer::pattern(100, 3)).ok());
+  rig.bed.run_for(milliseconds(20));
+  auto got = gb.nk_udp_recv_from(server);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value().second.size(), 100u);
+  EXPECT_TRUE(got.value().second.matches_pattern(3));
+  EXPECT_EQ(svc->stats().oversize_datagrams, 1u);
+}
+
 TEST(netkernel_udp, tcp_api_rejected_on_udp_socket_and_vice_versa) {
   udp_rig rig;
   auto& glib = *rig.a.glib;

@@ -187,6 +187,21 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
     }
     return static_cast<double>(n);
   });
+  // Simulator event mix: every drain the engine's pumps ran (its shard
+  // pumps, its GuestLibs' and its ServiceLibs', detached and destroyed ones
+  // included), beside the simulator's own event count.
+  metrics_.register_gauge_fn("sim_events_processed", [this] {
+    return static_cast<double>(sim_.events_processed());
+  });
+  metrics_.register_gauge_fn("engine_pump_ticks", [this] {
+    return static_cast<double>(event_mix().ticks);
+  });
+  metrics_.register_gauge_fn("engine_pump_idle_ticks", [this] {
+    return static_cast<double>(event_mix().idle_ticks);
+  });
+  metrics_.register_gauge_fn("engine_pump_wakeups", [this] {
+    return static_cast<double>(event_mix().wakeups);
+  });
   metrics_.register_gauge_fn("engine_core_utilization", [this] {
     double util = 0.0;
     for (const auto& sh : shards_) util += sh.core->utilization();
@@ -259,6 +274,14 @@ core_engine_stats core_engine::stats() const {
     s.rejected_nqes += sh.stats.rejected_nqes;
   }
   return s;
+}
+
+pump_mix core_engine::event_mix() const {
+  pump_mix m = gone_pumps_;
+  for (const auto& sh : shards_) m += sh.pump->mix();
+  for (const auto& [vm, att] : attachments_) m += att.glib->event_mix();
+  for (const auto& [id, svc] : services_) m += svc->event_mix();
+  return m;
 }
 
 const core_engine::flow_key* core_engine::find_by_nsm(nsm_key key) const {
@@ -1158,6 +1181,7 @@ void core_engine::detach_vm(virt::vm_id vm) {
   gone_guests_.jobs_deferred += att.glib->stats().jobs_deferred;
   gone_guests_.ops_timed_out += att.glib->stats().ops_timed_out;
   gone_bad_frees_ += att.ch->pool.bad_frees();
+  gone_pumps_ += att.glib->event_mix();
   log_info("core_engine: detached vm ", vm, " from nsm ", att.module->id());
   attachments_.erase(it);
   if (attachments_.empty()) {
@@ -1218,6 +1242,7 @@ void core_engine::destroy_nsm(nsm_id id) {
     gone_services_.nqes_dropped += st.nqes_dropped;
     gone_services_.stale_nqes += st.stale_nqes;
     gone_services_.chunk_key_mismatch += st.chunk_key_mismatch;
+    gone_pumps_ += sit->second->event_mix();
     services_.erase(sit);
   }
   auto nit = std::find_if(nsms_.begin(), nsms_.end(),

@@ -244,6 +244,9 @@ class core_engine {
   // Aggregate over every shard (by value: the partitions are summed on
   // demand so the hot path never writes a shared struct).
   [[nodiscard]] core_engine_stats stats() const;
+  // Drains run by the shard pumps and by every GuestLib and ServiceLib this
+  // engine has served, detached and destroyed ones included.
+  [[nodiscard]] pump_mix event_mix() const;
   [[nodiscard]] const core_engine_config& config() const { return cfg_; }
 
   // On-demand stat-page refresh budget per VM (req_stat_refresh, DESIGN.md
@@ -563,6 +566,7 @@ class core_engine {
   service_lib_stats gone_services_;
   guest_lib_stats gone_guests_;
   std::uint64_t gone_bad_frees_ = 0;
+  pump_mix gone_pumps_;
 
   // Append-only quarantine history; health_monitor consumes new entries
   // with a watermark and tests/benches read it for lifecycle assertions.

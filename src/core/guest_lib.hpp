@@ -150,6 +150,7 @@ class guest_lib {
 
   // Stops the drain pump (detach_vm teardown); the object stays valid.
   void stop() { pump_->stop(); }
+  [[nodiscard]] const pump_mix& event_mix() const { return pump_->mix(); }
 
   // Quarantine/teardown abort: fails every socket with `err` (error events
   // raised to the app), frees the chunks pinned by buffered receive data

@@ -12,13 +12,15 @@
 //
 // The pump alone decides when its consumer runs. Besides the poll ticks it
 // keeps one pending wakeup — a doorbell's, or a timed one a drain asked for
-// with wake_at — and the earliest request wins.
+// with wake_at — and the earliest request wins. It counts the drains it
+// runs (pump_mix), so a run can tell its busy ticks from its idle ones.
 //
 // Ablation A1 (bench/ablate_notification) sweeps both.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "sim/cpu_core.hpp"
@@ -33,14 +35,28 @@ struct notify_config {
   sim_time interrupt_delay = microseconds(2);
 };
 
-// Limits of the provider-side drains (CoreEngine's shard pumps and
-// ServiceLib's job drain). One drain pops at most `drain_batch` nqes from a
-// ring, and stops popping while its core has more than
-// `drain_backlog_bound` of committed work: nqes then wait in the *ring* —
-// the backpressure the producer sees — instead of in the core's unbounded
-// execute FIFO.
+// Limits of the provider-side drains. One CoreEngine shard drain pops at
+// most `drain_batch` nqes from a ring. Both it and ServiceLib's job chain
+// stop popping while their core has more than `drain_backlog_bound` of
+// committed work: nqes then wait in the *ring* — the backpressure the
+// producer sees — instead of in the core's unbounded execute FIFO.
 inline constexpr std::size_t drain_batch = 64;
 inline constexpr sim_time drain_backlog_bound = microseconds(3);
+
+// The drains a pump has run: its poll ticks, the idle ones among them
+// (ticks whose drain scheduled no event), and the drains a wakeup ran.
+struct pump_mix {
+  std::uint64_t ticks = 0;
+  std::uint64_t idle_ticks = 0;
+  std::uint64_t wakeups = 0;
+
+  pump_mix& operator+=(const pump_mix& o) {
+    ticks += o.ticks;
+    idle_ticks += o.idle_ticks;
+    wakeups += o.wakeups;
+    return *this;
+  }
+};
 
 class queue_pump {
  public:
@@ -78,7 +94,10 @@ class queue_pump {
     if (!running_ || (wakeup_.pending() && wakeup_at_ <= at)) return;
     wakeup_.cancel();
     wakeup_at_ = at;
-    wakeup_ = sim_.schedule_at(at, [this] { run_drain(); });
+    wakeup_ = sim_.schedule_at(at, [this] {
+      ++mix_.wakeups;
+      run_drain();
+    });
   }
 
   // Drain again once `core`'s committed work clears, at least 1 us from
@@ -89,6 +108,9 @@ class queue_pump {
 
   // When the drain last ran: a live consumer's heartbeat.
   [[nodiscard]] sim_time last_drain() const { return last_drain_; }
+  // False before start() and after stop().
+  [[nodiscard]] bool running() const { return running_; }
+  [[nodiscard]] const pump_mix& mix() const { return mix_; }
   [[nodiscard]] const notify_config& config() const { return cfg_; }
 
  private:
@@ -99,7 +121,10 @@ class queue_pump {
   void schedule_poll() {
     if (!running_) return;
     tick_ = sim_.schedule(cfg_.poll_interval, [this] {
+      ++mix_.ticks;
+      const std::uint64_t scheduled = sim_.events_scheduled();
       run_drain();
+      if (sim_.events_scheduled() == scheduled) ++mix_.idle_ticks;
       schedule_poll();
     });
   }
@@ -115,6 +140,7 @@ class queue_pump {
   bool running_ = false;
   sim_time wakeup_at_{};  // when `wakeup_` fires, while it is pending
   sim_time last_drain_{};
+  pump_mix mix_;
   sim::timer tick_;
   sim::timer wakeup_;
 };

@@ -315,76 +315,93 @@ void service_lib::release_slot(proto_socket& ps) {
   sla_.on_connection_closed(sla_.tenant_of(ps.vm));
 }
 
-// --- job-queue drain -----------------------------------------------------------
+// --- job chain -----------------------------------------------------------------
 
 void service_lib::drain_jobs() {
-  NK_PROF("servicelib", "pump");
-  // A real polling loop pops one operation, executes it, then pops the
-  // next: work waits in the *ring*, not in some infinite CPU backlog. Model
-  // that by stopping the drain once the core has drain_backlog_bound of
-  // committed work, so the ring's occupancy is the backpressure the engine
-  // and the guest see.
   if (failed_) return;
+  {
+    NK_PROF("servicelib", "pump");
+    for (auto& [vm, svm] : vms_) {
+      // Re-drain overflowed out-nqes before taking on new work, and resume
+      // reads the cleared pressure had stalled.
+      flush_staged(svm);
+      maybe_resume_stalled(svm);
+      if (cycle_budget_exhausted(svm)) {
+        // Budget spent: jobs wait in the rings (pure backpressure, no
+        // drop) until the period-end drain resumes them.
+        pump_->wake_at(sla_.period_end(*svm.tenant));
+      }
+    }
+  }
+  // Outside the scope above: a step opens its own, so its charges land
+  // under one profile path however the chain was started.
+  if (!chain_running_) run_next_job();
+}
+
+void service_lib::run_next_job() {
+  NK_PROF("servicelib", "pump");
+  // A polling loop pops one operation, runs it to completion, then pops the
+  // next: every job after this one waits in its *ring*, whose occupancy is
+  // the backpressure the engine and the guest see.
+  chain_running_ = false;
+  if (failed_ || !pump_->running()) return;  // a dead or frozen module
+  std::size_t lanes = 0;
+  for (const auto& [vm, svm] : vms_) lanes += svm.lanes.size();
+  auto it = vms_.find(next_vm_);
+  std::size_t s = next_lane_;
+  if (it == vms_.end()) {
+    it = vms_.begin();
+    s = 0;
+  }
   bool left_behind = false;
-  for (auto& [vm, svm] : vms_) {
-    // Re-drain overflowed out-nqes before taking on new work, and resume
-    // reads the cleared pressure had stalled.
-    flush_staged(svm);
-    maybe_resume_stalled(svm);
+  shm::nqe e;
+  // Round robin over every VM's shard lanes, from the one after the last
+  // job's. ServiceLib is the sole consumer of each nsm_q(s).job ring; the
+  // lane a job arrives on is the flow's home shard, and handle_nqe learns
+  // steering from it.
+  for (std::size_t visited = 0; visited < lanes; ++visited, ++s) {
+    if (s == it->second.lanes.size()) {
+      if (++it == vms_.end()) it = vms_.begin();
+      s = 0;
+    }
+    served_vm& svm = it->second;
+    auto& ring = svm.ch->nsm_q(s).job;
+    if (ring.empty_approx()) continue;
     if (cycle_budget_exhausted(svm)) {
-      // Budget spent: jobs wait in the rings (pure backpressure, no drop)
-      // until the period-end drain resumes them.
       pump_->wake_at(sla_.period_end(*svm.tenant));
       continue;
     }
-    shm::nqe e;
-    std::size_t n = 0;
-    const sim::cpu_core& core = nsm_.core();
-    // One pump drains every shard lane of the channel: ServiceLib stays the
-    // sole consumer of each nsm_q(s).job ring. The lane a job arrives on is
-    // the flow's home shard; handle_nqe learns steering from it.
-    for (std::size_t s = 0; s < svm.lanes.size(); ++s) {
-      // Budget spent mid-drain on an earlier lane.
-      if (svm.tenant->over_budget) break;
-      while (n < drain_batch) {
-        if (core.backlog() > drain_backlog_bound) {
-          left_behind =
-              left_behind || !svm.ch->nsm_q(s).job.empty_approx();
-          break;
-        }
-        if (out_backlogged(svm, s)) {
-          // The VM is not consuming this lane's completions/events; stop
-          // accepting its new jobs so pressure reaches the tenant instead
-          // of growing the stage. Other lanes keep draining.
-          left_behind =
-              left_behind || !svm.ch->nsm_q(s).job.empty_approx();
-          break;
-        }
-        if (!svm.ch->nsm_q(s).job.try_pop(e)) break;
-        ++n;
-        if (e.epoch != svm.epoch) {
-          // Left over from the dead incarnation this module replaced: the
-          // handles inside it refer to connections that died with the old
-          // stack. Discard with accounting instead of misrouting.
-          discard_stale(svm, e);
-          continue;
-        }
-        tracer_.stamp(e.reserved, obs::nqe_stage::nsm_job_dwell);
-        // Bill the dispatch to the NSM core (and the VM's cycle budget),
-        // then execute. FIFO execution on the core preserves per-socket
-        // operation order.
-        bill(svm, op_cost(), [this, vm_id = vm, s, e] {
-          if (auto it = vms_.find(vm_id); it != vms_.end()) {
-            handle_nqe(it->second, s, e);
-          }
-        });
-        // This nqe spent the budget; stop here.
-        if (svm.tenant->over_budget) break;
-      }
-      if (n >= drain_batch) {
-        left_behind = left_behind || !svm.ch->nsm_q(s).job.empty_approx();
-      }
+    if (nsm_.core().backlog() > drain_backlog_bound || out_backlogged(svm, s)) {
+      // The core is behind, or the VM is not consuming this lane's
+      // completions/events: the job stays in the ring, so pressure reaches
+      // the tenant instead of growing the stage. Other lanes keep going.
+      left_behind = true;
+      continue;
     }
+    bool popped = false;
+    while (!popped && ring.try_pop(e)) {
+      popped = e.epoch == svm.epoch;
+      // Left over from the dead incarnation this module replaced: the
+      // handles inside it refer to connections that died with the old
+      // stack. Discard with accounting instead of misrouting.
+      if (!popped) discard_stale(svm, e);
+    }
+    if (!popped) continue;
+    next_vm_ = it->first;
+    next_lane_ = s + 1;
+    tracer_.stamp(e.reserved, obs::nqe_stage::nsm_job_dwell);
+    // Bill the dispatch to the NSM core (and the VM's cycle budget). Its
+    // completion hands the job to the stack and then pops the next, so the
+    // stack work this job queues lands on the core ahead of the next
+    // dispatch. FIFO execution preserves per-socket operation order.
+    chain_running_ = true;
+    bill(svm, op_cost(), [this, vm = it->first, s, e] {
+      if (auto vit = vms_.find(vm); vit != vms_.end()) {
+        handle_nqe(vit->second, s, e);
+      }
+      run_next_job();
+    });
+    return;
   }
   // Under batched-interrupt notification there may be no further doorbell;
   // re-drain once the committed work clears.

@@ -105,6 +105,7 @@ class service_lib {
   // dead or frozen one stops beating, which is the watchdog's
   // unresponsiveness signal.
   [[nodiscard]] sim_time last_heartbeat() const { return pump_->last_drain(); }
+  [[nodiscard]] const pump_mix& event_mix() const { return pump_->mix(); }
 
   // cIDs at or above this name accepted children, minted here; CoreEngine
   // mints the cIDs of guest-created sockets below it and a req_socket or
@@ -199,8 +200,15 @@ class service_lib {
     std::size_t shard = 0;
   };
 
-  // Job-queue drain (the pump's callback).
+  // The pump's callback, on every poll tick and doorbell: flushes staged
+  // outputs, resumes stalled reads, and starts the job chain unless it runs.
   void drain_jobs();
+  // One step of the job chain: pops one job, round robin over the VMs'
+  // job-ring lanes, and bills its dispatch; the dispatch's completion runs
+  // the job and then the next step. The chain ends when no lane yields a
+  // job (empty rings, or a gate: cycle budget, core backlog, out-lane
+  // backlog); the next tick or doorbell starts it again.
+  void run_next_job();
   // `shard` is the job-ring lane the nqe arrived on — the flow's home shard.
   void handle_nqe(served_vm& svm, std::size_t shard, const shm::nqe& e);
   // Discards a job from a retired incarnation: chunk freed, drop traced.
@@ -291,6 +299,11 @@ class service_lib {
   std::unique_ptr<queue_pump> pump_;
 
   bool failed_ = false;
+  // The job chain: whether a step is pending on the core, and the lane the
+  // next step's round robin starts from.
+  bool chain_running_ = false;
+  virt::vm_id next_vm_ = 0;
+  std::size_t next_lane_ = 0;
   std::unordered_map<virt::vm_id, served_vm> vms_;
   std::unordered_map<std::uint32_t, proto_socket> sockets_;
   std::unordered_map<stack::socket_id, std::uint32_t> by_ssock_;

@@ -46,6 +46,8 @@ class simulator {
   [[nodiscard]] sim_time now() const { return now_; }
   [[nodiscard]] rng& random() { return rng_; }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
+  // Events ever scheduled, cancelled ones included.
+  [[nodiscard]] std::uint64_t events_scheduled() const { return next_seq_; }
 
   using callback = std::function<void()>;
 

@@ -4,6 +4,7 @@
 // modes, and accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -733,6 +734,104 @@ TEST(netkernel_engine_loop, batch_limited_drain_wakes_itself) {
   bed.run_for(milliseconds(5));
   EXPECT_EQ(ce.stats().mappings_removed, 200u);
   EXPECT_EQ(ce.channel_of(t.vm->id())->vm_job_depth(), 0u);
+}
+
+// ServiceLib runs each job to completion: the stack work a job queues lands
+// on the NSM core before the next job's dispatch. Eight 64 B sends on eight
+// established connections reach the NSM within one tick. Each job's segment
+// must leave the NSM's vNIC within the job's own dispatch (op cost) and
+// transmit burst of its pop, plus the previous job's burst, which may still
+// be on the core then. A drain that bills every popped dispatch up front
+// holds the last segment back by all eight dispatches.
+TEST(netkernel_job_chain, each_job_reaches_the_wire_before_the_next_dispatch) {
+  nk_pair rig{tcp::cc_algorithm::cubic, 3, [](apps::testbed_params& p) {
+                p.netkernel.trace.enabled = true;
+              }};
+  auto& gs = *rig.server.glib;
+  auto& gc = *rig.client.glib;
+  const auto lfd = gs.nk_socket().value();
+  ASSERT_TRUE(gs.nk_bind(lfd, 7000).ok());
+  ASSERT_TRUE(gs.nk_listen(lfd).ok());
+  gs.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                           errc) {
+    if (fd == lfd && t == stack::socket_event_type::accept_ready) {
+      while (gs.nk_accept(lfd).ok()) {
+      }
+    } else if (t == stack::socket_event_type::readable) {
+      while (gs.nk_recv(fd, 1 << 20).ok()) {
+      }
+    }
+  });
+  constexpr int jobs = 8;
+  std::vector<std::uint32_t> fds;
+  int connected = 0;
+  gc.set_event_handler([&](std::uint32_t, stack::socket_event_type t, errc) {
+    if (t == stack::socket_event_type::connected) ++connected;
+  });
+  for (int i = 0; i < jobs; ++i) {
+    fds.push_back(gc.nk_socket().value());
+    ASSERT_TRUE(
+        gc.nk_connect(fds.back(), {rig.server.module->config().address, 7000})
+            .ok());
+  }
+  rig.bed.run_for(milliseconds(2));
+  ASSERT_EQ(connected, jobs);
+
+  // Tap the client NSM's vNIC: re-plug it on a fresh vSwitch port whose
+  // egress records every data segment with the transmit cost of its burst.
+  nsm& module = *rig.client.module;
+  virt::hypervisor& host = rig.bed.host(side::a);
+  const int port = host.attach_nic(module.vnic(), module.config().address,
+                                   /*sriov=*/true);
+  struct segment {
+    sim_time at;
+    sim_time burst;
+  };
+  std::vector<segment> wire;
+  module.vnic().attach_tx([&, port](net::packet p) {
+    if (p.is_tcp() && !p.payload.empty()) {
+      wire.push_back({rig.bed.sim().now(),
+                      module.config().tx_cost.of(p.wire_size()) +
+                          module.profile().per_packet_overhead});
+    }
+    host.overlay_switch().ingress(port, std::move(p));
+  });
+
+  const sim_time sent_at = rig.bed.sim().now();
+  for (const auto fd : fds) {
+    ASSERT_TRUE(gc.nk_send(fd, buffer::pattern(64, fd)).ok());
+  }
+  rig.bed.run_for(microseconds(20));
+
+  // A req_send reached the NSM's job ring at its engine_copy_fwd stamp and
+  // was popped at its nsm_job_dwell stamp.
+  std::vector<sim_time> arrived;
+  std::vector<sim_time> popped;
+  core_engine& ce = rig.bed.netkernel(side::a);
+  for (const auto& t : ce.tracer().completed()) {
+    if (t.op != shm::nqe_op::req_send || t.begin < sent_at) continue;
+    for (std::size_t i = 0; i < t.n_stamps; ++i) {
+      if (t.stamps[i].stage == obs::nqe_stage::engine_copy_fwd) {
+        arrived.push_back(t.stamps[i].at);
+      } else if (t.stamps[i].stage == obs::nqe_stage::nsm_job_dwell) {
+        popped.push_back(t.stamps[i].at);
+      }
+    }
+  }
+  std::sort(arrived.begin(), arrived.end());
+  std::sort(popped.begin(), popped.end());
+  ASSERT_EQ(arrived.size(), static_cast<std::size_t>(jobs));
+  ASSERT_EQ(popped.size(), static_cast<std::size_t>(jobs));
+  ASSERT_EQ(wire.size(), static_cast<std::size_t>(jobs));
+  EXPECT_LT(arrived.back() - arrived.front(),
+            ce.config().notification.poll_interval);
+  const sim_time op_cost =
+      ce.config().costs.servicelib_per_op + module.profile().per_op_overhead;
+  for (std::size_t k = 0; k < popped.size(); ++k) {
+    const sim_time ahead = k == 0 ? sim_time::zero() : wire[k - 1].burst;
+    EXPECT_LE(wire[k].at - popped[k], op_cost + wire[k].burst + ahead)
+        << "job " << k;
+  }
 }
 
 TEST(netkernel_guestlib, close_releases_mapping_and_chunks) {
@@ -2259,9 +2358,11 @@ TEST(netkernel_memory, failover_churn_frees_every_dead_module) {
     ASSERT_EQ(probes_connected, cycle + 1) << "cycle " << cycle;
     ASSERT_EQ(accepted, cycle + 1) << "cycle " << cycle;
 
-    // Fail the module with a second payload still on its way.
+    // Fail the module the moment a second payload is sent: its req_sends
+    // are still in the rings and die with the module. (ServiceLib runs each
+    // job to completion within a few microseconds, so a later failure
+    // finds nothing of the payload left in flight.)
     ASSERT_TRUE(ga.nk_send(client, buffer::pattern(payload, cycle)).ok());
-    bed.run_for(microseconds(5));
     const nsm_id old = current;
     fresh_cfg.name = "nsm-a-r" + std::to_string(cycle);
     current = ce.replace_nsm(old, fresh_cfg).id();

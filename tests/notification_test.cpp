@@ -169,6 +169,31 @@ TEST(queue_pump, last_drain_is_the_most_recent_drain) {
   EXPECT_EQ(pump.last_drain(), microseconds(25));
 }
 
+// A tick is idle when its drain schedules no event; wakeups count apart.
+TEST(queue_pump, mix_counts_ticks_idle_ticks_and_wakeups) {
+  sim::simulator s;
+  notify_config cfg;
+  cfg.kind = notify_config::mode::polling;
+  cfg.poll_interval = microseconds(10);
+  int drains = 0;
+  queue_pump pump{s, cfg, [&] {
+                    // Every third drain queues work (one event).
+                    if (++drains % 3 == 0) s.schedule(nanoseconds(1), [] {});
+                  }};
+  pump.start();
+  s.run_until(microseconds(95));  // ticks at 10..90 us
+  EXPECT_EQ(pump.mix().ticks, 9u);
+  EXPECT_EQ(pump.mix().idle_ticks, 6u);
+  EXPECT_EQ(pump.mix().wakeups, 0u);
+  pump.wake_at(microseconds(97));  // drain 10: idle, but not a tick
+  s.run_until(microseconds(99));
+  EXPECT_EQ(pump.mix().ticks, 9u);
+  EXPECT_EQ(pump.mix().wakeups, 1u);
+  // Ten ticks (the one at 100 us still pending), three work events and
+  // the wakeup.
+  EXPECT_EQ(s.events_scheduled(), 10u + 3u + 1u);
+}
+
 // --- accounting / pricing ------------------------------------------------------------
 
 TEST(accounting, charge_formulas) {
